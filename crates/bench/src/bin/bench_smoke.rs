@@ -31,7 +31,9 @@
 //! against `crates/bench/unknown_baseline.json` (refresh with
 //! `--write-unknown-baseline`). A budget knob that turns hard queries
 //! into `Unknown` shows up here the way a slow path shows up in the perf
-//! table. Warn-only for this PR; enforcement follows.
+//! table. With `--gate`, an entry more than 100 bp over its baseline — or
+//! a missing or unreadable baseline file — fails the process (exit 1);
+//! without it, the same findings are printed as warnings.
 //!
 //! Note on the `parallel_solve`, `work_steal` and `pool` groups: their
 //! speedups are hardware-bound — on a single-core machine the paired
@@ -552,6 +554,40 @@ fn unknown_rates(gen_lib: &dart_minic::CompiledProgram) -> Vec<(String, u64)> {
 /// workload-shape edits small enough not to matter.
 const UNKNOWN_TOLERANCE_BP: u64 = 100;
 
+/// The completeness gate: every current `unknown_rate` entry against the
+/// baseline file's text (`Err` when it could not be read). Returns the
+/// problems — an entry more than [`UNKNOWN_TOLERANCE_BP`] over its
+/// baseline, or a baseline that is missing or does not parse; empty means
+/// the gate passes. An entry the baseline lacks is a new workload, not a
+/// regression.
+fn unknown_rate_problems(
+    current: &[(String, u64)],
+    baseline: Result<String, String>,
+    path: &str,
+) -> Vec<String> {
+    let baseline = match baseline.and_then(|text| parse_baseline(&text)) {
+        Ok(baseline) => baseline,
+        Err(e) => {
+            return vec![format!(
+                "{path}: {e} — run with --write-unknown-baseline first"
+            )]
+        }
+    };
+    current
+        .iter()
+        .filter_map(|(name, bp)| {
+            let (_, base) = baseline.iter().find(|(k, _)| k == name)?;
+            (*bp > base + UNKNOWN_TOLERANCE_BP).then(|| {
+                format!(
+                    "{name}: unknown rate {bp} bp vs baseline {base} bp \
+                     (+{} bp over the {UNKNOWN_TOLERANCE_BP} bp band)",
+                    bp - base
+                )
+            })
+        })
+        .collect()
+}
+
 /// Median nanoseconds per iteration: calibrates a batch size that takes a
 /// few milliseconds, then medians over `SAMPLES` batches.
 fn measure(mut work: impl FnMut() -> usize) -> u64 {
@@ -850,48 +886,31 @@ fn main() -> ExitCode {
 
     // The completeness gate rides next to the perf gate: same baseline
     // JSON shape, but absolute basis-point drift instead of a relative
-    // percentage — and warn-only for this PR (enforcement follows once a
-    // baseline has soaked on CI hardware).
+    // percentage. Under `--gate` a failure fails the process whatever the
+    // perf comparison below decides.
     let unknown_current = unknown_rates(&gen_lib);
+    let mut success = ExitCode::SUCCESS;
     if write_unknown_baseline {
         std::fs::write(&unknown_baseline_path, render_baseline(&unknown_current))
             .unwrap_or_else(|e| panic!("cannot write {unknown_baseline_path}: {e}"));
         println!("unknown-rate baseline written to {unknown_baseline_path}");
     } else {
-        match std::fs::read_to_string(&unknown_baseline_path)
-            .map_err(|e| e.to_string())
-            .and_then(|text| parse_baseline(&text))
-        {
-            Ok(baseline) => {
-                let mut worse = 0usize;
-                for (name, bp) in &unknown_current {
-                    let Some((_, base)) = baseline.iter().find(|(k, _)| k == name) else {
-                        println!("{name}: {bp} bp (no baseline entry)");
-                        continue;
-                    };
-                    if *bp > base + UNKNOWN_TOLERANCE_BP {
-                        worse += 1;
-                        println!(
-                            "WARN {name}: unknown rate {bp} bp vs baseline {base} bp \
-                             (+{} bp over the {UNKNOWN_TOLERANCE_BP} bp band)",
-                            bp - base
-                        );
-                    }
-                }
-                if worse == 0 {
-                    println!(
-                        "unknown rates within {UNKNOWN_TOLERANCE_BP} bp of {unknown_baseline_path}"
-                    );
-                } else {
-                    println!(
-                        "WARN: {worse} workload(s) lost completeness vs {unknown_baseline_path} \
-                         (warn-only this PR; refresh with --write-unknown-baseline if deliberate)"
-                    );
-                }
+        let baseline = std::fs::read_to_string(&unknown_baseline_path).map_err(|e| e.to_string());
+        let problems = unknown_rate_problems(&unknown_current, baseline, &unknown_baseline_path);
+        if problems.is_empty() {
+            println!("unknown rates within {UNKNOWN_TOLERANCE_BP} bp of {unknown_baseline_path}");
+        } else {
+            let tag = if gate { "FAIL" } else { "WARN" };
+            for problem in &problems {
+                println!("{tag} {problem}");
             }
-            Err(e) => println!(
-                "WARN: {unknown_baseline_path}: {e} — run with --write-unknown-baseline first"
-            ),
+            println!(
+                "{tag}: completeness check failed vs {unknown_baseline_path} \
+                 (refresh with --write-unknown-baseline if deliberate)"
+            );
+            if gate {
+                success = ExitCode::from(1);
+            }
         }
     }
 
@@ -902,7 +921,7 @@ fn main() -> ExitCode {
         for (name, ns) in &current {
             println!("  {name}: {ns} ns/iter");
         }
-        return ExitCode::SUCCESS;
+        return success;
     }
 
     let baseline = match std::fs::read_to_string(&baseline_path) {
@@ -910,12 +929,12 @@ fn main() -> ExitCode {
             Ok(b) => b,
             Err(e) => {
                 println!("WARN: {baseline_path}: {e} — regenerate with --write-baseline");
-                return ExitCode::SUCCESS;
+                return success;
             }
         },
         Err(e) => {
             println!("WARN: cannot read {baseline_path}: {e} — run with --write-baseline first");
-            return ExitCode::SUCCESS;
+            return success;
         }
     };
 
@@ -956,7 +975,7 @@ fn main() -> ExitCode {
     } else {
         println!("\nall benchmarks within {tolerance_pct}% of baseline");
     }
-    ExitCode::SUCCESS
+    success
 }
 
 #[cfg(test)]
@@ -985,6 +1004,29 @@ mod tests {
         assert!(text.contains("\"exec_tier_speedup\": 5.000"));
         // Keys never need escaping, so the snapshot stays flat JSON.
         assert_eq!(text.matches('{').count(), text.matches('}').count());
+    }
+
+    #[test]
+    fn unknown_rate_gate_fails_on_regressions_and_missing_baselines() {
+        let current = vec![
+            ("unknown_rate/a".to_string(), 150),
+            ("unknown_rate/new".to_string(), 900),
+        ];
+        let baseline = |base: u64| Ok(format!("{{\"unknown_rate/a\": {base}}}"));
+        // At most 100 bp over the baseline passes; a workload the
+        // baseline lacks is new, not a regression.
+        assert!(unknown_rate_problems(&current, baseline(150), "b.json").is_empty());
+        assert!(unknown_rate_problems(&current, baseline(50), "b.json").is_empty());
+        // 101 bp over fails, naming the workload.
+        let problems = unknown_rate_problems(&current, baseline(49), "b.json");
+        assert_eq!(problems.len(), 1);
+        assert!(problems[0].starts_with("unknown_rate/a:"), "{problems:?}");
+        // A missing or malformed baseline fails too.
+        let missing = unknown_rate_problems(&current, Err("not found".into()), "b.json");
+        assert_eq!(missing.len(), 1);
+        assert!(missing[0].contains("b.json"));
+        let garbage = unknown_rate_problems(&current, Ok("[1]".into()), "b.json");
+        assert_eq!(garbage.len(), 1);
     }
 
     #[test]

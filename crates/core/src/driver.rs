@@ -865,12 +865,11 @@ impl<'p> Dart<'p> {
                 let solve_started = std::time::Instant::now();
                 let upper = result.stack.len().min(result.path.len());
                 let constraints = result.path.constraints();
-                // One incremental prefix session per run: the `j` queries
-                // below all share prefixes of this run's path constraint.
-                let mut session = solver.session();
-                for c in &constraints[..upper] {
-                    session.push(c);
-                }
+                // The `j` queries below all share prefixes of this run's
+                // path constraint, which shares a prefix with the previous
+                // expansion's: the retained session pushes only the rest.
+                let mut session = cache.take_session(&solver, &constraints[..upper]);
+                let walk_start = session.stats();
                 // Candidate collection, dedup first: a fingerprint already
                 // derived (this restart or an earlier one) skips its
                 // solver query entirely, at the sound cost of the
@@ -995,14 +994,12 @@ impl<'p> Dart<'p> {
                         *acc += w;
                     }
                 }
-                // LP/portfolio counters from this generation's committing
-                // session (speculative workers' sessions are discarded —
-                // scheduling-dependent, scrubbed; see `solve_next`).
-                let session_stats = session.stats();
-                report.solver.warm_pivots += session_stats.warm_pivots;
-                report.solver.cold_restarts += session_stats.cold_restarts;
-                report.solver.portfolio_fd_wins += session_stats.portfolio_fd_wins;
-                report.solver.portfolio_lp_wins += session_stats.portfolio_lp_wins;
+                // LP/portfolio counters from this expansion on the
+                // committing session (speculative workers' sessions are
+                // discarded — scheduling-dependent, scrubbed; see
+                // `solve_next`).
+                report.solver.add_session_walk(session.stats() - walk_start);
+                cache.retain_session(session);
                 report.solver.absorb_cache(&cache);
                 report.solve_time += solve_started.elapsed();
                 report.dedup_hits = frontier.dedup_hits;

@@ -426,7 +426,7 @@ fn worker_loop(inner: &Inner, me: usize) {
 
 /// Runs one job against the walk's prefix session. Returns `false` when
 /// the solve panicked (the job is still marked finished, verdict-less).
-fn execute(session: &mut dart_solver::PrefixSession<'_>, job: &Job, me: usize) -> bool {
+fn execute(session: &mut dart_solver::PrefixSession, job: &Job, me: usize) -> bool {
     let walk = &job.walk;
     if walk.cancel_on_sat && job.pos > walk.high_water.load(Ordering::Acquire) {
         walk.finish_one();

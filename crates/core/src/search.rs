@@ -30,7 +30,8 @@ use crate::pool::{SolvePool, WalkItem, WalkRequest};
 use crate::supervise::FaultState;
 use crate::tape::InputTape;
 use dart_solver::{
-    Assignment, CacheStats, Constraint, PrefixSession, QueryCache, SolveInfo, SolveOutcome, Solver,
+    Assignment, CacheStats, Constraint, PrefixSession, QueryCache, SessionStats, SolveInfo,
+    SolveOutcome, Solver,
 };
 use dart_sym::{BranchRecord, PathConstraint};
 use rand::rngs::SmallRng;
@@ -164,6 +165,16 @@ impl SolveStats {
         self.shared_hits = cs.shared_hits;
     }
 
+    /// Adds one walk's LP/portfolio counters: the retained session's
+    /// cumulative [`SessionStats`] minus its snapshot at walk entry, so a
+    /// session that serves many walks is counted once per walk.
+    pub(crate) fn add_session_walk(&mut self, walk: SessionStats) {
+        self.warm_pivots += walk.warm_pivots;
+        self.cold_restarts += walk.cold_restarts;
+        self.portfolio_fd_wins += walk.portfolio_fd_wins;
+        self.portfolio_lp_wins += walk.portfolio_lp_wins;
+    }
+
     /// Zeroes every scheduling-dependent diagnostic — the counters the
     /// determinism contract explicitly excludes (`parallel_wasted`,
     /// `shared_hits`, `steals`, `pool_idle_ns`, `max_queue_depth`,
@@ -244,13 +255,13 @@ pub fn solve_next(
         Strategy::Dfs => candidates.reverse(),
         Strategy::RandomBranch => candidates.shuffle(rng),
     }
-    // All of this run's queries share prefixes of one path constraint, so
-    // push it once and let each query start from the shared factorization.
+    // All of this run's queries share prefixes of one path constraint, and
+    // under DFS the path repeats the previous run's up to the flipped
+    // branch: the cache's retained session keeps that shared prefix and
+    // pushes only the new suffix.
     let prefix = &path.constraints()[..n];
-    let mut session = solver.session();
-    for c in prefix {
-        session.push(c);
-    }
+    let mut session = cache.take_session(solver, prefix);
+    let walk_start = session.stats();
     let mut speculated = match scheduler {
         Scheduler::Pool(pool) if candidates.len() > 1 => speculate_pooled(
             prefix,
@@ -331,15 +342,12 @@ pub fn solve_next(
             *acc += w;
         }
     }
-    // LP/portfolio counters from the committing session. Speculative pool
-    // workers solve on their own sessions that are dropped with the scope,
-    // so these totals depend on how much work the commit walk did locally
-    // — diagnostics, scrubbed with the rest.
-    let session_stats = session.stats();
-    stats.warm_pivots += session_stats.warm_pivots;
-    stats.cold_restarts += session_stats.cold_restarts;
-    stats.portfolio_fd_wins += session_stats.portfolio_fd_wins;
-    stats.portfolio_lp_wins += session_stats.portfolio_lp_wins;
+    // LP/portfolio counters from this walk on the committing session.
+    // Speculative pool workers solve on their own sessions that are
+    // dropped with the scope, so these totals depend on how much work the
+    // commit walk did locally — diagnostics, scrubbed with the rest.
+    stats.add_session_walk(session.stats() - walk_start);
+    cache.retain_session(session);
     stats.absorb_cache(cache);
     found
 }
@@ -393,7 +401,7 @@ impl Speculation {
 fn speculate_scoped(
     path: &PathConstraint,
     candidates: &[usize],
-    session: &PrefixSession<'_>,
+    session: &PrefixSession,
     tape: &InputTape,
     cache: &QueryCache,
     threads: usize,
@@ -471,7 +479,7 @@ fn speculate_pooled(
     prefix: &[Constraint],
     path: &PathConstraint,
     candidates: &[usize],
-    session: &PrefixSession<'_>,
+    session: &PrefixSession,
     tape: &InputTape,
     cache: &QueryCache,
     solver: &Solver,
@@ -535,7 +543,7 @@ pub(crate) fn speculate_all(
     prefix: &[Constraint],
     path: &PathConstraint,
     candidates: &[usize],
-    session: &PrefixSession<'_>,
+    session: &PrefixSession,
     tape: &InputTape,
     cache: &QueryCache,
     solver: &Solver,

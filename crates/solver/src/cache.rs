@@ -48,6 +48,13 @@
 //! report-visible counter stays independent of what other sessions
 //! published. Only [`CacheStats::shared_hits`] reveals the reuse.
 //!
+//! The cache also carries the engine session's [`PrefixSession`] from one
+//! walk to the next ([`QueryCache::take_session`] /
+//! [`QueryCache::retain_session`]), so each walk pushes only the suffix
+//! its path does not share with the previous one. A re-based session
+//! answers exactly as a freshly built one, so retaining it changes no
+//! verdict, model or counter.
+//!
 //! [`report`]: SolveOutcome
 //!
 //! # Examples
@@ -71,7 +78,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::constraint::Constraint;
-use crate::ilp::{Assignment, SolveInfo, SolveOutcome, Solver};
+use crate::ilp::{Assignment, PrefixSession, SolveInfo, SolveOutcome, Solver};
 use crate::linear::Var;
 use crate::shared::SharedVerdictStore;
 
@@ -88,6 +95,55 @@ pub(crate) type SetKey = Vec<Vec<u8>>;
 
 /// The hint's projection onto a query's variables, in sorted var order.
 pub(crate) type HintKey = Vec<(u32, Option<i64>)>;
+
+/// One query `prefix ∧ last`, borrowed from where its constraints live: a
+/// session query's prefix stays in the [`PrefixSession`] and `last` is the
+/// negated branch, so no query copies its prefix.
+#[derive(Debug, Clone, Copy)]
+struct Query<'a> {
+    prefix: &'a [Constraint],
+    last: Option<&'a Constraint>,
+}
+
+impl<'a> Query<'a> {
+    /// A plain conjunction, split into its leading constraints and its
+    /// last one.
+    fn of(constraints: &'a [Constraint]) -> Query<'a> {
+        match constraints.split_last() {
+            Some((last, prefix)) => Query {
+                prefix,
+                last: Some(last),
+            },
+            None => Query {
+                prefix: &[],
+                last: None,
+            },
+        }
+    }
+
+    /// A session's depth-`j` query: its live prefix, then `negated`.
+    fn at(session: &'a PrefixSession, j: usize, negated: &'a Constraint) -> Query<'a> {
+        Query {
+            prefix: session.prefix_live(j),
+            last: Some(negated),
+        }
+    }
+
+    /// The constraints in query order.
+    fn iter(self) -> impl Iterator<Item = &'a Constraint> {
+        self.prefix.iter().chain(self.last)
+    }
+
+    /// Whether every constraint holds under `lookup`, testing the last —
+    /// in a session query, the negated branch — first: the hint and most
+    /// pooled models come from runs that took the other side of that
+    /// branch, so they fail exactly there. The conjunction is the same in
+    /// any order, so the answer is too.
+    fn satisfied_by(self, lookup: impl Fn(Var) -> Option<i64>) -> bool {
+        self.last.is_none_or(|c| c.satisfied_by(&lookup))
+            && self.prefix.iter().all(|c| c.satisfied_by(&lookup))
+    }
+}
 
 /// Counters describing what the cache did so far; snapshot via
 /// [`QueryCache::stats`].
@@ -153,6 +209,9 @@ pub struct QueryCache {
     /// session-private. Independent of `enabled`: the store replays
     /// fresh solves, not session memoization.
     shared: Option<Arc<SharedVerdictStore>>,
+    /// The prefix session of the previous walk, kept so the next walk
+    /// pushes only its new path suffix (see [`QueryCache::take_session`]).
+    session: Option<PrefixSession>,
 }
 
 impl QueryCache {
@@ -203,6 +262,26 @@ impl QueryCache {
         self.stats += shard;
     }
 
+    /// The prefix session for a walk over `path`: the one the previous
+    /// walk retained ([`QueryCache::retain_session`]), re-based onto
+    /// `path` with [`PrefixSession::rebase`], or a fresh one when none is
+    /// retained or the retained one runs under a different solver
+    /// configuration. Either way it answers exactly as a session freshly
+    /// built by pushing `path` would.
+    pub fn take_session(&mut self, solver: &Solver, path: &[Constraint]) -> PrefixSession {
+        let mut session = match self.session.take() {
+            Some(s) if s.solver() == solver => s,
+            _ => solver.session(),
+        };
+        session.rebase(path);
+        session
+    }
+
+    /// Keeps `session` for the next [`QueryCache::take_session`].
+    pub fn retain_session(&mut self, session: PrefixSession) {
+        self.session = Some(session);
+    }
+
     /// Solves `constraints` under `hint`, consulting the cache first and
     /// recording the verdict on a miss. Semantics match
     /// [`Solver::solve_with_hint`] exactly.
@@ -215,17 +294,18 @@ impl QueryCache {
     where
         F: Fn(Var) -> Option<i64>,
     {
-        let key = self.enabled.then(|| set_key(constraints.iter()));
-        if let Some(out) = self.shortcut(solver, &key, constraints, &hint) {
+        let query = Query::of(constraints);
+        let key = self.enabled.then(|| set_key(query.iter()));
+        if let Some(out) = self.shortcut(solver, &key, query, &hint) {
             return out;
         }
-        if let Some(out) = self.shared_replay(&key, constraints, &hint) {
+        if let Some(out) = self.shared_replay(&key, query, &hint) {
             return out;
         }
         let mut info = SolveInfo::default();
         let out = solver.solve_with_hint_info(constraints, &hint, &mut info);
-        self.record(key, constraints, &hint, info.was_split(), &out);
-        self.publish_shared(constraints, &hint, info.was_split(), &out);
+        self.record(key, query, &hint, info.was_split(), &out);
+        self.publish_shared(query, &hint, info.was_split(), &out);
         out
     }
 
@@ -235,7 +315,7 @@ impl QueryCache {
     /// call sites share verdicts.
     pub fn solve_query<F>(
         &mut self,
-        session: &mut crate::ilp::PrefixSession<'_>,
+        session: &mut PrefixSession,
         j: usize,
         negated: &Constraint,
         hint: F,
@@ -265,7 +345,7 @@ impl QueryCache {
     /// walk's state for every position that actually consumes one.
     pub fn solve_query_precomputed<F>(
         &mut self,
-        session: &mut crate::ilp::PrefixSession<'_>,
+        session: &mut PrefixSession,
         j: usize,
         negated: &Constraint,
         hint: F,
@@ -274,29 +354,28 @@ impl QueryCache {
     where
         F: Fn(Var) -> Option<i64>,
     {
-        let full: Vec<Constraint> = session
-            .prefix_live(j)
-            .iter()
-            .chain(std::iter::once(negated))
-            .cloned()
-            .collect();
-        let key = self.enabled.then(|| set_key(full.iter()));
-        if let Some(out) = self.shortcut(session.solver(), &key, &full, &hint) {
+        let query = Query::at(session, j, negated);
+        let key = self.enabled.then(|| set_key(query.iter()));
+        if let Some(out) = self.shortcut(session.solver(), &key, query, &hint) {
             return (out, false);
         }
-        if let Some(out) = self.shared_replay(&key, &full, &hint) {
+        if let Some(out) = self.shared_replay(&key, query, &hint) {
             return (out, false);
         }
-        if let Some((out, info)) = precomputed {
-            self.record(key, &full, &hint, info.was_split(), &out);
-            self.publish_shared(&full, &hint, info.was_split(), &out);
-            return (out, true);
-        }
-        let mut info = SolveInfo::default();
-        let out = session.solve_query_info(j, negated, &hint, &mut info);
-        self.record(key, &full, &hint, info.was_split(), &out);
-        self.publish_shared(&full, &hint, info.was_split(), &out);
-        (out, false)
+        let used = precomputed.is_some();
+        let (out, info) = match precomputed {
+            Some(pre) => pre,
+            None => {
+                // Solving borrows the session mutably, so the query view
+                // is taken again below.
+                let mut info = SolveInfo::default();
+                (session.solve_query_info(j, negated, &hint, &mut info), info)
+            }
+        };
+        let query = Query::at(session, j, negated);
+        self.record(key, query, &hint, info.was_split(), &out);
+        self.publish_shared(query, &hint, info.was_split(), &out);
+        (out, used)
     }
 
     /// Read-only preview of a depth-`j` query for speculative workers:
@@ -307,7 +386,7 @@ impl QueryCache {
     /// candidate's satisfiability for the high-water mark.
     pub fn peek_query<F>(
         &self,
-        session: &crate::ilp::PrefixSession<'_>,
+        session: &PrefixSession,
         j: usize,
         negated: &Constraint,
         hint: F,
@@ -315,34 +394,29 @@ impl QueryCache {
     where
         F: Fn(Var) -> Option<i64>,
     {
-        let full: Vec<Constraint> = session
-            .prefix_live(j)
-            .iter()
-            .chain(std::iter::once(negated))
-            .cloned()
-            .collect();
-        let key = self.enabled.then(|| set_key(full.iter()));
+        let query = Query::at(session, j, negated);
+        let key = self.enabled.then(|| set_key(query.iter()));
         if let Some(key) = &key {
             if self.unsat.contains_key(key) {
                 return Some(SolveOutcome::Unsat);
             }
         }
-        if let Some(m) = self.try_model_reuse(session.solver(), &full, &hint) {
+        if let Some(m) = self.try_model_reuse(session.solver(), query, &hint) {
             return Some(SolveOutcome::Sat(m));
         }
         if let Some(key) = &key {
-            let full_key = (key.clone(), hint_key(&full, &hint));
+            let full_key = (key.clone(), hint_key(query, &hint));
             if let Some(out) = self.exact.get(&full_key).cloned() {
                 return Some(out);
             }
         }
         let store = self.shared.as_ref()?;
-        let set = key.unwrap_or_else(|| set_key(full.iter()));
+        let set = key.unwrap_or_else(|| set_key(query.iter()));
         if store.lookup_unsat(&set).is_some() {
             return Some(SolveOutcome::Unsat);
         }
         store
-            .lookup_exact(&seq_key(full.iter()), &hint_key(&full, &hint))
+            .lookup_exact(&seq_key(query.iter()), &hint_key(query, &hint))
             .map(|(out, _)| out)
     }
 
@@ -354,7 +428,7 @@ impl QueryCache {
     fn shared_replay<F>(
         &mut self,
         key: &Option<SetKey>,
-        constraints: &[Constraint],
+        query: Query<'_>,
         hint: &F,
     ) -> Option<SolveOutcome>
     where
@@ -363,15 +437,13 @@ impl QueryCache {
         let store = self.shared.clone()?;
         let set = match key {
             Some(k) => k.clone(),
-            None => set_key(constraints.iter()),
+            None => set_key(query.iter()),
         };
         let (out, was_split) = match store.lookup_unsat(&set) {
             Some(was_split) => (SolveOutcome::Unsat, was_split),
-            None => {
-                store.lookup_exact(&seq_key(constraints.iter()), &hint_key(constraints, hint))?
-            }
+            None => store.lookup_exact(&seq_key(query.iter()), &hint_key(query, hint))?,
         };
-        self.record(key.clone(), constraints, hint, was_split, &out);
+        self.record(key.clone(), query, hint, was_split, &out);
         self.stats.shared_hits += 1;
         Some(out)
     }
@@ -379,21 +451,16 @@ impl QueryCache {
     /// Publishes a fresh verdict to the attached store (no-op without
     /// one): refutations to the hint-free canonical unsat tier,
     /// `Sat`/`Unknown` to the ordered exact tier.
-    fn publish_shared<F>(
-        &mut self,
-        constraints: &[Constraint],
-        hint: &F,
-        was_split: bool,
-        out: &SolveOutcome,
-    ) where
+    fn publish_shared<F>(&mut self, query: Query<'_>, hint: &F, was_split: bool, out: &SolveOutcome)
+    where
         F: Fn(Var) -> Option<i64>,
     {
         let Some(store) = &self.shared else { return };
         match out {
-            SolveOutcome::Unsat => store.publish_unsat(set_key(constraints.iter()), was_split),
+            SolveOutcome::Unsat => store.publish_unsat(set_key(query.iter()), was_split),
             SolveOutcome::Sat(_) | SolveOutcome::Unknown => store.publish_exact(
-                seq_key(constraints.iter()),
-                hint_key(constraints, hint),
+                seq_key(query.iter()),
+                hint_key(query, hint),
                 out.clone(),
                 was_split,
             ),
@@ -410,7 +477,7 @@ impl QueryCache {
         &mut self,
         solver: &Solver,
         key: &Option<SetKey>,
-        constraints: &[Constraint],
+        query: Query<'_>,
         hint: &F,
     ) -> Option<SolveOutcome>
     where
@@ -422,7 +489,7 @@ impl QueryCache {
                 return Some(SolveOutcome::Unsat);
             }
         }
-        if let Some(m) = self.try_model_reuse(solver, constraints, hint) {
+        if let Some(m) = self.try_model_reuse(solver, query, hint) {
             self.stats.model_reuse += 1;
             if self.enabled {
                 self.stats.hits += 1;
@@ -430,7 +497,7 @@ impl QueryCache {
             return Some(SolveOutcome::Sat(m));
         }
         if let Some(key) = key {
-            let full_key = (key.clone(), hint_key(constraints, hint));
+            let full_key = (key.clone(), hint_key(query, hint));
             if let Some(out) = self.exact.get(&full_key).cloned() {
                 self.stats.hits += 1;
                 if let SolveOutcome::Sat(m) = &out {
@@ -448,29 +515,22 @@ impl QueryCache {
     /// probes first and declines when either would fire, so this path
     /// only answers queries the solver would have sent to a full search —
     /// then scans the pool, newest first, for a model that satisfies
-    /// every constraint.
-    fn try_model_reuse<F>(
-        &self,
-        solver: &Solver,
-        constraints: &[Constraint],
-        hint: &F,
-    ) -> Option<Assignment>
+    /// every constraint (the last one tested first, see
+    /// [`Query::satisfied_by`]).
+    fn try_model_reuse<F>(&self, solver: &Solver, query: Query<'_>, hint: &F) -> Option<Assignment>
     where
         F: Fn(Var) -> Option<i64>,
     {
         let b = solver.config().default_bounds;
-        let probe = |pick: &dyn Fn(Var) -> i64| {
-            constraints
-                .iter()
-                .all(|c| c.satisfied_by(|v| Some(pick(v).clamp(b.lo, b.hi))))
-        };
+        let probe =
+            |pick: &dyn Fn(Var) -> i64| query.satisfied_by(|v| Some(pick(v).clamp(b.lo, b.hi)));
         if probe(&|v| hint(v).unwrap_or(0)) || probe(&|_| 0) {
             return None; // the solver's probes settle this; don't shadow them
         }
         for m in self.models.iter().rev() {
             let pick = |v: Var| m.get(&v).copied().unwrap_or(0);
             if probe(&pick) {
-                let model: Assignment = constraints
+                let model: Assignment = query
                     .iter()
                     .flat_map(|c| c.vars())
                     .map(|v| (v, pick(v).clamp(b.lo, b.hi)))
@@ -495,7 +555,7 @@ impl QueryCache {
     fn record<F>(
         &mut self,
         key: Option<SetKey>,
-        constraints: &[Constraint],
+        query: Query<'_>,
         hint: &F,
         was_split: bool,
         out: &SolveOutcome,
@@ -518,8 +578,7 @@ impl QueryCache {
                 self.unsat.insert(key, ());
             }
             SolveOutcome::Sat(_) | SolveOutcome::Unknown => {
-                self.exact
-                    .insert((key, hint_key(constraints, hint)), out.clone());
+                self.exact.insert((key, hint_key(query, hint)), out.clone());
             }
         }
     }
@@ -555,11 +614,11 @@ fn fingerprint(c: &Constraint) -> Vec<u8> {
 }
 
 /// The hint projected onto the query's variables, sorted and deduplicated.
-pub(crate) fn hint_key<F>(constraints: &[Constraint], hint: &F) -> HintKey
+fn hint_key<F>(query: Query<'_>, hint: &F) -> HintKey
 where
     F: Fn(Var) -> Option<i64>,
 {
-    let mut key: HintKey = constraints
+    let mut key: HintKey = query
         .iter()
         .flat_map(|c| c.vars())
         .map(|v| (v.0, hint(v)))
@@ -853,5 +912,29 @@ mod tests {
             SolveOutcome::Unsat
         );
         assert_eq!(cache.stats().hits, 1);
+    }
+
+    #[test]
+    fn retained_session_is_rebased_or_discarded_on_a_config_change() {
+        let solver = Solver::default();
+        let mut cache = QueryCache::new(true);
+        let path = vec![eq(0, 1), ne(1, 2)];
+        let sess = cache.take_session(&solver, &path);
+        assert_eq!(sess.depth(), 2);
+        cache.retain_session(sess);
+        // Same configuration: the retained session is re-based, keeping
+        // the shared first constraint.
+        let next = vec![eq(0, 1), eq(1, 2), ne(0, 3)];
+        let sess = cache.take_session(&solver, &next);
+        assert_eq!((sess.depth(), sess.common_prefix(&next)), (3, 3));
+        cache.retain_session(sess);
+        // Another configuration: a fresh session under that configuration.
+        let other = Solver::new(crate::ilp::SolverConfig {
+            max_fd_nodes: 1,
+            ..crate::ilp::SolverConfig::default()
+        });
+        let sess = cache.take_session(&other, &path);
+        assert_eq!(sess.solver(), &other);
+        assert_eq!(sess.depth(), 2);
     }
 }

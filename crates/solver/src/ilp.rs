@@ -102,8 +102,30 @@ pub struct SessionStats {
     pub portfolio_lp_wins: u64,
 }
 
+/// The counters accumulated between an earlier snapshot (`rhs`) and this
+/// one. The exhaustive destructuring makes adding a field without deciding
+/// how it differences a compile error.
+impl std::ops::Sub for SessionStats {
+    type Output = SessionStats;
+
+    fn sub(self, rhs: SessionStats) -> SessionStats {
+        let SessionStats {
+            warm_pivots,
+            cold_restarts,
+            portfolio_fd_wins,
+            portfolio_lp_wins,
+        } = rhs;
+        SessionStats {
+            warm_pivots: self.warm_pivots - warm_pivots,
+            cold_restarts: self.cold_restarts - cold_restarts,
+            portfolio_fd_wins: self.portfolio_fd_wins - portfolio_fd_wins,
+            portfolio_lp_wins: self.portfolio_lp_wins - portfolio_lp_wins,
+        }
+    }
+}
+
 /// Tunable solver limits.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SolverConfig {
     /// Box applied to every variable (program inputs are 32-bit words).
     pub default_bounds: Bounds,
@@ -222,7 +244,7 @@ impl QueryClock<'_> {
 ///     other => panic!("expected sat, got {other:?}"),
 /// }
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Solver {
     config: SolverConfig,
 }
@@ -240,9 +262,10 @@ impl Solver {
 
     /// Starts an incremental prefix session: push the path constraints of a
     /// run once, then answer each `negated_prefix(j)` query from the shared
-    /// prefix state instead of rebuilding it (see [`PrefixSession`]).
-    pub fn session(&self) -> PrefixSession<'_> {
-        PrefixSession::new(self)
+    /// prefix state instead of rebuilding it (see [`PrefixSession`]). The
+    /// session keeps its own copy of this solver's configuration.
+    pub fn session(&self) -> PrefixSession {
+        PrefixSession::new(*self)
     }
 
     /// Solves the conjunction of `constraints`.
@@ -345,24 +368,10 @@ impl Solver {
         // Cheap probes against the *original* constraints: the hint
         // itself, then all-zeros clamped into range.
         let b = self.config.default_bounds;
-        let probe_sat = |pick: &dyn Fn(Var) -> i64| -> Option<Assignment> {
-            let ok = live
-                .iter()
-                .all(|c| c.satisfied_by(|v| Some(pick(v).clamp(b.lo, b.hi))));
-            if ok {
-                Some(
-                    vars.iter()
-                        .map(|&v| (v, pick(v).clamp(b.lo, b.hi)))
-                        .collect(),
-                )
-            } else {
-                None
-            }
-        };
-        if let Some(m) = probe_sat(&|v| hint(v).unwrap_or(0)) {
+        if let Some(m) = probe_model(live, &vars, b, &|v| hint(v).unwrap_or(0)) {
             return SolveOutcome::Sat(m);
         }
-        if let Some(m) = probe_sat(&|_| 0) {
+        if let Some(m) = probe_model(live, &vars, b, &|_| 0) {
             return SolveOutcome::Sat(m);
         }
 
@@ -467,7 +476,7 @@ impl Solver {
         };
         let ne = splits.swap_remove(i);
         // Prefer the side the hint already satisfies.
-        let hint_ok = |r: &Row| r.eval(hint) <= r.rhs as i128;
+        let hint_ok = |r: &Row| r.eval(hint) <= r.rhs;
         let order: [Row; 2] = if hint_ok(&ne.hi_side) && !hint_ok(&ne.lo_side) {
             [ne.hi_side.clone(), ne.lo_side.clone()]
         } else {
@@ -578,7 +587,7 @@ impl Solver {
         let Some(i) = next else {
             // All fixed: verify rows and exclusions.
             let cand: Vec<i64> = boxes.iter().map(|&(lo, _)| lo as i64).collect();
-            let ok = rows.iter().all(|r| r.eval(&cand) <= r.rhs as i128)
+            let ok = rows.iter().all(|r| r.eval(&cand) <= r.rhs)
                 && cand
                     .iter()
                     .enumerate()
@@ -650,7 +659,7 @@ impl Solver {
             // Integer probe: clamp the hint into the boxes, dodge
             // exclusions, then verify all rows.
             if let Some(cand) = probe_candidate(&boxes, exclusions, hint) {
-                if rows.iter().all(|r| r.eval(&cand) <= r.rhs as i128) {
+                if rows.iter().all(|r| r.eval(&cand) <= r.rhs) {
                     return Ok(Some(cand));
                 }
             }
@@ -688,7 +697,7 @@ impl Solver {
                     })
                     .collect();
                 if let Some(cand) = adjust_for_exclusions(&snapped, &boxes, exclusions) {
-                    if rows.iter().all(|r| r.eval(&cand) <= r.rhs as i128) {
+                    if rows.iter().all(|r| r.eval(&cand) <= r.rhs) {
                         return Ok(Some(cand));
                     }
                 }
@@ -702,7 +711,7 @@ impl Solver {
                     .enumerate()
                     .all(|(i, v)| !exclusions[i].contains(v))
                 {
-                    debug_assert!(rows.iter().all(|r| r.eval(&cand) <= r.rhs as i128));
+                    debug_assert!(rows.iter().all(|r| r.eval(&cand) <= r.rhs));
                     return Ok(Some(cand));
                 }
                 // Integer vertex on an excluded point: split around it.
@@ -760,7 +769,7 @@ impl Solver {
                     }
                     continue;
                 }
-                if min_sum > row.rhs as i128 {
+                if min_sum > row.rhs {
                     return false;
                 }
                 for &(j, a) in &row.coeffs {
@@ -771,7 +780,7 @@ impl Solver {
                         a as i128 * hi
                     };
                     let rest_min = min_sum - own_min;
-                    let slack = row.rhs as i128 - rest_min; // a*x <= slack
+                    let slack = row.rhs - rest_min; // a*x <= slack
                     if a > 0 {
                         let new_hi = slack.div_euclid(a as i128);
                         if new_hi < hi {
@@ -779,7 +788,7 @@ impl Solver {
                             changed = true;
                         }
                     } else {
-                        let na = (-a) as i128; // -a*x >= -slack => x >= ceil(-slack/ -a*... )
+                        let na = -(a as i128); // -a*x >= -slack => x >= ceil(-slack/ -a*... )
                         let new_lo = -(slack.div_euclid(na));
                         if new_lo > lo {
                             boxes[j].0 = new_lo;
@@ -803,6 +812,8 @@ impl Solver {
 /// corresponding constraint was pushed.
 #[derive(Debug, Clone)]
 struct Frame {
+    /// The pushed constraint, compared by [`PrefixSession::rebase`].
+    pushed: Constraint,
     live_len: usize,
     vars_len: usize,
     rows_len: usize,
@@ -819,7 +830,51 @@ struct Frame {
     infeasible: bool,
 }
 
-/// Incremental solving of one run's `negated_prefix(j)` query family.
+/// The shared-prefix LP of a [`PrefixSession`]: its frame stack mirrors
+/// the session's frames up to `synced`; queries at shallower depths pop it
+/// lazily, deeper ones re-push the stored frame rows.
+#[derive(Debug, Clone)]
+struct PrefixLp {
+    lp: LpSession,
+    /// How many leading frames the LP currently has pushed.
+    synced: usize,
+}
+
+impl PrefixLp {
+    /// Pops the LP back to at most `depth` frames.
+    fn truncate(&mut self, depth: usize) {
+        if self.synced > depth {
+            self.lp.pop_to(depth);
+            self.synced = depth;
+        }
+    }
+
+    /// Brings the LP to exactly the first `j` of `frames` and widens it to
+    /// at least `n` columns (a deeper earlier query may already have
+    /// widened it further; the extra zero columns don't change
+    /// feasibility). `false` means the LP screen must be skipped for this
+    /// query: a rejected width change, which cannot happen with the
+    /// monotone widths used here, degrades the screen instead of aborting.
+    fn sync(&mut self, frames: &[Frame], j: usize, n: usize) -> bool {
+        self.truncate(j);
+        while self.synced < j {
+            let f = &frames[self.synced];
+            if self
+                .lp
+                .grow_vars(f.vars_len.max(self.lp.num_vars()))
+                .is_err()
+            {
+                return false;
+            }
+            self.lp.push_frame(f.lp_rows.clone());
+            self.synced += 1;
+        }
+        self.lp.grow_vars(n.max(self.lp.num_vars())).is_ok()
+    }
+}
+
+/// Incremental solving of the directed search's `negated_prefix(j)`
+/// queries.
 ///
 /// The directed search (paper Fig. 5) solves, for each candidate branch `j`
 /// of a run, the query `c_0 ∧ … ∧ c_{j-1} ∧ ¬c_j`. A fresh
@@ -831,7 +886,23 @@ struct Frame {
 /// incrementally, and [`PrefixSession::solve_query`] starts from the
 /// snapshot at depth `j` — it also screens the query against a shared-prefix
 /// LP ([`LpSession`]) whose tableau and last feasible vertex persist across
-/// the whole query family.
+/// queries.
+///
+/// One session serves a whole DART session, not one run. Under
+/// depth-first order each new path repeats the previous one up to the
+/// flipped branch, so [`PrefixSession::rebase`] retracts the session to
+/// the longest prefix it shares with the new path and pushes only the
+/// rest. The shared prefix is found by comparing constraints by value,
+/// not by trusting the flipped index: an earlier constraint changes
+/// between runs when a non-linear term is concretized to a different
+/// value. A re-based session answers every query exactly as a session
+/// freshly built by pushing the same path would — outcome and model. Each
+/// frame is a function of the constraints pushed before it, and a pop
+/// restores the numbering, rows and case splits to the surviving frame.
+/// The one state that outlives a pop, the shared-prefix LP, only screens
+/// for rational infeasibility, which its exact simplex decides the same
+/// whatever dictionary or cached vertex it starts from (its witness point
+/// is never returned as a model).
 ///
 /// Outcomes are equisatisfiable with `solve_with_hint` on the same
 /// conjunction; the concrete model may differ (the session's tighter warm
@@ -845,7 +916,8 @@ struct Frame {
 /// let solver = Solver::default();
 /// let mut sess = solver.session();
 /// // Path: x0 == 1, then x0 != 5.
-/// sess.push(&Constraint::new(LinExpr::var(Var(0)).offset(-1), RelOp::Eq));
+/// let first = Constraint::new(LinExpr::var(Var(0)).offset(-1), RelOp::Eq);
+/// sess.push(&first);
 /// sess.push(&Constraint::new(LinExpr::var(Var(0)).offset(-5), RelOp::Ne));
 /// // Query j=1: x0 == 1 ∧ x0 == 5 — unsat.
 /// let neg = Constraint::new(LinExpr::var(Var(0)).offset(-5), RelOp::Eq);
@@ -853,10 +925,18 @@ struct Frame {
 /// // Query j=0: x0 != 1 — sat.
 /// let neg = Constraint::new(LinExpr::var(Var(0)).offset(-1), RelOp::Ne);
 /// assert!(sess.solve_query(0, &neg, |_| None).is_sat());
+/// // The next run's path shares the first constraint: re-basing keeps it
+/// // and pushes only the new second one.
+/// let next = [first, Constraint::new(LinExpr::var(Var(0)).offset(-5), RelOp::Eq)];
+/// assert_eq!(sess.common_prefix(&next), 1);
+/// sess.rebase(&next);
+/// assert_eq!(sess.depth(), 2);
 /// ```
 #[derive(Debug, Clone)]
-pub struct PrefixSession<'s> {
-    solver: &'s Solver,
+pub struct PrefixSession {
+    /// The solver this session runs on: its own copy of the configuration,
+    /// so a session can outlive the `Solver` it was started from.
+    solver: Solver,
     /// Non-trivial pushed constraints, in push order.
     live: Vec<Constraint>,
     /// Dense variable numbering, append-only across pushes.
@@ -866,18 +946,14 @@ pub struct PrefixSession<'s> {
     rows: Vec<Row>,
     /// Multi-variable `!=` case splits of the live prefix.
     splits: Vec<NeSplit>,
-    /// Shared-prefix LP; its frame stack mirrors `frames` up to
-    /// `lp_synced` (queries at shallower depths pop it lazily).
-    lp: LpSession,
-    /// How many leading `frames` the LP currently has pushed.
-    lp_synced: usize,
+    lp: PrefixLp,
     frames: Vec<Frame>,
     /// Portfolio race outcomes (the LP counters live in `lp`).
     stats: SessionStats,
 }
 
-impl<'s> PrefixSession<'s> {
-    fn new(solver: &'s Solver) -> PrefixSession<'s> {
+impl PrefixSession {
+    fn new(solver: Solver) -> PrefixSession {
         PrefixSession {
             solver,
             live: Vec::new(),
@@ -885,8 +961,10 @@ impl<'s> PrefixSession<'s> {
             var_idx: HashMap::new(),
             rows: Vec::new(),
             splits: Vec::new(),
-            lp: LpSession::with_warm(0, solver.config.lp_warm),
-            lp_synced: 0,
+            lp: PrefixLp {
+                lp: LpSession::with_warm(0, solver.config.lp_warm),
+                synced: 0,
+            },
             frames: Vec::new(),
             stats: SessionStats::default(),
         }
@@ -898,9 +976,11 @@ impl<'s> PrefixSession<'s> {
     }
 
     /// Solver-internal counters accumulated over this session's queries:
-    /// warm-LP pivots and restarts plus portfolio race wins.
+    /// warm-LP pivots and restarts plus portfolio race wins. Cumulative
+    /// over the session's lifetime; subtract an earlier snapshot to count
+    /// one walk.
     pub fn stats(&self) -> SessionStats {
-        let lp = self.lp.stats();
+        let lp = self.lp.lp.stats();
         SessionStats {
             warm_pivots: lp.warm_pivots,
             cold_restarts: lp.cold_restarts,
@@ -909,17 +989,17 @@ impl<'s> PrefixSession<'s> {
     }
 
     /// The solver this session runs on.
-    pub fn solver(&self) -> &'s Solver {
-        self.solver
+    pub fn solver(&self) -> &Solver {
+        &self.solver
     }
 
     /// Pushes the next path constraint, extending the numbering, the
     /// normalized rows and the propagated boxes incrementally.
     pub fn push(&mut self, c: &Constraint) {
         let b = self.solver.config.default_bounds;
-        let prev = self.frames.last();
-        let mut frame = match prev {
+        let mut frame = match self.frames.last() {
             Some(f) => Frame {
+                pushed: c.clone(),
                 live_len: f.live_len,
                 vars_len: f.vars_len,
                 rows_len: f.rows_len,
@@ -930,6 +1010,7 @@ impl<'s> PrefixSession<'s> {
                 infeasible: f.infeasible,
             },
             None => Frame {
+                pushed: c.clone(),
                 live_len: 0,
                 vars_len: 0,
                 rows_len: 0,
@@ -994,7 +1075,13 @@ impl<'s> PrefixSession<'s> {
     ///
     /// Panics if the session is empty.
     pub fn pop(&mut self) {
-        self.frames.pop().expect("pop on an empty PrefixSession");
+        let depth = self.frames.len().checked_sub(1);
+        self.truncate(depth.expect("pop on an empty PrefixSession"));
+    }
+
+    /// Pops every constraint pushed after the first `depth`.
+    fn truncate(&mut self, depth: usize) {
+        self.frames.truncate(depth);
         let (live_len, vars_len, rows_len, splits_len) = self
             .frames
             .last()
@@ -1006,10 +1093,28 @@ impl<'s> PrefixSession<'s> {
         self.live.truncate(live_len);
         self.rows.truncate(rows_len);
         self.splits.truncate(splits_len);
-        let depth = self.frames.len();
-        if self.lp_synced > depth {
-            self.lp.pop_to(depth);
-            self.lp_synced = depth;
+        self.lp.truncate(depth);
+    }
+
+    /// How many leading constraints of `path` this session has pushed:
+    /// the length of the longest common prefix, compared by value.
+    pub fn common_prefix(&self, path: &[Constraint]) -> usize {
+        self.frames
+            .iter()
+            .zip(path)
+            .take_while(|(f, c)| f.pushed == **c)
+            .count()
+    }
+
+    /// Re-bases the session onto `path`: pops back to the longest prefix
+    /// it shares with `path` ([`PrefixSession::common_prefix`]), then
+    /// pushes the rest. Afterwards the session answers every query as one
+    /// freshly built by pushing `path` would (see the type docs).
+    pub fn rebase(&mut self, path: &[Constraint]) {
+        let keep = self.common_prefix(path);
+        self.truncate(keep);
+        for c in &path[keep..] {
+            self.push(c);
         }
     }
 
@@ -1054,21 +1159,13 @@ impl<'s> PrefixSession<'s> {
         assert!(j <= self.frames.len(), "query depth {j} beyond session");
         let clock = QueryClock::start(self.solver.config.deadline);
         let b = self.solver.config.default_bounds;
-        let (live_len, vars_len, rows_len, splits_len, infeasible) = if j == 0 {
-            (0, 0, 0, 0, false)
-        } else {
-            let f = &self.frames[j - 1];
-            (
-                f.live_len,
-                f.vars_len,
-                f.rows_len,
-                f.splits_len,
-                f.infeasible,
-            )
-        };
-        if infeasible {
+        let prefix = j.checked_sub(1).map(|i| &self.frames[i]);
+        if prefix.is_some_and(|f| f.infeasible) {
             return SolveOutcome::Unsat;
         }
+        let (live_len, vars_len, rows_len, splits_len) = prefix.map_or((0, 0, 0, 0), |f| {
+            (f.live_len, f.vars_len, f.rows_len, f.splits_len)
+        });
 
         // Screen the negated constraint.
         let neg_live = match negated.triviality() {
@@ -1077,12 +1174,7 @@ impl<'s> PrefixSession<'s> {
             None if gcd_infeasible(negated) => return SolveOutcome::Unsat,
             None => Some(negated),
         };
-        let q_live: Vec<Constraint> = self.live[..live_len]
-            .iter()
-            .chain(neg_live)
-            .cloned()
-            .collect();
-        let q_live: Vec<&Constraint> = q_live.iter().collect();
+        let q_live: Vec<&Constraint> = self.live[..live_len].iter().chain(neg_live).collect();
         if q_live.is_empty() {
             return SolveOutcome::Sat(Assignment::new());
         }
@@ -1161,12 +1253,9 @@ impl<'s> PrefixSession<'s> {
         // Query state = prefix snapshots + the negated constraint.
         let mut q_rows = self.rows[..rows_len].to_vec();
         let mut q_splits = self.splits[..splits_len].to_vec();
-        let (mut q_excl, mut q_boxes) = if j == 0 {
-            (Vec::new(), Vec::new())
-        } else {
-            let f = &self.frames[j - 1];
+        let (mut q_excl, mut q_boxes) = prefix.map_or((Vec::new(), Vec::new()), |f| {
             (f.exclusions.clone(), f.boxes.clone())
-        };
+        });
         q_excl.resize_with(n, BTreeSet::new);
         q_boxes.resize(n, (b.lo as i128, b.hi as i128));
         let first_new_row = q_rows.len();
@@ -1188,10 +1277,21 @@ impl<'s> PrefixSession<'s> {
         // LP only on a miss; the portfolio races them on two threads with
         // a deterministic first-decisive-verdict commit rule.
         let hint_vals: Vec<i64> = q_vars.iter().map(|&v| hint(v).unwrap_or(0)).collect();
-        if self.solver.config.portfolio && self.lp_available(j, n) {
+        if self.solver.config.portfolio && self.lp.sync(&self.frames, j, n) {
             let neg_lp = shift_lp_rows(&q_rows[first_new_row..], b, vars_len, n);
-            if let Some(outcome) = self.race_strategies(
-                &q_rows, &q_boxes, &q_excl, &hint_vals, &q_splits, &q_live, &q_vars, neg_lp, &clock,
+            if let Some(outcome) = race_strategies(
+                &self.solver,
+                &mut self.lp.lp,
+                &mut self.stats,
+                &q_rows,
+                &q_boxes,
+                &q_excl,
+                &hint_vals,
+                &q_splits,
+                &q_live,
+                &q_vars,
+                neg_lp,
+                &clock,
             ) {
                 return outcome;
             }
@@ -1204,11 +1304,12 @@ impl<'s> PrefixSession<'s> {
             // The LP's cached vertex survives pops, so sibling queries
             // usually answer by point checks; on a miss the warm
             // dictionary repairs with a few dual pivots.
-            if self.lp_available(j, n) {
+            if self.lp.sync(&self.frames, j, n) {
                 let neg_lp = shift_lp_rows(&q_rows[first_new_row..], b, vars_len, n);
-                let mark = self.lp.push_frame(neg_lp);
-                let verdict = self.lp.feasible();
-                self.lp.pop_to(mark);
+                let lp = &mut self.lp.lp;
+                let mark = lp.push_frame(neg_lp);
+                let verdict = lp.feasible();
+                lp.pop_to(mark);
                 match verdict {
                     Ok(LpResult::Infeasible) => return SolveOutcome::Unsat,
                     Ok(LpResult::Feasible(_)) => {}
@@ -1255,98 +1356,65 @@ impl<'s> PrefixSession<'s> {
             }
         }
     }
+}
 
-    /// Brings the shared-prefix LP to exactly the first `j` frames,
-    /// popping or re-pushing stored frame rows as needed. Returns `false`
-    /// when the LP has to be skipped (a rejected width change — cannot
-    /// happen with the monotone widths used here, but the screen degrades
-    /// instead of aborting).
-    fn sync_lp(&mut self, j: usize) -> bool {
-        if self.lp_synced > j {
-            self.lp.pop_to(j);
-            self.lp_synced = j;
-        }
-        while self.lp_synced < j {
-            let f = &self.frames[self.lp_synced];
-            if self
-                .lp
-                .grow_vars(f.vars_len.max(self.lp.num_vars()))
-                .is_err()
-            {
-                return false;
+/// Races the FD and warm-LP strategies on two threads. Only a
+/// *decisive* arm — an FD model, or an LP refutation of the rational
+/// relaxation — cancels its peer and commits. Sound strategies cannot
+/// both be decisive on one query, each arm is deterministic given its
+/// inputs, and a cancelled arm was provably headed for indecision
+/// (the canceller's verdict forecloses its decisive outcome), so the
+/// committed verdict is independent of timing and thread count.
+/// `None` — both arms indecisive — falls through to the same complete
+/// solve the sequential pipeline uses.
+#[allow(clippy::too_many_arguments)] // internal; mirrors the search state
+fn race_strategies(
+    solver: &Solver,
+    lp: &mut LpSession,
+    stats: &mut SessionStats,
+    q_rows: &[Row],
+    q_boxes: &[(i128, i128)],
+    q_excl: &[BTreeSet<i64>],
+    hint_vals: &[i64],
+    q_splits: &[NeSplit],
+    q_live: &[&Constraint],
+    q_vars: &[Var],
+    neg_lp: Vec<LpRow>,
+    clock: &QueryClock,
+) -> Option<SolveOutcome> {
+    let fd_cancel = AtomicBool::new(false);
+    let lp_cancel = AtomicBool::new(false);
+    let (fd_model, lp_verdict) = std::thread::scope(|scope| {
+        let fd_arm = scope.spawn(|| {
+            let fd_clock = clock.with_cancel(&fd_cancel);
+            let model = solver.fd_strategy(
+                q_rows, q_boxes, q_excl, hint_vals, q_splits, q_live, q_vars, &fd_clock,
+            );
+            if model.is_some() {
+                lp_cancel.store(true, Ordering::Relaxed);
             }
-            self.lp.push_frame(f.lp_rows.clone());
-            self.lp_synced += 1;
-        }
-        true
-    }
-
-    /// Syncs the shared-prefix LP to depth `j` and widens it to at least
-    /// `n` columns (a deeper earlier query may already have widened it
-    /// further; the extra zero columns don't change feasibility). `false`
-    /// means the LP screen must be skipped for this query.
-    fn lp_available(&mut self, j: usize, n: usize) -> bool {
-        self.sync_lp(j) && self.lp.grow_vars(n.max(self.lp.num_vars())).is_ok()
-    }
-
-    /// Races the FD and warm-LP strategies on two threads. Only a
-    /// *decisive* arm — an FD model, or an LP refutation of the rational
-    /// relaxation — cancels its peer and commits. Sound strategies cannot
-    /// both be decisive on one query, each arm is deterministic given its
-    /// inputs, and a cancelled arm was provably headed for indecision
-    /// (the canceller's verdict forecloses its decisive outcome), so the
-    /// committed verdict is independent of timing and thread count.
-    /// `None` — both arms indecisive — falls through to the same complete
-    /// solve the sequential pipeline uses.
-    #[allow(clippy::too_many_arguments)] // internal; mirrors the search state
-    fn race_strategies(
-        &mut self,
-        q_rows: &[Row],
-        q_boxes: &[(i128, i128)],
-        q_excl: &[BTreeSet<i64>],
-        hint_vals: &[i64],
-        q_splits: &[NeSplit],
-        q_live: &[&Constraint],
-        q_vars: &[Var],
-        neg_lp: Vec<LpRow>,
-        clock: &QueryClock,
-    ) -> Option<SolveOutcome> {
-        let solver = self.solver;
-        let lp = &mut self.lp;
-        let fd_cancel = AtomicBool::new(false);
-        let lp_cancel = AtomicBool::new(false);
-        let (fd_model, lp_verdict) = std::thread::scope(|scope| {
-            let fd_arm = scope.spawn(|| {
-                let fd_clock = clock.with_cancel(&fd_cancel);
-                let model = solver.fd_strategy(
-                    q_rows, q_boxes, q_excl, hint_vals, q_splits, q_live, q_vars, &fd_clock,
-                );
-                if model.is_some() {
-                    lp_cancel.store(true, Ordering::Relaxed);
-                }
-                model
-            });
-            // The LP arm runs on the calling thread.
-            let mark = lp.push_frame(neg_lp);
-            let verdict = lp.feasible_cancellable(Some(&lp_cancel));
-            lp.pop_to(mark);
-            if matches!(verdict, Ok(Some(LpResult::Infeasible))) {
-                fd_cancel.store(true, Ordering::Relaxed);
-            }
-            let model = fd_arm.join().expect("fd strategy panicked");
-            (model, verdict)
+            model
         });
-        if let Ok(Some(LpResult::Infeasible)) = lp_verdict {
-            debug_assert!(fd_model.is_none(), "sound strategies cannot disagree");
-            self.stats.portfolio_lp_wins += 1;
-            return Some(SolveOutcome::Unsat);
+        // The LP arm runs on the calling thread.
+        let mark = lp.push_frame(neg_lp);
+        let verdict = lp.feasible_cancellable(Some(&lp_cancel));
+        lp.pop_to(mark);
+        if matches!(verdict, Ok(Some(LpResult::Infeasible))) {
+            fd_cancel.store(true, Ordering::Relaxed);
         }
-        if let Some(model) = fd_model {
-            self.stats.portfolio_fd_wins += 1;
-            return Some(SolveOutcome::Sat(model));
-        }
-        None
+        let model = fd_arm.join().expect("fd strategy panicked");
+        (model, verdict)
+    });
+    if let Ok(Some(LpResult::Infeasible)) = lp_verdict {
+        debug_assert!(fd_model.is_none(), "sound strategies cannot disagree");
+        stats.portfolio_lp_wins += 1;
+        return Some(SolveOutcome::Unsat);
     }
+    if let Some(model) = fd_model {
+        stats.portfolio_fd_wins += 1;
+        return Some(SolveOutcome::Sat(model));
+    }
+    None
 }
 
 /// Normalizes one non-trivial constraint into rows / an exclusion point / a
@@ -1358,25 +1426,29 @@ fn normalize_one(
     exclusions: &mut [BTreeSet<i64>],
     splits: &mut Vec<NeSplit>,
 ) {
-    let n = exclusions.len();
     match c.normalize() {
         NormalForm::Conj(list) => {
             for le in list {
-                rows.push(Row::from_le(&le.expr, var_idx, n));
+                rows.push(Row::from_le(&le.expr, var_idx));
             }
         }
         NormalForm::Disj(a, bside) => {
             if c.expr.num_vars() == 1 {
+                // a*x + k != 0: excluded point when a | -k. Otherwise the
+                // constraint is trivially true, and so it is when the point
+                // lies outside `i64`, where no boxed variable can reach it.
                 let (v, coeff) = c.expr.iter().next().expect("one var");
-                let k = c.expr.constant();
+                let (k, coeff) = (c.expr.constant() as i128, coeff as i128);
                 if (-k) % coeff == 0 {
-                    exclusions[var_idx[&v]].insert((-k) / coeff);
+                    if let Ok(point) = i64::try_from((-k) / coeff) {
+                        exclusions[var_idx[&v]].insert(point);
+                    }
                 }
             } else {
                 splits.push(NeSplit {
-                    diff: Row::from_le(&c.expr, var_idx, n),
-                    lo_side: Row::from_le(&a.expr, var_idx, n),
-                    hi_side: Row::from_le(&bside.expr, var_idx, n),
+                    diff: Row::from_le(&c.expr, var_idx),
+                    lo_side: Row::from_le(&a.expr, var_idx),
+                    hi_side: Row::from_le(&bside.expr, var_idx),
                 });
             }
         }
@@ -1385,16 +1457,18 @@ fn normalize_one(
 
 /// Probes one concrete pick against the original constraints; returns the
 /// model over `vars` (clamped into bounds) when every constraint holds.
+/// The last constraint — a query's negated branch — is tested first: the
+/// hint and most other picks come from runs that took the other side of
+/// that branch, so they fail exactly there.
 fn probe_model(
     live: &[&Constraint],
     vars: &[Var],
     b: Bounds,
     pick: &dyn Fn(Var) -> i64,
 ) -> Option<Assignment> {
-    let ok = live
-        .iter()
-        .all(|c| c.satisfied_by(|v| Some(pick(v).clamp(b.lo, b.hi))));
-    if ok {
+    let holds = |c: &&Constraint| c.satisfied_by(|v| Some(pick(v).clamp(b.lo, b.hi)));
+    let (last, rest) = live.split_last()?;
+    if holds(last) && rest.iter().all(holds) {
         Some(
             vars.iter()
                 .map(|&v| (v, pick(v).clamp(b.lo, b.hi)))
@@ -1423,7 +1497,7 @@ fn shift_lp_rows(rows: &[Row], b: Bounds, first_new_var: usize, n: usize) -> Vec
         }
         out.push(LpRow {
             coeffs,
-            rhs: Rat::from_int(row.rhs as i128 - shift),
+            rhs: Rat::from_int(row.rhs - shift),
         });
     }
     for v in first_new_var..n {
@@ -1451,8 +1525,11 @@ fn gcd_infeasible(c: &Constraint) -> bool {
     if !matches!(c.op, crate::constraint::RelOp::Eq) {
         return false;
     }
-    let g = c.expr.iter().fold(0i64, |acc, (_, a)| gcd_i64(acc, a));
-    g != 0 && c.expr.constant() % g != 0
+    let g = c
+        .expr
+        .iter()
+        .fold(0i128, |acc, (_, a)| gcd_i128(acc, a as i128));
+    g != 0 && c.expr.constant() as i128 % g != 0
 }
 
 /// Partitions `live` into variable-connected components (union-find over
@@ -1510,40 +1587,18 @@ fn normalize_live(
     var_idx: &HashMap<Var, usize>,
     n: usize,
 ) -> (Vec<Row>, Vec<BTreeSet<i64>>, Vec<NeSplit>) {
-    let mut rows: Vec<Row> = Vec::new();
-    let mut exclusions: Vec<BTreeSet<i64>> = vec![BTreeSet::new(); n];
-    let mut splits: Vec<NeSplit> = Vec::new();
+    let mut rows = Vec::new();
+    let mut exclusions = vec![BTreeSet::new(); n];
+    let mut splits = Vec::new();
     for c in live {
-        match c.normalize() {
-            NormalForm::Conj(list) => {
-                for le in list {
-                    rows.push(Row::from_le(&le.expr, var_idx, n));
-                }
-            }
-            NormalForm::Disj(a, bside) => {
-                if c.expr.num_vars() == 1 {
-                    // a*x + k != 0: excluded point when a | -k.
-                    let (v, coeff) = c.expr.iter().next().expect("one var");
-                    let k = c.expr.constant();
-                    if (-k) % coeff == 0 {
-                        exclusions[var_idx[&v]].insert((-k) / coeff);
-                    }
-                    // Otherwise trivially true: skip.
-                } else {
-                    splits.push(NeSplit {
-                        diff: Row::from_le(&c.expr, var_idx, n),
-                        lo_side: Row::from_le(&a.expr, var_idx, n),
-                        hi_side: Row::from_le(&bside.expr, var_idx, n),
-                    });
-                }
-            }
-        }
+        normalize_one(c, var_idx, &mut rows, &mut exclusions, &mut splits);
     }
     (rows, exclusions, splits)
 }
 
-/// Greatest common divisor over `i64` (absolute values; `gcd(0, a) = |a|`).
-fn gcd_i64(mut a: i64, mut b: i64) -> i64 {
+/// Greatest common divisor of the magnitudes (`gcd(0, a) = |a|`), in
+/// `i128` so that `|i64::MIN|` is representable.
+fn gcd_i128(mut a: i128, mut b: i128) -> i128 {
     a = a.abs();
     b = b.abs();
     while b != 0 {
@@ -1610,23 +1665,25 @@ struct NeSplit {
 
 impl NeSplit {
     fn violated_by(&self, sol: &[i64]) -> bool {
-        self.diff.eval(sol) == self.diff.rhs as i128
+        self.diff.eval(sol) == self.diff.rhs
     }
 }
 
 /// A normalized row `sum coeffs · x <= rhs` over dense variable indices.
+/// The right-hand side is `i128`: it is a negated `i64` constant, and
+/// `-i64::MIN` does not fit in `i64`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Row {
     coeffs: Vec<(usize, i64)>,
-    rhs: i64,
+    rhs: i128,
 }
 
 impl Row {
     /// From a `LeZero` expression `e <= 0`: `terms <= -constant`.
-    fn from_le(expr: &crate::linear::LinExpr, var_idx: &HashMap<Var, usize>, _n: usize) -> Row {
+    fn from_le(expr: &crate::linear::LinExpr, var_idx: &HashMap<Var, usize>) -> Row {
         Row {
             coeffs: expr.iter().map(|(v, c)| (var_idx[&v], c)).collect(),
-            rhs: -expr.constant(),
+            rhs: -(expr.constant() as i128),
         }
     }
 
@@ -1652,7 +1709,7 @@ fn build_lp(rows: &[Row], boxes: &[(i128, i128)]) -> Result<Lp, ArithError> {
         }
         lp_rows.push(LpRow {
             coeffs,
-            rhs: Rat::from_int(row.rhs as i128 - shift),
+            rhs: Rat::from_int(row.rhs - shift),
         });
     }
     for (j, &(lo, hi)) in boxes.iter().enumerate() {
@@ -2014,5 +2071,94 @@ mod tests {
         ];
         let m = expect_model(&cs);
         assert_eq!(m[&Var(0)], 2);
+    }
+
+    #[test]
+    fn i64_min_constant_is_not_refuted() {
+        // Regression: `x + i64::MIN <= 0` normalizes to `x <= 2^63`. The
+        // right-hand side used to be negated in `i64`, wrapping to
+        // `x <= i64::MIN` in release builds (a false Unsat) and panicking
+        // in debug builds.
+        let cs = [
+            Constraint::new(v(0).offset(i64::MIN), RelOp::Le),
+            Constraint::new(v(0).offset(-5), RelOp::Eq),
+        ];
+        let m = expect_model(&cs);
+        assert_eq!(m[&Var(0)], 5);
+    }
+
+    #[test]
+    fn excluded_point_arithmetic_does_not_overflow() {
+        // Regression: `-x + i64::MIN != 0` excludes `x = i64::MIN`; the
+        // excluded point used to be computed as `(-k) % coeff` in `i64`,
+        // which panics on `i64::MIN % -1` even in release builds.
+        let mut sess = solver().session();
+        sess.push(&Constraint::new(
+            v(0).scaled(-1).offset(i64::MIN),
+            RelOp::Ne,
+        ));
+        let neg = Constraint::new(v(0).offset(-3), RelOp::Eq);
+        assert_eq!(
+            sess.solve_query(1, &neg, |_| None),
+            SolveOutcome::Sat(Assignment::from([(Var(0), 3)]))
+        );
+        // `x + i64::MIN != 0` excludes `x = 2^63`, outside `i64`: no point
+        // is recorded, and the plain solver agrees.
+        let cs = [
+            Constraint::new(v(0).offset(i64::MIN), RelOp::Ne),
+            Constraint::new(v(0).offset(-7), RelOp::Eq),
+        ];
+        assert_eq!(expect_model(&cs)[&Var(0)], 7);
+        let mut sess = solver().session();
+        sess.push(&cs[0]);
+        assert!(sess.solve_query(1, &cs[1], |_| None).is_sat());
+    }
+
+    #[test]
+    fn i64_min_coefficients_do_not_overflow() {
+        // The GCD integrality test and interval propagation both take the
+        // magnitude of a coefficient, which for `i64::MIN` only fits in
+        // `i128`. `i64::MIN * x == 1` has no integer solution.
+        let cs = [Constraint::new(v(0).scaled(i64::MIN).offset(-1), RelOp::Eq)];
+        assert_eq!(solver().solve(&cs), SolveOutcome::Unsat);
+        // `i64::MIN * x <= 0` forces `x >= 0`.
+        let cs = [
+            Constraint::new(v(0).scaled(i64::MIN), RelOp::Le),
+            Constraint::new(v(0).offset(1), RelOp::Le),
+        ];
+        assert_eq!(solver().solve(&cs), SolveOutcome::Unsat);
+    }
+
+    #[test]
+    fn common_prefix_stops_at_a_changed_earlier_constraint() {
+        // Two paths that agree on their first and last constraints but
+        // differ in the middle one (a concretized non-linear term took a
+        // different value): only the first frame is shared, and re-basing
+        // re-pushes everything after it.
+        let a = [
+            Constraint::new(v(0).offset(-1), RelOp::Ge),
+            Constraint::new(v(1).offset(-4), RelOp::Eq),
+            Constraint::new(v(0).offset(-9), RelOp::Ne),
+        ];
+        let mut b = a.clone();
+        b[1] = Constraint::new(v(1).offset(-6), RelOp::Eq);
+        let mut sess = solver().session();
+        sess.rebase(&a);
+        assert_eq!(sess.common_prefix(&a), 3);
+        assert_eq!(sess.common_prefix(&b), 1, "stops at the changed constraint");
+        assert_eq!(sess.common_prefix(&b[..1]), 1);
+        sess.rebase(&b);
+        assert_eq!(sess.depth(), 3);
+        assert_eq!(sess.common_prefix(&b), 3);
+        // The re-pushed middle constraint is live: flipping the last one
+        // must respect y == 6, not the popped y == 4.
+        let neg = b[2].negated();
+        match sess.solve_query(2, &neg, |_| Some(0)) {
+            SolveOutcome::Sat(m) => {
+                assert_eq!(m[&Var(0)], 9);
+                assert_eq!(m[&Var(1)], 6);
+            }
+            other => panic!("expected sat, got {other:?}"),
+        }
     }
 }

@@ -36,6 +36,36 @@ fn constraint() -> impl Strategy<Value = Constraint> {
     (lin_expr(), relop()).prop_map(|(e, op)| Constraint::new(e, op))
 }
 
+/// Path constraints for the session-retention test: random linear
+/// constraints plus the shapes a prefix session screens at push time —
+/// trivially true, trivially false and GCD-infeasible.
+fn path_constraint() -> impl Strategy<Value = Constraint> {
+    prop_oneof![
+        6 => constraint(),
+        1 => Just(Constraint::new(LinExpr::constant_expr(0), RelOp::Eq)),
+        1 => Just(Constraint::new(LinExpr::constant_expr(1), RelOp::Eq)),
+        // 2a + 4b + odd == 0: no integer solution.
+        1 => (0u32..NUM_VARS, 0u32..NUM_VARS, -5i64..=5).prop_map(|(a, b, k)| {
+            Constraint::new(
+                LinExpr::from_terms([(Var(a), 2), (Var(b), 4)], 2 * k + 1),
+                RelOp::Eq,
+            )
+        }),
+    ]
+}
+
+/// One step of a DART session's path sequence: keep a prefix of the
+/// previous path, optionally change one constraint inside it (a
+/// concretized non-linear term taking a new value), then append a fresh
+/// suffix.
+fn path_step() -> impl Strategy<Value = (usize, Option<(usize, Constraint)>, Vec<Constraint>)> {
+    (
+        0usize..8,
+        proptest::option::of((0usize..8, path_constraint())),
+        proptest::collection::vec(path_constraint(), 0..5),
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -386,6 +416,65 @@ proptest! {
                 &a, &b,
                 "portfolio race diverged from sequential at j={}", j
             );
+        }
+    }
+
+    /// A session retained across a sequence of paths and re-based onto
+    /// each one answers exactly like a session freshly built by pushing
+    /// that path: for every `j`, the same outcome and the same model. The
+    /// paths share random prefixes, include constraints the session
+    /// screens at push time, and sometimes change an earlier constraint.
+    /// Half the cases pin the search budgets tiny, so queries fall through
+    /// the probes and the finite-domain pass into the shared-prefix LP
+    /// screen and the full solve, whose warm state outlives re-basing.
+    #[test]
+    fn retained_session_matches_fresh_session(
+        first in proptest::collection::vec(path_constraint(), 1..7),
+        steps in proptest::collection::vec(path_step(), 1..5),
+        hint in proptest::collection::vec(-30i64..=30, NUM_VARS as usize),
+        tiny_budgets in any::<bool>(),
+    ) {
+        let config = if tiny_budgets {
+            SolverConfig {
+                max_fd_nodes: 1,
+                max_bb_nodes: 4,
+                max_ne_leaves: 4,
+                ..SolverConfig::default()
+            }
+        } else {
+            SolverConfig::default()
+        };
+        let solver = Solver::new(config);
+        let lookup = |v: Var| Some(hint[v.index()]);
+        let mut paths = vec![first];
+        for (keep, change, suffix) in steps {
+            let mut path = paths[paths.len() - 1].clone();
+            path.truncate(keep);
+            if let Some((at, c)) = change {
+                if at < path.len() {
+                    path[at] = c;
+                }
+            }
+            path.extend(suffix);
+            paths.push(path);
+        }
+        let mut retained = solver.session();
+        for path in &paths {
+            retained.rebase(path);
+            prop_assert_eq!(retained.depth(), path.len());
+            let mut fresh = solver.session();
+            for c in path {
+                fresh.push(c);
+            }
+            // Deepest flip first, the directed search's order.
+            for j in (0..path.len()).rev() {
+                let negated = path[j].negated();
+                prop_assert_eq!(
+                    retained.solve_query(j, &negated, lookup),
+                    fresh.solve_query(j, &negated, lookup),
+                    "retained session diverged at j={} on {:?}", j, path
+                );
+            }
         }
     }
 

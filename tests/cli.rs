@@ -28,8 +28,13 @@ fn write_demo(dir: &std::path::Path) -> std::path::PathBuf {
     path
 }
 
+/// A fresh directory per call: the tests run in parallel and write files
+/// with the same names, so a shared directory lets one test truncate a
+/// file another test's `dartc` is reading.
 fn tempdir() -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("dartc-test-{}", std::process::id()));
+    static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("dartc-test-{}-{n}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
