@@ -35,23 +35,22 @@
 //! a missing or unreadable baseline file — fails the process (exit 1);
 //! without it, the same findings are printed as warnings.
 //!
-//! Note on the `parallel_solve`, `work_steal` and `pool` groups: their
-//! speedups are hardware-bound — on a single-core machine the paired
-//! workloads are expected to tie (speculation is then pure overhead
-//! bounded by the wasted-work accounting), so the printed speedup lines
-//! report whatever the host delivers rather than asserting a ratio. The
-//! `work_steal/skewed_*` pair runs the same skewed-cost walk (two
-//! budget-capped parity flips packed into the chunk static scheduling
-//! hands one worker, plus light fast-Unsat flips) under static
-//! contiguous chunking vs the work-stealing pool; `pool/spawn_scoped`
-//! vs `pool/dispatch_pooled` isolates per-walk thread-spawn overhead on
-//! a tiny walk where dispatch cost dominates solving.
+//! Note on the `parallel_solve` pair: its speedup is hardware-bound — on
+//! a single-core machine the two workloads are expected to tie
+//! (speculation is then pure overhead bounded by the wasted-work
+//! accounting), so the printed speedup line reports whatever the host
+//! delivers rather than asserting a ratio. The pooled
+//! `work_steal/skewed_stealing` (a skewed-cost walk: two budget-capped
+//! parity flips plus light fast-Unsat flips) and `pool/dispatch_pooled`
+//! (a tiny walk where dispatch cost dominates solving) rows stand alone,
+//! as regression rows for the pool's stealing and dispatch paths.
 
 use dart::search::{solve_next, SolveStats};
 use dart::{
-    run_once_in_tier, Dart, DartConfig, EngineMode, FaultState, FrontierOrder, InputKind,
-    InputTape, Scheduler, SolvePool, Strategy,
+    run_once_in_tier, Dart, DartConfig, EngineMode, FaultState, InputKind, InputTape, Scheduler,
+    SolvePool, Strategy,
 };
+use dart_bench::flag_value;
 use dart_ram::{DecodedProgram, MachineConfig};
 use dart_solver::simplex::{LpResult, LpRow, LpSession};
 use dart_solver::{
@@ -223,10 +222,8 @@ fn parallel_solve_workload(scheduler: Scheduler<'_>) -> usize {
 /// under `z == 0` burns the whole branch-and-bound budget), the six
 /// middle flips contradict `w == 3` directly (fast Unsat), and the
 /// shallow `w != 3` flip is the satisfiable winner. DFS candidate order
-/// is deepest-first, so static contiguous chunking hands *both* heavy
-/// queries to worker 0 (makespan ≈ 2 heavy solves) while the
-/// work-stealing pool lets an idle worker steal the second one
-/// (makespan ≈ 1) — the adversarial-placement case for static chunking.
+/// is deepest-first, so both heavy queries are dispatched first, and an
+/// idle pool worker has to steal the second one to overlap them.
 fn skewed_walk_inputs() -> (PathConstraint, Vec<BranchRecord>, InputTape) {
     let mut pc = PathConstraint::new();
     pc.push(Constraint::new(v(0), RelOp::Eq)); // z == 0
@@ -264,9 +261,8 @@ fn skewed_workload(scheduler: Scheduler<'_>) -> usize {
 
 /// A four-candidate walk where every query is trivial (three fast
 /// Unsats and one easy Sat), so the measured time is dominated by the
-/// scheduler's fixed dispatch cost: per-walk OS thread spawns for the
-/// scoped scheduler vs. queue pushes into already-running workers for
-/// the persistent pool.
+/// pool's fixed dispatch cost: queue pushes into already-running
+/// workers.
 fn tiny_walk_inputs() -> (PathConstraint, Vec<BranchRecord>, InputTape) {
     let mut pc = PathConstraint::new();
     pc.push(Constraint::new(v(0).offset(-5), RelOp::Eq)); // w == 5
@@ -341,14 +337,9 @@ fn gen_program() -> dart_minic::CompiledProgram {
     .expect("generational workload compiles")
 }
 
-fn generational_report(
-    compiled: &dart_minic::CompiledProgram,
-    order: FrontierOrder,
-    dedup: bool,
-) -> dart::SessionReport {
+fn generational_report(compiled: &dart_minic::CompiledProgram, dedup: bool) -> dart::SessionReport {
     let config = DartConfig {
         mode: EngineMode::Generational,
-        frontier_order: order,
         frontier_dedup: dedup,
         max_runs: 60,
         seed: 0,
@@ -362,12 +353,8 @@ fn generational_report(
         .run()
 }
 
-fn generational_workload(
-    compiled: &dart_minic::CompiledProgram,
-    order: FrontierOrder,
-    dedup: bool,
-) -> usize {
-    generational_report(compiled, order, dedup).runs as usize
+fn generational_workload(compiled: &dart_minic::CompiledProgram, dedup: bool) -> usize {
+    generational_report(compiled, dedup).runs as usize
 }
 
 /// The negated-prefix LP workload (`lp_warm/{cold,warm}`): a 24-variable
@@ -526,22 +513,9 @@ fn exec_workload(
 fn unknown_rates(gen_lib: &dart_minic::CompiledProgram) -> Vec<(String, u64)> {
     let bp = |r: &dart::SessionReport| (r.solver.unknown_rate() * 10_000.0).round() as u64;
     [
-        (
-            "gen/fifo",
-            bp(&generational_report(gen_lib, FrontierOrder::Fifo, true)),
-        ),
-        (
-            "gen/scored",
-            bp(&generational_report(gen_lib, FrontierOrder::Scored, true)),
-        ),
-        (
-            "gen_dedup/off",
-            bp(&generational_report(gen_lib, FrontierOrder::Scored, false)),
-        ),
-        (
-            "gen_dedup/on",
-            bp(&generational_report(gen_lib, FrontierOrder::Scored, true)),
-        ),
+        ("gen/scored", bp(&generational_report(gen_lib, true))),
+        ("gen_dedup/off", bp(&generational_report(gen_lib, false))),
+        ("gen_dedup/on", bp(&generational_report(gen_lib, true))),
     ]
     .into_iter()
     .map(|(k, v)| (format!("unknown_rate/{k}"), v))
@@ -681,17 +655,10 @@ fn render_json_snapshot(medians: &[(String, u64)], ratios: &[(String, f64)]) -> 
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
-    let flag_value = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
     let baseline_path =
         flag_value("--baseline").unwrap_or_else(|| "crates/bench/baseline.json".to_string());
-    let tolerance_pct: u64 = flag_value("--tolerance")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(50);
+    // The gate's own bound: a malformed value must not silently become 50.
+    let tolerance_pct: u64 = flag_value("--tolerance").unwrap_or(50);
     let write_baseline = args.iter().any(|a| a == "--write-baseline");
     let gate = args.iter().any(|a| a == "--gate");
     let unknown_baseline_path = flag_value("--unknown-baseline")
@@ -735,16 +702,8 @@ fn main() -> ExitCode {
             measure(|| parallel_solve_workload(Scheduler::Pool(&pool4))),
         ),
         (
-            "work_steal/skewed_static".to_string(),
-            measure(|| skewed_workload(Scheduler::Scoped(4))),
-        ),
-        (
             "work_steal/skewed_stealing".to_string(),
             measure(|| skewed_workload(Scheduler::Pool(&pool4))),
-        ),
-        (
-            "pool/spawn_scoped".to_string(),
-            measure(|| dispatch_workload(Scheduler::Scoped(4))),
         ),
         (
             "pool/dispatch_pooled".to_string(),
@@ -759,20 +718,16 @@ fn main() -> ExitCode {
             measure(|| shared_store_workload(&library, &names, true)),
         ),
         (
-            "gen/fifo".to_string(),
-            measure(|| generational_workload(&gen_lib, FrontierOrder::Fifo, true)),
-        ),
-        (
             "gen/scored".to_string(),
-            measure(|| generational_workload(&gen_lib, FrontierOrder::Scored, true)),
+            measure(|| generational_workload(&gen_lib, true)),
         ),
         (
             "gen_dedup/off".to_string(),
-            measure(|| generational_workload(&gen_lib, FrontierOrder::Scored, false)),
+            measure(|| generational_workload(&gen_lib, false)),
         ),
         (
             "gen_dedup/on".to_string(),
-            measure(|| generational_workload(&gen_lib, FrontierOrder::Scored, true)),
+            measure(|| generational_workload(&gen_lib, true)),
         ),
         (
             "exec/interp".to_string(),
@@ -811,7 +766,7 @@ fn main() -> ExitCode {
     };
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     // Each entry: (JSON key, human description, numerator, denominator).
-    let ratio_specs: [(&str, String, &str, &str); 9] = [
+    let ratio_specs: [(&str, String, &str, &str); 6] = [
         (
             "parallel_solve_speedup",
             format!("parallel solve speedup (1 -> 4 threads) on {cores} core(s)"),
@@ -819,30 +774,10 @@ fn main() -> ExitCode {
             "parallel_solve/candidates_4_threads",
         ),
         (
-            "work_steal_speedup",
-            format!(
-                "work-stealing speedup on skewed candidate costs (static -> stealing) on {cores} core(s)"
-            ),
-            "work_steal/skewed_static",
-            "work_steal/skewed_stealing",
-        ),
-        (
-            "pool_dispatch_speedup",
-            "persistent pool vs per-walk scoped spawn (tiny walk)".to_string(),
-            "pool/spawn_scoped",
-            "pool/dispatch_pooled",
-        ),
-        (
             "shared_store_speedup",
             "shared store speedup (600-function sweep)".to_string(),
             "shared_store/sweep_600_off",
             "shared_store/sweep_600_on",
-        ),
-        (
-            "frontier_order_speedup",
-            "generational frontier order (fifo -> scored)".to_string(),
-            "gen/fifo",
-            "gen/scored",
         ),
         (
             "gen_dedup_speedup",
@@ -877,7 +812,7 @@ fn main() -> ExitCode {
         }
     }
 
-    if let Some(json_path) = flag_value("--json") {
+    if let Some(json_path) = flag_value::<String>("--json") {
         let text = render_json_snapshot(&current, &ratios);
         std::fs::write(&json_path, text)
             .unwrap_or_else(|e| panic!("cannot write {json_path}: {e}"));
@@ -1059,10 +994,6 @@ mod tests {
             parallel_solve_workload(Scheduler::Sequential),
             parallel_solve_workload(Scheduler::Pool(&pool))
         );
-        assert_eq!(
-            parallel_solve_workload(Scheduler::Sequential),
-            parallel_solve_workload(Scheduler::Scoped(4))
-        );
     }
 
     #[test]
@@ -1074,7 +1005,7 @@ mod tests {
             "the shallow w != 3 flip wins"
         );
         assert_eq!(
-            skewed_workload(Scheduler::Scoped(4)),
+            skewed_workload(Scheduler::Sequential),
             skewed_workload(Scheduler::Pool(&pool))
         );
         assert_eq!(
@@ -1083,7 +1014,7 @@ mod tests {
             "the shallow w != 5 flip wins"
         );
         assert_eq!(
-            dispatch_workload(Scheduler::Scoped(4)),
+            dispatch_workload(Scheduler::Sequential),
             dispatch_workload(Scheduler::Pool(&pool))
         );
     }
@@ -1108,7 +1039,7 @@ mod tests {
     #[test]
     fn unknown_rates_cover_the_generational_workloads() {
         let rates = unknown_rates(&gen_program());
-        assert_eq!(rates.len(), 4);
+        assert_eq!(rates.len(), 3);
         assert!(rates.iter().all(|(k, _)| k.starts_with("unknown_rate/")));
         // Basis points stay in [0, 10000] by construction.
         assert!(rates.iter().all(|(_, bp)| *bp <= 10_000));
@@ -1128,8 +1059,8 @@ mod tests {
         // restarts until max_runs — that redundancy is what the dedup
         // comparison measures. If this stops holding, the bench went dead.
         let compiled = gen_program();
-        let on = generational_report(&compiled, FrontierOrder::Scored, true);
-        let off = generational_report(&compiled, FrontierOrder::Scored, false);
+        let on = generational_report(&compiled, true);
+        let off = generational_report(&compiled, false);
         assert_eq!(on.runs, 60, "dedup-on session exhausts the run budget");
         assert_eq!(off.runs, 60, "dedup-off session exhausts the run budget");
         assert!(on.restarts > 1, "the taint forces restarts");
@@ -1162,18 +1093,13 @@ mod tests {
     }
 
     #[test]
-    fn generational_workload_is_order_and_dedup_invariant() {
-        // All four measured variants must explore the same branch set —
-        // otherwise the paired comparisons measure different work.
+    fn generational_workload_is_dedup_invariant() {
+        // Both dedup settings must explore the same branch set —
+        // otherwise the paired comparison measures different work.
         let compiled = gen_program();
-        let cov: Vec<usize> = [
-            (FrontierOrder::Fifo, true),
-            (FrontierOrder::Scored, true),
-            (FrontierOrder::Scored, false),
-        ]
-        .into_iter()
-        .map(|(order, dedup)| generational_report(&compiled, order, dedup).branches_covered)
-        .collect();
-        assert!(cov.iter().all(|&c| c == cov[0]), "branch coverage {cov:?}");
+        assert_eq!(
+            generational_report(&compiled, true).branches_covered,
+            generational_report(&compiled, false).branches_covered
+        );
     }
 }

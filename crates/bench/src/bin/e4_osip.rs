@@ -12,61 +12,29 @@
 //! parser attack. `--functions N` controls the sweep size;
 //! `--shared-cache` shares solver verdicts across the sweep's sessions
 //! and `--solve-threads N` fans each session's candidate queries out —
-//! both leave every report identical and only change wall-clock.
-//! `--scheduler stealing|scoped` picks between the persistent
-//! work-stealing pool (shared by every session of the sweep) and the
-//! per-walk statically-chunked scope — the pool-vs-scope overhead
-//! comparison EXPERIMENTS.md E9 runs. `--engine directed|generational`
-//! selects the search engine; under `generational`,
-//! `--frontier-order scored|fifo` and `--frontier-budget N` expose the
-//! scored frontier's knobs (EXPERIMENTS.md E10) and the sweep line
-//! reports the aggregate dedup/eviction/peak counters.
+//! both leave every report identical and only change wall-clock (the
+//! solver workers form one work-stealing pool shared by every session of
+//! the sweep). `--engine directed|generational` selects the search
+//! engine; under `generational`, `--frontier-budget N` bounds the scored
+//! frontier (EXPERIMENTS.md E10) and the sweep line reports the aggregate
+//! dedup/eviction/peak counters.
 //! `--exec-tier interp|compiled` picks the execution tier (reports
 //! unchanged; the compiled tier only improves throughput — see
 //! EXPERIMENTS.md E11).
 
-use dart::{Dart, DartConfig, EngineMode, ExecTier, FrontierOrder, SchedulerMode};
-use dart_bench::{fmt_dur, header, seed_from_args};
+use dart::{Dart, DartConfig, EngineMode, ExecTier};
+use dart_bench::{flag_value, fmt_dur, header, seed_from_args};
 use dart_workloads::{generate_osip, OsipConfig, Planted};
 use std::collections::BTreeMap;
+use std::num::NonZeroUsize;
 use std::time::Instant;
 
 fn main() {
     let seed = seed_from_args();
-    let args: Vec<String> = std::env::args().collect();
-    let num_functions = args
-        .iter()
-        .position(|a| a == "--functions")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(200);
-    let shared_cache = args.iter().any(|a| a == "--shared-cache");
-    let solve_threads: usize = args
-        .iter()
-        .position(|a| a == "--solve-threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1);
-    let scheduler = match args
-        .iter()
-        .position(|a| a == "--scheduler")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-    {
-        None | Some("stealing") => SchedulerMode::WorkStealing,
-        Some("scoped") => SchedulerMode::StaticScoped,
-        Some(other) => {
-            eprintln!("unknown --scheduler `{other}` (expected `stealing` or `scoped`)");
-            std::process::exit(2);
-        }
-    };
-    let exec_tier = match args
-        .iter()
-        .position(|a| a == "--exec-tier")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-    {
+    let num_functions = flag_value("--functions").unwrap_or(200);
+    let shared_cache = std::env::args().any(|a| a == "--shared-cache");
+    let solve_threads = flag_value("--solve-threads").map_or(1, NonZeroUsize::get);
+    let exec_tier = match flag_value::<String>("--exec-tier").as_deref() {
         // Unset defers to the DartConfig default ($DART_EXEC_TIER).
         None => None,
         Some("interp") => Some(ExecTier::Interp),
@@ -76,12 +44,7 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let engine = match args
-        .iter()
-        .position(|a| a == "--engine")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-    {
+    let engine = match flag_value::<String>("--engine").as_deref() {
         None | Some("directed") => EngineMode::Directed,
         Some("generational") => EngineMode::Generational,
         Some(other) => {
@@ -89,24 +52,7 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let frontier_order = match args
-        .iter()
-        .position(|a| a == "--frontier-order")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-    {
-        None | Some("scored") => FrontierOrder::Scored,
-        Some("fifo") => FrontierOrder::Fifo,
-        Some(other) => {
-            eprintln!("unknown --frontier-order `{other}` (expected `scored` or `fifo`)");
-            std::process::exit(2);
-        }
-    };
-    let frontier_budget: Option<usize> = args
-        .iter()
-        .position(|a| a == "--frontier-budget")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok());
+    let frontier_budget: Option<usize> = flag_value("--frontier-budget");
 
     let lib = generate_osip(OsipConfig {
         num_functions,
@@ -122,29 +68,24 @@ fn main() {
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4);
-    let results = dart::sweep(
-        &compiled,
-        &names,
-        &{
-            let mut config = DartConfig {
-                max_runs: 1000, // the paper's per-function cap
-                seed,
-                shared_cache,
-                solve_threads,
-                scheduler,
-                mode: engine,
-                frontier_order,
-                frontier_budget,
-                ..DartConfig::default()
-            };
-            if let Some(tier) = exec_tier {
-                config.exec_tier = tier;
-            }
-            config
-        },
-        threads,
-    )
-    .expect("all sweep toplevels come from the generated library");
+    let mut config = DartConfig {
+        max_runs: 1000, // the paper's per-function cap
+        seed,
+        shared_cache,
+        solve_threads,
+        mode: engine,
+        frontier_budget,
+        ..DartConfig::default()
+    };
+    if let Some(tier) = exec_tier {
+        config.exec_tier = tier;
+    }
+    // Every toplevel comes from the generated library, so only the
+    // configuration (e.g. `--frontier-budget 0`) can be rejected.
+    let results = dart::sweep(&compiled, &names, &config, threads).unwrap_or_else(|e| {
+        eprintln!("e4_osip: {e}");
+        std::process::exit(2)
+    });
     for (f, result) in lib.functions.iter().zip(&results) {
         let report = result
             .report()
@@ -186,13 +127,9 @@ fn main() {
     }
     println!("sweep time | {} | (not reported)", fmt_dur(elapsed));
     println!(
-        "solver sharing | shared-cache {}, solve-threads {}, scheduler {} | (n/a)",
+        "solver sharing | shared-cache {}, solve-threads {} | (n/a)",
         if shared_cache { "on" } else { "off" },
         solve_threads,
-        match scheduler {
-            SchedulerMode::WorkStealing => "stealing",
-            SchedulerMode::StaticScoped => "scoped",
-        },
     );
     if engine == EngineMode::Generational {
         let (dedup, evicted, peak) =
@@ -207,12 +144,7 @@ fn main() {
                     )
                 });
         println!(
-            "generational frontier | order {}, budget {}, dedup hits {}, \
-             evicted {}, peak {} | (n/a)",
-            match frontier_order {
-                FrontierOrder::Scored => "scored",
-                FrontierOrder::Fifo => "fifo",
-            },
+            "generational frontier | budget {}, dedup hits {}, evicted {}, peak {} | (n/a)",
             frontier_budget.map_or("unbounded".to_string(), |b| b.to_string()),
             dedup,
             evicted,

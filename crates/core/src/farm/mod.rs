@@ -1,6 +1,6 @@
 //! The fuzzing farm: process-isolated sweep shards.
 //!
-//! [`crate::sweep`] contains engine faults with `catch_unwind` — which
+//! [`crate::sweep()`] contains engine faults with `catch_unwind` — which
 //! only helps for *unwinding* panics. A target-triggered `abort()`, an
 //! OOM kill, or a runaway worker takes down the whole sweep process and
 //! every in-memory artifact with it. The farm lifts the same
@@ -16,13 +16,13 @@
 //! * [`store::FarmStore`] — a checksummed, atomically rewritten file
 //!   carrying the shared verdict tiers and per-scope dedup fingerprints
 //!   across worker processes *and* across farm runs.
-//! * [`wire`] — the exact (bit-for-bit round-tripping) worker →
+//! * `wire` — the exact (bit-for-bit round-tripping) worker →
 //!   supervisor report protocol over the worker's stdout pipe.
-//! * [`stream`] — JSONL result streaming, one line per finished
+//! * `stream` — JSONL result streaming, one line per finished
 //!   function, in completion order.
 //!
 //! **Determinism.** A worker derives its session seed exactly as
-//! [`crate::sweep`] does (`config.seed ^ fnv(name)`, retry constant
+//! [`crate::sweep()`] does (`config.seed ^ fnv(name)`, retry constant
 //! folded in per attempt) and runs the same supervised session body, so
 //! farm results are byte-identical to an in-process sweep of the same
 //! seeds, modulo the scheduling-dependent diagnostics that
@@ -106,7 +106,7 @@ pub struct FarmJob<'a> {
 /// exactly like [`crate::sweep::sweep`].
 ///
 /// `command` builds the [`Command`] for one worker launch (see
-/// [`FarmJob`]); the supervisor pipes its stdout (the [`wire`] protocol)
+/// [`FarmJob`]); the supervisor pipes its stdout (the `wire` protocol)
 /// and stderr, reaps it, and maps exit status to outcomes: a parsed
 /// report is [`SweepOutcome::Finished`], a caught panic or any abnormal
 /// exit (signal, nonzero code, malformed output, deadline kill) is
@@ -351,7 +351,7 @@ fn unix_signal(status: &ExitStatus) -> Option<i32> {
     }
 }
 
-/// The worker half: runs one supervised session and writes the [`wire`]
+/// The worker half: runs one supervised session and writes the `wire`
 /// document to `out`. This is what `dartc --farm-worker` calls after
 /// compiling the program; everything engine-visible (seed derivation,
 /// checkpoint qualification, store-as-session-cache) matches the

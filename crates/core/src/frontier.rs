@@ -5,13 +5,10 @@
 //! tree breadth-wise from a frontier of `(inputs, prediction, generation
 //! bound)` work items. This module is that frontier as a real subsystem:
 //!
-//! * **Scored priority order** ([`FrontierOrder::Scored`], the default):
-//!   items are ranked by the coverage novelty of the run that spawned
-//!   them — how many new `(site, direction)` pairs the parent run
-//!   discovered — so children of runs that opened new code are executed
-//!   first. Ties (and the [`FrontierOrder::Fifo`] ablation, where every
-//!   score is flattened to zero) fall back to insertion order, which
-//!   makes FIFO mode byte-for-byte the old `VecDeque` behaviour.
+//! * **Scored priority order**: items are ranked by the coverage novelty
+//!   of the run that spawned them — how many new `(site, direction)`
+//!   pairs the parent run discovered — so children of runs that opened
+//!   new code are executed first. Ties fall back to insertion order.
 //! * **Path-prefix dedup**: every candidate child is fingerprinted by
 //!   the solver query that derives it (the rendered constraint prefix
 //!   plus the negated branch), and a seen-set suppresses re-deriving —
@@ -23,14 +20,14 @@
 //!   full, the lowest-scored (then newest) item is evicted, counted in
 //!   `frontier_evicted`, and the completeness flag is cleared by the
 //!   driver — an evicted subtree was provably not explored.
-//! * **Checkpoint/resume** ([`Checkpoint`]): the frontier, the coverage
-//!   set and the session's RNG position serialize to a small text file
-//!   (same hand-rolled line format family as [`crate::replay`]), so a
-//!   killed session resumes exactly where its last completed work item
-//!   left off. Exactness rests on every queued tape carrying a *pristine*
+//! * **Checkpoint/resume**: the frontier, the coverage set and the
+//!   session's RNG position serialize to a small text file (same
+//!   hand-rolled line format family as [`crate::replay`](mod@crate::replay)),
+//!   so a killed session resumes exactly where its last completed work
+//!   item left off. Exactness rests on every queued tape carrying a *pristine*
 //!   RNG: roots record the seed they were drawn with, and children are
 //!   rebuilt from parent slots with a seed derived deterministically from
-//!   the session seed and the item's sequence number ([`derive_seed`]).
+//!   the session seed and the item's sequence number.
 
 use crate::tape::{InputKind, InputSlot, InputTape};
 use dart_solver::Constraint;
@@ -38,20 +35,6 @@ use dart_sym::BranchRecord;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-
-/// Exploration order of the generational frontier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FrontierOrder {
-    /// Highest coverage-novelty score first, oldest among ties (the
-    /// default). Novelty is the number of new `(site, direction)` pairs
-    /// the item's parent run discovered.
-    #[default]
-    Scored,
-    /// Strict insertion order — the pre-scoring `VecDeque` behaviour,
-    /// kept as the ablation baseline (`--frontier-order fifo`,
-    /// EXPERIMENTS.md E10).
-    Fifo,
-}
 
 /// One frontier work item: the inputs to replay, the branch prediction,
 /// and the generation bound below which no branch may be re-negated.
@@ -78,12 +61,10 @@ pub(crate) struct FrontierItem {
 /// The scored, deduplicated, bounded frontier.
 #[derive(Debug)]
 pub(crate) struct Frontier {
-    order: FrontierOrder,
     budget: Option<usize>,
     dedup: bool,
-    /// Keyed by `(effective score, Reverse(seq))`: `pop_last` yields the
-    /// highest score and, among equals, the lowest sequence number —
-    /// which in FIFO mode (every effective score 0) is exactly FIFO.
+    /// Keyed by `(score, Reverse(seq))`: `pop_last` yields the highest
+    /// score and, among equals, the lowest sequence number.
     items: BTreeMap<(u64, Reverse<u64>), FrontierItem>,
     /// Fingerprints of every child derived (and not since evicted).
     seen: BTreeSet<u64>,
@@ -99,9 +80,8 @@ pub(crate) struct Frontier {
 impl Frontier {
     /// An empty frontier. `budget` of `Some(0)` is rejected upstream by
     /// [`crate::Dart::new`] / [`crate::sweep::sweep`].
-    pub(crate) fn new(order: FrontierOrder, budget: Option<usize>, dedup: bool) -> Frontier {
+    pub(crate) fn new(budget: Option<usize>, dedup: bool) -> Frontier {
         Frontier {
-            order,
             budget,
             dedup,
             items: BTreeMap::new(),
@@ -118,23 +98,14 @@ impl Frontier {
         self.next_seq
     }
 
-    fn map_key(&self, score: u64, seq: u64) -> (u64, Reverse<u64>) {
-        let effective = match self.order {
-            FrontierOrder::Scored => score,
-            FrontierOrder::Fifo => 0,
-        };
-        (effective, Reverse(seq))
-    }
-
     /// Inserts `item` and enforces the budget. Returns `true` if any
     /// eviction happened (possibly of the just-inserted item).
     fn insert(&mut self, item: FrontierItem) -> bool {
-        let key = self.map_key(item.score, item.seq);
-        self.items.insert(key, item);
+        self.items.insert((item.score, Reverse(item.seq)), item);
         self.peak = self.peak.max(self.items.len() as u64);
         let mut any_evicted = false;
         while self.budget.is_some_and(|budget| self.items.len() > budget) {
-            // Lowest effective score; among equals, the *newest* goes
+            // Lowest score; among equals, the *newest* goes
             // (Reverse(seq) makes pop_first yield the highest seq).
             let (_, victim) = self
                 .items
@@ -224,8 +195,8 @@ impl Frontier {
         })
     }
 
-    /// Removes and returns the next item to execute: highest effective
-    /// score, oldest among ties.
+    /// Removes and returns the next item to execute: highest score,
+    /// oldest among ties.
     pub(crate) fn pop(&mut self) -> Option<FrontierItem> {
         self.items.pop_last().map(|(_, item)| item)
     }
@@ -285,9 +256,8 @@ impl Frontier {
         self.evicted = cp.evicted;
         self.peak = cp.peak;
         for it in &cp.items {
-            let key = self.map_key(it.score, it.seq);
             self.items.insert(
-                key,
+                (it.score, Reverse(it.seq)),
                 FrontierItem {
                     tape: InputTape::from_slots(it.slots.clone(), it.rng_seed),
                     stack: it.stack.clone(),
@@ -481,7 +451,12 @@ impl Checkpoint {
     /// Returns a [`CheckpointParseError`] naming the first malformed
     /// line — a truncated or corrupt checkpoint (e.g. from a crash
     /// mid-write of a non-atomic copy) must surface as a config error,
-    /// never resume a wrong session.
+    /// never resume a wrong session. That includes item sequence numbers
+    /// that [`Frontier::restore`] cannot key apart: items are keyed by
+    /// `(score, seq)`, so a repeated `seq` can overwrite an earlier item,
+    /// and a `seq` at or past `next_seq` can be overwritten by a child
+    /// pushed after the resume. Either way queued work would vanish, and
+    /// a resumed session could claim completeness without exploring it.
     pub(crate) fn parse(text: &str) -> Result<Checkpoint, CheckpointParseError> {
         let mut lines = text.lines().enumerate();
         let err = |line: usize, message: String| CheckpointParseError {
@@ -577,6 +552,7 @@ impl Checkpoint {
             );
         }
         let mut items = Vec::new();
+        let mut seqs = BTreeSet::new();
         let mut terminated = false;
         while let Some((i, line)) = lines.next() {
             if line == "done" {
@@ -599,6 +575,15 @@ impl Checkpoint {
                 .parse()
                 .map_err(|_| err(i, format!("bad bound `{bound}`")))?;
             let seq = parse_u64(i, seq)?;
+            if seq >= next_seq {
+                return Err(err(
+                    i,
+                    format!("item seq {seq} is not below next_seq {next_seq}"),
+                ));
+            }
+            if !seqs.insert(seq) {
+                return Err(err(i, format!("duplicate item seq {seq}")));
+            }
             let rng_seed = parse_u64(i, rng_seed)?;
             let key = match key {
                 "-" => None,
@@ -705,7 +690,7 @@ mod tests {
 
     #[test]
     fn scored_pops_highest_score_then_oldest() {
-        let mut f = Frontier::new(FrontierOrder::Scored, None, true);
+        let mut f = Frontier::new(None, true);
         assert!(f.note_candidate(1) && f.note_candidate(2) && f.note_candidate(3));
         f.push_child(item_tape(0), vec![rec(true)], 1, 5, 0, 1);
         f.push_child(item_tape(0), vec![rec(false)], 1, 9, 0, 2);
@@ -717,24 +702,14 @@ mod tests {
     }
 
     #[test]
-    fn fifo_pops_in_insertion_order_regardless_of_score() {
-        let mut f = Frontier::new(FrontierOrder::Fifo, None, false);
-        f.push_root(item_tape(7), 7);
-        f.push_child(item_tape(0), vec![rec(true)], 1, 99, 0, 1);
-        f.push_child(item_tape(0), vec![rec(false)], 1, 1, 0, 2);
-        let order: Vec<u64> = std::iter::from_fn(|| f.pop()).map(|it| it.seq).collect();
-        assert_eq!(order, vec![0, 1, 2]);
-    }
-
-    #[test]
     fn dedup_counts_hits_and_suppresses_reuse() {
-        let mut f = Frontier::new(FrontierOrder::Scored, None, true);
+        let mut f = Frontier::new(None, true);
         assert!(f.note_candidate(0xAB));
         assert!(!f.note_candidate(0xAB), "second derivation suppressed");
         assert!(!f.note_candidate(0xAB));
         assert_eq!(f.dedup_hits, 2);
         // Dedup off: nothing tracked, nothing counted.
-        let mut off = Frontier::new(FrontierOrder::Scored, None, false);
+        let mut off = Frontier::new(None, false);
         assert!(off.note_candidate(0xAB));
         assert!(off.note_candidate(0xAB));
         assert_eq!(off.dedup_hits, 0);
@@ -742,7 +717,7 @@ mod tests {
 
     #[test]
     fn budget_evicts_lowest_score_newest_and_unsees_it() {
-        let mut f = Frontier::new(FrontierOrder::Scored, Some(2), true);
+        let mut f = Frontier::new(Some(2), true);
         assert!(f.note_candidate(1) && f.note_candidate(2) && f.note_candidate(3));
         assert!(!f.push_child(item_tape(0), vec![rec(true)], 1, 5, 0, 1));
         assert!(!f.push_child(item_tape(0), vec![rec(true)], 1, 3, 0, 2));
@@ -762,7 +737,7 @@ mod tests {
 
     #[test]
     fn forget_candidate_releases_unknown_fingerprints() {
-        let mut f = Frontier::new(FrontierOrder::Scored, None, true);
+        let mut f = Frontier::new(None, true);
         assert!(f.note_candidate(42));
         f.forget_candidate(42);
         assert!(f.note_candidate(42), "forgotten keys are derivable again");
@@ -892,9 +867,198 @@ mod tests {
         assert!(Checkpoint::parse(&good.replace("stack -", "stack 9")).is_err());
     }
 
+    /// Two items with one `seq`, or an item at or past `next_seq`, would
+    /// collide in the restored queue (or with the next pushed child), and
+    /// the lost item's subtree would never run.
+    #[test]
+    fn checkpoint_parse_rejects_duplicate_and_future_seqs() {
+        let item = |seq| CheckpointItem {
+            slots: vec![],
+            stack: vec![],
+            bound: 0,
+            score: 0,
+            rng_seed: seq,
+            key: None,
+            seq,
+        };
+        let cp = |next_seq, items| Checkpoint {
+            seed: 1,
+            restarts: 1,
+            runs: 0,
+            steps: 0,
+            divergences: 0,
+            session_complete: true,
+            coverage: vec![],
+            dedup_hits: 0,
+            evicted: 0,
+            peak: 2,
+            next_seq,
+            seen: vec![],
+            items,
+        };
+        let parse = |c: Checkpoint| Checkpoint::parse(&c.render());
+        assert!(parse(cp(2, vec![item(0), item(1)])).is_ok());
+        let dup = parse(cp(2, vec![item(0), item(0)])).unwrap_err();
+        assert!(dup.message.contains("duplicate item seq 0"), "{dup}");
+        let future = parse(cp(0, vec![item(0)])).unwrap_err();
+        assert!(future.message.contains("not below next_seq"), "{future}");
+        assert!(parse(cp(1, vec![item(0), item(1)])).is_err());
+    }
+
+    /// A valid random checkpoint: unique item sequence numbers below
+    /// `next_seq`, and slot names from a newline-free alphabet.
+    fn checkpoint_strategy() -> impl proptest::strategy::Strategy<Value = Checkpoint> {
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+        const NAME: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789 ()";
+        let slot = (any::<bool>(), any::<i64>(), vec(0..NAME.len(), 0..10)).prop_map(
+            |(ptr, value, name)| InputSlot {
+                kind: if ptr {
+                    InputKind::Pointer
+                } else {
+                    InputKind::IntLike
+                },
+                value,
+                name: name.into_iter().map(|c| char::from(NAME[c])).collect(),
+            },
+        );
+        let item = (
+            vec(slot, 0..3),
+            vec((any::<bool>(), any::<bool>()), 0..6),
+            (0usize..20, any::<u64>(), any::<u64>()),
+            (proptest::option::of(any::<u64>()), 1u64..5),
+        )
+            .prop_map(|(slots, stack, (bound, score, rng_seed), (key, gap))| {
+                let stack = stack
+                    .into_iter()
+                    .map(|(branch, done)| BranchRecord { branch, done })
+                    .collect();
+                // `seq` is assigned from the gaps below.
+                let item = CheckpointItem {
+                    slots,
+                    stack,
+                    bound,
+                    score,
+                    rng_seed,
+                    key,
+                    seq: 0,
+                };
+                (item, gap)
+            });
+        let header = (
+            (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+            (any::<u64>(), any::<bool>(), any::<u64>(), any::<u64>()),
+            (any::<u64>(), 0u64..3),
+        );
+        (
+            header,
+            vec((0usize..50, any::<bool>()), 0..6),
+            vec(any::<u64>(), 0..5),
+            vec(item, 0..4),
+        )
+            .prop_map(|(header, coverage, mut seen, items)| {
+                let ((seed, restarts, runs, steps), (divergences, complete, dedup_hits, evicted)) =
+                    (header.0, header.1);
+                let (peak, slack) = header.2;
+                seen.sort_unstable();
+                seen.dedup();
+                let mut next_seq = 0;
+                let items = items
+                    .into_iter()
+                    .map(|(mut item, gap)| {
+                        item.seq = next_seq + gap - 1;
+                        next_seq = item.seq + 1;
+                        item
+                    })
+                    .collect();
+                Checkpoint {
+                    seed,
+                    restarts,
+                    runs,
+                    steps,
+                    divergences,
+                    session_complete: complete,
+                    coverage,
+                    dedup_hits,
+                    evicted,
+                    peak,
+                    next_seq: next_seq + slack,
+                    seen,
+                    items,
+                }
+            })
+    }
+
+    /// What `parse` guarantees about an accepted checkpoint: unique item
+    /// sequence numbers below `next_seq`, so a restore keeps every item
+    /// and the next pushed child collides with none of them.
+    fn assert_restorable(cp: &Checkpoint) {
+        let seqs: BTreeSet<u64> = cp.items.iter().map(|it| it.seq).collect();
+        assert_eq!(seqs.len(), cp.items.len(), "duplicate seq accepted");
+        assert!(
+            seqs.iter().all(|&seq| seq < cp.next_seq),
+            "seq past next_seq"
+        );
+        let mut f = Frontier::new(None, true);
+        f.restore(cp);
+        assert_eq!(f.items.len(), cp.items.len(), "restore dropped items");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// `parse` never panics — on random bytes (bare or behind a valid
+        /// header), on every truncation of a rendered checkpoint, and on
+        /// single-byte mutations of one. Whatever it accepts is
+        /// restorable without losing an item, and a valid checkpoint
+        /// round-trips.
+        #[test]
+        fn checkpoint_parse_never_panics_and_roundtrips(
+            cp in checkpoint_strategy(),
+            noise in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..200),
+            edits in proptest::collection::vec(
+                (
+                    proptest::prelude::any::<usize>(),
+                    // Digits half the time: they keep a numeric field
+                    // parseable and so reach the checks behind it.
+                    proptest::prop_oneof![proptest::prelude::any::<u8>(), b'0'..=b'9'],
+                ),
+                48,
+            ),
+        ) {
+            let parse_bytes = |bytes: &[u8]| Checkpoint::parse(&String::from_utf8_lossy(bytes));
+            let text = cp.render();
+            let parsed = Checkpoint::parse(&text);
+            proptest::prop_assert_eq!(parsed.as_ref(), Ok(&cp));
+            assert_restorable(&cp);
+            let mut headed = format!("{CHECKPOINT_HEADER}\n").into_bytes();
+            headed.extend_from_slice(&noise);
+            for bytes in [&noise[..], &headed[..]] {
+                if let Ok(got) = parse_bytes(bytes) {
+                    assert_restorable(&got);
+                }
+            }
+            let bytes = text.as_bytes();
+            let last = bytes.len() - 1;
+            for cut in 0..last {
+                // Every cut before the final newline loses at least part
+                // of the closing `done` line, so none may parse.
+                proptest::prop_assert!(parse_bytes(&bytes[..cut]).is_err(), "cut at {cut}");
+            }
+            proptest::prop_assert_eq!(parse_bytes(&bytes[..last]), Ok(cp.clone()));
+            for (pos, byte) in &edits {
+                let mut mutated = bytes.to_vec();
+                mutated[pos % bytes.len()] = *byte;
+                if let Ok(got) = parse_bytes(&mutated) {
+                    assert_restorable(&got);
+                }
+            }
+        }
+    }
+
     #[test]
     fn frontier_restore_matches_snapshot() {
-        let mut f = Frontier::new(FrontierOrder::Scored, Some(8), true);
+        let mut f = Frontier::new(Some(8), true);
         f.push_root(item_tape(77), 77);
         assert!(f.note_candidate(10));
         let mut tape = item_tape(5);
@@ -903,7 +1067,7 @@ mod tests {
         let popped = f.pop().expect("root pops first? no — scored: child");
         // Snapshot the remaining state, restore into a fresh frontier.
         let cp = f.to_checkpoint(9, 1, 4, 100, 0, true, vec![(2, true)]);
-        let mut g = Frontier::new(FrontierOrder::Scored, Some(8), true);
+        let mut g = Frontier::new(Some(8), true);
         g.restore(&cp);
         assert_eq!(g.items.len(), f.items.len());
         assert_eq!(g.next_seq(), f.next_seq());

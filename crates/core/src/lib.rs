@@ -68,10 +68,10 @@ pub mod supervise;
 pub mod sweep;
 pub mod tape;
 
-pub use driver::{Dart, DartConfig, DartError, EngineMode, ExecTier, PortfolioMode, SchedulerMode};
+pub use driver::{Dart, DartConfig, DartError, EngineMode, ExecTier, PortfolioMode};
 pub use exec::{run_once, run_once_in_tier, run_once_traced, RunResult, RunTermination};
 pub use farm::{run_farm, run_worker, FarmJob, FarmOptions};
-pub use frontier::{CheckpointParseError, FrontierOrder};
+pub use frontier::CheckpointParseError;
 pub use interface::{describe_interface, InterfaceReport};
 pub use pool::{SolvePool, WalkItem, WalkRequest, WalkVerdicts};
 pub use replay::{parse_inputs, replay, replay_traced, serialize_inputs, ReplayParseError};

@@ -1,13 +1,12 @@
 //! A persistent work-stealing solver pool.
 //!
-//! PR 3's speculation layer parallelised candidate solving *within* one
-//! [`crate::search::solve_next`] call: a `std::thread::scope` was spawned
-//! and torn down on every run of every session, and a worker stalled on
-//! one hard query kept its share of the remaining candidates. This
-//! module replaces that with a [`SolvePool`]: long-lived workers, one
-//! deque per worker, and stealing — created **once per session** (or
-//! once per sweep, shared by every session in it) and fed one
-//! [`WalkRequest`] per `solve_next` walk.
+//! With `solve_threads > 1`, [`crate::search::solve_next`] and the
+//! generational expansion speculate on a run's candidate queries on a
+//! [`SolvePool`]: long-lived workers, one deque per worker, and stealing,
+//! so a worker stalled on one hard query does not strand the remaining
+//! candidates. The pool is created **once per session** (or once per
+//! sweep, shared by every session in it) and fed one [`WalkRequest`] per
+//! walk, so no walk pays for spawning threads.
 //!
 //! # Why worker reuse cannot leak state between runs
 //!
@@ -15,7 +14,7 @@
 //! carries owned copies of everything a verdict is a function of — the
 //! path-constraint prefix, the per-candidate negated constraints, the
 //! input tape the hint is read from, and the [`SolverConfig`] — and a
-//! worker rebuilds a fresh [`Solver`] + [`PrefixSession`] from exactly
+//! worker rebuilds a fresh [`Solver`] + [`dart_solver::PrefixSession`] from exactly
 //! those when it first touches a walk. Workers never see a
 //! [`dart_solver::QueryCache`] at all: the committing thread pre-peeks
 //! the session cache (read-only) before dispatch and only enqueues
@@ -75,9 +74,10 @@ pub struct WalkItem {
     pub negated: Constraint,
 }
 
-/// An owned, self-contained description of one `solve_next` walk's
-/// speculative work. Owning (rather than borrowing) every input is what
-/// lets the pool's workers be long-lived threads instead of a scope.
+/// An owned, self-contained description of one walk's speculative work
+/// (a `solve_next` call or a generational expansion). Owning (rather
+/// than borrowing) every input is what lets the pool's workers be
+/// long-lived threads instead of a scope.
 #[derive(Debug)]
 pub struct WalkRequest {
     /// The path-constraint prefix shared by every candidate query.
@@ -211,8 +211,8 @@ impl Inner {
 /// Create one per session — or one per sweep, shared by every session in
 /// it via [`crate::Dart::with_pool`], which caps the *total* number of
 /// solver threads at the pool's worker count no matter how many sessions
-/// run concurrently (the oversubscription fix: a `sweep(threads = T)`
-/// with `solve_threads = S` used to spawn up to `T × S` scoped workers).
+/// run concurrently (without sharing, a `sweep(threads = T)` with
+/// `solve_threads = S` would run up to `T × S` solver workers).
 ///
 /// Dropping the pool shuts the workers down and joins them.
 #[derive(Debug)]

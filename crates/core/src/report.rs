@@ -95,8 +95,8 @@ pub struct SessionReport {
     /// Total coverable directions in the program (2 × conditionals).
     pub branch_sites: usize,
     /// Generational child derivations suppressed by the frontier's
-    /// path-prefix dedup ([`crate::frontier::FrontierOrder`] engine
-    /// only; 0 elsewhere). Each suppression skips a whole solver query.
+    /// path-prefix dedup ([`crate::EngineMode::Generational`] only; 0
+    /// elsewhere). Each suppression skips a whole solver query.
     pub dedup_hits: u64,
     /// Generational frontier items evicted by
     /// [`crate::DartConfig::frontier_budget`] before they could run.

@@ -3,61 +3,53 @@
 //! # Parallel candidate fan-out
 //!
 //! One run's candidate queries are independent conjunctions
-//! (`c_0 ∧ … ∧ c_{j-1} ∧ ¬c_j` for different `j`), so with a parallel
-//! [`Scheduler`] [`solve_next`] speculates on them concurrently and
-//! then *commits* sequentially, producing a byte-identical [`NextStep`]
-//! and byte-identical stats. The scheme rests on one invariant: within a
-//! single `solve_next` walk, every query before the winner is
-//! `Unsat`/`Unknown`, and those verdicts push no models into the cache's
-//! reuse pool — so each candidate's verdict is a function of the cache
-//! state *at walk entry*, which is exactly the state the workers
-//! speculate against ([`Scheduler::Scoped`] workers peek it read-only;
-//! [`Scheduler::Pool`] workers never touch it at all — the committing
-//! thread pre-peeks and only dispatches cache misses). The commit walk
-//! then re-runs the real shortcut chain per position in strategy order,
-//! consumes a worker's fresh verdict only where a synchronous solve
-//! would have happened, counts fault-injection slots in the exact
-//! sequential order, and stops at the first `Sat` — the same winner the
-//! sequential walk picks. Workers past the lowest `Sat` position are
-//! cancelled through an atomic high-water mark; since the mark only
-//! decreases, a cancelled position is strictly past the final winner,
-//! and any position missing a speculative verdict — cancelled, never
-//! scheduled, or lost to a worker panic — is covered by the commit
-//! walk's synchronous fallback solve, so *which* jobs ran never affects
-//! what the walk returns.
+//! (`c_0 ∧ … ∧ c_{j-1} ∧ ¬c_j` for different `j`), so with
+//! [`Scheduler::Pool`] [`solve_next`] speculates on them on the
+//! persistent [`SolvePool`] and then *commits* sequentially, producing a
+//! byte-identical [`NextStep`] and byte-identical stats. The scheme rests
+//! on one invariant: within a single `solve_next` walk, every query
+//! before the winner is `Unsat`/`Unknown`, and those verdicts push no
+//! models into the cache's reuse pool — so each candidate's verdict is a
+//! function of the cache state *at walk entry*. Pool workers never touch
+//! that cache: the committing thread pre-peeks it and dispatches only
+//! cache misses. The commit walk then re-runs the real shortcut chain per
+//! position in strategy order, consumes a worker's fresh verdict only
+//! where a synchronous solve would have happened, counts fault-injection
+//! slots in the exact sequential order, and stops at the first `Sat` —
+//! the same winner the sequential walk picks. Workers past the lowest
+//! `Sat` position are cancelled through an atomic high-water mark; since
+//! the mark only decreases, a cancelled position is strictly past the
+//! final winner, and any position missing a speculative verdict —
+//! cancelled, never scheduled, or lost to a worker panic — is covered by
+//! the commit walk's synchronous fallback solve, so *which* jobs ran
+//! never affects what the walk returns. A generational expansion
+//! (`Dart::run_generational`) uses the same fan-out and commit, except
+//! that it commits every candidate, so nothing is cancelled.
 
-use crate::pool::{SolvePool, WalkItem, WalkRequest};
+use crate::pool::{SolvePool, WalkItem, WalkRequest, WalkVerdicts};
 use crate::supervise::FaultState;
 use crate::tape::InputTape;
 use dart_solver::{
-    Assignment, CacheStats, Constraint, PrefixSession, QueryCache, SessionStats, SolveInfo,
-    SolveOutcome, Solver,
+    Assignment, CacheStats, Constraint, PrefixSession, QueryCache, SessionStats, SolveOutcome,
+    Solver,
 };
 use dart_sym::{BranchRecord, PathConstraint};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
 
 /// How [`solve_next`] fans a run's candidate queries out.
 ///
-/// The scheduler never changes what the walk *returns* — every variant
-/// produces a byte-identical [`NextStep`] and byte-identical
-/// deterministic stats (see the module docs) — only how the speculative
-/// solving is distributed over threads.
+/// The scheduler never changes what the walk *returns* — both variants
+/// produce a byte-identical [`NextStep`] and byte-identical
+/// deterministic stats (see the module docs) — only whether speculative
+/// solving runs on other threads.
 #[derive(Debug, Clone, Copy)]
 pub enum Scheduler<'a> {
     /// Solve every candidate on the calling thread (`solve_threads = 1`).
     Sequential,
-    /// PR 3's per-call scoped fan-out, now with static contiguous
-    /// chunking: thread `t` of `n` owns candidates `[t·⌈m/n⌉, …)`. Kept
-    /// as the ablation baseline the work-stealing bench compares
-    /// against ([`crate::SchedulerMode::StaticScoped`]); a worker stuck
-    /// on one hard query strands the rest of its chunk.
-    Scoped(usize),
-    /// A persistent work-stealing [`SolvePool`]: long-lived workers,
-    /// per-worker deques plus stealing, no per-walk thread spawns. The
-    /// production default for `solve_threads > 1`.
+    /// Speculate on a persistent work-stealing [`SolvePool`]: long-lived
+    /// workers, per-worker deques plus stealing, no per-walk thread
+    /// spawns. What `solve_threads > 1` always means.
     Pool(&'a SolvePool),
 }
 
@@ -155,8 +147,7 @@ impl SolveStats {
     /// in through [`QueryCache::absorb_shard`] (`CacheStats: AddAssign`),
     /// so the assignment can no longer silently drop them. The one
     /// counter this method deliberately leaves alone is
-    /// [`SolveStats::parallel_wasted`], which `solve_next` owns and
-    /// accumulates additively.
+    /// [`SolveStats::parallel_wasted`], which each walk's close adds to.
     pub fn absorb_cache(&mut self, cache: &QueryCache) {
         let cs = cache.stats();
         self.cache_hits = cs.hits;
@@ -165,14 +156,52 @@ impl SolveStats {
         self.shared_hits = cs.shared_hits;
     }
 
-    /// Adds one walk's LP/portfolio counters: the retained session's
-    /// cumulative [`SessionStats`] minus its snapshot at walk entry, so a
-    /// session that serves many walks is counted once per walk.
-    pub(crate) fn add_session_walk(&mut self, walk: SessionStats) {
+    /// Closes one walk — a [`solve_next`] call or one generational
+    /// expansion — on the session totals. Folds in the walk's speculation,
+    /// of whose fresh verdicts the commit consumed `consumed`; adds the
+    /// LP/portfolio counters the committing `session` gathered since its
+    /// `walk_start` snapshot; hands the session back to `cache` for the
+    /// next walk; and copies the cache counters.
+    pub(crate) fn finish_walk(
+        &mut self,
+        speculated: Option<&WalkVerdicts>,
+        consumed: u64,
+        session: PrefixSession,
+        walk_start: SessionStats,
+        cache: &mut QueryCache,
+    ) {
+        if let Some(spec) = speculated {
+            // Solver invocations the commit never replayed: count the
+            // extra work honestly (`misses` is total solver invocations),
+            // and surface it as the wasted-speculation diagnostic.
+            let wasted = spec.fresh - consumed;
+            self.parallel_wasted += wasted;
+            cache.absorb_shard(CacheStats {
+                misses: wasted,
+                ..CacheStats::default()
+            });
+            // Scheduler observability: all diagnostics, outside the
+            // determinism contract (see `scrub_scheduling`).
+            self.steals += spec.steals;
+            self.pool_idle_ns += spec.idle_ns;
+            self.max_queue_depth = self.max_queue_depth.max(spec.max_queue_depth);
+            if self.per_worker_solves.len() < spec.per_worker.len() {
+                self.per_worker_solves.resize(spec.per_worker.len(), 0);
+            }
+            for (acc, w) in self.per_worker_solves.iter_mut().zip(&spec.per_worker) {
+                *acc += w;
+            }
+        }
+        // Pool workers solve on sessions of their own that are dropped
+        // after the walk, so these totals depend on how much the commit
+        // solved locally — diagnostics, scrubbed with the rest.
+        let walk = session.stats() - walk_start;
         self.warm_pivots += walk.warm_pivots;
         self.cold_restarts += walk.cold_restarts;
         self.portfolio_fd_wins += walk.portfolio_fd_wins;
         self.portfolio_lp_wins += walk.portfolio_lp_wins;
+        cache.retain_session(session);
+        self.absorb_cache(cache);
     }
 
     /// Zeroes every scheduling-dependent diagnostic — the counters the
@@ -228,11 +257,10 @@ pub struct NextStep {
 /// candidate is done or unsatisfiable — the directed search is over
 /// (Fig. 5's `j == -1` case).
 ///
-/// With a parallel [`Scheduler`] the candidates are speculatively solved
-/// first — on the persistent work-stealing pool or on a per-call scoped
-/// fan-out — then committed in strategy order: the returned step, the
-/// cache contents and every deterministic stat are byte-identical to the
-/// sequential walk (see the module docs). [`Scheduler::Sequential`]
+/// With [`Scheduler::Pool`] the candidates are speculatively solved on
+/// the pool first, then committed in strategy order: the returned step,
+/// the cache contents and every deterministic stat are byte-identical to
+/// the sequential walk (see the module docs). [`Scheduler::Sequential`]
 /// keeps everything on the calling thread.
 #[allow(clippy::too_many_arguments)] // one spot, mirrors Fig. 5's state
 pub fn solve_next(
@@ -262,22 +290,7 @@ pub fn solve_next(
     let prefix = &path.constraints()[..n];
     let mut session = cache.take_session(solver, prefix);
     let walk_start = session.stats();
-    let mut speculated = match scheduler {
-        Scheduler::Pool(pool) if candidates.len() > 1 => speculate_pooled(
-            prefix,
-            path,
-            &candidates,
-            &session,
-            tape,
-            cache,
-            solver,
-            pool,
-        ),
-        Scheduler::Scoped(threads) if threads > 1 && candidates.len() > 1 => {
-            speculate_scoped(path, &candidates, &session, tape, cache, threads, true)
-        }
-        _ => Speculation::none(candidates.len()),
-    };
+    let mut speculated = speculate(scheduler, prefix, &candidates, &session, tape, cache, true);
     // The commit walk: sequential, in strategy order. Identical to the
     // plain walk except that positions the workers fresh-solved consume
     // the precomputed verdict instead of re-running the solver.
@@ -293,8 +306,8 @@ pub fn solve_next(
             stats.unknown += 1;
             continue;
         }
-        let negated = path.constraints()[j].negated();
-        let pre = speculated.verdicts[pos].take();
+        let negated = prefix[j].negated();
+        let pre = speculated.as_mut().and_then(|s| s.verdicts[pos].take());
         let (out, used) =
             cache.solve_query_precomputed(&mut session, j, &negated, |v| tape.value_of(v), pre);
         consumed += u64::from(used);
@@ -313,286 +326,72 @@ pub fn solve_next(
             SolveOutcome::Unknown => stats.unknown += 1,
         }
     }
-    if speculated.fresh > 0 {
-        // Solver invocations the commit never replayed: count the extra
-        // work honestly (`misses` is total solver invocations), and
-        // surface it as the wasted-speculation diagnostic.
-        stats.parallel_wasted += speculated.fresh - consumed;
-        cache.absorb_shard(CacheStats {
-            misses: speculated.fresh - consumed,
-            ..CacheStats::default()
-        });
-    }
-    // Scheduler observability: all diagnostics, outside the determinism
-    // contract (see `SolveStats::scrub_scheduling`).
-    stats.steals += speculated.steals;
-    stats.pool_idle_ns += speculated.idle_ns;
-    stats.max_queue_depth = stats.max_queue_depth.max(speculated.max_queue_depth);
-    if !speculated.per_worker.is_empty() {
-        if stats.per_worker_solves.len() < speculated.per_worker.len() {
-            stats
-                .per_worker_solves
-                .resize(speculated.per_worker.len(), 0);
-        }
-        for (acc, w) in stats
-            .per_worker_solves
-            .iter_mut()
-            .zip(&speculated.per_worker)
-        {
-            *acc += w;
-        }
-    }
-    // LP/portfolio counters from this walk on the committing session.
-    // Speculative pool workers solve on their own sessions that are
-    // dropped with the scope, so these totals depend on how much work the
-    // commit walk did locally — diagnostics, scrubbed with the rest.
-    stats.add_session_walk(session.stats() - walk_start);
-    cache.retain_session(session);
-    stats.absorb_cache(cache);
+    stats.finish_walk(speculated.as_ref(), consumed, session, walk_start, cache);
     found
 }
 
-/// Results of the speculative fan-out: per-position fresh verdicts
-/// (`None` where a read-only cache peek already had an answer, the
-/// position was cancelled, or no worker reached it), how many fresh
-/// solves the workers performed, and the scheduler diagnostics (all zero
-/// for the sequential and scoped paths except `fresh`).
-pub(crate) struct Speculation {
-    pub(crate) verdicts: Vec<Option<(SolveOutcome, SolveInfo)>>,
-    pub(crate) fresh: u64,
-    pub(crate) steals: u64,
-    pub(crate) idle_ns: u64,
-    pub(crate) max_queue_depth: u64,
-    pub(crate) per_worker: Vec<u64>,
-}
-
-impl Speculation {
-    pub(crate) fn none(len: usize) -> Speculation {
-        Speculation {
-            verdicts: (0..len).map(|_| None).collect(),
-            fresh: 0,
-            steals: 0,
-            idle_ns: 0,
-            max_queue_depth: 0,
-            per_worker: Vec::new(),
-        }
-    }
-}
-
-/// Fans the candidate queries out over a per-call scoped fan-out with
-/// *static contiguous chunking*: worker `t` owns positions
-/// `[t·⌈m/n⌉, (t+1)·⌈m/n⌉)`, no rebalancing. This is the ablation
-/// baseline [`Scheduler::Pool`] is measured against (`bench_smoke`'s
-/// `work_steal/skewed_*` workloads): one hard query strands the rest of
-/// the owning worker's chunk behind it. Each worker clones the pristine
-/// prefix `session` — queries before the winner cannot mutate the cache's
-/// model pool, so the walk-entry cache state every worker peeks against
-/// is the state the commit walk will see for any position whose verdict
-/// it consumes. The first `Sat` lowers the atomic high-water mark, and
-/// since the mark only decreases, a worker skipping `p > high_water`
-/// can only skip positions strictly past the final winner — never one
-/// the commit walk needs (absent fault injection, which the commit walk
-/// covers with a synchronous fallback solve).
-/// `cancel` selects first-Sat-wins semantics (a `Sat` abandons every
-/// deeper position — `solve_next`'s walks) vs. solve-everything
-/// semantics (a generational expansion commits every candidate, so
-/// nothing is abandoned).
-#[allow(clippy::too_many_arguments)] // mirrors solve_next's walk state
-fn speculate_scoped(
-    path: &PathConstraint,
-    candidates: &[usize],
-    session: &PrefixSession,
-    tape: &InputTape,
-    cache: &QueryCache,
-    threads: usize,
-    cancel: bool,
-) -> Speculation {
-    let m = candidates.len();
-    let slots: Vec<OnceLock<Option<(SolveOutcome, SolveInfo)>>> =
-        (0..m).map(|_| OnceLock::new()).collect();
-    let high_water = AtomicUsize::new(usize::MAX);
-    let workers = threads.min(m);
-    let chunk = m.div_ceil(workers);
-    std::thread::scope(|scope| {
-        let slots = &slots;
-        let high_water = &high_water;
-        for t in 0..workers {
-            scope.spawn(move || {
-                let mut sess = session.clone();
-                let lo = t * chunk;
-                let hi = m.min(lo + chunk);
-                for p in lo..hi {
-                    if cancel && p > high_water.load(Ordering::Acquire) {
-                        continue;
-                    }
-                    let j = candidates[p];
-                    let negated = path.constraints()[j].negated();
-                    let (sat, fresh) = match cache
-                        .peek_query(&sess, j, &negated, |v| tape.value_of(v))
-                    {
-                        Some(out) => (out.is_sat(), None),
-                        None => {
-                            let mut info = SolveInfo::default();
-                            let out =
-                                sess.solve_query_info(j, &negated, |v| tape.value_of(v), &mut info);
-                            (out.is_sat(), Some((out, info)))
-                        }
-                    };
-                    if cancel && sat {
-                        high_water.fetch_min(p, Ordering::AcqRel);
-                    }
-                    let _ = slots[p].set(fresh);
-                }
-            });
-        }
-    });
-    let verdicts: Vec<Option<(SolveOutcome, SolveInfo)>> = slots
-        .into_iter()
-        .map(|s| s.into_inner().flatten())
-        .collect();
-    let fresh = verdicts.iter().filter(|v| v.is_some()).count() as u64;
-    Speculation {
-        verdicts,
-        fresh,
-        steals: 0,
-        idle_ns: 0,
-        max_queue_depth: 0,
-        per_worker: Vec::new(),
-    }
-}
-
-/// Fans the candidate queries out over the persistent work-stealing
-/// [`SolvePool`]. Unlike the scoped path, pool workers never see the
-/// session's [`QueryCache`] — the committing thread pre-peeks every
-/// candidate here, in strategy order, and only enqueues positions no
-/// cache tier can answer, so a worker's verdict is a pure function of
-/// `(solver config, prefix, negated constraint, hint)` — exactly what a
-/// synchronous solve at the same position would compute against
-/// walk-entry cache state. A peek that answers `Sat` at position `p`
-/// caps speculation at `p` (nothing past it is enqueued); a worker `Sat`
-/// may lower the walk's high-water mark further mid-flight. Cancelled or
-/// panicked jobs simply leave their slot empty and the commit walk falls
-/// back to a synchronous solve, so correctness never depends on which
-/// jobs actually ran.
-#[allow(clippy::too_many_arguments)] // mirrors solve_next's walk state
-fn speculate_pooled(
+/// Speculatively solves a walk's candidate queries on the pool, ahead of
+/// the sequential commit (see the module docs). `candidates` are depths
+/// into `prefix` in commit order; the result holds one verdict slot per
+/// candidate position. Returns `None` under [`Scheduler::Sequential`] and
+/// when fewer than two candidates need a fresh solve, since the commit
+/// then solves at most one query itself anyway.
+///
+/// Pool workers never see the session's [`QueryCache`]: the committing
+/// thread pre-peeks every candidate here, in commit order, and enqueues
+/// only positions no cache tier can answer. A worker's verdict is
+/// therefore a pure function of `(solver config, prefix, negated
+/// constraint, hint)`, which is exactly what a synchronous solve at the
+/// same position would compute against walk-entry cache state.
+///
+/// `first_sat_wins` picks the dispatch rule. [`solve_next`] commits only
+/// its first `Sat` candidate, so a peek that answers `Sat` at position
+/// `p` caps speculation at `p`, and a worker `Sat` may lower the cap
+/// further mid-flight ([`WalkRequest::cancel_on_sat`]). A generational
+/// expansion commits *every* candidate, so every cache miss is
+/// dispatched and nothing is cancelled. Cancelled or panicked jobs leave
+/// their slot empty and the commit falls back to a synchronous solve, so
+/// correctness never depends on which jobs actually ran.
+pub(crate) fn speculate(
+    scheduler: Scheduler<'_>,
     prefix: &[Constraint],
-    path: &PathConstraint,
     candidates: &[usize],
     session: &PrefixSession,
     tape: &InputTape,
     cache: &QueryCache,
-    solver: &Solver,
-    pool: &SolvePool,
-) -> Speculation {
-    let m = candidates.len();
+    first_sat_wins: bool,
+) -> Option<WalkVerdicts> {
+    let pool = match scheduler {
+        Scheduler::Pool(pool) if candidates.len() > 1 => pool,
+        _ => return None,
+    };
     let mut items = Vec::new();
-    let mut initial_cap = usize::MAX;
+    let mut cap = usize::MAX;
     for (pos, &j) in candidates.iter().enumerate() {
-        if pos > initial_cap {
+        if pos > cap {
             break;
         }
-        let negated = path.constraints()[j].negated();
+        let negated = prefix[j].negated();
         match cache.peek_query(session, j, &negated, |v| tape.value_of(v)) {
-            Some(out) => {
-                if out.is_sat() {
-                    initial_cap = pos;
-                }
-            }
+            Some(out) if first_sat_wins && out.is_sat() => cap = pos,
+            Some(_) => {}
             None => items.push(WalkItem { pos, j, negated }),
         }
     }
     if items.len() < 2 {
-        // Nothing worth dispatching: the commit walk solves at most one
-        // fresh query anyway.
-        return Speculation::none(m);
+        return None;
     }
-    let out = pool.run_walk(
+    Some(pool.run_walk(
         WalkRequest {
             prefix: prefix.to_vec(),
             items,
             tape: tape.clone(),
-            config: *solver.config(),
-            initial_cap,
-            cancel_on_sat: true,
+            config: *session.solver().config(),
+            initial_cap: cap,
+            cancel_on_sat: first_sat_wins,
         },
-        m,
-    );
-    Speculation {
-        verdicts: out.verdicts,
-        fresh: out.fresh,
-        steals: out.steals,
-        idle_ns: out.idle_ns,
-        max_queue_depth: out.max_queue_depth,
-        per_worker: out.per_worker,
-    }
-}
-
-/// Fans out a generational expansion's candidate queries under
-/// `scheduler` and returns their speculative verdicts, indexed by
-/// candidate position. Unlike `solve_next`'s first-Sat-wins walks, a
-/// generational run commits *every* candidate (each satisfiable negation
-/// spawns a child), so no high-water cancellation applies: every cache
-/// miss is dispatched and solved. The commit loop in
-/// `Dart::run_generational` re-runs the real shortcut chain per
-/// candidate in `j` order and consumes a fresh verdict only where a
-/// synchronous solve would have happened, so reports are byte-identical
-/// to the sequential expansion — same contract as `solve_next`.
-#[allow(clippy::too_many_arguments)] // mirrors solve_next's walk state
-pub(crate) fn speculate_all(
-    prefix: &[Constraint],
-    path: &PathConstraint,
-    candidates: &[usize],
-    session: &PrefixSession,
-    tape: &InputTape,
-    cache: &QueryCache,
-    solver: &Solver,
-    scheduler: Scheduler<'_>,
-) -> Speculation {
-    let m = candidates.len();
-    match scheduler {
-        Scheduler::Pool(pool) if m > 1 => {
-            // Pre-peek every candidate read-only; only cache misses are
-            // dispatched (pool workers never see the cache). No Sat cap:
-            // every candidate's verdict is wanted.
-            let mut items = Vec::new();
-            for (pos, &j) in candidates.iter().enumerate() {
-                let negated = path.constraints()[j].negated();
-                if cache
-                    .peek_query(session, j, &negated, |v| tape.value_of(v))
-                    .is_none()
-                {
-                    items.push(WalkItem { pos, j, negated });
-                }
-            }
-            if items.len() < 2 {
-                return Speculation::none(m);
-            }
-            let out = pool.run_walk(
-                WalkRequest {
-                    prefix: prefix.to_vec(),
-                    items,
-                    tape: tape.clone(),
-                    config: *solver.config(),
-                    initial_cap: usize::MAX,
-                    cancel_on_sat: false,
-                },
-                m,
-            );
-            Speculation {
-                verdicts: out.verdicts,
-                fresh: out.fresh,
-                steals: out.steals,
-                idle_ns: out.idle_ns,
-                max_queue_depth: out.max_queue_depth,
-                per_worker: out.per_worker,
-            }
-        }
-        Scheduler::Scoped(threads) if threads > 1 && m > 1 => {
-            speculate_scoped(path, candidates, session, tape, cache, threads, false)
-        }
-        _ => Speculation::none(m),
-    }
+        candidates.len(),
+    ))
 }
 
 #[cfg(test)]
@@ -833,13 +632,7 @@ mod tests {
         let (seq_step, mut seq_stats, seq_cache) = run_mixed_path(Scheduler::Sequential);
         let pool2 = SolvePool::new(2);
         let pool4 = SolvePool::new(4);
-        let schedulers = [
-            Scheduler::Scoped(2),
-            Scheduler::Scoped(4),
-            Scheduler::Scoped(8),
-            Scheduler::Pool(&pool2),
-            Scheduler::Pool(&pool4),
-        ];
+        let schedulers = [Scheduler::Pool(&pool2), Scheduler::Pool(&pool4)];
         for scheduler in schedulers {
             let (par_step, mut par_stats, par_cache) = run_mixed_path(scheduler);
             let (s, p) = (seq_step.as_ref().unwrap(), par_step.as_ref().unwrap());
@@ -888,11 +681,7 @@ mod tests {
         let pool = SolvePool::new(4);
         for k in 0..3u64 {
             let mut outcomes = Vec::new();
-            for scheduler in [
-                Scheduler::Sequential,
-                Scheduler::Scoped(4),
-                Scheduler::Pool(&pool),
-            ] {
+            for scheduler in [Scheduler::Sequential, Scheduler::Pool(&pool)] {
                 let mut pc = PathConstraint::new();
                 pc.push(Constraint::new(LinExpr::var(Var(0)).offset(-1), RelOp::Ne));
                 pc.push(Constraint::new(LinExpr::var(Var(0)).offset(-2), RelOp::Ne));
@@ -931,7 +720,6 @@ mod tests {
                 outcomes.push((step.stack, step.model, stats));
             }
             assert_eq!(outcomes[0], outcomes[1], "fault on query {k}");
-            assert_eq!(outcomes[0], outcomes[2], "fault on query {k} (pool)");
             // Only a fault slot consumed before the winner registers: with
             // every flip satisfiable the sequential winner is position 0,
             // so only `k == 0` fires — and shifts the winner to position 1,
@@ -1002,11 +790,7 @@ mod tests {
             };
             let baseline = run(false, Scheduler::Sequential);
             for portfolio in [false, true] {
-                for scheduler in [
-                    Scheduler::Sequential,
-                    Scheduler::Scoped(4),
-                    Scheduler::Pool(&pool),
-                ] {
+                for scheduler in [Scheduler::Sequential, Scheduler::Pool(&pool)] {
                     assert_eq!(
                         baseline,
                         run(portfolio, scheduler),
@@ -1023,16 +807,69 @@ mod tests {
         let (_, stats, _) = run_mixed_path(Scheduler::Sequential);
         assert_eq!(stats.parallel_wasted, 0);
         assert!(stats.per_worker_solves.is_empty());
-        // Parallel: whatever the scheduling, fresh speculative solves
-        // minus commits is non-negative and bounded by the candidates.
-        let (_, stats, _) = run_mixed_path(Scheduler::Scoped(4));
-        assert!(stats.parallel_wasted <= 3);
-        // Pooled: the per-worker partition accounts for every fresh
-        // speculative solve the pool performed for this walk.
+        // Pooled: whatever the scheduling, fresh speculative solves minus
+        // commits is bounded by the candidates, and the per-worker
+        // partition accounts for every fresh speculative solve the pool
+        // performed for this walk.
         let pool = SolvePool::new(4);
         let (_, stats, _) = run_mixed_path(Scheduler::Pool(&pool));
         assert!(stats.parallel_wasted <= 3);
         assert_eq!(stats.per_worker_solves.len(), 4);
+    }
+
+    /// The one fan-out keeps both walks' dispatch rules. Scrubbed reports
+    /// cannot see a mistake here, because the commit re-solves every
+    /// position that lacks a speculative verdict: capping a generational
+    /// walk would only lose parallelism, silently.
+    #[test]
+    fn speculation_keeps_both_dispatch_rules() {
+        // x > 0, x < 100, x != 50, x > -5, x < 200. In DFS order
+        // (positions 0..5 = depths 4..0) the first two flips are Unsat,
+        // each contradicting an earlier bound; the other three are Sat.
+        let x = || LinExpr::var(Var(0));
+        let mut pc = PathConstraint::new();
+        pc.push(Constraint::new(x(), RelOp::Gt));
+        pc.push(Constraint::new(x().offset(-100), RelOp::Lt));
+        pc.push(Constraint::new(x().offset(-50), RelOp::Ne));
+        pc.push(Constraint::new(x().offset(5), RelOp::Gt));
+        pc.push(Constraint::new(x().offset(-200), RelOp::Lt));
+        let mut tape = InputTape::new(0);
+        let _ = tape.take(InputKind::IntLike, || "x".into());
+        let prefix = pc.constraints();
+        let candidates = [4, 3, 2, 1, 0];
+        let pool = SolvePool::new(2);
+        let mut cache = QueryCache::new(true);
+        let mut session = cache.take_session(&Solver::default(), prefix);
+        let fan_out = |cache: &QueryCache, session: &PrefixSession, first_sat_wins: bool| {
+            let pool = Scheduler::Pool(&pool);
+            speculate(
+                pool,
+                prefix,
+                &candidates,
+                session,
+                &tape,
+                cache,
+                first_sat_wins,
+            )
+            .expect("at least two cache misses are dispatched")
+            .verdicts
+        };
+        // Cold cache, commit-all: every candidate gets a fresh verdict.
+        let all = fan_out(&cache, &session, false);
+        assert!(all.iter().all(Option::is_some), "{all:?}");
+        // Teach the cache that flipping `x != 50` (position 2) is Sat.
+        let hint = |v| tape.value_of(v);
+        assert!(cache
+            .solve_query(&mut session, 2, &prefix[2].negated(), hint)
+            .is_sat());
+        // Commit-all still dispatches every other position…
+        let all = fan_out(&cache, &session, false);
+        let dispatched: Vec<bool> = all.iter().map(Option::is_some).collect();
+        assert_eq!(dispatched, [true, true, false, true, true]);
+        // …while first-Sat-wins dispatches nothing past the Sat peek.
+        let first = fan_out(&cache, &session, true);
+        let dispatched: Vec<bool> = first.iter().map(Option::is_some).collect();
+        assert_eq!(dispatched, [true, true, false, false, false]);
     }
 
     #[test]

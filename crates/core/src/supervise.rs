@@ -5,13 +5,13 @@
 //! resources — the engine must survive all of that. This module provides
 //! the two halves of that discipline:
 //!
-//! * [`run_caught`] — runs one worker session under
+//! * `run_caught` — runs one worker session under
 //!   [`std::panic::catch_unwind`], so an engine-internal panic is
 //!   reported as data (a [`crate::sweep::SweepOutcome::EngineFault`])
 //!   instead of poisoning the whole sweep. The default panic hook is
 //!   suppressed for supervised calls only, so faulted sessions do not
 //!   spray backtraces over the sweep's output.
-//! * [`FaultPlan`] / [`FaultState`] — a deterministic fault-injection
+//! * `FaultPlan` / [`FaultState`] — a deterministic fault-injection
 //!   hook ("panic in session *k*", "force `Unknown` on query *n*", "deny
 //!   allocation *m*") threaded through the driver and sweep, available
 //!   only under `cfg(any(test, feature = "fault-injection"))`. Injected

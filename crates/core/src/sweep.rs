@@ -6,7 +6,7 @@
 //! results are returned in input order and are identical to a sequential
 //! sweep (each session's randomness is seeded from its own function name).
 
-use crate::driver::{Dart, DartConfig, DartError, EngineMode, SchedulerMode};
+use crate::driver::{validate, Dart, DartConfig, DartError};
 use crate::pool::SolvePool;
 use crate::report::SessionReport;
 use crate::supervise;
@@ -72,11 +72,12 @@ impl SweepResult {
 ///
 /// [`DartError::UnknownToplevel`] if any name is not a defined function
 /// (the whole list is validated up front, before any session runs);
-/// [`DartError::InvalidConfig`] if `threads` is 0, if
-/// [`DartConfig::solve_threads`] is 0 (which is also what a malformed
-/// `DART_SOLVE_THREADS` environment value parses to), if
-/// [`DartConfig::frontier_budget`] is `Some(0)`, or if
-/// [`DartConfig::checkpoint`] is set outside the generational engine.
+/// [`DartError::InvalidConfig`] if `threads` is 0, or for any config
+/// [`Dart::new`] would reject: a [`DartConfig::solve_threads`] of 0
+/// (which is also what a malformed `DART_SOLVE_THREADS` environment
+/// value parses to), a [`DartConfig::frontier_budget`] of `Some(0)`, a
+/// [`DartConfig::checkpoint`] outside the generational engine, or an
+/// unrecognized exec tier or portfolio mode.
 ///
 /// # Checkpoints
 ///
@@ -90,17 +91,16 @@ impl SweepResult {
 /// # Nested parallelism
 ///
 /// A sweep has two thread knobs: `threads` session workers × each
-/// session's `solve_threads` candidate workers. With the per-call scoped
-/// scheduler these multiplied — `sweep(threads = T)` with `solve_threads
-/// = S` could run up to `T × S` solver threads at once, oversubscribing
-/// the machine. Under [`SchedulerMode::WorkStealing`] (the default) the
-/// sweep instead builds **one** [`SolvePool`] with `solve_threads`
-/// workers and attaches it to every session, so concurrent sessions
-/// *share* the pool's capacity — total solver threads stay capped at
-/// `solve_threads` (plus the `threads` committing sessions) regardless
-/// of `T`. Determinism is unaffected either way: a walk's verdicts are
-/// pure functions of its owned inputs, whichever session's walk a worker
-/// happens to pick up.
+/// session's `solve_threads` candidate workers. Private per-session pools
+/// would multiply them — `sweep(threads = T)` with `solve_threads = S`
+/// could run up to `T × S` solver threads at once, oversubscribing the
+/// machine. The sweep instead builds **one** [`SolvePool`] with
+/// `solve_threads` workers and attaches it to every session, so
+/// concurrent sessions *share* the pool's capacity — total solver
+/// threads stay capped at `solve_threads` (plus the `threads` committing
+/// sessions) regardless of `T`. Determinism is unaffected: a walk's
+/// verdicts are pure functions of its owned inputs, whichever session's
+/// walk a worker happens to pick up.
 pub fn sweep(
     compiled: &CompiledProgram,
     toplevels: &[String],
@@ -112,33 +112,7 @@ pub fn sweep(
             "sweep needs at least one thread".to_string(),
         ));
     }
-    if config.solve_threads == 0 {
-        return Err(DartError::InvalidConfig(
-            "solve_threads must be at least 1 (set via DartConfig::solve_threads \
-             or a valid positive DART_SOLVE_THREADS)"
-                .to_string(),
-        ));
-    }
-    if config.frontier_budget == Some(0) {
-        return Err(DartError::InvalidConfig(
-            "frontier_budget must be at least 1 (omit it for an unbounded frontier)".to_string(),
-        ));
-    }
-    if config.checkpoint.is_some() && config.mode != EngineMode::Generational {
-        return Err(DartError::InvalidConfig(
-            "checkpoint requires the generational engine (--engine generational)".to_string(),
-        ));
-    }
-    if config.exec_tier == crate::driver::ExecTier::Invalid {
-        return Err(DartError::InvalidConfig(
-            "exec_tier is unrecognized (DART_EXEC_TIER must be `interp` or `compiled`)".to_string(),
-        ));
-    }
-    if config.portfolio == crate::driver::PortfolioMode::Invalid {
-        return Err(DartError::InvalidConfig(
-            "portfolio mode is unrecognized (DART_PORTFOLIO must be `on` or `off`)".to_string(),
-        ));
-    }
+    validate(config)?;
     for name in toplevels {
         if compiled.fn_sig(name).is_none() {
             return Err(DartError::UnknownToplevel(name.clone()));
@@ -160,8 +134,7 @@ pub fn sweep(
     // One solver pool for the whole sweep (see "Nested parallelism"
     // above): every session's speculative walks share these
     // `solve_threads` workers instead of spawning their own.
-    let pool = (config.solve_threads > 1 && config.scheduler == SchedulerMode::WorkStealing)
-        .then(|| Arc::new(SolvePool::new(config.solve_threads)));
+    let pool = (config.solve_threads > 1).then(|| Arc::new(SolvePool::new(config.solve_threads)));
 
     std::thread::scope(|scope| {
         for _ in 0..threads.min(toplevels.len().max(1)) {
@@ -510,21 +483,13 @@ mod tests {
         let compiled = library();
         let pooled = DartConfig {
             solve_threads: 4,
-            scheduler: SchedulerMode::WorkStealing,
-            ..config()
-        };
-        let scoped = DartConfig {
-            solve_threads: 4,
-            scheduler: SchedulerMode::StaticScoped,
             ..config()
         };
         let wide_pooled = sweep(&compiled, &names(), &pooled, 3).unwrap();
-        let wide_scoped = sweep(&compiled, &names(), &scoped, 3).unwrap();
         let narrow_seq = sweep(&compiled, &names(), &config(), 1).unwrap();
-        for ((a, b), c) in wide_pooled.iter().zip(&wide_scoped).zip(&narrow_seq) {
+        for (a, c) in wide_pooled.iter().zip(&narrow_seq) {
             assert_eq!(a.function, c.function);
             assert_eq!(scrubbed(&a.outcome), scrubbed(&c.outcome), "{}", a.function);
-            assert_eq!(scrubbed(&b.outcome), scrubbed(&c.outcome), "{}", b.function);
         }
     }
 

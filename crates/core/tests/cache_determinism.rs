@@ -9,7 +9,7 @@
 //! `parallel_wasted`/`shared_hits` excepted) — see the randomized
 //! determinism proptest at the bottom.
 
-use dart::{Dart, DartConfig, EngineMode, ExecTier, SchedulerMode, SessionReport, Strategy};
+use dart::{Dart, DartConfig, EngineMode, ExecTier, SessionReport, Strategy};
 use proptest::prelude::*;
 // `dart::Strategy` shadows the prelude's trait of the same name.
 use proptest::strategy::Strategy as _;
@@ -211,16 +211,14 @@ fn program_strategy() -> impl proptest::strategy::Strategy<Value = String> {
         })
 }
 
-/// Runs the generated program under one `(solve_threads, scheduler,
-/// shared_cache)` combination. `unknown_on_query` injects solver
+/// Runs the generated program under one `(solve_threads, shared_cache,
+/// exec_tier)` combination. `unknown_on_query` injects solver
 /// incompleteness at a random logical query index when the
 /// `fault-injection` feature is on (plain builds exercise the fault-free
 /// path of the same contract).
-#[allow(clippy::too_many_arguments)]
 fn run_parallel_cfg(
     compiled: &dart_minic::CompiledProgram,
     solve_threads: usize,
-    scheduler: SchedulerMode,
     shared_cache: bool,
     exec_tier: ExecTier,
     seed: u64,
@@ -234,7 +232,6 @@ fn run_parallel_cfg(
         stop_at_first_bug: false,
         record_paths: true,
         solve_threads,
-        scheduler,
         shared_cache,
         exec_tier,
         #[cfg(feature = "fault-injection")]
@@ -268,9 +265,8 @@ proptest! {
 
     /// The determinism acceptance property: for random programs, random
     /// seeds and random injected-Unknown positions, every combination of
-    /// `solve_threads` ∈ {1, 4} × scheduler ∈ {work-stealing pool,
-    /// per-call static scope} × `shared_cache` ∈ {off, on} ×
-    /// execution tier ∈ {interpreter, compiled} produces a
+    /// `solve_threads` ∈ {1, 4 (the work-stealing pool)} × `shared_cache`
+    /// ∈ {off, on} × execution tier ∈ {interpreter, compiled} produces a
     /// byte-identical `SessionReport` after scrubbing.
     #[test]
     fn parallel_and_shared_solving_preserve_reports(
@@ -279,29 +275,25 @@ proptest! {
         unknown_on_query in proptest::option::of(0u64..8),
     ) {
         use ExecTier::{Compiled, Interp};
-        use SchedulerMode::{StaticScoped, WorkStealing};
         let compiled = dart_minic::compile(&source).expect("generated source compiles");
         let baseline = scrub(run_parallel_cfg(
-            &compiled, 1, WorkStealing, false, Interp, seed, unknown_on_query,
+            &compiled, 1, false, Interp, seed, unknown_on_query,
         ));
-        for (threads, scheduler, shared, tier) in [
-            (4, WorkStealing, false, Interp),
-            (4, StaticScoped, false, Interp),
-            (1, WorkStealing, true, Interp),
-            (4, WorkStealing, true, Interp),
-            (4, StaticScoped, true, Interp),
-            (1, WorkStealing, false, Compiled),
-            (4, WorkStealing, true, Compiled),
+        for (threads, shared, tier) in [
+            (4, false, Interp),
+            (1, true, Interp),
+            (4, true, Interp),
+            (1, false, Compiled),
+            (4, true, Compiled),
         ] {
             let got = scrub(run_parallel_cfg(
-                &compiled, threads, scheduler, shared, tier, seed, unknown_on_query,
+                &compiled, threads, shared, tier, seed, unknown_on_query,
             ));
             prop_assert_eq!(
                 &baseline,
                 &got,
-                "threads={} scheduler={:?} shared={} tier={:?} source={}",
+                "threads={} shared={} tier={:?} source={}",
                 threads,
-                scheduler,
                 shared,
                 tier,
                 source

@@ -1,8 +1,8 @@
 //! The scaled generational engine's contracts:
 //!
-//! 1. **Scheduling invisibility** — for a fixed frontier order and seed,
-//!    every combination of `solve_threads` × scheduler × `shared_cache`
-//!    produces a byte-identical `SessionReport` (wall-clock and the
+//! 1. **Scheduling invisibility** — for a fixed seed, every combination
+//!    of `solve_threads` × `shared_cache` × execution tier produces a
+//!    byte-identical `SessionReport` (wall-clock and the
 //!    scheduling diagnostics excepted). The pooled candidate fan-out is
 //!    a pure wall-clock optimization.
 //! 2. **Dedup soundness** — path-prefix dedup may only skip *redundant*
@@ -15,7 +15,7 @@
 //!    restarts, steps, coverage, bug set and outcome as an uninterrupted
 //!    session of the same seed.
 
-use dart::{Dart, DartConfig, EngineMode, ExecTier, FrontierOrder, SchedulerMode, SessionReport};
+use dart::{Dart, DartConfig, EngineMode, ExecTier, SessionReport};
 use proptest::prelude::*;
 
 /// Fig. 1 / §2.1 — the `h` example.
@@ -105,18 +105,15 @@ fn program_strategy() -> impl proptest::strategy::Strategy<Value = String> {
 }
 
 /// Runs a generated program under the generational engine with one
-/// `(solve_threads, scheduler, shared_cache)` combination.
+/// `(solve_threads, shared_cache, exec_tier)` combination.
 /// `unknown_on_query` injects solver incompleteness (and with it,
 /// restarts — the dedup set's stress case) when the `fault-injection`
 /// feature is on; plain builds exercise the fault-free path of the same
 /// contracts.
-#[allow(clippy::too_many_arguments)]
 fn run_generational_cfg(
     compiled: &dart_minic::CompiledProgram,
-    order: FrontierOrder,
     dedup: bool,
     solve_threads: usize,
-    scheduler: SchedulerMode,
     shared_cache: bool,
     exec_tier: ExecTier,
     seed: u64,
@@ -126,14 +123,12 @@ fn run_generational_cfg(
     let _ = unknown_on_query;
     let config = DartConfig {
         mode: EngineMode::Generational,
-        frontier_order: order,
         frontier_dedup: dedup,
         max_runs: 200,
         seed,
         stop_at_first_bug: false,
         record_paths: true,
         solve_threads,
-        scheduler,
         shared_cache,
         exec_tier,
         #[cfg(feature = "fault-injection")]
@@ -162,9 +157,9 @@ fn covered_and_bugs(r: &SessionReport) -> (Vec<(usize, bool)>, Vec<String>) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Contract 1: for random programs, seeds, injected-Unknown
-    /// positions and either frontier order, every `solve_threads` ×
-    /// scheduler × `shared_cache` combination produces a byte-identical
+    /// Contract 1: for random programs, seeds and injected-Unknown
+    /// positions, every `solve_threads` × `shared_cache` × execution tier
+    /// combination produces a byte-identical
     /// generational `SessionReport` after scrubbing — including the
     /// frontier counters (`dedup_hits`/`frontier_evicted`/
     /// `frontier_peak`), which are search facts, not scheduling facts.
@@ -172,34 +167,27 @@ proptest! {
     fn pooled_generational_solving_preserves_reports(
         source in program_strategy(),
         seed in 0u64..1024,
-        fifo in any::<bool>(),
         unknown_on_query in proptest::option::of(0u64..8),
     ) {
         use ExecTier::{Compiled, Interp};
-        use SchedulerMode::{StaticScoped, WorkStealing};
-        let order = if fifo { FrontierOrder::Fifo } else { FrontierOrder::Scored };
         let compiled = dart_minic::compile(&source).expect("generated source compiles");
         let baseline = scrub(run_generational_cfg(
-            &compiled, order, true, 1, WorkStealing, false, Interp, seed, unknown_on_query,
+            &compiled, true, 1, false, Interp, seed, unknown_on_query,
         ));
-        for (threads, scheduler, shared, tier) in [
-            (4, WorkStealing, false, Interp),
-            (4, StaticScoped, false, Interp),
-            (1, WorkStealing, true, Interp),
-            (4, WorkStealing, true, Interp),
-            (4, StaticScoped, true, Interp),
-            (1, WorkStealing, false, Compiled),
+        for (threads, shared, tier) in [
+            (4, false, Interp),
+            (1, true, Interp),
+            (4, true, Interp),
+            (1, false, Compiled),
         ] {
             let got = scrub(run_generational_cfg(
-                &compiled, order, true, threads, scheduler, shared, tier, seed, unknown_on_query,
+                &compiled, true, threads, shared, tier, seed, unknown_on_query,
             ));
             prop_assert_eq!(
                 &baseline,
                 &got,
-                "order={:?} threads={} scheduler={:?} shared={} tier={:?} source={}",
-                order,
+                "threads={} shared={} tier={:?} source={}",
                 threads,
-                scheduler,
                 shared,
                 tier,
                 &source
@@ -218,15 +206,12 @@ proptest! {
         seed in 0u64..1024,
         unknown_on_query in proptest::option::of(0u64..8),
     ) {
-        use SchedulerMode::WorkStealing;
         let compiled = dart_minic::compile(&source).expect("generated source compiles");
         let on = run_generational_cfg(
-            &compiled, FrontierOrder::Scored, true, 1, WorkStealing, false,
-            ExecTier::Interp, seed, unknown_on_query,
+            &compiled, true, 1, false, ExecTier::Interp, seed, unknown_on_query,
         );
         let off = run_generational_cfg(
-            &compiled, FrontierOrder::Scored, false, 1, WorkStealing, false,
-            ExecTier::Interp, seed, unknown_on_query,
+            &compiled, false, 1, false, ExecTier::Interp, seed, unknown_on_query,
         );
         prop_assert_eq!(
             covered_and_bugs(&on),

@@ -4,7 +4,7 @@
 //! DART workloads that re-execute the same program thousands of times, the
 //! decode work dominates. [`DecodedProgram`] lowers a [`Program`] once into a
 //! flat array of decoded statements whose operands are postfix op sequences
-//! ([`FlatExpr`]) with the common shapes fused (`bp + k`, `*(bp + k)`,
+//! (`FlatExpr`) with the common shapes fused (`bp + k`, `*(bp + k)`,
 //! `*(const)`), and [`FastMachine`] dispatches over that array with a
 //! reusable evaluation stack — no per-step allocation, no tree recursion.
 //!

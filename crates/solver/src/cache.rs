@@ -43,7 +43,7 @@
 //! (see [`QueryCache::attach_shared`]): it is consulted only after every
 //! session-local shortcut misses — exactly where a fresh solve would
 //! happen — and a hit is recorded with **as-if-fresh accounting**
-//! ([`QueryCache::record`] runs as if the session had solved the query
+//! (`QueryCache::record` runs as if the session had solved the query
 //! itself, and `misses`/`split_solves` move identically), so every
 //! report-visible counter stays independent of what other sessions
 //! published. Only [`CacheStats::shared_hits`] reveals the reuse.
@@ -337,12 +337,15 @@ impl QueryCache {
     /// synchronous solve, so this is exactly `solve_query`.
     ///
     /// Determinism: a consumed speculative verdict must equal what the
-    /// synchronous solve would have produced. That holds because workers
-    /// solve on clones of the same prefix session with the same hint,
-    /// and because no query *before* the walk's winner can push a model
-    /// (they are all `Unsat`/`Unknown`) — so the cache state a worker
-    /// speculated against answers shortcuts identically to the commit
-    /// walk's state for every position that actually consumes one.
+    /// synchronous solve would have produced. That holds because a
+    /// worker solves the same prefix with the same hint and solver
+    /// configuration on a session it builds from the walk's owned copy
+    /// of the prefix, and because the committing thread only dispatched
+    /// the positions its [`QueryCache::peek_query`] at walk entry could
+    /// not answer. Before the walk's winner no query can push a model
+    /// (they are all `Unsat`/`Unknown`), so the cache state at walk
+    /// entry answers shortcuts identically to the commit walk's state for
+    /// every position that actually consumes a verdict.
     pub fn solve_query_precomputed<F>(
         &mut self,
         session: &mut PrefixSession,
@@ -378,12 +381,14 @@ impl QueryCache {
         (out, used)
     }
 
-    /// Read-only preview of a depth-`j` query for speculative workers:
-    /// would the session stores, model pool or shared store answer it
-    /// without a fresh solve? Mutates nothing and counts nothing — the
-    /// deterministic commit walk re-runs the real shortcut chain — so a
-    /// worker can both skip solving already-answered queries and learn a
-    /// candidate's satisfiability for the high-water mark.
+    /// Read-only preview of a depth-`j` query: would the session stores,
+    /// model pool or shared store answer it without a fresh solve? The
+    /// committing thread peeks every candidate before it dispatches a
+    /// walk to speculative workers, which never see the cache: it
+    /// enqueues only the misses, and a peek that answers `Sat` caps how
+    /// far a first-`Sat`-wins walk speculates. Mutates nothing and counts
+    /// nothing; the deterministic commit walk re-runs the real shortcut
+    /// chain.
     pub fn peek_query<F>(
         &self,
         session: &PrefixSession,

@@ -578,7 +578,7 @@ fn warm_attempt(
 /// point satisfying a superset of rows satisfies any subset).
 ///
 /// When the vertex cache misses, the default *warm* engine keeps a
-/// dual-simplex dictionary ([`WarmDict`]) alive across push/pop: retracting
+/// dual-simplex dictionary (`WarmDict`) alive across push/pop: retracting
 /// a frame and pushing a negated row repairs feasibility with a handful of
 /// dual pivots instead of a fresh two-phase solve, falling back to the cold
 /// Phase 1 only when a pivot budget or exact arithmetic gives out.

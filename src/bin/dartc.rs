@@ -15,9 +15,6 @@
 //!   --mode M           directed | random | symbolic | generational [directed]
 //!   --engine M         alias of --mode
 //!   --strategy S       dfs | random-branch                     [dfs]
-//!   --frontier-order O scored | fifo: generational frontier discipline —
-//!                      coverage-novelty priority, or the insertion-order
-//!                      ablation baseline                       [scored]
 //!   --frontier-budget N  cap the generational frontier at N queued items,
 //!                      evicting the lowest-scored (0 is rejected) [unbounded]
 //!   --checkpoint FILE  persist the generational session after every work
@@ -40,12 +37,9 @@
 //!                      function to PATH (`-` streams to stdout)
 //!   --worker-deadline MS  farm-only: kill any worker process that runs
 //!                      longer than MS (fault, retriable, resumable)
-//!   --solve-threads N  per-run candidate-query fan-out; results are
+//!   --solve-threads N  per-run candidate-query fan-out on a persistent
+//!                      work-stealing pool of N workers; results are
 //!                      byte-identical to N=1       [$DART_SOLVE_THREADS or 1]
-//!   --scheduler S      stealing | scoped: how N solver workers are
-//!                      scheduled — persistent work-stealing pool, or
-//!                      the per-walk scoped fan-out kept as an ablation
-//!                      baseline (reports unchanged either way) [stealing]
 //!   --exec-tier T      interp | compiled: which execution tier runs the
 //!                      program — the tree-walking interpreter, or the
 //!                      pre-decoded compiled tier (reports unchanged;
@@ -67,10 +61,7 @@
 //!
 //! Exit status: 0 = no bug, 1 = bug found, 2 = usage/compile error.
 
-use dart::{
-    Dart, DartConfig, EngineMode, ExecTier, FrontierOrder, PortfolioMode, SchedulerMode, Strategy,
-    SweepOutcome,
-};
+use dart::{Dart, DartConfig, EngineMode, ExecTier, PortfolioMode, Strategy, SweepOutcome};
 use std::process::ExitCode;
 
 struct Options {
@@ -81,7 +72,6 @@ struct Options {
     seed: u64,
     mode: EngineMode,
     strategy: Strategy,
-    frontier_order: FrontierOrder,
     frontier_budget: Option<usize>,
     checkpoint: Option<String>,
     all_bugs: bool,
@@ -102,7 +92,6 @@ struct Options {
     farm_index: usize,
     farm_attempt: u32,
     solve_threads: Option<usize>,
-    scheduler: SchedulerMode,
     exec_tier: Option<ExecTier>,
     portfolio: Option<PortfolioMode>,
     shared_cache: bool,
@@ -118,13 +107,11 @@ struct Options {
 fn usage() -> &'static str {
     "usage: dartc <file.mc> --toplevel NAME [--depth N] [--runs N] [--seed N] \
      [--mode|--engine directed|random|symbolic|generational] \
-     [--strategy dfs|random-branch] [--frontier-order scored|fifo] \
-     [--frontier-budget N] [--checkpoint FILE] \
+     [--strategy dfs|random-branch] [--frontier-budget N] [--checkpoint FILE] \
      [--all-bugs] [--max-steps N] [--mem-budget N] [--deadline MS] \
      [--sweep NAMES --threads N --max-retries N] \
      [--farm --store PATH --stream PATH|- --worker-deadline MS] \
-     [--solve-threads N] [--scheduler stealing|scoped] \
-     [--exec-tier interp|compiled] [--portfolio on|off] [--shared-cache] \
+     [--solve-threads N] [--exec-tier interp|compiled] [--portfolio on|off] [--shared-cache] \
      [--stats] [--no-cache] [--interface] [--print-ir]"
 }
 
@@ -137,7 +124,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         seed: 0,
         mode: EngineMode::Directed,
         strategy: Strategy::Dfs,
-        frontier_order: FrontierOrder::Scored,
         frontier_budget: None,
         checkpoint: None,
         all_bugs: false,
@@ -155,7 +141,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         farm_index: 0,
         farm_attempt: 0,
         solve_threads: None,
-        scheduler: SchedulerMode::WorkStealing,
         exec_tier: None,
         portfolio: None,
         shared_cache: false,
@@ -253,13 +238,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                         .ok_or_else(|| "--solve-threads expects a positive integer".to_string())?,
                 )
             }
-            "--scheduler" => {
-                opts.scheduler = match value(&mut it, "--scheduler")?.as_str() {
-                    "stealing" => SchedulerMode::WorkStealing,
-                    "scoped" => SchedulerMode::StaticScoped,
-                    other => return Err(format!("unknown scheduler `{other}`")),
-                }
-            }
             "--exec-tier" => {
                 opts.exec_tier = Some(match value(&mut it, "--exec-tier")?.as_str() {
                     "interp" => ExecTier::Interp,
@@ -282,13 +260,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     "symbolic" => EngineMode::SymbolicOnly,
                     "generational" => EngineMode::Generational,
                     other => return Err(format!("unknown mode `{other}`")),
-                }
-            }
-            "--frontier-order" => {
-                opts.frontier_order = match value(&mut it, "--frontier-order")?.as_str() {
-                    "scored" => FrontierOrder::Scored,
-                    "fifo" => FrontierOrder::Fifo,
-                    other => return Err(format!("unknown frontier order `{other}`")),
                 }
             }
             "--frontier-budget" => {
@@ -354,11 +325,9 @@ fn build_config(opts: &Options) -> DartConfig {
             ..dart_ram::MachineConfig::default()
         },
         solver_cache: !opts.no_cache,
-        frontier_order: opts.frontier_order,
         frontier_budget: opts.frontier_budget,
         checkpoint: opts.checkpoint.as_ref().map(std::path::PathBuf::from),
         max_retries: opts.max_retries,
-        scheduler: opts.scheduler,
         shared_cache: opts.shared_cache,
         ..DartConfig::default()
     };
@@ -403,14 +372,6 @@ fn worker_forward_args(opts: &Options) -> Vec<String> {
         Strategy::Dfs => "dfs",
         Strategy::RandomBranch => "random-branch",
     };
-    let order = match opts.frontier_order {
-        FrontierOrder::Scored => "scored",
-        FrontierOrder::Fifo => "fifo",
-    };
-    let scheduler = match opts.scheduler {
-        SchedulerMode::WorkStealing => "stealing",
-        SchedulerMode::StaticScoped => "scoped",
-    };
     let mut args: Vec<String> = [
         "--depth",
         &opts.depth.to_string(),
@@ -422,10 +383,6 @@ fn worker_forward_args(opts: &Options) -> Vec<String> {
         mode,
         "--strategy",
         strategy,
-        "--frontier-order",
-        order,
-        "--scheduler",
-        scheduler,
         "--max-steps",
         &opts.max_steps.to_string(),
     ]
@@ -911,7 +868,6 @@ mod tests {
         let config = build_config(&o);
         assert_eq!(config.solve_threads, 4);
         assert!(config.shared_cache);
-        assert_eq!(config.scheduler, SchedulerMode::WorkStealing);
         // Unset, the flag defers to the DartConfig default (which reads
         // $DART_SOLVE_THREADS) rather than pinning 1.
         let o = parse(&["p.mc"]).unwrap();
@@ -1022,20 +978,6 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_flag() {
-        let o = parse(&["p.mc", "--scheduler", "scoped"]).unwrap();
-        assert_eq!(o.scheduler, SchedulerMode::StaticScoped);
-        assert_eq!(build_config(&o).scheduler, SchedulerMode::StaticScoped);
-        let o = parse(&["p.mc", "--scheduler", "stealing"]).unwrap();
-        assert_eq!(o.scheduler, SchedulerMode::WorkStealing);
-        // The default is the work-stealing pool.
-        let o = parse(&["p.mc"]).unwrap();
-        assert_eq!(o.scheduler, SchedulerMode::WorkStealing);
-        assert!(parse(&["p.mc", "--scheduler", "chunked"]).is_err());
-        assert!(parse(&["p.mc", "--scheduler"]).is_err());
-    }
-
-    #[test]
     fn exec_tier_flag() {
         let o = parse(&["p.mc", "--exec-tier", "compiled"]).unwrap();
         assert_eq!(o.exec_tier, Some(ExecTier::Compiled));
@@ -1073,8 +1015,6 @@ mod tests {
             "p.mc",
             "--engine",
             "generational",
-            "--frontier-order",
-            "fifo",
             "--frontier-budget",
             "64",
             "--checkpoint",
@@ -1082,22 +1022,18 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(o.mode, EngineMode::Generational);
-        assert_eq!(o.frontier_order, FrontierOrder::Fifo);
         assert_eq!(o.frontier_budget, Some(64));
         assert_eq!(o.checkpoint.as_deref(), Some("cp.txt"));
         let config = build_config(&o);
-        assert_eq!(config.frontier_order, FrontierOrder::Fifo);
         assert_eq!(config.frontier_budget, Some(64));
         assert_eq!(config.checkpoint, Some(std::path::PathBuf::from("cp.txt")));
-        // Defaults: scored order, unbounded frontier, no checkpoint.
+        // Defaults: unbounded frontier, no checkpoint.
         let o = parse(&["p.mc"]).unwrap();
-        assert_eq!(o.frontier_order, FrontierOrder::Scored);
         assert_eq!(o.frontier_budget, None);
         assert!(o.checkpoint.is_none());
         // A zero budget parses; the engine rejects it as InvalidConfig.
         let o = parse(&["p.mc", "--frontier-budget", "0"]).unwrap();
         assert_eq!(o.frontier_budget, Some(0));
-        assert!(parse(&["p.mc", "--frontier-order", "lifo"]).is_err());
         assert!(parse(&["p.mc", "--frontier-budget", "many"]).is_err());
         assert!(parse(&["p.mc", "--checkpoint"]).is_err());
         assert!(parse(&["p.mc", "--engine", "quantum"]).is_err());
