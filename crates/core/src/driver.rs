@@ -739,7 +739,9 @@ impl<'p> Dart<'p> {
         // Resume: replay the checkpointed session state, then fast-forward
         // the session RNG past the root draws the checkpointed restarts
         // consumed (children never draw from it, so the restart count is
-        // exactly the number of draws).
+        // exactly the number of draws). A session already at its run
+        // budget returns `Exhausted` before its next draw, so it skips
+        // the fast-forward.
         let mut resumed_complete = None;
         if let Some(cp) = &self.checkpoint {
             report.restarts = cp.restarts;
@@ -748,8 +750,10 @@ impl<'p> Dart<'p> {
             report.divergences = cp.divergences;
             coverage.extend(cp.coverage.iter().copied());
             report.branches_covered = coverage.len();
-            for _ in 0..cp.restarts {
-                let _: u64 = rng.gen();
+            if cp.runs < cfg.max_runs {
+                for _ in 0..cp.restarts {
+                    let _: u64 = rng.gen();
+                }
             }
             frontier.restore(cp);
             frontier.import_seen(&self.resume_fingerprints);
@@ -1200,6 +1204,38 @@ mod tests {
             }
             other => panic!("expected InvalidConfig, got {:?}", other.map(|_| ())),
         }
+    }
+
+    /// A checkpoint at or past the run budget resumes straight to
+    /// `Exhausted`: the loop returns before it draws, so the resume must
+    /// not first replay one RNG draw per checkpointed restart.
+    #[test]
+    fn resume_at_the_run_budget_skips_the_rng_fast_forward() {
+        let compiled = dart_minic::compile("int f(int x) { return x; }").unwrap();
+        let config = DartConfig {
+            mode: EngineMode::Generational,
+            ..DartConfig::default()
+        };
+        let mut dart = Dart::new(&compiled, "f", config).unwrap();
+        let huge = 1 << 62;
+        dart.checkpoint = Some(Checkpoint {
+            seed: dart.config.seed,
+            restarts: huge,
+            runs: huge,
+            steps: 0,
+            divergences: 0,
+            session_complete: false,
+            coverage: Vec::new(),
+            dedup_hits: 0,
+            evicted: 0,
+            peak: 0,
+            next_seq: 0,
+            seen: Vec::new(),
+            items: Vec::new(),
+        });
+        let report = dart.run();
+        assert_eq!(report.outcome, Outcome::Exhausted);
+        assert_eq!((report.runs, report.restarts), (huge, huge));
     }
 
     /// The scheduler changes nothing observable: pooled and sequential

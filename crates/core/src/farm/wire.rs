@@ -248,8 +248,8 @@ fn parse_report(lines: &mut Lines<'_>) -> Result<SessionReport, String> {
     let workers_line = lines.field_rest("workers")?;
     let per_worker_solves =
         parse_u64_list(&workers_line).ok_or_else(|| lines.err("bad workers list"))?;
-    let exec = lines.field_list("exec", 2)?;
-    let solve = lines.field_list("solve", 2)?;
+    let exec_time = lines.field_duration("exec")?;
+    let solve_time = lines.field_duration("solve")?;
     let bug_count = lines.field_u64("bugs")?;
     let mut bugs = Vec::new();
     for _ in 0..bug_count {
@@ -309,8 +309,8 @@ fn parse_report(lines: &mut Lines<'_>) -> Result<SessionReport, String> {
         frontier_evicted: frontier[1],
         frontier_peak: frontier[2],
         paths,
-        exec_time: Duration::new(exec[0], exec[1] as u32),
-        solve_time: Duration::new(solve[0], solve[1] as u32),
+        exec_time,
+        solve_time,
         blocks_fused: blocks[0],
         block_fallbacks: blocks[1],
         steps_fast_pathed: blocks[2],
@@ -540,6 +540,17 @@ impl<'a> Lines<'a> {
         }
     }
 
+    /// A `<name> <secs> <nanos>` line, as rendered from `as_secs` and
+    /// `subsec_nanos`. A nanosecond field of a second or more is
+    /// rejected: `Duration::new` would carry it into the seconds, which
+    /// panics on overflow and otherwise yields a value never rendered.
+    fn field_duration(&mut self, name: &str) -> Result<Duration, String> {
+        match self.field_list(name, 2)?[..] {
+            [secs, nanos] if nanos < 1_000_000_000 => Ok(Duration::new(secs, nanos as u32)),
+            _ => Err(self.err(&format!("bad {name} nanoseconds"))),
+        }
+    }
+
     /// A `<name> <rest of line>` line.
     fn field_rest(&mut self, name: &str) -> Result<String, String> {
         let line = self.next()?;
@@ -679,5 +690,129 @@ mod tests {
             "trailing data"
         );
         assert!(parse_output("nonsense\n").is_err());
+    }
+
+    /// `Duration::new` carries a nanosecond field of a second or more
+    /// into the seconds: with `u64::MAX` seconds that panicked in the
+    /// supervisor, and `2^32` nanoseconds truncated to a silent zero.
+    #[test]
+    fn out_of_range_duration_nanos_are_rejected() {
+        let full = render_output(&WorkerOutput {
+            verdicts: Vec::new(),
+            fingerprints: Vec::new(),
+            payload: WorkerPayload::Report(Box::new(sample_report())),
+        });
+        for (name, rendered) in [("exec", "exec 1 999999999"), ("solve", "solve 0 1")] {
+            assert!(full.contains(&format!("\n{rendered}\n")), "{rendered}");
+            for nanos in ["1000000000", "4294967296", "18446744073709551615"] {
+                for secs in ["18446744073709551615", "0"] {
+                    let bad = full.replace(rendered, &format!("{name} {secs} {nanos}"));
+                    assert!(parse_output(&bad).is_err(), "{name} {secs} {nanos}");
+                }
+            }
+        }
+        let max = full.replace("exec 1 999999999", "exec 18446744073709551615 999999999");
+        let Ok(WorkerOutput {
+            payload: WorkerPayload::Report(report),
+            ..
+        }) = parse_output(&max)
+        else {
+            panic!("the largest renderable duration must parse");
+        };
+        assert_eq!(report.exec_time, Duration::new(u64::MAX, 999_999_999));
+    }
+
+    /// A random valid worker document: store records and fault messages
+    /// from a printable alphabet (fault messages also get the escaped
+    /// newline and backslash), and a report with random counters and
+    /// durations.
+    fn output_strategy() -> impl proptest::strategy::Strategy<Value = WorkerOutput> {
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+        let text = |alphabet: &'static [u8], len: std::ops::Range<usize>| {
+            vec(0..alphabet.len(), len).prop_map(move |chars| {
+                chars
+                    .into_iter()
+                    .map(|c| char::from(alphabet[c]))
+                    .collect::<String>()
+            })
+        };
+        let report = (
+            (any::<u64>(), any::<u64>(), any::<u64>()),
+            (
+                any::<u64>(),
+                0u32..1_000_000_000,
+                any::<u64>(),
+                0u32..1_000_000_000,
+            ),
+            vec(any::<u64>(), 0..4),
+        )
+            .prop_map(|((runs, steps, sat), (es, en, ss, sn), workers)| {
+                let mut report = sample_report();
+                report.runs = runs;
+                report.steps = steps;
+                report.solver.sat = sat;
+                report.solver.per_worker_solves = workers;
+                report.exec_time = Duration::new(es, en);
+                report.solve_time = Duration::new(ss, sn);
+                WorkerPayload::Report(Box::new(report))
+            });
+        let fault = text(b"abcxyz0129 -:\\\n", 0..40).prop_map(WorkerPayload::Fault);
+        let payload = prop_oneof![report, fault];
+        (
+            vec(text(b"u e07- 1ab", 1..12), 0..3),
+            vec((any::<u64>(), any::<u64>()), 0..3),
+            payload,
+        )
+            .prop_map(|(verdicts, fingerprints, payload)| WorkerOutput {
+                verdicts,
+                fingerprints,
+                payload,
+            })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// `parse_output` runs in the supervisor on whatever a worker
+        /// wrote, so it never panics: not on random bytes (bare or behind
+        /// a valid header), not on any truncation of a rendered document,
+        /// and not on single-byte edits of one. A valid document
+        /// round-trips exactly.
+        #[test]
+        fn parse_output_never_panics_and_roundtrips(
+            output in output_strategy(),
+            noise in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..200),
+            edits in proptest::collection::vec(
+                (
+                    proptest::prelude::any::<usize>(),
+                    // Digits half the time: they keep a numeric field
+                    // parseable and so reach the checks behind it.
+                    proptest::prop_oneof![proptest::prelude::any::<u8>(), b'0'..=b'9'],
+                ),
+                48,
+            ),
+        ) {
+            let parse_bytes = |bytes: &[u8]| parse_output(&String::from_utf8_lossy(bytes));
+            let text = render_output(&output);
+            proptest::prop_assert_eq!(parse_output(&text), Ok(output.clone()));
+            let mut headed = format!("{HEADER}\n").into_bytes();
+            headed.extend_from_slice(&noise);
+            let _ = parse_bytes(&noise);
+            let _ = parse_bytes(&headed);
+            let bytes = text.as_bytes();
+            let last = bytes.len() - 1;
+            for cut in 0..last {
+                // Every cut before the final newline loses at least part
+                // of the closing `done` line, so none may parse.
+                proptest::prop_assert!(parse_bytes(&bytes[..cut]).is_err(), "cut at {cut}");
+            }
+            proptest::prop_assert_eq!(parse_bytes(&bytes[..last]), Ok(output));
+            for (pos, byte) in &edits {
+                let mut mutated = bytes.to_vec();
+                mutated[pos % bytes.len()] = *byte;
+                let _ = parse_bytes(&mutated);
+            }
+        }
     }
 }

@@ -451,7 +451,8 @@ impl Checkpoint {
     /// Returns a [`CheckpointParseError`] naming the first malformed
     /// line — a truncated or corrupt checkpoint (e.g. from a crash
     /// mid-write of a non-atomic copy) must surface as a config error,
-    /// never resume a wrong session. That includes item sequence numbers
+    /// never resume a wrong session. That includes a `restarts` count
+    /// above `runs + 1`, which no session writes, and item sequence numbers
     /// that [`Frontier::restore`] cannot key apart: items are keyed by
     /// `(score, seq)`, so a repeated `seq` can overwrite an earlier item,
     /// and a `seq` at or past `next_seq` can be overwritten by a child
@@ -487,7 +488,19 @@ impl Checkpoint {
         };
         let seed = field(next("seed")?, "seed")?;
         let restarts = field(next("restarts")?, "restarts")?;
-        let runs = field(next("runs")?, "runs")?;
+        let runs_line = next("runs")?;
+        let runs_lineno = runs_line.0;
+        let runs = field(runs_line, "runs")?;
+        // Each restart pushes its root, and the checkpoint written right
+        // after is the last before that root runs: every earlier
+        // restart's root has run. A larger count would make a resume
+        // replay that many RNG draws.
+        if restarts > runs.saturating_add(1) {
+            return Err(err(
+                runs_lineno,
+                format!("`restarts` {restarts} exceeds `runs` {runs} + 1"),
+            ));
+        }
         let steps = field(next("steps")?, "steps")?;
         let divergences = field(next("divergences")?, "divergences")?;
         let complete_line = next("complete")?;
@@ -905,6 +918,34 @@ mod tests {
         assert!(parse(cp(1, vec![item(0), item(1)])).is_err());
     }
 
+    /// A resume replays one RNG draw per checkpointed restart, and no
+    /// session writes more restarts than `runs + 1`; a larger count is
+    /// corrupt, and a huge one would spin the resume.
+    #[test]
+    fn checkpoint_parse_bounds_restarts_by_runs() {
+        let cp = |restarts, runs| Checkpoint {
+            seed: 1,
+            restarts,
+            runs,
+            steps: 0,
+            divergences: 0,
+            session_complete: true,
+            coverage: vec![],
+            dedup_hits: 0,
+            evicted: 0,
+            peak: 0,
+            next_seq: 0,
+            seen: vec![],
+            items: vec![],
+        };
+        let parse = |c: Checkpoint| Checkpoint::parse(&c.render());
+        assert!(parse(cp(2, 1)).is_ok());
+        let over = parse(cp(5, 1)).unwrap_err();
+        assert!(over.message.contains("exceeds `runs`"), "{over}");
+        assert!(parse(cp(u64::MAX, u64::MAX)).is_ok());
+        assert!(parse(cp(u64::MAX, u64::MAX - 2)).is_err());
+    }
+
     /// A valid random checkpoint: unique item sequence numbers below
     /// `next_seq`, and slot names from a newline-free alphabet.
     fn checkpoint_strategy() -> impl proptest::strategy::Strategy<Value = Checkpoint> {
@@ -959,6 +1000,11 @@ mod tests {
             .prop_map(|(header, coverage, mut seen, items)| {
                 let ((seed, restarts, runs, steps), (divergences, complete, dedup_hits, evicted)) =
                     (header.0, header.1);
+                // `parse` accepts at most `runs + 1` restarts.
+                let restarts = match runs.checked_add(2) {
+                    Some(bound) => restarts % bound,
+                    None => restarts,
+                };
                 let (peak, slack) = header.2;
                 seen.sort_unstable();
                 seen.dedup();
@@ -993,6 +1039,10 @@ mod tests {
     /// sequence numbers below `next_seq`, so a restore keeps every item
     /// and the next pushed child collides with none of them.
     fn assert_restorable(cp: &Checkpoint) {
+        assert!(
+            cp.restarts <= cp.runs.saturating_add(1),
+            "restarts past runs + 1"
+        );
         let seqs: BTreeSet<u64> = cp.items.iter().map(|it| it.seq).collect();
         assert_eq!(seqs.len(), cp.items.len(), "duplicate seq accepted");
         assert!(

@@ -5,7 +5,7 @@
 //! the paper), so a linear expression plus a relational operator is the whole
 //! constraint language.
 
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
 use std::fmt;
 
 /// A solver variable, identified by a dense index.
@@ -29,7 +29,11 @@ impl fmt::Display for Var {
 }
 
 /// A linear expression `sum(coeff_i * var_i) + constant` with exact `i64`
-/// coefficients. Coefficient maps never store zeros.
+/// coefficients.
+///
+/// The terms are a flat vector kept sorted by variable, with at most one
+/// entry per variable and never a zero coefficient. Equality, hashing,
+/// iteration and `Display` therefore all see one canonical term order.
 ///
 /// # Examples
 ///
@@ -43,7 +47,7 @@ impl fmt::Display for Var {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct LinExpr {
-    terms: BTreeMap<Var, i64>,
+    terms: Vec<(Var, i64)>,
     constant: i64,
 }
 
@@ -56,16 +60,17 @@ impl LinExpr {
     /// A constant expression.
     pub fn constant_expr(c: i64) -> LinExpr {
         LinExpr {
-            terms: BTreeMap::new(),
+            terms: Vec::new(),
             constant: c,
         }
     }
 
     /// The expression consisting of a single variable with coefficient 1.
     pub fn var(v: Var) -> LinExpr {
-        let mut terms = BTreeMap::new();
-        terms.insert(v, 1);
-        LinExpr { terms, constant: 0 }
+        LinExpr {
+            terms: vec![(v, 1)],
+            constant: 0,
+        }
     }
 
     /// Builds an expression from `(var, coeff)` pairs and a constant.
@@ -80,7 +85,7 @@ impl LinExpr {
 
     /// The coefficient of `v` (zero if absent).
     pub fn coeff(&self, v: Var) -> i64 {
-        self.terms.get(&v).copied().unwrap_or(0)
+        self.position(v).map_or(0, |i| self.terms[i].1)
     }
 
     /// The constant term.
@@ -100,12 +105,17 @@ impl LinExpr {
 
     /// Iterates over `(var, coeff)` pairs in variable order.
     pub fn iter(&self) -> impl Iterator<Item = (Var, i64)> + '_ {
-        self.terms.iter().map(|(&v, &c)| (v, c))
+        self.terms.iter().copied()
     }
 
     /// The set of variables mentioned, in order.
     pub fn vars(&self) -> impl Iterator<Item = Var> + '_ {
-        self.terms.keys().copied()
+        self.terms.iter().map(|&(v, _)| v)
+    }
+
+    /// Where `v`'s term is (`Ok`) or would be inserted (`Err`).
+    fn position(&self, v: Var) -> Result<usize, usize> {
+        self.terms.binary_search_by_key(&v, |&(u, _)| u)
     }
 
     /// Adds `coeff * v` in place, dropping the term if it cancels to zero.
@@ -115,22 +125,50 @@ impl LinExpr {
         if coeff == 0 {
             return;
         }
-        let entry = self.terms.entry(v).or_insert(0);
-        *entry = entry.saturating_add(coeff);
-        if *entry == 0 {
-            self.terms.remove(&v);
+        match self.position(v) {
+            Ok(i) => match self.terms[i].1.saturating_add(coeff) {
+                0 => {
+                    self.terms.remove(i);
+                }
+                c => self.terms[i].1 = c,
+            },
+            Err(i) => self.terms.insert(i, (v, coeff)),
         }
     }
 
-    /// Returns `self + other`.
+    /// Returns `self + other`: one merge of the two sorted term vectors.
     #[must_use]
     pub fn add(&self, other: &LinExpr) -> LinExpr {
-        let mut out = self.clone();
-        for (v, c) in other.iter() {
-            out.add_term(v, c);
+        let (a, b) = (&self.terms, &other.terms);
+        let mut terms = Vec::with_capacity(a.len() + b.len());
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            let ((va, ca), (vb, cb)) = (a[i], b[j]);
+            match va.cmp(&vb) {
+                Ordering::Less => {
+                    terms.push((va, ca));
+                    i += 1;
+                }
+                Ordering::Greater => {
+                    terms.push((vb, cb));
+                    j += 1;
+                }
+                Ordering::Equal => {
+                    let c = ca.saturating_add(cb);
+                    if c != 0 {
+                        terms.push((va, c));
+                    }
+                    i += 1;
+                    j += 1;
+                }
+            }
         }
-        out.constant = out.constant.saturating_add(other.constant);
-        out
+        terms.extend_from_slice(&a[i..]);
+        terms.extend_from_slice(&b[j..]);
+        LinExpr {
+            terms,
+            constant: self.constant.saturating_add(other.constant),
+        }
     }
 
     /// Returns `self - other`.
@@ -145,10 +183,11 @@ impl LinExpr {
         if k == 0 {
             return LinExpr::zero();
         }
+        // A product of two nonzero factors is nonzero, saturated or not.
         let terms = self
             .terms
             .iter()
-            .map(|(&v, &c)| (v, c.saturating_mul(k)))
+            .map(|&(v, c)| (v, c.saturating_mul(k)))
             .collect();
         LinExpr {
             terms,
@@ -166,13 +205,26 @@ impl LinExpr {
 
     /// Evaluates the expression under an assignment, as `i128` to avoid
     /// intermediate overflow; variables absent from `lookup` evaluate as 0.
+    /// A value outside the `i128` range (two or more near-extreme terms)
+    /// clamps to `i128::MIN` or `i128::MAX`, so its sign stays exact.
     pub fn eval_with<F: Fn(Var) -> Option<i64>>(&self, lookup: F) -> i128 {
-        let mut acc = self.constant as i128;
+        // Every product is below 2^127 in magnitude, so the exact value
+        // is `acc + wraps * 2^128`.
+        let mut acc = i128::from(self.constant);
+        let mut wraps: i64 = 0;
         for (v, c) in self.iter() {
-            let val = lookup(v).unwrap_or(0) as i128;
-            acc += c as i128 * val;
+            let term = i128::from(c) * i128::from(lookup(v).unwrap_or(0));
+            let (sum, wrapped) = acc.overflowing_add(term);
+            if wrapped {
+                wraps += if term > 0 { 1 } else { -1 };
+            }
+            acc = sum;
         }
-        acc
+        match wraps.cmp(&0) {
+            Ordering::Less => i128::MIN,
+            Ordering::Equal => acc,
+            Ordering::Greater => i128::MAX,
+        }
     }
 }
 
@@ -198,7 +250,7 @@ impl fmt::Display for LinExpr {
             } else if c == -1 {
                 write!(f, " - {v}")?;
             } else {
-                write!(f, " - {}*{v}", -c)?;
+                write!(f, " - {}*{v}", c.unsigned_abs())?;
             }
         }
         if first {
@@ -206,7 +258,7 @@ impl fmt::Display for LinExpr {
         } else if self.constant > 0 {
             write!(f, " + {}", self.constant)?;
         } else if self.constant < 0 {
-            write!(f, " - {}", -self.constant)?;
+            write!(f, " - {}", self.constant.unsigned_abs())?;
         }
         Ok(())
     }
@@ -264,6 +316,17 @@ mod tests {
         assert_eq!(val, 2 * 3 - 4 + 10);
         // Missing variables default to 0.
         assert_eq!(e.eval_with(|_| None), 10);
+        // Two products of 2^126 leave i128 and clamp; two of -2^126 + 2^63
+        // stay inside and three do not; a third product of opposite sign
+        // brings the first sum back inside.
+        let (min, max) = (|_| Some(i64::MIN), |_| Some(i64::MAX));
+        let two = LinExpr::from_terms([(x(), i64::MIN), (y(), i64::MIN)], 0);
+        assert_eq!(two.eval_with(min), i128::MAX);
+        assert_eq!(two.eval_with(max), i128::MIN + (1 << 64));
+        let with_third =
+            |c| LinExpr::from_terms([(x(), i64::MIN), (y(), i64::MIN), (Var(2), c)], 0);
+        assert_eq!(with_third(i64::MIN).eval_with(max), i128::MIN);
+        assert_eq!(with_third(i64::MAX).eval_with(min), (1 << 126) + (1 << 63));
     }
 
     #[test]
@@ -272,5 +335,10 @@ mod tests {
         assert_eq!(e.to_string(), "x0 - 2*x1 - 7");
         assert_eq!(LinExpr::constant_expr(0).to_string(), "0");
         assert_eq!(LinExpr::var(y()).scaled(-1).to_string(), "-x1");
+        let extreme = LinExpr::from_terms([(x(), 1), (y(), i64::MIN)], i64::MIN);
+        assert_eq!(
+            extreme.to_string(),
+            "x0 - 9223372036854775808*x1 - 9223372036854775808"
+        );
     }
 }
