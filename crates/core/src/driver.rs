@@ -118,7 +118,9 @@ pub struct DartConfig {
     pub mode: EngineMode,
     /// Stop at the first bug (otherwise keep exploring and collect all).
     pub stop_at_first_bug: bool,
-    /// Report step-budget exhaustion as a non-termination bug (§4.3).
+    /// Report non-termination (a repeated machine state or step-budget
+    /// exhaustion, §4.3) as a bug. Otherwise such a run is skipped but
+    /// still forbids a completeness claim.
     pub nontermination_is_bug: bool,
     /// Pointer-chasing cap for `random_init` of recursive types.
     pub max_ptr_depth: u32,

@@ -72,7 +72,9 @@ pub enum RunTermination {
     Abort(String),
     /// A crash (memory fault, division by zero, stack overflow).
     Crash(Fault),
-    /// The step budget ran out — potential non-termination.
+    /// Non-termination: the run repeated its machine state (proven), or
+    /// the step budget ran out (potential); see
+    /// [`dart_ram::StepOutcome::OutOfSteps`].
     OutOfSteps,
     /// The allocation budget ran out
     /// ([`dart_ram::ResourceBudget::max_alloc_words`]), or an injected
@@ -989,5 +991,73 @@ mod tests {
         fast.block_fallbacks = 0;
         fast.steps_fast_pathed = 0;
         assert_eq!(format!("{interp:?}"), format!("{fast:?}"));
+    }
+
+    /// Runs `f` once on each tier with `x` as the first input and fresh
+    /// random inputs after it; asserts that the tiers agree on the
+    /// termination, the step count and the path, and returns the
+    /// interpreter's result.
+    fn run_on_both_tiers(src: &str, x: i64, max_steps: u64) -> RunResult {
+        use crate::tape::{InputKind, InputSlot};
+        let c = compiled(src);
+        let decoded = DecodedProgram::new(&c.program);
+        let sig = c.fn_sig("f").unwrap().clone();
+        let config = MachineConfig {
+            max_steps,
+            ..MachineConfig::default()
+        };
+        let slots = vec![InputSlot {
+            kind: InputKind::IntLike,
+            value: x,
+            name: "x".into(),
+        }];
+        let [interp, fast] = [None, Some(&decoded)].map(|d| {
+            let tape = InputTape::from_slots(slots.clone(), 7);
+            run_once_in_tier(&c, &sig, 1, config, tape, Vec::new(), 32, d)
+        });
+        assert_eq!(
+            (&interp.termination, interp.steps, interp.path.to_string()),
+            (&fast.termination, fast.steps, fast.path.to_string()),
+            "tiers disagree on {src}"
+        );
+        interp
+    }
+
+    #[test]
+    fn write_free_hangs_end_at_their_second_back_edge() {
+        // `if 1 goto 2`, `goto 0`, `if`, `goto 0`: four steps.
+        let r = run_on_both_tiers("void f(int x) { while (1) { } }", 0, 1_000_000);
+        assert_eq!((r.termination, r.steps), (RunTermination::OutOfSteps, 4));
+        // The input-gated spin records its condition twice, not once per
+        // step of the budget.
+        let gated = "int f(int x) { while (x == 9) { } return 0; }";
+        let r = run_on_both_tiers(gated, 9, 1_000_000);
+        assert_eq!((r.termination, r.steps), (RunTermination::OutOfSteps, 4));
+        assert_eq!(r.path.len(), 2, "path: {}", r.path);
+        let r = run_on_both_tiers(gated, 8, 1_000_000);
+        assert_eq!(r.termination, RunTermination::Ok);
+    }
+
+    #[test]
+    fn hangs_that_write_or_leave_the_loop_body_run_to_the_budget() {
+        let max_steps = 5_000;
+        for src in [
+            "void f(int x) { int i; i = 0; while (1) { i = i + 1; } }",
+            // The store changes nothing, but the proof counts jumps, not
+            // effects.
+            "void f(int x) { int y; while (1) { y = 0; } }",
+            "extern int ext(); void f(int x) { while (1) { ext(); } }",
+            "void f(int x) { int *p; while (1) { p = (int *) malloc(1); } }",
+            "void g() { } void f(int x) { while (1) { g(); } }",
+        ] {
+            let r = run_on_both_tiers(src, 0, max_steps);
+            assert_eq!(
+                (r.termination, r.steps),
+                (RunTermination::OutOfSteps, max_steps),
+                "{src}"
+            );
+        }
+        let r = run_on_both_tiers("void f(int x) { f(x); }", 3, max_steps);
+        assert_eq!(r.termination, RunTermination::Crash(Fault::StackOverflow));
     }
 }

@@ -17,7 +17,9 @@
 //!
 //! Errors detected: assertion violations (`abort()`), crashes (NULL
 //! dereference, out-of-bounds, division by zero, stack overflow) and
-//! non-termination (step budget).
+//! non-termination: a loop that writes nothing is proven to repeat its
+//! machine state on its second back-edge visit, and any other hang runs
+//! into the step budget.
 //!
 //! ## Quickstart
 //!

@@ -7,7 +7,9 @@
 //! tangible — every reported error ships with a working reproduction).
 //!
 //! Format: one slot per line, `kind value  # origin`, where kind is `int`
-//! or `ptr`. Lines starting with `#` and blank lines are ignored.
+//! or `ptr`. The text after the first `#` (less one leading space) is the
+//! slot's name, so a saved vector parses back to itself. Lines starting
+//! with `#` and blank lines are ignored.
 
 use crate::driver::DartError;
 use crate::exec::{run_once, run_once_traced, RunTermination};
@@ -47,15 +49,21 @@ pub fn serialize_inputs(slots: &[InputSlot]) -> String {
     out
 }
 
-/// Parses the replay text format.
+/// Parses the replay text format. A slot line without a `#` comment is
+/// named `replayed input N`.
 ///
 /// # Errors
 ///
 /// Returns a [`ReplayParseError`] naming the first malformed line.
 pub fn parse_inputs(text: &str) -> Result<Vec<InputSlot>, ReplayParseError> {
     let mut slots = Vec::new();
-    for (i, raw) in text.lines().enumerate() {
-        let line = raw.split('#').next().unwrap_or("").trim();
+    // Split on `\n` alone: a name may end in `\r`.
+    for (i, raw) in text.split('\n').enumerate() {
+        let (line, name) = match raw.split_once('#') {
+            Some((line, name)) => (line, Some(name.strip_prefix(' ').unwrap_or(name))),
+            None => (raw, None),
+        };
+        let line = line.trim();
         if line.is_empty() {
             continue;
         }
@@ -78,11 +86,11 @@ pub fn parse_inputs(text: &str) -> Result<Vec<InputSlot>, ReplayParseError> {
         if let Some(junk) = parts.next() {
             return Err(err(format!("trailing `{junk}`")));
         }
-        slots.push(InputSlot {
-            kind,
-            value,
-            name: format!("replayed input {}", slots.len()),
-        });
+        let name = match name {
+            Some(name) => name.to_string(),
+            None => format!("replayed input {}", slots.len()),
+        };
+        slots.push(InputSlot { kind, value, name });
     }
     Ok(slots)
 }
@@ -165,12 +173,11 @@ mod tests {
             },
         ];
         let text = serialize_inputs(&slots);
-        let parsed = parse_inputs(&text).unwrap();
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[0].kind, InputKind::IntLike);
-        assert_eq!(parsed[0].value, -42);
-        assert_eq!(parsed[1].kind, InputKind::Pointer);
-        assert_eq!(parsed[1].value, 0);
+        assert_eq!(parse_inputs(&text), Ok(slots), "names included");
+        // Hand-written lines without a comment get a positional name.
+        let bare = parse_inputs("int 5\nptr 0 #\n").unwrap();
+        assert_eq!(bare[0].name, "replayed input 0");
+        assert_eq!(bare[1].name, "");
     }
 
     #[test]
@@ -270,5 +277,67 @@ mod tests {
         let slots = parse_inputs(&serialize_inputs(&bug.inputs)).unwrap();
         let termination = replay(&compiled, "f", 1, MachineConfig::default(), slots, 0).unwrap();
         assert!(matches!(termination, RunTermination::Crash(_)));
+    }
+
+    fn slot_strategy() -> impl proptest::strategy::Strategy<Value = InputSlot> {
+        use proptest::prelude::*;
+        // Printable ASCII plus the characters a name must keep: `#`,
+        // spaces at either end, a tab, a carriage return and non-ASCII.
+        let name_char = prop_oneof![
+            4 => (0x20u8..0x7f).prop_map(char::from),
+            Just('#'),
+            Just(' '),
+            Just('\t'),
+            Just('\r'),
+            Just('é'),
+        ];
+        (
+            any::<bool>(),
+            any::<i64>(),
+            proptest::collection::vec(name_char, 0..12),
+        )
+            .prop_map(|(ptr, value, name)| InputSlot {
+                kind: if ptr {
+                    InputKind::Pointer
+                } else {
+                    InputKind::IntLike
+                },
+                value,
+                name: name.into_iter().collect(),
+            })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// `parse_inputs` never panics — on random bytes, on every
+        /// truncation of a saved vector and on single-byte edits of one —
+        /// and a saved vector whose names hold no newline parses back to
+        /// itself, names included.
+        #[test]
+        fn parse_inputs_never_panics_and_roundtrips(
+            slots in proptest::collection::vec(slot_strategy(), 0..6),
+            noise in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..200),
+            edits in proptest::collection::vec(
+                (proptest::prelude::any::<usize>(), proptest::prelude::any::<u8>()),
+                48,
+            ),
+        ) {
+            let parse_bytes = |bytes: &[u8]| parse_inputs(&String::from_utf8_lossy(bytes));
+            let text = serialize_inputs(&slots);
+            proptest::prop_assert_eq!(parse_inputs(&text), Ok(slots.clone()));
+            let _ = parse_bytes(&noise);
+            let bytes = text.as_bytes();
+            for cut in 0..bytes.len() {
+                if let Ok(got) = parse_bytes(&bytes[..cut]) {
+                    proptest::prop_assert!(got.len() <= slots.len(), "cut at {cut}");
+                }
+            }
+            for (pos, byte) in &edits {
+                let mut mutated = bytes.to_vec();
+                mutated[pos % bytes.len()] = *byte;
+                let _ = parse_bytes(&mutated);
+            }
+        }
     }
 }

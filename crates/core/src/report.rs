@@ -13,7 +13,10 @@ pub enum BugKind {
     Abort(String),
     /// A crash (memory fault, division by zero, stack overflow).
     Crash(Fault),
-    /// The run exceeded its step budget.
+    /// The run never halts, or may not: it repeated its machine state
+    /// (proven: a loop took the same back edge twice with only jumps in
+    /// between) or it exhausted its step budget (the paper's timer
+    /// heuristic). See [`dart_ram::StepOutcome::OutOfSteps`].
     NonTermination,
     /// The run exceeded its allocation budget
     /// ([`dart_ram::ResourceBudget::max_alloc_words`]).
@@ -25,7 +28,10 @@ impl fmt::Display for BugKind {
         match self {
             BugKind::Abort(reason) => write!(f, "abort: {reason}"),
             BugKind::Crash(fault) => write!(f, "crash: {fault}"),
-            BugKind::NonTermination => write!(f, "non-termination (step budget exhausted)"),
+            BugKind::NonTermination => write!(
+                f,
+                "non-termination (repeated machine state or step budget exhausted)"
+            ),
             BugKind::OutOfMemory => write!(f, "out of memory (allocation budget exhausted)"),
         }
     }

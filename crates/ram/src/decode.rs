@@ -31,12 +31,14 @@
 //! Semantics are pinned to the interpreter — same statement order, same
 //! fault points, same budget boundaries ([`crate::MachineConfig::max_steps`]
 //! is checked before the step, so a budget of N executes exactly N
-//! statements), same [`StepOutcome`]s. The interpreter stays the reference:
-//! a differential proptest drives both machines in lockstep over random
-//! programs, which is what makes this tier safe to trust.
+//! statements), same proof of write-free hangs (the stepwise and the fused
+//! path record every back edge the interpreter does, so a proven hang
+//! stops at the same step), same [`StepOutcome`]s. The interpreter stays
+//! the reference: a differential proptest drives both machines in lockstep
+//! over random programs, which is what makes this tier safe to trust.
 
 use crate::expr::{apply_binop, BinOp, Expr, MemView, UnOp};
-use crate::interp::{block_role, BlockRole, Environment, MachineConfig, StepOutcome};
+use crate::interp::{block_role, BlockRole, Environment, MachineConfig, StepLimit, StepOutcome};
 use crate::memory::{Fault, Memory};
 use crate::program::{AllocKind, ExtId, FuncId, Label, Program, Statement};
 
@@ -700,8 +702,9 @@ pub enum BlockOutcome {
     /// deferred, escaping, or mid-block): execute stepwise.
     NoBlock,
     /// A block exists but could not fuse this time: its footprint may
-    /// overlap the tracked set, or the step budget cannot admit the whole
-    /// block. Machine state is untouched; execute stepwise.
+    /// overlap the tracked set, or the step limit (the budget, or the
+    /// current step once a hang is proven) cannot admit the whole block.
+    /// Machine state is untouched; execute stepwise.
     Fallback,
     /// The whole block committed concretely: `steps` statements with
     /// provably no symbolic effect. `branch` carries the terminating
@@ -778,6 +781,7 @@ pub struct FastMachine<'p> {
     pc: Label,
     frames: Vec<Frame>,
     steps: u64,
+    limit: StepLimit,
     config: MachineConfig,
     running: bool,
     /// Reusable postfix evaluation stack — no per-step allocation.
@@ -813,6 +817,7 @@ impl<'p> FastMachine<'p> {
             pc: 0,
             frames: Vec::new(),
             steps: 0,
+            limit: StepLimit::new(config.max_steps),
             config,
             running: false,
             scratch: Vec::with_capacity(16),
@@ -889,6 +894,7 @@ impl<'p> FastMachine<'p> {
             ret_dst: None,
         });
         self.pc = meta.entry;
+        self.limit.reset(self.config.max_steps);
         self.running = true;
         Ok(base)
     }
@@ -912,7 +918,7 @@ impl<'p> FastMachine<'p> {
         let Some(block) = decoded.block_at(self.pc) else {
             return BlockOutcome::NoBlock;
         };
-        if self.steps.saturating_add(u64::from(block.len)) > self.config.max_steps {
+        if !self.limit.admits(self.steps, u64::from(block.len)) {
             return BlockOutcome::Fallback;
         }
         let frame_base = self.frames.last().map(|f| f.base).unwrap_or(0);
@@ -958,8 +964,10 @@ impl<'p> FastMachine<'p> {
                 }
             }
             BlockEnd::Jump(target) => {
-                self.pc = target;
                 self.steps += u64::from(block.len);
+                self.limit
+                    .jumped(start + block.body as usize, target, self.steps);
+                self.pc = target;
                 BlockOutcome::Fused {
                     steps: block.len,
                     branch: None,
@@ -974,8 +982,10 @@ impl<'p> FastMachine<'p> {
                 match evaluated {
                     Ok(v) => {
                         let taken = v != 0;
-                        self.pc = if taken { target } else { if_pc + 1 };
+                        let next = if taken { target } else { if_pc + 1 };
                         self.steps += u64::from(block.len);
+                        self.limit.jumped(if_pc, next, self.steps);
+                        self.pc = next;
                         BlockOutcome::Fused {
                             steps: block.len,
                             branch: Some((if_pc, taken)),
@@ -1025,7 +1035,7 @@ impl<'p> FastMachine<'p> {
     /// replicates the interpreter's evaluation order exactly (budget check
     /// before the statement fetch, operand order, fault points).
     fn stage(&mut self, sym: &dyn SymView, tainted: &mut bool) -> Staged {
-        if self.steps >= self.config.max_steps {
+        if self.limit.reached(self.steps) {
             return Staged::OutOfSteps;
         }
         let Some(stmt) = self.decoded.stmts.get(self.pc) else {
@@ -1203,10 +1213,12 @@ impl<'p> FastMachine<'p> {
                 StepOutcome::Assigned { dst: addr, value }
             }
             Staged::Branch { taken, target } => {
+                self.limit.jumped(self.pc, target, self.steps);
                 self.pc = target;
                 StepOutcome::Branched { taken }
             }
             Staged::Jump { target } => {
+                self.limit.jumped(self.pc, target, self.steps);
                 self.pc = target;
                 StepOutcome::Jumped
             }
@@ -1377,25 +1389,31 @@ mod tests {
     }
 
     /// Drives both machines in lockstep and asserts identical outcome
-    /// sequences, step counts and final memory observables.
-    fn assert_lockstep(program: &Program, config: MachineConfig, args: &[i64]) {
+    /// sequences, step counts and final memory observables. Returns the
+    /// terminal outcome and the step count.
+    fn assert_lockstep(
+        program: &Program,
+        config: MachineConfig,
+        args: &[i64],
+    ) -> (StepOutcome, u64) {
         let decoded = DecodedProgram::new(program);
         let mut interp = Machine::new(program, config);
         let mut fast = FastMachine::new(program, &decoded, config);
         let main = program.func_by_name("main").unwrap();
         assert_eq!(interp.call(main, args), fast.call(main, args));
-        loop {
+        let terminal = loop {
             assert_eq!(interp.pc(), fast.pc());
             let a = interp.step(&mut ZeroEnv);
             let b = fast.step(&mut ZeroEnv);
             assert_eq!(a, b, "tiers diverged at step {}", interp.steps_taken());
             assert_eq!(interp.steps_taken(), fast.steps_taken());
             if a.is_terminal() {
-                break;
+                break a;
             }
-        }
+        };
         assert_eq!(interp.is_running(), fast.is_running());
         assert_eq!(interp.mem().words_allocated(), fast.mem().words_allocated());
+        (terminal, interp.steps_taken())
     }
 
     /// main(n): acc = 1; while (n > 0) { acc = acc * n; n = n - 1 } return acc
@@ -1952,5 +1970,209 @@ mod tests {
         let decoded = DecodedProgram::new(&p);
         assert!(decoded.block_at(0).is_none());
         assert_eq!(decoded.fused_coverage(), 0);
+    }
+
+    /// `main(x) { while (cond) { body } return 0; }` in the shape MiniC
+    /// emits (`0: if cond goto 2`, `1: goto exit`, body, `goto 0`,
+    /// `ret 0`), followed by `leaf() { }` (function 1) and one external
+    /// for bodies that call them. Slot 1 is a spare local.
+    fn loop_program(cond: Expr, body: Vec<Statement>) -> Program {
+        let exit = 3 + body.len();
+        let mut stmts = vec![Statement::If { cond, target: 2 }, Statement::Goto(exit)];
+        stmts.extend(body);
+        stmts.push(Statement::Goto(0));
+        stmts.push(Statement::Ret {
+            value: Some(Expr::Const(0)),
+        });
+        let leaf = stmts.len();
+        stmts.push(Statement::Ret { value: None });
+        Program {
+            stmts,
+            funcs: vec![
+                Function {
+                    name: "main".into(),
+                    entry: 0,
+                    frame_words: 2,
+                    num_params: 1,
+                },
+                Function {
+                    name: "leaf".into(),
+                    entry: leaf,
+                    frame_words: 0,
+                    num_params: 0,
+                },
+            ],
+            externals: vec![External { name: "ext".into() }],
+            ..Program::default()
+        }
+    }
+
+    /// Runs `main(args)` on the interpreter and the compiled tier's
+    /// stepwise path in lockstep, then through its fused block path;
+    /// asserts that all three end alike and returns the terminal outcome
+    /// and the step count.
+    fn run_three_ways(program: &Program, max_steps: u64, args: &[i64]) -> (StepOutcome, u64) {
+        let config = MachineConfig {
+            max_steps,
+            ..MachineConfig::default()
+        };
+        let want = assert_lockstep(program, config, args);
+        let fused = run_via_blocks(program, config, args, &NoSym);
+        assert_eq!(fused, want, "fused path");
+        want
+    }
+
+    #[test]
+    fn write_free_loops_end_at_their_second_back_edge() {
+        // while (1) { }: `if`, `goto 0` (recorded), `if`, `goto 0` (the
+        // same edge with only jumps since): four steps, not the budget.
+        let spin = loop_program(Expr::Const(1), vec![]);
+        assert_eq!(
+            run_three_ways(&spin, 1000, &[0]),
+            (StepOutcome::OutOfSteps, 4)
+        );
+        // while (x == 9) { } hangs the same way at x = 9 and leaves at 8.
+        let gated = loop_program(
+            Expr::binary(BinOp::Eq, Expr::local(0), Expr::Const(9)),
+            vec![],
+        );
+        assert_eq!(
+            run_three_ways(&gated, 1000, &[9]),
+            (StepOutcome::OutOfSteps, 4)
+        );
+        assert_eq!(
+            run_three_ways(&gated, 1000, &[8]),
+            (StepOutcome::Finished { value: Some(0) }, 3)
+        );
+        // A budget below the proof still decides.
+        assert_eq!(run_three_ways(&spin, 3, &[0]), (StepOutcome::OutOfSteps, 3));
+        // A self-loop is proven at its second step.
+        let self_loop = Program {
+            stmts: vec![Statement::Goto(0)],
+            funcs: vec![Function {
+                name: "main".into(),
+                entry: 0,
+                frame_words: 0,
+                num_params: 0,
+            }],
+            ..Program::default()
+        };
+        assert_eq!(
+            run_three_ways(&self_loop, 1000, &[]),
+            (StepOutcome::OutOfSteps, 2)
+        );
+    }
+
+    #[test]
+    fn the_proof_holds_for_one_episode_only() {
+        // A proven hang ends the episode, not the machine: the next `call`
+        // restores the budget and forgets the recorded back edge.
+        let gated = loop_program(
+            Expr::binary(BinOp::Eq, Expr::local(0), Expr::Const(9)),
+            vec![],
+        );
+        let decoded = DecodedProgram::new(&gated);
+        let config = MachineConfig {
+            max_steps: 1000,
+            ..MachineConfig::default()
+        };
+        let mut interp = Machine::new(&gated, config);
+        let mut fast = FastMachine::new(&gated, &decoded, config);
+        for (x, want, steps) in [
+            (9, StepOutcome::OutOfSteps, 4),
+            (8, StepOutcome::Finished { value: Some(0) }, 7),
+            (9, StepOutcome::OutOfSteps, 11),
+        ] {
+            interp.call(FuncId(0), &[x]).unwrap();
+            fast.call(FuncId(0), &[x]).unwrap();
+            assert_eq!(interp.run(&mut ZeroEnv), want);
+            assert_eq!(fast.run(&mut ZeroEnv), want);
+            assert_eq!((interp.steps_taken(), fast.steps_taken()), (steps, steps));
+        }
+    }
+
+    #[test]
+    fn loops_that_write_run_to_the_budget() {
+        // while (1) { i = i + 1; } never repeats a state; while (1) { y = 0; }
+        // does, but the proof counts jumps, not effects, and stays
+        // conservative.
+        let count = loop_program(
+            Expr::Const(1),
+            vec![Statement::Assign {
+                dst: Expr::frame_slot(1),
+                src: Expr::binary(BinOp::Add, Expr::local(1), Expr::Const(1)),
+            }],
+        );
+        let same = loop_program(
+            Expr::Const(1),
+            vec![Statement::Assign {
+                dst: Expr::frame_slot(1),
+                src: Expr::Const(0),
+            }],
+        );
+        for p in [count, same] {
+            assert_eq!(
+                run_three_ways(&p, 1000, &[0]),
+                (StepOutcome::OutOfSteps, 1000)
+            );
+        }
+    }
+
+    #[test]
+    fn loops_that_call_allocate_or_consult_the_environment_run_to_the_budget() {
+        // The environment returns 0 every time, so the external-call loop
+        // repeats its state too; only jump-role statements prove anything.
+        let bodies = [
+            Statement::CallExternal {
+                ext: ExtId(0),
+                dst: None,
+            },
+            Statement::Alloc {
+                dst: Expr::frame_slot(1),
+                size: Expr::Const(1),
+                kind: AllocKind::Heap,
+            },
+            Statement::Call {
+                func: FuncId(1),
+                args: vec![],
+                dst: None,
+            },
+        ];
+        for body in bodies {
+            let p = loop_program(Expr::Const(1), vec![body]);
+            assert_eq!(
+                run_three_ways(&p, 1000, &[0]),
+                (StepOutcome::OutOfSteps, 1000)
+            );
+        }
+    }
+
+    #[test]
+    fn recursion_through_a_back_edge_still_overflows() {
+        // main() { 0: goto 2; 1: main(); 2: goto 1 } takes the back edge at
+        // 2 once per frame, but a call separates every two visits.
+        let p = Program {
+            stmts: vec![
+                Statement::Goto(2),
+                Statement::Call {
+                    func: FuncId(0),
+                    args: vec![],
+                    dst: None,
+                },
+                Statement::Goto(1),
+            ],
+            funcs: vec![Function {
+                name: "main".into(),
+                entry: 0,
+                frame_words: 0,
+                num_params: 0,
+            }],
+            ..Program::default()
+        };
+        let max_frames = MachineConfig::default().max_frames as u64;
+        assert_eq!(
+            run_three_ways(&p, 1_000_000, &[]),
+            (StepOutcome::Faulted(Fault::StackOverflow), 3 * max_frames)
+        );
     }
 }

@@ -9,8 +9,13 @@
 //! Terminal outcomes distinguish the error classes DART reports (§1):
 //! program crashes ([`StepOutcome::Faulted`]), assertion violations
 //! ([`StepOutcome::Aborted`]) and non-termination
-//! ([`StepOutcome::OutOfSteps`], per the paper's footnote 3 a step budget
-//! stands in for the timer).
+//! ([`StepOutcome::OutOfSteps`]). Per the paper's footnote 3 a step budget
+//! stands in for the timer. A loop that writes nothing is caught sooner:
+//! when an episode takes the same back edge twice in a row with only
+//! jump-role statements ([`BlockRole::Jump`]) in between, the pc, the
+//! frames and memory are exactly as they were the first time, so the
+//! deterministic machine can never halt, and the next step reports
+//! [`StepOutcome::OutOfSteps`] without spinning out the budget.
 
 use crate::expr::{eval_concrete, MemView};
 use crate::memory::{Fault, Memory};
@@ -65,7 +70,9 @@ impl Default for ResourceBudget {
 #[derive(Debug, Clone, Copy)]
 pub struct MachineConfig {
     /// Step budget; exceeding it yields [`StepOutcome::OutOfSteps`]
-    /// (non-termination detection).
+    /// (non-termination detection). The budget is the detector for hangs
+    /// that write; an episode proven to repeat its state (see
+    /// [`StepOutcome::OutOfSteps`]) ends before reaching it.
     pub max_steps: u64,
     /// Stack budget in words, shared by frames and `alloca` blocks.
     pub stack_budget: i64,
@@ -147,7 +154,12 @@ pub enum StepOutcome {
     },
     /// A crash: memory fault, division by zero, stack overflow…
     Faulted(Fault),
-    /// The step budget is exhausted (possible non-termination).
+    /// The episode never halts, or may not: either it took the same back
+    /// edge (an `if`/`goto` to a label at or before its own) twice in a
+    /// row with only jump-role statements in between, which proves that
+    /// it repeats its state forever, or the step budget is exhausted
+    /// (possible non-termination). Either way the step that would have
+    /// come next does not execute.
     OutOfSteps,
     /// The allocation budget ([`ResourceBudget::max_alloc_words`]) would
     /// be exceeded — the space analogue of [`StepOutcome::OutOfSteps`].
@@ -218,6 +230,75 @@ pub fn block_role(stmt: &Statement) -> BlockRole {
     }
 }
 
+/// An episode's effective step limit: [`MachineConfig::max_steps`], lowered
+/// to the current step count once the episode is proven never to halt.
+///
+/// The proof: a back edge is a jump-role statement ([`BlockRole::Jump`])
+/// that moves the pc to a label at or before its own. Every back edge
+/// taken is recorded together with the number of non-jump steps executed
+/// before it. Taking the recorded edge again with that number unchanged
+/// means only jumps ran in between; they only move the pc, so the pc, the
+/// frames and memory equal what they were the first time, and the
+/// deterministic machine repeats the cycle forever. Only jump steps pay
+/// for this: the step check compares against the lowered limit, so it
+/// costs what the budget check alone did. Both execution tiers run the
+/// same bookkeeping and stop at the same step.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct StepLimit {
+    /// The next step returns [`StepOutcome::OutOfSteps`] once the step
+    /// counter reaches this.
+    limit: u64,
+    /// Jump-role steps executed, cumulative like the step counter.
+    jumps: u64,
+    /// The last back edge taken this episode: its source pc and the
+    /// number of non-jump steps executed before it.
+    back_edge: Option<(Label, u64)>,
+}
+
+impl StepLimit {
+    pub(crate) fn new(max_steps: u64) -> StepLimit {
+        StepLimit {
+            limit: max_steps,
+            jumps: 0,
+            back_edge: None,
+        }
+    }
+
+    /// Begins an episode. The caller may write memory between
+    /// `call` and the first step, so no earlier back edge proves anything.
+    pub(crate) fn reset(&mut self, max_steps: u64) {
+        self.limit = max_steps;
+        self.back_edge = None;
+    }
+
+    /// Whether the next step must return [`StepOutcome::OutOfSteps`].
+    #[inline]
+    pub(crate) fn reached(&self, steps: u64) -> bool {
+        steps >= self.limit
+    }
+
+    /// Whether `len` more steps fit under the limit.
+    #[inline]
+    pub(crate) fn admits(&self, steps: u64, len: u64) -> bool {
+        steps.saturating_add(len) <= self.limit
+    }
+
+    /// Records a jump-role step from `from` to `to`; `steps` already
+    /// counts it.
+    #[inline]
+    pub(crate) fn jumped(&mut self, from: Label, to: Label, steps: u64) {
+        self.jumps += 1;
+        if to <= from {
+            let edge = Some((from, steps - self.jumps));
+            if self.back_edge == edge {
+                self.limit = steps;
+            } else {
+                self.back_edge = edge;
+            }
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 struct Frame {
     base: i64,
@@ -250,6 +331,7 @@ pub struct Machine<'p> {
     pc: Label,
     frames: Vec<Frame>,
     steps: u64,
+    limit: StepLimit,
     config: MachineConfig,
     running: bool,
 }
@@ -272,6 +354,7 @@ impl<'p> Machine<'p> {
             pc: 0,
             frames: Vec::new(),
             steps: 0,
+            limit: StepLimit::new(config.max_steps),
             config,
             running: false,
         }
@@ -348,6 +431,7 @@ impl<'p> Machine<'p> {
             ret_dst: None,
         });
         self.pc = meta.entry;
+        self.limit.reset(self.config.max_steps);
         self.running = true;
         Ok(base)
     }
@@ -359,7 +443,7 @@ impl<'p> Machine<'p> {
     /// Panics if no episode is running (call [`Machine::call`] first).
     pub fn step(&mut self, env: &mut dyn Environment) -> StepOutcome {
         assert!(self.running, "no episode in progress");
-        if self.steps >= self.config.max_steps {
+        if self.limit.reached(self.steps) {
             return self.finish(StepOutcome::OutOfSteps);
         }
         self.steps += 1;
@@ -388,10 +472,13 @@ impl<'p> Machine<'p> {
             Statement::If { cond, target } => {
                 let v = try_eval!(eval_concrete(cond, self));
                 let taken = v != 0;
-                self.pc = if taken { *target } else { self.pc + 1 };
+                let next = if taken { *target } else { self.pc + 1 };
+                self.limit.jumped(self.pc, next, self.steps);
+                self.pc = next;
                 StepOutcome::Branched { taken }
             }
             Statement::Goto(target) => {
+                self.limit.jumped(self.pc, *target, self.steps);
                 self.pc = *target;
                 StepOutcome::Jumped
             }

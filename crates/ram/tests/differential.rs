@@ -13,6 +13,11 @@
 //! interpreter while the tracked-address set churns with the step counter,
 //! so taint enters and leaves between block dispatches — every fused commit
 //! must replay on the interpreter as exactly that many non-terminal steps.
+//!
+//! Random programs rarely close a cycle of jumps, so a third generator
+//! plants short ones (self-loops, two-statement loops, `while` loops with
+//! a guarded exit) and both locksteps check that every path ends a
+//! write-free hang at the same step, well below the budget.
 
 use dart_ram::{
     AllocKind, BinOp, BlockOutcome, DecodedProgram, Environment, Expr, ExtId, External,
@@ -47,19 +52,17 @@ impl SymView for TrackedSet {
     }
 }
 
-/// Drives the block layer (fused blocks plus stepwise fallback) against
-/// the interpreter to the terminal outcome. `taint_period` churns the
-/// tracked set as the step counter advances (`0` keeps it empty), so taint
-/// enters and leaves across block boundaries; a tainted dispatch must fall
-/// back and a fused one must replay as exactly `steps` non-terminal
-/// interpreter steps.
-fn assert_block_lockstep(
+/// Drives the compiled tier's stepwise path (probe, then commit) against
+/// the interpreter to the terminal outcome. The two parameter slots are
+/// tracked so the probe's taint scan runs on realistic input-tainted state
+/// (its verdict must not perturb execution). Returns the terminal outcome
+/// and step count, or `None` when the episode cannot start.
+fn assert_step_lockstep(
     program: &Program,
     config: MachineConfig,
     args: &[i64],
     seed: u64,
-    taint_period: u64,
-) {
+) -> Option<(StepOutcome, u64)> {
     let decoded = DecodedProgram::new(program);
     let mut interp = Machine::new(program, config);
     let mut fast = FastMachine::new(program, &decoded, config);
@@ -67,12 +70,77 @@ fn assert_block_lockstep(
     let ic = interp.call(main, args);
     let fc = fast.call(main, args);
     assert_eq!(ic, fc, "episode setup must agree");
-    let Ok(base) = ic else { return };
+    let base = ic.ok()?;
+
+    let tracked = TrackedSet(vec![base, base + 1]);
+    let mut ienv = LcgEnv(seed);
+    let mut fenv = LcgEnv(seed);
+    let mut iters = 0u64;
+    let terminal = loop {
+        iters += 1;
+        assert!(iters <= config.max_steps + 2, "runaway episode");
+        assert_eq!(interp.pc(), fast.pc(), "pc diverged before step {iters}");
+        let want = interp.step(&mut ienv);
+        let summary = fast.probe(&tracked);
+        let got = fast.commit(&mut fenv);
+        assert_eq!(want, got, "outcome diverged at step {iters}");
+        assert_eq!(
+            interp.steps_taken(),
+            fast.steps_taken(),
+            "step accounting diverged"
+        );
+        if summary.terminal {
+            assert!(got.is_terminal(), "probe staged a terminal step");
+        }
+        if want.is_terminal() {
+            break want;
+        }
+    };
+
+    assert_eq!(interp.is_running(), fast.is_running());
+    assert_eq!(
+        interp.mem().words_allocated(),
+        fast.mem().words_allocated(),
+        "allocation meters diverged"
+    );
+    assert_eq!(
+        interp.mem().stack_budget(),
+        fast.mem().stack_budget(),
+        "stack budgets diverged"
+    );
+    for addr in GLOBAL_BASE..GLOBAL_BASE + 2 {
+        assert_eq!(interp.mem().load(addr), fast.mem().load(addr));
+    }
+    Some((terminal, interp.steps_taken()))
+}
+
+/// Drives the block layer (fused blocks plus stepwise fallback) against
+/// the interpreter to the terminal outcome. `taint_period` churns the
+/// tracked set as the step counter advances (`0` keeps it empty), so taint
+/// enters and leaves across block boundaries; a tainted dispatch must fall
+/// back and a fused one must replay as exactly `steps` non-terminal
+/// interpreter steps. Returns the terminal outcome and step count, or
+/// `None` when the episode cannot start.
+fn assert_block_lockstep(
+    program: &Program,
+    config: MachineConfig,
+    args: &[i64],
+    seed: u64,
+    taint_period: u64,
+) -> Option<(StepOutcome, u64)> {
+    let decoded = DecodedProgram::new(program);
+    let mut interp = Machine::new(program, config);
+    let mut fast = FastMachine::new(program, &decoded, config);
+    let main = program.func_by_name("main").unwrap();
+    let ic = interp.call(main, args);
+    let fc = fast.call(main, args);
+    assert_eq!(ic, fc, "episode setup must agree");
+    let base = ic.ok()?;
 
     let mut ienv = LcgEnv(seed);
     let mut fenv = LcgEnv(seed);
     let mut iters = 0u64;
-    loop {
+    let terminal = loop {
         iters += 1;
         assert!(iters <= 2 * config.max_steps + 4, "runaway episode");
         assert_eq!(
@@ -121,10 +189,15 @@ fn assert_block_lockstep(
             Err(_) => fast.commit(&mut fenv),
         };
         assert_eq!(want, got, "outcome diverged at dispatch {iters}");
+        assert_eq!(
+            interp.steps_taken(),
+            fast.steps_taken(),
+            "step accounting diverged at dispatch {iters}"
+        );
         if want.is_terminal() {
-            break;
+            break want;
         }
-    }
+    };
 
     assert_eq!(interp.is_running(), fast.is_running());
     assert_eq!(
@@ -135,6 +208,7 @@ fn assert_block_lockstep(
     for addr in GLOBAL_BASE..GLOBAL_BASE + 2 {
         assert_eq!(interp.mem().load(addr), fast.mem().load(addr));
     }
+    Some((terminal, interp.steps_taken()))
 }
 
 /// A statement with label/function references still raw — they are fixed
@@ -171,6 +245,8 @@ enum RawStmt {
         size: i64,
         heap: bool,
     },
+    /// A planted statement whose labels are already final.
+    Exact(Statement),
 }
 
 fn expr() -> BoxedStrategy<Expr> {
@@ -268,6 +344,7 @@ fn build_program(raw: &[RawStmt], entry: usize) -> Program {
                     AllocKind::Stack
                 },
             },
+            RawStmt::Exact(stmt) => stmt,
         })
         .collect();
     Program {
@@ -292,6 +369,141 @@ fn build_program(raw: &[RawStmt], entry: usize) -> Program {
     }
 }
 
+/// A short cycle of jumps, planted at label `p` of a random program.
+#[derive(Debug, Clone)]
+enum Cycle {
+    /// `p: goto p`, or `p: if cond goto p`.
+    SelfLoop(Option<Expr>),
+    /// `p: if cond goto p + 2; p + 1: goto p` — spins while `cond` is 0.
+    TwoStatement(Expr),
+    /// MiniC's `while (cond) { body }`: `p: if cond goto p + 2;
+    /// p + 1: goto exit; p + 2: body; goto p`. A body that stores may
+    /// leave the loop or run it to the budget, but is never proven.
+    Guarded(Expr, Option<Statement>),
+}
+
+impl Cycle {
+    fn plant(&self, p: usize) -> Vec<Statement> {
+        let branch = |cond: &Expr, target| Statement::If {
+            cond: cond.clone(),
+            target,
+        };
+        match self {
+            Cycle::SelfLoop(None) => vec![Statement::Goto(p)],
+            Cycle::SelfLoop(Some(cond)) => vec![branch(cond, p)],
+            Cycle::TwoStatement(cond) => vec![branch(cond, p + 2), Statement::Goto(p)],
+            Cycle::Guarded(cond, body) => {
+                let exit = p + 3 + usize::from(body.is_some());
+                let mut stmts = vec![branch(cond, p + 2), Statement::Goto(exit)];
+                stmts.extend(body.clone());
+                stmts.push(Statement::Goto(p));
+                stmts
+            }
+        }
+    }
+}
+
+/// Loop conditions over the parameters and a global: constant, or true
+/// for some arguments and false for others.
+fn cycle_cond() -> BoxedStrategy<Expr> {
+    prop_oneof![
+        Just(Expr::Const(1)),
+        Just(Expr::Const(0)),
+        (0u32..2, -2i64..3).prop_map(|(slot, k)| Expr::binary(
+            BinOp::Eq,
+            Expr::local(slot),
+            Expr::Const(k)
+        )),
+        (0u32..2, -2i64..3).prop_map(|(slot, k)| Expr::binary(
+            BinOp::Lt,
+            Expr::local(slot),
+            Expr::Const(k)
+        )),
+        Just(Expr::binary(
+            BinOp::Eq,
+            Expr::load(Expr::Const(GLOBAL_BASE)),
+            Expr::Const(0)
+        )),
+    ]
+    .boxed()
+}
+
+/// `slot = k` or `slot = slot + 1` over `main`'s four frame slots.
+fn store() -> BoxedStrategy<Statement> {
+    (0u32..4, -2i64..3, any::<bool>())
+        .prop_map(|(slot, k, bump)| Statement::Assign {
+            dst: Expr::frame_slot(slot),
+            src: if bump {
+                Expr::binary(BinOp::Add, Expr::local(slot), Expr::Const(1))
+            } else {
+                Expr::Const(k)
+            },
+        })
+        .boxed()
+}
+
+/// A random program with a [`Cycle`] planted at `main`'s entry, behind up
+/// to two stores that may change what the loop condition reads, and
+/// followed by random statements for the loop to exit into.
+fn planted_program() -> BoxedStrategy<Program> {
+    let cycle = prop_oneof![
+        proptest::option::of(cycle_cond()).prop_map(Cycle::SelfLoop),
+        cycle_cond().prop_map(Cycle::TwoStatement),
+        (cycle_cond(), proptest::option::of(store()))
+            .prop_map(|(cond, body)| Cycle::Guarded(cond, body)),
+    ];
+    (
+        proptest::collection::vec(store(), 0..3),
+        cycle,
+        proptest::collection::vec(raw_stmt(), 1..6),
+    )
+        .prop_map(|(prefix, cycle, tail)| {
+            let mut raw: Vec<RawStmt> = prefix.into_iter().map(RawStmt::Exact).collect();
+            raw.extend(cycle.plant(raw.len()).into_iter().map(RawStmt::Exact));
+            raw.extend(tail);
+            build_program(&raw, 0)
+        })
+        .boxed()
+}
+
+/// Planted cycles through both locksteps: wherever the interpreter proves
+/// a hang, the stepwise and the fused path stop at the same step. The
+/// cases are drawn from a fixed seed, and a fixed share of them must end
+/// by proof (`OutOfSteps` below the budget), so this coverage cannot
+/// silently vanish.
+#[test]
+fn planted_cycles_end_at_the_same_step_on_every_path() {
+    const CASES: u32 = 256;
+    let cases = (
+        planted_program(),
+        proptest::collection::vec(-3i64..3, 2),
+        any::<u64>(),
+        prop_oneof![Just(5u64), Just(40u64), Just(200u64)],
+        prop_oneof![Just(0u64), Just(1u64), Just(3u64)],
+    );
+    let mut rng = TestRng::deterministic();
+    let mut proven = 0;
+    for _ in 0..CASES {
+        let (program, args, seed, max_steps, taint_period) = cases.gen_value(&mut rng);
+        let config = MachineConfig {
+            max_steps,
+            ..MachineConfig::default()
+        };
+        let stepwise = assert_step_lockstep(&program, config, &args, seed);
+        let blocks = assert_block_lockstep(&program, config, &args, seed, taint_period);
+        assert_eq!(stepwise, blocks, "{program:?}");
+        if matches!(stepwise, Some((StepOutcome::OutOfSteps, steps)) if steps < max_steps) {
+            proven += 1;
+        }
+    }
+    // 83 of the 256 cases end by proof; the rest leave their loop, fault,
+    // or run a storing loop to the budget.
+    assert!(
+        proven * 4 >= CASES,
+        "only {proven} of {CASES} planted cases ended by proof"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(160))]
 
@@ -313,58 +525,7 @@ proptest! {
             max_frames,
             budget: ResourceBudget { max_alloc_words },
         };
-        let decoded = DecodedProgram::new(&program);
-        let mut interp = Machine::new(&program, config);
-        let mut fast = FastMachine::new(&program, &decoded, config);
-
-        let main = FuncId(1);
-        let ic = interp.call(main, &args);
-        let fc = fast.call(main, &args);
-        prop_assert_eq!(ic, fc, "episode setup must agree");
-        let Ok(base) = ic else { return Ok(()) };
-
-        // Track the two parameter slots so the probe's taint scan runs on
-        // realistic input-tainted state (its verdict must not perturb
-        // execution).
-        let tracked = TrackedSet(vec![base, base + 1]);
-        let mut ienv = LcgEnv(seed);
-        let mut fenv = LcgEnv(seed);
-        let mut iters = 0u64;
-        loop {
-            iters += 1;
-            prop_assert!(iters <= max_steps + 2, "runaway episode");
-            prop_assert_eq!(interp.pc(), fast.pc(), "pc diverged before step {}", iters);
-            let want = interp.step(&mut ienv);
-            let summary = fast.probe(&tracked);
-            let got = fast.commit(&mut fenv);
-            prop_assert_eq!(&want, &got, "outcome diverged at step {}", iters);
-            prop_assert_eq!(
-                interp.steps_taken(),
-                fast.steps_taken(),
-                "step accounting diverged"
-            );
-            if summary.terminal {
-                prop_assert!(got.is_terminal(), "probe staged a terminal step");
-            }
-            if want.is_terminal() {
-                break;
-            }
-        }
-
-        prop_assert_eq!(interp.is_running(), fast.is_running());
-        prop_assert_eq!(
-            interp.mem().words_allocated(),
-            fast.mem().words_allocated(),
-            "allocation meters diverged"
-        );
-        prop_assert_eq!(
-            interp.mem().stack_budget(),
-            fast.mem().stack_budget(),
-            "stack budgets diverged"
-        );
-        for addr in GLOBAL_BASE..GLOBAL_BASE + 2 {
-            prop_assert_eq!(interp.mem().load(addr), fast.mem().load(addr));
-        }
+        assert_step_lockstep(&program, config, &args, seed);
     }
 
     /// The block layer against the interpreter: random programs, random

@@ -20,7 +20,8 @@
 //!   --checkpoint FILE  persist the generational session after every work
 //!                      item; an existing FILE with the same seed resumes it
 //!   --all-bugs         keep searching after the first bug
-//!   --max-steps N      per-run step budget (non-termination)   [2000000]
+//!   --max-steps N      per-run step budget (non-termination; a loop
+//!                      writing nothing is proven sooner)  [2000000]
 //!   --mem-budget N     per-run allocation budget in words      [unbounded]
 //!   --deadline MS      per-session wall-clock deadline; also caps
 //!                      each solver query                       [none]
@@ -671,10 +672,9 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         };
-        let machine = dart_ram::MachineConfig {
-            max_steps: opts.max_steps,
-            ..dart_ram::MachineConfig::default()
-        };
+        // The session's machine config, so every budget that ended the
+        // recorded run (steps, allocation) ends the replay too.
+        let machine = build_config(&opts).machine;
         let replayed = if opts.trace {
             dart::replay_traced(&compiled, &toplevel, opts.depth, machine, slots, opts.seed).map(
                 |(termination, trace)| {

@@ -95,6 +95,62 @@ fn save_and_replay_roundtrip() {
     assert!(stdout.contains("abort"), "{stdout}");
 }
 
+/// Saves the first bug `src`'s `f` shows under `flags`, replays it under
+/// the same flags and returns the replay's exit code and stdout.
+fn save_and_replay(src: &str, flags: &[&str]) -> (Option<i32>, String) {
+    let dir = tempdir();
+    let path = dir.join("prog.mc");
+    std::fs::write(&path, src).unwrap();
+    let bugfile = dir.join("bug.txt");
+    let out = dartc()
+        .arg(&path)
+        .args(["--toplevel", "f"])
+        .args(flags)
+        .arg("--save-bug")
+        .arg(&bugfile)
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    let out = dartc()
+        .arg(&path)
+        .args(["--toplevel", "f"])
+        .args(flags)
+        .arg("--replay")
+        .arg(&bugfile)
+        .output()
+        .unwrap();
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+    )
+}
+
+#[test]
+fn replay_keeps_the_allocation_budget() {
+    let src = r#"
+        int f(int n) {
+            int i;
+            int *p;
+            if (n > 50) {
+                for (i = 0; i < 20; i++) { p = (int *) malloc(100); }
+            }
+            return 0;
+        }
+    "#;
+    let (code, stdout) = save_and_replay(src, &["--mem-budget", "500"]);
+    assert!(stdout.contains("replay: OutOfMemory"), "{stdout}");
+    assert_eq!(code, Some(1), "{stdout}");
+}
+
+#[test]
+fn write_free_hang_replays_as_out_of_steps() {
+    let src = "int f(int x) { while (x == 9) { } return 0; }";
+    let (code, stdout) = save_and_replay(src, &[]);
+    assert!(stdout.contains("replay: OutOfSteps"), "{stdout}");
+    assert_eq!(code, Some(1), "{stdout}");
+}
+
 #[test]
 fn clean_program_exits_zero() {
     let dir = tempdir();
