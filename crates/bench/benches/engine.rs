@@ -193,50 +193,6 @@ fn bench_generational_vs_dfs(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_solver_cache(c: &mut Criterion) {
-    // The cache-determinism acceptance workload: a restarting
-    // RandomBranch session on the paper's Fig. 1 example replays the
-    // same query family every restart, so the cache actually fires.
-    // Outcomes are identical on vs. off — only the wall clock moves.
-    let src = r#"
-        int f(int x) { return 2 * x; }
-        int h(int x, int y) {
-            if (x != y)
-                if (f(x) == x + 10)
-                    abort();
-            return 0;
-        }
-    "#;
-    let compiled = dart_minic::compile(src).unwrap();
-    let mut group = c.benchmark_group("solver_cache");
-    for (name, cache) in [
-        ("restarting_h_cache_off", false),
-        ("restarting_h_cache_on", true),
-    ] {
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let report = Dart::new(
-                    &compiled,
-                    "h",
-                    DartConfig {
-                        max_runs: 60,
-                        seed: 1,
-                        strategy: Strategy::RandomBranch,
-                        stop_at_first_bug: false,
-                        solver_cache: cache,
-                        ..DartConfig::default()
-                    },
-                )
-                .unwrap()
-                .run();
-                assert!(report.found_bug());
-                black_box(report.runs)
-            })
-        });
-    }
-    group.finish();
-}
-
 fn bench_depth_scaling(c: &mut Criterion) {
     let src = needham_schroeder(Intruder::DolevYao, LoweFix::Off);
     let compiled = dart_minic::compile(&src).unwrap();
@@ -275,7 +231,6 @@ criterion_group!(
     bench_directed_vs_random,
     bench_strategies,
     bench_generational_vs_dfs,
-    bench_solver_cache,
     bench_depth_scaling
 );
 criterion_main!(benches);

@@ -3,7 +3,7 @@
 //! unsat proofs through the lazy `!=` case analysis.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dart_solver::{Constraint, LinExpr, QueryCache, RelOp, SolveOutcome, Solver, Var};
+use dart_solver::{Constraint, LinExpr, RelOp, SolveOutcome, Solver, Var};
 use std::hint::black_box;
 
 fn v(i: u32) -> LinExpr {
@@ -111,67 +111,6 @@ fn bench_query_shapes(c: &mut Criterion) {
     group.finish();
 }
 
-/// A path whose deepest flip is the triangle contradiction: strict
-/// inequalities plus an equality chain, so `negated_prefix(7)` asks for
-/// `x0 != x2` under constraints forcing `x0 == x2` — rationally
-/// feasible, refuted only by the lazy `!=` case analysis. Every restart
-/// pass re-issues that expensive unsat query; the unsat store replays
-/// it, while the model pool cannot help (there is no model to reuse),
-/// so this family isolates the verdict-cache win.
-fn triangle_path() -> Vec<Constraint> {
-    vec![
-        Constraint::new(v(0), RelOp::Gt),
-        Constraint::new(v(1), RelOp::Gt),
-        Constraint::new(v(2), RelOp::Gt),
-        Constraint::new(v(0).add(&v(1)).sub(&v(2)), RelOp::Gt),
-        Constraint::new(v(1).add(&v(2)).sub(&v(0)), RelOp::Gt),
-        Constraint::new(v(0).sub(&v(1)), RelOp::Eq),
-        Constraint::new(v(1).sub(&v(2)), RelOp::Eq),
-        Constraint::new(v(0).sub(&v(2)), RelOp::Eq),
-    ]
-}
-
-/// One pass over the `negated_prefix(j)` query family of a path — the
-/// exact stream a directed run emits. The hint defeats both probes, so
-/// every query is a real solve unless the cache answers it.
-fn negated_prefix_pass(cache: &mut QueryCache, solver: &Solver, path: &[Constraint]) -> usize {
-    let mut sat = 0;
-    for j in 0..path.len() {
-        let mut q: Vec<Constraint> = path[..j].to_vec();
-        q.push(path[j].negated());
-        if cache.solve_with_hint(solver, &q, |_| Some(-1)).is_sat() {
-            sat += 1;
-        }
-    }
-    sat
-}
-
-/// The tentpole's acceptance workload: a restarting session re-issues the
-/// same query family pass after pass. Cache-on must beat cache-off by a
-/// wide margin (the issue asks for ≥20% wall-time reduction).
-fn bench_query_cache(c: &mut Criterion) {
-    let solver = Solver::default();
-    let path = triangle_path();
-    const PASSES: usize = 5;
-    let mut group = c.benchmark_group("query_cache");
-    for (name, enabled) in [
-        ("negated_prefix_cache_off", false),
-        ("negated_prefix_cache_on", true),
-    ] {
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let mut cache = QueryCache::new(enabled);
-                let mut sat = 0;
-                for _ in 0..PASSES {
-                    sat += negated_prefix_pass(&mut cache, &solver, &path);
-                }
-                black_box(sat)
-            })
-        });
-    }
-    group.finish();
-}
-
 /// Incremental prefix sessions vs from-scratch solves of the same
 /// queries: the `push`/`pop` tableau reuse the issue's third layer adds.
 fn bench_prefix_session(c: &mut Criterion) {
@@ -210,10 +149,5 @@ fn bench_prefix_session(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_query_shapes,
-    bench_query_cache,
-    bench_prefix_session
-);
+criterion_group!(benches, bench_query_shapes, bench_prefix_session);
 criterion_main!(benches);

@@ -1,15 +1,15 @@
 //! `bench_smoke` — regression smoke check for the solver's headline
-//! optimisations: query cache, incremental prefix sessions, parallel
-//! candidate fan-out and the cross-session shared verdict store.
+//! optimisations: incremental prefix sessions and the parallel candidate
+//! fan-out.
 //!
 //! The vendored criterion stand-in prints no machine-readable medians, so
 //! this binary re-runs the same workload shapes as `benches/solver.rs`
-//! (`query_cache/*`, `prefix_session/*`) plus the parallel-solving
-//! workloads (`parallel_solve/*`, `shared_store/*`) and the execution
-//! tiers (`exec/{interp,compiled}` — one loop-dense run under the
-//! tree-walking interpreter vs. the pre-decoded compiled tier; see
-//! EXPERIMENTS.md E11), computes a median nanoseconds-per-iteration for
-//! each, and compares against a committed baseline JSON.
+//! (`prefix_session/*`) plus the parallel-solving workloads
+//! (`parallel_solve/*`) and the execution tiers (`exec/{interp,compiled}`
+//! — one loop-dense run under the tree-walking interpreter vs. the
+//! pre-decoded compiled tier; see EXPERIMENTS.md E11), computes a median
+//! nanoseconds-per-iteration for each, and compares against a committed
+//! baseline JSON.
 //!
 //! ```text
 //! bench_smoke [--baseline PATH] [--tolerance PCT] [--write-baseline] [--gate]
@@ -66,21 +66,6 @@ fn v(i: u32) -> LinExpr {
     LinExpr::var(Var(i))
 }
 
-/// Same shape as `benches/solver.rs::triangle_path`: deepest flip asks for
-/// `x0 != x2` under a chain forcing `x0 == x2` — the verdict-cache win.
-fn triangle_path() -> Vec<Constraint> {
-    vec![
-        Constraint::new(v(0), RelOp::Gt),
-        Constraint::new(v(1), RelOp::Gt),
-        Constraint::new(v(2), RelOp::Gt),
-        Constraint::new(v(0).add(&v(1)).sub(&v(2)), RelOp::Gt),
-        Constraint::new(v(1).add(&v(2)).sub(&v(0)), RelOp::Gt),
-        Constraint::new(v(0).sub(&v(1)), RelOp::Eq),
-        Constraint::new(v(1).sub(&v(2)), RelOp::Eq),
-        Constraint::new(v(0).sub(&v(2)), RelOp::Eq),
-    ]
-}
-
 /// Same shape as `benches/solver.rs::equality_chain(12)`.
 fn equality_chain(len: u32) -> Vec<Constraint> {
     let mut cs = vec![Constraint::new(v(0).offset(-1001), RelOp::Eq)];
@@ -88,29 +73,6 @@ fn equality_chain(len: u32) -> Vec<Constraint> {
         cs.push(Constraint::new(v(i).sub(&v(i - 1)).offset(-1), RelOp::Eq));
     }
     cs
-}
-
-fn negated_prefix_pass(cache: &mut QueryCache, solver: &Solver, path: &[Constraint]) -> usize {
-    let mut sat = 0;
-    for j in 0..path.len() {
-        let mut q: Vec<Constraint> = path[..j].to_vec();
-        q.push(path[j].negated());
-        if cache.solve_with_hint(solver, &q, |_| Some(-1)).is_sat() {
-            sat += 1;
-        }
-    }
-    sat
-}
-
-fn query_cache_workload(enabled: bool) -> usize {
-    let solver = Solver::default();
-    let path = triangle_path();
-    let mut cache = QueryCache::new(enabled);
-    let mut sat = 0;
-    for _ in 0..5 {
-        sat += negated_prefix_pass(&mut cache, &solver, &path);
-    }
-    sat
 }
 
 fn prefix_plain_workload() -> usize {
@@ -181,7 +143,7 @@ fn run_walk(
     tape: &InputTape,
     scheduler: Scheduler<'_>,
 ) -> usize {
-    let mut cache = QueryCache::new(true);
+    let mut cache = QueryCache::default();
     let mut rng = SmallRng::seed_from_u64(0);
     let mut stats = SolveStats::default();
     let step = solve_next(
@@ -286,34 +248,6 @@ fn dispatch_workload(scheduler: Scheduler<'_>) -> usize {
     run_walk(&solver, &pc, &stack, &tape, scheduler)
 }
 
-/// A sweep over `n` identical two-branch functions. Every session
-/// refutes the same flip (`[2x - 2y == 8, x - y != 4]`), so with the
-/// shared store on, only the first session pays for it.
-fn sweep_library(n: usize) -> dart_minic::CompiledProgram {
-    let mut src = String::new();
-    for i in 0..n {
-        src.push_str(&format!(
-            "int g{i}(int x, int y) {{ if (2*x - 2*y == 8) {{ if (x - y != 4) {{ return 1; }} return 2; }} return 0; }}\n"
-        ));
-    }
-    dart_minic::compile(&src).expect("generated sweep library compiles")
-}
-
-fn shared_store_workload(
-    compiled: &dart_minic::CompiledProgram,
-    names: &[String],
-    shared: bool,
-) -> usize {
-    let config = DartConfig {
-        max_runs: 8,
-        shared_cache: shared,
-        solve_threads: 1,
-        ..DartConfig::default()
-    };
-    let results = dart::sweep(compiled, names, &config, 1).expect("sweep names are valid");
-    results.iter().filter(|r| r.report().is_some()).count()
-}
-
 /// The redundant-path program for the generational groups. The leading
 /// `x*x` guard is outside the linear theory, so its run taints and the
 /// session can never claim completeness: it restarts until the run
@@ -321,8 +255,7 @@ fn shared_store_workload(
 /// satisfiable flips plus two budget-burning lazy-`!=` unsat proofs
 /// (`a != 4` under `2a == 8`). With path-prefix dedup on, restarts skip
 /// all of those solver queries; with it off, every restart pays full
-/// price — the `gen_dedup/{off,on}` comparison. The query cache is
-/// disabled so the measured gap is dedup's own, not the cache's.
+/// price — the `gen_dedup/{off,on}` comparison.
 fn gen_program() -> dart_minic::CompiledProgram {
     dart_minic::compile(
         r#"
@@ -344,7 +277,6 @@ fn generational_report(compiled: &dart_minic::CompiledProgram, dedup: bool) -> d
         max_runs: 60,
         seed: 0,
         stop_at_first_bug: false,
-        solver_cache: false,
         solve_threads: 1,
         ..DartConfig::default()
     };
@@ -665,9 +597,6 @@ fn main() -> ExitCode {
         .unwrap_or_else(|| "crates/bench/unknown_baseline.json".to_string());
     let write_unknown_baseline = args.iter().any(|a| a == "--write-unknown-baseline");
 
-    let sweep_fns = 600usize;
-    let library = sweep_library(sweep_fns);
-    let names: Vec<String> = (0..sweep_fns).map(|i| format!("g{i}")).collect();
     let gen_lib = gen_program();
     let exec_lib = exec_program();
     // Decoded once, like `Dart::new` does for a compiled-tier session.
@@ -677,14 +606,6 @@ fn main() -> ExitCode {
     let pool4 = SolvePool::new(4);
 
     let current: Vec<(String, u64)> = vec![
-        (
-            "query_cache/negated_prefix_cache_off".to_string(),
-            measure(|| query_cache_workload(false)),
-        ),
-        (
-            "query_cache/negated_prefix_cache_on".to_string(),
-            measure(|| query_cache_workload(true)),
-        ),
         (
             "prefix_session/plain_per_query".to_string(),
             measure(prefix_plain_workload),
@@ -708,14 +629,6 @@ fn main() -> ExitCode {
         (
             "pool/dispatch_pooled".to_string(),
             measure(|| dispatch_workload(Scheduler::Pool(&pool4))),
-        ),
-        (
-            "shared_store/sweep_600_off".to_string(),
-            measure(|| shared_store_workload(&library, &names, false)),
-        ),
-        (
-            "shared_store/sweep_600_on".to_string(),
-            measure(|| shared_store_workload(&library, &names, true)),
         ),
         (
             "gen/scored".to_string(),
@@ -766,18 +679,12 @@ fn main() -> ExitCode {
     };
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     // Each entry: (JSON key, human description, numerator, denominator).
-    let ratio_specs: [(&str, String, &str, &str); 6] = [
+    let ratio_specs: [(&str, String, &str, &str); 5] = [
         (
             "parallel_solve_speedup",
             format!("parallel solve speedup (1 -> 4 threads) on {cores} core(s)"),
             "parallel_solve/candidates_1_threads",
             "parallel_solve/candidates_4_threads",
-        ),
-        (
-            "shared_store_speedup",
-            "shared store speedup (600-function sweep)".to_string(),
-            "shared_store/sweep_600_off",
-            "shared_store/sweep_600_on",
         ),
         (
             "gen_dedup_speedup",
@@ -976,7 +883,6 @@ mod tests {
     fn workloads_return_expected_sat_counts() {
         // The workload shapes must stay solvable the way the real benches
         // assume; a change in sat counts means the benchmark moved.
-        assert_eq!(query_cache_workload(false), query_cache_workload(true));
         assert_eq!(prefix_plain_workload(), prefix_session_workload());
     }
 
@@ -1043,14 +949,6 @@ mod tests {
         assert!(rates.iter().all(|(k, _)| k.starts_with("unknown_rate/")));
         // Basis points stay in [0, 10000] by construction.
         assert!(rates.iter().all(|(_, bp)| *bp <= 10_000));
-    }
-
-    #[test]
-    fn shared_store_workload_completes_all_sessions() {
-        let compiled = sweep_library(8);
-        let names: Vec<String> = (0..8).map(|i| format!("g{i}")).collect();
-        assert_eq!(shared_store_workload(&compiled, &names, false), 8);
-        assert_eq!(shared_store_workload(&compiled, &names, true), 8);
     }
 
     #[test]

@@ -10,11 +10,10 @@
 //! see DESIGN.md), prints the crash rate and per-class detection table
 //! (including the classes DART is *expected* to miss), and reproduces the
 //! parser attack. `--functions N` controls the sweep size;
-//! `--shared-cache` shares solver verdicts across the sweep's sessions
-//! and `--solve-threads N` fans each session's candidate queries out —
-//! both leave every report identical and only change wall-clock (the
-//! solver workers form one work-stealing pool shared by every session of
-//! the sweep). `--engine directed|generational` selects the search
+//! `--solve-threads N` fans each session's candidate queries out, which
+//! leaves every report identical and only changes wall-clock (the solver
+//! workers form one work-stealing pool shared by every session of the
+//! sweep). `--engine directed|generational` selects the search
 //! engine; under `generational`, `--frontier-budget N` bounds the scored
 //! frontier (EXPERIMENTS.md E10) and the sweep line reports the aggregate
 //! dedup/eviction/peak counters.
@@ -32,7 +31,6 @@ use std::time::Instant;
 fn main() {
     let seed = seed_from_args();
     let num_functions = flag_value("--functions").unwrap_or(200);
-    let shared_cache = std::env::args().any(|a| a == "--shared-cache");
     let solve_threads = flag_value("--solve-threads").map_or(1, NonZeroUsize::get);
     let exec_tier = match flag_value::<String>("--exec-tier").as_deref() {
         // Unset defers to the DartConfig default ($DART_EXEC_TIER).
@@ -71,7 +69,6 @@ fn main() {
     let mut config = DartConfig {
         max_runs: 1000, // the paper's per-function cap
         seed,
-        shared_cache,
         solve_threads,
         mode: engine,
         frontier_budget,
@@ -126,11 +123,7 @@ fn main() {
         );
     }
     println!("sweep time | {} | (not reported)", fmt_dur(elapsed));
-    println!(
-        "solver sharing | shared-cache {}, solve-threads {} | (n/a)",
-        if shared_cache { "on" } else { "off" },
-        solve_threads,
-    );
+    println!("solve threads | {solve_threads} | (n/a)");
     if engine == EngineMode::Generational {
         let (dedup, evicted, peak) =
             results

@@ -128,9 +128,10 @@ pub struct DartConfig {
     /// [`SessionReport::paths`] (the execution tree of §2.2, one leaf per
     /// run). Off by default: long sessions would hold every path.
     pub record_paths: bool,
-    /// Memoize solver verdicts across the session's queries (on by
-    /// default). Turning it off changes no session outcome — only how
-    /// often the solver actually runs; see `SolveStats::cache_hits`.
+    /// Ignored. It once switched the session's solver verdict tables,
+    /// which are gone; it stays only because the end-to-end benchmark
+    /// still reads it, and goes with the benchmark's replica of the
+    /// directed loop (ROADMAP.md item 3).
     pub solver_cache: bool,
     /// Worker threads for each run's candidate fan-out in
     /// [`crate::search::solve_next`]. `1` (the default) solves on the
@@ -144,12 +145,10 @@ pub struct DartConfig {
     /// a malformed or zero value there is rejected by [`Dart::new`] with
     /// [`DartError::InvalidConfig`], never silently ignored.
     pub solve_threads: usize,
-    /// Share solver verdicts across sessions through a
-    /// [`dart_solver::SharedVerdictStore`] (off by default). In a
-    /// [`crate::sweep::sweep`] one store spans all sessions, so functions
-    /// with shared constraint structure replay each other's verdicts;
-    /// accounting is as-if-fresh, so each session's deterministic stats
-    /// are unchanged (see [`crate::SolveStats::shared_hits`]).
+    /// Ignored. It once shared solver verdicts across the sessions of a
+    /// sweep, a store that is gone; it stays only because the end-to-end
+    /// benchmark still reads it, and goes with the benchmark's replica of
+    /// the directed loop (ROADMAP.md item 3).
     pub shared_cache: bool,
     /// Wall-clock budget for the whole session. When it expires the
     /// session stops at the next run boundary with
@@ -400,7 +399,6 @@ pub struct Dart<'p> {
     compiled: &'p CompiledProgram,
     sig: FnSig,
     config: DartConfig,
-    shared: Option<std::sync::Arc<dart_solver::SharedVerdictStore>>,
     pool: Option<std::sync::Arc<SolvePool>>,
     /// A parsed resume point, loaded by [`Dart::new`] when
     /// [`DartConfig::checkpoint`] names an existing file.
@@ -477,7 +475,6 @@ impl<'p> Dart<'p> {
             compiled,
             sig,
             config,
-            shared: None,
             pool: None,
             checkpoint,
             resume_fingerprints: Vec::new(),
@@ -488,20 +485,6 @@ impl<'p> Dart<'p> {
     /// The configuration in use.
     pub fn config(&self) -> &DartConfig {
         &self.config
-    }
-
-    /// Attaches a cross-session verdict store (and implies
-    /// [`DartConfig::shared_cache`] semantics for this session). The
-    /// sweep calls this with one store per sweep so sessions replay each
-    /// other's verdicts; a caller driving sessions by hand may do the
-    /// same. All sessions sharing a store must use the same
-    /// [`SolverConfig`].
-    pub fn with_shared_store(
-        mut self,
-        store: std::sync::Arc<dart_solver::SharedVerdictStore>,
-    ) -> Self {
-        self.shared = Some(store);
-        self
     }
 
     /// Attaches a pre-built solver pool for this session's speculative
@@ -543,17 +526,6 @@ impl<'p> Dart<'p> {
         })
     }
 
-    /// The store to attach for this session: an explicitly provided one,
-    /// else a fresh private store when `shared_cache` asks for one (so a
-    /// solo session behaves the same with or without a sweep around it).
-    fn shared_store(&self) -> Option<std::sync::Arc<dart_solver::SharedVerdictStore>> {
-        self.shared.clone().or_else(|| {
-            self.config
-                .shared_cache
-                .then(|| std::sync::Arc::new(dart_solver::SharedVerdictStore::new()))
-        })
-    }
-
     /// Runs the session to completion (Fig. 2's `run_DART`).
     pub fn run(&self) -> SessionReport {
         if self.config.mode == EngineMode::Generational {
@@ -569,12 +541,9 @@ impl<'p> Dart<'p> {
             .as_deref()
             .map_or(Scheduler::Sequential, Scheduler::Pool);
         // One query cache per session: queries repeat massively within a
-        // session (restarts replay whole query families). Cross-session
-        // reuse goes through the attached shared store, if any.
-        let mut cache = QueryCache::new(cfg.solver_cache);
-        if let Some(store) = self.shared_store() {
-            cache.attach_shared(store);
-        }
+        // session (restarts replay whole query families), and its model
+        // pool answers many of them.
+        let mut cache = QueryCache::default();
         let mut rng = SmallRng::seed_from_u64(cfg.seed);
         let mut faults = FaultState::for_config(cfg);
         let deadline = cfg.deadline.map(|d| std::time::Instant::now() + d);
@@ -724,10 +693,7 @@ impl<'p> Dart<'p> {
         let scheduler = pool
             .as_deref()
             .map_or(Scheduler::Sequential, Scheduler::Pool);
-        let mut cache = QueryCache::new(cfg.solver_cache);
-        if let Some(store) = self.shared_store() {
-            cache.attach_shared(store);
-        }
+        let mut cache = QueryCache::default();
         let mut rng = SmallRng::seed_from_u64(cfg.seed);
         let mut faults = FaultState::for_config(cfg);
         let deadline = cfg.deadline.map(|d| std::time::Instant::now() + d);

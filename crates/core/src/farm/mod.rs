@@ -14,8 +14,8 @@
 //! Three artifacts make the farm durable and observable:
 //!
 //! * [`store::FarmStore`] — a checksummed, atomically rewritten file
-//!   carrying the shared verdict tiers and per-scope dedup fingerprints
-//!   across worker processes *and* across farm runs.
+//!   carrying per-scope dedup fingerprints across worker processes *and*
+//!   across farm runs, so a resumed checkpoint keeps its seen-set.
 //! * `wire` — the exact (bit-for-bit round-tripping) worker →
 //!   supervisor report protocol over the worker's stdout pipe.
 //! * `stream` — JSONL result streaming, one line per finished
@@ -27,8 +27,9 @@
 //! farm results are byte-identical to an in-process sweep of the same
 //! seeds, modulo the scheduling-dependent diagnostics that
 //! [`crate::SolveStats::scrub_scheduling`] zeroes. The persistent store
-//! can only add shared-store cache hits (accounted as-if-fresh), never
-//! change a verdict.
+//! feeds a session only when it resumes its own checkpoint (see
+//! [`crate::Dart::with_resume_fingerprints`]), so it never changes a
+//! fresh session's verdict.
 
 pub mod store;
 pub(crate) mod stream;
@@ -39,8 +40,6 @@ use crate::report::SessionReport;
 use crate::supervise;
 use crate::sweep::{SweepOutcome, SweepResult};
 use dart_minic::CompiledProgram;
-use dart_solver::SharedVerdictStore;
-use std::collections::BTreeSet;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitStatus, Stdio};
@@ -67,8 +66,8 @@ pub struct FarmOptions {
     /// Base of the exponential backoff slept before retry `n`
     /// (`backoff * 2^(n-1)`).
     pub retry_backoff: Duration,
-    /// The persistent store file shared by every worker and future farm
-    /// run; `None` runs without persistence.
+    /// The persistent fingerprint store file shared by every worker and
+    /// future farm run; `None` runs without persistence.
     pub store: Option<PathBuf>,
 }
 
@@ -135,10 +134,16 @@ pub fn run_farm(
     // The supervisor is the store's single writer: load once, merge each
     // finished worker's records under the lock, flush (tmp+rename) at
     // every commit so a killed farm loses at most the in-flight function.
+    // A load that warned skipped or truncated something, so the store is
+    // rewritten from what survived before any worker reads it: later
+    // loads, the workers' and the next run's, find a clean file.
     let store = options.store.as_ref().map(|path| {
         let loaded = FarmStore::load(path);
         for warning in &loaded.warnings {
             eprintln!("warning: {warning}");
+        }
+        if !loaded.warnings.is_empty() {
+            write_store(path, &loaded.store);
         }
         (path, Mutex::new(loaded.store))
     });
@@ -220,24 +225,25 @@ fn run_one(
     }
 }
 
-/// Merges one worker's shipped records into the persistent store and
-/// flushes if anything was new. Insertions are idempotent set-unions
-/// and verdicts are first-publisher-wins facts, so commit order across
-/// concurrent workers cannot change any session's results — only who
-/// gets the cache hit.
+/// Merges one worker's shipped fingerprints into the persistent store
+/// and flushes if anything was new. Insertions are idempotent
+/// set-unions over disjoint per-session scopes, so commit order across
+/// concurrent workers cannot change any session's results.
 fn commit(path: &Path, store: &Mutex<FarmStore>, output: &WorkerOutput) {
     let mut s = store.lock().expect("supervisor threads don't panic");
     let mut changed = false;
-    for record in &output.verdicts {
-        changed |= s.insert_verdict(record.clone());
-    }
     for &(scope, key) in &output.fingerprints {
         changed |= s.insert_fingerprint(scope, key);
     }
     if changed {
-        if let Err(e) = s.flush(path) {
-            eprintln!("warning: store {}: flush failed ({e})", path.display());
-        }
+        write_store(path, &s);
+    }
+}
+
+/// Writes `store` to `path`, warning (never failing) when it cannot.
+fn write_store(path: &Path, store: &FarmStore) {
+    if let Err(e) = store.flush(path) {
+        eprintln!("warning: store {}: flush failed ({e})", path.display());
     }
 }
 
@@ -354,8 +360,8 @@ fn unix_signal(status: &ExitStatus) -> Option<i32> {
 /// The worker half: runs one supervised session and writes the `wire`
 /// document to `out`. This is what `dartc --farm-worker` calls after
 /// compiling the program; everything engine-visible (seed derivation,
-/// checkpoint qualification, store-as-session-cache) matches the
-/// in-process sweep byte for byte.
+/// checkpoint qualification) matches the in-process sweep byte for
+/// byte.
 ///
 /// Returns the process exit code: 0 for a completed session (bugs found
 /// or not — those are *results*), 70 for a caught engine fault, which
@@ -382,48 +388,23 @@ pub fn run_worker(
     };
     let scope = store::scope_key(toplevel, seed);
 
-    // Load the persistent store: verdict records become this session's
-    // shared cache; fingerprints for this exact (function, seed) scope
-    // ride along and apply only if the session resumes its checkpoint.
-    let mut preloaded: BTreeSet<String> = BTreeSet::new();
-    let mut resume_fps: Vec<u64> = Vec::new();
-    let shared = if let Some(path) = store_path {
-        let loaded = FarmStore::load(path);
-        for warning in &loaded.warnings {
-            eprintln!("warning: {warning}");
-        }
-        let shared = std::sync::Arc::new(SharedVerdictStore::new());
-        let mut skipped = 0usize;
-        for record in loaded.store.verdict_records() {
-            if shared.import_record(record) {
-                preloaded.insert(record.to_string());
-            } else {
-                skipped += 1;
+    // Fingerprints persisted for this exact (function, seed) scope; they
+    // apply only if the session resumes its checkpoint.
+    let resume_fps = match store_path {
+        Some(path) => {
+            let loaded = FarmStore::load(path);
+            for warning in &loaded.warnings {
+                eprintln!("warning: {warning}");
             }
+            loaded.store.fingerprints_for(scope)
         }
-        if skipped > 0 {
-            eprintln!(
-                "warning: store {}: skipped {skipped} unparseable verdict record(s)",
-                path.display()
-            );
-        }
-        resume_fps = loaded.store.fingerprints_for(scope);
-        Some(shared)
-    } else if cfg.shared_cache {
-        // No persistence: a private store, so the session behaves like
-        // its in-process sweep counterpart.
-        Some(std::sync::Arc::new(SharedVerdictStore::new()))
-    } else {
-        None
+        None => Vec::new(),
     };
 
     let run = supervise::run_caught(|| {
         supervise::maybe_panic(&cfg, index);
         supervise::maybe_abort(&cfg, index);
         let mut dart = crate::Dart::new(compiled, toplevel, cfg.clone())?;
-        if let Some(shared) = &shared {
-            dart = dart.with_shared_store(shared.clone());
-        }
         if !resume_fps.is_empty() {
             dart = dart.with_resume_fingerprints(resume_fps.clone());
         }
@@ -432,27 +413,16 @@ pub fn run_worker(
 
     let output = match run {
         Err(message) => WorkerOutput {
-            verdicts: Vec::new(),
             fingerprints: Vec::new(),
             payload: WorkerPayload::Fault(message),
         },
         Ok(Err(e)) => WorkerOutput {
-            verdicts: Vec::new(),
             fingerprints: Vec::new(),
             payload: WorkerPayload::Fault(format!("worker session setup failed: {e}")),
         },
         Ok(Ok(report)) => {
-            let mut verdicts = Vec::new();
             let mut fingerprints = Vec::new();
             if store_path.is_some() {
-                if let Some(shared) = &shared {
-                    // Ship only what this session newly published.
-                    for record in shared.export_records() {
-                        if !preloaded.contains(&record) {
-                            verdicts.push(record);
-                        }
-                    }
-                }
                 // The dedup fingerprints live in the session's final
                 // checkpoint (written by the driver after every expanded
                 // item); exporting from the file keeps the store at or
@@ -466,7 +436,6 @@ pub fn run_worker(
                 }
             }
             WorkerOutput {
-                verdicts,
                 fingerprints,
                 payload: WorkerPayload::Report(Box::new(report)),
             }

@@ -1,11 +1,11 @@
 //! The farm's file-backed persistent store.
 //!
-//! One text file holds the two durable tiers a farm accumulates across
-//! runs: serialized [`SharedVerdictStore`](dart_solver::SharedVerdictStore)
-//! records (facts about constraint sets — safe to replay anywhere) and
-//! dedup fingerprints keyed by a `(function, seed)` *scope* (only safe
-//! to replay when resuming that exact scope's checkpoint — see
-//! [`crate::Dart::with_resume_fingerprints`]).
+//! One text file holds what a farm accumulates across runs: generational
+//! dedup fingerprints keyed by a `(function, seed)` *scope*, one `f `
+//! record each. They are only safe to replay when resuming that exact
+//! scope's checkpoint — see [`crate::Dart::with_resume_fingerprints`].
+//! Stores written by earlier versions also hold `v ` records (solver
+//! verdicts); those are retired and skipped on load.
 //!
 //! Crash-safety discipline:
 //!
@@ -16,7 +16,7 @@
 //!   body>`. A torn write — the classic crash-mid-append failure — is
 //!   detected on load and the tail from the first bad line on is
 //!   ignored, with a warning. A half-written record can therefore cost
-//!   cache hits, never produce a wrong verdict.
+//!   persisted fingerprints, never produce a wrong verdict.
 //! * **Atomic replacement.** A flush writes the complete snapshot to
 //!   `<path>.tmp` and renames it over the store, so readers and crashes
 //!   only ever observe either the old or the new complete file. A stale
@@ -24,7 +24,9 @@
 //! * **Unrecognized data degrades, never aborts.** A bad header or an
 //!   unreadable file loads as an empty (cold) store with a warning;
 //!   a checksummed record of an unknown kind (a future format
-//!   extension) is skipped, not treated as corruption.
+//!   extension) is skipped, not treated as corruption. The farm
+//!   supervisor rewrites a store whose load warned, before any worker
+//!   reads it, so each damaged or retired record is reported once.
 
 use std::collections::BTreeSet;
 use std::io::Write;
@@ -38,13 +40,8 @@ const HEADER: &str = "dart-farm-store v1";
 /// run, a resumed shard) cannot corrupt anything.
 #[derive(Debug, Default, Clone)]
 pub struct FarmStore {
-    /// Verdict-record payloads, exactly as
-    /// [`SharedVerdictStore::export_records`](dart_solver::SharedVerdictStore::export_records)
-    /// produced them. Kept as sorted text: the store file is then
-    /// deterministic for a given content, and the worker — the only
-    /// party that interprets records — revalidates on import.
-    verdicts: BTreeSet<String>,
-    /// `(scope, fingerprint)` pairs; scope = [`scope_key`].
+    /// `(scope, fingerprint)` pairs; scope = [`scope_key`]. Sorted, so
+    /// the store file is deterministic for a given content.
     fingerprints: BTreeSet<(u64, u64)>,
 }
 
@@ -53,9 +50,11 @@ pub struct FarmStore {
 pub struct LoadedFarmStore {
     /// The usable records.
     pub store: FarmStore,
-    /// Human-readable warnings (torn tail truncated, bad header, …).
-    /// Empty on a clean load. The callers print these to stderr; none
-    /// of them is fatal — the cost is only a colder cache.
+    /// Human-readable warnings (torn tail truncated, bad header, retired
+    /// records skipped, …). Empty on a clean load; otherwise the file
+    /// holds something `store` lacks, and the farm supervisor rewrites
+    /// it from `store`. The callers print these to stderr; none of them
+    /// is fatal — the cost is only lost fingerprints.
     pub warnings: Vec<String>,
 }
 
@@ -98,6 +97,7 @@ impl FarmStore {
                 return loaded;
             }
         }
+        let mut retired = 0usize;
         for (i, line) in lines.enumerate() {
             let line_no = i + 2; // 1-based, after the header
             let Some((body, checksum)) = line.rsplit_once(" ~") else {
@@ -107,7 +107,7 @@ impl FarmStore {
                     path.display(),
                     text.lines().count().saturating_sub(line_no),
                 ));
-                return loaded;
+                break;
             };
             if u64::from_str_radix(checksum, 16) != Ok(fnv64(body.as_bytes())) {
                 loaded.warnings.push(format!(
@@ -116,10 +116,10 @@ impl FarmStore {
                     path.display(),
                     text.lines().count().saturating_sub(line_no),
                 ));
-                return loaded;
+                break;
             }
-            if let Some(record) = body.strip_prefix("v ") {
-                loaded.store.verdicts.insert(record.to_string());
+            if body.starts_with("v ") {
+                retired += 1;
             } else if let Some(pair) = body.strip_prefix("f ") {
                 let parsed = pair.split_once(' ').and_then(|(scope, key)| {
                     Some((
@@ -145,6 +145,14 @@ impl FarmStore {
                 ));
             }
         }
+        if retired > 0 {
+            // One summary line, not one per record: a store from a
+            // version that persisted solver verdicts holds thousands.
+            loaded.warnings.push(format!(
+                "store {}: skipped {retired} retired solver verdict record(s)",
+                path.display()
+            ));
+        }
         loaded
     }
 
@@ -152,11 +160,6 @@ impl FarmStore {
     pub fn flush(&self, path: &Path) -> std::io::Result<()> {
         let mut text = String::from(HEADER);
         text.push('\n');
-        for record in &self.verdicts {
-            let body = format!("v {record}");
-            text.push_str(&body);
-            text.push_str(&format!(" ~{:016x}\n", fnv64(body.as_bytes())));
-        }
         for (scope, key) in &self.fingerprints {
             let body = format!("f {scope:016x} {key:016x}");
             text.push_str(&body);
@@ -175,19 +178,9 @@ impl FarmStore {
         std::fs::rename(&tmp, path)
     }
 
-    /// Inserts one verdict record; `true` if it was new.
-    pub fn insert_verdict(&mut self, record: String) -> bool {
-        self.verdicts.insert(record)
-    }
-
     /// Inserts one scoped fingerprint; `true` if it was new.
     pub fn insert_fingerprint(&mut self, scope: u64, key: u64) -> bool {
         self.fingerprints.insert((scope, key))
-    }
-
-    /// All verdict records, sorted.
-    pub fn verdict_records(&self) -> impl Iterator<Item = &str> {
-        self.verdicts.iter().map(String::as_str)
     }
 
     /// The fingerprints persisted for one `(function, seed)` scope.
@@ -198,9 +191,9 @@ impl FarmStore {
             .collect()
     }
 
-    /// Total records, both tiers.
+    /// Total records.
     pub fn len(&self) -> usize {
-        self.verdicts.len() + self.fingerprints.len()
+        self.fingerprints.len()
     }
 
     /// Whether the store holds nothing.
@@ -244,10 +237,13 @@ mod tests {
         std::env::temp_dir().join(format!("dart-farm-store-{}-{name}", std::process::id()))
     }
 
+    /// One checksummed store line.
+    fn record(body: &str) -> String {
+        format!("{body} ~{:016x}\n", fnv64(body.as_bytes()))
+    }
+
     fn sample() -> FarmStore {
         let mut store = FarmStore::new();
-        store.insert_verdict("u 07 1".to_string());
-        store.insert_verdict("e 00 - unknown 0".to_string());
         store.insert_fingerprint(1, 0xabc);
         store.insert_fingerprint(1, 0xdef);
         store.insert_fingerprint(2, 0xabc);
@@ -261,10 +257,7 @@ mod tests {
         store.flush(&path).unwrap();
         let loaded = FarmStore::load(&path);
         assert!(loaded.warnings.is_empty(), "{:?}", loaded.warnings);
-        assert_eq!(
-            loaded.store.verdict_records().collect::<Vec<_>>(),
-            store.verdict_records().collect::<Vec<_>>()
-        );
+        assert_eq!(loaded.store.fingerprints, store.fingerprints);
         assert_eq!(loaded.store.fingerprints_for(1), vec![0xabc, 0xdef]);
         assert_eq!(loaded.store.fingerprints_for(2), vec![0xabc]);
         assert_eq!(loaded.store.fingerprints_for(3), Vec::<u64>::new());
@@ -290,9 +283,7 @@ mod tests {
         assert!(loaded.warnings[0].contains("torn write"));
         // Every surviving record is a real one; only the tail was lost.
         assert_eq!(loaded.store.len(), sample().len() - 1);
-        for record in loaded.store.verdict_records() {
-            assert!(sample().verdicts.contains(record));
-        }
+        assert!(loaded.store.fingerprints.is_subset(&sample().fingerprints));
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -325,7 +316,7 @@ mod tests {
     #[test]
     fn bad_header_degrades_to_cold_cache() {
         let path = temp_path("bad-header");
-        std::fs::write(&path, "some other file\nv u 07 1 ~0\n").unwrap();
+        std::fs::write(&path, "some other file\nf 00 01 ~0\n").unwrap();
         let loaded = FarmStore::load(&path);
         assert!(loaded.store.is_empty());
         assert!(loaded.warnings[0].contains("unrecognized header"));
@@ -337,11 +328,7 @@ mod tests {
         let path = temp_path("unknown-kind");
         sample().flush(&path).unwrap();
         let mut text = std::fs::read_to_string(&path).unwrap();
-        let body = "z future-record";
-        text.insert_str(
-            HEADER.len() + 1,
-            &format!("{body} ~{:016x}\n", fnv64(body.as_bytes())),
-        );
+        text.insert_str(HEADER.len() + 1, &record("z future-record"));
         std::fs::write(&path, text).unwrap();
         let loaded = FarmStore::load(&path);
         assert!(loaded.warnings[0].contains("unknown record kind"));
@@ -365,5 +352,95 @@ mod tests {
         assert!(loaded.warnings.is_empty());
         assert_eq!(loaded.store.len(), sample().len());
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A store written when the farm still persisted solver verdicts:
+    /// its `v ` records are skipped with one summary warning, its
+    /// fingerprints survive, and the rewrite holds no `v ` record.
+    #[test]
+    fn retired_verdict_records_are_skipped_with_one_warning() {
+        let path = temp_path("retired");
+        let mut text = format!("{HEADER}\n");
+        for body in ["v u 07 1", "v e 00 - unknown 0", "v u 0a1b 0"] {
+            text.push_str(&record(body));
+        }
+        text.push_str(&record(&format!("f {:016x} {:016x}", 1, 0xabc)));
+        text.push_str(&record(&format!("f {:016x} {:016x}", 2, 0xdef)));
+        std::fs::write(&path, text).unwrap();
+        let loaded = FarmStore::load(&path);
+        assert_eq!(loaded.warnings.len(), 1, "{:?}", loaded.warnings);
+        assert!(loaded.warnings[0].contains("skipped 3 retired"));
+        assert_eq!(loaded.store.fingerprints_for(1), vec![0xabc]);
+        assert_eq!(loaded.store.fingerprints_for(2), vec![0xdef]);
+        loaded.store.flush(&path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(!text.lines().any(|l| l.starts_with("v ")), "{text}");
+        let reloaded = FarmStore::load(&path);
+        assert!(reloaded.warnings.is_empty(), "{:?}", reloaded.warnings);
+        assert_eq!(reloaded.store.fingerprints, loaded.store.fingerprints);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    fn store_strategy() -> impl proptest::strategy::Strategy<Value = FarmStore> {
+        use proptest::prelude::*;
+        proptest::collection::vec((0u64..4, any::<u64>()), 0..6).prop_map(|pairs| {
+            let mut store = FarmStore::new();
+            for (scope, key) in pairs {
+                store.insert_fingerprint(scope, key);
+            }
+            store
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(32))]
+
+        /// `FarmStore::load` reads whatever a crash, a disk error or
+        /// another program left at the store path, so it never panics: not
+        /// on random bytes (bare or behind a valid header), not on any
+        /// truncation of a flushed store, and not on single-byte edits of
+        /// one. A flushed store's fingerprints round-trip exactly, and a
+        /// damaged one yields only fingerprints the store really held.
+        #[test]
+        fn load_never_panics_and_fingerprints_round_trip(
+            store in store_strategy(),
+            noise in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..200),
+            edits in proptest::collection::vec(
+                (proptest::prelude::any::<usize>(), proptest::prelude::any::<u8>()),
+                16,
+            ),
+        ) {
+            let path = temp_path("proptest");
+            store.flush(&path).unwrap();
+            let loaded = FarmStore::load(&path);
+            proptest::prop_assert!(loaded.warnings.is_empty(), "{:?}", loaded.warnings);
+            proptest::prop_assert_eq!(&loaded.store.fingerprints, &store.fingerprints);
+            let bytes = std::fs::read(&path).unwrap();
+            let load_bytes = |b: &[u8]| {
+                std::fs::write(&path, b).unwrap();
+                FarmStore::load(&path)
+            };
+            let _ = load_bytes(&noise);
+            let mut headed = format!("{HEADER}\n").into_bytes();
+            headed.extend_from_slice(&noise);
+            let _ = load_bytes(&headed);
+            for cut in 0..bytes.len() {
+                let loaded = load_bytes(&bytes[..cut]);
+                proptest::prop_assert!(
+                    loaded.store.fingerprints.is_subset(&store.fingerprints),
+                    "cut at {}", cut
+                );
+            }
+            for (pos, byte) in &edits {
+                let mut mutated = bytes.clone();
+                mutated[pos % bytes.len()] = *byte;
+                let loaded = load_bytes(&mutated);
+                proptest::prop_assert!(
+                    loaded.store.fingerprints.is_subset(&store.fingerprints),
+                    "byte {} set to {}", pos % bytes.len(), byte
+                );
+            }
+            std::fs::remove_file(&path).unwrap();
+        }
     }
 }

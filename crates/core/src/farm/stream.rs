@@ -29,14 +29,13 @@ pub(crate) fn function_line(
         SweepOutcome::Finished { report, retried } => format!(
             "{common},\"outcome\":\"finished\",\"retried\":{retried},\
              \"runs\":{},\"bugs\":{},\"complete\":{},\"unknown_rate\":{:.4},\
-             \"shared_hits\":{},\"blocks_fused\":{},\"block_fallbacks\":{},\
+             \"blocks_fused\":{},\"block_fallbacks\":{},\
              \"steps_fast_pathed\":{},\"warm_pivots\":{},\"cold_restarts\":{},\
              \"portfolio_fd_wins\":{},\"portfolio_lp_wins\":{},\"summary\":\"{}\"}}",
             report.runs,
             report.bugs.len(),
             report.is_complete(),
             report.solver.unknown_rate(),
-            report.solver.shared_hits,
             report.blocks_fused,
             report.block_fallbacks,
             report.steps_fast_pathed,

@@ -2,10 +2,10 @@
 //!
 //! A `--farm-worker` process writes one line-oriented text document to
 //! its stdout and exits; the supervisor parses it after reaping the
-//! process. The document carries three things: freshly published
-//! verdict records for the persistent store, the session's dedup
-//! fingerprints (exported from its final checkpoint), and either the
-//! full [`SessionReport`] or a caught engine-fault message.
+//! process. The document carries two things: the session's dedup
+//! fingerprints for the persistent store (exported from its final
+//! checkpoint), and either the full [`SessionReport`] or a caught
+//! engine-fault message.
 //!
 //! The report serialization is *exact* — every field round-trips
 //! bit-for-bit (durations included) — because the farm's determinism
@@ -18,8 +18,7 @@
 //! Layout (`-` marks an empty list field throughout):
 //!
 //! ```text
-//! dart-farm-worker v1
-//! verdict <record>              (0+, see dart_solver shared-store records)
+//! dart-farm-worker v2
 //! fp <scope hex16> <key hex16>  (0+)
 //! report | fault <escaped message>
 //! ...report block...
@@ -35,7 +34,7 @@ use std::time::Duration;
 
 /// First line of every worker document: versions the protocol so a
 /// supervisor never misparses output from a mismatched binary.
-pub(crate) const HEADER: &str = "dart-farm-worker v1";
+pub(crate) const HEADER: &str = "dart-farm-worker v2";
 
 /// What a worker produced for its function.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,9 +48,6 @@ pub(crate) enum WorkerPayload {
 /// Everything one worker process reports back.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct WorkerOutput {
-    /// Store records newly published by this session (already-persisted
-    /// records are filtered worker-side to keep the pipe small).
-    pub verdicts: Vec<String>,
     /// `(scope, fingerprint)` pairs from the session's final checkpoint.
     pub fingerprints: Vec<(u64, u64)>,
     /// The report or the fault.
@@ -63,9 +59,6 @@ pub(crate) fn render_output(out: &WorkerOutput) -> String {
     let mut text = String::new();
     text.push_str(HEADER);
     text.push('\n');
-    for record in &out.verdicts {
-        let _ = writeln!(text, "verdict {record}");
-    }
     for (scope, key) in &out.fingerprints {
         let _ = writeln!(text, "fp {scope:016x} {key:016x}");
     }
@@ -89,13 +82,10 @@ pub(crate) fn parse_output(text: &str) -> Result<WorkerOutput, String> {
     if header != HEADER {
         return Err(format!("bad worker header `{header}`"));
     }
-    let mut verdicts = Vec::new();
     let mut fingerprints = Vec::new();
     loop {
         let line = lines.next()?;
-        if let Some(record) = line.strip_prefix("verdict ") {
-            verdicts.push(record.to_string());
-        } else if let Some(rest) = line.strip_prefix("fp ") {
+        if let Some(rest) = line.strip_prefix("fp ") {
             let (scope, key) = rest
                 .split_once(' ')
                 .ok_or_else(|| lines.err("malformed fp line"))?;
@@ -108,7 +98,6 @@ pub(crate) fn parse_output(text: &str) -> Result<WorkerOutput, String> {
             lines.expect("done")?;
             lines.expect_end()?;
             return Ok(WorkerOutput {
-                verdicts,
                 fingerprints,
                 payload: WorkerPayload::Fault(message),
             });
@@ -117,7 +106,6 @@ pub(crate) fn parse_output(text: &str) -> Result<WorkerOutput, String> {
             lines.expect("done")?;
             lines.expect_end()?;
             return Ok(WorkerOutput {
-                verdicts,
                 fingerprints,
                 payload: WorkerPayload::Report(Box::new(report)),
             });
@@ -180,7 +168,6 @@ fn render_report(text: &mut String, report: &SessionReport) {
         cache_model_reuse,
         split_solves,
         parallel_wasted,
-        shared_hits,
         steals,
         pool_idle_ns,
         max_queue_depth,
@@ -193,7 +180,7 @@ fn render_report(text: &mut String, report: &SessionReport) {
     let _ = writeln!(
         text,
         "solver {sat} {unsat} {unknown} {cache_hits} {cache_model_reuse} {split_solves} \
-         {parallel_wasted} {shared_hits} {steals} {pool_idle_ns} {max_queue_depth} \
+         {parallel_wasted} {steals} {pool_idle_ns} {max_queue_depth} \
          {warm_pivots} {cold_restarts} {portfolio_fd_wins} {portfolio_lp_wins}"
     );
     let _ = writeln!(text, "workers {}", render_u64_list(per_worker_solves));
@@ -244,7 +231,7 @@ fn parse_report(lines: &mut Lines<'_>) -> Result<SessionReport, String> {
     let branches = lines.field_list("branches", 2)?;
     let frontier = lines.field_list("frontier", 3)?;
     let blocks = lines.field_list("blocks", 3)?;
-    let solver_fields = lines.field_list("solver", 15)?;
+    let solver_fields = lines.field_list("solver", 14)?;
     let workers_line = lines.field_rest("workers")?;
     let per_worker_solves =
         parse_u64_list(&workers_line).ok_or_else(|| lines.err("bad workers list"))?;
@@ -292,15 +279,14 @@ fn parse_report(lines: &mut Lines<'_>) -> Result<SessionReport, String> {
             cache_model_reuse: solver_fields[4],
             split_solves: solver_fields[5],
             parallel_wasted: solver_fields[6],
-            shared_hits: solver_fields[7],
-            steals: solver_fields[8],
-            pool_idle_ns: solver_fields[9],
-            max_queue_depth: solver_fields[10],
+            steals: solver_fields[7],
+            pool_idle_ns: solver_fields[8],
+            max_queue_depth: solver_fields[9],
             per_worker_solves,
-            warm_pivots: solver_fields[11],
-            cold_restarts: solver_fields[12],
-            portfolio_fd_wins: solver_fields[13],
-            portfolio_lp_wins: solver_fields[14],
+            warm_pivots: solver_fields[10],
+            cold_restarts: solver_fields[11],
+            portfolio_fd_wins: solver_fields[12],
+            portfolio_lp_wins: solver_fields[13],
         },
         steps,
         branches_covered: branches[0] as usize,
@@ -636,7 +622,6 @@ mod tests {
     #[test]
     fn report_output_round_trips_exactly() {
         let output = WorkerOutput {
-            verdicts: vec!["u 07 1".to_string(), "e 00 - unknown 0".to_string()],
             fingerprints: vec![(0xdead_beef, 42), (u64::MAX, 0)],
             payload: WorkerPayload::Report(Box::new(sample_report())),
         };
@@ -648,7 +633,6 @@ mod tests {
     #[test]
     fn fault_output_round_trips_with_escapes() {
         let output = WorkerOutput {
-            verdicts: Vec::new(),
             fingerprints: Vec::new(),
             payload: WorkerPayload::Fault("panicked:\nline two \\ backslash".to_string()),
         };
@@ -659,7 +643,6 @@ mod tests {
     #[test]
     fn empty_report_round_trips() {
         let output = WorkerOutput {
-            verdicts: Vec::new(),
             fingerprints: Vec::new(),
             payload: WorkerPayload::Report(Box::new(SessionReport::new(0))),
         };
@@ -670,7 +653,6 @@ mod tests {
     #[test]
     fn truncated_and_malformed_output_are_rejected() {
         let full = render_output(&WorkerOutput {
-            verdicts: Vec::new(),
             fingerprints: Vec::new(),
             payload: WorkerPayload::Report(Box::new(sample_report())),
         });
@@ -690,6 +672,11 @@ mod tests {
             "trailing data"
         );
         assert!(parse_output("nonsense\n").is_err());
+        // A v1 worker's document, header or retired `verdict` line.
+        let v1 = full.replacen(HEADER, "dart-farm-worker v1", 1);
+        assert!(parse_output(&v1).is_err(), "v1 header");
+        let verdict = full.replacen("report\n", "verdict u 07 1\nreport\n", 1);
+        assert!(parse_output(&verdict).is_err(), "verdict line");
     }
 
     /// `Duration::new` carries a nanosecond field of a second or more
@@ -698,7 +685,6 @@ mod tests {
     #[test]
     fn out_of_range_duration_nanos_are_rejected() {
         let full = render_output(&WorkerOutput {
-            verdicts: Vec::new(),
             fingerprints: Vec::new(),
             payload: WorkerPayload::Report(Box::new(sample_report())),
         });
@@ -722,10 +708,9 @@ mod tests {
         assert_eq!(report.exec_time, Duration::new(u64::MAX, 999_999_999));
     }
 
-    /// A random valid worker document: store records and fault messages
-    /// from a printable alphabet (fault messages also get the escaped
-    /// newline and backslash), and a report with random counters and
-    /// durations.
+    /// A random valid worker document: fingerprints, fault messages from
+    /// a printable alphabet (with the escaped newline and backslash), and
+    /// a report with random counters and durations.
     fn output_strategy() -> impl proptest::strategy::Strategy<Value = WorkerOutput> {
         use proptest::collection::vec;
         use proptest::prelude::*;
@@ -759,16 +744,12 @@ mod tests {
             });
         let fault = text(b"abcxyz0129 -:\\\n", 0..40).prop_map(WorkerPayload::Fault);
         let payload = prop_oneof![report, fault];
-        (
-            vec(text(b"u e07- 1ab", 1..12), 0..3),
-            vec((any::<u64>(), any::<u64>()), 0..3),
-            payload,
-        )
-            .prop_map(|(verdicts, fingerprints, payload)| WorkerOutput {
-                verdicts,
+        (vec((any::<u64>(), any::<u64>()), 0..3), payload).prop_map(|(fingerprints, payload)| {
+            WorkerOutput {
                 fingerprints,
                 payload,
-            })
+            }
+        })
     }
 
     proptest::proptest! {

@@ -18,7 +18,7 @@
 //! those when it first touches a walk. Workers never see a
 //! [`dart_solver::QueryCache`] at all: the committing thread pre-peeks
 //! the session cache (read-only) before dispatch and only enqueues
-//! candidates no cache tier can answer, so a worker's verdict is the
+//! candidates its model pool cannot answer, so a worker's verdict is the
 //! same pure function of `(config, prefix, negated, hint)` a synchronous
 //! solve would compute. Between walks a worker retains only its empty
 //! deque and its diagnostic counters — there is no channel through which

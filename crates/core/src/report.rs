@@ -189,7 +189,7 @@ impl fmt::Display for SessionReport {
             "{outcome} | runs {} | bugs {} | divergences {} | restarts {} | \
              solver sat/unsat/unknown {}/{}/{} (unknown rate {:.1}%) | \
              cache hits/reuse/splits {}/{}/{} | \
-             shared/wasted {}/{} | steals {} | lp pivots/colds {}/{} | \
+             wasted {} | steals {} | lp pivots/colds {}/{} | \
              portfolio fd/lp wins {}/{} | frontier dedup/evict/peak {}/{}/{} | \
              branch cov {}/{}",
             self.runs,
@@ -203,7 +203,6 @@ impl fmt::Display for SessionReport {
             self.solver.cache_hits,
             self.solver.cache_model_reuse,
             self.solver.split_solves,
-            self.solver.shared_hits,
             self.solver.parallel_wasted,
             self.solver.steals,
             self.solver.warm_pivots,

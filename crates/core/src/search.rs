@@ -12,7 +12,7 @@
 //! models into the cache's reuse pool — so each candidate's verdict is a
 //! function of the cache state *at walk entry*. Pool workers never touch
 //! that cache: the committing thread pre-peeks it and dispatches only
-//! cache misses. The commit walk then re-runs the real shortcut chain per
+//! cache misses. The commit walk then re-consults the model pool per
 //! position in strategy order, consumes a worker's fresh verdict only
 //! where a synchronous solve would have happened, counts fault-injection
 //! slots in the exact sequential order, and stops at the first `Sat` —
@@ -83,6 +83,9 @@ pub struct SolveStats {
     /// Queries the solver gave up on (these make the session incomplete).
     pub unknown: u64,
     /// Queries answered by the session query cache without solving.
+    /// The model pool is the cache's only answer, so this always equals
+    /// [`SolveStats::cache_model_reuse`]; the duplicate stays until the
+    /// end-to-end benchmark stops reading it (ROADMAP.md item 3).
     pub cache_hits: u64,
     /// Queries answered by re-checking a previously computed model
     /// (the counterexample-reuse fast path).
@@ -94,12 +97,6 @@ pub struct SolveStats {
     /// or shadowed by a commit-time cache hit). Scheduling-dependent by
     /// nature: a diagnostic, excluded from the determinism contract.
     pub parallel_wasted: u64,
-    /// Queries answered by replaying another session's verdict from an
-    /// attached [`dart_solver::SharedVerdictStore`]. Deterministic within
-    /// one session; across a sweep it depends on which session published
-    /// first — a diagnostic, excluded from cross-session determinism
-    /// comparisons.
-    pub shared_hits: u64,
     /// Pool jobs executed by a worker other than the one they were
     /// queued on. Scheduling-dependent; excluded from the determinism
     /// contract like every counter below.
@@ -150,10 +147,9 @@ impl SolveStats {
     /// [`SolveStats::parallel_wasted`], which each walk's close adds to.
     pub fn absorb_cache(&mut self, cache: &QueryCache) {
         let cs = cache.stats();
-        self.cache_hits = cs.hits;
+        self.cache_hits = cs.model_reuse;
         self.cache_model_reuse = cs.model_reuse;
         self.split_solves = cs.split_solves;
-        self.shared_hits = cs.shared_hits;
     }
 
     /// Closes one walk — a [`solve_next`] call or one generational
@@ -206,14 +202,12 @@ impl SolveStats {
 
     /// Zeroes every scheduling-dependent diagnostic — the counters the
     /// determinism contract explicitly excludes (`parallel_wasted`,
-    /// `shared_hits`, `steals`, `pool_idle_ns`, `max_queue_depth`,
-    /// `per_worker_solves`, `warm_pivots`, `cold_restarts`,
-    /// `portfolio_fd_wins`, `portfolio_lp_wins`). After this, two reports
-    /// of the same session under any scheduler × shared-cache ×
-    /// portfolio-mode combination compare equal.
+    /// `steals`, `pool_idle_ns`, `max_queue_depth`, `per_worker_solves`,
+    /// `warm_pivots`, `cold_restarts`, `portfolio_fd_wins`,
+    /// `portfolio_lp_wins`). After this, two reports of the same session
+    /// under any scheduler × portfolio-mode combination compare equal.
     pub fn scrub_scheduling(&mut self) {
         self.parallel_wasted = 0;
-        self.shared_hits = 0;
         self.steals = 0;
         self.pool_idle_ns = 0;
         self.max_queue_depth = 0;
@@ -339,7 +333,7 @@ pub fn solve_next(
 ///
 /// Pool workers never see the session's [`QueryCache`]: the committing
 /// thread pre-peeks every candidate here, in commit order, and enqueues
-/// only positions no cache tier can answer. A worker's verdict is
+/// only positions the model pool cannot answer. A worker's verdict is
 /// therefore a pure function of `(solver config, prefix, negated
 /// constraint, hint)`, which is exactly what a synchronous solve at the
 /// same position would compute against walk-entry cache state.
@@ -421,7 +415,6 @@ mod tests {
             cache_model_reuse: 5,
             split_solves: 6,
             parallel_wasted: 7,
-            shared_hits: 8,
             steals: 9,
             pool_idle_ns: 10,
             max_queue_depth: 11,
@@ -440,7 +433,6 @@ mod tests {
             cache_model_reuse: 5,
             split_solves: 6,
             parallel_wasted: 0,
-            shared_hits: 0,
             steals: 0,
             pool_idle_ns: 0,
             max_queue_depth: 0,
@@ -474,7 +466,7 @@ mod tests {
             &stack,
             &tape,
             &Solver::default(),
-            &mut QueryCache::new(true),
+            &mut QueryCache::default(),
             Strategy::Dfs,
             &mut rng,
             &mut stats,
@@ -500,7 +492,7 @@ mod tests {
             &stack,
             &tape,
             &Solver::default(),
-            &mut QueryCache::new(true),
+            &mut QueryCache::default(),
             Strategy::RandomBranch,
             &mut rng,
             &mut stats,
@@ -524,7 +516,7 @@ mod tests {
             &stack,
             &tape,
             &Solver::default(),
-            &mut QueryCache::new(true),
+            &mut QueryCache::default(),
             Strategy::Dfs,
             &mut rng,
             &mut stats,
@@ -546,7 +538,7 @@ mod tests {
             &stack,
             &tape,
             &Solver::default(),
-            &mut QueryCache::new(true),
+            &mut QueryCache::default(),
             Strategy::Dfs,
             &mut rng,
             &mut stats,
@@ -574,7 +566,7 @@ mod tests {
             &stack,
             &tape,
             &Solver::default(),
-            &mut QueryCache::new(true),
+            &mut QueryCache::default(),
             Strategy::Dfs,
             &mut rng,
             &mut stats,
@@ -611,7 +603,7 @@ mod tests {
         ];
         let mut rng = SmallRng::seed_from_u64(0);
         let mut stats = SolveStats::default();
-        let mut cache = QueryCache::new(true);
+        let mut cache = QueryCache::default();
         let step = solve_next(
             &pc,
             &stack,
@@ -641,11 +633,11 @@ mod tests {
             seq_stats.scrub_scheduling();
             par_stats.scrub_scheduling();
             assert_eq!(seq_stats, par_stats, "{scheduler:?}: same stats");
-            // The committed cache contents match too: a rerun of the same
-            // walk hits identically on both.
+            // The committed cache contents match too: the same walk
+            // reused pooled models identically on both.
             assert_eq!(
-                seq_cache.stats().hits,
-                par_cache.stats().hits,
+                seq_cache.stats().model_reuse,
+                par_cache.stats().model_reuse,
                 "{scheduler:?}"
             );
         }
@@ -708,7 +700,7 @@ mod tests {
                     &stack,
                     &tape,
                     &Solver::default(),
-                    &mut QueryCache::new(true),
+                    &mut QueryCache::default(),
                     Strategy::Dfs,
                     &mut rng,
                     &mut stats,
@@ -778,7 +770,7 @@ mod tests {
                     &stack,
                     &tape,
                     &solver,
-                    &mut QueryCache::new(true),
+                    &mut QueryCache::default(),
                     Strategy::Dfs,
                     &mut rng,
                     &mut stats,
@@ -838,7 +830,7 @@ mod tests {
         let prefix = pc.constraints();
         let candidates = [4, 3, 2, 1, 0];
         let pool = SolvePool::new(2);
-        let mut cache = QueryCache::new(true);
+        let mut cache = QueryCache::default();
         let mut session = cache.take_session(&Solver::default(), prefix);
         let fan_out = |cache: &QueryCache, session: &PrefixSession, first_sat_wins: bool| {
             let pool = Scheduler::Pool(&pool);
@@ -891,7 +883,7 @@ mod tests {
             &stack,
             &tape,
             &Solver::default(),
-            &mut QueryCache::new(true),
+            &mut QueryCache::default(),
             Strategy::Dfs,
             &mut rng,
             &mut stats,

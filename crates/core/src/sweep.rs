@@ -11,7 +11,6 @@ use crate::pool::SolvePool;
 use crate::report::SessionReport;
 use crate::supervise;
 use dart_minic::CompiledProgram;
-use dart_solver::SharedVerdictStore;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -122,15 +121,6 @@ pub fn sweep(
     let mut slots: Vec<Option<SweepResult>> = Vec::new();
     slots.resize_with(toplevels.len(), || None);
     let slots_ref = std::sync::Mutex::new(&mut slots);
-    // One verdict store for the whole sweep: sessions over a generated or
-    // validation-heavy API re-solve near-identical constraint sets, and
-    // the store lets them replay each other's verdicts. Store hits are
-    // accounted as-if-fresh, so each session's report-visible counters
-    // stay scheduling-independent (only the `shared_hits` diagnostic
-    // varies — see `SweepOutcome` comparisons in the tests).
-    let store = config
-        .shared_cache
-        .then(|| Arc::new(SharedVerdictStore::new()));
     // One solver pool for the whole sweep (see "Nested parallelism"
     // above): every session's speculative walks share these
     // `solve_threads` workers instead of spawning their own.
@@ -145,14 +135,7 @@ pub fn sweep(
                 };
                 let result = SweepResult {
                     function: name.clone(),
-                    outcome: run_supervised(
-                        compiled,
-                        name,
-                        i,
-                        config,
-                        store.as_ref(),
-                        pool.as_ref(),
-                    ),
+                    outcome: run_supervised(compiled, name, i, config, pool.as_ref()),
                 };
                 slots_ref.lock().expect("worker panics are caught")[i] = Some(result);
             });
@@ -166,15 +149,12 @@ pub fn sweep(
 }
 
 /// One function's session under supervision: run, catch engine panics,
-/// retry with a reseeded RNG up to `config.max_retries` times. Retries
-/// reuse the same shared store: its verdicts are input-independent facts
-/// about constraint sets, so a reseeded run may still replay them.
+/// retry with a reseeded RNG up to `config.max_retries` times.
 fn run_supervised(
     compiled: &CompiledProgram,
     name: &str,
     index: usize,
     config: &DartConfig,
-    store: Option<&Arc<SharedVerdictStore>>,
     pool: Option<&Arc<SolvePool>>,
 ) -> SweepOutcome {
     let base_seed = config.seed ^ name_hash(name);
@@ -197,9 +177,6 @@ fn run_supervised(
             supervise::maybe_panic(&cfg, index);
             let mut dart = Dart::new(compiled, name, cfg)
                 .expect("toplevels and solve_threads validated before spawning");
-            if let Some(store) = store {
-                dart = dart.with_shared_store(store.clone());
-            }
             if let Some(pool) = pool {
                 dart = dart.with_pool(pool.clone());
             }
@@ -299,8 +276,8 @@ mod tests {
     }
 
     /// Scrubs the wall-clock fields plus every scheduling-dependent
-    /// diagnostic (wasted speculation, cross-session shared hits, pool
-    /// steal/idle/depth counters — see `SolveStats::scrub_scheduling`)
+    /// diagnostic (wasted speculation, pool steal/idle/depth counters —
+    /// see `SolveStats::scrub_scheduling`)
     /// so outcomes compare deterministically.
     fn scrubbed(o: &SweepOutcome) -> SweepOutcome {
         match o {
@@ -338,55 +315,6 @@ mod tests {
             assert_eq!(a.function, b.function);
             assert_eq!(scrubbed(&a.outcome), scrubbed(&b.outcome));
         }
-    }
-
-    /// With the cross-session verdict store on, a wide sweep still equals
-    /// a sequential one (scrubbed of the store-dependent diagnostics),
-    /// and both equal the storeless sweep: as-if-fresh accounting keeps
-    /// every report-visible counter scheduling-independent.
-    #[test]
-    fn shared_store_does_not_change_verdicts() {
-        let compiled = library();
-        let shared = DartConfig {
-            shared_cache: true,
-            ..config()
-        };
-        let wide = sweep(&compiled, &names(), &shared, 4).unwrap();
-        let narrow = sweep(&compiled, &names(), &shared, 1).unwrap();
-        let plain = sweep(&compiled, &names(), &config(), 1).unwrap();
-        for ((a, b), c) in wide.iter().zip(&narrow).zip(&plain) {
-            assert_eq!(a.function, b.function);
-            assert_eq!(scrubbed(&a.outcome), scrubbed(&b.outcome));
-            assert_eq!(scrubbed(&b.outcome), scrubbed(&c.outcome));
-        }
-    }
-
-    /// Sessions over same-shaped functions actually reuse each other's
-    /// verdicts: per-session variable numbering is dense, so the cloned
-    /// functions below produce byte-identical constraint systems, and a
-    /// sequential sweep records shared hits after the first session.
-    #[test]
-    fn shared_store_is_hit_across_sessions() {
-        let mut src = String::new();
-        let mut names = Vec::new();
-        for i in 0..6 {
-            // The inner condition is implied by the outer guard, so every
-            // session refutes the same flip: [2x-2y==8, x-y!=4] is the
-            // sweep-wide shared unsat query.
-            src.push_str(&format!(
-                "int g{i}(int x, int y) {{ if (2*x - 2*y == 8) {{ if (x - y != 4) {{ return 1; }} return 2; }} return 0; }}\n"
-            ));
-            names.push(format!("g{i}"));
-        }
-        let compiled = dart_minic::compile(&src).unwrap();
-        let shared = DartConfig {
-            max_runs: 20,
-            shared_cache: true,
-            ..DartConfig::default()
-        };
-        let results = sweep(&compiled, &names, &shared, 1).unwrap();
-        let total: u64 = results.iter().map(|r| rep(r).solver.shared_hits).sum();
-        assert!(total > 0, "same-shaped sessions should replay verdicts");
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! The scaled generational engine's contracts:
 //!
 //! 1. **Scheduling invisibility** — for a fixed seed, every combination
-//!    of `solve_threads` × `shared_cache` × execution tier produces a
-//!    byte-identical `SessionReport` (wall-clock and the
-//!    scheduling diagnostics excepted). The pooled candidate fan-out is
-//!    a pure wall-clock optimization.
+//!    of `solve_threads` × execution tier produces a byte-identical
+//!    `SessionReport` (wall-clock and the scheduling diagnostics
+//!    excepted). The pooled candidate fan-out is a pure wall-clock
+//!    optimization.
 //! 2. **Dedup soundness** — path-prefix dedup may only skip *redundant*
 //!    derivations: a dedup-on session covers the same branch set and
 //!    finds the same bug kinds as a dedup-off session given the same
@@ -105,7 +105,7 @@ fn program_strategy() -> impl proptest::strategy::Strategy<Value = String> {
 }
 
 /// Runs a generated program under the generational engine with one
-/// `(solve_threads, shared_cache, exec_tier)` combination.
+/// `(solve_threads, exec_tier)` combination.
 /// `unknown_on_query` injects solver incompleteness (and with it,
 /// restarts — the dedup set's stress case) when the `fault-injection`
 /// feature is on; plain builds exercise the fault-free path of the same
@@ -114,7 +114,6 @@ fn run_generational_cfg(
     compiled: &dart_minic::CompiledProgram,
     dedup: bool,
     solve_threads: usize,
-    shared_cache: bool,
     exec_tier: ExecTier,
     seed: u64,
     unknown_on_query: Option<u64>,
@@ -129,7 +128,6 @@ fn run_generational_cfg(
         stop_at_first_bug: false,
         record_paths: true,
         solve_threads,
-        shared_cache,
         exec_tier,
         #[cfg(feature = "fault-injection")]
         faults: dart::FaultPlan {
@@ -158,9 +156,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Contract 1: for random programs, seeds and injected-Unknown
-    /// positions, every `solve_threads` × `shared_cache` × execution tier
-    /// combination produces a byte-identical
-    /// generational `SessionReport` after scrubbing — including the
+    /// positions, every `solve_threads` × execution tier combination
+    /// produces a byte-identical generational `SessionReport` after
+    /// scrubbing — including the
     /// frontier counters (`dedup_hits`/`frontier_evicted`/
     /// `frontier_peak`), which are search facts, not scheduling facts.
     #[test]
@@ -172,23 +170,17 @@ proptest! {
         use ExecTier::{Compiled, Interp};
         let compiled = dart_minic::compile(&source).expect("generated source compiles");
         let baseline = scrub(run_generational_cfg(
-            &compiled, true, 1, false, Interp, seed, unknown_on_query,
+            &compiled, true, 1, Interp, seed, unknown_on_query,
         ));
-        for (threads, shared, tier) in [
-            (4, false, Interp),
-            (1, true, Interp),
-            (4, true, Interp),
-            (1, false, Compiled),
-        ] {
+        for (threads, tier) in [(4, Interp), (1, Compiled)] {
             let got = scrub(run_generational_cfg(
-                &compiled, true, threads, shared, tier, seed, unknown_on_query,
+                &compiled, true, threads, tier, seed, unknown_on_query,
             ));
             prop_assert_eq!(
                 &baseline,
                 &got,
-                "threads={} shared={} tier={:?} source={}",
+                "threads={} tier={:?} source={}",
                 threads,
-                shared,
                 tier,
                 &source
             );
@@ -208,10 +200,10 @@ proptest! {
     ) {
         let compiled = dart_minic::compile(&source).expect("generated source compiles");
         let on = run_generational_cfg(
-            &compiled, true, 1, false, ExecTier::Interp, seed, unknown_on_query,
+            &compiled, true, 1, ExecTier::Interp, seed, unknown_on_query,
         );
         let off = run_generational_cfg(
-            &compiled, false, 1, false, ExecTier::Interp, seed, unknown_on_query,
+            &compiled, false, 1, ExecTier::Interp, seed, unknown_on_query,
         );
         prop_assert_eq!(
             covered_and_bugs(&on),

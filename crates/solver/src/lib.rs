@@ -18,6 +18,11 @@
 //! ([`SolverConfig::deadline`]) all surface as [`SolveOutcome::Unknown`],
 //! which the engine records as incompleteness — never as "unsat".
 //!
+//! [`QueryCache`] sits between one engine session and its [`Solver`]: a
+//! pool of recent models for counterexample reuse plus the retained
+//! [`PrefixSession`] of the previous walk. It memoizes no verdicts, so
+//! every query the pool does not answer is a fresh solve.
+//!
 //! ## Quickstart
 //!
 //! ```
@@ -45,7 +50,6 @@ pub mod constraint;
 pub mod ilp;
 pub mod linear;
 pub mod rational;
-pub mod shared;
 pub mod simplex;
 
 pub use cache::{CacheStats, QueryCache};
@@ -55,5 +59,4 @@ pub use ilp::{
 };
 pub use linear::{LinExpr, Var};
 pub use rational::Rat;
-pub use shared::SharedVerdictStore;
 pub use simplex::{LpSession, LpStats, ShrinkError};

@@ -252,10 +252,12 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The query cache is transparent: on any random query stream (with
-    /// repeats, so lookups actually fire), the cached and uncached paths
-    /// return byte-identical outcomes query by query — not merely
-    /// equisatisfiable ones — and every `Sat` model verifies.
+    /// The model pool against a bare solver: on a random query stream
+    /// (with repeats, so pooled models get re-checked under the same and
+    /// other hints), `QueryCache` and a plain `Solver::solve_with_hint`
+    /// reach the same definite verdicts, every `Sat` model from either
+    /// satisfies every constraint, and every query is either a fresh
+    /// solve or a pool answer — nothing else answers without solving.
     #[test]
     fn cached_and_uncached_equisatisfiable(
         queries in proptest::collection::vec(
@@ -267,34 +269,35 @@ proptest! {
     ) {
         use dart_solver::QueryCache;
         let solver = Solver::default();
-        let mut cached = QueryCache::new(true);
-        let mut uncached = QueryCache::new(false);
+        let mut cache = QueryCache::default();
+        let mut asked = 0u64;
         for _ in 0..=repeat_rounds {
             for (cs, hint) in &queries {
                 let lookup = |v: Var| Some(hint[v.index()]);
-                let a = cached.solve_with_hint(&solver, cs, lookup);
-                let b = uncached.solve_with_hint(&solver, cs, lookup);
-                prop_assert_eq!(
-                    &a, &b,
-                    "cache changed an answer on {:?}", cs
-                );
-                if let SolveOutcome::Sat(m) = &a {
-                    for c in cs {
-                        prop_assert!(
-                            c.satisfied_by(|v| m.get(&v).copied()),
-                            "cached model {:?} violates {}", m, c
-                        );
+                let cached = cache.solve_with_hint(&solver, cs, lookup);
+                let bare = solver.solve_with_hint(cs, lookup);
+                asked += 1;
+                if cached != SolveOutcome::Unknown && bare != SolveOutcome::Unknown {
+                    prop_assert_eq!(
+                        cached.is_sat(),
+                        bare.is_sat(),
+                        "cache {:?} vs solver {:?} on {:?}", &cached, &bare, cs
+                    );
+                }
+                for out in [&cached, &bare] {
+                    if let SolveOutcome::Sat(m) = out {
+                        for c in cs {
+                            prop_assert!(
+                                c.satisfied_by(|v| m.get(&v).copied()),
+                                "model {:?} violates {}", m, c
+                            );
+                        }
                     }
                 }
             }
         }
-        // The pool runs in both modes and in lockstep; verdict replays
-        // (hits minus pool answers) are what the enabled cache saves.
-        prop_assert_eq!(cached.stats().model_reuse, uncached.stats().model_reuse);
-        prop_assert_eq!(
-            cached.stats().misses,
-            uncached.stats().misses - (cached.stats().hits - cached.stats().model_reuse)
-        );
+        let stats = cache.stats();
+        prop_assert_eq!(stats.misses + stats.model_reuse, asked);
     }
 
     /// An incremental prefix session answers every `negated_prefix(j)`

@@ -32,8 +32,9 @@
 //!   --farm             with --sweep: run each function in its own worker
 //!                      process (true fault isolation — aborts, OOM kills
 //!                      and runaway workers are contained and retried)
-//!   --store PATH       farm-only: persistent verdict/fingerprint store
-//!                      shared by all workers and future farm runs
+//!   --store PATH       farm-only: persistent store of generational dedup
+//!                      fingerprints, so a resumed --checkpoint keeps its
+//!                      seen-set across farm runs
 //!   --stream PATH      farm-only: append one JSON line per finished
 //!                      function to PATH (`-` streams to stdout)
 //!   --worker-deadline MS  farm-only: kill any worker process that runs
@@ -49,12 +50,9 @@
 //!                      on each eligible query, first decisive verdict
 //!                      wins (reports unchanged; only wall-clock
 //!                      improves)                  [$DART_PORTFOLIO or off]
-//!   --shared-cache     share solver verdicts across sweep sessions
-//!                      (reports unchanged; only wall-clock improves)
 //!   --interface        print the extracted interface and exit
 //!   --print-ir         print the compiled RAM program and exit
 //!   --stats            print detailed solver/cache statistics
-//!   --no-cache         disable the solver query cache (outcomes unchanged)
 //!   --save-bug FILE    write the first bug's input vector to FILE
 //!   --replay FILE      replay a saved input vector instead of searching
 //!   --trace            with --replay: print every executed statement
@@ -95,14 +93,12 @@ struct Options {
     solve_threads: Option<usize>,
     exec_tier: Option<ExecTier>,
     portfolio: Option<PortfolioMode>,
-    shared_cache: bool,
     interface_only: bool,
     print_ir: bool,
     save_bug: Option<String>,
     replay: Option<String>,
     trace: bool,
     stats: bool,
-    no_cache: bool,
 }
 
 fn usage() -> &'static str {
@@ -112,8 +108,8 @@ fn usage() -> &'static str {
      [--all-bugs] [--max-steps N] [--mem-budget N] [--deadline MS] \
      [--sweep NAMES --threads N --max-retries N] \
      [--farm --store PATH --stream PATH|- --worker-deadline MS] \
-     [--solve-threads N] [--exec-tier interp|compiled] [--portfolio on|off] [--shared-cache] \
-     [--stats] [--no-cache] [--interface] [--print-ir]"
+     [--solve-threads N] [--exec-tier interp|compiled] [--portfolio on|off] \
+     [--stats] [--interface] [--print-ir]"
 }
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
@@ -144,14 +140,12 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         solve_threads: None,
         exec_tier: None,
         portfolio: None,
-        shared_cache: false,
         interface_only: false,
         print_ir: false,
         save_bug: None,
         replay: None,
         trace: false,
         stats: false,
-        no_cache: false,
     };
     let mut it = args.iter().peekable();
     let value = |it: &mut std::iter::Peekable<std::slice::Iter<String>>,
@@ -253,7 +247,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     other => return Err(format!("unknown portfolio mode `{other}`")),
                 })
             }
-            "--shared-cache" => opts.shared_cache = true,
             "--mode" | "--engine" => {
                 opts.mode = match value(&mut it, arg)?.as_str() {
                     "directed" => EngineMode::Directed,
@@ -285,7 +278,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--replay" => opts.replay = Some(value(&mut it, "--replay")?),
             "--trace" => opts.trace = true,
             "--stats" => opts.stats = true,
-            "--no-cache" => opts.no_cache = true,
             "--interface" => opts.interface_only = true,
             "--print-ir" => opts.print_ir = true,
             other if other.starts_with("--") => return Err(format!("unknown option `{other}`")),
@@ -325,11 +317,9 @@ fn build_config(opts: &Options) -> DartConfig {
             max_steps: opts.max_steps,
             ..dart_ram::MachineConfig::default()
         },
-        solver_cache: !opts.no_cache,
         frontier_budget: opts.frontier_budget,
         checkpoint: opts.checkpoint.as_ref().map(std::path::PathBuf::from),
         max_retries: opts.max_retries,
-        shared_cache: opts.shared_cache,
         ..DartConfig::default()
     };
     if let Some(n) = opts.solve_threads {
@@ -429,12 +419,6 @@ fn worker_forward_args(opts: &Options) -> Vec<String> {
             PortfolioMode::Invalid => unreachable!("--portfolio never parses to Invalid"),
         };
         args.extend(["--portfolio".to_string(), mode.to_string()]);
-    }
-    if opts.shared_cache {
-        args.push("--shared-cache".to_string());
-    }
-    if opts.no_cache {
-        args.push("--no-cache".to_string());
     }
     if let Some(path) = &opts.store {
         args.extend(["--store".to_string(), path.clone()]);
@@ -724,7 +708,6 @@ fn main() -> ExitCode {
         println!("  cache hits         {}", s.cache_hits);
         println!("  model reuse        {}", s.cache_model_reuse);
         println!("  split solves       {}", s.split_solves);
-        println!("  shared hits        {}", s.shared_hits);
         println!("  parallel wasted    {}", s.parallel_wasted);
         println!("  steals             {}", s.steals);
         println!(
@@ -823,12 +806,12 @@ mod tests {
 
     #[test]
     fn stats_and_cache_flags() {
-        let o = parse(&["p.mc", "--stats", "--no-cache"]).unwrap();
+        let o = parse(&["p.mc", "--stats"]).unwrap();
         assert!(o.stats);
-        assert!(o.no_cache);
         let o = parse(&["p.mc"]).unwrap();
         assert!(!o.stats);
-        assert!(!o.no_cache);
+        // The query cache has no switch: it memoizes no verdicts.
+        assert!(parse(&["p.mc", "--no-cache"]).is_err());
     }
 
     #[test]
@@ -862,19 +845,17 @@ mod tests {
 
     #[test]
     fn parallel_solving_flags() {
-        let o = parse(&["p.mc", "--solve-threads", "4", "--shared-cache"]).unwrap();
+        let o = parse(&["p.mc", "--solve-threads", "4"]).unwrap();
         assert_eq!(o.solve_threads, Some(4));
-        assert!(o.shared_cache);
-        let config = build_config(&o);
-        assert_eq!(config.solve_threads, 4);
-        assert!(config.shared_cache);
+        assert_eq!(build_config(&o).solve_threads, 4);
         // Unset, the flag defers to the DartConfig default (which reads
         // $DART_SOLVE_THREADS) rather than pinning 1.
         let o = parse(&["p.mc"]).unwrap();
         assert_eq!(o.solve_threads, None);
-        assert!(!o.shared_cache);
         assert!(parse(&["p.mc", "--solve-threads", "0"]).is_err());
         assert!(parse(&["p.mc", "--solve-threads", "many"]).is_err());
+        // Sessions share no solver verdicts, so there is nothing to turn on.
+        assert!(parse(&["p.mc", "--shared-cache"]).is_err());
     }
 
     #[test]
@@ -885,7 +866,7 @@ mod tests {
             "f,g",
             "--farm",
             "--store",
-            "verdicts.store",
+            "fingerprints.store",
             "--stream",
             "-",
             "--worker-deadline",
@@ -893,7 +874,7 @@ mod tests {
         ])
         .unwrap();
         assert!(o.farm);
-        assert_eq!(o.store.as_deref(), Some("verdicts.store"));
+        assert_eq!(o.store.as_deref(), Some("fingerprints.store"));
         assert_eq!(o.stream.as_deref(), Some("-"));
         assert_eq!(o.worker_deadline_ms, Some(750));
         let o = parse(&["p.mc"]).unwrap();
@@ -928,7 +909,7 @@ mod tests {
             "--farm-attempt",
             "1",
             "--store",
-            "verdicts.store",
+            "fingerprints.store",
         ])
         .unwrap();
         assert!(o.farm_worker);
@@ -936,7 +917,7 @@ mod tests {
         assert_eq!(o.farm_attempt, 1);
         // Worker mode skips the farm-flag validation: the supervisor
         // forwards `--store` without `--farm`.
-        assert_eq!(o.store.as_deref(), Some("verdicts.store"));
+        assert_eq!(o.store.as_deref(), Some("fingerprints.store"));
     }
 
     #[test]

@@ -1,14 +1,15 @@
 //! Acceptance tests for the fuzzing farm: process-isolated sweep shards
-//! with a crash-safe persistent verdict store and streaming results.
+//! with a crash-safe persistent fingerprint store and streaming results.
 //!
 //! The headline properties, exercised through the real `dartc` binary:
 //!
 //! 1. **Containment** — a worker that `abort()`s (or is killed) takes
 //!    down only its own shard; every other function's result is
 //!    byte-identical to an undisturbed in-process sweep.
-//! 2. **Crash-safe persistence** — a corrupt or torn store is degraded
-//!    to a cold cache, never a wrong verdict; a second farm run against
-//!    the same store sees shared-store hits.
+//! 2. **Crash-safe persistence** — generational sessions' dedup
+//!    fingerprints persist across farm runs; a corrupt, torn or
+//!    older-format store loses records with one warning and is rewritten
+//!    clean, and never changes a verdict.
 //! 3. **Resumability** — a shard killed with SIGKILL mid-run resumes
 //!    from its checkpoint on the next farm run and reaches the same
 //!    verdict as an uninterrupted run.
@@ -75,7 +76,7 @@ fn run(cmd: &mut Command) -> (Option<i32>, String, String) {
 
 /// The farm prints the same per-function result table as the in-process
 /// sweep; on the same seeds the two must be byte-identical modulo the
-/// scheduling-dependent diagnostics (`shared/wasted`, `steals` — see
+/// scheduling-dependent diagnostics (`wasted`, `steals` — see
 /// `SolveStats::scrub_scheduling`), which any parallel solver run may
 /// vary even between two in-process sweeps.
 #[test]
@@ -95,41 +96,28 @@ fn farm_output_matches_in_process_sweep() {
 }
 
 /// `--stream FILE` emits one JSON line per finished function, and a
-/// second farm run against the same `--store` answers queries from the
-/// persisted verdicts (nonzero `shared_hits`) without changing any
-/// result.
+/// generational farm run with `--checkpoint` persists each session's
+/// dedup fingerprints to `--store`. A second run over the same store —
+/// with fresh checkpoints, so no session resumes and no fingerprint
+/// applies — prints the same tables and keeps every fingerprint.
 #[test]
 fn store_persists_verdicts_and_second_run_hits_it() {
     let dir = tempdir("store-hits");
     let lib = write_library(&dir);
-    let store = dir.join("verdicts.store");
-    let stream1 = dir.join("run1.jsonl");
-    let stream2 = dir.join("run2.jsonl");
-    let base = ["--sweep", "h,g,ok", "--farm", "--threads", "2"];
-
-    let (_, out1, err1) = run(dartc().arg(&lib).args(base).args([
-        "--store",
-        store.to_str().unwrap(),
-        "--stream",
-        stream1.to_str().unwrap(),
-    ]));
-    assert!(err1.is_empty(), "no warnings on a fresh store\n{err1}");
-    let text = std::fs::read_to_string(&store).unwrap();
-    assert!(text.starts_with("dart-farm-store v1\n"), "{text}");
-    assert!(
-        text.lines().skip(1).all(|l| l.contains(" ~")),
-        "checksummed lines\n{text}"
-    );
-
-    let (_, out2, _) = run(dartc().arg(&lib).args(base).args([
-        "--store",
-        store.to_str().unwrap(),
-        "--stream",
-        stream2.to_str().unwrap(),
-    ]));
-
-    for stream in [&stream1, &stream2] {
-        let jsonl = std::fs::read_to_string(stream).unwrap();
+    let store = dir.join("fingerprints.store");
+    let farm_run = |n: usize| {
+        let stream = dir.join(format!("run{n}.jsonl"));
+        let (_, out, err) = run(dartc()
+            .arg(&lib)
+            .args(["--sweep", "h,g,ok", "--farm", "--threads", "2"])
+            .args(["--mode", "generational", "--checkpoint"])
+            .arg(dir.join(format!("cp{n}")))
+            .arg("--store")
+            .arg(&store)
+            .arg("--stream")
+            .arg(&stream));
+        assert!(err.is_empty(), "no warnings on a clean store\n{err}");
+        let jsonl = std::fs::read_to_string(&stream).unwrap();
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 3, "one line per function\n{jsonl}");
         for line in &lines {
@@ -137,37 +125,39 @@ fn store_persists_verdicts_and_second_run_hits_it() {
             assert!(line.ends_with('}'), "{line}");
             assert!(line.contains("\"outcome\":\"finished\""), "{line}");
         }
-    }
-    let hits: u64 = std::fs::read_to_string(&stream2)
-        .unwrap()
-        .lines()
-        .map(|l| field_u64(l, "shared_hits"))
-        .sum();
-    assert!(hits > 0, "second run must hit the persisted store\n{out2}");
+        out
+    };
+    let fingerprints = || -> Vec<String> {
+        let text = std::fs::read_to_string(&store).unwrap();
+        assert!(text.starts_with("dart-farm-store v1\n"), "{text}");
+        let records: Vec<String> = text.lines().skip(1).map(str::to_string).collect();
+        assert!(
+            records
+                .iter()
+                .all(|l| l.starts_with("f ") && l.contains(" ~")),
+            "checksummed fingerprint records only\n{text}"
+        );
+        records
+    };
 
-    // Store hits change only the shared-hit counter (as-if-fresh
-    // accounting), so the result tables still match byte-for-byte after
-    // scrubbing the scheduling diagnostics.
+    let out1 = farm_run(1);
+    let persisted = fingerprints();
+    assert!(!persisted.is_empty(), "sessions derived children");
+    let out2 = farm_run(2);
+    assert_eq!(fingerprints(), persisted, "fingerprints persisted");
     assert_eq!(scrub_scheduling(&out1), scrub_scheduling(&out2));
 }
 
-/// Pulls `"name":N` out of a stream line.
-fn field_u64(line: &str, name: &str) -> u64 {
-    let key = format!("\"{name}\":");
-    let rest = &line[line.find(&key).unwrap() + key.len()..];
-    rest[..rest.find([',', '}']).unwrap()].parse().unwrap()
-}
-
-/// Blanks the scheduling-dependent `shared/wasted N/M | steals K`
-/// segment of each result-table line — the counters the determinism
-/// contract excludes. Everything else stays byte-exact.
+/// Blanks the scheduling-dependent `wasted N | steals K` segment of
+/// each result-table line — the counters the determinism contract
+/// excludes. Everything else stays byte-exact.
 fn scrub_scheduling(table: &str) -> String {
     let mut out = String::new();
     for line in table.lines() {
-        match (line.find("| shared/wasted "), line.find(" | frontier")) {
+        match (line.find("| wasted "), line.find(" | frontier")) {
             (Some(a), Some(b)) if a < b => {
                 out.push_str(&line[..a]);
-                out.push_str("| shared/wasted - | steals -");
+                out.push_str("| wasted - | steals -");
                 out.push_str(&line[b..]);
             }
             _ => out.push_str(line),
@@ -177,40 +167,116 @@ fn scrub_scheduling(table: &str) -> String {
     out
 }
 
-/// A corrupted store tail is truncated with a warning and the farm
-/// still completes with correct results — persistence can only add
-/// cache hits, never wrong verdicts.
+/// A corrupted store is truncated with one warning — from the
+/// supervisor, which rewrites the store before any worker reads it — and
+/// the farm still completes with correct results: persistence can only
+/// lose fingerprints, never change a verdict.
 #[test]
 fn corrupt_store_degrades_to_cold_cache() {
     let dir = tempdir("corrupt");
     let lib = write_library(&dir);
-    let store = dir.join("verdicts.store");
-    let base = ["--sweep", "h,g,ok", "--farm"];
-    let store_args = ["--store", store.to_str().unwrap()];
+    let store = dir.join("fingerprints.store");
+    let farm_run = |n: usize, with_store: bool| {
+        let mut cmd = dartc();
+        cmd.arg(&lib)
+            .args(["--sweep", "h,g,ok", "--farm"])
+            .args(["--mode", "generational", "--checkpoint"])
+            .arg(dir.join(format!("cp{n}")));
+        if with_store {
+            cmd.arg("--store").arg(&store);
+        }
+        run(&mut cmd)
+    };
 
-    let (_, reference, _) = run(dartc().arg(&lib).args(base));
-    run(dartc().arg(&lib).args(base).args(store_args));
+    let (_, reference, _) = farm_run(0, false);
+    farm_run(1, true);
 
     // Flip a byte in the middle of the store: everything from the bad
     // line on is dropped, with a warning.
     let mut text = std::fs::read_to_string(&store).unwrap();
+    assert!(text.lines().count() > 1, "fingerprints persisted\n{text}");
     let mid = text.len() / 2;
     text.replace_range(mid..mid + 1, "\u{7f}");
     std::fs::write(&store, &text).unwrap();
 
-    let (code, out, err) = run(dartc().arg(&lib).args(base).args(store_args));
+    let (code, out, err) = farm_run(2, true);
     assert_eq!(code, Some(1), "bugs still found\n{out}");
-    assert!(err.contains("warning:"), "corruption must warn\n{err}");
+    assert_eq!(
+        err.matches("warning:").count(),
+        1,
+        "corruption warns once\n{err}"
+    );
     assert_eq!(
         scrub_scheduling(&out),
         scrub_scheduling(&reference),
         "verdicts unchanged"
     );
 
-    // The flush after the run rewrote a clean store: a further run
-    // loads it silently.
-    let (_, _, err) = run(dartc().arg(&lib).args(base).args(store_args));
+    // The supervisor rewrote a clean store: a further run loads it
+    // silently.
+    let (_, _, err) = farm_run(3, true);
     assert!(err.is_empty(), "store healed after rewrite\n{err}");
+}
+
+/// A store written when the farm still persisted solver verdicts: the
+/// first farm run over it skips the retired `v ` records with one
+/// summary warning and rewrites the store before any worker reads it,
+/// keeping its fingerprints; a second run warns not at all.
+#[test]
+fn retired_verdict_records_warn_once_and_fingerprints_survive() {
+    let dir = tempdir("retired");
+    let lib = write_library(&dir);
+    let store = dir.join("old.store");
+    let fingerprints = [
+        "f 0000000000000001 0000000000000abc",
+        "f 0000000000000002 0000000000000def",
+    ];
+    let mut text = String::from("dart-farm-store v1\n");
+    for body in [
+        "v u 07 1",
+        fingerprints[0],
+        "v e 00 - unknown 0",
+        fingerprints[1],
+        "v u 0a1b 0",
+    ] {
+        text.push_str(&format!("{body} ~{:016x}\n", fnv64(body)));
+    }
+    std::fs::write(&store, text).unwrap();
+    let farm_run = || {
+        run(dartc()
+            .arg(&lib)
+            .args(["--sweep", "h,g,ok", "--farm", "--store"])
+            .arg(&store))
+    };
+
+    let (code, out, err) = farm_run();
+    assert_eq!(code, Some(1), "bugs still found\n{out}");
+    assert_eq!(
+        err.matches("warning:").count(),
+        1,
+        "one summary line\n{err}"
+    );
+    assert!(err.contains("skipped 3 retired"), "{err}");
+    let text = std::fs::read_to_string(&store).unwrap();
+    let bodies: Vec<&str> = text
+        .lines()
+        .skip(1)
+        .filter_map(|l| l.rsplit_once(" ~").map(|(body, _)| body))
+        .collect();
+    assert_eq!(bodies, fingerprints, "only the fingerprints remain\n{text}");
+
+    let (_, _, err) = farm_run();
+    assert!(err.is_empty(), "the rewritten store loads silently\n{err}");
+}
+
+/// FNV-1a over a store line's body: the store's per-line checksum.
+fn fnv64(body: &str) -> u64 {
+    let mut h: u64 = 0xcbf29ce484222325;
+    for b in body.bytes() {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x100000001b3);
+    }
+    h
 }
 
 /// SIGKILL a worker mid-session, then run the farm over the same
