@@ -52,10 +52,7 @@ use dart::{
 };
 use dart_bench::flag_value;
 use dart_ram::{DecodedProgram, MachineConfig};
-use dart_solver::simplex::{LpResult, LpRow, LpSession};
-use dart_solver::{
-    Constraint, LinExpr, QueryCache, Rat, RelOp, SolveOutcome, Solver, SolverConfig, Var,
-};
+use dart_solver::{Constraint, LinExpr, QueryCache, RelOp, Solver, SolverConfig, Var};
 use dart_sym::{BranchRecord, PathConstraint};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -287,107 +284,6 @@ fn generational_report(compiled: &dart_minic::CompiledProgram, dedup: bool) -> d
 
 fn generational_workload(compiled: &dart_minic::CompiledProgram, dedup: bool) -> usize {
     generational_report(compiled, dedup).runs as usize
-}
-
-/// The negated-prefix LP workload (`lp_warm/{cold,warm}`): a 24-variable
-/// monotone chain prefix (`y_i >= y_{i-1} + 1`, capped) kept pushed, then
-/// a stream of scratch frames each demanding a higher floor for the last
-/// variable — so the previous vertex never satisfies the new row and the
-/// session must really re-solve every time. A cold session pays a full
-/// Phase 1 over the whole chain per query; a warm one repairs its
-/// retained dictionary with a couple of dual pivots.
-fn lp_warm_workload(warm: bool) -> usize {
-    const N: usize = 24;
-    let r = Rat::from_int;
-    let mut sess = LpSession::with_warm(N, warm);
-    let mut prefix = Vec::with_capacity(N + 1);
-    let mut first = vec![r(0); N];
-    first[0] = r(-1);
-    prefix.push(LpRow {
-        coeffs: first,
-        rhs: r(-1), // y0 >= 1
-    });
-    for i in 1..N {
-        let mut coeffs = vec![r(0); N];
-        coeffs[i - 1] = r(1);
-        coeffs[i] = r(-1);
-        prefix.push(LpRow {
-            coeffs,
-            rhs: r(-1), // y_i >= y_{i-1} + 1
-        });
-    }
-    let mut cap = vec![r(0); N];
-    cap[N - 1] = r(1);
-    prefix.push(LpRow {
-        coeffs: cap,
-        rhs: r(100_000),
-    });
-    sess.push_frame(prefix);
-    let mut feas = 0;
-    for k in 1..=16i128 {
-        // Mostly feasible floors, with an every-4th query infeasible
-        // (y0 >= 200k against the cap via the chain) so the warm engine's
-        // dual infeasibility certificates are measured too.
-        let scratch = if k % 4 == 0 {
-            let mut coeffs = vec![r(0); N];
-            coeffs[0] = r(-1);
-            LpRow {
-                coeffs,
-                rhs: r(-200_000),
-            }
-        } else {
-            let mut coeffs = vec![r(0); N];
-            coeffs[N - 1] = r(-1);
-            LpRow {
-                coeffs,
-                rhs: r(-(N as i128) - 50 * k),
-            }
-        };
-        let mark = sess.push_frame(vec![scratch]);
-        if matches!(
-            sess.feasible().expect("chain workload stays in range"),
-            LpResult::Feasible(_)
-        ) {
-            feas += 1;
-        }
-        sess.pop_to(mark);
-    }
-    feas
-}
-
-/// The strategy-race workload (`portfolio/{lp_only,race}`): every query
-/// negates a difference chain's closing constraint, so the conjunction
-/// is LP-infeasible but interval propagation on wide boxes cannot see it
-/// and the FD search burns its whole node budget before giving up. With
-/// the portfolio off the session pays FD-budget-then-LP sequentially;
-/// with it on the LP's rational infeasibility certificate cancels the FD
-/// arm as soon as it lands.
-fn portfolio_workload(race: bool) -> usize {
-    let solver = Solver::new(SolverConfig {
-        max_fd_nodes: 2_000,
-        portfolio: race,
-        ..SolverConfig::default()
-    });
-    let path = vec![
-        Constraint::new(v(1).sub(&v(0)).offset(-1), RelOp::Ge), // x1 >= x0 + 1
-        Constraint::new(v(2).sub(&v(1)).offset(-1), RelOp::Ge), // x2 >= x1 + 1
-        Constraint::new(v(2).sub(&v(0)).offset(-2), RelOp::Ge), // x2 >= x0 + 2
-    ];
-    let mut sess = solver.session();
-    for c in &path {
-        sess.push(c);
-    }
-    let mut unsat = 0;
-    for _ in 0..4 {
-        // ¬(x2 >= x0 + 2) = x2 <= x0 + 1, contradicting the chain.
-        if matches!(
-            sess.solve_query(2, &path[2].negated(), |_| Some(0)),
-            SolveOutcome::Unsat
-        ) {
-            unsat += 1;
-        }
-    }
-    unsat
 }
 
 /// The execution-tier workload program: ~10k statements of concrete
@@ -650,22 +546,6 @@ fn main() -> ExitCode {
             "exec/compiled".to_string(),
             measure(|| exec_workload(&exec_lib, Some(&exec_decoded))),
         ),
-        (
-            "lp_warm/cold".to_string(),
-            measure(|| lp_warm_workload(false)),
-        ),
-        (
-            "lp_warm/warm".to_string(),
-            measure(|| lp_warm_workload(true)),
-        ),
-        (
-            "portfolio/lp_only".to_string(),
-            measure(|| portfolio_workload(false)),
-        ),
-        (
-            "portfolio/race".to_string(),
-            measure(|| portfolio_workload(true)),
-        ),
     ];
 
     let ratio = |num: &str, den: &str| -> Option<f64> {
@@ -679,7 +559,7 @@ fn main() -> ExitCode {
     };
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     // Each entry: (JSON key, human description, numerator, denominator).
-    let ratio_specs: [(&str, String, &str, &str); 5] = [
+    let ratio_specs: [(&str, String, &str, &str); 3] = [
         (
             "parallel_solve_speedup",
             format!("parallel solve speedup (1 -> 4 threads) on {cores} core(s)"),
@@ -697,18 +577,6 @@ fn main() -> ExitCode {
             "compiled execution tier (interp -> compiled)".to_string(),
             "exec/interp",
             "exec/compiled",
-        ),
-        (
-            "lp_warm_speedup",
-            "warm-started dual-simplex resolves (cold -> warm)".to_string(),
-            "lp_warm/cold",
-            "lp_warm/warm",
-        ),
-        (
-            "portfolio_speedup",
-            format!("strategy portfolio race (sequential -> racing) on {cores} core(s)"),
-            "portfolio/lp_only",
-            "portfolio/race",
         ),
     ];
     let mut ratios: Vec<(String, f64)> = Vec::new();
@@ -923,23 +791,6 @@ mod tests {
             dispatch_workload(Scheduler::Sequential),
             dispatch_workload(Scheduler::Pool(&pool))
         );
-    }
-
-    #[test]
-    fn lp_warm_workload_is_mode_invariant() {
-        // Warm and cold sessions must answer identically — otherwise the
-        // `lp_warm/{cold,warm}` pair measures different work. 12 of the
-        // 16 scratch floors are feasible; every 4th is the cap conflict.
-        assert_eq!(lp_warm_workload(false), 12);
-        assert_eq!(lp_warm_workload(true), 12);
-    }
-
-    #[test]
-    fn portfolio_workload_is_mode_invariant() {
-        // Racing must not change the verdicts — all four queries are the
-        // same LP-infeasible chain contradiction.
-        assert_eq!(portfolio_workload(false), 4);
-        assert_eq!(portfolio_workload(true), 4);
     }
 
     #[test]

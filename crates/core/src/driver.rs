@@ -77,26 +77,17 @@ pub enum ExecTier {
     Invalid,
 }
 
-/// Whether solver queries race the FD search against the warm LP as a
-/// portfolio ([`dart_solver::SolverConfig::portfolio`]).
+/// Ignored. It once chose whether solver queries raced the finite-domain
+/// search against an LP screen, a race that is gone; it stays only
+/// because the end-to-end benchmark still names it, and goes with the
+/// benchmark's replica of the directed loop (ROADMAP.md item 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PortfolioMode {
-    /// Strategies run sequentially on the query thread (the default).
+    /// Ignored, like the type.
     #[default]
     Off,
-    /// Each LP-eligible query races a hint-guided FD search against a
-    /// warm-LP infeasibility check on a scoped helper thread; the first
-    /// decisive verdict wins and the loser is cancelled. The committed
-    /// verdict — and so every deterministic report byte — is identical
-    /// to [`PortfolioMode::Off`]; only wall-clock and the scrubbed
-    /// `portfolio_*_wins` diagnostics change.
+    /// Ignored, like the type.
     On,
-    /// The sentinel a malformed `DART_PORTFOLIO` environment value
-    /// parses to; rejected by [`Dart::new`] and [`crate::sweep::sweep`]
-    /// with [`DartError::InvalidConfig`] instead of silently racing (or
-    /// not racing): a typo'd portfolio run must not masquerade as the
-    /// other mode.
-    Invalid,
 }
 
 /// Driver configuration.
@@ -142,7 +133,8 @@ pub struct DartConfig {
     /// [`crate::SolveStats::scrub_scheduling`]). The default
     /// honors the `DART_SOLVE_THREADS` environment variable when set, so
     /// an unmodified test suite can be exercised under parallel solving;
-    /// a malformed or zero value there is rejected by [`Dart::new`] with
+    /// a malformed or zero value there, or any value above
+    /// [`MAX_SOLVE_THREADS`], is rejected by [`Dart::new`] with
     /// [`DartError::InvalidConfig`], never silently ignored.
     pub solve_threads: usize,
     /// Ignored. It once shared solver verdicts across the sessions of a
@@ -197,16 +189,9 @@ pub struct DartConfig {
     /// is rejected by [`Dart::new`] with [`DartError::InvalidConfig`],
     /// never silently ignored.
     pub exec_tier: ExecTier,
-    /// Whether each LP-eligible solver query races the FD search against
-    /// the warm LP (see [`PortfolioMode`]). [`Dart::new`] normalizes this
-    /// into [`SolverConfig::portfolio`](dart_solver::SolverConfig) — the
-    /// single point where the mode reaches the solver, so pool workers
-    /// and sweep shards inherit it through the solver config they are
-    /// handed. The default honors the `DART_PORTFOLIO` environment
-    /// variable (`on` / `off`) when set, so the unmodified test suite
-    /// can be exercised under racing; a malformed value there is
-    /// rejected by [`Dart::new`] with [`DartError::InvalidConfig`],
-    /// never silently ignored.
+    /// Ignored (see [`PortfolioMode`]); it stays only because the
+    /// end-to-end benchmark still reads it, and goes with the benchmark's
+    /// replica of the directed loop (ROADMAP.md item 3).
     pub portfolio: PortfolioMode,
     /// Deterministic fault-injection plan, consulted by the driver and
     /// the sweep (tests and the `fault-injection` feature only). The
@@ -239,7 +224,7 @@ impl Default for DartConfig {
             frontier_dedup: true,
             checkpoint: None,
             exec_tier: exec_tier_default(),
-            portfolio: portfolio_default(),
+            portfolio: PortfolioMode::Off,
             #[cfg(any(test, feature = "fault-injection"))]
             faults: crate::supervise::FaultPlan::default(),
         }
@@ -259,7 +244,9 @@ fn solve_threads_default() -> usize {
 /// parses to the `0` sentinel, which [`Dart::new`] and
 /// [`crate::sweep::sweep`] reject with [`DartError::InvalidConfig`]
 /// instead of silently falling back to sequential solving: a typo'd
-/// parallel run must not masquerade as a passing sequential one.
+/// parallel run must not masquerade as a passing sequential one. A value
+/// above [`MAX_SOLVE_THREADS`] parses as it reads, and the same
+/// validation rejects it.
 fn parse_solve_threads(env: Option<&str>) -> usize {
     match env {
         None => 1,
@@ -298,30 +285,6 @@ fn parse_exec_tier(env: Option<&str>) -> ExecTier {
     }
 }
 
-/// The [`DartConfig::portfolio`] default: `DART_PORTFOLIO` when set to
-/// `on` or `off`, else off. An environment hook for the same reason as
-/// [`exec_tier_default`]: CI runs the unmodified tier-1 suite with the
-/// portfolio racing, and byte-identical reports make that a pure
-/// re-exercise of the deterministic-commit claim.
-fn portfolio_default() -> PortfolioMode {
-    parse_portfolio(std::env::var("DART_PORTFOLIO").ok().as_deref())
-}
-
-/// Parses a `DART_PORTFOLIO` value. Unset means off; a
-/// set-but-unrecognized value parses to [`PortfolioMode::Invalid`],
-/// which [`Dart::new`] and [`crate::sweep::sweep`] reject with
-/// [`DartError::InvalidConfig`].
-fn parse_portfolio(env: Option<&str>) -> PortfolioMode {
-    match env {
-        None => PortfolioMode::Off,
-        Some(v) => match v.trim() {
-            "on" => PortfolioMode::On,
-            "off" => PortfolioMode::Off,
-            _ => PortfolioMode::Invalid,
-        },
-    }
-}
-
 /// Error constructing a [`Dart`] session.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DartError {
@@ -345,11 +308,18 @@ impl fmt::Display for DartError {
 
 impl std::error::Error for DartError {}
 
+/// The largest [`DartConfig::solve_threads`] a session accepts. Each
+/// unit is one OS thread of the session's [`SolvePool`], so an unbounded
+/// value would exhaust the host instead of failing as a configuration
+/// error.
+pub const MAX_SOLVE_THREADS: usize = 256;
+
 /// The configuration checks [`Dart::new`] and [`crate::sweep()`] share:
 /// `solve_threads` of 0 (also what a malformed `DART_SOLVE_THREADS`
-/// parses to), a `frontier_budget` of `Some(0)`, a checkpoint outside the
-/// generational engine, and the `Invalid` exec-tier and portfolio
-/// sentinels of malformed environment values.
+/// parses to) or above [`MAX_SOLVE_THREADS`], a `frontier_budget` of
+/// `Some(0)`, a checkpoint outside the generational engine, and the
+/// `Invalid` exec-tier sentinel of a malformed environment value. Both
+/// callers run it before they build a [`SolvePool`].
 pub(crate) fn validate(config: &DartConfig) -> Result<(), DartError> {
     let invalid = |reason: &str| Err(DartError::InvalidConfig(reason.to_string()));
     if config.solve_threads == 0 {
@@ -357,6 +327,12 @@ pub(crate) fn validate(config: &DartConfig) -> Result<(), DartError> {
             "solve_threads must be at least 1 (set via DartConfig::solve_threads \
              or a valid positive DART_SOLVE_THREADS)",
         );
+    }
+    if config.solve_threads > MAX_SOLVE_THREADS {
+        return Err(DartError::InvalidConfig(format!(
+            "solve_threads must be at most {MAX_SOLVE_THREADS}, not {}",
+            config.solve_threads
+        )));
     }
     if config.frontier_budget == Some(0) {
         return invalid("frontier_budget must be at least 1 (omit it for an unbounded frontier)");
@@ -368,9 +344,6 @@ pub(crate) fn validate(config: &DartConfig) -> Result<(), DartError> {
         return invalid(
             "exec_tier is unrecognized (DART_EXEC_TIER must be `interp` or `compiled`)",
         );
-    }
-    if config.portfolio == PortfolioMode::Invalid {
-        return invalid("portfolio mode is unrecognized (DART_PORTFOLIO must be `on` or `off`)");
     }
     Ok(())
 }
@@ -421,7 +394,8 @@ impl<'p> Dart<'p> {
     /// [`DartError::InvalidConfig`] if `solve_threads` is 0 — which is
     /// also what a malformed `DART_SOLVE_THREADS` environment value
     /// parses to, so a typo'd parallel run errors out instead of
-    /// silently running sequentially — if `frontier_budget` is
+    /// silently running sequentially — or above [`MAX_SOLVE_THREADS`],
+    /// if `frontier_budget` is
     /// `Some(0)` (a frontier that can hold nothing can run nothing), or
     /// if `checkpoint` is set outside the generational engine, names an
     /// unreadable or malformed file, or was recorded under a different
@@ -429,13 +403,9 @@ impl<'p> Dart<'p> {
     pub fn new(
         compiled: &'p CompiledProgram,
         toplevel: &str,
-        mut config: DartConfig,
+        config: DartConfig,
     ) -> Result<Dart<'p>, DartError> {
         validate(&config)?;
-        // The single normalization point: everything downstream — the
-        // commit session, pool workers, sweep shards — reads the solver
-        // config, never `DartConfig::portfolio` directly.
-        config.solver.portfolio = config.portfolio == PortfolioMode::On;
         let checkpoint = match &config.checkpoint {
             None => None,
             Some(path) => match std::fs::read_to_string(path) {
@@ -808,7 +778,6 @@ impl<'p> Dart<'p> {
                 // path constraint, which shares a prefix with the previous
                 // expansion's: the retained session pushes only the rest.
                 let mut session = cache.take_session(&solver, &constraints[..upper]);
-                let walk_start = session.stats();
                 // Candidate collection, dedup first: a fingerprint already
                 // derived (this restart or an earlier one) skips its
                 // solver query entirely, at the sound cost of the
@@ -900,13 +869,9 @@ impl<'p> Dart<'p> {
                         }
                     }
                 }
-                report.solver.finish_walk(
-                    speculated.as_ref(),
-                    consumed,
-                    session,
-                    walk_start,
-                    &mut cache,
-                );
+                report
+                    .solver
+                    .finish_walk(speculated.as_ref(), consumed, session, &mut cache);
                 report.solve_time += solve_started.elapsed();
                 report.dedup_hits = frontier.dedup_hits;
                 report.frontier_evicted = frontier.evicted;
@@ -1053,66 +1018,6 @@ mod tests {
         assert_eq!(parse_exec_tier(Some("jit")), ExecTier::Invalid);
     }
 
-    /// `DART_PORTFOLIO` parsing: unset is off; any set-but-unrecognized
-    /// value parses to the `Invalid` sentinel that `Dart::new` / `sweep`
-    /// reject — never a silent fallback to either mode.
-    #[test]
-    fn portfolio_env_parsing_is_strict() {
-        assert_eq!(parse_portfolio(None), PortfolioMode::Off);
-        assert_eq!(parse_portfolio(Some("on")), PortfolioMode::On);
-        assert_eq!(parse_portfolio(Some("off")), PortfolioMode::Off);
-        assert_eq!(parse_portfolio(Some(" on ")), PortfolioMode::On);
-        assert_eq!(parse_portfolio(Some("")), PortfolioMode::Invalid);
-        assert_eq!(parse_portfolio(Some("1")), PortfolioMode::Invalid);
-        assert_eq!(parse_portfolio(Some("On")), PortfolioMode::Invalid);
-        assert_eq!(parse_portfolio(Some("race")), PortfolioMode::Invalid);
-    }
-
-    #[test]
-    fn invalid_portfolio_mode_rejected_at_session_construction() {
-        let compiled = dart_minic::compile("int f(int x) { return x; }").unwrap();
-        let config = DartConfig {
-            portfolio: PortfolioMode::Invalid,
-            ..DartConfig::default()
-        };
-        match Dart::new(&compiled, "f", config) {
-            Err(DartError::InvalidConfig(reason)) => {
-                assert!(reason.contains("DART_PORTFOLIO"), "{reason}");
-            }
-            other => panic!("expected InvalidConfig, got {:?}", other.map(|_| ())),
-        }
-    }
-
-    /// `Dart::new` is the single point normalizing `DartConfig::portfolio`
-    /// into the solver config the session (and its pool workers) run on.
-    #[test]
-    fn portfolio_mode_normalized_into_solver_config() {
-        let compiled = dart_minic::compile("int f(int x) { return x; }").unwrap();
-        let on = Dart::new(
-            &compiled,
-            "f",
-            DartConfig {
-                portfolio: PortfolioMode::On,
-                ..DartConfig::default()
-            },
-        )
-        .unwrap();
-        assert!(on.config().solver.portfolio);
-        // Explicit Off rather than the default: the default consults the
-        // ambient `DART_PORTFOLIO`, and this test must pass under the CI
-        // leg that exports it.
-        let off = Dart::new(
-            &compiled,
-            "f",
-            DartConfig {
-                portfolio: PortfolioMode::Off,
-                ..DartConfig::default()
-            },
-        )
-        .unwrap();
-        assert!(!off.config().solver.portfolio);
-    }
-
     #[test]
     fn invalid_exec_tier_rejected_at_session_construction() {
         let compiled = dart_minic::compile("int f(int x) { return x; }").unwrap();
@@ -1140,6 +1045,59 @@ mod tests {
                 assert!(reason.contains("solve_threads"), "{reason}");
             }
             other => panic!("expected InvalidConfig, got {:?}", other.map(|_| ())),
+        }
+    }
+
+    /// `solve_threads` is capped: one past the cap is rejected before
+    /// `Dart::new` builds anything, the cap itself passes validation.
+    /// No pool is built here: `validate` alone is asked about the cap.
+    #[test]
+    fn oversized_solve_threads_rejected_at_session_construction() {
+        let compiled = dart_minic::compile("int f(int x) { return x; }").unwrap();
+        let config = |solve_threads| DartConfig {
+            solve_threads,
+            exec_tier: ExecTier::Interp,
+            ..DartConfig::default()
+        };
+        match Dart::new(&compiled, "f", config(MAX_SOLVE_THREADS + 1)) {
+            Err(DartError::InvalidConfig(reason)) => {
+                assert!(reason.contains("at most 256"), "{reason}");
+            }
+            other => panic!("expected InvalidConfig, got {:?}", other.map(|_| ())),
+        }
+        assert!(validate(&config(usize::MAX)).is_err());
+        assert_eq!(validate(&config(MAX_SOLVE_THREADS)), Ok(()));
+    }
+
+    proptest::proptest! {
+        /// Whatever string `DART_SOLVE_THREADS` holds, parsing it and
+        /// validating the result never panics, and validation accepts
+        /// exactly the values that read as an integer in `1..=256`.
+        #[test]
+        fn solve_threads_env_is_validated_to_its_range(
+            text in proptest::prop_oneof![
+                // Short strings over digits, signs, spaces, a letter and
+                // a multi-byte character.
+                proptest::collection::vec(0usize..10, 0..8).prop_map(|picks| {
+                    let alphabet: Vec<char> = "0256 9-+x\u{e9}".chars().collect();
+                    picks.into_iter().map(|i| alphabet[i]).collect::<String>()
+                }),
+                (0u64..600).prop_map(|n| n.to_string()),
+                proptest::prelude::any::<u64>().prop_map(|n| format!(" {n} ")),
+            ],
+        ) {
+            let threads = parse_solve_threads(Some(&text));
+            let config = DartConfig {
+                solve_threads: threads,
+                exec_tier: ExecTier::Interp,
+                ..DartConfig::default()
+            };
+            let accepted = validate(&config).is_ok();
+            let expected = text
+                .trim()
+                .parse::<usize>()
+                .is_ok_and(|n| (1..=MAX_SOLVE_THREADS).contains(&n));
+            proptest::prop_assert_eq!(accepted, expected, "{:?} parsed to {}", text, threads);
         }
     }
 
@@ -1208,7 +1166,8 @@ mod tests {
 
     /// The scheduler changes nothing observable: pooled and sequential
     /// sessions over the same program and seed produce byte-identical
-    /// reports after scrubbing scheduling diagnostics.
+    /// reports after scrubbing scheduling diagnostics, in both engine
+    /// modes that solve.
     #[test]
     fn scheduler_mode_is_report_invisible() {
         let compiled = dart_minic::compile(
@@ -1223,48 +1182,12 @@ mod tests {
             "#,
         )
         .unwrap();
-        let run = |threads: usize| {
-            let config = DartConfig {
-                max_runs: 60,
-                stop_at_first_bug: false,
-                solve_threads: threads,
-                ..DartConfig::default()
-            };
-            let mut report = Dart::new(&compiled, "f", config).unwrap().run();
-            report.exec_time = std::time::Duration::ZERO;
-            report.solve_time = std::time::Duration::ZERO;
-            report.solver.scrub_scheduling();
-            report
-        };
-        assert_eq!(run(1), run(4), "pooled");
-    }
-
-    /// The portfolio knob changes nothing observable either: racing and
-    /// sequential-strategy sessions over the same program and seed
-    /// produce byte-identical reports after scrubbing the scheduling
-    /// diagnostics — across engine modes and solve-thread counts, so the
-    /// race composes with speculative parallel walks.
-    #[test]
-    fn portfolio_mode_is_report_invisible() {
-        let compiled = dart_minic::compile(
-            r#"
-            int f(int x, int y) {
-                if (x + y > 10)
-                    if (x - y < 3)
-                        if (2 * x == y + 14)
-                            abort();
-                return 0;
-            }
-            "#,
-        )
-        .unwrap();
         for mode in [EngineMode::Directed, EngineMode::Generational] {
-            let run = |portfolio: PortfolioMode, threads: usize| {
+            let run = |threads: usize| {
                 let config = DartConfig {
                     max_runs: 60,
                     stop_at_first_bug: false,
                     mode,
-                    portfolio,
                     solve_threads: threads,
                     ..DartConfig::default()
                 };
@@ -1274,9 +1197,7 @@ mod tests {
                 report.solver.scrub_scheduling();
                 report
             };
-            let plain = run(PortfolioMode::Off, 1);
-            assert_eq!(plain, run(PortfolioMode::On, 1), "{mode:?} race");
-            assert_eq!(plain, run(PortfolioMode::On, 4), "{mode:?} race, pooled");
+            assert_eq!(run(1), run(4), "{mode:?} pooled");
         }
     }
 
@@ -1327,8 +1248,7 @@ mod tests {
                 report.blocks_fused = 0;
                 report.block_fallbacks = 0;
                 report.steps_fast_pathed = 0;
-                // Under an ambient `DART_PORTFOLIO=on` or
-                // `DART_SOLVE_THREADS` > 1, the LP/portfolio and pool
+                // Under an ambient `DART_SOLVE_THREADS` > 1 the pool
                 // counters are timing-dependent; they are scheduling
                 // diagnostics, not observables.
                 report.solver.scrub_scheduling();

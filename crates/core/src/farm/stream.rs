@@ -30,8 +30,7 @@ pub(crate) fn function_line(
             "{common},\"outcome\":\"finished\",\"retried\":{retried},\
              \"runs\":{},\"bugs\":{},\"complete\":{},\"unknown_rate\":{:.4},\
              \"blocks_fused\":{},\"block_fallbacks\":{},\
-             \"steps_fast_pathed\":{},\"warm_pivots\":{},\"cold_restarts\":{},\
-             \"portfolio_fd_wins\":{},\"portfolio_lp_wins\":{},\"summary\":\"{}\"}}",
+             \"steps_fast_pathed\":{},\"summary\":\"{}\"}}",
             report.runs,
             report.bugs.len(),
             report.is_complete(),
@@ -39,10 +38,6 @@ pub(crate) fn function_line(
             report.blocks_fused,
             report.block_fallbacks,
             report.steps_fast_pathed,
-            report.solver.warm_pivots,
-            report.solver.cold_restarts,
-            report.solver.portfolio_fd_wins,
-            report.solver.portfolio_lp_wins,
             json_escape(&report.to_string()),
         ),
         SweepOutcome::EngineFault { message, retried } => format!(
@@ -100,8 +95,7 @@ mod tests {
         assert!(line.contains("\"wall_ms\":250"));
         assert!(line.contains("\"unknown_rate\":0.0000"));
         assert!(line.contains("\"blocks_fused\":0"));
-        assert!(line.contains("\"warm_pivots\":0"));
-        assert!(line.contains("\"portfolio_fd_wins\":0"));
+        assert!(line.contains("\"steps_fast_pathed\":0,\"summary\":"));
         assert!(line.ends_with('}'));
 
         let fault = SweepResult {

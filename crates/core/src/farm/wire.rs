@@ -13,12 +13,13 @@
 //! a lossy wire format would silently break that. Both directions
 //! destructure the structs exhaustively, so adding a report field
 //! without extending the protocol is a compile error, not a silent
-//! truncation.
+//! truncation. The two ignored [`SolveStats`] counters (`warm_pivots`,
+//! `cold_restarts`) always read 0 and are not carried.
 //!
 //! Layout (`-` marks an empty list field throughout):
 //!
 //! ```text
-//! dart-farm-worker v2
+//! dart-farm-worker v3
 //! fp <scope hex16> <key hex16>  (0+)
 //! report | fault <escaped message>
 //! ...report block...
@@ -34,7 +35,7 @@ use std::time::Duration;
 
 /// First line of every worker document: versions the protocol so a
 /// supervisor never misparses output from a mismatched binary.
-pub(crate) const HEADER: &str = "dart-farm-worker v2";
+pub(crate) const HEADER: &str = "dart-farm-worker v3";
 
 /// What a worker produced for its function.
 #[derive(Debug, Clone, PartialEq)]
@@ -172,16 +173,13 @@ fn render_report(text: &mut String, report: &SessionReport) {
         pool_idle_ns,
         max_queue_depth,
         per_worker_solves,
-        warm_pivots,
-        cold_restarts,
-        portfolio_fd_wins,
-        portfolio_lp_wins,
+        warm_pivots: _,
+        cold_restarts: _,
     } = solver;
     let _ = writeln!(
         text,
         "solver {sat} {unsat} {unknown} {cache_hits} {cache_model_reuse} {split_solves} \
-         {parallel_wasted} {steals} {pool_idle_ns} {max_queue_depth} \
-         {warm_pivots} {cold_restarts} {portfolio_fd_wins} {portfolio_lp_wins}"
+         {parallel_wasted} {steals} {pool_idle_ns} {max_queue_depth}"
     );
     let _ = writeln!(text, "workers {}", render_u64_list(per_worker_solves));
     let _ = writeln!(
@@ -231,7 +229,7 @@ fn parse_report(lines: &mut Lines<'_>) -> Result<SessionReport, String> {
     let branches = lines.field_list("branches", 2)?;
     let frontier = lines.field_list("frontier", 3)?;
     let blocks = lines.field_list("blocks", 3)?;
-    let solver_fields = lines.field_list("solver", 14)?;
+    let solver_fields = lines.field_list("solver", 10)?;
     let workers_line = lines.field_rest("workers")?;
     let per_worker_solves =
         parse_u64_list(&workers_line).ok_or_else(|| lines.err("bad workers list"))?;
@@ -283,10 +281,8 @@ fn parse_report(lines: &mut Lines<'_>) -> Result<SessionReport, String> {
             pool_idle_ns: solver_fields[8],
             max_queue_depth: solver_fields[9],
             per_worker_solves,
-            warm_pivots: solver_fields[10],
-            cold_restarts: solver_fields[11],
-            portfolio_fd_wins: solver_fields[12],
-            portfolio_lp_wins: solver_fields[13],
+            warm_pivots: 0,
+            cold_restarts: 0,
         },
         steps,
         branches_covered: branches[0] as usize,
@@ -566,10 +562,6 @@ mod tests {
         report.solver.unknown = 1;
         report.solver.pool_idle_ns = 12345;
         report.solver.per_worker_solves = vec![3, 0, 9];
-        report.solver.warm_pivots = 42;
-        report.solver.cold_restarts = 2;
-        report.solver.portfolio_fd_wins = 8;
-        report.solver.portfolio_lp_wins = 5;
         report.exec_time = Duration::new(1, 999_999_999);
         report.solve_time = Duration::from_nanos(1);
         report.blocks_fused = 311;
@@ -672,11 +664,21 @@ mod tests {
             "trailing data"
         );
         assert!(parse_output("nonsense\n").is_err());
-        // A v1 worker's document, header or retired `verdict` line.
-        let v1 = full.replacen(HEADER, "dart-farm-worker v1", 1);
-        assert!(parse_output(&v1).is_err(), "v1 header");
+        // An older worker's document: a v1 or v2 header, v1's retired
+        // `verdict` line, or v2's four trailing solver counters on the
+        // `solver` line.
+        for old in ["dart-farm-worker v1", "dart-farm-worker v2"] {
+            let old_header = full.replacen(HEADER, old, 1);
+            assert!(parse_output(&old_header).is_err(), "{old} header");
+        }
         let verdict = full.replacen("report\n", "verdict u 07 1\nreport\n", 1);
         assert!(parse_output(&verdict).is_err(), "verdict line");
+        let solver_line = full
+            .lines()
+            .find(|l| l.starts_with("solver "))
+            .expect("a solver line");
+        let v2_solver = full.replacen(solver_line, &format!("{solver_line} 42 2 8 5"), 1);
+        assert!(parse_output(&v2_solver).is_err(), "v2 solver line");
     }
 
     /// `Duration::new` carries a nanosecond field of a second or more

@@ -70,7 +70,9 @@ pub mod supervise;
 pub mod sweep;
 pub mod tape;
 
-pub use driver::{Dart, DartConfig, DartError, EngineMode, ExecTier, PortfolioMode};
+pub use driver::{
+    Dart, DartConfig, DartError, EngineMode, ExecTier, PortfolioMode, MAX_SOLVE_THREADS,
+};
 pub use exec::{run_once, run_once_in_tier, run_once_traced, RunResult, RunTermination};
 pub use farm::{run_farm, run_worker, FarmJob, FarmOptions};
 pub use frontier::CheckpointParseError;

@@ -226,9 +226,11 @@ impl SolvePool {
     ///
     /// # Panics
     ///
-    /// Panics if `workers` is 0 — the callers ([`crate::Dart::run`],
-    /// [`crate::sweep::sweep`]) only build a pool for `solve_threads > 1`
-    /// and validate the configuration first.
+    /// Panics if `workers` is 0, or if the OS refuses to spawn a worker
+    /// thread. The callers ([`crate::Dart::run`], [`crate::sweep::sweep`])
+    /// only build a pool for `solve_threads > 1` and validate the
+    /// configuration first, which caps `solve_threads` at
+    /// [`crate::MAX_SOLVE_THREADS`] (256) workers.
     pub fn new(workers: usize) -> SolvePool {
         assert!(workers > 0, "a solve pool needs at least one worker");
         let inner = Arc::new(Inner {

@@ -189,8 +189,7 @@ impl fmt::Display for SessionReport {
             "{outcome} | runs {} | bugs {} | divergences {} | restarts {} | \
              solver sat/unsat/unknown {}/{}/{} (unknown rate {:.1}%) | \
              cache hits/reuse/splits {}/{}/{} | \
-             wasted {} | steals {} | lp pivots/colds {}/{} | \
-             portfolio fd/lp wins {}/{} | frontier dedup/evict/peak {}/{}/{} | \
+             wasted {} | steals {} | frontier dedup/evict/peak {}/{}/{} | \
              branch cov {}/{}",
             self.runs,
             self.bugs.len(),
@@ -205,10 +204,6 @@ impl fmt::Display for SessionReport {
             self.solver.split_solves,
             self.solver.parallel_wasted,
             self.solver.steals,
-            self.solver.warm_pivots,
-            self.solver.cold_restarts,
-            self.solver.portfolio_fd_wins,
-            self.solver.portfolio_lp_wins,
             self.dedup_hits,
             self.frontier_evicted,
             self.frontier_peak,

@@ -30,8 +30,7 @@ use crate::pool::{SolvePool, WalkItem, WalkRequest, WalkVerdicts};
 use crate::supervise::FaultState;
 use crate::tape::InputTape;
 use dart_solver::{
-    Assignment, CacheStats, Constraint, PrefixSession, QueryCache, SessionStats, SolveOutcome,
-    Solver,
+    Assignment, CacheStats, Constraint, PrefixSession, QueryCache, SolveOutcome, Solver,
 };
 use dart_sym::{BranchRecord, PathConstraint};
 use rand::rngs::SmallRng;
@@ -112,24 +111,13 @@ pub struct SolveStats {
     /// shared across a sweep these count the whole pool's work as seen
     /// by this session's walks.
     pub per_worker_solves: Vec<u64>,
-    /// Dual-simplex pivots performed by warm-started LP resolves
-    /// (committed sessions only — pool workers' speculative sessions are
-    /// discarded, so the total depends on which walks committed where;
-    /// scheduling-dependent, scrubbed like the counters above).
+    /// Ignored; always 0. It once counted the pivots of a warm LP screen
+    /// that is gone; it stays only because the end-to-end benchmark still
+    /// reads it, and goes with the benchmark's replica of the directed
+    /// loop (ROADMAP.md item 3).
     pub warm_pivots: u64,
-    /// Warm LP dictionaries discarded for a cold two-phase solve (first
-    /// query of a session, pivot-budget exhaustion, or arithmetic
-    /// overflow). Scheduling-dependent for the same reason as
-    /// [`SolveStats::warm_pivots`].
+    /// Ignored; always 0, like [`SolveStats::warm_pivots`].
     pub cold_restarts: u64,
-    /// Portfolio races decided by the FD-search arm (a verified model
-    /// beat the LP). Counted only with `--portfolio on`; which arm wins
-    /// never changes the committed verdict, but the tally is
-    /// mode-dependent, so it is scrubbed with the scheduling counters.
-    pub portfolio_fd_wins: u64,
-    /// Portfolio races decided by the warm-LP arm (rational infeasibility
-    /// beat the FD search). See [`SolveStats::portfolio_fd_wins`].
-    pub portfolio_lp_wins: u64,
 }
 
 impl SolveStats {
@@ -154,16 +142,14 @@ impl SolveStats {
 
     /// Closes one walk — a [`solve_next`] call or one generational
     /// expansion — on the session totals. Folds in the walk's speculation,
-    /// of whose fresh verdicts the commit consumed `consumed`; adds the
-    /// LP/portfolio counters the committing `session` gathered since its
-    /// `walk_start` snapshot; hands the session back to `cache` for the
-    /// next walk; and copies the cache counters.
+    /// of whose fresh verdicts the commit consumed `consumed`; hands the
+    /// committing `session` back to `cache` for the next walk; and copies
+    /// the cache counters.
     pub(crate) fn finish_walk(
         &mut self,
         speculated: Option<&WalkVerdicts>,
         consumed: u64,
         session: PrefixSession,
-        walk_start: SessionStats,
         cache: &mut QueryCache,
     ) {
         if let Some(spec) = speculated {
@@ -188,34 +174,21 @@ impl SolveStats {
                 *acc += w;
             }
         }
-        // Pool workers solve on sessions of their own that are dropped
-        // after the walk, so these totals depend on how much the commit
-        // solved locally — diagnostics, scrubbed with the rest.
-        let walk = session.stats() - walk_start;
-        self.warm_pivots += walk.warm_pivots;
-        self.cold_restarts += walk.cold_restarts;
-        self.portfolio_fd_wins += walk.portfolio_fd_wins;
-        self.portfolio_lp_wins += walk.portfolio_lp_wins;
         cache.retain_session(session);
         self.absorb_cache(cache);
     }
 
     /// Zeroes every scheduling-dependent diagnostic — the counters the
     /// determinism contract explicitly excludes (`parallel_wasted`,
-    /// `steals`, `pool_idle_ns`, `max_queue_depth`, `per_worker_solves`,
-    /// `warm_pivots`, `cold_restarts`, `portfolio_fd_wins`,
-    /// `portfolio_lp_wins`). After this, two reports of the same session
-    /// under any scheduler × portfolio-mode combination compare equal.
+    /// `steals`, `pool_idle_ns`, `max_queue_depth`, `per_worker_solves`).
+    /// After this, two reports of the same session under any scheduler
+    /// and thread count compare equal.
     pub fn scrub_scheduling(&mut self) {
         self.parallel_wasted = 0;
         self.steals = 0;
         self.pool_idle_ns = 0;
         self.max_queue_depth = 0;
         self.per_worker_solves.clear();
-        self.warm_pivots = 0;
-        self.cold_restarts = 0;
-        self.portfolio_fd_wins = 0;
-        self.portfolio_lp_wins = 0;
     }
 
     /// The session's completeness margin: `Unknown` verdicts as a
@@ -283,7 +256,6 @@ pub fn solve_next(
     // pushes only the new suffix.
     let prefix = &path.constraints()[..n];
     let mut session = cache.take_session(solver, prefix);
-    let walk_start = session.stats();
     let mut speculated = speculate(scheduler, prefix, &candidates, &session, tape, cache, true);
     // The commit walk: sequential, in strategy order. Identical to the
     // plain walk except that positions the workers fresh-solved consume
@@ -320,7 +292,7 @@ pub fn solve_next(
             SolveOutcome::Unknown => stats.unknown += 1,
         }
     }
-    stats.finish_walk(speculated.as_ref(), consumed, session, walk_start, cache);
+    stats.finish_walk(speculated.as_ref(), consumed, session, cache);
     found
 }
 
@@ -421,8 +393,6 @@ mod tests {
             per_worker_solves: vec![12, 13],
             warm_pivots: 14,
             cold_restarts: 15,
-            portfolio_fd_wins: 16,
-            portfolio_lp_wins: 17,
         };
         stats.scrub_scheduling();
         let expected = SolveStats {
@@ -437,10 +407,8 @@ mod tests {
             pool_idle_ns: 0,
             max_queue_depth: 0,
             per_worker_solves: Vec::new(),
-            warm_pivots: 0,
-            cold_restarts: 0,
-            portfolio_fd_wins: 0,
-            portfolio_lp_wins: 0,
+            warm_pivots: 14,
+            cold_restarts: 15,
         };
         assert_eq!(stats, expected);
     }
@@ -724,19 +692,16 @@ mod tests {
         }
     }
 
-    /// The portfolio race changes no walk observable: across every
-    /// scheduler × fault-injection combination, `solve_next` with a
-    /// racing solver returns the same `NextStep` and the same scrubbed
-    /// stats as the plain strategy order (the `portfolio_*_wins` and LP
-    /// counters are scheduling/mode diagnostics, zeroed by the scrub).
+    /// On a path mixing satisfiable and unsatisfiable flips, every
+    /// scheduler × fault-injection combination returns the same
+    /// `NextStep` and the same scrubbed stats as the sequential walk.
     #[test]
-    fn portfolio_walk_matches_plain_across_schedulers_and_faults() {
+    fn mixed_walk_matches_sequential_across_schedulers_and_faults() {
         let pool = SolvePool::new(4);
         for fault in [None, Some(0u64), Some(1u64)] {
-            let run = |portfolio: bool, scheduler: Scheduler<'_>| {
-                // A mix of sat and unsat flips so both race outcomes
-                // (fd-model wins, LP-infeasibility wins) are exercised:
-                // x == 1 (taken), x < 100 (taken), x != 5.
+            let run = |scheduler: Scheduler<'_>| {
+                // x == 1 (taken), x < 100 (taken), x != 5: the deepest two
+                // flips are unsat, the shallowest is sat.
                 let mut pc = PathConstraint::new();
                 pc.push(Constraint::new(LinExpr::var(Var(0)).offset(-1), RelOp::Eq));
                 pc.push(Constraint::new(
@@ -751,10 +716,6 @@ mod tests {
                     record(true, false),
                     record(false, false),
                 ];
-                let solver = Solver::new(dart_solver::SolverConfig {
-                    portfolio,
-                    ..dart_solver::SolverConfig::default()
-                });
                 let mut rng = SmallRng::seed_from_u64(0);
                 let mut stats = SolveStats::default();
                 let config = crate::DartConfig {
@@ -769,7 +730,7 @@ mod tests {
                     &pc,
                     &stack,
                     &tape,
-                    &solver,
+                    &Solver::default(),
                     &mut QueryCache::default(),
                     Strategy::Dfs,
                     &mut rng,
@@ -780,16 +741,11 @@ mod tests {
                 stats.scrub_scheduling();
                 (step.map(|s| (s.stack, s.model)), stats)
             };
-            let baseline = run(false, Scheduler::Sequential);
-            for portfolio in [false, true] {
-                for scheduler in [Scheduler::Sequential, Scheduler::Pool(&pool)] {
-                    assert_eq!(
-                        baseline,
-                        run(portfolio, scheduler),
-                        "portfolio={portfolio} {scheduler:?} fault={fault:?}"
-                    );
-                }
-            }
+            assert_eq!(
+                run(Scheduler::Sequential),
+                run(Scheduler::Pool(&pool)),
+                "fault={fault:?}"
+            );
         }
     }
 

@@ -74,9 +74,10 @@ impl SweepResult {
 /// [`DartError::InvalidConfig`] if `threads` is 0, or for any config
 /// [`Dart::new`] would reject: a [`DartConfig::solve_threads`] of 0
 /// (which is also what a malformed `DART_SOLVE_THREADS` environment
-/// value parses to), a [`DartConfig::frontier_budget`] of `Some(0)`, a
+/// value parses to) or above [`crate::MAX_SOLVE_THREADS`], a
+/// [`DartConfig::frontier_budget`] of `Some(0)`, a
 /// [`DartConfig::checkpoint`] outside the generational engine, or an
-/// unrecognized exec tier or portfolio mode.
+/// unrecognized exec tier.
 ///
 /// # Checkpoints
 ///
@@ -358,6 +359,21 @@ mod tests {
         };
         match sweep(&compiled, &names(), &bad, 2) {
             Err(DartError::InvalidConfig(reason)) => assert!(reason.contains("solve_threads")),
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+    }
+
+    /// A `solve_threads` past the cap fails the sweep up front too,
+    /// before its shared pool would spawn that many OS threads.
+    #[test]
+    fn oversized_solve_threads_is_an_error_not_a_pool() {
+        let compiled = library();
+        let bad = DartConfig {
+            solve_threads: crate::MAX_SOLVE_THREADS + 1,
+            ..config()
+        };
+        match sweep(&compiled, &names(), &bad, 2) {
+            Err(DartError::InvalidConfig(reason)) => assert!(reason.contains("at most 256")),
             other => panic!("expected InvalidConfig, got {other:?}"),
         }
     }

@@ -88,7 +88,8 @@ impl CompiledProgram {
 ///
 /// # Errors
 ///
-/// Returns the first lexing, parsing, or semantic error.
+/// Returns the first lexing, parsing, or semantic error, including input
+/// nested deeper than [`MAX_NESTING`](crate::parser::MAX_NESTING).
 ///
 /// # Examples
 ///

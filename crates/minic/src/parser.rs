@@ -5,19 +5,54 @@ use crate::diag::CompileError;
 use crate::lexer::lex;
 use crate::token::{Keyword, Pos, Punct, Token, TokenKind};
 
+/// The deepest nesting the parser accepts: the height of a function body's
+/// syntax tree. Every statement counts one level below the one that holds
+/// it, and every expression node one level below its parent, so a chain
+/// of left-associative operators (`x + x + x`, `a[0][0]`, `p->n->n`)
+/// counts one level per operator; a pair of parentheses counts one level
+/// too. The pointer stars and array dimensions of one type are capped at
+/// the same number. The bound keeps the parser and every later recursive
+/// pass (type checking, lowering, printing, drop) to a fixed depth on any
+/// input; the workload programs nest at most 11 levels. Long shapes count
+/// like deep ones: each arm of an `else if` ladder is the `else` branch of
+/// the arm before it, so a ladder of 255 arms is too deep.
+///
+/// At the limit the deepest pass takes up to about 0.55 MiB of stack in
+/// an optimized build, which fits a thread with Rust's default 2 MiB, and
+/// up to about 4.5 MiB in an unoptimized one, which fits a main thread's
+/// 8 MiB but not a default spawned thread.
+///
+/// [`print_unit`](crate::print_unit) parenthesizes every operator and
+/// braces every body, which can double a unit's nesting: a unit within
+/// half the limit prints as source that parses, a deeper one may not.
+pub const MAX_NESTING: usize = 256;
+
 /// Parses a MiniC source file into a [`Unit`].
 ///
 /// # Errors
 ///
-/// Returns the first lexing or parsing error.
+/// Returns the first lexing or parsing error, including input nested
+/// deeper than [`MAX_NESTING`].
 pub fn parse(src: &str) -> Result<Unit, CompileError> {
     let tokens = lex(src)?;
-    Parser { tokens, i: 0 }.unit()
+    Parser {
+        tokens,
+        i: 0,
+        depth: 0,
+        peak: 0,
+    }
+    .unit()
 }
 
 struct Parser {
     tokens: Vec<Token>,
     i: usize,
+    /// Levels open at the current token, counted as [`MAX_NESTING`]
+    /// describes.
+    depth: usize,
+    /// The deepest level the tree being measured reaches (see
+    /// [`Parser::height_of`]).
+    peak: usize,
 }
 
 impl Parser {
@@ -53,6 +88,60 @@ impl Parser {
         } else {
             Err(self.error(format!("expected `{p:?}`, found {}", self.peek())))
         }
+    }
+
+    /// Runs `f` one nesting level deeper, failing at the current token
+    /// when that crosses [`MAX_NESTING`]. An error ends the parse, so it
+    /// need not leave the level.
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, CompileError>,
+    ) -> Result<T, CompileError> {
+        self.reach(1, self.pos())?;
+        self.depth += 1;
+        let out = f(self)?;
+        self.depth -= 1;
+        Ok(out)
+    }
+
+    /// Runs `f` and returns its result with the number of levels its tree
+    /// reaches below the current one. Left-associative chains build their
+    /// tree bottom-up, so they learn a node's height only after parsing
+    /// its operands, and report it through [`Parser::reach`].
+    fn height_of<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, CompileError>,
+    ) -> Result<(T, usize), CompileError> {
+        let outer = std::mem::replace(&mut self.peak, self.depth);
+        let out = f(self)?;
+        let height = self.peak - self.depth;
+        self.peak = self.peak.max(outer);
+        Ok((out, height))
+    }
+
+    /// Records a node whose tree reaches `height` levels below the current
+    /// one, failing at `pos` when that crosses [`MAX_NESTING`].
+    fn reach(&mut self, height: usize, pos: Pos) -> Result<(), CompileError> {
+        if self.depth + height > MAX_NESTING {
+            return Err(CompileError::new(
+                format!("nested deeper than {MAX_NESTING} levels"),
+                pos,
+            ));
+        }
+        self.peak = self.peak.max(self.depth + height);
+        Ok(())
+    }
+
+    /// Eats the `*`s of a pointer type, at most [`MAX_NESTING`] of them.
+    fn stars(&mut self) -> Result<u32, CompileError> {
+        let mut ptr_depth = 0;
+        while self.eat_if_punct(Punct::Star) {
+            if ptr_depth as usize >= MAX_NESTING {
+                return Err(self.error(format!("more than {MAX_NESTING} pointer levels")));
+            }
+            ptr_depth += 1;
+        }
+        Ok(ptr_depth)
     }
 
     fn at_punct(&self, p: Punct) -> bool {
@@ -101,13 +190,13 @@ impl Parser {
     }
 
     fn declarator(&mut self) -> Result<Declarator, CompileError> {
-        let mut ptr_depth = 0;
-        while self.eat_if_punct(Punct::Star) {
-            ptr_depth += 1;
-        }
+        let ptr_depth = self.stars()?;
         let name = self.ident()?;
         let mut array_dims = Vec::new();
         while self.eat_if_punct(Punct::LBracket) {
+            if array_dims.len() >= MAX_NESTING {
+                return Err(self.error(format!("more than {MAX_NESTING} array dimensions")));
+            }
             match self.bump() {
                 TokenKind::Int(n) if n > 0 => array_dims.push(n as usize),
                 other => {
@@ -275,6 +364,10 @@ impl Parser {
     }
 
     fn stmt(&mut self) -> Result<Stmt, CompileError> {
+        self.nested(Self::stmt_body)
+    }
+
+    fn stmt_body(&mut self) -> Result<Stmt, CompileError> {
         let pos = self.pos();
         match self.peek() {
             TokenKind::Punct(Punct::LBrace) => {
@@ -528,13 +621,17 @@ impl Parser {
     // ----- expressions (precedence climbing) -----
 
     fn expr(&mut self) -> Result<Expr, CompileError> {
-        self.ternary()
+        self.nested(Self::ternary)
     }
 
     fn ternary(&mut self) -> Result<Expr, CompileError> {
         let pos = self.pos();
-        let c = self.logical_or()?;
+        let (c, c_height) = self.height_of(|p| p.binary(0))?;
+        let at = self.pos();
         if self.eat_if_punct(Punct::Question) {
+            // The condition sits one level below the `?:` it turned out
+            // to belong to; the branches open their own level.
+            self.reach(1 + c_height, at)?;
             let t = self.expr()?;
             self.eat_punct(Punct::Colon)?;
             let e = self.expr()?;
@@ -544,91 +641,21 @@ impl Parser {
         }
     }
 
-    fn binary_level<F>(
-        &mut self,
-        next: F,
-        table: &[(Punct, BinaryOp)],
-    ) -> Result<Expr, CompileError>
-    where
-        F: Fn(&mut Self) -> Result<Expr, CompileError>,
-    {
+    /// Parses a chain of binary operators that bind at least as tightly as
+    /// `min` (precedence climbing). Every operator is left-associative and
+    /// makes the tree so far one level taller.
+    fn binary(&mut self, min: u8) -> Result<Expr, CompileError> {
         let pos = self.pos();
-        let mut lhs = next(self)?;
-        'outer: loop {
-            for &(p, op) in table {
-                if self.at_punct(p) {
-                    self.bump();
-                    let rhs = next(self)?;
-                    lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs), pos);
-                    continue 'outer;
-                }
-            }
-            return Ok(lhs);
+        let (mut lhs, mut height) = self.height_of(Self::unary)?;
+        while let Some((op, prec)) = binary_op(self.peek()).filter(|&(_, prec)| prec >= min) {
+            let at = self.pos();
+            self.bump();
+            let (rhs, rhs_height) = self.height_of(|p| p.binary(prec + 1))?;
+            height = 1 + height.max(rhs_height);
+            self.reach(height, at)?;
+            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs), pos);
         }
-    }
-
-    fn logical_or(&mut self) -> Result<Expr, CompileError> {
-        self.binary_level(Self::logical_and, &[(Punct::PipePipe, BinaryOp::LogOr)])
-    }
-
-    fn logical_and(&mut self) -> Result<Expr, CompileError> {
-        self.binary_level(Self::bit_or, &[(Punct::AmpAmp, BinaryOp::LogAnd)])
-    }
-
-    fn bit_or(&mut self) -> Result<Expr, CompileError> {
-        self.binary_level(Self::bit_xor, &[(Punct::Pipe, BinaryOp::BitOr)])
-    }
-
-    fn bit_xor(&mut self) -> Result<Expr, CompileError> {
-        self.binary_level(Self::bit_and, &[(Punct::Caret, BinaryOp::BitXor)])
-    }
-
-    fn bit_and(&mut self) -> Result<Expr, CompileError> {
-        self.binary_level(Self::equality, &[(Punct::Amp, BinaryOp::BitAnd)])
-    }
-
-    fn equality(&mut self) -> Result<Expr, CompileError> {
-        self.binary_level(
-            Self::relational,
-            &[(Punct::EqEq, BinaryOp::Eq), (Punct::NotEq, BinaryOp::Ne)],
-        )
-    }
-
-    fn relational(&mut self) -> Result<Expr, CompileError> {
-        self.binary_level(
-            Self::shift,
-            &[
-                (Punct::Le, BinaryOp::Le),
-                (Punct::Ge, BinaryOp::Ge),
-                (Punct::Lt, BinaryOp::Lt),
-                (Punct::Gt, BinaryOp::Gt),
-            ],
-        )
-    }
-
-    fn shift(&mut self) -> Result<Expr, CompileError> {
-        self.binary_level(
-            Self::additive,
-            &[(Punct::Shl, BinaryOp::Shl), (Punct::Shr, BinaryOp::Shr)],
-        )
-    }
-
-    fn additive(&mut self) -> Result<Expr, CompileError> {
-        self.binary_level(
-            Self::multiplicative,
-            &[(Punct::Plus, BinaryOp::Add), (Punct::Minus, BinaryOp::Sub)],
-        )
-    }
-
-    fn multiplicative(&mut self) -> Result<Expr, CompileError> {
-        self.binary_level(
-            Self::unary,
-            &[
-                (Punct::Star, BinaryOp::Mul),
-                (Punct::Slash, BinaryOp::Div),
-                (Punct::Percent, BinaryOp::Rem),
-            ],
-        )
+        Ok(lhs)
     }
 
     fn unary(&mut self) -> Result<Expr, CompileError> {
@@ -637,12 +664,9 @@ impl Parser {
         if self.at_punct(Punct::LParen) && self.peek_at(1_usize).is_type_start() {
             self.bump(); // (
             let ty = self.base_type()?;
-            let mut ptr_depth = 0;
-            while self.eat_if_punct(Punct::Star) {
-                ptr_depth += 1;
-            }
+            let ptr_depth = self.stars()?;
             self.eat_punct(Punct::RParen)?;
-            let e = self.unary()?;
+            let e = self.nested(Self::unary)?;
             return Ok(Expr::Cast {
                 ty,
                 ptr_depth,
@@ -660,7 +684,7 @@ impl Parser {
         };
         if let Some(op) = un {
             self.bump();
-            let e = self.unary()?;
+            let e = self.nested(Self::unary)?;
             return Ok(Expr::Unary(op, Box::new(e), pos));
         }
         if matches!(
@@ -669,7 +693,7 @@ impl Parser {
         ) {
             let inc = self.at_punct(Punct::PlusPlus);
             self.bump();
-            let target = self.unary()?;
+            let target = self.nested(Self::unary)?;
             return Ok(Expr::IncDec {
                 target: Box::new(target),
                 inc,
@@ -681,15 +705,19 @@ impl Parser {
     }
 
     fn postfix(&mut self) -> Result<Expr, CompileError> {
-        let mut e = self.primary()?;
+        // Like a binary chain, each suffix makes the tree so far one level
+        // taller.
+        let (mut e, mut height) = self.height_of(Self::primary)?;
         loop {
             let pos = self.pos();
             if self.eat_if_punct(Punct::LBracket) {
-                let idx = self.expr()?;
+                let (idx, idx_height) = self.height_of(Self::expr)?;
                 self.eat_punct(Punct::RBracket)?;
+                height = (1 + height).max(idx_height);
                 e = Expr::Index(Box::new(e), Box::new(idx), pos);
             } else if self.eat_if_punct(Punct::Dot) {
                 let field = self.ident()?;
+                height += 1;
                 e = Expr::Member {
                     base: Box::new(e),
                     field,
@@ -698,6 +726,7 @@ impl Parser {
                 };
             } else if self.eat_if_punct(Punct::Arrow) {
                 let field = self.ident()?;
+                height += 1;
                 e = Expr::Member {
                     base: Box::new(e),
                     field,
@@ -707,6 +736,7 @@ impl Parser {
             } else if self.at_punct(Punct::PlusPlus) || self.at_punct(Punct::MinusMinus) {
                 let inc = self.at_punct(Punct::PlusPlus);
                 self.bump();
+                height += 1;
                 e = Expr::IncDec {
                     target: Box::new(e),
                     inc,
@@ -716,6 +746,7 @@ impl Parser {
             } else {
                 return Ok(e);
             }
+            self.reach(height, pos)?;
         }
     }
 
@@ -727,10 +758,7 @@ impl Parser {
             TokenKind::Keyword(Keyword::Sizeof) => {
                 self.eat_punct(Punct::LParen)?;
                 let ty = self.base_type()?;
-                let mut ptr_depth = 0;
-                while self.eat_if_punct(Punct::Star) {
-                    ptr_depth += 1;
-                }
+                let ptr_depth = self.stars()?;
                 self.eat_punct(Punct::RParen)?;
                 Ok(Expr::SizeofType { ty, ptr_depth, pos })
             }
@@ -777,6 +805,35 @@ impl Parser {
 }
 
 /// Helper: whether a token begins a type (for cast disambiguation).
+/// The binary operator `t` spells and its precedence, higher binding
+/// tighter.
+fn binary_op(t: &TokenKind) -> Option<(BinaryOp, u8)> {
+    let TokenKind::Punct(p) = t else {
+        return None;
+    };
+    Some(match p {
+        Punct::PipePipe => (BinaryOp::LogOr, 1),
+        Punct::AmpAmp => (BinaryOp::LogAnd, 2),
+        Punct::Pipe => (BinaryOp::BitOr, 3),
+        Punct::Caret => (BinaryOp::BitXor, 4),
+        Punct::Amp => (BinaryOp::BitAnd, 5),
+        Punct::EqEq => (BinaryOp::Eq, 6),
+        Punct::NotEq => (BinaryOp::Ne, 6),
+        Punct::Le => (BinaryOp::Le, 7),
+        Punct::Ge => (BinaryOp::Ge, 7),
+        Punct::Lt => (BinaryOp::Lt, 7),
+        Punct::Gt => (BinaryOp::Gt, 7),
+        Punct::Shl => (BinaryOp::Shl, 8),
+        Punct::Shr => (BinaryOp::Shr, 8),
+        Punct::Plus => (BinaryOp::Add, 9),
+        Punct::Minus => (BinaryOp::Sub, 9),
+        Punct::Star => (BinaryOp::Mul, 10),
+        Punct::Slash => (BinaryOp::Div, 10),
+        Punct::Percent => (BinaryOp::Rem, 10),
+        _ => return None,
+    })
+}
+
 trait TypeStart {
     fn is_type_start(&self) -> bool;
 }
@@ -1035,5 +1092,123 @@ mod tests {
             }
             "#,
         );
+    }
+
+    /// Runs `f` on a thread with the 8 MiB stack of a main thread. An
+    /// unoptimized build needs up to about 4.5 MiB to parse and compile
+    /// input at the nesting limit, more than the 2 MiB the test harness
+    /// gives each test (see [`MAX_NESTING`]).
+    fn on_main_sized_stack(f: impl FnOnce() + Send) {
+        std::thread::scope(|scope| {
+            std::thread::Builder::new()
+                .stack_size(8 << 20)
+                .spawn_scoped(scope, f)
+                .expect("spawning a test thread");
+        });
+    }
+
+    /// A function whose body is `stmts`.
+    fn body(stmts: &str) -> String {
+        format!("int f(int x) {{ {stmts} return x; }}")
+    }
+
+    /// A ladder of `arms` `if`/`else if` arms: each `else if` is the
+    /// `else` branch of the arm before it, one level deeper.
+    fn else_if_ladder(arms: usize) -> String {
+        let rungs: String = (1..arms)
+            .map(|k| format!("else if (x == {k}) x = {k}; "))
+            .collect();
+        body(&format!("if (x == 0) x = 0; {rungs}else x = 1;"))
+    }
+
+    /// Each input that used to abort the process with a stack overflow
+    /// (in the parser or a later recursive pass) is a `CompileError` at
+    /// the token that crosses the nesting limit.
+    #[test]
+    fn deep_nesting_is_a_compile_error_not_a_stack_overflow() {
+        let n = 10_000;
+        let open_close = |open: &str, mid: &str, close: &str| {
+            format!("{}{mid}{}", open.repeat(n), close.repeat(n))
+        };
+        let cases = [
+            (
+                "parentheses",
+                body(&format!("x = {};", open_close("(", "x", ")"))),
+            ),
+            ("braces", body(&open_close("{", "", "}"))),
+            ("ifs", body(&format!("{} x = 1;", "if (x) ".repeat(n)))),
+            ("else-if ladder", else_if_ladder(n)),
+            ("sum", body(&format!("x = x{};", " + x".repeat(100_000)))),
+            (
+                "mixed operators",
+                body(&format!("x = x{};", " * x + x << x".repeat(n))),
+            ),
+            // 200 `+` above a right operand 200 `*` deep: no chain is
+            // longer than 200, but the tree is 401 levels high.
+            (
+                "a long chain over a deep operand",
+                body(&format!(
+                    "x = x + x{}{};",
+                    " * x".repeat(200),
+                    " + x".repeat(200)
+                )),
+            ),
+            ("negations", body(&format!("x = {}x;", "- ".repeat(n)))),
+            ("casts", body(&format!("x = {}x;", "(int)".repeat(n)))),
+            (
+                "ternaries",
+                body(&format!("x = {}x;", "x ? x : ".repeat(n))),
+            ),
+            (
+                "calls",
+                body(&format!("x = {};", open_close("f(", "x", ")"))),
+            ),
+            ("indexing", body(&format!("x = x{};", "[0]".repeat(n)))),
+            ("members", body(&format!("x = x{};", "->n".repeat(n)))),
+            ("pointers", format!("int {}p;", "*".repeat(n))),
+            ("arrays", format!("int a{};", "[1]".repeat(n))),
+        ];
+        on_main_sized_stack(|| {
+            for (what, src) in &cases {
+                let err = crate::compile(src).expect_err(what);
+                assert!(
+                    err.message().contains(&MAX_NESTING.to_string()),
+                    "{what}: {err}"
+                );
+            }
+        });
+        // The error names the token that crossed the limit. The statement
+        // and its right-hand side take two levels, so that is the chain's
+        // 255th `+`, 4 columns per term after the first.
+        let err = parse(&body(&format!("x = x{};", " + x".repeat(1_000)))).unwrap_err();
+        assert_eq!(err.pos().line, 1);
+        let first_plus = "int f(int x) { x = x ".len() + 1;
+        assert_eq!(err.pos().col as usize, first_plus + 4 * (MAX_NESTING - 2));
+    }
+
+    /// Nesting just inside the limit still compiles, in an unoptimized
+    /// build on a main thread's stack; the parsed tree prints and drops
+    /// there too, and so does the compiled program. Long shapes count as
+    /// deep ones: an `else if` ladder of 248 arms and a 248-term sum are
+    /// as close to the limit as 248 nested `if`s.
+    #[test]
+    fn nesting_inside_the_limit_compiles() {
+        let n = MAX_NESTING - 8;
+        let cases = [
+            body(&format!("x = {}x{};", "(".repeat(n), ")".repeat(n))),
+            body(&format!("{}x = 1;", "if (x) ".repeat(n))),
+            else_if_ladder(n),
+            body(&format!("x = x{};", " + x".repeat(n))),
+            body(&format!("x = {}x;", "x ? x : ".repeat(n))),
+            body(&format!("{}x = 1;{}", "{".repeat(n), "}".repeat(n))),
+        ];
+        on_main_sized_stack(|| {
+            for src in &cases {
+                let compiled = crate::compile(src).unwrap_or_else(|e| panic!("{e}"));
+                assert!(!compiled.program.to_string().is_empty());
+                let unit = parse(src).unwrap_or_else(|e| panic!("{e}"));
+                assert!(!crate::print_unit(&unit).is_empty());
+            }
+        });
     }
 }

@@ -5,6 +5,7 @@
 //! and compared position-insensitively.
 
 use dart_minic::ast::*;
+use dart_minic::parser::MAX_NESTING;
 use dart_minic::token::Pos;
 use dart_minic::{parse, print_unit};
 use proptest::prelude::*;
@@ -180,4 +181,52 @@ proptest! {
         };
         prop_assert_eq!(&printed, &print_unit(&reparsed), "not a fixpoint:\n{}", printed);
     }
+}
+
+/// Functions nested `n` levels deep in each of the shapes whose printout
+/// nests deeper than their source: `print_unit` parenthesizes every
+/// operator, cast and `?:`, and braces every `if` body, one more level
+/// per node.
+fn deep_shapes(n: usize) -> Vec<(&'static str, String)> {
+    let body = |stmts: String| format!("int f(int x) {{ {stmts} return x; }}");
+    let rungs: String = (1..n)
+        .map(|k| format!("else if (x == {k}) x = {k}; "))
+        .collect();
+    vec![
+        ("sum", body(format!("x = x{};", " + x".repeat(n)))),
+        ("ifs", body(format!("{}x = 1;", "if (x) ".repeat(n)))),
+        (
+            "else-if ladder",
+            body(format!("if (x == 0) x = 0; {rungs}else x = 1;")),
+        ),
+        ("negations", body(format!("x = {}x;", "- ".repeat(n)))),
+        ("casts", body(format!("x = {}x;", "(int)".repeat(n)))),
+        ("ternaries", body(format!("x = {}x;", "x ? x : ".repeat(n)))),
+    ]
+}
+
+/// Printing can double a unit's nesting, so a unit within half of
+/// `MAX_NESTING` reaches the fixpoint, and one near the limit prints as
+/// source that is a compile error (not a crash). Runs on a main thread's
+/// 8 MiB stack: an unoptimized build needs up to about 4.5 MiB for input
+/// at the limit, more than a test thread's 2 MiB.
+#[test]
+fn printout_reparses_within_half_the_nesting_limit() {
+    std::thread::scope(|scope| {
+        std::thread::Builder::new()
+            .stack_size(8 << 20)
+            .spawn_scoped(scope, || {
+                for (what, src) in deep_shapes(MAX_NESTING / 2 - 4) {
+                    let printed = print_unit(&parse(&src).expect(what));
+                    let reparsed = parse(&printed).unwrap_or_else(|e| panic!("{what}: {e}"));
+                    assert_eq!(printed, print_unit(&reparsed), "{what}");
+                }
+                for (what, src) in deep_shapes(MAX_NESTING - 8) {
+                    let printed = print_unit(&parse(&src).expect(what));
+                    let err = parse(&printed).expect_err(what);
+                    assert!(err.message().contains("nested deeper"), "{what}: {err}");
+                }
+            })
+            .expect("spawning a test thread");
+    });
 }

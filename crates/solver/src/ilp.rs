@@ -11,9 +11,8 @@
 use crate::constraint::{Constraint, NormalForm};
 use crate::linear::Var;
 use crate::rational::{ArithError, Rat};
-use crate::simplex::{feasible_point, Lp, LpResult, LpRow, LpSession};
+use crate::simplex::{feasible_point, Lp, LpResult, LpRow};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 /// Inclusive variable bounds.
@@ -85,45 +84,6 @@ impl SolveInfo {
     }
 }
 
-/// Per-session solver-internal counters, snapshot via
-/// [`PrefixSession::stats`]: warm-LP engine activity plus portfolio race
-/// outcomes. All four are scheduling-dependent diagnostics (they vary with
-/// cache state, speculation and the portfolio toggle), never observables.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SessionStats {
-    /// Dual-simplex pivots performed by the warm LP engine.
-    pub warm_pivots: u64,
-    /// Warm-engine dictionary builds/fallbacks to the cold two-phase
-    /// simplex.
-    pub cold_restarts: u64,
-    /// Portfolio races settled decisively by the FD arm (a model).
-    pub portfolio_fd_wins: u64,
-    /// Portfolio races settled decisively by the LP arm (a refutation).
-    pub portfolio_lp_wins: u64,
-}
-
-/// The counters accumulated between an earlier snapshot (`rhs`) and this
-/// one. The exhaustive destructuring makes adding a field without deciding
-/// how it differences a compile error.
-impl std::ops::Sub for SessionStats {
-    type Output = SessionStats;
-
-    fn sub(self, rhs: SessionStats) -> SessionStats {
-        let SessionStats {
-            warm_pivots,
-            cold_restarts,
-            portfolio_fd_wins,
-            portfolio_lp_wins,
-        } = rhs;
-        SessionStats {
-            warm_pivots: self.warm_pivots - warm_pivots,
-            cold_restarts: self.cold_restarts - cold_restarts,
-            portfolio_fd_wins: self.portfolio_fd_wins - portfolio_fd_wins,
-            portfolio_lp_wins: self.portfolio_lp_wins - portfolio_lp_wins,
-        }
-    }
-}
-
 /// Tunable solver limits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SolverConfig {
@@ -145,17 +105,11 @@ pub struct SolverConfig {
     /// never as `Unsat`). `None` (the default) means node budgets alone
     /// bound the query, with zero timing overhead.
     pub deadline: Option<Duration>,
-    /// Race the hint-guided FD search against the shared-prefix LP screen
-    /// on two threads per session query, first *decisive* verdict wins
-    /// (see [`PrefixSession`]). The commit rule is deterministic, so
-    /// outcomes — and report bytes — are identical to the sequential
-    /// pipeline; only wall-clock time changes. Off by default.
+    /// Ignored. It once raced the finite-domain search against an LP
+    /// screen on two threads, a race that is gone; it stays only because
+    /// the end-to-end benchmark still sets it, and goes with the
+    /// benchmark's replica of the directed loop (ROADMAP.md item 3).
     pub portfolio: bool,
-    /// Warm-start the shared-prefix LP with a persistent dual-simplex
-    /// dictionary ([`LpSession::with_warm`]). On by default; turning it
-    /// off restores the cold re-solve engine for ablation. Verdicts are
-    /// identical either way.
-    pub lp_warm: bool,
 }
 
 impl Default for SolverConfig {
@@ -168,7 +122,6 @@ impl Default for SolverConfig {
             max_propagation_rounds: 100,
             deadline: None,
             portfolio: false,
-            lp_warm: true,
         }
     }
 }
@@ -188,37 +141,22 @@ impl From<ArithError> for Stop {
 }
 
 /// Per-query deadline clock, started when the query enters the solver.
-/// With no deadline configured and no cancel token attached,
-/// [`QueryClock::expired`] never touches the system clock.
+/// With no deadline configured, [`QueryClock::expired`] never touches the
+/// system clock.
 #[derive(Debug, Clone, Copy)]
-struct QueryClock<'a> {
+struct QueryClock {
     deadline: Option<Instant>,
-    /// Cooperative cancel token, set by a racing portfolio arm's decisive
-    /// finish; observed at every point the deadline is. Cancellation rides
-    /// the same give-up paths as deadline expiry, so cancelled searches
-    /// degrade to indecision, never to a wrong verdict.
-    cancel: Option<&'a AtomicBool>,
 }
 
-impl QueryClock<'_> {
-    fn start(deadline: Option<Duration>) -> QueryClock<'static> {
+impl QueryClock {
+    fn start(deadline: Option<Duration>) -> QueryClock {
         QueryClock {
             deadline: deadline.map(|d| Instant::now() + d),
-            cancel: None,
-        }
-    }
-
-    /// The same deadline, additionally observing `cancel`.
-    fn with_cancel<'a>(&self, cancel: &'a AtomicBool) -> QueryClock<'a> {
-        QueryClock {
-            deadline: self.deadline,
-            cancel: Some(cancel),
         }
     }
 
     fn expired(&self) -> bool {
-        self.cancel.is_some_and(|t| t.load(Ordering::Relaxed))
-            || self.deadline.is_some_and(|d| Instant::now() >= d)
+        self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 }
 
@@ -511,50 +449,6 @@ impl Solver {
         Ok(found)
     }
 
-    /// One full FD strategy pass for a session query: hint-guided search
-    /// from the warm boxes, then verification against the case splits and
-    /// the original constraints. `None` is indecision (budget, deadline,
-    /// cancellation, or an unverified candidate), never unsat — exactly
-    /// the sequential pipeline's fall-through condition.
-    #[allow(clippy::too_many_arguments)] // internal; mirrors the search state
-    fn fd_strategy(
-        &self,
-        q_rows: &[Row],
-        q_boxes: &[(i128, i128)],
-        q_excl: &[BTreeSet<i64>],
-        hint_vals: &[i64],
-        q_splits: &[NeSplit],
-        q_live: &[&Constraint],
-        q_vars: &[Var],
-        clock: &QueryClock,
-    ) -> Option<Assignment> {
-        let mut fd_budget = self.config.max_fd_nodes;
-        let sol = self.fd_search(
-            q_rows,
-            q_boxes.to_vec(),
-            q_excl,
-            hint_vals,
-            &mut fd_budget,
-            clock,
-        )?;
-        if q_splits.iter().any(|ne| ne.violated_by(&sol)) {
-            return None;
-        }
-        let model: Assignment = q_vars
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (v, sol[i]))
-            .collect();
-        if q_live
-            .iter()
-            .all(|c| c.satisfied_by(|v| model.get(&v).copied()))
-        {
-            Some(model)
-        } else {
-            None
-        }
-    }
-
     /// Hint-guided assign-and-propagate search.
     ///
     /// Picks variables in order, tries a handful of candidate values per
@@ -818,9 +712,6 @@ struct Frame {
     vars_len: usize,
     rows_len: usize,
     splits_len: usize,
-    /// This push's contribution to the shared-prefix LP (already shifted to
-    /// nonnegative variables), re-pushed lazily on out-of-order queries.
-    lp_rows: Vec<LpRow>,
     /// Exclusion sets after this push (one per numbered variable).
     exclusions: Vec<BTreeSet<i64>>,
     /// Interval-propagated boxes for the whole prefix up to this push.
@@ -828,49 +719,6 @@ struct Frame {
     /// The prefix up to this push is known unsatisfiable (trivially false
     /// constraint, GCD integrality gap, or propagation wipe-out).
     infeasible: bool,
-}
-
-/// The shared-prefix LP of a [`PrefixSession`]: its frame stack mirrors
-/// the session's frames up to `synced`; queries at shallower depths pop it
-/// lazily, deeper ones re-push the stored frame rows.
-#[derive(Debug, Clone)]
-struct PrefixLp {
-    lp: LpSession,
-    /// How many leading frames the LP currently has pushed.
-    synced: usize,
-}
-
-impl PrefixLp {
-    /// Pops the LP back to at most `depth` frames.
-    fn truncate(&mut self, depth: usize) {
-        if self.synced > depth {
-            self.lp.pop_to(depth);
-            self.synced = depth;
-        }
-    }
-
-    /// Brings the LP to exactly the first `j` of `frames` and widens it to
-    /// at least `n` columns (a deeper earlier query may already have
-    /// widened it further; the extra zero columns don't change
-    /// feasibility). `false` means the LP screen must be skipped for this
-    /// query: a rejected width change, which cannot happen with the
-    /// monotone widths used here, degrades the screen instead of aborting.
-    fn sync(&mut self, frames: &[Frame], j: usize, n: usize) -> bool {
-        self.truncate(j);
-        while self.synced < j {
-            let f = &frames[self.synced];
-            if self
-                .lp
-                .grow_vars(f.vars_len.max(self.lp.num_vars()))
-                .is_err()
-            {
-                return false;
-            }
-            self.lp.push_frame(f.lp_rows.clone());
-            self.synced += 1;
-        }
-        self.lp.grow_vars(n.max(self.lp.num_vars())).is_ok()
-    }
 }
 
 /// Incremental solving of the directed search's `negated_prefix(j)`
@@ -884,9 +732,11 @@ impl PrefixLp {
 /// *pushed constraint* instead: [`PrefixSession::push`] extends the dense
 /// numbering, the normalized rows and the interval-propagation fixpoint
 /// incrementally, and [`PrefixSession::solve_query`] starts from the
-/// snapshot at depth `j` — it also screens the query against a shared-prefix
-/// LP ([`LpSession`]) whose tableau and last feasible vertex persist across
-/// queries.
+/// snapshot at depth `j`. A query takes one path: the hint and all-zeros
+/// probes, the split into independent components, propagation of the
+/// negated rows from the snapshot's boxes, then the same finite-domain
+/// search and branch & bound that [`Solver::solve`] runs on each
+/// component.
 ///
 /// One session serves a whole DART session, not one run. Under
 /// depth-first order each new path repeats the previous one up to the
@@ -896,13 +746,11 @@ impl PrefixLp {
 /// not by trusting the flipped index: an earlier constraint changes
 /// between runs when a non-linear term is concretized to a different
 /// value. A re-based session answers every query exactly as a session
-/// freshly built by pushing the same path would — outcome and model. Each
-/// frame is a function of the constraints pushed before it, and a pop
-/// restores the numbering, rows and case splits to the surviving frame.
-/// The one state that outlives a pop, the shared-prefix LP, only screens
-/// for rational infeasibility, which its exact simplex decides the same
-/// whatever dictionary or cached vertex it starts from (its witness point
-/// is never returned as a model).
+/// freshly built by pushing the same path would — outcome and model.
+/// Every piece of session state is a function of its frames: each frame
+/// is a function of the constraints pushed before it, and a pop restores
+/// the numbering, rows and case splits to the surviving frame, so nothing
+/// outlives a pop.
 ///
 /// Outcomes are equisatisfiable with `solve_with_hint` on the same
 /// conjunction; the concrete model may differ (the session's tighter warm
@@ -946,10 +794,7 @@ pub struct PrefixSession {
     rows: Vec<Row>,
     /// Multi-variable `!=` case splits of the live prefix.
     splits: Vec<NeSplit>,
-    lp: PrefixLp,
     frames: Vec<Frame>,
-    /// Portfolio race outcomes (the LP counters live in `lp`).
-    stats: SessionStats,
 }
 
 impl PrefixSession {
@@ -961,31 +806,13 @@ impl PrefixSession {
             var_idx: HashMap::new(),
             rows: Vec::new(),
             splits: Vec::new(),
-            lp: PrefixLp {
-                lp: LpSession::with_warm(0, solver.config.lp_warm),
-                synced: 0,
-            },
             frames: Vec::new(),
-            stats: SessionStats::default(),
         }
     }
 
     /// Number of pushed constraints.
     pub fn depth(&self) -> usize {
         self.frames.len()
-    }
-
-    /// Solver-internal counters accumulated over this session's queries:
-    /// warm-LP pivots and restarts plus portfolio race wins. Cumulative
-    /// over the session's lifetime; subtract an earlier snapshot to count
-    /// one walk.
-    pub fn stats(&self) -> SessionStats {
-        let lp = self.lp.lp.stats();
-        SessionStats {
-            warm_pivots: lp.warm_pivots,
-            cold_restarts: lp.cold_restarts,
-            ..self.stats
-        }
     }
 
     /// The solver this session runs on.
@@ -1004,7 +831,6 @@ impl PrefixSession {
                 vars_len: f.vars_len,
                 rows_len: f.rows_len,
                 splits_len: f.splits_len,
-                lp_rows: Vec::new(),
                 exclusions: f.exclusions.clone(),
                 boxes: f.boxes.clone(),
                 infeasible: f.infeasible,
@@ -1015,7 +841,6 @@ impl PrefixSession {
                 vars_len: 0,
                 rows_len: 0,
                 splits_len: 0,
-                lp_rows: Vec::new(),
                 exclusions: Vec::new(),
                 boxes: Vec::new(),
                 infeasible: false,
@@ -1036,7 +861,6 @@ impl PrefixSession {
         if let Some(c) = screened.filter(|_| !frame.infeasible) {
             self.live.push(c.clone());
             frame.live_len += 1;
-            let first_new_var = self.vars.len();
             for v in c.vars() {
                 if let std::collections::hash_map::Entry::Vacant(e) = self.var_idx.entry(v) {
                     e.insert(self.vars.len());
@@ -1055,8 +879,6 @@ impl PrefixSession {
                 &mut frame.exclusions,
                 &mut self.splits,
             );
-            let new_rows = &self.rows[frame.rows_len..];
-            frame.lp_rows = shift_lp_rows(new_rows, b, first_new_var, frame.vars_len);
             frame.rows_len = self.rows.len();
             frame.splits_len = self.splits.len();
             if !self
@@ -1093,7 +915,6 @@ impl PrefixSession {
         self.live.truncate(live_len);
         self.rows.truncate(rows_len);
         self.splits.truncate(splits_len);
-        self.lp.truncate(depth);
     }
 
     /// How many leading constraints of `path` this session has pushed:
@@ -1258,7 +1079,6 @@ impl PrefixSession {
         });
         q_excl.resize_with(n, BTreeSet::new);
         q_boxes.resize(n, (b.lo as i128, b.hi as i128));
-        let first_new_row = q_rows.len();
         if let Some(c) = neg_live {
             normalize_one(c, &q_idx, &mut q_rows, &mut q_excl, &mut q_splits);
         }
@@ -1269,56 +1089,12 @@ impl PrefixSession {
             return SolveOutcome::Unsat;
         }
 
-        // The two decisive strategies: the hint-guided finite-domain pass
-        // (settles easy `Sat` queries — path constraints are mostly unit
-        // systems) and the shared-prefix LP screen (an infeasible rational
-        // relaxation ⇒ integer unsat, settling `Unsat` queries without any
-        // branch & bound). The sequential pipeline runs FD first and the
-        // LP only on a miss; the portfolio races them on two threads with
-        // a deterministic first-decisive-verdict commit rule.
+        // Full integer solve from the warm state: the hint-guided
+        // finite-domain search settles the easy `Sat` queries (path
+        // constraints are mostly unit systems), and branch & bound, whose
+        // root LP relaxation refutes what the search cannot, decides the
+        // rest.
         let hint_vals: Vec<i64> = q_vars.iter().map(|&v| hint(v).unwrap_or(0)).collect();
-        if self.solver.config.portfolio && self.lp.sync(&self.frames, j, n) {
-            let neg_lp = shift_lp_rows(&q_rows[first_new_row..], b, vars_len, n);
-            if let Some(outcome) = race_strategies(
-                &self.solver,
-                &mut self.lp.lp,
-                &mut self.stats,
-                &q_rows,
-                &q_boxes,
-                &q_excl,
-                &hint_vals,
-                &q_splits,
-                &q_live,
-                &q_vars,
-                neg_lp,
-                &clock,
-            ) {
-                return outcome;
-            }
-        } else {
-            if let Some(model) = self.solver.fd_strategy(
-                &q_rows, &q_boxes, &q_excl, &hint_vals, &q_splits, &q_live, &q_vars, &clock,
-            ) {
-                return SolveOutcome::Sat(model);
-            }
-            // The LP's cached vertex survives pops, so sibling queries
-            // usually answer by point checks; on a miss the warm
-            // dictionary repairs with a few dual pivots.
-            if self.lp.sync(&self.frames, j, n) {
-                let neg_lp = shift_lp_rows(&q_rows[first_new_row..], b, vars_len, n);
-                let lp = &mut self.lp.lp;
-                let mark = lp.push_frame(neg_lp);
-                let verdict = lp.feasible();
-                lp.pop_to(mark);
-                match verdict {
-                    Ok(LpResult::Infeasible) => return SolveOutcome::Unsat,
-                    Ok(LpResult::Feasible(_)) => {}
-                    Err(_) => {} // no information; fall through to the full solve
-                }
-            }
-        }
-
-        // Full integer solve from the warm state.
         let mut leaves_left = self.solver.config.max_ne_leaves.max(1);
         let outcome = self.solver.lazy_solve(
             &mut q_rows,
@@ -1356,65 +1132,6 @@ impl PrefixSession {
             }
         }
     }
-}
-
-/// Races the FD and warm-LP strategies on two threads. Only a
-/// *decisive* arm — an FD model, or an LP refutation of the rational
-/// relaxation — cancels its peer and commits. Sound strategies cannot
-/// both be decisive on one query, each arm is deterministic given its
-/// inputs, and a cancelled arm was provably headed for indecision
-/// (the canceller's verdict forecloses its decisive outcome), so the
-/// committed verdict is independent of timing and thread count.
-/// `None` — both arms indecisive — falls through to the same complete
-/// solve the sequential pipeline uses.
-#[allow(clippy::too_many_arguments)] // internal; mirrors the search state
-fn race_strategies(
-    solver: &Solver,
-    lp: &mut LpSession,
-    stats: &mut SessionStats,
-    q_rows: &[Row],
-    q_boxes: &[(i128, i128)],
-    q_excl: &[BTreeSet<i64>],
-    hint_vals: &[i64],
-    q_splits: &[NeSplit],
-    q_live: &[&Constraint],
-    q_vars: &[Var],
-    neg_lp: Vec<LpRow>,
-    clock: &QueryClock,
-) -> Option<SolveOutcome> {
-    let fd_cancel = AtomicBool::new(false);
-    let lp_cancel = AtomicBool::new(false);
-    let (fd_model, lp_verdict) = std::thread::scope(|scope| {
-        let fd_arm = scope.spawn(|| {
-            let fd_clock = clock.with_cancel(&fd_cancel);
-            let model = solver.fd_strategy(
-                q_rows, q_boxes, q_excl, hint_vals, q_splits, q_live, q_vars, &fd_clock,
-            );
-            if model.is_some() {
-                lp_cancel.store(true, Ordering::Relaxed);
-            }
-            model
-        });
-        // The LP arm runs on the calling thread.
-        let mark = lp.push_frame(neg_lp);
-        let verdict = lp.feasible_cancellable(Some(&lp_cancel));
-        lp.pop_to(mark);
-        if matches!(verdict, Ok(Some(LpResult::Infeasible))) {
-            fd_cancel.store(true, Ordering::Relaxed);
-        }
-        let model = fd_arm.join().expect("fd strategy panicked");
-        (model, verdict)
-    });
-    if let Ok(Some(LpResult::Infeasible)) = lp_verdict {
-        debug_assert!(fd_model.is_none(), "sound strategies cannot disagree");
-        stats.portfolio_lp_wins += 1;
-        return Some(SolveOutcome::Unsat);
-    }
-    if let Some(model) = fd_model {
-        stats.portfolio_fd_wins += 1;
-        return Some(SolveOutcome::Sat(model));
-    }
-    None
 }
 
 /// Normalizes one non-trivial constraint into rows / an exclusion point / a
@@ -1477,38 +1194,6 @@ fn probe_model(
     } else {
         None
     }
-}
-
-/// Shifts integer rows to the LP's nonnegative variables `y = x - lo`
-/// (every variable uses the session-wide default box), and appends the
-/// upper-bound rows `y_v <= hi - lo` for the variables numbered in
-/// `first_new_var..n` (each variable's bound row is emitted exactly once,
-/// by the frame that introduced it).
-fn shift_lp_rows(rows: &[Row], b: Bounds, first_new_var: usize, n: usize) -> Vec<LpRow> {
-    let lo = b.lo as i128;
-    let width = b.hi as i128 - lo;
-    let mut out = Vec::with_capacity(rows.len() + n - first_new_var);
-    for row in rows {
-        let mut coeffs = vec![Rat::ZERO; n];
-        let mut shift: i128 = 0;
-        for &(idx, a) in &row.coeffs {
-            coeffs[idx] = Rat::from_int(a as i128);
-            shift += a as i128 * lo;
-        }
-        out.push(LpRow {
-            coeffs,
-            rhs: Rat::from_int(row.rhs - shift),
-        });
-    }
-    for v in first_new_var..n {
-        let mut coeffs = vec![Rat::ZERO; n];
-        coeffs[v] = Rat::ONE;
-        out.push(LpRow {
-            coeffs,
-            rhs: Rat::from_int(width),
-        });
-    }
-    out
 }
 
 /// Emits a diagnostic line when `DART_SOLVER_DEBUG` is set; `Unknown`
@@ -1850,12 +1535,11 @@ mod tests {
 
     #[test]
     fn session_queries_in_decreasing_depth_shrink_the_query() {
-        // Regression: the shared-prefix LP screen grows the LP session to
-        // the query's variable count. A DFS walk issues deepest queries
-        // first, so a *shallower* follow-up query has fewer variables —
-        // growing the already-widened LP "down" must be a no-op, not a
-        // panic. Budgets are pinned tiny so every query falls through the
-        // probes and the finite-domain pass into the LP screen.
+        // A DFS walk issues the deepest query first, so a *shallower*
+        // follow-up query numbers fewer variables than the one before
+        // it: the session must answer it from the shallower snapshot,
+        // not panic on the narrower numbering. Budgets are pinned tiny so
+        // every query falls through the probes into the search.
         let s = Solver::new(SolverConfig {
             max_fd_nodes: 1,
             max_bb_nodes: 4,
@@ -1869,22 +1553,69 @@ mod tests {
             v(1).scaled(2).sub(&v(2).scaled(2)).add(&v(0)).offset(-1),
             RelOp::Ne,
         ));
-        // Deepest flip first: parity-infeasible, reaches the LP screen
-        // and widens the shared LP to all three variables.
+        // Deepest flip first: parity-infeasible, over all three
+        // variables.
         let deep = Constraint::new(
             v(1).scaled(2).sub(&v(2).scaled(2)).add(&v(0)).offset(-1),
             RelOp::Eq,
         );
         let out = sess.solve_query(1, &deep, |_| None);
         assert!(!out.is_sat(), "2x - 2y == 1 under z == 0 has no model");
-        // Shallower flip second: a single-variable query against the
-        // now-wider LP.
+        // Shallower flip second: a single-variable query.
         let shallow = Constraint::new(v(0), RelOp::Ne);
         let out = sess.solve_query(0, &shallow, |_| None);
         match out {
             SolveOutcome::Sat(m) => assert_ne!(m[&Var(0)], 0),
             SolveOutcome::Unknown => {}
             SolveOutcome::Unsat => panic!("z != 0 alone is satisfiable"),
+        }
+    }
+
+    /// A query the finite-domain search cannot refute still comes back
+    /// `Unsat`: a difference chain closed by its own negation is
+    /// infeasible, but propagation over 32-bit boxes narrows each bound
+    /// by one per sweep, so the search spends its whole node budget
+    /// without a wipe-out. Branch & bound's root LP relaxation refutes it.
+    #[test]
+    fn fd_hard_difference_chain_is_refuted_by_branch_and_bound() {
+        let s = Solver::new(SolverConfig {
+            max_fd_nodes: 2_000,
+            ..SolverConfig::default()
+        });
+        let path = [
+            Constraint::new(v(1).sub(&v(0)).offset(-1), RelOp::Ge), // x1 >= x0 + 1
+            Constraint::new(v(2).sub(&v(1)).offset(-1), RelOp::Ge), // x2 >= x1 + 1
+            Constraint::new(v(2).sub(&v(0)).offset(-2), RelOp::Ge), // x2 >= x0 + 2
+        ];
+        // ¬(x2 >= x0 + 2) = x2 <= x0 + 1, contradicting the chain.
+        let negated = path[2].negated();
+        let mut sess = s.session();
+        for c in &path {
+            sess.push(c);
+        }
+        for _ in 0..4 {
+            assert_eq!(
+                sess.solve_query(2, &negated, |_| Some(0)),
+                SolveOutcome::Unsat
+            );
+        }
+        let query = [path[0].clone(), path[1].clone(), negated.clone()];
+        assert_eq!(s.solve(&query), SolveOutcome::Unsat);
+        assert_eq!(s.solve_with_hint(&query, |_| Some(0)), SolveOutcome::Unsat);
+        // The root node alone decides it, and nothing before branch &
+        // bound does: with no node budget the query is undecided.
+        for (max_bb_nodes, expected) in [(1, SolveOutcome::Unsat), (0, SolveOutcome::Unknown)] {
+            let s = Solver::new(SolverConfig {
+                max_fd_nodes: 2_000,
+                max_bb_nodes,
+                ..SolverConfig::default()
+            });
+            let mut sess = s.session();
+            for c in &path {
+                sess.push(c);
+            }
+            assert_eq!(sess.solve_query(2, &negated, |_| Some(0)), expected);
+            assert_eq!(s.solve(&query), expected);
         }
     }
 

@@ -8,6 +8,13 @@
 //! single-variable `!=`, case-splitting for multi-variable `!=`, and branch &
 //! bound for integrality.
 //!
+//! Every query, whether posed to [`Solver::solve`] or to a
+//! [`PrefixSession`], is decided the same way: two cheap probes (the hint,
+//! then all zeros) and a split into variable-independent components, then
+//! interval propagation, a hint-guided finite-domain search for a model
+//! and, when it finds none, branch & bound, whose root LP relaxation
+//! refutes what the search cannot.
+//!
 //! The theory is exactly what DART needs and nothing more: any program
 //! expression outside it (non-linear arithmetic, input-dependent pointer
 //! dereferences) is *not sent here* — the DART engine falls back to concrete
@@ -54,9 +61,6 @@ pub mod simplex;
 
 pub use cache::{CacheStats, QueryCache};
 pub use constraint::{Constraint, LeZero, NormalForm, RelOp};
-pub use ilp::{
-    Assignment, Bounds, PrefixSession, SessionStats, SolveInfo, SolveOutcome, Solver, SolverConfig,
-};
+pub use ilp::{Assignment, Bounds, PrefixSession, SolveInfo, SolveOutcome, Solver, SolverConfig};
 pub use linear::{LinExpr, Var};
 pub use rational::Rat;
-pub use simplex::{LpSession, LpStats, ShrinkError};

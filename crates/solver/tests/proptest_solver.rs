@@ -340,96 +340,14 @@ proptest! {
         }
     }
 
-    /// Warm-started and cold LP sessions are observationally identical:
-    /// across a random push/pop/negate query stream the two
-    /// `PrefixSession`s return byte-identical outcomes (models included),
-    /// not merely equisatisfiable ones. The warm dictionary is exact
-    /// rationals repaired by Bland pivots, so its feasible/infeasible
-    /// verdicts match cold Phase 1 exactly, and its witness point is
-    /// never the returned model (Sat models come from the FD/lazy path).
-    #[test]
-    fn warm_and_cold_lp_sessions_agree(
-        path in proptest::collection::vec(constraint(), 1..7),
-        extra in constraint(),
-        hint in proptest::collection::vec(-30i64..=30, NUM_VARS as usize),
-        rounds in 1usize..3,
-    ) {
-        let warm_solver = Solver::default();
-        let cold_solver = Solver::new(SolverConfig {
-            lp_warm: false,
-            ..SolverConfig::default()
-        });
-        let mut warm = warm_solver.session();
-        let mut cold = cold_solver.session();
-        for c in &path {
-            warm.push(c);
-            cold.push(c);
-        }
-        let lookup = |v: Var| Some(hint[v.index()]);
-        for _ in 0..rounds {
-            for (j, c) in path.iter().enumerate() {
-                let negated = c.negated();
-                let a = warm.solve_query(j, &negated, lookup);
-                let b = cold.solve_query(j, &negated, lookup);
-                prop_assert_eq!(
-                    &a, &b,
-                    "warm LP diverged from cold at j={}", j
-                );
-            }
-            // Perturb the prefix between rounds so the warm dictionary
-            // must retract pushed rows, not just replay the cache.
-            warm.push(&extra);
-            cold.push(&extra);
-            let j = path.len();
-            let negated = extra.negated();
-            prop_assert_eq!(
-                warm.solve_query(j, &negated, lookup),
-                cold.solve_query(j, &negated, lookup)
-            );
-            warm.pop();
-            cold.pop();
-        }
-    }
-
-    /// The portfolio race commits the same outcome the sequential
-    /// strategy order would: whichever arm wins the race, the returned
-    /// verdicts and models are byte-identical to `portfolio: false`.
-    #[test]
-    fn portfolio_race_matches_sequential(
-        path in proptest::collection::vec(constraint(), 1..6),
-        hint in proptest::collection::vec(-30i64..=30, NUM_VARS as usize),
-    ) {
-        let racing_solver = Solver::new(SolverConfig {
-            portfolio: true,
-            ..SolverConfig::default()
-        });
-        let plain_solver = Solver::default();
-        let mut racing = racing_solver.session();
-        let mut plain = plain_solver.session();
-        for c in &path {
-            racing.push(c);
-            plain.push(c);
-        }
-        let lookup = |v: Var| Some(hint[v.index()]);
-        for (j, c) in path.iter().enumerate() {
-            let negated = c.negated();
-            let a = racing.solve_query(j, &negated, lookup);
-            let b = plain.solve_query(j, &negated, lookup);
-            prop_assert_eq!(
-                &a, &b,
-                "portfolio race diverged from sequential at j={}", j
-            );
-        }
-    }
-
     /// A session retained across a sequence of paths and re-based onto
     /// each one answers exactly like a session freshly built by pushing
     /// that path: for every `j`, the same outcome and the same model. The
     /// paths share random prefixes, include constraints the session
     /// screens at push time, and sometimes change an earlier constraint.
     /// Half the cases pin the search budgets tiny, so queries fall through
-    /// the probes and the finite-domain pass into the shared-prefix LP
-    /// screen and the full solve, whose warm state outlives re-basing.
+    /// the probes and the finite-domain pass into branch & bound, starting
+    /// from the propagated boxes that re-basing must restore.
     #[test]
     fn retained_session_matches_fresh_session(
         first in proptest::collection::vec(path_constraint(), 1..7),

@@ -40,16 +40,12 @@
 //!   --worker-deadline MS  farm-only: kill any worker process that runs
 //!                      longer than MS (fault, retriable, resumable)
 //!   --solve-threads N  per-run candidate-query fan-out on a persistent
-//!                      work-stealing pool of N workers; results are
-//!                      byte-identical to N=1       [$DART_SOLVE_THREADS or 1]
+//!                      work-stealing pool of N workers (1 to 256); results
+//!                      are byte-identical to N=1   [$DART_SOLVE_THREADS or 1]
 //!   --exec-tier T      interp | compiled: which execution tier runs the
 //!                      program — the tree-walking interpreter, or the
 //!                      pre-decoded compiled tier (reports unchanged;
 //!                      only throughput improves)  [$DART_EXEC_TIER or interp]
-//!   --portfolio M      on | off: race the FD search against the warm LP
-//!                      on each eligible query, first decisive verdict
-//!                      wins (reports unchanged; only wall-clock
-//!                      improves)                  [$DART_PORTFOLIO or off]
 //!   --interface        print the extracted interface and exit
 //!   --print-ir         print the compiled RAM program and exit
 //!   --stats            print detailed solver/cache statistics
@@ -60,7 +56,7 @@
 //!
 //! Exit status: 0 = no bug, 1 = bug found, 2 = usage/compile error.
 
-use dart::{Dart, DartConfig, EngineMode, ExecTier, PortfolioMode, Strategy, SweepOutcome};
+use dart::{Dart, DartConfig, EngineMode, ExecTier, Strategy, SweepOutcome, MAX_SOLVE_THREADS};
 use std::process::ExitCode;
 
 struct Options {
@@ -92,7 +88,6 @@ struct Options {
     farm_attempt: u32,
     solve_threads: Option<usize>,
     exec_tier: Option<ExecTier>,
-    portfolio: Option<PortfolioMode>,
     interface_only: bool,
     print_ir: bool,
     save_bug: Option<String>,
@@ -108,7 +103,7 @@ fn usage() -> &'static str {
      [--all-bugs] [--max-steps N] [--mem-budget N] [--deadline MS] \
      [--sweep NAMES --threads N --max-retries N] \
      [--farm --store PATH --stream PATH|- --worker-deadline MS] \
-     [--solve-threads N] [--exec-tier interp|compiled] [--portfolio on|off] \
+     [--solve-threads N] [--exec-tier interp|compiled] \
      [--stats] [--interface] [--print-ir]"
 }
 
@@ -139,7 +134,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         farm_attempt: 0,
         solve_threads: None,
         exec_tier: None,
-        portfolio: None,
         interface_only: false,
         print_ir: false,
         save_bug: None,
@@ -229,8 +223,12 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     value(&mut it, "--solve-threads")?
                         .parse()
                         .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| "--solve-threads expects a positive integer".to_string())?,
+                        .filter(|n| (1..=MAX_SOLVE_THREADS).contains(n))
+                        .ok_or_else(|| {
+                            format!(
+                                "--solve-threads expects an integer from 1 to {MAX_SOLVE_THREADS}"
+                            )
+                        })?,
                 )
             }
             "--exec-tier" => {
@@ -238,13 +236,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     "interp" => ExecTier::Interp,
                     "compiled" => ExecTier::Compiled,
                     other => return Err(format!("unknown exec tier `{other}`")),
-                })
-            }
-            "--portfolio" => {
-                opts.portfolio = Some(match value(&mut it, "--portfolio")?.as_str() {
-                    "on" => PortfolioMode::On,
-                    "off" => PortfolioMode::Off,
-                    other => return Err(format!("unknown portfolio mode `{other}`")),
                 })
             }
             "--mode" | "--engine" => {
@@ -330,10 +321,6 @@ fn build_config(opts: &Options) -> DartConfig {
         // Unset, the default stands: $DART_EXEC_TIER, else the interpreter.
         config.exec_tier = tier;
     }
-    if let Some(mode) = opts.portfolio {
-        // Unset, the default stands: $DART_PORTFOLIO, else off.
-        config.portfolio = mode;
-    }
     if let Some(words) = opts.mem_budget {
         config.machine.budget.max_alloc_words = words;
     }
@@ -408,17 +395,6 @@ fn worker_forward_args(opts: &Options) -> Vec<String> {
             ExecTier::Invalid => unreachable!("--exec-tier never parses to Invalid"),
         };
         args.extend(["--exec-tier".to_string(), tier.to_string()]);
-    }
-    if let Some(mode) = opts.portfolio {
-        let mode = match mode {
-            PortfolioMode::Off => "off",
-            PortfolioMode::On => "on",
-            // Only an unrecognised $DART_PORTFOLIO yields this, and
-            // `--portfolio` (the sole writer of `opts.portfolio`)
-            // accepts on|off alone.
-            PortfolioMode::Invalid => unreachable!("--portfolio never parses to Invalid"),
-        };
-        args.extend(["--portfolio".to_string(), mode.to_string()]);
     }
     if let Some(path) = &opts.store {
         args.extend(["--store".to_string(), path.clone()]);
@@ -715,10 +691,6 @@ fn main() -> ExitCode {
             std::time::Duration::from_nanos(s.pool_idle_ns)
         );
         println!("  max queue depth    {}", s.max_queue_depth);
-        println!("  warm pivots        {}", s.warm_pivots);
-        println!("  cold restarts      {}", s.cold_restarts);
-        println!("  portfolio fd wins  {}", s.portfolio_fd_wins);
-        println!("  portfolio lp wins  {}", s.portfolio_lp_wins);
         if !s.per_worker_solves.is_empty() {
             let solves: Vec<String> = s.per_worker_solves.iter().map(u64::to_string).collect();
             println!("  per-worker solves  [{}]", solves.join(", "));
@@ -854,6 +826,12 @@ mod tests {
         assert_eq!(o.solve_threads, None);
         assert!(parse(&["p.mc", "--solve-threads", "0"]).is_err());
         assert!(parse(&["p.mc", "--solve-threads", "many"]).is_err());
+        // Each worker is an OS thread: the pool size is capped, and a
+        // value past the cap is a usage error before any pool exists.
+        let o = parse(&["p.mc", "--solve-threads", "256"]).unwrap();
+        assert_eq!(build_config(&o).solve_threads, 256);
+        assert!(parse(&["p.mc", "--solve-threads", "257"]).is_err());
+        assert!(parse(&["p.mc", "--solve-threads", "100000"]).is_err());
         // Sessions share no solver verdicts, so there is nothing to turn on.
         assert!(parse(&["p.mc", "--shared-cache"]).is_err());
     }
@@ -939,15 +917,12 @@ mod tests {
             "8",
             "--worker-deadline",
             "100",
-            "--portfolio",
-            "on",
         ])
         .unwrap();
         let args = worker_forward_args(&o);
         let has = |flag: &str| args.iter().any(|a| a == flag);
         assert!(has("--mode") && args.contains(&"generational".to_string()));
         assert!(has("--checkpoint") && has("--store") && has("--solve-threads"));
-        assert!(has("--portfolio") && args.contains(&"on".to_string()));
         // Supervisor-only flags must not leak into workers.
         assert!(!has("--threads") && !has("--worker-deadline") && !has("--farm"));
         // Unset optionals stay unset so workers inherit env defaults.
@@ -955,7 +930,7 @@ mod tests {
         let args = worker_forward_args(&o);
         assert!(!args
             .iter()
-            .any(|a| a == "--exec-tier" || a == "--solve-threads" || a == "--portfolio"));
+            .any(|a| a == "--exec-tier" || a == "--solve-threads"));
     }
 
     #[test]
@@ -976,18 +951,16 @@ mod tests {
 
     #[test]
     fn portfolio_flag() {
-        let o = parse(&["p.mc", "--portfolio", "on"]).unwrap();
-        assert_eq!(o.portfolio, Some(PortfolioMode::On));
-        assert_eq!(build_config(&o).portfolio, PortfolioMode::On);
-        let o = parse(&["p.mc", "--portfolio", "off"]).unwrap();
-        assert_eq!(o.portfolio, Some(PortfolioMode::Off));
-        assert_eq!(build_config(&o).portfolio, PortfolioMode::Off);
-        // Unset, the flag defers to the DartConfig default (which reads
-        // $DART_PORTFOLIO) rather than pinning off.
-        let o = parse(&["p.mc"]).unwrap();
-        assert_eq!(o.portfolio, None);
-        assert!(parse(&["p.mc", "--portfolio", "race"]).is_err());
-        assert!(parse(&["p.mc", "--portfolio"]).is_err());
+        // The strategy race is gone, and so is its flag: any use of it is
+        // an unknown option.
+        for args in [
+            &["p.mc", "--portfolio", "on"][..],
+            &["p.mc", "--portfolio", "off"],
+            &["p.mc", "--portfolio"],
+        ] {
+            let err = parse(args).err().expect("--portfolio is rejected");
+            assert!(err.contains("unknown option `--portfolio`"), "{err}");
+        }
     }
 
     #[test]

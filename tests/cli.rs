@@ -176,6 +176,51 @@ fn compile_errors_exit_two() {
     assert!(!String::from_utf8_lossy(&out.stderr).is_empty());
 }
 
+/// Source nested 10,000 levels deep is a compile error (exit 2), not a
+/// stack overflow that aborts the process.
+#[test]
+fn deeply_nested_source_exits_two() {
+    let dir = tempdir();
+    let path = dir.join("deep.mc");
+    let n = 10_000;
+    let src = format!(
+        "int f(int x) {{ return {}x{}; }}",
+        "(".repeat(n),
+        ")".repeat(n)
+    );
+    std::fs::write(&path, src).unwrap();
+    let out = dartc()
+        .arg(&path)
+        .args(["--toplevel", "f"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("nested deeper than 256 levels"));
+}
+
+/// `--solve-threads` past the pool cap is a usage error, before any
+/// worker thread exists; so is `DART_SOLVE_THREADS` past it.
+#[test]
+fn oversized_solve_threads_exit_two() {
+    let dir = tempdir();
+    let demo = write_demo(&dir);
+    let out = dartc()
+        .arg(&demo)
+        .args(["--toplevel", "h", "--solve-threads", "257"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("from 1 to 256"));
+    let out = dartc()
+        .arg(&demo)
+        .args(["--toplevel", "h"])
+        .env("DART_SOLVE_THREADS", "100000")
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("at most 256"));
+}
+
 #[test]
 fn usage_errors_exit_two() {
     let out = dartc().output().unwrap();
