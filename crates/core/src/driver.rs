@@ -171,9 +171,10 @@ pub struct DartConfig {
     /// the bench ablation (`gen_dedup/off`).
     pub frontier_dedup: bool,
     /// Checkpoint file for the generational engine: the frontier,
-    /// coverage and RNG position are written here after every completed
-    /// work item, and a session constructed with the same seed and an
-    /// existing file resumes from it instead of starting fresh. `None`
+    /// coverage, the query cache's model pool and the RNG position are
+    /// written here after every completed work item, and a session
+    /// constructed with the same seed and an existing file resumes from
+    /// it instead of starting fresh. `None`
     /// (the default) never touches disk. Setting it with a
     /// non-generational [`DartConfig::mode`] is rejected with
     /// [`DartError::InvalidConfig`], as is a malformed file or a seed
@@ -376,10 +377,6 @@ pub struct Dart<'p> {
     /// A parsed resume point, loaded by [`Dart::new`] when
     /// [`DartConfig::checkpoint`] names an existing file.
     checkpoint: Option<Checkpoint>,
-    /// Persisted dedup fingerprints to union into the frontier's
-    /// seen-set *iff* this session resumes a checkpoint — see
-    /// [`Dart::with_resume_fingerprints`].
-    resume_fingerprints: Vec<u64>,
     /// The program lowered once for the compiled tier — `None` on the
     /// interpreter tier, so interpreter sessions pay nothing.
     decoded: Option<DecodedProgram>,
@@ -447,7 +444,6 @@ impl<'p> Dart<'p> {
             config,
             pool: None,
             checkpoint,
-            resume_fingerprints: Vec::new(),
             decoded,
         })
     }
@@ -468,20 +464,6 @@ impl<'p> Dart<'p> {
     /// `solve_threads > 1`.
     pub fn with_pool(mut self, pool: std::sync::Arc<SolvePool>) -> Self {
         self.pool = Some(pool);
-        self
-    }
-
-    /// Attaches persisted dedup fingerprints (the farm store's
-    /// fingerprint tier) for this session's frontier. They are applied
-    /// **only if the session actually resumes a checkpoint** — a seen
-    /// fingerprint suppresses a child derivation, which is only sound
-    /// when this very session (in a previous incarnation, under the same
-    /// function and seed) already performed the derivation; into a fresh
-    /// session it would silently skip subtrees. When applied, the keys
-    /// are unioned with the checkpoint's own seen-set, so the import can
-    /// only suppress re-derivations, never un-see anything.
-    pub fn with_resume_fingerprints(mut self, keys: Vec<u64>) -> Self {
-        self.resume_fingerprints = keys;
         self
     }
 
@@ -674,12 +656,13 @@ impl<'p> Dart<'p> {
         // earlier restart already derived is worthless to re-derive.
         let mut frontier = Frontier::new(cfg.frontier_budget, cfg.frontier_dedup);
 
-        // Resume: replay the checkpointed session state, then fast-forward
-        // the session RNG past the root draws the checkpointed restarts
-        // consumed (children never draw from it, so the restart count is
-        // exactly the number of draws). A session already at its run
-        // budget returns `Exhausted` before its next draw, so it skips
-        // the fast-forward.
+        // Resume: replay the checkpointed session state (the model pool
+        // included, since a pooled model can answer the next query), then
+        // fast-forward the session RNG past the root draws the
+        // checkpointed restarts consumed (children never draw from it, so
+        // the restart count is exactly the number of draws). A session
+        // already at its run budget returns `Exhausted` before its next
+        // draw, so it skips the fast-forward.
         let mut resumed_complete = None;
         if let Some(cp) = &self.checkpoint {
             report.restarts = cp.restarts;
@@ -694,7 +677,7 @@ impl<'p> Dart<'p> {
                 }
             }
             frontier.restore(cp);
-            frontier.import_seen(&self.resume_fingerprints);
+            cache.restore_models(cp.pool.clone());
             resumed_complete = Some(cp.session_complete);
         }
 
@@ -707,7 +690,7 @@ impl<'p> Dart<'p> {
                     report.restarts += 1;
                     let root_seed: u64 = rng.gen();
                     frontier.push_root(InputTape::new(root_seed), root_seed);
-                    self.write_checkpoint(&frontier, &coverage, &report, true);
+                    self.write_checkpoint(&frontier, &coverage, &cache, &report, true);
                     true
                 }
             };
@@ -767,7 +750,7 @@ impl<'p> Dart<'p> {
                     session_complete = false;
                     // Drop the divergent item, and persist the drop so a
                     // resume does not replay it.
-                    self.write_checkpoint(&frontier, &coverage, &report, session_complete);
+                    self.write_checkpoint(&frontier, &coverage, &cache, &report, session_complete);
                     continue;
                 }
 
@@ -884,7 +867,7 @@ impl<'p> Dart<'p> {
                     report.outcome = Outcome::DeadlineExceeded;
                     return report;
                 }
-                self.write_checkpoint(&frontier, &coverage, &report, session_complete);
+                self.write_checkpoint(&frontier, &coverage, &cache, &report, session_complete);
             }
 
             if session_complete {
@@ -905,6 +888,7 @@ impl<'p> Dart<'p> {
         &self,
         frontier: &Frontier,
         coverage: &std::collections::HashSet<(usize, bool)>,
+        cache: &QueryCache,
         report: &SessionReport,
         session_complete: bool,
     ) {
@@ -921,6 +905,7 @@ impl<'p> Dart<'p> {
             report.divergences,
             session_complete,
             cov,
+            cache.models().to_vec(),
         );
         let mut tmp = path.clone().into_os_string();
         tmp.push(".tmp");
@@ -1157,6 +1142,7 @@ mod tests {
             peak: 0,
             next_seq: 0,
             seen: Vec::new(),
+            pool: Vec::new(),
             items: Vec::new(),
         });
         let report = dart.run();

@@ -11,11 +11,8 @@
 //! reaps it via exit status, translates signals into engine faults, and
 //! enforces a per-worker wall-clock deadline with kill-on-timeout.
 //!
-//! Three artifacts make the farm durable and observable:
+//! Two artifacts make the farm observable:
 //!
-//! * [`store::FarmStore`] — a checksummed, atomically rewritten file
-//!   carrying per-scope dedup fingerprints across worker processes *and*
-//!   across farm runs, so a resumed checkpoint keeps its seen-set.
 //! * `wire` — the exact (bit-for-bit round-tripping) worker →
 //!   supervisor report protocol over the worker's stdout pipe.
 //! * `stream` — JSONL result streaming, one line per finished
@@ -26,12 +23,10 @@
 //! folded in per attempt) and runs the same supervised session body, so
 //! farm results are byte-identical to an in-process sweep of the same
 //! seeds, modulo the scheduling-dependent diagnostics that
-//! [`crate::SolveStats::scrub_scheduling`] zeroes. The persistent store
-//! feeds a session only when it resumes its own checkpoint (see
-//! [`crate::Dart::with_resume_fingerprints`]), so it never changes a
-//! fresh session's verdict.
+//! [`crate::SolveStats::scrub_scheduling`] zeroes. A worker keeps no
+//! state of its own between runs: with [`DartConfig::checkpoint`] set,
+//! the session's checkpoint is all it resumes from.
 
-pub mod store;
 pub(crate) mod stream;
 pub(crate) mod wire;
 
@@ -41,14 +36,12 @@ use crate::supervise;
 use crate::sweep::{SweepOutcome, SweepResult};
 use dart_minic::CompiledProgram;
 use std::io::Write;
-use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use store::FarmStore;
-use wire::{WorkerOutput, WorkerPayload};
+use wire::WorkerPayload;
 
 /// Supervisor-side knobs for one farm run.
 #[derive(Debug, Clone)]
@@ -66,9 +59,6 @@ pub struct FarmOptions {
     /// Base of the exponential backoff slept before retry `n`
     /// (`backoff * 2^(n-1)`).
     pub retry_backoff: Duration,
-    /// The persistent fingerprint store file shared by every worker and
-    /// future farm run; `None` runs without persistence.
-    pub store: Option<PathBuf>,
 }
 
 impl Default for FarmOptions {
@@ -78,7 +68,6 @@ impl Default for FarmOptions {
             max_retries: 1,
             worker_deadline: None,
             retry_backoff: Duration::from_millis(50),
-            store: None,
         }
     }
 }
@@ -131,22 +120,6 @@ pub fn run_farm(
             "farm needs at least one worker process".to_string(),
         ));
     }
-    // The supervisor is the store's single writer: load once, merge each
-    // finished worker's records under the lock, flush (tmp+rename) at
-    // every commit so a killed farm loses at most the in-flight function.
-    // A load that warned skipped or truncated something, so the store is
-    // rewritten from what survived before any worker reads it: later
-    // loads, the workers' and the next run's, find a clean file.
-    let store = options.store.as_ref().map(|path| {
-        let loaded = FarmStore::load(path);
-        for warning in &loaded.warnings {
-            eprintln!("warning: {warning}");
-        }
-        if !loaded.warnings.is_empty() {
-            write_store(path, &loaded.store);
-        }
-        (path, Mutex::new(loaded.store))
-    });
     let next = AtomicUsize::new(0);
     let mut slots: Vec<Option<SweepResult>> = Vec::new();
     slots.resize_with(toplevels.len(), || None);
@@ -161,7 +134,7 @@ pub fn run_farm(
                     return;
                 };
                 let started = Instant::now();
-                let (outcome, attempts) = run_one(name, i, options, command, store.as_ref());
+                let (outcome, attempts) = run_one(name, i, options, command);
                 let result = SweepResult {
                     function: name.clone(),
                     outcome,
@@ -183,14 +156,13 @@ pub fn run_farm(
         .collect())
 }
 
-/// One function under process supervision: launch, reap, merge, retry.
+/// One function under process supervision: launch, reap, retry.
 /// Returns the outcome plus the number of attempts launched.
 fn run_one(
     name: &str,
     index: usize,
     options: &FarmOptions,
     command: &(dyn Fn(&FarmJob) -> Command + Sync),
-    store: Option<&(&PathBuf, Mutex<FarmStore>)>,
 ) -> (SweepOutcome, u32) {
     let mut attempt: u32 = 0;
     loop {
@@ -201,18 +173,10 @@ fn run_one(
             attempt,
         };
         let message = match run_attempt(&job, options, command) {
-            Ok(output) => {
-                if let Some((path, store)) = store {
-                    commit(path, store, &output);
-                }
-                match output.payload {
-                    WorkerPayload::Report(report) => {
-                        return (SweepOutcome::Finished { report, retried }, attempt + 1)
-                    }
-                    WorkerPayload::Fault(message) => message,
-                }
+            Ok(WorkerPayload::Report(report)) => {
+                return (SweepOutcome::Finished { report, retried }, attempt + 1)
             }
-            Err(message) => message,
+            Ok(WorkerPayload::Fault(message)) | Err(message) => message,
         };
         if attempt >= options.max_retries {
             return (SweepOutcome::EngineFault { message, retried }, attempt + 1);
@@ -225,28 +189,6 @@ fn run_one(
     }
 }
 
-/// Merges one worker's shipped fingerprints into the persistent store
-/// and flushes if anything was new. Insertions are idempotent
-/// set-unions over disjoint per-session scopes, so commit order across
-/// concurrent workers cannot change any session's results.
-fn commit(path: &Path, store: &Mutex<FarmStore>, output: &WorkerOutput) {
-    let mut s = store.lock().expect("supervisor threads don't panic");
-    let mut changed = false;
-    for &(scope, key) in &output.fingerprints {
-        changed |= s.insert_fingerprint(scope, key);
-    }
-    if changed {
-        write_store(path, &s);
-    }
-}
-
-/// Writes `store` to `path`, warning (never failing) when it cannot.
-fn write_store(path: &Path, store: &FarmStore) {
-    if let Err(e) = store.flush(path) {
-        eprintln!("warning: store {}: flush failed ({e})", path.display());
-    }
-}
-
 /// Launches and reaps one worker process. `Ok` carries well-formed
 /// worker output (which may still be a caught fault); `Err` is a
 /// supervisor-observed failure: spawn error, death by signal, abnormal
@@ -255,7 +197,7 @@ fn run_attempt(
     job: &FarmJob<'_>,
     options: &FarmOptions,
     command: &(dyn Fn(&FarmJob) -> Command + Sync),
-) -> Result<WorkerOutput, String> {
+) -> Result<WorkerPayload, String> {
     let mut cmd = command(job);
     cmd.stdin(Stdio::null())
         .stdout(Stdio::piped())
@@ -284,12 +226,12 @@ fn run_attempt(
         }
         return Err(message);
     }
-    match wire::parse_output(&stdout) {
+    match wire::parse_payload(&stdout) {
         // Exit 0 with any well-formed payload, or a nonzero exit that
         // still shipped a caught fault (the worker's exit-70 path):
         // both are usable worker output.
-        Ok(output) => match (&output.payload, status.success()) {
-            (_, true) | (WorkerPayload::Fault(_), false) => Ok(output),
+        Ok(payload) => match (&payload, status.success()) {
+            (_, true) | (WorkerPayload::Fault(_), false) => Ok(payload),
             (WorkerPayload::Report(_), false) => Err(format!(
                 "worker exited with code {} despite reporting a completed session",
                 status.code().unwrap_or(-1)
@@ -372,78 +314,34 @@ pub fn run_worker(
     index: usize,
     attempt: u32,
     config: &DartConfig,
-    store_path: Option<&Path>,
     out: &mut dyn Write,
 ) -> i32 {
     let base_seed = config.seed ^ crate::sweep::name_hash(toplevel);
     let seed = crate::sweep::retry_seed(base_seed, attempt);
-    let checkpoint = config
-        .checkpoint
-        .as_ref()
-        .map(|base| crate::sweep::qualified_checkpoint(base, toplevel, seed));
     let cfg = DartConfig {
         seed,
-        checkpoint: checkpoint.clone(),
+        checkpoint: config
+            .checkpoint
+            .as_ref()
+            .map(|base| crate::sweep::qualified_checkpoint(base, toplevel, seed)),
         ..config.clone()
-    };
-    let scope = store::scope_key(toplevel, seed);
-
-    // Fingerprints persisted for this exact (function, seed) scope; they
-    // apply only if the session resumes its checkpoint.
-    let resume_fps = match store_path {
-        Some(path) => {
-            let loaded = FarmStore::load(path);
-            for warning in &loaded.warnings {
-                eprintln!("warning: {warning}");
-            }
-            loaded.store.fingerprints_for(scope)
-        }
-        None => Vec::new(),
     };
 
     let run = supervise::run_caught(|| {
         supervise::maybe_panic(&cfg, index);
         supervise::maybe_abort(&cfg, index);
-        let mut dart = crate::Dart::new(compiled, toplevel, cfg.clone())?;
-        if !resume_fps.is_empty() {
-            dart = dart.with_resume_fingerprints(resume_fps.clone());
-        }
+        let dart = crate::Dart::new(compiled, toplevel, cfg.clone())?;
         Ok::<SessionReport, DartError>(dart.run())
     });
 
-    let output = match run {
-        Err(message) => WorkerOutput {
-            fingerprints: Vec::new(),
-            payload: WorkerPayload::Fault(message),
-        },
-        Ok(Err(e)) => WorkerOutput {
-            fingerprints: Vec::new(),
-            payload: WorkerPayload::Fault(format!("worker session setup failed: {e}")),
-        },
-        Ok(Ok(report)) => {
-            let mut fingerprints = Vec::new();
-            if store_path.is_some() {
-                // The dedup fingerprints live in the session's final
-                // checkpoint (written by the driver after every expanded
-                // item); exporting from the file keeps the store at or
-                // behind the checkpoint, never ahead of it.
-                if let Some(cp_path) = &checkpoint {
-                    if let Ok(text) = std::fs::read_to_string(cp_path) {
-                        if let Ok(cp) = crate::frontier::Checkpoint::parse(&text) {
-                            fingerprints.extend(cp.seen.iter().map(|&key| (scope, key)));
-                        }
-                    }
-                }
-            }
-            WorkerOutput {
-                fingerprints,
-                payload: WorkerPayload::Report(Box::new(report)),
-            }
-        }
+    let payload = match run {
+        Err(message) => WorkerPayload::Fault(message),
+        Ok(Err(e)) => WorkerPayload::Fault(format!("worker session setup failed: {e}")),
+        Ok(Ok(report)) => WorkerPayload::Report(Box::new(report)),
     };
-    let _ = out.write_all(wire::render_output(&output).as_bytes());
+    let _ = out.write_all(wire::render_payload(&payload).as_bytes());
     let _ = out.flush();
-    match output.payload {
+    match payload {
         WorkerPayload::Fault(_) => 70,
         WorkerPayload::Report(_) => 0,
     }

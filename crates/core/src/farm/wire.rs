@@ -2,10 +2,8 @@
 //!
 //! A `--farm-worker` process writes one line-oriented text document to
 //! its stdout and exits; the supervisor parses it after reaping the
-//! process. The document carries two things: the session's dedup
-//! fingerprints for the persistent store (exported from its final
-//! checkpoint), and either the full [`SessionReport`] or a caught
-//! engine-fault message.
+//! process. The document carries either the full [`SessionReport`] or a
+//! caught engine-fault message.
 //!
 //! The report serialization is *exact* — every field round-trips
 //! bit-for-bit (durations included) — because the farm's determinism
@@ -13,14 +11,15 @@
 //! a lossy wire format would silently break that. Both directions
 //! destructure the structs exhaustively, so adding a report field
 //! without extending the protocol is a compile error, not a silent
-//! truncation. The two ignored [`SolveStats`] counters (`warm_pivots`,
-//! `cold_restarts`) always read 0 and are not carried.
+//! truncation. Three [`SolveStats`] counters are not carried: the two
+//! ignored ones (`warm_pivots`, `cold_restarts`) always read 0, and
+//! `cache_hits` always equals `cache_model_reuse`, so the parser fills
+//! it from that field.
 //!
 //! Layout (`-` marks an empty list field throughout):
 //!
 //! ```text
-//! dart-farm-worker v3
-//! fp <scope hex16> <key hex16>  (0+)
+//! dart-farm-worker v4
 //! report | fault <escaped message>
 //! ...report block...
 //! done
@@ -35,7 +34,7 @@ use std::time::Duration;
 
 /// First line of every worker document: versions the protocol so a
 /// supervisor never misparses output from a mismatched binary.
-pub(crate) const HEADER: &str = "dart-farm-worker v3";
+pub(crate) const HEADER: &str = "dart-farm-worker v4";
 
 /// What a worker produced for its function.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,24 +45,12 @@ pub(crate) enum WorkerPayload {
     Fault(String),
 }
 
-/// Everything one worker process reports back.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct WorkerOutput {
-    /// `(scope, fingerprint)` pairs from the session's final checkpoint.
-    pub fingerprints: Vec<(u64, u64)>,
-    /// The report or the fault.
-    pub payload: WorkerPayload,
-}
-
 /// Renders a complete worker document, `done` terminator included.
-pub(crate) fn render_output(out: &WorkerOutput) -> String {
+pub(crate) fn render_payload(payload: &WorkerPayload) -> String {
     let mut text = String::new();
     text.push_str(HEADER);
     text.push('\n');
-    for (scope, key) in &out.fingerprints {
-        let _ = writeln!(text, "fp {scope:016x} {key:016x}");
-    }
-    match &out.payload {
+    match payload {
         WorkerPayload::Fault(message) => {
             let _ = writeln!(text, "fault {}", escape(message));
         }
@@ -77,43 +64,23 @@ pub(crate) fn render_output(out: &WorkerOutput) -> String {
 }
 
 /// Parses a worker document; errors carry the offending line number.
-pub(crate) fn parse_output(text: &str) -> Result<WorkerOutput, String> {
+pub(crate) fn parse_payload(text: &str) -> Result<WorkerPayload, String> {
     let mut lines = Lines::new(text);
     let header = lines.next()?;
     if header != HEADER {
         return Err(format!("bad worker header `{header}`"));
     }
-    let mut fingerprints = Vec::new();
-    loop {
-        let line = lines.next()?;
-        if let Some(rest) = line.strip_prefix("fp ") {
-            let (scope, key) = rest
-                .split_once(' ')
-                .ok_or_else(|| lines.err("malformed fp line"))?;
-            fingerprints.push((
-                parse_hex64(scope).ok_or_else(|| lines.err("bad fp scope"))?,
-                parse_hex64(key).ok_or_else(|| lines.err("bad fp key"))?,
-            ));
-        } else if let Some(message) = line.strip_prefix("fault ") {
-            let message = unescape(message).ok_or_else(|| lines.err("bad fault escape"))?;
-            lines.expect("done")?;
-            lines.expect_end()?;
-            return Ok(WorkerOutput {
-                fingerprints,
-                payload: WorkerPayload::Fault(message),
-            });
-        } else if line == "report" {
-            let report = parse_report(&mut lines)?;
-            lines.expect("done")?;
-            lines.expect_end()?;
-            return Ok(WorkerOutput {
-                fingerprints,
-                payload: WorkerPayload::Report(Box::new(report)),
-            });
-        } else {
-            return Err(lines.err(&format!("unexpected line `{line}`")));
-        }
-    }
+    let line = lines.next()?;
+    let payload = if let Some(message) = line.strip_prefix("fault ") {
+        WorkerPayload::Fault(unescape(message).ok_or_else(|| lines.err("bad fault escape"))?)
+    } else if line == "report" {
+        WorkerPayload::Report(Box::new(parse_report(&mut lines)?))
+    } else {
+        return Err(lines.err(&format!("unexpected line `{line}`")));
+    };
+    lines.expect("done")?;
+    lines.expect_end()?;
+    Ok(payload)
 }
 
 fn render_report(text: &mut String, report: &SessionReport) {
@@ -165,7 +132,7 @@ fn render_report(text: &mut String, report: &SessionReport) {
         sat,
         unsat,
         unknown,
-        cache_hits,
+        cache_hits: _,
         cache_model_reuse,
         split_solves,
         parallel_wasted,
@@ -178,7 +145,7 @@ fn render_report(text: &mut String, report: &SessionReport) {
     } = solver;
     let _ = writeln!(
         text,
-        "solver {sat} {unsat} {unknown} {cache_hits} {cache_model_reuse} {split_solves} \
+        "solver {sat} {unsat} {unknown} {cache_model_reuse} {split_solves} \
          {parallel_wasted} {steals} {pool_idle_ns} {max_queue_depth}"
     );
     let _ = writeln!(text, "workers {}", render_u64_list(per_worker_solves));
@@ -229,7 +196,7 @@ fn parse_report(lines: &mut Lines<'_>) -> Result<SessionReport, String> {
     let branches = lines.field_list("branches", 2)?;
     let frontier = lines.field_list("frontier", 3)?;
     let blocks = lines.field_list("blocks", 3)?;
-    let solver_fields = lines.field_list("solver", 10)?;
+    let solver_fields = lines.field_list("solver", 9)?;
     let workers_line = lines.field_rest("workers")?;
     let per_worker_solves =
         parse_u64_list(&workers_line).ok_or_else(|| lines.err("bad workers list"))?;
@@ -274,12 +241,12 @@ fn parse_report(lines: &mut Lines<'_>) -> Result<SessionReport, String> {
             unsat: solver_fields[1],
             unknown: solver_fields[2],
             cache_hits: solver_fields[3],
-            cache_model_reuse: solver_fields[4],
-            split_solves: solver_fields[5],
-            parallel_wasted: solver_fields[6],
-            steals: solver_fields[7],
-            pool_idle_ns: solver_fields[8],
-            max_queue_depth: solver_fields[9],
+            cache_model_reuse: solver_fields[3],
+            split_solves: solver_fields[4],
+            parallel_wasted: solver_fields[5],
+            steals: solver_fields[6],
+            pool_idle_ns: solver_fields[7],
+            max_queue_depth: solver_fields[8],
             per_worker_solves,
             warm_pivots: 0,
             cold_restarts: 0,
@@ -422,13 +389,6 @@ fn parse_u64_list(text: &str) -> Option<Vec<u64>> {
     text.split(',').map(|v| v.parse().ok()).collect()
 }
 
-pub(crate) fn parse_hex64(text: &str) -> Option<u64> {
-    if text.len() != 16 {
-        return None;
-    }
-    u64::from_str_radix(text, 16).ok()
-}
-
 /// Escapes newlines and backslashes so arbitrary abort reasons and panic
 /// messages stay single-line. Spaces are fine: escaped strings only ever
 /// occupy a line's final field.
@@ -560,6 +520,9 @@ mod tests {
         report.solver.sat = 5;
         report.solver.unsat = 7;
         report.solver.unknown = 1;
+        report.solver.cache_hits = 8;
+        report.solver.cache_model_reuse = 8;
+        report.solver.split_solves = 6;
         report.solver.pool_idle_ns = 12345;
         report.solver.per_worker_solves = vec![3, 0, 9];
         report.exec_time = Duration::new(1, 999_999_999);
@@ -612,73 +575,81 @@ mod tests {
     }
 
     #[test]
-    fn report_output_round_trips_exactly() {
-        let output = WorkerOutput {
-            fingerprints: vec![(0xdead_beef, 42), (u64::MAX, 0)],
-            payload: WorkerPayload::Report(Box::new(sample_report())),
-        };
-        let text = render_output(&output);
-        let parsed = parse_output(&text).unwrap();
-        assert_eq!(parsed, output);
+    fn report_round_trips_exactly() {
+        let payload = WorkerPayload::Report(Box::new(sample_report()));
+        assert_eq!(parse_payload(&render_payload(&payload)), Ok(payload));
     }
 
     #[test]
-    fn fault_output_round_trips_with_escapes() {
-        let output = WorkerOutput {
-            fingerprints: Vec::new(),
-            payload: WorkerPayload::Fault("panicked:\nline two \\ backslash".to_string()),
-        };
-        let parsed = parse_output(&render_output(&output)).unwrap();
-        assert_eq!(parsed, output);
+    fn fault_round_trips_with_escapes() {
+        let payload = WorkerPayload::Fault("panicked:\nline two \\ backslash".to_string());
+        assert_eq!(parse_payload(&render_payload(&payload)), Ok(payload));
     }
 
     #[test]
     fn empty_report_round_trips() {
-        let output = WorkerOutput {
-            fingerprints: Vec::new(),
-            payload: WorkerPayload::Report(Box::new(SessionReport::new(0))),
+        let payload = WorkerPayload::Report(Box::new(SessionReport::new(0)));
+        assert_eq!(parse_payload(&render_payload(&payload)), Ok(payload));
+    }
+
+    /// `cache_hits` always equals `cache_model_reuse`, so the `solver`
+    /// line carries the value once and the parser fills both fields.
+    #[test]
+    fn solver_line_carries_model_reuse_once() {
+        let full = render_payload(&WorkerPayload::Report(Box::new(sample_report())));
+        let solver_line = full.lines().find(|l| l.starts_with("solver ")).unwrap();
+        assert_eq!(solver_line, "solver 5 7 1 8 6 0 0 12345 0");
+        let Ok(WorkerPayload::Report(report)) = parse_payload(&full) else {
+            panic!("a rendered report parses");
         };
-        let parsed = parse_output(&render_output(&output)).unwrap();
-        assert_eq!(parsed, output);
+        assert_eq!(report.solver.cache_hits, 8);
+        assert_eq!(report.solver.cache_model_reuse, 8);
     }
 
     #[test]
     fn truncated_and_malformed_output_are_rejected() {
-        let full = render_output(&WorkerOutput {
-            fingerprints: Vec::new(),
-            payload: WorkerPayload::Report(Box::new(sample_report())),
-        });
+        let full = render_payload(&WorkerPayload::Report(Box::new(sample_report())));
         // Every strict prefix (on line boundaries) must fail to parse:
         // a torn pipe can never produce a silently wrong report.
         let lines: Vec<&str> = full.lines().collect();
         for cut in 0..lines.len() {
             let partial = lines[..cut].join("\n");
             assert!(
-                parse_output(&partial).is_err(),
+                parse_payload(&partial).is_err(),
                 "prefix of {cut} lines parsed"
             );
         }
-        assert!(parse_output(&full).is_ok());
+        assert!(parse_payload(&full).is_ok());
         assert!(
-            parse_output(&format!("{full}extra\n")).is_err(),
+            parse_payload(&format!("{full}extra\n")).is_err(),
             "trailing data"
         );
-        assert!(parse_output("nonsense\n").is_err());
-        // An older worker's document: a v1 or v2 header, v1's retired
-        // `verdict` line, or v2's four trailing solver counters on the
-        // `solver` line.
-        for old in ["dart-farm-worker v1", "dart-farm-worker v2"] {
+        assert!(parse_payload("nonsense\n").is_err());
+        // An older worker's document: a v1, v2 or v3 header, v1's retired
+        // `verdict` line, v3's `fp` fingerprint lines, or the ten-field
+        // `solver` line of v3 (which also carried `cache_hits`).
+        for old in [
+            "dart-farm-worker v1",
+            "dart-farm-worker v2",
+            "dart-farm-worker v3",
+        ] {
             let old_header = full.replacen(HEADER, old, 1);
-            assert!(parse_output(&old_header).is_err(), "{old} header");
+            assert!(parse_payload(&old_header).is_err(), "{old} header");
         }
         let verdict = full.replacen("report\n", "verdict u 07 1\nreport\n", 1);
-        assert!(parse_output(&verdict).is_err(), "verdict line");
+        assert!(parse_payload(&verdict).is_err(), "verdict line");
+        let fp = "fp 00000000deadbeef 000000000000002a\n";
+        let fingerprint = full.replacen("report\n", &format!("{fp}report\n"), 1);
+        assert!(parse_payload(&fingerprint).is_err(), "fp line");
+        let fault = render_payload(&WorkerPayload::Fault("boom".to_string()));
+        let fault_fp = fault.replacen("fault ", &format!("{fp}fault "), 1);
+        assert!(parse_payload(&fault_fp).is_err(), "fp line before a fault");
         let solver_line = full
             .lines()
             .find(|l| l.starts_with("solver "))
             .expect("a solver line");
-        let v2_solver = full.replacen(solver_line, &format!("{solver_line} 42 2 8 5"), 1);
-        assert!(parse_output(&v2_solver).is_err(), "v2 solver line");
+        let v3_solver = full.replacen(solver_line, &solver_line.replacen(" 8 ", " 8 8 ", 1), 1);
+        assert!(parse_payload(&v3_solver).is_err(), "v3 solver line");
     }
 
     /// `Duration::new` carries a nanosecond field of a second or more
@@ -686,34 +657,27 @@ mod tests {
     /// supervisor, and `2^32` nanoseconds truncated to a silent zero.
     #[test]
     fn out_of_range_duration_nanos_are_rejected() {
-        let full = render_output(&WorkerOutput {
-            fingerprints: Vec::new(),
-            payload: WorkerPayload::Report(Box::new(sample_report())),
-        });
+        let full = render_payload(&WorkerPayload::Report(Box::new(sample_report())));
         for (name, rendered) in [("exec", "exec 1 999999999"), ("solve", "solve 0 1")] {
             assert!(full.contains(&format!("\n{rendered}\n")), "{rendered}");
             for nanos in ["1000000000", "4294967296", "18446744073709551615"] {
                 for secs in ["18446744073709551615", "0"] {
                     let bad = full.replace(rendered, &format!("{name} {secs} {nanos}"));
-                    assert!(parse_output(&bad).is_err(), "{name} {secs} {nanos}");
+                    assert!(parse_payload(&bad).is_err(), "{name} {secs} {nanos}");
                 }
             }
         }
         let max = full.replace("exec 1 999999999", "exec 18446744073709551615 999999999");
-        let Ok(WorkerOutput {
-            payload: WorkerPayload::Report(report),
-            ..
-        }) = parse_output(&max)
-        else {
+        let Ok(WorkerPayload::Report(report)) = parse_payload(&max) else {
             panic!("the largest renderable duration must parse");
         };
         assert_eq!(report.exec_time, Duration::new(u64::MAX, 999_999_999));
     }
 
-    /// A random valid worker document: fingerprints, fault messages from
-    /// a printable alphabet (with the escaped newline and backslash), and
-    /// a report with random counters and durations.
-    fn output_strategy() -> impl proptest::strategy::Strategy<Value = WorkerOutput> {
+    /// A random valid worker document: a fault message from a printable
+    /// alphabet (with the escaped newline and backslash), or a report
+    /// with random counters and durations.
+    fn payload_strategy() -> impl proptest::strategy::Strategy<Value = WorkerPayload> {
         use proptest::collection::vec;
         use proptest::prelude::*;
         let text = |alphabet: &'static [u8], len: std::ops::Range<usize>| {
@@ -734,37 +698,32 @@ mod tests {
             ),
             vec(any::<u64>(), 0..4),
         )
-            .prop_map(|((runs, steps, sat), (es, en, ss, sn), workers)| {
+            .prop_map(|((runs, steps, reuse), (es, en, ss, sn), workers)| {
                 let mut report = sample_report();
                 report.runs = runs;
                 report.steps = steps;
-                report.solver.sat = sat;
+                report.solver.cache_hits = reuse;
+                report.solver.cache_model_reuse = reuse;
                 report.solver.per_worker_solves = workers;
                 report.exec_time = Duration::new(es, en);
                 report.solve_time = Duration::new(ss, sn);
                 WorkerPayload::Report(Box::new(report))
             });
         let fault = text(b"abcxyz0129 -:\\\n", 0..40).prop_map(WorkerPayload::Fault);
-        let payload = prop_oneof![report, fault];
-        (vec((any::<u64>(), any::<u64>()), 0..3), payload).prop_map(|(fingerprints, payload)| {
-            WorkerOutput {
-                fingerprints,
-                payload,
-            }
-        })
+        prop_oneof![report, fault]
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(64))]
 
-        /// `parse_output` runs in the supervisor on whatever a worker
+        /// `parse_payload` runs in the supervisor on whatever a worker
         /// wrote, so it never panics: not on random bytes (bare or behind
         /// a valid header), not on any truncation of a rendered document,
         /// and not on single-byte edits of one. A valid document
         /// round-trips exactly.
         #[test]
-        fn parse_output_never_panics_and_roundtrips(
-            output in output_strategy(),
+        fn parse_payload_never_panics_and_roundtrips(
+            payload in payload_strategy(),
             noise in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..200),
             edits in proptest::collection::vec(
                 (
@@ -776,9 +735,9 @@ mod tests {
                 48,
             ),
         ) {
-            let parse_bytes = |bytes: &[u8]| parse_output(&String::from_utf8_lossy(bytes));
-            let text = render_output(&output);
-            proptest::prop_assert_eq!(parse_output(&text), Ok(output.clone()));
+            let parse_bytes = |bytes: &[u8]| parse_payload(&String::from_utf8_lossy(bytes));
+            let text = render_payload(&payload);
+            proptest::prop_assert_eq!(parse_payload(&text), Ok(payload.clone()));
             let mut headed = format!("{HEADER}\n").into_bytes();
             headed.extend_from_slice(&noise);
             let _ = parse_bytes(&noise);
@@ -790,7 +749,7 @@ mod tests {
                 // of the closing `done` line, so none may parse.
                 proptest::prop_assert!(parse_bytes(&bytes[..cut]).is_err(), "cut at {cut}");
             }
-            proptest::prop_assert_eq!(parse_bytes(&bytes[..last]), Ok(output));
+            proptest::prop_assert_eq!(parse_bytes(&bytes[..last]), Ok(payload));
             for (pos, byte) in &edits {
                 let mut mutated = bytes.to_vec();
                 mutated[pos % bytes.len()] = *byte;

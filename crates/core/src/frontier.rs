@@ -20,17 +20,20 @@
 //!   full, the lowest-scored (then newest) item is evicted, counted in
 //!   `frontier_evicted`, and the completeness flag is cleared by the
 //!   driver — an evicted subtree was provably not explored.
-//! * **Checkpoint/resume**: the frontier, the coverage set and the
-//!   session's RNG position serialize to a small text file (same
-//!   hand-rolled line format family as [`crate::replay`](mod@crate::replay)),
-//!   so a killed session resumes exactly where its last completed work
-//!   item left off. Exactness rests on every queued tape carrying a *pristine*
-//!   RNG: roots record the seed they were drawn with, and children are
-//!   rebuilt from parent slots with a seed derived deterministically from
-//!   the session seed and the item's sequence number.
+//! * **Checkpoint/resume**: the frontier, the coverage set, the query
+//!   cache's model pool and the session's RNG position serialize to a
+//!   small text file (same hand-rolled line format family as
+//!   [`crate::replay`](mod@crate::replay)), so a killed session resumes
+//!   exactly where its last completed work item left off. Exactness rests
+//!   on every queued tape carrying a *pristine* RNG: roots record the
+//!   seed they were drawn with, and children are rebuilt from parent
+//!   slots with a seed derived deterministically from the session seed
+//!   and the item's sequence number. The model pool is saved because
+//!   which pooled model answers a query decides the child tape that
+//!   query derives.
 
 use crate::tape::{InputKind, InputSlot, InputTape};
-use dart_solver::Constraint;
+use dart_solver::{Assignment, Constraint, Var, MODEL_POOL};
 use dart_sym::BranchRecord;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
@@ -204,7 +207,7 @@ impl Frontier {
     /// Snapshots this frontier plus the driver-side session state into a
     /// serializable [`Checkpoint`]. Queued tapes are pristine (never
     /// run), so their slots plus their recorded seed rebuild them
-    /// exactly.
+    /// exactly. `pool` is the query cache's model pool, oldest first.
     #[allow(clippy::too_many_arguments)] // one spot, mirrors the session state
     pub(crate) fn to_checkpoint(
         &self,
@@ -215,6 +218,7 @@ impl Frontier {
         divergences: u64,
         session_complete: bool,
         coverage: Vec<(usize, bool)>,
+        pool: Vec<Assignment>,
     ) -> Checkpoint {
         Checkpoint {
             seed,
@@ -229,6 +233,7 @@ impl Frontier {
             peak: self.peak,
             next_seq: self.next_seq,
             seen: self.seen.iter().copied().collect(),
+            pool,
             items: self
                 .items
                 .values()
@@ -268,21 +273,6 @@ impl Frontier {
                     seq: it.seq,
                 },
             );
-        }
-    }
-
-    /// Unions externally persisted dedup fingerprints — the farm store's
-    /// fingerprint tier — into the seen-set. Sound only when the caller
-    /// is resuming a checkpoint for the *same* (function, seed) scope
-    /// the fingerprints were exported from: a seen key suppresses the
-    /// derivation it fingerprints, and that is only correct if this very
-    /// session (in a previous incarnation) already performed it. The
-    /// driver enforces the restriction by applying imports exclusively
-    /// on the checkpoint-resume path. With dedup off this tracks
-    /// nothing, like [`Frontier::note_candidate`].
-    pub(crate) fn import_seen(&mut self, keys: &[u64]) {
-        if self.dedup {
-            self.seen.extend(keys.iter().copied());
         }
     }
 }
@@ -372,10 +362,13 @@ pub(crate) struct Checkpoint {
     pub(crate) peak: u64,
     pub(crate) next_seq: u64,
     pub(crate) seen: Vec<u64>,
+    /// The query cache's model pool, oldest first (at most
+    /// [`MODEL_POOL`] models).
+    pub(crate) pool: Vec<Assignment>,
     pub(crate) items: Vec<CheckpointItem>,
 }
 
-const CHECKPOINT_HEADER: &str = "dart-generational-checkpoint v1";
+const CHECKPOINT_HEADER: &str = "dart-generational-checkpoint v2";
 
 impl Checkpoint {
     /// Renders the line-based text format (see the module docs).
@@ -402,6 +395,20 @@ impl Checkpoint {
         out.push_str("seen");
         for k in &self.seen {
             let _ = write!(out, " {k:x}");
+        }
+        out.push('\n');
+        // One field per model, `var:value` pairs joined by commas; an
+        // empty model is `-`.
+        out.push_str("pool");
+        for model in &self.pool {
+            out.push(' ');
+            if model.is_empty() {
+                out.push('-');
+            }
+            for (n, (var, value)) in model.iter().enumerate() {
+                let sep = if n == 0 { "" } else { "," };
+                let _ = write!(out, "{sep}{}:{value}", var.0);
+            }
         }
         out.push('\n');
         for it in &self.items {
@@ -458,6 +465,9 @@ impl Checkpoint {
     /// and a `seq` at or past `next_seq` can be overwritten by a child
     /// pushed after the resume. Either way queued work would vanish, and
     /// a resumed session could claim completeness without exploring it.
+    /// A `pool` line with more than [`MODEL_POOL`] models, or a model
+    /// that names one variable twice, is rejected too: no session writes
+    /// either.
     pub(crate) fn parse(text: &str) -> Result<Checkpoint, CheckpointParseError> {
         let mut lines = text.lines().enumerate();
         let err = |line: usize, message: String| CheckpointParseError {
@@ -563,6 +573,31 @@ impl Checkpoint {
                 u64::from_str_radix(k, 16)
                     .map_err(|_| err(i, format!("bad seen fingerprint `{k}`")))?,
             );
+        }
+        let (i, pool_line) = next("pool")?;
+        let fields: Vec<&str> = match pool_line.strip_prefix("pool") {
+            Some("") => Vec::new(),
+            Some(rest) if rest.starts_with(' ') => rest[1..].split(' ').collect(),
+            _ => return Err(err(i, format!("expected `pool`, got `{pool_line}`"))),
+        };
+        if fields.len() > MODEL_POOL {
+            return Err(err(i, format!("more than {MODEL_POOL} pooled models")));
+        }
+        let mut pool = Vec::new();
+        for field in fields {
+            let mut model = Assignment::new();
+            if field != "-" {
+                for entry in field.split(',') {
+                    let (var, value) = entry
+                        .split_once(':')
+                        .and_then(|(v, x)| Some((v.parse().ok()?, x.parse().ok()?)))
+                        .ok_or_else(|| err(i, format!("bad pooled model entry `{entry}`")))?;
+                    if model.insert(Var(var), value).is_some() {
+                        return Err(err(i, format!("variable {var} repeated in a pooled model")));
+                    }
+                }
+            }
+            pool.push(model);
         }
         let mut items = Vec::new();
         let mut seqs = BTreeSet::new();
@@ -680,6 +715,7 @@ impl Checkpoint {
             peak,
             next_seq,
             seen,
+            pool,
             items,
         })
     }
@@ -795,6 +831,11 @@ mod tests {
             peak: 9,
             next_seq: 21,
             seen: vec![1, 0xdead_beef, u64::MAX],
+            pool: vec![
+                Assignment::from([(Var(0), -5), (Var(3), i64::MAX)]),
+                Assignment::new(),
+                Assignment::from([(Var(u32::MAX), i64::MIN)]),
+            ],
             items: vec![
                 CheckpointItem {
                     slots: vec![
@@ -857,6 +898,7 @@ mod tests {
             peak: 1,
             next_seq: 1,
             seen: vec![],
+            pool: vec![Assignment::from([(Var(0), 7), (Var(2), -1)])],
             items: vec![CheckpointItem {
                 slots: vec![],
                 stack: vec![],
@@ -878,6 +920,60 @@ mod tests {
         }
         assert!(Checkpoint::parse(&good.replace("seed 1", "seed x")).is_err());
         assert!(Checkpoint::parse(&good.replace("stack -", "stack 9")).is_err());
+    }
+
+    /// A checkpoint from before the model pool was saved would resume
+    /// with an empty pool, and so answer differently from the session
+    /// that wrote it: its `v1` header is rejected. So is every `pool`
+    /// line that no session writes.
+    #[test]
+    fn checkpoint_parse_rejects_v1_and_bad_pools() {
+        let cp = |pool| Checkpoint {
+            seed: 1,
+            restarts: 0,
+            runs: 0,
+            steps: 0,
+            divergences: 0,
+            session_complete: true,
+            coverage: vec![],
+            dedup_hits: 0,
+            evicted: 0,
+            peak: 0,
+            next_seq: 0,
+            seen: vec![],
+            pool,
+            items: vec![],
+        };
+        let good = cp(vec![Assignment::from([(Var(0), 7), (Var(2), -1)])]).render();
+        assert!(good.contains("\npool 0:7,2:-1\n"), "{good}");
+        assert!(Checkpoint::parse(&good).is_ok());
+        let v1 = good
+            .replace("checkpoint v2", "checkpoint v1")
+            .replace("pool 0:7,2:-1\n", "");
+        let err = Checkpoint::parse(&v1).unwrap_err();
+        assert!(err.message.contains("bad header"), "{err}");
+        for bad in [
+            "pool 0:7,2:",
+            "pool 0:7,,2:-1",
+            "pool 0:7 ",
+            "pool  0:7",
+            "pool x:7",
+            "pool -1:7",
+            "pool 0:9223372036854775808",
+            "pool 0=7",
+            "pool 0:7,0:8",
+            "pooled",
+            "0:7,2:-1",
+        ] {
+            let text = good.replace("pool 0:7,2:-1", bad);
+            assert!(Checkpoint::parse(&text).is_err(), "`{bad}` parsed");
+        }
+        let repeated = Checkpoint::parse(&good.replace("0:7,2:-1", "2:7,2:-1")).unwrap_err();
+        assert!(repeated.message.contains("repeated"), "{repeated}");
+        let full = cp(vec![Assignment::from([(Var(1), 1)]); MODEL_POOL]).render();
+        assert_eq!(Checkpoint::parse(&full).unwrap().pool.len(), MODEL_POOL);
+        let over = Checkpoint::parse(&full.replace("pool ", "pool - ")).unwrap_err();
+        assert!(over.message.contains("pooled models"), "{over}");
     }
 
     /// Two items with one `seq`, or an item at or past `next_seq`, would
@@ -907,6 +1003,7 @@ mod tests {
             peak: 2,
             next_seq,
             seen: vec![],
+            pool: vec![],
             items,
         };
         let parse = |c: Checkpoint| Checkpoint::parse(&c.render());
@@ -936,6 +1033,7 @@ mod tests {
             peak: 0,
             next_seq: 0,
             seen: vec![],
+            pool: vec![],
             items: vec![],
         };
         let parse = |c: Checkpoint| Checkpoint::parse(&c.render());
@@ -947,7 +1045,8 @@ mod tests {
     }
 
     /// A valid random checkpoint: unique item sequence numbers below
-    /// `next_seq`, and slot names from a newline-free alphabet.
+    /// `next_seq`, slot names from a newline-free alphabet, and a model
+    /// pool that is empty, small, or full to [`MODEL_POOL`].
     fn checkpoint_strategy() -> impl proptest::strategy::Strategy<Value = Checkpoint> {
         use proptest::collection::vec;
         use proptest::prelude::*;
@@ -991,13 +1090,23 @@ mod tests {
             (any::<u64>(), any::<bool>(), any::<u64>(), any::<u64>()),
             (any::<u64>(), 0u64..3),
         );
+        let model = || {
+            vec((any::<u32>(), any::<i64>()), 0..4).prop_map(|pairs| {
+                pairs
+                    .into_iter()
+                    .map(|(var, value)| (Var(var), value))
+                    .collect::<Assignment>()
+            })
+        };
+        let pool = prop_oneof![vec(model(), 0..4), vec(model(), MODEL_POOL)];
         (
             header,
             vec((0usize..50, any::<bool>()), 0..6),
             vec(any::<u64>(), 0..5),
+            pool,
             vec(item, 0..4),
         )
-            .prop_map(|(header, coverage, mut seen, items)| {
+            .prop_map(|(header, coverage, mut seen, pool, items)| {
                 let ((seed, restarts, runs, steps), (divergences, complete, dedup_hits, evicted)) =
                     (header.0, header.1);
                 // `parse` accepts at most `runs + 1` restarts.
@@ -1030,6 +1139,7 @@ mod tests {
                     peak,
                     next_seq: next_seq + slack,
                     seen,
+                    pool,
                     items,
                 }
             })
@@ -1037,12 +1147,17 @@ mod tests {
 
     /// What `parse` guarantees about an accepted checkpoint: unique item
     /// sequence numbers below `next_seq`, so a restore keeps every item
-    /// and the next pushed child collides with none of them.
+    /// and the next pushed child collides with none of them, and a model
+    /// pool that a query cache restores whole.
     fn assert_restorable(cp: &Checkpoint) {
         assert!(
             cp.restarts <= cp.runs.saturating_add(1),
             "restarts past runs + 1"
         );
+        assert!(cp.pool.len() <= MODEL_POOL, "pool past its capacity");
+        let mut cache = dart_solver::QueryCache::default();
+        cache.restore_models(cp.pool.clone());
+        assert_eq!(cache.models(), &cp.pool[..], "restore dropped models");
         let seqs: BTreeSet<u64> = cp.items.iter().map(|it| it.seq).collect();
         assert_eq!(seqs.len(), cp.items.len(), "duplicate seq accepted");
         assert!(
@@ -1116,7 +1231,9 @@ mod tests {
         f.push_child(tape, vec![rec(true)], 1, 3, 5, 10);
         let popped = f.pop().expect("root pops first? no — scored: child");
         // Snapshot the remaining state, restore into a fresh frontier.
-        let cp = f.to_checkpoint(9, 1, 4, 100, 0, true, vec![(2, true)]);
+        let pool = vec![Assignment::from([(Var(0), 123)])];
+        let cp = f.to_checkpoint(9, 1, 4, 100, 0, true, vec![(2, true)], pool.clone());
+        assert_eq!(cp.pool, pool);
         let mut g = Frontier::new(Some(8), true);
         g.restore(&cp);
         assert_eq!(g.items.len(), f.items.len());

@@ -188,7 +188,7 @@ impl fmt::Display for SessionReport {
             f,
             "{outcome} | runs {} | bugs {} | divergences {} | restarts {} | \
              solver sat/unsat/unknown {}/{}/{} (unknown rate {:.1}%) | \
-             cache hits/reuse/splits {}/{}/{} | \
+             reuse/splits {}/{} | \
              wasted {} | steals {} | frontier dedup/evict/peak {}/{}/{} | \
              branch cov {}/{}",
             self.runs,
@@ -199,7 +199,6 @@ impl fmt::Display for SessionReport {
             self.solver.unsat,
             self.solver.unknown,
             self.solver.unknown_rate() * 100.0,
-            self.solver.cache_hits,
             self.solver.cache_model_reuse,
             self.solver.split_solves,
             self.solver.parallel_wasted,

@@ -83,8 +83,12 @@ pub struct SolveStats {
     pub unknown: u64,
     /// Queries answered by the session query cache without solving.
     /// The model pool is the cache's only answer, so this always equals
-    /// [`SolveStats::cache_model_reuse`]; the duplicate stays until the
-    /// end-to-end benchmark stops reading it (ROADMAP.md item 3).
+    /// [`SolveStats::cache_model_reuse`], and no output prints it: the
+    /// report line, `dartc --stats`, the JSONL stream and the farm's wire
+    /// protocol carry `cache_model_reuse` alone, and the wire parser
+    /// fills this field from it. It stays only because the end-to-end
+    /// benchmark still reads it, and goes once the benchmark stops doing
+    /// so (ROADMAP.md items 1 and 2).
     pub cache_hits: u64,
     /// Queries answered by re-checking a previously computed model
     /// (the counterexample-reuse fast path).

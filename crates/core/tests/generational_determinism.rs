@@ -275,8 +275,10 @@ fn gen_config(seed: u64, max_runs: u64) -> DartConfig {
 }
 
 /// The resume-visible facts: everything deterministic that the
-/// checkpoint must carry across a kill. Solver/cache counters are
-/// excluded by design — a resumed session starts with a cold cache.
+/// checkpoint must carry across a kill. The solver counters are left
+/// out: the checkpoint carries the query cache's model pool, which
+/// decides the answers, but not the counters, so a resumed session
+/// counts only the queries it posed itself.
 fn resume_observable(r: &SessionReport) -> impl PartialEq + std::fmt::Debug {
     (
         r.outcome.clone(),
@@ -347,6 +349,72 @@ fn killed_and_resumed_session_matches_uninterrupted() {
     }
 }
 
+/// Six inputs, eight independent branches: with a small frontier budget
+/// the session evicts from its first restart on and never finishes, so
+/// every resume lands mid-search with a full model pool.
+const SIX_INPUTS: &str = r#"
+    int f(int a, int b, int c, int d, int e, int g) {
+        int n = 0;
+        if (a > 10) n = n + 1;   if (b > 20) n = n + 2;
+        if (c > 30) n = n + 4;   if (d > 40) n = n + 8;
+        if (e > 50) n = n + 16;  if (g > 60) n = n + 32;
+        if (a + b == 7) n = n + 64;  if (c - d == 9) n = n + 128;
+        return n;
+    }
+"#;
+
+/// Contract 3 for sessions that never finish on their own: an evicting
+/// frontier keeps a session restarting until its run budget is spent, so
+/// the comparison is at a fixed final budget. The session is killed once
+/// (the first leg's budget) and resumed to the final budget; the resumed
+/// session must equal the uninterrupted one. Which pooled model answers a
+/// query decides the child it derives, and the children decide what the
+/// budget evicts, so this holds only if the checkpoint carries the query
+/// cache's model pool.
+#[test]
+fn killed_and_resumed_evicting_session_matches_uninterrupted() {
+    let compiled = dart_minic::compile(SIX_INPUTS).unwrap();
+    let mut mismatches = Vec::new();
+    for budget in [2usize, 4, 8] {
+        for seed in 1..=5u64 {
+            for (first, last) in [(30u64, 60u64), (17, 90)] {
+                let config = |max_runs| DartConfig {
+                    frontier_budget: Some(budget),
+                    ..gen_config(seed, max_runs)
+                };
+                let full = Dart::new(&compiled, "f", config(last)).unwrap().run();
+                assert_eq!(full.outcome, dart::Outcome::Exhausted);
+                assert!(full.frontier_evicted > 0, "budget {budget} evicts");
+
+                let scratch = ScratchFile::new(&format!("evict-{budget}-{seed}-{first}"));
+                let mut resumed = None;
+                for max_runs in [first, last] {
+                    let leg = DartConfig {
+                        checkpoint: Some(scratch.0.clone()),
+                        ..config(max_runs)
+                    };
+                    resumed = Some(Dart::new(&compiled, "f", leg).unwrap().run());
+                }
+                let resumed = resumed.expect("two legs ran");
+                if resume_observable(&resumed) != resume_observable(&full) {
+                    mismatches.push(format!(
+                        "budget {budget} seed {seed} {first}->{last}: resumed {:?}, \
+                         uninterrupted {:?}",
+                        resume_observable(&resumed),
+                        resume_observable(&full)
+                    ));
+                }
+            }
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "{} of 30 resumed sessions differ:\n{}",
+        mismatches.len(),
+        mismatches.join("\n")
+    );
+}
+
 /// Checkpoints are tier-agnostic: a session interrupted on one execution
 /// tier resumes on the other without observable difference, because both
 /// tiers produce identical run results. Legs alternate interpreter and
@@ -395,7 +463,9 @@ fn checkpoint_resume_is_tier_agnostic() {
 
 /// A checkpoint is only loadable under the seed that recorded it: a
 /// mismatched resume is an invalid config, not a silently corrupted
-/// session. A malformed file is rejected the same way.
+/// session. A malformed file is rejected the same way, and so are a
+/// checkpoint from before the model pool was saved (`v1`) and a `pool`
+/// line that no session writes.
 #[test]
 fn checkpoint_seed_mismatch_and_garbage_are_rejected() {
     let compiled = dart_minic::compile(PAPER_H).unwrap();
@@ -419,15 +489,33 @@ fn checkpoint_seed_mismatch_and_garbage_are_rejected() {
         other => panic!("expected InvalidConfig, got {:?}", other.map(|_| ())),
     }
 
-    std::fs::write(&scratch.0, "not a checkpoint\n").unwrap();
-    let garbage = DartConfig {
-        checkpoint: Some(scratch.0.clone()),
-        ..gen_config(7, 500)
-    };
-    match Dart::new(&compiled, "h", garbage) {
-        Err(dart::DartError::InvalidConfig(reason)) => {
-            assert!(reason.contains("malformed"), "{reason}");
+    let written = std::fs::read_to_string(&scratch.0).unwrap();
+    let pool_line = written
+        .lines()
+        .find(|l| l.starts_with("pool"))
+        .expect("a pool line")
+        .to_string();
+    let v1 = written
+        .replace("checkpoint v2", "checkpoint v1")
+        .replace(&format!("{pool_line}\n"), "");
+    let full_pool = format!("pool{}", " 0:1".repeat(65));
+    for text in [
+        "not a checkpoint\n".to_string(),
+        v1,
+        written.replace(&pool_line, "pool 0:1,0:2"),
+        written.replace(&pool_line, "pool 0:x"),
+        written.replace(&pool_line, &full_pool),
+    ] {
+        std::fs::write(&scratch.0, &text).unwrap();
+        let garbage = DartConfig {
+            checkpoint: Some(scratch.0.clone()),
+            ..gen_config(7, 500)
+        };
+        match Dart::new(&compiled, "h", garbage) {
+            Err(dart::DartError::InvalidConfig(reason)) => {
+                assert!(reason.contains("malformed"), "{reason}");
+            }
+            other => panic!("expected InvalidConfig, got {:?}", other.map(|_| ())),
         }
-        other => panic!("expected InvalidConfig, got {:?}", other.map(|_| ())),
     }
 }

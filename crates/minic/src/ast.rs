@@ -119,6 +119,26 @@ pub enum BinaryOp {
     Shr,
 }
 
+impl BinaryOp {
+    /// How tightly the operator binds, from 1 (`||`) to 10 (`*`, `/`,
+    /// `%`); every level is left-associative. The parser climbs these
+    /// levels, and the printer parenthesizes by them.
+    pub fn precedence(self) -> u8 {
+        match self {
+            BinaryOp::LogOr => 1,
+            BinaryOp::LogAnd => 2,
+            BinaryOp::BitOr => 3,
+            BinaryOp::BitXor => 4,
+            BinaryOp::BitAnd => 5,
+            BinaryOp::Eq | BinaryOp::Ne => 6,
+            BinaryOp::Lt | BinaryOp::Le | BinaryOp::Gt | BinaryOp::Ge => 7,
+            BinaryOp::Shl | BinaryOp::Shr => 8,
+            BinaryOp::Add | BinaryOp::Sub => 9,
+            BinaryOp::Mul | BinaryOp::Div | BinaryOp::Rem => 10,
+        }
+    }
+}
+
 /// Unary operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UnaryOp {

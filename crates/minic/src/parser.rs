@@ -22,9 +22,9 @@ use crate::token::{Keyword, Pos, Punct, Token, TokenKind};
 /// up to about 4.5 MiB in an unoptimized one, which fits a main thread's
 /// 8 MiB but not a default spawned thread.
 ///
-/// [`print_unit`](crate::print_unit) parenthesizes every operator and
-/// braces every body, which can double a unit's nesting: a unit within
-/// half the limit prints as source that parses, a deeper one may not.
+/// [`print_unit`](crate::print_unit) prints only the parentheses and
+/// braces the tree needs, so its printout of a unit within the limit
+/// parses again.
 pub const MAX_NESTING: usize = 256;
 
 /// Parses a MiniC source file into a [`Unit`].
@@ -647,10 +647,10 @@ impl Parser {
     fn binary(&mut self, min: u8) -> Result<Expr, CompileError> {
         let pos = self.pos();
         let (mut lhs, mut height) = self.height_of(Self::unary)?;
-        while let Some((op, prec)) = binary_op(self.peek()).filter(|&(_, prec)| prec >= min) {
+        while let Some(op) = binary_op(self.peek()).filter(|op| op.precedence() >= min) {
             let at = self.pos();
             self.bump();
-            let (rhs, rhs_height) = self.height_of(|p| p.binary(prec + 1))?;
+            let (rhs, rhs_height) = self.height_of(|p| p.binary(op.precedence() + 1))?;
             height = 1 + height.max(rhs_height);
             self.reach(height, at)?;
             lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs), pos);
@@ -804,36 +804,35 @@ impl Parser {
     }
 }
 
-/// Helper: whether a token begins a type (for cast disambiguation).
-/// The binary operator `t` spells and its precedence, higher binding
-/// tighter.
-fn binary_op(t: &TokenKind) -> Option<(BinaryOp, u8)> {
+/// The binary operator `t` spells, if any.
+fn binary_op(t: &TokenKind) -> Option<BinaryOp> {
     let TokenKind::Punct(p) = t else {
         return None;
     };
     Some(match p {
-        Punct::PipePipe => (BinaryOp::LogOr, 1),
-        Punct::AmpAmp => (BinaryOp::LogAnd, 2),
-        Punct::Pipe => (BinaryOp::BitOr, 3),
-        Punct::Caret => (BinaryOp::BitXor, 4),
-        Punct::Amp => (BinaryOp::BitAnd, 5),
-        Punct::EqEq => (BinaryOp::Eq, 6),
-        Punct::NotEq => (BinaryOp::Ne, 6),
-        Punct::Le => (BinaryOp::Le, 7),
-        Punct::Ge => (BinaryOp::Ge, 7),
-        Punct::Lt => (BinaryOp::Lt, 7),
-        Punct::Gt => (BinaryOp::Gt, 7),
-        Punct::Shl => (BinaryOp::Shl, 8),
-        Punct::Shr => (BinaryOp::Shr, 8),
-        Punct::Plus => (BinaryOp::Add, 9),
-        Punct::Minus => (BinaryOp::Sub, 9),
-        Punct::Star => (BinaryOp::Mul, 10),
-        Punct::Slash => (BinaryOp::Div, 10),
-        Punct::Percent => (BinaryOp::Rem, 10),
+        Punct::PipePipe => BinaryOp::LogOr,
+        Punct::AmpAmp => BinaryOp::LogAnd,
+        Punct::Pipe => BinaryOp::BitOr,
+        Punct::Caret => BinaryOp::BitXor,
+        Punct::Amp => BinaryOp::BitAnd,
+        Punct::EqEq => BinaryOp::Eq,
+        Punct::NotEq => BinaryOp::Ne,
+        Punct::Le => BinaryOp::Le,
+        Punct::Ge => BinaryOp::Ge,
+        Punct::Lt => BinaryOp::Lt,
+        Punct::Gt => BinaryOp::Gt,
+        Punct::Shl => BinaryOp::Shl,
+        Punct::Shr => BinaryOp::Shr,
+        Punct::Plus => BinaryOp::Add,
+        Punct::Minus => BinaryOp::Sub,
+        Punct::Star => BinaryOp::Mul,
+        Punct::Slash => BinaryOp::Div,
+        Punct::Percent => BinaryOp::Rem,
         _ => return None,
     })
 }
 
+/// Whether a token begins a type (for cast disambiguation).
 trait TypeStart {
     fn is_type_start(&self) -> bool;
 }

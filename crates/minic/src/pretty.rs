@@ -1,8 +1,15 @@
 //! Pretty-printer: AST → MiniC source.
 //!
 //! Emits parseable source whose AST round-trips exactly
-//! (`parse(print(u)) == u` up to source positions). Useful for dumping
-//! generated workloads, golden tests, and fuzzing the parser.
+//! (`parse(print(u)) == u` up to source positions), except that a body
+//! the dangling `else` forces into braces reparses as a block. Useful for
+//! dumping generated workloads, golden tests, and fuzzing the parser.
+//!
+//! The printout has only the parentheses that precedence needs and only
+//! the braces that the AST's blocks and the dangling `else` need, so it
+//! nests no deeper than the source it was parsed from: a unit within
+//! [`MAX_NESTING`](crate::parser::MAX_NESTING) prints as source that
+//! parses again.
 
 use crate::ast::*;
 use std::fmt::Write as _;
@@ -101,16 +108,75 @@ fn indent(out: &mut String, level: usize) {
     }
 }
 
-/// Prints `s` as the contents of an (already-opened) braced body,
-/// unwrapping one `Block` layer so reparsing reaches a fixpoint.
-fn braced_contents(out: &mut String, s: &Stmt, level: usize) {
+/// Whether an `else` printed after `s` would bind inside it: `s` ends in
+/// an `if` that has no `else`.
+fn dangles(s: &Stmt) -> bool {
+    match s {
+        Stmt::If { els: None, .. } => true,
+        Stmt::If { els: Some(e), .. } => dangles(e),
+        Stmt::While { body, .. } | Stmt::For { body, .. } => dangles(body),
+        _ => false,
+    }
+}
+
+/// Prints `s` as the body of a statement whose header (`if (c)`, `else`,
+/// `while (c)`, `for (...)`, `do`) is already written. A block, or any
+/// body when `brace` is set, opens its brace on the header's line; any
+/// other body goes on the next line, one level deeper. Returns whether
+/// the body ended with its closing brace, which leaves the line open for
+/// a following `else` or `while`.
+fn body(out: &mut String, s: &Stmt, level: usize, brace: bool) -> bool {
     match s {
         Stmt::Block(stmts) => {
+            out.push_str(" {\n");
             for inner in stmts {
-                stmt(out, inner, level);
+                stmt(out, inner, level + 1);
             }
         }
-        other => stmt(out, other, level),
+        _ if brace => {
+            out.push_str(" {\n");
+            stmt(out, s, level + 1);
+        }
+        _ => {
+            out.push('\n');
+            stmt(out, s, level + 1);
+            return false;
+        }
+    }
+    indent(out, level);
+    out.push('}');
+    true
+}
+
+/// Prints a body that nothing follows on its line.
+fn last_body(out: &mut String, s: &Stmt, level: usize) {
+    if body(out, s, level, false) {
+        out.push('\n');
+    }
+}
+
+/// Prints an `if` statement from its keyword on (the caller has written
+/// the indentation). An `else if` continues on the `else`'s line.
+fn if_stmt(out: &mut String, cond: &Expr, then: &Stmt, els: Option<&Stmt>, level: usize) {
+    let _ = write!(out, "if ({})", expr(cond));
+    let Some(els) = els else {
+        last_body(out, then, level);
+        return;
+    };
+    if body(out, then, level, dangles(then)) {
+        out.push(' ');
+    } else {
+        indent(out, level);
+    }
+    out.push_str("else");
+    match els {
+        Stmt::If {
+            cond, then, els, ..
+        } => {
+            out.push(' ');
+            if_stmt(out, cond, then, els.as_deref(), level);
+        }
+        other => last_body(out, other, level),
     }
 }
 
@@ -134,32 +200,19 @@ fn stmt(out: &mut String, s: &Stmt, level: usize) {
         }
         Stmt::If {
             cond, then, els, ..
-        } => {
-            // Bodies are always braced: avoids the dangling-else ambiguity.
-            let _ = writeln!(out, "if ({}) {{", expr(cond));
-            braced_contents(out, then, level + 1);
-            indent(out, level);
-            match els {
-                None => out.push_str("}\n"),
-                Some(e) => {
-                    out.push_str("} else {\n");
-                    braced_contents(out, e, level + 1);
-                    indent(out, level);
-                    out.push_str("}\n");
-                }
-            }
-        }
+        } => if_stmt(out, cond, then, els.as_deref(), level),
         Stmt::While { cond, body, .. } => {
-            let _ = writeln!(out, "while ({}) {{", expr(cond));
-            braced_contents(out, body, level + 1);
-            indent(out, level);
-            out.push_str("}\n");
+            let _ = write!(out, "while ({})", expr(cond));
+            last_body(out, body, level);
         }
-        Stmt::DoWhile { body, cond, .. } => {
-            out.push_str("do {\n");
-            braced_contents(out, body, level + 1);
-            indent(out, level);
-            let _ = writeln!(out, "}} while ({});", expr(cond));
+        Stmt::DoWhile { body: b, cond, .. } => {
+            out.push_str("do");
+            if body(out, b, level, false) {
+                out.push(' ');
+            } else {
+                indent(out, level);
+            }
+            let _ = writeln!(out, "while ({});", expr(cond));
         }
         Stmt::For {
             init,
@@ -180,10 +233,8 @@ fn stmt(out: &mut String, s: &Stmt, level: usize) {
             if let Some(st) = step {
                 inline_simple(out, st);
             }
-            out.push_str(") {\n");
-            braced_contents(out, body, level + 1);
-            indent(out, level);
-            out.push_str("}\n");
+            out.push(')');
+            last_body(out, body, level);
         }
         Stmt::Return(None, _) => out.push_str("return;\n"),
         Stmt::Return(Some(e), _) => {
@@ -257,8 +308,52 @@ fn inline_simple(out: &mut String, s: &Stmt) {
     }
 }
 
-/// Renders an expression, fully parenthesized (round-trips regardless of
-/// precedence).
+/// How tightly the parser binds the prefix forms: unary operators, casts
+/// and `++x`. They bind tighter than every binary operator.
+const PREFIX: u8 = 11;
+/// How tightly the parser binds postfix and primary forms.
+const POSTFIX: u8 = 12;
+
+/// How tightly the parser binds `e`'s outermost form: a `?:` loosest,
+/// then the binary operators by [`BinaryOp::precedence`], then the prefix
+/// forms, then the postfix and primary ones.
+fn strength(e: &Expr) -> u8 {
+    match e {
+        Expr::Ternary(..) => 0,
+        Expr::Binary(op, ..) => op.precedence(),
+        Expr::Unary(..) | Expr::Cast { .. } | Expr::IncDec { postfix: false, .. } => PREFIX,
+        _ => POSTFIX,
+    }
+}
+
+/// Renders `e` where the grammar wants a form that binds at least as
+/// tightly as `min`, in parentheses when it binds looser.
+fn operand(e: &Expr, min: u8) -> String {
+    if strength(e) < min {
+        format!("({})", expr(e))
+    } else {
+        expr(e)
+    }
+}
+
+/// Renders a prefix operator applied to `e`, with a space where the two
+/// would otherwise lex as one token: `- -x`, not `--x`, and `& &x`, not
+/// `&&x`.
+fn prefixed(sym: &str, e: &Expr) -> String {
+    let inner = operand(e, PREFIX);
+    let joins = match sym.chars().last() {
+        Some(c @ ('-' | '&')) => inner.starts_with(c),
+        _ => false,
+    };
+    if joins {
+        format!("{sym} {inner}")
+    } else {
+        format!("{sym}{inner}")
+    }
+}
+
+/// Renders an expression with only the parentheses that precedence needs,
+/// so it reparses to the same tree.
 pub fn expr(e: &Expr) -> String {
     match e {
         Expr::IntLit(v, _) => {
@@ -279,7 +374,7 @@ pub fn expr(e: &Expr) -> String {
                 UnaryOp::Deref => "*",
                 UnaryOp::AddrOf => "&",
             };
-            format!("{sym}({})", expr(inner))
+            prefixed(sym, inner)
         }
         Expr::Binary(op, l, r, _) => {
             let sym = match op {
@@ -302,23 +397,28 @@ pub fn expr(e: &Expr) -> String {
                 BinaryOp::Shl => "<<",
                 BinaryOp::Shr => ">>",
             };
-            format!("({} {sym} {})", expr(l), expr(r))
+            // Left-associative: the right operand needs parentheses at
+            // the operator's own level, the left one only below it.
+            let prec = op.precedence();
+            format!("{} {sym} {}", operand(l, prec), operand(r, prec + 1))
         }
         Expr::Ternary(c, t, f, _) => {
-            format!("({} ? {} : {})", expr(c), expr(t), expr(f))
+            // The condition is a binary chain; both branches are full
+            // expressions, so `a ? b : c ? d : e` nests to the right.
+            format!("{} ? {} : {}", operand(c, 1), expr(t), expr(f))
         }
         Expr::Call { name, args, .. } => {
             let list: Vec<String> = args.iter().map(expr).collect();
             format!("{name}({})", list.join(", "))
         }
         Expr::Index(base, idx, _) => {
-            format!("{}[{}]", paren_postfix_base(base), expr(idx))
+            format!("{}[{}]", operand(base, POSTFIX), expr(idx))
         }
         Expr::Member {
             base, field, arrow, ..
         } => {
             let sep = if *arrow { "->" } else { "." };
-            format!("{}{sep}{field}", paren_postfix_base(base))
+            format!("{}{sep}{field}", operand(base, POSTFIX))
         }
         Expr::Cast {
             ty,
@@ -327,7 +427,7 @@ pub fn expr(e: &Expr) -> String {
             ..
         } => {
             let stars = "*".repeat(*ptr_depth as usize);
-            format!("({}{stars})({})", type_prefix(ty), expr(inner))
+            format!("({}{stars}){}", type_prefix(ty), operand(inner, PREFIX))
         }
         Expr::SizeofType { ty, ptr_depth, .. } => {
             let stars = "*".repeat(*ptr_depth as usize);
@@ -343,20 +443,11 @@ pub fn expr(e: &Expr) -> String {
         } => {
             let sym = if *inc { "++" } else { "--" };
             if *postfix {
-                format!("{}{sym}", paren_postfix_base(target))
+                format!("{}{sym}", operand(target, POSTFIX))
             } else {
-                format!("{sym}{}", expr(target))
+                prefixed(sym, target)
             }
         }
-    }
-}
-
-/// A postfix operator's base must itself be a postfix/primary form;
-/// parenthesize anything else.
-fn paren_postfix_base(e: &Expr) -> String {
-    match e {
-        Expr::Ident(..) | Expr::Member { .. } | Expr::Index(..) | Expr::Call { .. } => expr(e),
-        other => format!("({})", expr(other)),
     }
 }
 
@@ -366,8 +457,9 @@ mod tests {
     use crate::parser::parse;
 
     /// Checks the printer fixpoint: `print(parse(print(u))) == print(u)`.
-    /// (The printer braces all bodies, so a raw AST comparison would differ
-    /// by `Block` wrappers; the printed form is the canonical one.)
+    /// (A body the dangling `else` forces into braces reparses as a
+    /// `Block`, so a raw AST comparison could differ there; the printed
+    /// form is the canonical one.)
     fn roundtrips(src: &str) {
         let first = parse(src).unwrap_or_else(|e| panic!("parse 1: {e}\n{src}"));
         let printed = print_unit(&first);
@@ -464,6 +556,90 @@ mod tests {
                 m.run(&mut ZeroEnv),
                 StepOutcome::Finished { value: Some(55) }
             );
+        }
+    }
+
+    /// The body of a function `int f(int x, int y)` as `print_unit`
+    /// prints it, without the signature line and closing brace.
+    fn printed_body(body: &str) -> String {
+        let printed = print_unit(&parse(&format!("int f(int x, int y) {{ {body} }}")).unwrap());
+        roundtrips(&printed);
+        let lines: Vec<&str> = printed.trim_end().lines().collect();
+        lines[1..lines.len() - 1]
+            .iter()
+            .map(|l| l.trim_start())
+            .collect::<Vec<_>>()
+            .join(" ")
+    }
+
+    #[test]
+    fn only_needed_parentheses_are_printed() {
+        for (src, want) in [
+            ("x = x + y * 2 - 1;", "x = x + y * 2 - 1;"),
+            ("x = (x + y) * 2;", "x = (x + y) * 2;"),
+            ("x = x - (y - 1);", "x = x - (y - 1);"),
+            ("x = ((x - y)) - 1;", "x = x - y - 1;"),
+            ("x = x < y == (y < x);", "x = x < y == y < x;"),
+            ("x = (x == y) == (y == x);", "x = x == y == (y == x);"),
+            ("x = x || y && !x;", "x = x || y && !x;"),
+            ("x = (x || y) && x;", "x = (x || y) && x;"),
+            ("x = -(x + 1);", "x = -(x + 1);"),
+            ("x = - -x;", "x = - -x;"),
+            ("x = -(--x);", "x = - --x;"),
+            ("x = --(-x);", "x = -- -x;"),
+            ("x = (int)(char)-x;", "x = (int)(char)-x;"),
+            ("x = ((int)x)++;", "x = ((int)x)++;"),
+            ("x = x ? y : x ? 1 : 2;", "x = x ? y : x ? 1 : 2;"),
+            ("x = (x ? y : x) ? 1 : 2;", "x = (x ? y : x) ? 1 : 2;"),
+            ("x = x + (y ? 1 : 2);", "x = x + (y ? 1 : 2);"),
+            ("x = x ? y = 1 : 2;", "x = x ? y = 1 : 2;"),
+        ] {
+            if src.contains("y = 1") {
+                // Assignment is a statement, never an operand.
+                assert!(parse(&format!("int f(int x, int y) {{ {src} }}")).is_err());
+                continue;
+            }
+            assert_eq!(printed_body(src), want, "{src}");
+        }
+        let u = parse("int *g(int **p) { return &*p[0] + *&p[1]->n; }").unwrap();
+        assert!(print_unit(&u).contains("return &*p[0] + *&p[1]->n;"));
+        let u = parse("int g(int *p) { return &(*p) == *(&p); }").unwrap();
+        assert!(print_unit(&u).contains("return &*p == *&p;"));
+    }
+
+    #[test]
+    fn only_needed_braces_are_printed() {
+        for (src, want) in [
+            ("if (x) if (y) x = 1;", "if (x) if (y) x = 1;"),
+            (
+                "if (x) { if (y) x = 1; } else x = 2;",
+                "if (x) { if (y) x = 1; } else x = 2;",
+            ),
+            (
+                "if (x) if (y) x = 1; else x = 2;",
+                "if (x) if (y) x = 1; else x = 2;",
+            ),
+            (
+                "if (x) { while (y) if (x) y = 1; } else x = 2;",
+                "if (x) { while (y) if (x) y = 1; } else x = 2;",
+            ),
+            (
+                "if (x == 0) x = 0; else if (x == 1) x = 1; else x = 2;",
+                "if (x == 0) x = 0; else if (x == 1) x = 1; else x = 2;",
+            ),
+            (
+                "if (x) { x = 1; } else { x = 2; }",
+                "if (x) { x = 1; } else { x = 2; }",
+            ),
+            ("do x = x - 1; while (x);", "do x = x - 1; while (x);"),
+            (
+                "do { x = x - 1; } while (x);",
+                "do { x = x - 1; } while (x);",
+            ),
+            ("while (x) x = x - 1;", "while (x) x = x - 1;"),
+            ("for (;;) { break; }", "for (; ; ) { break; }"),
+        ] {
+            assert_eq!(printed_body(src), want, "{src}");
         }
     }
 

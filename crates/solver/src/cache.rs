@@ -46,7 +46,7 @@ use crate::ilp::{Assignment, PrefixSession, SolveInfo, SolveOutcome, Solver};
 use crate::linear::Var;
 
 /// How many recent models the counterexample-reuse pool retains.
-const MODEL_POOL: usize = 64;
+pub const MODEL_POOL: usize = 64;
 
 /// One query `prefix ∧ last`, borrowed from where its constraints live: a
 /// session query's prefix stays in the [`PrefixSession`] and `last` is the
@@ -156,6 +156,23 @@ impl QueryCache {
     /// Current counters.
     pub fn stats(&self) -> CacheStats {
         self.stats
+    }
+
+    /// The model pool, oldest first: at most [`MODEL_POOL`] models, the
+    /// newest of which is scanned first. A checkpoint saves it, because
+    /// which pooled model answers a query decides the model the query
+    /// returns.
+    pub fn models(&self) -> &[Assignment] {
+        &self.models
+    }
+
+    /// Replaces the model pool with `models`, oldest first, as
+    /// [`QueryCache::models`] returned them; only the newest
+    /// [`MODEL_POOL`] are kept. Counters and the retained session are
+    /// left alone.
+    pub fn restore_models(&mut self, mut models: Vec<Assignment>) {
+        models.drain(..models.len().saturating_sub(MODEL_POOL));
+        self.models = models;
     }
 
     /// Folds a per-worker counter shard into this cache's cumulative
@@ -430,6 +447,33 @@ mod tests {
         );
         assert_eq!(cache.stats().model_reuse, stats.model_reuse + 1);
         assert_eq!(cache.stats().misses, stats.misses);
+    }
+
+    /// A restored pool answers exactly as the pool it was copied from.
+    #[test]
+    fn restored_pool_answers_like_the_original() {
+        let solver = Solver::default();
+        let mut cache = QueryCache::default();
+        for k in 0..(MODEL_POOL as i64 + 3) {
+            assert!(cache
+                .solve_with_hint(&solver, &[eq(0, k)], |_| Some(-1))
+                .is_sat());
+        }
+        assert_eq!(cache.models().len(), MODEL_POOL, "the pool is bounded");
+        let mut restored = QueryCache::default();
+        restored.restore_models(cache.models().to_vec());
+        assert_eq!(restored.models(), cache.models());
+        let q = [eq(0, 40)];
+        assert_eq!(
+            restored.solve_with_hint(&solver, &q, |_| Some(-1)),
+            cache.solve_with_hint(&solver, &q, |_| Some(-1))
+        );
+        assert_eq!(restored.stats().model_reuse, 1);
+        // An oversized pool keeps its newest models.
+        let mut extra = cache.models().to_vec();
+        extra.insert(0, Assignment::from([(Var(9), 9)]));
+        restored.restore_models(extra);
+        assert_eq!(restored.models(), cache.models());
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub mod linear;
 pub mod rational;
 pub mod simplex;
 
-pub use cache::{CacheStats, QueryCache};
+pub use cache::{CacheStats, QueryCache, MODEL_POOL};
 pub use constraint::{Constraint, LeZero, NormalForm, RelOp};
 pub use ilp::{Assignment, Bounds, PrefixSession, SolveInfo, SolveOutcome, Solver, SolverConfig};
 pub use linear::{LinExpr, Var};

@@ -32,9 +32,6 @@
 //!   --farm             with --sweep: run each function in its own worker
 //!                      process (true fault isolation — aborts, OOM kills
 //!                      and runaway workers are contained and retried)
-//!   --store PATH       farm-only: persistent store of generational dedup
-//!                      fingerprints, so a resumed --checkpoint keeps its
-//!                      seen-set across farm runs
 //!   --stream PATH      farm-only: append one JSON line per finished
 //!                      function to PATH (`-` streams to stdout)
 //!   --worker-deadline MS  farm-only: kill any worker process that runs
@@ -77,7 +74,6 @@ struct Options {
     threads: usize,
     max_retries: u32,
     farm: bool,
-    store: Option<String>,
     stream: Option<String>,
     worker_deadline_ms: Option<u64>,
     // Hidden worker mode: `dartc <file> --farm-worker --toplevel NAME
@@ -102,7 +98,7 @@ fn usage() -> &'static str {
      [--strategy dfs|random-branch] [--frontier-budget N] [--checkpoint FILE] \
      [--all-bugs] [--max-steps N] [--mem-budget N] [--deadline MS] \
      [--sweep NAMES --threads N --max-retries N] \
-     [--farm --store PATH --stream PATH|- --worker-deadline MS] \
+     [--farm --stream PATH|- --worker-deadline MS] \
      [--solve-threads N] [--exec-tier interp|compiled] \
      [--stats] [--interface] [--print-ir]"
 }
@@ -126,7 +122,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         threads: 4,
         max_retries: 1,
         farm: false,
-        store: None,
         stream: None,
         worker_deadline_ms: None,
         farm_worker: false,
@@ -198,7 +193,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     .map_err(|_| "--max-retries expects an integer".to_string())?
             }
             "--farm" => opts.farm = true,
-            "--store" => opts.store = Some(value(&mut it, "--store")?),
             "--stream" => opts.stream = Some(value(&mut it, "--stream")?),
             "--worker-deadline" => {
                 opts.worker_deadline_ms = Some(
@@ -287,10 +281,8 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         if opts.farm && opts.sweep.is_none() {
             return Err("--farm requires --sweep".into());
         }
-        if !opts.farm
-            && (opts.store.is_some() || opts.stream.is_some() || opts.worker_deadline_ms.is_some())
-        {
-            return Err("--store/--stream/--worker-deadline require --farm".into());
+        if !opts.farm && (opts.stream.is_some() || opts.worker_deadline_ms.is_some()) {
+            return Err("--stream/--worker-deadline require --farm".into());
         }
     }
     Ok(opts)
@@ -396,9 +388,6 @@ fn worker_forward_args(opts: &Options) -> Vec<String> {
         };
         args.extend(["--exec-tier".to_string(), tier.to_string()]);
     }
-    if let Some(path) = &opts.store {
-        args.extend(["--store".to_string(), path.clone()]);
-    }
     args
 }
 
@@ -428,7 +417,6 @@ fn run_farm_sweep(opts: &Options, names: &[String]) -> Result<Vec<dart::SweepRes
         worker_deadline: opts
             .worker_deadline_ms
             .map(std::time::Duration::from_millis),
-        store: opts.store.as_ref().map(std::path::PathBuf::from),
         ..dart::FarmOptions::default()
     };
     // `Stdout` (unlocked) rather than `StdoutLock`: the lock guard is
@@ -493,7 +481,6 @@ fn main() -> ExitCode {
         {
             config.faults = dart::FaultPlan::from_env();
         }
-        let store = opts.store.as_ref().map(std::path::PathBuf::from);
         let mut out = std::io::stdout();
         let code = dart::run_worker(
             &compiled,
@@ -501,7 +488,6 @@ fn main() -> ExitCode {
             opts.farm_index,
             opts.farm_attempt,
             &config,
-            store.as_deref(),
             &mut out,
         );
         return ExitCode::from(code as u8);
@@ -681,7 +667,6 @@ fn main() -> ExitCode {
         println!("  unsat              {}", s.unsat);
         println!("  unknown            {}", s.unknown);
         println!("  unknown rate       {:.1}%", s.unknown_rate() * 100.0);
-        println!("  cache hits         {}", s.cache_hits);
         println!("  model reuse        {}", s.cache_model_reuse);
         println!("  split solves       {}", s.split_solves);
         println!("  parallel wasted    {}", s.parallel_wasted);
@@ -843,8 +828,6 @@ mod tests {
             "--sweep",
             "f,g",
             "--farm",
-            "--store",
-            "fingerprints.store",
             "--stream",
             "-",
             "--worker-deadline",
@@ -852,18 +835,26 @@ mod tests {
         ])
         .unwrap();
         assert!(o.farm);
-        assert_eq!(o.store.as_deref(), Some("fingerprints.store"));
         assert_eq!(o.stream.as_deref(), Some("-"));
         assert_eq!(o.worker_deadline_ms, Some(750));
         let o = parse(&["p.mc"]).unwrap();
         assert!(!o.farm);
-        assert!(o.store.is_none());
         assert!(o.stream.is_none());
         assert_eq!(o.worker_deadline_ms, None);
         // Farm flags are tied to the farm, and the farm to the sweep.
         assert!(parse(&["p.mc", "--farm"]).is_err());
-        assert!(parse(&["p.mc", "--store", "s"]).is_err());
         assert!(parse(&["p.mc", "--sweep", "f", "--stream", "out.jsonl"]).is_err());
+        assert!(parse(&["p.mc", "--sweep", "f", "--worker-deadline", "9"]).is_err());
+        // `--store` is no option in any mode: a farm session resumes from
+        // its checkpoint alone.
+        for args in [
+            &["p.mc", "--sweep", "f", "--farm", "--store", "fp.store"][..],
+            &["p.mc", "--store", "fp.store"],
+            &["p.mc", "--farm-worker", "--store", "fp.store"],
+        ] {
+            let err = parse(args).err().expect("--store is rejected");
+            assert!(err.contains("unknown option `--store`"), "{err}");
+        }
         assert!(parse(&[
             "p.mc",
             "--sweep",
@@ -886,16 +877,14 @@ mod tests {
             "3",
             "--farm-attempt",
             "1",
-            "--store",
-            "fingerprints.store",
+            "--checkpoint",
+            "cp",
         ])
         .unwrap();
         assert!(o.farm_worker);
         assert_eq!(o.farm_index, 3);
         assert_eq!(o.farm_attempt, 1);
-        // Worker mode skips the farm-flag validation: the supervisor
-        // forwards `--store` without `--farm`.
-        assert_eq!(o.store.as_deref(), Some("fingerprints.store"));
+        assert_eq!(o.checkpoint.as_deref(), Some("cp"));
     }
 
     #[test]
@@ -909,8 +898,6 @@ mod tests {
             "generational",
             "--checkpoint",
             "cp",
-            "--store",
-            "s",
             "--solve-threads",
             "2",
             "--threads",
@@ -922,7 +909,7 @@ mod tests {
         let args = worker_forward_args(&o);
         let has = |flag: &str| args.iter().any(|a| a == flag);
         assert!(has("--mode") && args.contains(&"generational".to_string()));
-        assert!(has("--checkpoint") && has("--store") && has("--solve-threads"));
+        assert!(has("--checkpoint") && has("--solve-threads"));
         // Supervisor-only flags must not leak into workers.
         assert!(!has("--threads") && !has("--worker-deadline") && !has("--farm"));
         // Unset optionals stay unset so workers inherit env defaults.

@@ -1,18 +1,17 @@
 //! Acceptance tests for the fuzzing farm: process-isolated sweep shards
-//! with a crash-safe persistent fingerprint store and streaming results.
+//! with streaming results.
 //!
 //! The headline properties, exercised through the real `dartc` binary:
 //!
 //! 1. **Containment** — a worker that `abort()`s (or is killed) takes
 //!    down only its own shard; every other function's result is
 //!    byte-identical to an undisturbed in-process sweep.
-//! 2. **Crash-safe persistence** — generational sessions' dedup
-//!    fingerprints persist across farm runs; a corrupt, torn or
-//!    older-format store loses records with one warning and is rewritten
-//!    clean, and never changes a verdict.
-//! 3. **Resumability** — a shard killed with SIGKILL mid-run resumes
-//!    from its checkpoint on the next farm run and reaches the same
-//!    verdict as an uninterrupted run.
+//! 2. **Streaming** — `--stream` emits one JSON line per finished
+//!    function.
+//! 3. **Resumability** — a shard killed mid-run, with SIGKILL or by its
+//!    run budget, resumes from its checkpoint on the next farm run and
+//!    reports what an uninterrupted session reports, solver counters
+//!    aside.
 //!
 //! The fault-injection plans ride to workers over `DART_FAULT_*`
 //! environment variables, so the abort/panic tests need the
@@ -95,57 +94,127 @@ fn farm_output_matches_in_process_sweep() {
     );
 }
 
-/// `--stream FILE` emits one JSON line per finished function, and a
-/// generational farm run with `--checkpoint` persists each session's
-/// dedup fingerprints to `--store`. A second run over the same store —
-/// with fresh checkpoints, so no session resumes and no fingerprint
-/// applies — prints the same tables and keeps every fingerprint.
+/// `--stream FILE` emits one JSON line per finished function, each
+/// carrying the function's result line as its `summary`, and a
+/// generational farm run with `--checkpoint` prints the same table as
+/// the in-process sweep.
 #[test]
-fn store_persists_verdicts_and_second_run_hits_it() {
-    let dir = tempdir("store-hits");
+fn stream_emits_one_json_line_per_function() {
+    let dir = tempdir("stream");
     let lib = write_library(&dir);
-    let store = dir.join("fingerprints.store");
-    let farm_run = |n: usize| {
-        let stream = dir.join(format!("run{n}.jsonl"));
-        let (_, out, err) = run(dartc()
-            .arg(&lib)
-            .args(["--sweep", "h,g,ok", "--farm", "--threads", "2"])
-            .args(["--mode", "generational", "--checkpoint"])
-            .arg(dir.join(format!("cp{n}")))
-            .arg("--store")
-            .arg(&store)
-            .arg("--stream")
-            .arg(&stream));
-        assert!(err.is_empty(), "no warnings on a clean store\n{err}");
-        let jsonl = std::fs::read_to_string(&stream).unwrap();
-        let lines: Vec<&str> = jsonl.lines().collect();
-        assert_eq!(lines.len(), 3, "one line per function\n{jsonl}");
-        for line in &lines {
-            assert!(line.starts_with("{\"event\":\"function\","), "{line}");
-            assert!(line.ends_with('}'), "{line}");
-            assert!(line.contains("\"outcome\":\"finished\""), "{line}");
-        }
-        out
-    };
-    let fingerprints = || -> Vec<String> {
-        let text = std::fs::read_to_string(&store).unwrap();
-        assert!(text.starts_with("dart-farm-store v1\n"), "{text}");
-        let records: Vec<String> = text.lines().skip(1).map(str::to_string).collect();
-        assert!(
-            records
-                .iter()
-                .all(|l| l.starts_with("f ") && l.contains(" ~")),
-            "checksummed fingerprint records only\n{text}"
-        );
-        records
-    };
+    let stream = dir.join("run.jsonl");
+    let engine = [
+        "--sweep",
+        "h,g,ok",
+        "--threads",
+        "2",
+        "--mode",
+        "generational",
+    ];
+    let (_, out, err) = run(dartc()
+        .arg(&lib)
+        .args(engine)
+        .arg("--farm")
+        .arg("--checkpoint")
+        .arg(dir.join("cp"))
+        .arg("--stream")
+        .arg(&stream));
+    assert!(err.is_empty(), "no warnings\n{err}");
+    let jsonl = std::fs::read_to_string(&stream).unwrap();
+    let lines: Vec<&str> = jsonl.lines().collect();
+    assert_eq!(lines.len(), 3, "one line per function\n{jsonl}");
+    for line in &lines {
+        assert!(line.starts_with("{\"event\":\"function\","), "{line}");
+        assert!(line.ends_with('}'), "{line}");
+        assert!(line.contains("\"outcome\":\"finished\""), "{line}");
+        assert!(line.contains(" | reuse/splits "), "{line}");
+        assert!(!line.contains("cache hits"), "{line}");
+    }
+    let (_, reference, _) = run(dartc().arg(&lib).args(engine));
+    assert_eq!(scrub_scheduling(&out), scrub_scheduling(&reference));
+}
 
-    let out1 = farm_run(1);
-    let persisted = fingerprints();
-    assert!(!persisted.is_empty(), "sessions derived children");
-    let out2 = farm_run(2);
-    assert_eq!(fingerprints(), persisted, "fingerprints persisted");
-    assert_eq!(scrub_scheduling(&out1), scrub_scheduling(&out2));
+/// Six inputs, eight independent branches: with a frontier budget of 3
+/// the session evicts from its first restart on.
+const SIX_INPUTS: &str = r#"
+int f(int a, int b, int c, int d, int e, int g) {
+    int n = 0;
+    if (a > 10) n = n + 1;   if (b > 20) n = n + 2;
+    if (c > 30) n = n + 4;   if (d > 40) n = n + 8;
+    if (e > 50) n = n + 16;  if (g > 60) n = n + 32;
+    if (a + b == 7) n = n + 64;  if (c - d == 9) n = n + 128;
+    return n;
+}
+"#;
+
+/// A result-table line with its solver segment (`| solver ...` up to
+/// `| frontier`) cut: a resumed session counts only the queries it posed
+/// itself, so those counters are the one part of a resumed line that may
+/// differ from an uninterrupted session's.
+fn without_solver(line: &str) -> String {
+    match (line.find("| solver "), line.find("| frontier ")) {
+        (Some(a), Some(b)) if a < b => format!("{}{}", &line[..a], &line[b..]),
+        _ => line.to_string(),
+    }
+}
+
+/// The `name` line of a result table, solver segment cut.
+fn result_line(table: &str, name: &str) -> String {
+    let prefix = format!("{name} ");
+    table
+        .lines()
+        .find(|l| l.starts_with(&prefix))
+        .map(without_solver)
+        .unwrap_or_else(|| panic!("no `{name}` line in\n{table}"))
+}
+
+/// A chain of farm runs over one checkpoint, each leg one run longer
+/// than the last (`--runs 1`, `2`, ..., `24`): every leg resumes the
+/// previous leg's checkpoint and must print the line the uninterrupted
+/// in-process session of the same budget prints. The session evicts, so
+/// every leg depends on what the checkpoint carries: the frontier, its
+/// dedup set and the query cache's model pool, and nothing more.
+#[test]
+fn one_run_legs_over_a_checkpoint_match_the_uninterrupted_session() {
+    let dir = tempdir("chain");
+    let lib = dir.join("lib.mc");
+    std::fs::write(&lib, SIX_INPUTS).unwrap();
+    let engine = [
+        "--sweep",
+        "f",
+        "--threads",
+        "1",
+        "--mode",
+        "generational",
+        "--frontier-budget",
+        "3",
+        "--seed",
+        "3",
+    ];
+    let mut differing = Vec::new();
+    for runs in 1..=24 {
+        let runs = runs.to_string();
+        let (_, reference, _) = run(dartc().arg(&lib).args(engine).args(["--runs", &runs]));
+        let (_, leg, err) = run(dartc()
+            .arg(&lib)
+            .args(engine)
+            .args(["--runs", &runs, "--farm", "--checkpoint"])
+            .arg(dir.join("cp")));
+        assert!(err.is_empty(), "leg {runs}: {err}");
+        let (want, got) = (result_line(&reference, "f"), result_line(&leg, "f"));
+        if got != want {
+            differing.push(format!("leg {runs}:\n  farm  {got}\n  sweep {want}"));
+        }
+    }
+    let last = result_line(
+        &run(dartc().arg(&lib).args(engine).args(["--runs", "24"])).1,
+        "f",
+    );
+    assert!(
+        !last.contains("evict/peak 0/"),
+        "the session evicts: {last}"
+    );
+    assert!(differing.is_empty(), "{}", differing.join("\n"));
 }
 
 /// Blanks the scheduling-dependent `wasted N | steals K` segment of
@@ -167,122 +236,11 @@ fn scrub_scheduling(table: &str) -> String {
     out
 }
 
-/// A corrupted store is truncated with one warning — from the
-/// supervisor, which rewrites the store before any worker reads it — and
-/// the farm still completes with correct results: persistence can only
-/// lose fingerprints, never change a verdict.
-#[test]
-fn corrupt_store_degrades_to_cold_cache() {
-    let dir = tempdir("corrupt");
-    let lib = write_library(&dir);
-    let store = dir.join("fingerprints.store");
-    let farm_run = |n: usize, with_store: bool| {
-        let mut cmd = dartc();
-        cmd.arg(&lib)
-            .args(["--sweep", "h,g,ok", "--farm"])
-            .args(["--mode", "generational", "--checkpoint"])
-            .arg(dir.join(format!("cp{n}")));
-        if with_store {
-            cmd.arg("--store").arg(&store);
-        }
-        run(&mut cmd)
-    };
-
-    let (_, reference, _) = farm_run(0, false);
-    farm_run(1, true);
-
-    // Flip a byte in the middle of the store: everything from the bad
-    // line on is dropped, with a warning.
-    let mut text = std::fs::read_to_string(&store).unwrap();
-    assert!(text.lines().count() > 1, "fingerprints persisted\n{text}");
-    let mid = text.len() / 2;
-    text.replace_range(mid..mid + 1, "\u{7f}");
-    std::fs::write(&store, &text).unwrap();
-
-    let (code, out, err) = farm_run(2, true);
-    assert_eq!(code, Some(1), "bugs still found\n{out}");
-    assert_eq!(
-        err.matches("warning:").count(),
-        1,
-        "corruption warns once\n{err}"
-    );
-    assert_eq!(
-        scrub_scheduling(&out),
-        scrub_scheduling(&reference),
-        "verdicts unchanged"
-    );
-
-    // The supervisor rewrote a clean store: a further run loads it
-    // silently.
-    let (_, _, err) = farm_run(3, true);
-    assert!(err.is_empty(), "store healed after rewrite\n{err}");
-}
-
-/// A store written when the farm still persisted solver verdicts: the
-/// first farm run over it skips the retired `v ` records with one
-/// summary warning and rewrites the store before any worker reads it,
-/// keeping its fingerprints; a second run warns not at all.
-#[test]
-fn retired_verdict_records_warn_once_and_fingerprints_survive() {
-    let dir = tempdir("retired");
-    let lib = write_library(&dir);
-    let store = dir.join("old.store");
-    let fingerprints = [
-        "f 0000000000000001 0000000000000abc",
-        "f 0000000000000002 0000000000000def",
-    ];
-    let mut text = String::from("dart-farm-store v1\n");
-    for body in [
-        "v u 07 1",
-        fingerprints[0],
-        "v e 00 - unknown 0",
-        fingerprints[1],
-        "v u 0a1b 0",
-    ] {
-        text.push_str(&format!("{body} ~{:016x}\n", fnv64(body)));
-    }
-    std::fs::write(&store, text).unwrap();
-    let farm_run = || {
-        run(dartc()
-            .arg(&lib)
-            .args(["--sweep", "h,g,ok", "--farm", "--store"])
-            .arg(&store))
-    };
-
-    let (code, out, err) = farm_run();
-    assert_eq!(code, Some(1), "bugs still found\n{out}");
-    assert_eq!(
-        err.matches("warning:").count(),
-        1,
-        "one summary line\n{err}"
-    );
-    assert!(err.contains("skipped 3 retired"), "{err}");
-    let text = std::fs::read_to_string(&store).unwrap();
-    let bodies: Vec<&str> = text
-        .lines()
-        .skip(1)
-        .filter_map(|l| l.rsplit_once(" ~").map(|(body, _)| body))
-        .collect();
-    assert_eq!(bodies, fingerprints, "only the fingerprints remain\n{text}");
-
-    let (_, _, err) = farm_run();
-    assert!(err.is_empty(), "the rewritten store loads silently\n{err}");
-}
-
-/// FNV-1a over a store line's body: the store's per-line checksum.
-fn fnv64(body: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in body.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 /// SIGKILL a worker mid-session, then run the farm over the same
-/// checkpoint directory: the shard resumes and reaches the same verdict
-/// as an undisturbed run. (The kill lands at an arbitrary point, so the
-/// checkpoint may hold partial progress or nothing — both must recover.)
+/// checkpoint directory: the shard resumes and prints the line an
+/// undisturbed run prints, solver counters aside. (The kill lands at an
+/// arbitrary point, so the checkpoint may hold partial progress or
+/// nothing — both must recover.)
 #[cfg(unix)]
 #[test]
 fn sigkilled_worker_resumes_from_checkpoint() {
@@ -332,28 +290,22 @@ fn sigkilled_worker_resumes_from_checkpoint() {
         .args(engine));
     assert_eq!(code, Some(1), "h has a bug\n{farm_out}");
 
-    // Same verdict as an undisturbed in-process run. A resumed session
-    // replays fewer queries than a fresh one, so compare the verdict
-    // prefix, not the stats tail.
+    // The line of an undisturbed in-process run. A resumed session
+    // counts only the queries it posed itself, so the solver segment is
+    // cut; everything else matches.
     let (_, fresh_out, _) = run(dartc().arg(&lib).args(["--sweep", "h"]).args([
         "--mode",
         "generational",
         "--seed",
         "3",
     ]));
-    let verdict = |table: &str| {
-        table
-            .lines()
-            .find(|l| l.starts_with("h "))
-            .and_then(|l| l.split(" | runs").next().map(str::to_string))
-            .unwrap_or_default()
-    };
+    let line = result_line(&farm_out, "h");
     assert_eq!(
-        verdict(&farm_out),
-        verdict(&fresh_out),
+        line,
+        result_line(&fresh_out, "h"),
         "\n{farm_out}\n{fresh_out}"
     );
-    assert!(verdict(&farm_out).contains("BUG FOUND"), "{farm_out}");
+    assert!(line.contains("BUG FOUND"), "{farm_out}");
 }
 
 /// An injected `abort()` in one shard is contained: the farm reports an
