@@ -20,7 +20,7 @@
 //!   (`run_generational`), a sound non-DFS exploration order.
 
 use crate::exec::{run_once_with_faults, RunResult, RunTermination};
-use crate::frontier::{child_key, derive_seed, Checkpoint, Frontier};
+use crate::frontier::{derive_seed, Checkpoint, ChildKeys, Frontier, SolverCounters};
 use crate::pool::SolvePool;
 use crate::report::{Bug, BugKind, Outcome, SessionReport};
 use crate::search::{solve_next, speculate, Scheduler, Strategy};
@@ -655,9 +655,13 @@ impl<'p> Dart<'p> {
         // The frontier (and its dedup set) outlives restarts: a child an
         // earlier restart already derived is worthless to re-derive.
         let mut frontier = Frontier::new(cfg.frontier_budget, cfg.frontier_dedup);
+        // Child fingerprints render each path prefix once, cut back from
+        // one expansion to the next to the prefix the session re-base kept.
+        let mut child_keys = ChildKeys::default();
 
         // Resume: replay the checkpointed session state (the model pool
-        // included, since a pooled model can answer the next query), then
+        // included, since a pooled model can answer the next query, and
+        // the solver counters, so the report counts the whole session), then
         // fast-forward the session RNG past the root draws the
         // checkpointed restarts consumed (children never draw from it, so
         // the restart count is exactly the number of draws). A session
@@ -678,6 +682,11 @@ impl<'p> Dart<'p> {
             }
             frontier.restore(cp);
             cache.restore_models(cp.pool.clone());
+            cache.restore_stats(cp.solver.cache);
+            report.solver.sat = cp.solver.sat;
+            report.solver.unsat = cp.solver.unsat;
+            report.solver.unknown = cp.solver.unknown;
+            report.solver.absorb_cache(&cache);
             resumed_complete = Some(cp.session_complete);
         }
 
@@ -760,7 +769,8 @@ impl<'p> Dart<'p> {
                 // The `j` queries below all share prefixes of this run's
                 // path constraint, which shares a prefix with the previous
                 // expansion's: the retained session pushes only the rest.
-                let mut session = cache.take_session(&solver, &constraints[..upper]);
+                let (mut session, shared) = cache.take_session(&solver, &constraints[..upper]);
+                child_keys.keep(shared);
                 // Candidate collection, dedup first: a fingerprint already
                 // derived (this restart or an earlier one) skips its
                 // solver query entirely, at the sound cost of the
@@ -771,7 +781,7 @@ impl<'p> Dart<'p> {
                     if result.stack[j].done {
                         continue;
                     }
-                    let key = child_key(constraints, j);
+                    let key = child_keys.key(constraints, j);
                     if !frontier.note_candidate(key) {
                         session_complete = false;
                         continue;
@@ -897,6 +907,12 @@ impl<'p> Dart<'p> {
         };
         let mut cov: Vec<(usize, bool)> = coverage.iter().copied().collect();
         cov.sort_unstable();
+        let solver = SolverCounters {
+            sat: report.solver.sat,
+            unsat: report.solver.unsat,
+            unknown: report.solver.unknown,
+            cache: cache.stats(),
+        };
         let cp = frontier.to_checkpoint(
             self.config.seed,
             report.restarts,
@@ -905,6 +921,7 @@ impl<'p> Dart<'p> {
             report.divergences,
             session_complete,
             cov,
+            solver,
             cache.models().to_vec(),
         );
         let mut tmp = path.clone().into_os_string();
@@ -1141,6 +1158,7 @@ mod tests {
             evicted: 0,
             peak: 0,
             next_seq: 0,
+            solver: SolverCounters::default(),
             seen: Vec::new(),
             pool: Vec::new(),
             items: Vec::new(),

@@ -176,6 +176,9 @@ fn run_one(
             Ok(WorkerPayload::Report(report)) => {
                 return (SweepOutcome::Finished { report, retried }, attempt + 1)
             }
+            Ok(WorkerPayload::Setup(message)) => {
+                return (SweepOutcome::SetupFailed { message }, attempt + 1)
+            }
             Ok(WorkerPayload::Fault(message)) | Err(message) => message,
         };
         if attempt >= options.max_retries {
@@ -228,10 +231,10 @@ fn run_attempt(
     }
     match wire::parse_payload(&stdout) {
         // Exit 0 with any well-formed payload, or a nonzero exit that
-        // still shipped a caught fault (the worker's exit-70 path):
-        // both are usable worker output.
+        // still shipped a caught fault or a setup error (the worker's
+        // exit-70 and exit-78 paths): both are usable worker output.
         Ok(payload) => match (&payload, status.success()) {
-            (_, true) | (WorkerPayload::Fault(_), false) => Ok(payload),
+            (_, true) | (WorkerPayload::Fault(_) | WorkerPayload::Setup(_), false) => Ok(payload),
             (WorkerPayload::Report(_), false) => Err(format!(
                 "worker exited with code {} despite reporting a completed session",
                 status.code().unwrap_or(-1)
@@ -306,8 +309,9 @@ fn unix_signal(status: &ExitStatus) -> Option<i32> {
 /// byte.
 ///
 /// Returns the process exit code: 0 for a completed session (bugs found
-/// or not — those are *results*), 70 for a caught engine fault, which
-/// the supervisor reads from the `fault` line rather than the code.
+/// or not — those are *results*), 70 for a caught engine fault and 78
+/// for a session [`crate::Dart::new`] rejected; the supervisor reads
+/// those from the `fault` and `setup` lines rather than the code.
 pub fn run_worker(
     compiled: &CompiledProgram,
     toplevel: &str,
@@ -336,13 +340,14 @@ pub fn run_worker(
 
     let payload = match run {
         Err(message) => WorkerPayload::Fault(message),
-        Ok(Err(e)) => WorkerPayload::Fault(format!("worker session setup failed: {e}")),
+        Ok(Err(e)) => WorkerPayload::Setup(e.to_string()),
         Ok(Ok(report)) => WorkerPayload::Report(Box::new(report)),
     };
     let _ = out.write_all(wire::render_payload(&payload).as_bytes());
     let _ = out.flush();
     match payload {
         WorkerPayload::Fault(_) => 70,
+        WorkerPayload::Setup(_) => 78,
         WorkerPayload::Report(_) => 0,
     }
 }

@@ -45,6 +45,10 @@ pub(crate) fn function_line(
              \"message\":\"{}\"}}",
             json_escape(message),
         ),
+        SweepOutcome::SetupFailed { message } => format!(
+            "{common},\"outcome\":\"setup_failed\",\"message\":\"{}\"}}",
+            json_escape(message),
+        ),
     }
 }
 
@@ -110,5 +114,18 @@ mod tests {
         assert!(line.contains("\"retried\":true"));
         assert!(line.contains("\"attempts\":2"));
         assert!(line.contains("worker killed by signal 6"));
+
+        let setup = SweepResult {
+            function: "s".to_string(),
+            outcome: SweepOutcome::SetupFailed {
+                message: "malformed \"cp\"".to_string(),
+            },
+        };
+        let line = function_line(1, &setup, 1, Duration::ZERO);
+        assert!(line.contains("\"outcome\":\"setup_failed\""));
+        assert!(
+            line.ends_with("\"message\":\"malformed \\\"cp\\\"\"}"),
+            "{line}"
+        );
     }
 }

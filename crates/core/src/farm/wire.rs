@@ -2,8 +2,9 @@
 //!
 //! A `--farm-worker` process writes one line-oriented text document to
 //! its stdout and exits; the supervisor parses it after reaping the
-//! process. The document carries either the full [`SessionReport`] or a
-//! caught engine-fault message.
+//! process. The document carries the full [`SessionReport`], a caught
+//! engine-fault message, or the error that kept the session from being
+//! set up.
 //!
 //! The report serialization is *exact* — every field round-trips
 //! bit-for-bit (durations included) — because the farm's determinism
@@ -19,8 +20,8 @@
 //! Layout (`-` marks an empty list field throughout):
 //!
 //! ```text
-//! dart-farm-worker v4
-//! report | fault <escaped message>
+//! dart-farm-worker v5
+//! report | fault <escaped message> | setup <escaped message>
 //! ...report block...
 //! done
 //! ```
@@ -34,7 +35,7 @@ use std::time::Duration;
 
 /// First line of every worker document: versions the protocol so a
 /// supervisor never misparses output from a mismatched binary.
-pub(crate) const HEADER: &str = "dart-farm-worker v4";
+pub(crate) const HEADER: &str = "dart-farm-worker v5";
 
 /// What a worker produced for its function.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,6 +44,10 @@ pub(crate) enum WorkerPayload {
     Report(Box<SessionReport>),
     /// The engine panicked; the message is what `catch_unwind` captured.
     Fault(String),
+    /// [`crate::Dart::new`] rejected the session's configuration (a
+    /// malformed, stale or other-seed checkpoint, say); the message is
+    /// the error's.
+    Setup(String),
 }
 
 /// Renders a complete worker document, `done` terminator included.
@@ -53,6 +58,9 @@ pub(crate) fn render_payload(payload: &WorkerPayload) -> String {
     match payload {
         WorkerPayload::Fault(message) => {
             let _ = writeln!(text, "fault {}", escape(message));
+        }
+        WorkerPayload::Setup(message) => {
+            let _ = writeln!(text, "setup {}", escape(message));
         }
         WorkerPayload::Report(report) => {
             text.push_str("report\n");
@@ -73,6 +81,8 @@ pub(crate) fn parse_payload(text: &str) -> Result<WorkerPayload, String> {
     let line = lines.next()?;
     let payload = if let Some(message) = line.strip_prefix("fault ") {
         WorkerPayload::Fault(unescape(message).ok_or_else(|| lines.err("bad fault escape"))?)
+    } else if let Some(message) = line.strip_prefix("setup ") {
+        WorkerPayload::Setup(unescape(message).ok_or_else(|| lines.err("bad setup escape"))?)
     } else if line == "report" {
         WorkerPayload::Report(Box::new(parse_report(&mut lines)?))
     } else {
@@ -587,6 +597,17 @@ mod tests {
     }
 
     #[test]
+    fn setup_error_round_trips() {
+        let payload = WorkerPayload::Setup("malformed checkpoint cp: line 1".to_string());
+        let text = render_payload(&payload);
+        assert!(
+            text.contains("\nsetup malformed checkpoint cp: line 1\n"),
+            "{text}"
+        );
+        assert_eq!(parse_payload(&text), Ok(payload));
+    }
+
+    #[test]
     fn empty_report_round_trips() {
         let payload = WorkerPayload::Report(Box::new(SessionReport::new(0)));
         assert_eq!(parse_payload(&render_payload(&payload)), Ok(payload));
@@ -625,13 +646,15 @@ mod tests {
             "trailing data"
         );
         assert!(parse_payload("nonsense\n").is_err());
-        // An older worker's document: a v1, v2 or v3 header, v1's retired
-        // `verdict` line, v3's `fp` fingerprint lines, or the ten-field
-        // `solver` line of v3 (which also carried `cache_hits`).
+        // An older worker's document: a v1 to v4 header (a v4 worker
+        // reported a setup error as a fault), v1's retired `verdict` line,
+        // v3's `fp` fingerprint lines, or the ten-field `solver` line of
+        // v3 (which also carried `cache_hits`).
         for old in [
             "dart-farm-worker v1",
             "dart-farm-worker v2",
             "dart-farm-worker v3",
+            "dart-farm-worker v4",
         ] {
             let old_header = full.replacen(HEADER, old, 1);
             assert!(parse_payload(&old_header).is_err(), "{old} header");
@@ -710,7 +733,8 @@ mod tests {
                 WorkerPayload::Report(Box::new(report))
             });
         let fault = text(b"abcxyz0129 -:\\\n", 0..40).prop_map(WorkerPayload::Fault);
-        prop_oneof![report, fault]
+        let setup = text(b"abcxyz0129 -:\\\n", 0..40).prop_map(WorkerPayload::Setup);
+        prop_oneof![report, fault, setup]
     }
 
     proptest::proptest! {

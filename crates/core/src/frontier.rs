@@ -21,7 +21,8 @@
 //!   `frontier_evicted`, and the completeness flag is cleared by the
 //!   driver — an evicted subtree was provably not explored.
 //! * **Checkpoint/resume**: the frontier, the coverage set, the query
-//!   cache's model pool and the session's RNG position serialize to a
+//!   cache's model pool, the solver counters and the session's RNG
+//!   position serialize to a
 //!   small text file (same hand-rolled line format family as
 //!   [`crate::replay`](mod@crate::replay)), so a killed session resumes
 //!   exactly where its last completed work item left off. Exactness rests
@@ -33,7 +34,7 @@
 //!   query derives.
 
 use crate::tape::{InputKind, InputSlot, InputTape};
-use dart_solver::{Assignment, Constraint, Var, MODEL_POOL};
+use dart_solver::{Assignment, CacheStats, Constraint, Var, MODEL_POOL};
 use dart_sym::BranchRecord;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
@@ -207,7 +208,8 @@ impl Frontier {
     /// Snapshots this frontier plus the driver-side session state into a
     /// serializable [`Checkpoint`]. Queued tapes are pristine (never
     /// run), so their slots plus their recorded seed rebuild them
-    /// exactly. `pool` is the query cache's model pool, oldest first.
+    /// exactly. `pool` is the query cache's model pool, oldest first, and
+    /// `solver` the session's solver counters.
     #[allow(clippy::too_many_arguments)] // one spot, mirrors the session state
     pub(crate) fn to_checkpoint(
         &self,
@@ -218,6 +220,7 @@ impl Frontier {
         divergences: u64,
         session_complete: bool,
         coverage: Vec<(usize, bool)>,
+        solver: SolverCounters,
         pool: Vec<Assignment>,
     ) -> Checkpoint {
         Checkpoint {
@@ -232,6 +235,7 @@ impl Frontier {
             evicted: self.evicted,
             peak: self.peak,
             next_seq: self.next_seq,
+            solver,
             seen: self.seen.iter().copied().collect(),
             pool,
             items: self
@@ -297,24 +301,81 @@ pub(crate) fn derive_seed(session_seed: u64, seq: u64) -> u64 {
 /// prefixes reached through *different* concrete branch histories imply
 /// an untracked conditional, i.e. taint — which already forfeits the
 /// completeness claim, and every dedup hit clears it besides.)
+///
+/// This one-pass form is the definition; the engine computes the same
+/// keys incrementally with [`ChildKeys`], and tests hold it to this.
+#[cfg(test)]
 pub(crate) fn child_key(constraints: &[Constraint], j: usize) -> u64 {
     use fmt::Write;
-    struct Fnv(u64);
-    impl fmt::Write for Fnv {
-        fn write_str(&mut self, s: &str) -> fmt::Result {
-            for b in s.bytes() {
-                self.0 ^= u64::from(b);
-                self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-            }
-            Ok(())
-        }
-    }
-    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    let mut h = Fnv::default();
     for c in &constraints[..j] {
         let _ = write!(h, "{c};");
     }
     let _ = write!(h, "!{}", constraints[j].negated());
     h.0
+}
+
+/// FNV-1a as a [`fmt::Write`] sink, so constraints hash as they render.
+#[derive(Debug, Clone, Copy)]
+struct Fnv(u64);
+
+impl Default for Fnv {
+    fn default() -> Fnv {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        for b in s.bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+        }
+        Ok(())
+    }
+}
+
+/// [`child_key`] for one expansion after another, rendering each prefix
+/// constraint once: the FNV state after each rendered constraint is kept
+/// across expansions and cut back, by [`ChildKeys::keep`], to the prefix
+/// the next path shares with the previous one. The keys are `child_key`'s,
+/// so checkpoints' `seen` sets and item keys do not change.
+#[derive(Debug)]
+pub(crate) struct ChildKeys {
+    /// `states[k]` is the state after rendering the first `k` constraints
+    /// of the current path; `states[0]` is FNV's initial state.
+    states: Vec<Fnv>,
+}
+
+impl Default for ChildKeys {
+    fn default() -> ChildKeys {
+        ChildKeys {
+            states: vec![Fnv::default()],
+        }
+    }
+}
+
+impl ChildKeys {
+    /// Moves on to a path whose first `shared` constraints equal the
+    /// previous path's: the states past them are dropped.
+    pub(crate) fn keep(&mut self, shared: usize) {
+        self.states.truncate(shared + 1);
+    }
+
+    /// `child_key(path, j)`, for the `path` of the last
+    /// [`ChildKeys::keep`].
+    pub(crate) fn key(&mut self, path: &[Constraint], j: usize) -> u64 {
+        use fmt::Write;
+        while self.states.len() <= j {
+            let k = self.states.len() - 1;
+            let mut h = self.states[k];
+            let _ = write!(h, "{};", path[k]);
+            self.states.push(h);
+        }
+        let mut h = self.states[j];
+        let _ = write!(h, "!{}", path[j].negated());
+        h.0
+    }
 }
 
 /// A malformed checkpoint file.
@@ -361,6 +422,7 @@ pub(crate) struct Checkpoint {
     pub(crate) evicted: u64,
     pub(crate) peak: u64,
     pub(crate) next_seq: u64,
+    pub(crate) solver: SolverCounters,
     pub(crate) seen: Vec<u64>,
     /// The query cache's model pool, oldest first (at most
     /// [`MODEL_POOL`] models).
@@ -368,7 +430,19 @@ pub(crate) struct Checkpoint {
     pub(crate) items: Vec<CheckpointItem>,
 }
 
-const CHECKPOINT_HEADER: &str = "dart-generational-checkpoint v2";
+/// The solver counters a checkpoint carries: the session's verdict counts
+/// and its query cache's counters, so that a resumed session reports the
+/// counts of the uninterrupted one, not only of the queries it posed
+/// itself.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct SolverCounters {
+    pub(crate) sat: u64,
+    pub(crate) unsat: u64,
+    pub(crate) unknown: u64,
+    pub(crate) cache: CacheStats,
+}
+
+const CHECKPOINT_HEADER: &str = "dart-generational-checkpoint v3";
 
 impl Checkpoint {
     /// Renders the line-based text format (see the module docs).
@@ -386,6 +460,21 @@ impl Checkpoint {
             out,
             "counters {} {} {} {}",
             self.dedup_hits, self.evicted, self.peak, self.next_seq
+        );
+        let SolverCounters {
+            sat,
+            unsat,
+            unknown,
+            cache:
+                CacheStats {
+                    model_reuse,
+                    split_solves,
+                    misses,
+                },
+        } = self.solver;
+        let _ = writeln!(
+            out,
+            "solver {sat} {unsat} {unknown} {model_reuse} {split_solves} {misses}"
         );
         out.push_str("covered");
         for (site, dir) in &self.coverage {
@@ -542,6 +631,25 @@ impl Checkpoint {
         let evicted = parse_u64(i, evicted)?;
         let peak = parse_u64(i, peak)?;
         let next_seq = parse_u64(i, next_seq)?;
+        let (i, solver_line) = next("solver")?;
+        let nums: Vec<&str> = solver_line
+            .strip_prefix("solver ")
+            .ok_or_else(|| err(i, format!("expected `solver`, got `{solver_line}`")))?
+            .split_whitespace()
+            .collect();
+        let [sat, unsat, unknown, model_reuse, split_solves, misses] = nums[..] else {
+            return Err(err(i, "`solver` needs 6 integers".to_string()));
+        };
+        let solver = SolverCounters {
+            sat: parse_u64(i, sat)?,
+            unsat: parse_u64(i, unsat)?,
+            unknown: parse_u64(i, unknown)?,
+            cache: CacheStats {
+                model_reuse: parse_u64(i, model_reuse)?,
+                split_solves: parse_u64(i, split_solves)?,
+                misses: parse_u64(i, misses)?,
+            },
+        };
         let (i, covered) = next("covered")?;
         let mut coverage = Vec::new();
         for pair in covered
@@ -714,6 +822,7 @@ impl Checkpoint {
             evicted,
             peak,
             next_seq,
+            solver,
             seen,
             pool,
             items,
@@ -809,6 +918,57 @@ mod tests {
         assert_ne!(child_key(&a, 1), child_key(&taken, 1));
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        /// Child keys kept across paths equal `child_key` rendered from
+        /// scratch, for every `j`, over a sequence of paths that keep a
+        /// prefix of the previous one, sometimes change a constraint
+        /// inside it, and append a new suffix.
+        #[test]
+        fn rebased_child_keys_match_child_key(
+            first in proptest::collection::vec((0u32..3, -3i64..=3, 0usize..6), 1..8),
+            steps in proptest::collection::vec(
+                (
+                    0usize..9,
+                    proptest::option::of((0usize..9, (0u32..3, -3i64..=3, 0usize..6))),
+                    proptest::collection::vec((0u32..3, -3i64..=3, 0usize..6), 0..5),
+                ),
+                1..6,
+            ),
+        ) {
+            const OPS: [RelOp; 6] = [RelOp::Eq, RelOp::Ne, RelOp::Lt, RelOp::Le, RelOp::Gt, RelOp::Ge];
+            let c = |(x, k, op): (u32, i64, usize)| {
+                Constraint::new(LinExpr::var(Var(x)).offset(k), OPS[op])
+            };
+            let mut paths = vec![first.into_iter().map(c).collect::<Vec<_>>()];
+            for (keep, change, suffix) in steps {
+                let mut path = paths[paths.len() - 1].clone();
+                path.truncate(keep);
+                if let Some((at, new)) = change {
+                    if at < path.len() {
+                        path[at] = c(new);
+                    }
+                }
+                path.extend(suffix.into_iter().map(c));
+                paths.push(path);
+            }
+            let mut keys = ChildKeys::default();
+            let mut previous: &[Constraint] = &[];
+            for path in paths.iter().filter(|p| !p.is_empty()) {
+                let shared = previous.iter().zip(path).take_while(|(a, b)| a == b).count();
+                keys.keep(shared);
+                previous = path;
+                // Deepest first, then the rest, as an expansion asks with
+                // a bound, and again to hit the rendered states.
+                let order = (0..path.len()).rev().chain(0..path.len());
+                for j in order {
+                    proptest::prop_assert_eq!(keys.key(path, j), child_key(path, j), "j={}", j);
+                }
+            }
+        }
+    }
+
     #[test]
     fn derive_seed_is_deterministic_and_spread() {
         assert_eq!(derive_seed(42, 7), derive_seed(42, 7));
@@ -830,6 +990,16 @@ mod tests {
             evicted: 2,
             peak: 9,
             next_seq: 21,
+            solver: SolverCounters {
+                sat: 7,
+                unsat: 3,
+                unknown: 1,
+                cache: CacheStats {
+                    model_reuse: 2,
+                    split_solves: 6,
+                    misses: 9,
+                },
+            },
             seen: vec![1, 0xdead_beef, u64::MAX],
             pool: vec![
                 Assignment::from([(Var(0), -5), (Var(3), i64::MAX)]),
@@ -897,6 +1067,7 @@ mod tests {
             evicted: 0,
             peak: 1,
             next_seq: 1,
+            solver: SolverCounters::default(),
             seen: vec![],
             pool: vec![Assignment::from([(Var(0), 7), (Var(2), -1)])],
             items: vec![CheckpointItem {
@@ -924,8 +1095,10 @@ mod tests {
 
     /// A checkpoint from before the model pool was saved would resume
     /// with an empty pool, and so answer differently from the session
-    /// that wrote it: its `v1` header is rejected. So is every `pool`
-    /// line that no session writes.
+    /// that wrote it: its `v1` header is rejected. A `v2` checkpoint
+    /// lacks the solver counters, so its resume would report different
+    /// counts: rejected too. So is every `pool` or `solver` line that no
+    /// session writes.
     #[test]
     fn checkpoint_parse_rejects_v1_and_bad_pools() {
         let cp = |pool| Checkpoint {
@@ -940,6 +1113,7 @@ mod tests {
             evicted: 0,
             peak: 0,
             next_seq: 0,
+            solver: SolverCounters::default(),
             seen: vec![],
             pool,
             items: vec![],
@@ -947,11 +1121,27 @@ mod tests {
         let good = cp(vec![Assignment::from([(Var(0), 7), (Var(2), -1)])]).render();
         assert!(good.contains("\npool 0:7,2:-1\n"), "{good}");
         assert!(Checkpoint::parse(&good).is_ok());
-        let v1 = good
+        // A v2 checkpoint has no `solver` line, and a v1 checkpoint no
+        // `pool` line either; both are rejected by their header.
+        let v2 = good
+            .replace("checkpoint v3", "checkpoint v2")
+            .replace("solver 0 0 0 0 0 0\n", "");
+        let v1 = v2
             .replace("checkpoint v2", "checkpoint v1")
             .replace("pool 0:7,2:-1\n", "");
-        let err = Checkpoint::parse(&v1).unwrap_err();
-        assert!(err.message.contains("bad header"), "{err}");
+        for old in [v1, v2] {
+            let err = Checkpoint::parse(&old).unwrap_err();
+            assert!(err.message.contains("bad header"), "{err}");
+        }
+        for bad in [
+            "solver 0 0 0 0 0",
+            "solver 0 0 0 0 0 0 0",
+            "solver 0 0 0 x 0 0",
+            "solver",
+        ] {
+            let text = good.replace("solver 0 0 0 0 0 0", bad);
+            assert!(Checkpoint::parse(&text).is_err(), "`{bad}` parsed");
+        }
         for bad in [
             "pool 0:7,2:",
             "pool 0:7,,2:-1",
@@ -1002,6 +1192,7 @@ mod tests {
             evicted: 0,
             peak: 2,
             next_seq,
+            solver: SolverCounters::default(),
             seen: vec![],
             pool: vec![],
             items,
@@ -1032,6 +1223,7 @@ mod tests {
             evicted: 0,
             peak: 0,
             next_seq: 0,
+            solver: SolverCounters::default(),
             seen: vec![],
             pool: vec![],
             items: vec![],
@@ -1099,14 +1291,27 @@ mod tests {
             })
         };
         let pool = prop_oneof![vec(model(), 0..4), vec(model(), MODEL_POOL)];
+        let counts = || (any::<u64>(), any::<u64>(), any::<u64>());
+        let solver = (counts(), counts()).prop_map(
+            |((sat, unsat, unknown), (model_reuse, split_solves, misses))| SolverCounters {
+                sat,
+                unsat,
+                unknown,
+                cache: CacheStats {
+                    model_reuse,
+                    split_solves,
+                    misses,
+                },
+            },
+        );
         (
-            header,
+            (header, solver),
             vec((0usize..50, any::<bool>()), 0..6),
             vec(any::<u64>(), 0..5),
             pool,
             vec(item, 0..4),
         )
-            .prop_map(|(header, coverage, mut seen, pool, items)| {
+            .prop_map(|((header, solver), coverage, mut seen, pool, items)| {
                 let ((seed, restarts, runs, steps), (divergences, complete, dedup_hits, evicted)) =
                     (header.0, header.1);
                 // `parse` accepts at most `runs + 1` restarts.
@@ -1138,6 +1343,7 @@ mod tests {
                     evicted,
                     peak,
                     next_seq: next_seq + slack,
+                    solver,
                     seen,
                     pool,
                     items,
@@ -1232,8 +1438,12 @@ mod tests {
         let popped = f.pop().expect("root pops first? no — scored: child");
         // Snapshot the remaining state, restore into a fresh frontier.
         let pool = vec![Assignment::from([(Var(0), 123)])];
-        let cp = f.to_checkpoint(9, 1, 4, 100, 0, true, vec![(2, true)], pool.clone());
-        assert_eq!(cp.pool, pool);
+        let solver = SolverCounters {
+            sat: 4,
+            ..SolverCounters::default()
+        };
+        let cp = f.to_checkpoint(9, 1, 4, 100, 0, true, vec![(2, true)], solver, pool.clone());
+        assert_eq!((cp.pool.clone(), cp.solver), (pool, solver));
         let mut g = Frontier::new(Some(8), true);
         g.restore(&cp);
         assert_eq!(g.items.len(), f.items.len());

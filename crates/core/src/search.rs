@@ -259,7 +259,7 @@ pub fn solve_next(
     // branch: the cache's retained session keeps that shared prefix and
     // pushes only the new suffix.
     let prefix = &path.constraints()[..n];
-    let mut session = cache.take_session(solver, prefix);
+    let (mut session, _) = cache.take_session(solver, prefix);
     let mut speculated = speculate(scheduler, prefix, &candidates, &session, tape, cache, true);
     // The commit walk: sequential, in strategy order. Identical to the
     // plain walk except that positions the workers fresh-solved consume
@@ -791,7 +791,7 @@ mod tests {
         let candidates = [4, 3, 2, 1, 0];
         let pool = SolvePool::new(2);
         let mut cache = QueryCache::default();
-        let mut session = cache.take_session(&Solver::default(), prefix);
+        let (mut session, _) = cache.take_session(&Solver::default(), prefix);
         let fan_out = |cache: &QueryCache, session: &PrefixSession, first_sat_wins: bool| {
             let pool = Scheduler::Pool(&pool);
             speculate(

@@ -35,6 +35,14 @@ pub enum SweepOutcome {
         /// Whether any reseeded retry was attempted.
         retried: bool,
     },
+    /// [`Dart::new`] rejected this function's session — its checkpoint
+    /// file is malformed, stale or from another seed, say. Never retried:
+    /// a reseeded retry would only start afresh under another checkpoint
+    /// path and hide the error.
+    SetupFailed {
+        /// The [`DartError`]'s message.
+        message: String,
+    },
 }
 
 /// Outcome of one function's session within a sweep.
@@ -51,7 +59,7 @@ impl SweepResult {
     pub fn report(&self) -> Option<&SessionReport> {
         match &self.outcome {
             SweepOutcome::Finished { report, .. } => Some(report.as_ref()),
-            SweepOutcome::EngineFault { .. } => None,
+            SweepOutcome::EngineFault { .. } | SweepOutcome::SetupFailed { .. } => None,
         }
     }
 }
@@ -65,7 +73,9 @@ impl SweepResult {
 /// [`std::panic::catch_unwind`]: an engine panic is retried up to
 /// [`DartConfig::max_retries`] times with a reseeded RNG, and a session
 /// that faults on every attempt yields [`SweepOutcome::EngineFault`] —
-/// the sweep always returns one result per requested function.
+/// the sweep always returns one result per requested function. A
+/// session that [`Dart::new`] rejects (a bad checkpoint file) yields
+/// [`SweepOutcome::SetupFailed`], without a retry.
 ///
 /// # Errors
 ///
@@ -150,7 +160,8 @@ pub fn sweep(
 }
 
 /// One function's session under supervision: run, catch engine panics,
-/// retry with a reseeded RNG up to `config.max_retries` times.
+/// retry with a reseeded RNG up to `config.max_retries` times. A setup
+/// error returns at once.
 fn run_supervised(
     compiled: &CompiledProgram,
     name: &str,
@@ -176,19 +187,23 @@ fn run_supervised(
         };
         let run = supervise::run_caught(|| {
             supervise::maybe_panic(&cfg, index);
-            let mut dart = Dart::new(compiled, name, cfg)
-                .expect("toplevels and solve_threads validated before spawning");
+            let mut dart = Dart::new(compiled, name, cfg)?;
             if let Some(pool) = pool {
                 dart = dart.with_pool(pool.clone());
             }
-            dart.run()
+            Ok::<SessionReport, DartError>(dart.run())
         });
         let retried = attempt > 0;
         match run {
-            Ok(report) => {
+            Ok(Ok(report)) => {
                 return SweepOutcome::Finished {
                     report: Box::new(report),
                     retried,
+                }
+            }
+            Ok(Err(e)) => {
+                return SweepOutcome::SetupFailed {
+                    message: e.to_string(),
                 }
             }
             Err(message) => {
@@ -581,6 +596,9 @@ mod tests {
                     SweepOutcome::EngineFault { retried, .. } => {
                         prop_assert_eq!(Some(i), plan.panic_in_session);
                         prop_assert!(*retried);
+                    }
+                    SweepOutcome::SetupFailed { message } => {
+                        prop_assert!(false, "no checkpoint, yet {}", message);
                     }
                 }
             }

@@ -275,12 +275,16 @@ fn gen_config(seed: u64, max_runs: u64) -> DartConfig {
 }
 
 /// The resume-visible facts: everything deterministic that the
-/// checkpoint must carry across a kill. The solver counters are left
-/// out: the checkpoint carries the query cache's model pool, which
-/// decides the answers, but not the counters, so a resumed session
-/// counts only the queries it posed itself.
+/// checkpoint must carry across a kill, the solver counters included.
 fn resume_observable(r: &SessionReport) -> impl PartialEq + std::fmt::Debug {
     (
+        (
+            r.solver.sat,
+            r.solver.unsat,
+            r.solver.unknown,
+            r.solver.cache_model_reuse,
+            r.solver.split_solves,
+        ),
         r.outcome.clone(),
         r.runs,
         r.restarts,
@@ -464,8 +468,9 @@ fn checkpoint_resume_is_tier_agnostic() {
 /// A checkpoint is only loadable under the seed that recorded it: a
 /// mismatched resume is an invalid config, not a silently corrupted
 /// session. A malformed file is rejected the same way, and so are a
-/// checkpoint from before the model pool was saved (`v1`) and a `pool`
-/// line that no session writes.
+/// checkpoint from before the model pool was saved (`v1`), one from
+/// before the solver counters were saved (`v2`) and a `pool` line that
+/// no session writes.
 #[test]
 fn checkpoint_seed_mismatch_and_garbage_are_rejected() {
     let compiled = dart_minic::compile(PAPER_H).unwrap();
@@ -495,13 +500,22 @@ fn checkpoint_seed_mismatch_and_garbage_are_rejected() {
         .find(|l| l.starts_with("pool"))
         .expect("a pool line")
         .to_string();
-    let v1 = written
+    let solver_line = written
+        .lines()
+        .find(|l| l.starts_with("solver"))
+        .expect("a solver line")
+        .to_string();
+    let v2 = written
+        .replace("checkpoint v3", "checkpoint v2")
+        .replace(&format!("{solver_line}\n"), "");
+    let v1 = v2
         .replace("checkpoint v2", "checkpoint v1")
         .replace(&format!("{pool_line}\n"), "");
     let full_pool = format!("pool{}", " 0:1".repeat(65));
     for text in [
         "not a checkpoint\n".to_string(),
         v1,
+        v2,
         written.replace(&pool_line, "pool 0:1,0:2"),
         written.replace(&pool_line, "pool 0:x"),
         written.replace(&pool_line, &full_pool),

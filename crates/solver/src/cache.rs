@@ -12,7 +12,11 @@
 //!    of recent models is far cheaper than a fresh solve. The reuse path
 //!    re-runs the solver's own cheap probes (hint, then zeros) first and
 //!    declines when either would fire, so it never shadows a probe
-//!    answer.
+//!    answer. For a query of the retained session, the scan remembers,
+//!    per model, how many leading constraints of the session's live
+//!    prefix the model was found to satisfy, so a prefix constraint is
+//!    checked against a model at most once between re-bases. That does
+//!    not change which model answers.
 //! 2. The engine session's [`PrefixSession`], carried from one walk to
 //!    the next ([`QueryCache::take_session`] /
 //!    [`QueryCache::retain_session`]), so each walk pushes only the
@@ -42,7 +46,7 @@
 //! ```
 
 use crate::constraint::Constraint;
-use crate::ilp::{Assignment, PrefixSession, SolveInfo, SolveOutcome, Solver};
+use crate::ilp::{Assignment, Bounds, PrefixSession, SolveInfo, SolveOutcome, Solver};
 use crate::linear::Var;
 
 /// How many recent models the counterexample-reuse pool retains.
@@ -81,19 +85,13 @@ impl<'a> Query<'a> {
         }
     }
 
-    /// The constraints in query order.
-    fn iter(self) -> impl Iterator<Item = &'a Constraint> {
-        self.prefix.iter().chain(self.last)
-    }
-
-    /// Whether every constraint holds under `lookup`, testing the last —
-    /// in a session query, the negated branch — first: the hint and most
-    /// pooled models come from runs that took the other side of that
-    /// branch, so they fail exactly there. The conjunction is the same in
-    /// any order, so the answer is too.
-    fn satisfied_by(self, lookup: impl Fn(Var) -> Option<i64>) -> bool {
-        self.last.is_none_or(|c| c.satisfied_by(&lookup))
-            && self.prefix.iter().all(|c| c.satisfied_by(&lookup))
+    /// The constraints in scan order: the last — in a session query, the
+    /// negated branch — first, then the prefix. The hint and most pooled
+    /// models come from runs that took the other side of that branch, so
+    /// they fail exactly there. The conjunction is the same in any order,
+    /// so every answer is too.
+    fn scan_order(self) -> impl Iterator<Item = &'a Constraint> {
+        self.last.into_iter().chain(self.prefix)
     }
 }
 
@@ -137,6 +135,13 @@ impl std::ops::AddAssign for CacheStats {
 #[derive(Debug, Clone, Default)]
 pub struct QueryCache {
     models: Vec<Assignment>,
+    /// For each pooled model, what session scans have found out about
+    /// the live prefix of the session stamped `prefix_stamp`; see
+    /// [`Known`]. Learned only when a scan needs it, and cut back to the
+    /// surviving prefix when [`QueryCache::take_session`] re-bases the
+    /// session. Meaningless when `prefix_stamp` is `None`.
+    known: Vec<Known>,
+    prefix_stamp: Option<u64>,
     stats: CacheStats,
     /// The prefix session of the previous walk, kept so the next walk
     /// pushes only its new path suffix (see [`QueryCache::take_session`]).
@@ -172,7 +177,15 @@ impl QueryCache {
     /// left alone.
     pub fn restore_models(&mut self, mut models: Vec<Assignment>) {
         models.drain(..models.len().saturating_sub(MODEL_POOL));
+        self.known = vec![Known::default(); models.len()];
         self.models = models;
+    }
+
+    /// Replaces the counters with `stats`, as [`QueryCache::stats`]
+    /// returned them: a resumed session continues its checkpoint's
+    /// counts.
+    pub fn restore_stats(&mut self, stats: CacheStats) {
+        self.stats = stats;
     }
 
     /// Folds a per-worker counter shard into this cache's cumulative
@@ -190,14 +203,27 @@ impl QueryCache {
     /// `path` with [`PrefixSession::rebase`], or a fresh one when none is
     /// retained or the retained one runs under a different solver
     /// configuration. Either way it answers exactly as a session freshly
-    /// built by pushing `path` would.
-    pub fn take_session(&mut self, solver: &Solver, path: &[Constraint]) -> PrefixSession {
+    /// built by pushing `path` would. Also returns how many leading
+    /// constraints of `path` the re-base kept (0 for a fresh session).
+    pub fn take_session(&mut self, solver: &Solver, path: &[Constraint]) -> (PrefixSession, usize) {
         let mut session = match self.session.take() {
             Some(s) if s.solver() == solver => s,
             _ => solver.session(),
         };
-        session.rebase(path);
-        session
+        let tracked = self.prefix_stamp == Some(session.stamp());
+        let (keep, live) = session.rebase_kept(path);
+        // Knowledge about popped constraints is dropped.
+        let live = if tracked { live } else { 0 };
+        for known in &mut self.known {
+            if known.holds >= live {
+                *known = Known {
+                    holds: live,
+                    fails_next: false,
+                };
+            }
+        }
+        self.prefix_stamp = Some(session.stamp());
+        (session, keep)
     }
 
     /// Keeps `session` for the next [`QueryCache::take_session`].
@@ -217,8 +243,10 @@ impl QueryCache {
     where
         F: Fn(Var) -> Option<i64>,
     {
-        if let Some(out) = self.shortcut(solver, Query::of(constraints), &hint) {
-            return out;
+        let b = solver.config().default_bounds;
+        if let Some(model) = reuse(&self.models, Track::Cold, b, Query::of(constraints), &hint) {
+            self.stats.model_reuse += 1;
+            return SolveOutcome::Sat(model);
         }
         let mut info = SolveInfo::default();
         let out = solver.solve_with_hint_info(constraints, &hint, &mut info);
@@ -271,9 +299,15 @@ impl QueryCache {
     where
         F: Fn(Var) -> Option<i64>,
     {
+        let track = match self.prefix_stamp == Some(session.stamp()) {
+            true => Track::Learn(&mut self.known),
+            false => Track::Cold,
+        };
+        let b = session.solver().config().default_bounds;
         let query = Query::at(session, j, negated);
-        if let Some(out) = self.shortcut(session.solver(), query, &hint) {
-            return (out, false);
+        if let Some(model) = reuse(&self.models, track, b, query, &hint) {
+            self.stats.model_reuse += 1;
+            return (SolveOutcome::Sat(model), false);
         }
         let used = precomputed.is_some();
         let (out, info) = precomputed.unwrap_or_else(|| {
@@ -301,51 +335,18 @@ impl QueryCache {
     where
         F: Fn(Var) -> Option<i64>,
     {
-        self.try_model_reuse(session.solver(), Query::at(session, j, negated), &hint)
-            .map(SolveOutcome::Sat)
-    }
-
-    /// The pool's answer to `query`, counted as a model reuse.
-    fn shortcut<F>(&mut self, solver: &Solver, query: Query<'_>, hint: &F) -> Option<SolveOutcome>
-    where
-        F: Fn(Var) -> Option<i64>,
-    {
-        let model = self.try_model_reuse(solver, query, hint)?;
-        self.stats.model_reuse += 1;
-        Some(SolveOutcome::Sat(model))
-    }
-
-    /// The counterexample-reuse fast path. Replays the solver's own cheap
-    /// probes first and declines when either would fire, so this path
-    /// only answers queries the solver would have sent to a full search —
-    /// then scans the pool, newest first, for a model that satisfies
-    /// every constraint (the last one tested first, see
-    /// [`Query::satisfied_by`]).
-    fn try_model_reuse<F>(&self, solver: &Solver, query: Query<'_>, hint: &F) -> Option<Assignment>
-    where
-        F: Fn(Var) -> Option<i64>,
-    {
-        let b = solver.config().default_bounds;
-        let probe =
-            |pick: &dyn Fn(Var) -> i64| query.satisfied_by(|v| Some(pick(v).clamp(b.lo, b.hi)));
-        if probe(&|v| hint(v).unwrap_or(0)) || probe(&|_| 0) {
-            return None; // the solver's probes settle this; don't shadow them
-        }
-        for m in self.models.iter().rev() {
-            let pick = |v: Var| m.get(&v).copied().unwrap_or(0);
-            if probe(&pick) {
-                let model: Assignment = query
-                    .iter()
-                    .flat_map(|c| c.vars())
-                    .map(|v| (v, pick(v).clamp(b.lo, b.hi)))
-                    .collect();
-                return Some(model);
-            }
-        }
-        None
+        let track = match self.prefix_stamp == Some(session.stamp()) {
+            true => Track::Read(&self.known),
+            false => Track::Cold,
+        };
+        let b = session.solver().config().default_bounds;
+        let query = Query::at(session, j, negated);
+        reuse(&self.models, track, b, query, &hint).map(SolveOutcome::Sat)
     }
 
     /// Accounts for one solved query and pools its model if it has one.
+    /// Nothing is known yet about how the new model fares against the
+    /// tracked session's prefix.
     fn record(&mut self, was_split: bool, out: &SolveOutcome) {
         self.stats.misses += 1;
         if was_split {
@@ -354,8 +355,107 @@ impl QueryCache {
         if let SolveOutcome::Sat(m) = out {
             if self.models.len() == MODEL_POOL {
                 self.models.remove(0);
+                self.known.remove(0);
             }
             self.models.push(m.clone());
+            self.known.push(Known::default());
+        }
+    }
+}
+
+/// The counterexample-reuse fast path. Replays the solver's own cheap
+/// probes first and declines when either would fire, so this path only
+/// answers queries the solver would have sent to a full search — then
+/// scans `models`, newest first, for one that satisfies every constraint:
+/// the last one first (see [`Query::scan_order`]), then the prefix
+/// constraints that `track` does not already vouch for. Every value is
+/// clamped into the box `b`, as the probes clamp it. What `track` knows
+/// only skips checks whose outcome it records, so the answer is the same
+/// as checking every constraint.
+fn reuse<F>(
+    models: &[Assignment],
+    mut track: Track<'_>,
+    b: Bounds,
+    query: Query<'_>,
+    hint: &F,
+) -> Option<Assignment>
+where
+    F: Fn(Var) -> Option<i64>,
+{
+    let holds = |c: &Constraint, pick: &dyn Fn(Var) -> i64| {
+        c.satisfied_by(|v| Some(pick(v).clamp(b.lo, b.hi)))
+    };
+    let probe = |pick: &dyn Fn(Var) -> i64| query.scan_order().all(|c| holds(c, pick));
+    if probe(&|v| hint(v).unwrap_or(0)) || probe(&|_| 0) {
+        return None; // the solver's probes settle this; don't shadow them
+    }
+    // An empty query holds under the zeros probe, so it has a last one.
+    let (last, prefix) = (query.last?, query.prefix);
+    for (i, model) in models.iter().enumerate().rev() {
+        let k = track.get(i);
+        if k.fails_next && k.holds < prefix.len() {
+            continue;
+        }
+        let pick = |v: Var| model.get(&v).copied().unwrap_or(0);
+        if !holds(last, &pick) {
+            continue;
+        }
+        if k.holds < prefix.len() {
+            let rest = prefix[k.holds..].iter();
+            let passed = k.holds + rest.take_while(|c| holds(c, &pick)).count();
+            let fails_next = passed < prefix.len();
+            track.set(
+                i,
+                Known {
+                    holds: passed,
+                    fails_next,
+                },
+            );
+            if fails_next {
+                continue;
+            }
+        }
+        let vars = query.scan_order().flat_map(|c| c.vars());
+        return Some(vars.map(|v| (v, pick(v).clamp(b.lo, b.hi))).collect());
+    }
+    None
+}
+
+/// What a session scan has found out about one pooled model against the
+/// tracked session's live prefix, each value clamped into the session's
+/// box: it satisfies the first `holds` live constraints, and, when
+/// `fails_next`, not the one after them.
+#[derive(Debug, Clone, Copy, Default)]
+struct Known {
+    holds: usize,
+    fails_next: bool,
+}
+
+/// How a pool scan uses what is [`Known`] about each pooled model.
+enum Track<'a> {
+    /// Nothing is known: each model is checked against every constraint
+    /// (a plain query, or a session the cache does not track).
+    Cold,
+    /// What earlier scans of the tracked session found, not extended (a
+    /// peek).
+    Read(&'a [Known]),
+    /// What earlier scans of the tracked session found, extended by this
+    /// scan.
+    Learn(&'a mut [Known]),
+}
+
+impl Track<'_> {
+    fn get(&self, i: usize) -> Known {
+        match self {
+            Track::Cold => Known::default(),
+            Track::Read(known) => known[i],
+            Track::Learn(known) => known[i],
+        }
+    }
+
+    fn set(&mut self, i: usize, k: Known) {
+        if let Track::Learn(known) = self {
+            known[i] = k;
         }
     }
 }
@@ -504,22 +604,200 @@ mod tests {
         let solver = Solver::default();
         let mut cache = QueryCache::default();
         let path = vec![eq(0, 1), ne(1, 2)];
-        let sess = cache.take_session(&solver, &path);
-        assert_eq!(sess.depth(), 2);
+        let (sess, kept) = cache.take_session(&solver, &path);
+        assert_eq!((sess.depth(), kept), (2, 0));
         cache.retain_session(sess);
         // Same configuration: the retained session is re-based, keeping
         // the shared first constraint.
         let next = vec![eq(0, 1), eq(1, 2), ne(0, 3)];
-        let sess = cache.take_session(&solver, &next);
-        assert_eq!((sess.depth(), sess.common_prefix(&next)), (3, 3));
+        let (sess, kept) = cache.take_session(&solver, &next);
+        assert_eq!((sess.depth(), sess.common_prefix(&next), kept), (3, 3, 1));
         cache.retain_session(sess);
         // Another configuration: a fresh session under that configuration.
         let other = Solver::new(crate::ilp::SolverConfig {
             max_fd_nodes: 1,
             ..crate::ilp::SolverConfig::default()
         });
-        let sess = cache.take_session(&other, &path);
+        let (sess, kept) = cache.take_session(&other, &path);
         assert_eq!(sess.solver(), &other);
-        assert_eq!(sess.depth(), 2);
+        assert_eq!((sess.depth(), kept), (2, 0));
+    }
+
+    /// A model naming `Var(u32::MAX)` restores, scans and answers like
+    /// any other: nothing in the pool is sized by a variable's number.
+    #[test]
+    fn extreme_variable_numbers_are_pooled() {
+        let solver = Solver::default();
+        let mut cache = QueryCache::default();
+        let top = Var(u32::MAX);
+        cache.restore_models(vec![
+            Assignment::from([(top, 5), (Var(0), -1)]),
+            Assignment::from([(Var(1 << 31), 9)]),
+        ]);
+        let q = [Constraint::new(LinExpr::var(top).offset(-5), RelOp::Eq)];
+        assert_eq!(
+            cache.solve_with_hint(&solver, &q, |_| Some(7)),
+            SolveOutcome::Sat(Assignment::from([(top, 5)]))
+        );
+        assert_eq!(cache.stats().model_reuse, 1);
+    }
+
+    /// The scan as it was before scans learned what each model satisfies:
+    /// every constraint checked against every model, the last one first.
+    fn reference_scan(
+        models: &[Assignment],
+        solver: &Solver,
+        query: &[Constraint],
+        hint: &dyn Fn(Var) -> Option<i64>,
+    ) -> Option<Assignment> {
+        let b = solver.config().default_bounds;
+        let (last, prefix) = query.split_last()?;
+        let probe = |pick: &dyn Fn(Var) -> i64| {
+            let lookup = |v: Var| Some(pick(v).clamp(b.lo, b.hi));
+            last.satisfied_by(lookup) && prefix.iter().all(|c| c.satisfied_by(lookup))
+        };
+        if probe(&|v| hint(v).unwrap_or(0)) || probe(&|_| 0) {
+            return None;
+        }
+        models.iter().rev().find_map(|m| {
+            let pick = |v: Var| m.get(&v).copied().unwrap_or(0);
+            probe(&pick).then(|| {
+                query
+                    .iter()
+                    .flat_map(|c| c.vars())
+                    .map(|v| (v, pick(v).clamp(b.lo, b.hi)))
+                    .collect()
+            })
+        })
+    }
+
+    mod scan {
+        use super::*;
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+
+        /// Mostly a handful of variables; some spread over hundreds, and
+        /// a few at the top of the range.
+        fn var() -> impl Strategy<Value = Var> {
+            prop_oneof![
+                8 => (0u32..6).prop_map(Var),
+                2 => (6u32..400).prop_map(Var),
+                1 => prop_oneof![Just(u32::MAX), Just(u32::MAX - 1), Just(1 << 31)].prop_map(Var),
+            ]
+        }
+
+        fn value() -> impl Strategy<Value = i64> {
+            prop_oneof![8 => -6i64..=6, 1 => any::<i64>()]
+        }
+
+        fn model() -> impl Strategy<Value = Assignment> {
+            vec((var(), value()), 0..5).prop_map(|pairs| pairs.into_iter().collect())
+        }
+
+        fn constraint() -> impl Strategy<Value = Constraint> {
+            let op = prop_oneof![
+                Just(RelOp::Eq),
+                Just(RelOp::Ne),
+                Just(RelOp::Lt),
+                Just(RelOp::Le),
+                Just(RelOp::Gt),
+                Just(RelOp::Ge),
+            ];
+            (vec((var(), value()), 0..3), value(), op)
+                .prop_map(|(terms, k, op)| Constraint::new(LinExpr::from_terms(terms, k), op))
+        }
+
+        fn solver() -> impl Strategy<Value = Solver> {
+            prop_oneof![
+                Just(Solver::default()),
+                (-4i64..=2, 0i64..=4).prop_map(|(lo, width)| {
+                    Solver::new(crate::ilp::SolverConfig {
+                        default_bounds: crate::ilp::Bounds::new(lo, lo + width),
+                        ..crate::ilp::SolverConfig::default()
+                    })
+                }),
+            ]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// A plain query's scan returns exactly what the reference
+            /// scan returns, newest model first, over pools filled by
+            /// solves (evicting past `MODEL_POOL`) or restored from a
+            /// checkpoint.
+            #[test]
+            fn plain_scan_matches_the_reference_scan(
+                pool in vec(model(), 0..80),
+                restored in any::<bool>(),
+                queries in vec((vec(constraint(), 1..5), vec(value(), 6)), 1..6),
+                solver in solver(),
+            ) {
+                let mut cache = QueryCache::default();
+                if restored {
+                    cache.restore_models(pool);
+                } else {
+                    for m in pool {
+                        cache.record(false, &SolveOutcome::Sat(m));
+                    }
+                }
+                let b = solver.config().default_bounds;
+                for (query, hint) in &queries {
+                    let hint = |v: Var| hint.get(v.index()).copied();
+                    let got = reuse(cache.models(), Track::Cold, b, Query::of(query), &hint);
+                    let want = reference_scan(cache.models(), &solver, query, &hint);
+                    prop_assert_eq!(got, want, "query {:?}", query);
+                }
+            }
+
+            /// A session query's scan, with what it learned about each
+            /// model's prefix kept across queries and re-bases, returns
+            /// exactly what the reference scan returns, over a sequence of
+            /// walks whose paths share and change prefixes, whose fresh
+            /// solves pool models (past `MODEL_POOL` when the pool starts
+            /// full), and whose session is sometimes changed behind the
+            /// cache's back or whose pool is restored mid-session.
+            #[test]
+            fn session_scan_matches_the_reference_scan(
+                prefill in vec(model(), 0..70),
+                first in vec(constraint(), 1..6),
+                steps in vec((0usize..7, vec(constraint(), 0..4), vec(value(), 6), 0u8..8), 1..8),
+                solver in solver(),
+            ) {
+                let mut cache = QueryCache::default();
+                cache.restore_models(prefill);
+                let mut path = first;
+                for (keep, suffix, hint, flags) in steps {
+                    path.truncate(keep);
+                    path.extend(suffix);
+                    if path.is_empty() {
+                        continue;
+                    }
+                    let (mut session, _) = cache.take_session(&solver, &path);
+                    prop_assert_eq!(cache.prefix_stamp, Some(session.stamp()));
+                    if flags & 1 != 0 {
+                        let last = path[path.len() - 1].clone();
+                        session.pop();
+                        session.push(&last);
+                    }
+                    if flags & 2 != 0 {
+                        cache.restore_models(cache.models().to_vec());
+                    }
+                    let hint = |v: Var| hint.get(v.index()).copied();
+                    for j in (0..path.len()).rev() {
+                        let negated = path[j].negated();
+                        let mut query = session.prefix_live(j).to_vec();
+                        query.push(negated.clone());
+                        // Peeking scans with what the solves so far have
+                        // learned about each model, and learns nothing.
+                        let got = cache.peek_query(&session, j, &negated, hint);
+                        let want = reference_scan(cache.models(), &solver, &query, &hint);
+                        prop_assert_eq!(got, want.map(SolveOutcome::Sat), "j={} of {:?}", j, &path);
+                        let _ = cache.solve_query(&mut session, j, &negated, hint);
+                    }
+                    cache.retain_session(session);
+                }
+            }
+        }
     }
 }

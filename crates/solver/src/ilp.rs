@@ -8,11 +8,11 @@
 //! case-split. Everything else reduces to `<= 0` rows which are decided by
 //! interval propagation plus branch & bound on the LP relaxation.
 
-use crate::constraint::{Constraint, NormalForm};
-use crate::linear::Var;
+use crate::constraint::Constraint;
+use crate::linear::{eval_terms, Var, VarMap};
 use crate::rational::{ArithError, Rat};
 use crate::simplex::{feasible_point, Lp, LpResult, LpRow};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
 
 /// Inclusive variable bounds.
@@ -288,34 +288,42 @@ impl Solver {
         F: Fn(Var) -> Option<i64>,
     {
         // Dense variable numbering.
-        let mut vars: Vec<Var> = Vec::new();
-        let mut var_idx: HashMap<Var, usize> = HashMap::new();
-        for c in live {
-            for v in c.vars() {
-                var_idx.entry(v).or_insert_with(|| {
-                    vars.push(v);
-                    vars.len() - 1
-                });
-            }
-        }
+        let numbering = Numbering::of(live);
+        let vars = &numbering.vars;
         let n = vars.len();
         if n == 0 {
             return SolveOutcome::Sat(Assignment::new());
         }
 
         // Cheap probes against the *original* constraints: the hint
-        // itself, then all-zeros clamped into range.
+        // itself, then all-zeros clamped into range. The last constraint
+        // — a query's negated branch — is tested first: the hint and
+        // most other picks come from runs that took the other side of
+        // that branch, so they fail exactly there.
         let b = self.config.default_bounds;
-        if let Some(m) = probe_model(live, &vars, b, &|v| hint(v).unwrap_or(0)) {
-            return SolveOutcome::Sat(m);
+        let holds = |vals: &[i64]| {
+            let last = live.len() - 1;
+            let mut order = std::iter::once(last).chain(0..last);
+            order.all(|k| holds_at(live[k], numbering.terms(k), vals))
+        };
+        let model_of = |vals: &[i64]| -> Assignment {
+            vars.iter().copied().zip(vals.iter().copied()).collect()
+        };
+        let picks: Vec<i64> = vars
+            .iter()
+            .map(|&v| hint(v).unwrap_or(0).clamp(b.lo, b.hi))
+            .collect();
+        if holds(&picks) {
+            return SolveOutcome::Sat(model_of(&picks));
         }
-        if let Some(m) = probe_model(live, &vars, b, &|_| 0) {
-            return SolveOutcome::Sat(m);
+        let zeros = vec![0i64.clamp(b.lo, b.hi); n];
+        if holds(&zeros) {
+            return SolveOutcome::Sat(model_of(&zeros));
         }
 
         // Normalize. Single-variable `!=` becomes an excluded point;
         // multi-variable `!=` is case-split.
-        let (mut rows, exclusions, mut splits) = normalize_live(live, &var_idx, n);
+        let (mut rows, exclusions, mut splits) = normalize_live(live, &numbering);
 
         // Lazy splitting over multi-variable `!=`: solve without them,
         // and only split on one that the found model violates. Unsat
@@ -333,25 +341,16 @@ impl Solver {
             clock,
         );
         match outcome {
-            Ok(Some(sol)) => {
-                let model: Assignment = vars.iter().map(|&v| (v, sol[var_idx[&v]])).collect();
-                // Defensive final check of the original constraints.
-                if live
-                    .iter()
-                    .all(|c| c.satisfied_by(|v| model.get(&v).copied()))
-                {
-                    SolveOutcome::Sat(model)
-                } else {
-                    SolveOutcome::Unknown
-                }
-            }
+            // Defensive final check of the original constraints.
+            Ok(Some(sol)) if holds(&sol) => SolveOutcome::Sat(model_of(&sol)),
+            Ok(Some(_)) => SolveOutcome::Unknown,
             Ok(None) => SolveOutcome::Unsat,
             Err(Stop::Deadline) => {
-                debug_log("query deadline expired");
+                debug_log(|| "query deadline expired".to_string());
                 SolveOutcome::Unknown
             }
             Err(Stop::Arith(e)) => {
-                debug_log(&format!("arithmetic/bb failure: {e:?}"));
+                debug_log(|| format!("arithmetic/bb failure: {e:?}"));
                 SolveOutcome::Unknown
             }
         }
@@ -570,7 +569,7 @@ impl Solver {
                 .map(|(y, &(lo, _))| y.add(Rat::from_int(lo)))
                 .collect::<Result<_, _>>()?;
             if (*budget).is_multiple_of(1000) {
-                debug_log(&format!("bb budget={budget} vertex={xs:?} boxes={boxes:?}"));
+                debug_log(|| format!("bb budget={budget} vertex={xs:?} boxes={boxes:?}"));
             }
 
             // Rounding probes: snap the (possibly fractional) vertex to
@@ -644,9 +643,24 @@ impl Solver {
 
     /// Iterated interval propagation. Returns `false` on emptiness.
     fn propagate(&self, rows: &[Row], boxes: &mut [(i128, i128)]) -> bool {
+        !matches!(self.propagate_from(rows, 0, boxes), Propagation::Empty)
+    }
+
+    /// Iterated interval propagation whose first round visits only
+    /// `rows[first..]`; later rounds visit every row. When `boxes` are
+    /// already a fixpoint of `rows[..first]` this is exactly
+    /// [`Solver::propagate`] over all of `rows`: a row that narrowed
+    /// nothing in a round that changed nothing narrows nothing again.
+    fn propagate_from(
+        &self,
+        rows: &[Row],
+        first: usize,
+        boxes: &mut [(i128, i128)],
+    ) -> Propagation {
+        let mut round = &rows[first..];
         for _ in 0..self.config.max_propagation_rounds {
             let mut changed = false;
-            for row in rows {
+            for row in round {
                 // Minimum achievable value of the row's lhs.
                 let mut min_sum: i128 = 0;
                 for &(j, a) in &row.coeffs {
@@ -659,12 +673,12 @@ impl Solver {
                 }
                 if row.coeffs.is_empty() {
                     if row.rhs < 0 {
-                        return false;
+                        return Propagation::Empty;
                     }
                     continue;
                 }
                 if min_sum > row.rhs {
-                    return false;
+                    return Propagation::Empty;
                 }
                 for &(j, a) in &row.coeffs {
                     let (lo, hi) = boxes[j];
@@ -676,30 +690,52 @@ impl Solver {
                     let rest_min = min_sum - own_min;
                     let slack = row.rhs - rest_min; // a*x <= slack
                     if a > 0 {
-                        let new_hi = slack.div_euclid(a as i128);
+                        // Unit coefficients, the common case, skip the
+                        // 128-bit division.
+                        let new_hi = if a == 1 {
+                            slack
+                        } else {
+                            slack.div_euclid(a as i128)
+                        };
                         if new_hi < hi {
                             boxes[j].1 = new_hi;
                             changed = true;
                         }
                     } else {
                         let na = -(a as i128); // -a*x >= -slack => x >= ceil(-slack/ -a*... )
-                        let new_lo = -(slack.div_euclid(na));
+                        let new_lo = if na == 1 {
+                            -slack
+                        } else {
+                            -(slack.div_euclid(na))
+                        };
                         if new_lo > lo {
                             boxes[j].0 = new_lo;
                             changed = true;
                         }
                     }
                     if boxes[j].0 > boxes[j].1 {
-                        return false;
+                        return Propagation::Empty;
                     }
                 }
             }
             if !changed {
-                break;
+                return Propagation::Fixpoint;
             }
+            round = rows;
         }
-        true
+        Propagation::Capped
     }
+}
+
+/// How [`Solver::propagate_from`] ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Propagation {
+    /// Some box emptied: the rows are infeasible.
+    Empty,
+    /// A round changed nothing: the boxes are a fixpoint of the rows.
+    Fixpoint,
+    /// The round cap stopped it while boxes were still narrowing.
+    Capped,
 }
 
 /// Per-push snapshot of a [`PrefixSession`]: the cumulative state after the
@@ -712,13 +748,19 @@ struct Frame {
     vars_len: usize,
     rows_len: usize,
     splits_len: usize,
-    /// Exclusion sets after this push (one per numbered variable).
-    exclusions: Vec<BTreeSet<i64>>,
+    /// Length of the session's exclusion-point log after this push.
+    exclusions_len: usize,
     /// Interval-propagated boxes for the whole prefix up to this push.
     boxes: Vec<(i128, i128)>,
     /// The prefix up to this push is known unsatisfiable (trivially false
     /// constraint, GCD integrality gap, or propagation wipe-out).
     infeasible: bool,
+    /// The boxes are a fixpoint of the rows up to this push: the last
+    /// propagation round changed nothing. The next push, and a query at
+    /// this depth, then start propagating from their own new rows, since
+    /// the old rows cannot narrow a fixpoint. `false` when propagation
+    /// stopped at [`SolverConfig::max_propagation_rounds`].
+    settled: bool,
 }
 
 /// Incremental solving of the directed search's `negated_prefix(j)`
@@ -731,12 +773,15 @@ struct Frame {
 /// constraint work per run. A `PrefixSession` does that work once per
 /// *pushed constraint* instead: [`PrefixSession::push`] extends the dense
 /// numbering, the normalized rows and the interval-propagation fixpoint
-/// incrementally, and [`PrefixSession::solve_query`] starts from the
-/// snapshot at depth `j`. A query takes one path: the hint and all-zeros
-/// probes, the split into independent components, propagation of the
-/// negated rows from the snapshot's boxes, then the same finite-domain
-/// search and branch & bound that [`Solver::solve`] runs on each
-/// component.
+/// incrementally (propagating the new rows first when the previous
+/// boxes were a fixpoint), and [`PrefixSession::solve_query`] starts from
+/// the snapshot at depth `j`. A query takes one path: the hint and
+/// all-zeros probes, the split into independent components, propagation
+/// of the negated rows from the snapshot's boxes, then the same
+/// finite-domain search and branch & bound that [`Solver::solve`] runs on
+/// each component. The probes and the split read the prefix through the
+/// session's dense numbering, which each live constraint records at push
+/// time, so a query hashes only the negated constraint's variables.
 ///
 /// One session serves a whole DART session, not one run. Under
 /// depth-first order each new path repeats the previous one up to the
@@ -749,8 +794,8 @@ struct Frame {
 /// freshly built by pushing the same path would — outcome and model.
 /// Every piece of session state is a function of its frames: each frame
 /// is a function of the constraints pushed before it, and a pop restores
-/// the numbering, rows and case splits to the surviving frame, so nothing
-/// outlives a pop.
+/// the numbering, rows, exclusion points and case splits to the surviving
+/// frame, so nothing outlives a pop.
 ///
 /// Outcomes are equisatisfiable with `solve_with_hint` on the same
 /// conjunction; the concrete model may differ (the session's tighter warm
@@ -787,25 +832,49 @@ pub struct PrefixSession {
     solver: Solver,
     /// Non-trivial pushed constraints, in push order.
     live: Vec<Constraint>,
+    /// Each live constraint's terms as indices into `vars`, in term
+    /// order, concatenated: `live[k]`'s end at `live_ends[k]`.
+    live_terms: Vec<usize>,
+    live_ends: Vec<usize>,
     /// Dense variable numbering, append-only across pushes.
     vars: Vec<Var>,
-    var_idx: HashMap<Var, usize>,
+    var_idx: VarMap<usize>,
     /// Normalized `<= 0` rows of the live prefix.
     rows: Vec<Row>,
     /// Multi-variable `!=` case splits of the live prefix.
     splits: Vec<NeSplit>,
+    /// Single-variable `!=` exclusion points of the live prefix, as
+    /// `(variable index, point)` in push order. Only a query's full solve
+    /// reads them, so no frame copies them.
+    exclusions: Vec<(usize, i64)>,
     frames: Vec<Frame>,
+    /// Names the session's current state: a fresh value from a
+    /// process-wide counter on creation and on every push or pop, so no
+    /// two states share one (a clone shares its original's until either
+    /// changes). The query cache keys what it knows about the live
+    /// prefix by it.
+    stamp: u64,
+}
+
+/// A stamp no prefix session state has carried before.
+fn next_stamp() -> u64 {
+    static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
 }
 
 impl PrefixSession {
     fn new(solver: Solver) -> PrefixSession {
         PrefixSession {
+            stamp: next_stamp(),
             solver,
             live: Vec::new(),
+            live_terms: Vec::new(),
+            live_ends: Vec::new(),
             vars: Vec::new(),
-            var_idx: HashMap::new(),
+            var_idx: VarMap::default(),
             rows: Vec::new(),
             splits: Vec::new(),
+            exclusions: Vec::new(),
             frames: Vec::new(),
         }
     }
@@ -823,17 +892,13 @@ impl PrefixSession {
     /// Pushes the next path constraint, extending the numbering, the
     /// normalized rows and the propagated boxes incrementally.
     pub fn push(&mut self, c: &Constraint) {
+        self.stamp = next_stamp();
         let b = self.solver.config.default_bounds;
         let mut frame = match self.frames.last() {
             Some(f) => Frame {
                 pushed: c.clone(),
-                live_len: f.live_len,
-                vars_len: f.vars_len,
-                rows_len: f.rows_len,
-                splits_len: f.splits_len,
-                exclusions: f.exclusions.clone(),
                 boxes: f.boxes.clone(),
-                infeasible: f.infeasible,
+                ..*f
             },
             None => Frame {
                 pushed: c.clone(),
@@ -841,9 +906,10 @@ impl PrefixSession {
                 vars_len: 0,
                 rows_len: 0,
                 splits_len: 0,
-                exclusions: Vec::new(),
+                exclusions_len: 0,
                 boxes: Vec::new(),
                 infeasible: false,
+                settled: true,
             },
         };
         let screened = match c.triviality() {
@@ -861,31 +927,41 @@ impl PrefixSession {
         if let Some(c) = screened.filter(|_| !frame.infeasible) {
             self.live.push(c.clone());
             frame.live_len += 1;
+            let start = self.live_terms.len();
             for v in c.vars() {
-                if let std::collections::hash_map::Entry::Vacant(e) = self.var_idx.entry(v) {
-                    e.insert(self.vars.len());
+                let next = self.vars.len();
+                let i = *self.var_idx.entry(v).or_insert(next);
+                if i == next {
                     self.vars.push(v);
                 }
+                self.live_terms.push(i);
             }
+            self.live_ends.push(self.live_terms.len());
             frame.vars_len = self.vars.len();
-            frame.exclusions.resize_with(frame.vars_len, BTreeSet::new);
             frame
                 .boxes
                 .resize(frame.vars_len, (b.lo as i128, b.hi as i128));
             normalize_one(
                 c,
-                &self.var_idx,
+                &self.live_terms[start..],
                 &mut self.rows,
-                &mut frame.exclusions,
+                &mut self.exclusions,
                 &mut self.splits,
             );
+            // A settled parent's boxes are a fixpoint of its rows, which
+            // the new variables do not appear in: the first round needs
+            // to visit only the new rows.
+            let first = if frame.settled { frame.rows_len } else { 0 };
             frame.rows_len = self.rows.len();
             frame.splits_len = self.splits.len();
-            if !self
+            frame.exclusions_len = self.exclusions.len();
+            match self
                 .solver
-                .propagate(&self.rows[..frame.rows_len], &mut frame.boxes)
+                .propagate_from(&self.rows, first, &mut frame.boxes)
             {
-                frame.infeasible = true;
+                Propagation::Empty => frame.infeasible = true,
+                Propagation::Fixpoint => frame.settled = true,
+                Propagation::Capped => frame.settled = false,
             }
         }
         self.frames.push(frame);
@@ -903,18 +979,33 @@ impl PrefixSession {
 
     /// Pops every constraint pushed after the first `depth`.
     fn truncate(&mut self, depth: usize) {
+        if depth < self.frames.len() {
+            self.stamp = next_stamp();
+        }
         self.frames.truncate(depth);
-        let (live_len, vars_len, rows_len, splits_len) = self
+        let (live_len, vars_len, rows_len, splits_len, exclusions_len) = self
             .frames
             .last()
-            .map(|f| (f.live_len, f.vars_len, f.rows_len, f.splits_len))
-            .unwrap_or((0, 0, 0, 0));
+            .map(|f| {
+                (
+                    f.live_len,
+                    f.vars_len,
+                    f.rows_len,
+                    f.splits_len,
+                    f.exclusions_len,
+                )
+            })
+            .unwrap_or((0, 0, 0, 0, 0));
         for v in self.vars.drain(vars_len..) {
             self.var_idx.remove(&v);
         }
         self.live.truncate(live_len);
+        self.live_ends.truncate(live_len);
+        self.live_terms
+            .truncate(self.live_ends.last().copied().unwrap_or(0));
         self.rows.truncate(rows_len);
         self.splits.truncate(splits_len);
+        self.exclusions.truncate(exclusions_len);
     }
 
     /// How many leading constraints of `path` this session has pushed:
@@ -932,11 +1023,19 @@ impl PrefixSession {
     /// pushes the rest. Afterwards the session answers every query as one
     /// freshly built by pushing `path` would (see the type docs).
     pub fn rebase(&mut self, path: &[Constraint]) {
+        self.rebase_kept(path);
+    }
+
+    /// [`PrefixSession::rebase`], returning how many pushed constraints
+    /// and how many live ones the re-base kept.
+    pub(crate) fn rebase_kept(&mut self, path: &[Constraint]) -> (usize, usize) {
         let keep = self.common_prefix(path);
         self.truncate(keep);
+        let live = self.prefix_live(keep).len();
         for c in &path[keep..] {
             self.push(c);
         }
+        (keep, live)
     }
 
     /// Solves `pushed[0] ∧ … ∧ pushed[j-1] ∧ negated` — the directed
@@ -965,6 +1064,17 @@ impl PrefixSession {
         &self.live[..live_len]
     }
 
+    /// The session state's stamp (see the field).
+    pub(crate) fn stamp(&self) -> u64 {
+        self.stamp
+    }
+
+    /// The terms of live constraint `k`, as indices into the numbering.
+    fn live_terms(&self, k: usize) -> &[usize] {
+        let start = k.checked_sub(1).map_or(0, |p| self.live_ends[p]);
+        &self.live_terms[start..self.live_ends[k]]
+    }
+
     /// Like [`PrefixSession::solve_query`], additionally reporting how the
     /// query decomposed into independent components via `info`.
     pub fn solve_query_info<F>(
@@ -984,9 +1094,17 @@ impl PrefixSession {
         if prefix.is_some_and(|f| f.infeasible) {
             return SolveOutcome::Unsat;
         }
-        let (live_len, vars_len, rows_len, splits_len) = prefix.map_or((0, 0, 0, 0), |f| {
-            (f.live_len, f.vars_len, f.rows_len, f.splits_len)
-        });
+        let (live_len, vars_len, rows_len, splits_len, exclusions_len, settled) =
+            prefix.map_or((0, 0, 0, 0, 0, true), |f| {
+                (
+                    f.live_len,
+                    f.vars_len,
+                    f.rows_len,
+                    f.splits_len,
+                    f.exclusions_len,
+                    f.settled,
+                )
+            });
 
         // Screen the negated constraint.
         let neg_live = match negated.triviality() {
@@ -995,33 +1113,51 @@ impl PrefixSession {
             None if gcd_infeasible(negated) => return SolveOutcome::Unsat,
             None => Some(negated),
         };
-        let q_live: Vec<&Constraint> = self.live[..live_len].iter().chain(neg_live).collect();
-        if q_live.is_empty() {
+        if live_len == 0 && neg_live.is_none() {
             return SolveOutcome::Sat(Assignment::new());
         }
 
-        // Extend the prefix numbering with the negated constraint's new
-        // variables (session vars numbered deeper than the prefix are
-        // renumbered fresh for this query).
-        let mut q_vars: Vec<Var> = self.vars[..vars_len].to_vec();
-        let mut q_idx: HashMap<Var, usize> =
-            q_vars.iter().enumerate().map(|(i, &v)| (v, i)).collect();
-        if let Some(c) = neg_live {
-            for v in c.vars() {
-                if let std::collections::hash_map::Entry::Vacant(e) = q_idx.entry(v) {
-                    e.insert(q_vars.len());
-                    q_vars.push(v);
-                }
-            }
-        }
-        let n = q_vars.len();
+        // The query numbering: the prefix's variables keep their session
+        // indices, and the negated constraint's other variables follow
+        // in order of appearance (session variables numbered deeper than
+        // the prefix are renumbered fresh for this query).
+        let mut fresh: Vec<Var> = Vec::new();
+        let neg_terms: Vec<usize> = neg_live.map_or_else(Vec::new, |c| {
+            c.vars()
+                .map(|v| match self.var_idx.get(&v) {
+                    Some(&i) if i < vars_len => i,
+                    _ => {
+                        fresh.push(v);
+                        vars_len + fresh.len() - 1
+                    }
+                })
+                .collect()
+        });
+        let n = vars_len + fresh.len();
+        let q_var = |i: usize| match i.checked_sub(vars_len) {
+            None => self.vars[i],
+            Some(f) => fresh[f],
+        };
+        // Whether every query constraint holds under `vals`, testing the
+        // negated one first: the hint and most other picks come from runs
+        // that took the other side of that branch, so they fail there.
+        let holds = |vals: &[i64]| {
+            neg_live.is_none_or(|c| holds_at(c, &neg_terms, vals))
+                && (0..live_len).all(|k| holds_at(&self.live[k], self.live_terms(k), vals))
+        };
+        let model_of =
+            |vals: &[i64]| -> Assignment { (0..n).map(|i| (q_var(i), vals[i])).collect() };
 
-        // Cheap probes: the hint, then all-zeros.
-        if let Some(m) = probe_model(&q_live, &q_vars, b, &|v| hint(v).unwrap_or(0)) {
-            return SolveOutcome::Sat(m);
+        // Cheap probes: the hint, then all-zeros, clamped into the box.
+        let picks: Vec<i64> = (0..n)
+            .map(|i| hint(q_var(i)).unwrap_or(0).clamp(b.lo, b.hi))
+            .collect();
+        if holds(&picks) {
+            return SolveOutcome::Sat(model_of(&picks));
         }
-        if let Some(m) = probe_model(&q_live, &q_vars, b, &|_| 0) {
-            return SolveOutcome::Sat(m);
+        let zeros = vec![0i64.clamp(b.lo, b.hi); n];
+        if holds(&zeros) {
+            return SolveOutcome::Sat(model_of(&zeros));
         }
 
         // Constraint-independence splitting: when the negated constraint's
@@ -1029,37 +1165,44 @@ impl PrefixSession {
         // query, solve only that component and fill the other components
         // straight from the hint — they are the previous run's path
         // constraints, which that run's inputs satisfied by construction.
-        let components = connected_components(&q_live);
-        info.components = components.len();
-        if neg_live.is_some() && components.len() > 1 {
-            let neg_idx = q_live.len() - 1;
-            let pick = |v: Var| hint(v).unwrap_or(0).clamp(b.lo, b.hi);
-            let mut neg_comp: &[usize] = &[];
-            let mut rest_ok = true;
-            let mut fill = Assignment::new();
-            for comp in &components {
-                if comp.contains(&neg_idx) {
-                    neg_comp = comp;
-                    continue;
+        // The union-find runs over the query numbering, and components are
+        // numbered in order of their first constraint.
+        let mut uf = UnionFind::with_len(n);
+        let query_terms = (0..live_len)
+            .map(|k| self.live_terms(k))
+            .chain(neg_live.map(|_| &neg_terms[..]));
+        let firsts: Vec<Option<usize>> = query_terms
+            .map(|terms| {
+                let (&first, rest) = terms.split_first()?;
+                for &i in rest {
+                    uf.union(first, i);
                 }
-                for &ci in comp {
-                    if q_live[ci].satisfied_by(|v| Some(pick(v))) {
-                        for v in q_live[ci].vars() {
-                            fill.insert(v, pick(v));
-                        }
-                    } else {
-                        rest_ok = false;
-                        break;
-                    }
-                }
-                if !rest_ok {
-                    break;
-                }
-            }
+                Some(first)
+            })
+            .collect();
+        let (component, count) = uf.group(&firsts);
+        info.components = count;
+        if neg_live.is_some() && count > 1 {
+            let neg_component = component[live_len];
+            let rest_ok = (0..live_len).all(|k| {
+                component[k] == neg_component || holds_at(&self.live[k], self.live_terms(k), &picks)
+            });
             if rest_ok {
-                let comp_live: Vec<&Constraint> = neg_comp.iter().map(|&i| q_live[i]).collect();
+                let comp_live: Vec<&Constraint> = (0..live_len)
+                    .filter(|&k| component[k] == neg_component)
+                    .map(|k| &self.live[k])
+                    .chain(neg_live)
+                    .collect();
                 match self.solver.solve_component(&comp_live, &hint, &clock) {
                     SolveOutcome::Sat(part) => {
+                        // Every variable of the other components, at its
+                        // clamped hint value: pointer slots hold heap
+                        // addresses that the clamp changes.
+                        let neg_root = firsts[live_len].map(|i| uf.find(i));
+                        let mut fill: Assignment = (0..n)
+                            .filter(|&i| Some(uf.find(i)) != neg_root)
+                            .map(|i| (q_var(i), picks[i]))
+                            .collect();
                         fill.extend(part);
                         return SolveOutcome::Sat(fill);
                     }
@@ -1074,18 +1217,19 @@ impl PrefixSession {
         // Query state = prefix snapshots + the negated constraint.
         let mut q_rows = self.rows[..rows_len].to_vec();
         let mut q_splits = self.splits[..splits_len].to_vec();
-        let (mut q_excl, mut q_boxes) = prefix.map_or((Vec::new(), Vec::new()), |f| {
-            (f.exclusions.clone(), f.boxes.clone())
-        });
-        q_excl.resize_with(n, BTreeSet::new);
+        let mut q_points = self.exclusions[..exclusions_len].to_vec();
+        let mut q_boxes = prefix.map_or_else(Vec::new, |f| f.boxes.clone());
         q_boxes.resize(n, (b.lo as i128, b.hi as i128));
         if let Some(c) = neg_live {
-            normalize_one(c, &q_idx, &mut q_rows, &mut q_excl, &mut q_splits);
+            normalize_one(c, &neg_terms, &mut q_rows, &mut q_points, &mut q_splits);
         }
+        let q_excl = exclusion_sets(n, &q_points);
 
-        // Warm-started interval propagation: the prefix part of `q_boxes`
-        // is already at its fixpoint, so only the negated rows do work.
-        if !self.solver.propagate(&q_rows, &mut q_boxes) {
+        // Warm-started interval propagation: a settled prefix's boxes are
+        // already a fixpoint of its rows, so the first round visits only
+        // the negated rows.
+        let first = if settled { rows_len } else { 0 };
+        if self.solver.propagate_from(&q_rows, first, &mut q_boxes) == Propagation::Empty {
             return SolveOutcome::Unsat;
         }
 
@@ -1094,7 +1238,7 @@ impl PrefixSession {
         // constraints are mostly unit systems), and branch & bound, whose
         // root LP relaxation refutes what the search cannot, decides the
         // rest.
-        let hint_vals: Vec<i64> = q_vars.iter().map(|&v| hint(v).unwrap_or(0)).collect();
+        let hint_vals: Vec<i64> = (0..n).map(|i| hint(q_var(i)).unwrap_or(0)).collect();
         let mut leaves_left = self.solver.config.max_ne_leaves.max(1);
         let outcome = self.solver.lazy_solve(
             &mut q_rows,
@@ -1106,28 +1250,15 @@ impl PrefixSession {
             &clock,
         );
         match outcome {
-            Ok(Some(sol)) => {
-                let model: Assignment = q_vars
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &v)| (v, sol[i]))
-                    .collect();
-                if q_live
-                    .iter()
-                    .all(|c| c.satisfied_by(|v| model.get(&v).copied()))
-                {
-                    SolveOutcome::Sat(model)
-                } else {
-                    SolveOutcome::Unknown
-                }
-            }
+            Ok(Some(sol)) if holds(&sol) => SolveOutcome::Sat(model_of(&sol)),
+            Ok(Some(_)) => SolveOutcome::Unknown,
             Ok(None) => SolveOutcome::Unsat,
             Err(Stop::Deadline) => {
-                debug_log("query deadline expired (session)");
+                debug_log(|| "query deadline expired (session)".to_string());
                 SolveOutcome::Unknown
             }
             Err(Stop::Arith(e)) => {
-                debug_log(&format!("arithmetic/bb failure (session): {e:?}"));
+                debug_log(|| format!("arithmetic/bb failure (session): {e:?}"));
                 SolveOutcome::Unknown
             }
         }
@@ -1135,72 +1266,74 @@ impl PrefixSession {
 }
 
 /// Normalizes one non-trivial constraint into rows / an exclusion point / a
-/// case split, over the numbering `var_idx`.
+/// case split, as [`Constraint::normalize`] does, without building the
+/// intermediate expressions. `terms` numbers the variables of `c`'s terms,
+/// in term order; normalization only negates and offsets an expression,
+/// so every normalized row has the same variables in the same order.
+/// Exclusion points are logged as `(variable index, point)`.
 fn normalize_one(
     c: &Constraint,
-    var_idx: &HashMap<Var, usize>,
+    terms: &[usize],
     rows: &mut Vec<Row>,
-    exclusions: &mut [BTreeSet<i64>],
+    exclusions: &mut Vec<(usize, i64)>,
     splits: &mut Vec<NeSplit>,
 ) {
-    match c.normalize() {
-        NormalForm::Conj(list) => {
-            for le in list {
-                rows.push(Row::from_le(&le.expr, var_idx));
-            }
-        }
-        NormalForm::Disj(a, bside) => {
-            if c.expr.num_vars() == 1 {
+    use crate::constraint::RelOp;
+    let row = |negate: bool, bump: i64| Row::of(c, terms, negate, bump);
+    match c.op {
+        RelOp::Le => rows.push(row(false, 0)),
+        RelOp::Lt => rows.push(row(false, 1)),
+        RelOp::Ge => rows.push(row(true, 0)),
+        RelOp::Gt => rows.push(row(true, 1)),
+        RelOp::Eq => rows.extend([row(false, 0), row(true, 0)]),
+        RelOp::Ne => {
+            if let ([(_, coeff)], [i]) = (c.expr.terms(), terms) {
                 // a*x + k != 0: excluded point when a | -k. Otherwise the
                 // constraint is trivially true, and so it is when the point
                 // lies outside `i64`, where no boxed variable can reach it.
-                let (v, coeff) = c.expr.iter().next().expect("one var");
-                let (k, coeff) = (c.expr.constant() as i128, coeff as i128);
+                let (k, coeff) = (c.expr.constant() as i128, *coeff as i128);
                 if (-k) % coeff == 0 {
                     if let Ok(point) = i64::try_from((-k) / coeff) {
-                        exclusions[var_idx[&v]].insert(point);
+                        exclusions.push((*i, point));
                     }
                 }
             } else {
+                // `e != 0` is `e <= -1` or `-e <= -1`.
                 splits.push(NeSplit {
-                    diff: Row::from_le(&c.expr, var_idx),
-                    lo_side: Row::from_le(&a.expr, var_idx),
-                    hi_side: Row::from_le(&bside.expr, var_idx),
+                    diff: row(false, 0),
+                    lo_side: row(false, 1),
+                    hi_side: row(true, 1),
                 });
             }
         }
     }
 }
 
-/// Probes one concrete pick against the original constraints; returns the
-/// model over `vars` (clamped into bounds) when every constraint holds.
-/// The last constraint — a query's negated branch — is tested first: the
-/// hint and most other picks come from runs that took the other side of
-/// that branch, so they fail exactly there.
-fn probe_model(
-    live: &[&Constraint],
-    vars: &[Var],
-    b: Bounds,
-    pick: &dyn Fn(Var) -> i64,
-) -> Option<Assignment> {
-    let holds = |c: &&Constraint| c.satisfied_by(|v| Some(pick(v).clamp(b.lo, b.hi)));
-    let (last, rest) = live.split_last()?;
-    if holds(last) && rest.iter().all(holds) {
-        Some(
-            vars.iter()
-                .map(|&v| (v, pick(v).clamp(b.lo, b.hi)))
-                .collect(),
-        )
-    } else {
-        None
+/// Per-variable exclusion sets for `n` variables from a log of
+/// `(variable index, point)` entries.
+fn exclusion_sets(n: usize, points: &[(usize, i64)]) -> Vec<BTreeSet<i64>> {
+    let mut sets = vec![BTreeSet::new(); n];
+    for &(i, point) in points {
+        sets[i].insert(point);
     }
+    sets
+}
+
+/// Whether `c` holds when the variable of its `k`-th term reads
+/// `vals[terms[k]]` — [`Constraint::satisfied_by`] over a dense
+/// numbering.
+fn holds_at(c: &Constraint, terms: &[usize], vals: &[i64]) -> bool {
+    let values = c.expr.iter().zip(terms).map(|((_, a), &i)| (a, vals[i]));
+    c.op.holds(eval_terms(c.expr.constant(), values))
 }
 
 /// Emits a diagnostic line when `DART_SOLVER_DEBUG` is set; `Unknown`
-/// outcomes are otherwise silent by design.
-fn debug_log(msg: &str) {
-    if std::env::var_os("DART_SOLVER_DEBUG").is_some() {
-        eprintln!("dart-solver: {msg}");
+/// outcomes are otherwise silent by design. The variable is read once per
+/// process, and `msg` runs only when it is set.
+fn debug_log(msg: impl FnOnce() -> String) {
+    static ENABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    if *ENABLED.get_or_init(|| std::env::var_os("DART_SOLVER_DEBUG").is_some()) {
+        eprintln!("dart-solver: {}", msg());
     }
 }
 
@@ -1217,68 +1350,140 @@ fn gcd_infeasible(c: &Constraint) -> bool {
     g != 0 && c.expr.constant() as i128 % g != 0
 }
 
-/// Partitions `live` into variable-connected components (union-find over
-/// the constraints' variables). Components are returned in order of their
-/// first constraint, each listing constraint indices in input order, so the
-/// partition is deterministic.
-fn connected_components(live: &[&Constraint]) -> Vec<Vec<usize>> {
-    // Union-find over constraint indices, joined through shared variables.
-    let mut parent: Vec<usize> = (0..live.len()).collect();
-    fn find(parent: &mut [usize], i: usize) -> usize {
+/// A dense numbering of the variables of a constraint list, in order of
+/// first appearance, with each constraint's terms as indices into it.
+#[derive(Debug, Default)]
+struct Numbering {
+    vars: Vec<Var>,
+    terms: Vec<usize>,
+    /// Where each constraint's terms end in `terms`.
+    ends: Vec<usize>,
+}
+
+impl Numbering {
+    fn of(live: &[&Constraint]) -> Numbering {
+        let mut index: VarMap<usize> = VarMap::default();
+        let mut numbering = Numbering::default();
+        for c in live {
+            for v in c.vars() {
+                let next = numbering.vars.len();
+                let i = *index.entry(v).or_insert(next);
+                if i == next {
+                    numbering.vars.push(v);
+                }
+                numbering.terms.push(i);
+            }
+            numbering.ends.push(numbering.terms.len());
+        }
+        numbering
+    }
+
+    /// Constraint `k`'s terms.
+    fn terms(&self, k: usize) -> &[usize] {
+        let start = k.checked_sub(1).map_or(0, |p| self.ends[p]);
+        &self.terms[start..self.ends[k]]
+    }
+}
+
+/// Union-find over dense variable indices; the earlier root wins a union.
+#[derive(Debug)]
+struct UnionFind {
+    parent: Vec<usize>,
+}
+
+impl UnionFind {
+    fn with_len(n: usize) -> UnionFind {
+        UnionFind {
+            parent: (0..n).collect(),
+        }
+    }
+
+    fn find(&mut self, i: usize) -> usize {
         let mut root = i;
-        while parent[root] != root {
-            root = parent[root];
+        while self.parent[root] != root {
+            root = self.parent[root];
         }
         let mut cur = i;
-        while parent[cur] != root {
-            let next = parent[cur];
-            parent[cur] = root;
+        while self.parent[cur] != root {
+            let next = self.parent[cur];
+            self.parent[cur] = root;
             cur = next;
         }
         root
     }
-    let mut owner: HashMap<Var, usize> = HashMap::new();
-    for (i, c) in live.iter().enumerate() {
-        for v in c.vars() {
-            match owner.entry(v) {
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(i);
-                }
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    let a = find(&mut parent, *e.get());
-                    let b = find(&mut parent, i);
-                    if a != b {
-                        // Attach the later root under the earlier one.
-                        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-                        parent[hi] = lo;
-                    }
-                }
-            }
+
+    fn union(&mut self, a: usize, b: usize) {
+        let (a, b) = (self.find(a), self.find(b));
+        if a != b {
+            self.parent[a.max(b)] = a.min(b);
         }
     }
-    let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    for i in 0..live.len() {
-        let root = find(&mut parent, i);
-        groups.entry(root).or_default().push(i);
+
+    /// Numbers the component of each constraint, given one variable of
+    /// each (`None` for a constraint without variables, which is a
+    /// component of its own), in order of first constraint. Returns the
+    /// numbers and how many components there are.
+    fn group(&mut self, firsts: &[Option<usize>]) -> (Vec<usize>, usize) {
+        let mut id = vec![usize::MAX; self.parent.len()];
+        let mut count = 0;
+        let component = firsts
+            .iter()
+            .map(|first| {
+                let root = first.map(|v| self.find(v));
+                match root.map(|r| id[r]) {
+                    Some(known) if known != usize::MAX => known,
+                    _ => {
+                        if let Some(r) = root {
+                            id[r] = count;
+                        }
+                        count += 1;
+                        count - 1
+                    }
+                }
+            })
+            .collect();
+        (component, count)
     }
-    groups.into_values().collect()
+}
+
+/// Partitions `live` into variable-connected components: a union-find
+/// over the variables, numbered locally. Components are returned in order
+/// of their first constraint, each listing constraint indices in input
+/// order, so the partition is deterministic.
+fn connected_components(live: &[&Constraint]) -> Vec<Vec<usize>> {
+    let numbering = Numbering::of(live);
+    let mut uf = UnionFind::with_len(numbering.vars.len());
+    let firsts: Vec<Option<usize>> = (0..live.len())
+        .map(|k| {
+            let (&first, rest) = numbering.terms(k).split_first()?;
+            for &i in rest {
+                uf.union(first, i);
+            }
+            Some(first)
+        })
+        .collect();
+    let (component, count) = uf.group(&firsts);
+    let mut groups = vec![Vec::new(); count];
+    for (k, c) in component.into_iter().enumerate() {
+        groups[c].push(k);
+    }
+    groups
 }
 
 /// Normalizes non-trivial constraints into `<= 0` rows, single-variable
-/// exclusion points, and multi-variable `!=` case splits, over the dense
-/// numbering `var_idx` (`n` variables).
+/// exclusion points, and multi-variable `!=` case splits, over
+/// `numbering`.
 fn normalize_live(
     live: &[&Constraint],
-    var_idx: &HashMap<Var, usize>,
-    n: usize,
+    numbering: &Numbering,
 ) -> (Vec<Row>, Vec<BTreeSet<i64>>, Vec<NeSplit>) {
     let mut rows = Vec::new();
-    let mut exclusions = vec![BTreeSet::new(); n];
+    let mut points = Vec::new();
     let mut splits = Vec::new();
-    for c in live {
-        normalize_one(c, var_idx, &mut rows, &mut exclusions, &mut splits);
+    for (k, c) in live.iter().enumerate() {
+        normalize_one(c, numbering.terms(k), &mut rows, &mut points, &mut splits);
     }
-    (rows, exclusions, splits)
+    (rows, exclusion_sets(numbering.vars.len(), &points), splits)
 }
 
 /// Greatest common divisor of the magnitudes (`gcd(0, a) = |a|`), in
@@ -1364,11 +1569,31 @@ struct Row {
 }
 
 impl Row {
-    /// From a `LeZero` expression `e <= 0`: `terms <= -constant`.
-    fn from_le(expr: &crate::linear::LinExpr, var_idx: &HashMap<Var, usize>) -> Row {
+    /// From a `LeZero` expression `e <= 0`: `terms <= -constant`, with
+    /// `e`'s `k`-th variable numbered `terms[k]`.
+    #[cfg(test)]
+    fn from_le(expr: &crate::linear::LinExpr, terms: &[usize]) -> Row {
+        debug_assert_eq!(expr.num_vars(), terms.len());
         Row {
-            coeffs: expr.iter().map(|(v, c)| (var_idx[&v], c)).collect(),
+            coeffs: expr.iter().zip(terms).map(|((_, c), &i)| (i, c)).collect(),
             rhs: -(expr.constant() as i128),
+        }
+    }
+
+    /// The row of `(±c.expr) + bump <= 0`, negated (`negate`) and offset
+    /// with the saturating arithmetic of [`LinExpr::scaled`] and
+    /// [`LinExpr::offset`](crate::linear::LinExpr::offset), as
+    /// [`Constraint::normalize`] builds it; `c`'s `k`-th variable is
+    /// numbered `terms[k]`.
+    ///
+    /// [`LinExpr::scaled`]: crate::linear::LinExpr::scaled
+    fn of(c: &Constraint, terms: &[usize], negate: bool, bump: i64) -> Row {
+        debug_assert_eq!(c.expr.num_vars(), terms.len());
+        let sign = |x: i64| if negate { x.saturating_mul(-1) } else { x };
+        let coeffs = c.expr.terms().iter().zip(terms);
+        Row {
+            coeffs: coeffs.map(|(&(_, a), &i)| (i, sign(a))).collect(),
+            rhs: -(sign(c.expr.constant()).saturating_add(bump) as i128),
         }
     }
 
@@ -1858,6 +2083,289 @@ mod tests {
             Constraint::new(v(0).offset(1), RelOp::Le),
         ];
         assert_eq!(solver().solve(&cs), SolveOutcome::Unsat);
+    }
+
+    /// Asserts that `sess`, built by pushing `path`, matches full first
+    /// propagation rounds. Each frame's boxes must equal a full
+    /// [`Solver::propagate`] of its rows from the previous frame's boxes,
+    /// recomputed here; and every flip must be answered as by a session
+    /// whose frames are all marked unsettled, so that its queries run a
+    /// full first round too.
+    fn assert_full_first_rounds(sess: &mut PrefixSession, path: &[Constraint]) {
+        let b = sess.solver.config.default_bounds;
+        let (mut boxes, mut live_len) = (Vec::new(), 0);
+        for (k, f) in sess.frames.iter().enumerate() {
+            if f.infeasible {
+                break;
+            }
+            if f.live_len > live_len {
+                boxes.resize(f.vars_len, (b.lo as i128, b.hi as i128));
+                assert!(sess.solver.propagate(&sess.rows[..f.rows_len], &mut boxes));
+                live_len = f.live_len;
+            }
+            assert_eq!(boxes, f.boxes, "frame {k} of {path:?}");
+        }
+        let mut full = sess.solver.session();
+        for c in path {
+            full.push(c);
+            if let Some(f) = full.frames.last_mut() {
+                f.settled = false;
+            }
+        }
+        for j in (0..path.len()).rev() {
+            let negated = path[j].negated();
+            let (mut ia, mut ib) = (SolveInfo::default(), SolveInfo::default());
+            assert_eq!(
+                sess.solve_query_info(j, &negated, |_| Some(1), &mut ia),
+                full.solve_query_info(j, &negated, |_| Some(1), &mut ib),
+                "j={j} of {path:?}"
+            );
+            assert_eq!(ia, ib, "j={j} of {path:?}");
+        }
+    }
+
+    /// `x0 < x1` then `x1 < x0` is infeasible, but propagation over
+    /// 32-bit boxes narrows it by one unit per round and never empties a
+    /// box within the round cap. The frame after it is not a fixpoint, so
+    /// the push after it must run a full first round, and every later
+    /// frame must equal a session that always does.
+    #[test]
+    fn capped_propagation_keeps_the_full_first_round() {
+        let s = Solver::new(SolverConfig {
+            max_propagation_rounds: 3,
+            max_fd_nodes: 1,
+            max_bb_nodes: 4,
+            ..SolverConfig::default()
+        });
+        let path = [
+            Constraint::new(v(0).sub(&v(1)), RelOp::Lt),
+            Constraint::new(v(1).sub(&v(0)), RelOp::Lt),
+            Constraint::new(v(0).add(&v(2)).offset(-7), RelOp::Le),
+            Constraint::new(v(2).offset(-1), RelOp::Ge),
+        ];
+        let mut sess = s.session();
+        for c in &path {
+            sess.push(c);
+        }
+        let cycle = &sess.frames[1];
+        assert!(
+            !cycle.settled && !cycle.infeasible,
+            "the cycle outlasts the cap"
+        );
+        assert!(sess.frames[0].settled);
+        assert_full_first_rounds(&mut sess, &path);
+    }
+
+    /// `Var(u32::MAX)` is numbered densely like any other variable: no
+    /// storage is sized by a variable's number.
+    #[test]
+    fn extreme_variable_numbers_solve() {
+        let top = Var(u32::MAX);
+        let cs = [
+            Constraint::new(LinExpr::var(top).offset(-5), RelOp::Eq),
+            Constraint::new(v(0).sub(&LinExpr::var(top)), RelOp::Ne),
+            Constraint::new(v(0).offset(-5), RelOp::Ge),
+        ];
+        let m = expect_model(&cs);
+        assert_eq!(m[&top], 5);
+        assert!(m[&Var(0)] > 5);
+        let mut sess = solver().session();
+        sess.push(&cs[0]);
+        sess.push(&cs[1]);
+        assert!(sess.solve_query(2, &cs[2].negated(), |_| None).is_sat());
+    }
+
+    /// Interval propagation that visits every row in every round, the
+    /// first one included.
+    fn propagate_every_row(rows: &[Row], boxes: &mut [(i128, i128)], rounds: usize) -> Propagation {
+        for _ in 0..rounds {
+            let mut changed = false;
+            for row in rows {
+                let min = |(lo, hi): (i128, i128), a: i64| {
+                    if a > 0 {
+                        a as i128 * lo
+                    } else {
+                        a as i128 * hi
+                    }
+                };
+                let min_sum: i128 = row.coeffs.iter().map(|&(j, a)| min(boxes[j], a)).sum();
+                if min_sum > row.rhs {
+                    return Propagation::Empty;
+                }
+                for &(j, a) in &row.coeffs {
+                    let slack = row.rhs - (min_sum - min(boxes[j], a));
+                    if a > 0 {
+                        let new_hi = slack.div_euclid(a as i128);
+                        if new_hi < boxes[j].1 {
+                            boxes[j].1 = new_hi;
+                            changed = true;
+                        }
+                    } else {
+                        let new_lo = -(slack.div_euclid(-(a as i128)));
+                        if new_lo > boxes[j].0 {
+                            boxes[j].0 = new_lo;
+                            changed = true;
+                        }
+                    }
+                    if boxes[j].0 > boxes[j].1 {
+                        return Propagation::Empty;
+                    }
+                }
+            }
+            if !changed {
+                return Propagation::Fixpoint;
+            }
+        }
+        Propagation::Capped
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// Starting from `first` when the boxes are a fixpoint of the
+        /// rows before it gives exactly the verdict and boxes of a first
+        /// round over every row, round caps included.
+        #[test]
+        fn first_round_from_a_fixpoint_matches_every_row(
+            rows in proptest::collection::vec(
+                (
+                    proptest::collection::vec((0usize..4, proptest::prop_oneof![-3i64..=3, -40i64..=40]), 0..4),
+                    -30i64..=30,
+                ),
+                1..9,
+            ),
+            boxes in proptest::collection::vec((-50i64..=0, 0i64..=50), 4),
+            wide in proptest::prelude::any::<bool>(),
+            first in 0usize..9,
+            rounds in proptest::prop_oneof![1usize..5, proptest::strategy::Just(100usize)],
+        ) {
+            let rows: Vec<Row> = rows
+                .into_iter()
+                .map(|(coeffs, rhs)| Row {
+                    coeffs: coeffs.into_iter().filter(|&(_, a)| a != 0).collect(),
+                    rhs: i128::from(rhs),
+                })
+                .collect();
+            let mut boxes: Vec<(i128, i128)> =
+                boxes.into_iter().map(|(lo, hi)| (i128::from(lo), i128::from(hi))).collect();
+            if wide {
+                boxes = vec![(i32::MIN as i128, i32::MAX as i128); 4];
+            }
+            let s = Solver::new(SolverConfig {
+                max_propagation_rounds: rounds,
+                ..SolverConfig::default()
+            });
+            // Settle the rows before `first`, or start from scratch.
+            let mut first = first.min(rows.len());
+            if propagate_every_row(&rows[..first], &mut boxes, rounds) != Propagation::Fixpoint {
+                first = 0;
+            }
+            let mut want = boxes.clone();
+            let verdict = propagate_every_row(&rows, &mut want, rounds);
+            let mut got = boxes;
+            proptest::prop_assert_eq!(s.propagate_from(&rows, first, &mut got), verdict);
+            if verdict != Propagation::Empty {
+                proptest::prop_assert_eq!(got, want);
+            }
+        }
+
+        /// `normalize_one` builds exactly the rows, exclusion points and
+        /// case splits of [`Constraint::normalize`]'s forms, saturation at
+        /// the `i64` extremes included.
+        #[test]
+        fn direct_rows_match_normalize(
+            terms in proptest::collection::vec(
+                (
+                    0u32..5,
+                    proptest::prop_oneof![
+                        -4i64..=4,
+                        proptest::strategy::Just(i64::MIN),
+                        proptest::strategy::Just(i64::MAX),
+                    ],
+                ),
+                1..4,
+            ),
+            k in proptest::prop_oneof![
+                -9i64..=9,
+                proptest::strategy::Just(i64::MIN),
+                proptest::strategy::Just(i64::MAX),
+                proptest::strategy::Just(i64::MAX - 1),
+            ],
+            op in 0usize..6,
+        ) {
+            use crate::constraint::NormalForm;
+            const OPS: [RelOp; 6] = [RelOp::Eq, RelOp::Ne, RelOp::Lt, RelOp::Le, RelOp::Gt, RelOp::Ge];
+            let c = Constraint::new(
+                LinExpr::from_terms(terms.into_iter().map(|(x, a)| (Var(x), a)), k),
+                OPS[op],
+            );
+            if c.triviality().is_some() {
+                return Ok(());
+            }
+            let idx: Vec<usize> = (0..c.expr.num_vars()).map(|i| 10 + i).collect();
+            let (mut rows, mut points, mut splits) = (Vec::new(), Vec::new(), Vec::new());
+            normalize_one(&c, &idx, &mut rows, &mut points, &mut splits);
+            match c.normalize() {
+                NormalForm::Conj(list) => {
+                    let want: Vec<Row> = list.iter().map(|le| Row::from_le(&le.expr, &idx)).collect();
+                    proptest::prop_assert_eq!(rows, want);
+                    proptest::prop_assert!(points.is_empty() && splits.is_empty());
+                }
+                NormalForm::Disj(a, b) if c.expr.num_vars() > 1 => {
+                    proptest::prop_assert!(rows.is_empty() && points.is_empty());
+                    proptest::prop_assert_eq!(splits.len(), 1);
+                    let ne = &splits[0];
+                    proptest::prop_assert_eq!(&ne.diff, &Row::from_le(&c.expr, &idx));
+                    proptest::prop_assert_eq!(&ne.lo_side, &Row::from_le(&a.expr, &idx));
+                    proptest::prop_assert_eq!(&ne.hi_side, &Row::from_le(&b.expr, &idx));
+                }
+                NormalForm::Disj(..) => {
+                    proptest::prop_assert!(rows.is_empty() && splits.is_empty());
+                    proptest::prop_assert!(points.len() <= 1);
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Propagating only a push's new rows from a settled frame gives
+        /// exactly the boxes, verdicts and models of a full first round,
+        /// over random paths and round caps (a small cap leaves frames
+        /// unsettled).
+        #[test]
+        fn settled_pushes_match_full_first_rounds(
+            path in proptest::collection::vec(
+                (
+                    proptest::collection::vec((0u32..4, -3i64..=3), 1..3),
+                    -6i64..=6,
+                    0usize..6,
+                ),
+                1..7,
+            ),
+            rounds in proptest::prop_oneof![1usize..4, proptest::strategy::Just(100usize)],
+        ) {
+            const OPS: [RelOp; 6] = [RelOp::Eq, RelOp::Ne, RelOp::Lt, RelOp::Le, RelOp::Gt, RelOp::Ge];
+            let path: Vec<Constraint> = path
+                .into_iter()
+                .map(|(terms, k, op)| {
+                    let terms = terms.into_iter().map(|(x, c)| (Var(x), c));
+                    Constraint::new(LinExpr::from_terms(terms, k), OPS[op])
+                })
+                .collect();
+            let s = Solver::new(SolverConfig {
+                max_propagation_rounds: rounds,
+                max_fd_nodes: 8,
+                max_bb_nodes: 16,
+                ..SolverConfig::default()
+            });
+            let mut sess = s.session();
+            for c in &path {
+                sess.push(c);
+            }
+            assert_full_first_rounds(&mut sess, &path);
+        }
     }
 
     #[test]

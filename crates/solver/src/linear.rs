@@ -108,6 +108,11 @@ impl LinExpr {
         self.terms.iter().copied()
     }
 
+    /// The `(var, coeff)` terms in variable order, as a slice.
+    pub(crate) fn terms(&self) -> &[(Var, i64)] {
+        &self.terms
+    }
+
     /// The set of variables mentioned, in order.
     pub fn vars(&self) -> impl Iterator<Item = Var> + '_ {
         self.terms.iter().map(|&(v, _)| v)
@@ -208,23 +213,74 @@ impl LinExpr {
     /// A value outside the `i128` range (two or more near-extreme terms)
     /// clamps to `i128::MIN` or `i128::MAX`, so its sign stays exact.
     pub fn eval_with<F: Fn(Var) -> Option<i64>>(&self, lookup: F) -> i128 {
-        // Every product is below 2^127 in magnitude, so the exact value
-        // is `acc + wraps * 2^128`.
-        let mut acc = i128::from(self.constant);
-        let mut wraps: i64 = 0;
-        for (v, c) in self.iter() {
-            let term = i128::from(c) * i128::from(lookup(v).unwrap_or(0));
-            let (sum, wrapped) = acc.overflowing_add(term);
-            if wrapped {
-                wraps += if term > 0 { 1 } else { -1 };
-            }
-            acc = sum;
+        eval_terms(
+            self.constant,
+            self.iter().map(|(v, c)| (c, lookup(v).unwrap_or(0))),
+        )
+    }
+}
+
+/// `constant + Σ coeff · value` over `(coeff, value)` pairs, in `i128` and
+/// clamped as [`LinExpr::eval_with`] documents. Shared by every evaluator
+/// that reads values some other way than through a `Var` lookup (the
+/// model pool's slots, a prefix session's dense numbering), so they all
+/// compute the same value.
+pub(crate) fn eval_terms(constant: i64, terms: impl Iterator<Item = (i64, i64)>) -> i128 {
+    // Every product is below 2^127 in magnitude, so the exact value is
+    // `acc + wraps * 2^128`.
+    let mut acc = i128::from(constant);
+    let mut wraps: i64 = 0;
+    for (c, x) in terms {
+        let term = i128::from(c) * i128::from(x);
+        let (sum, wrapped) = acc.overflowing_add(term);
+        if wrapped {
+            wraps += if term > 0 { 1 } else { -1 };
         }
-        match wraps.cmp(&0) {
-            Ordering::Less => i128::MIN,
-            Ordering::Equal => acc,
-            Ordering::Greater => i128::MAX,
+        acc = sum;
+    }
+    match wraps.cmp(&0) {
+        Ordering::Less => i128::MIN,
+        Ordering::Equal => acc,
+        Ordering::Greater => i128::MAX,
+    }
+}
+
+/// A `HashMap` keyed by [`Var`] that hashes with one multiply instead of
+/// SipHash, for the solver's dense numberings (a prefix session's, a
+/// component's), which look variables up on every query. Their variables
+/// come from path constraints, whose numbers are input-tape indices, not
+/// from outside text; the model pool, whose variables a checkpoint names,
+/// hashes nothing.
+pub(crate) type VarMap<V> = std::collections::HashMap<Var, V, BuildVarHasher>;
+
+/// Builds [`VarHasher`]s for [`VarMap`].
+pub(crate) type BuildVarHasher = std::hash::BuildHasherDefault<VarHasher>;
+
+/// Fibonacci hashing of a `Var`'s number. The product's low bits depend
+/// only on the number's low bits, and `HashMap` picks a bucket from the
+/// low bits, so `finish` folds the high half, which mixes every bit of
+/// the number, into the low half: numbers that differ only in high bits
+/// (multiples of 1024, say) still spread over the buckets.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct VarHasher(u64);
+
+impl std::hash::Hasher for VarHasher {
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
         }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     }
 }
 
@@ -273,6 +329,17 @@ mod tests {
     }
     fn y() -> Var {
         Var(1)
+    }
+
+    /// Numbers that share their low bits still land in many buckets: a
+    /// `HashMap` of 64 entries picks one by the hash's low 6 bits or so.
+    #[test]
+    fn var_hashes_spread_numbers_that_share_low_bits() {
+        use std::hash::BuildHasher;
+        let buckets: std::collections::BTreeSet<u64> = (0..64u32)
+            .map(|k| BuildVarHasher::default().hash_one(Var(k << 10)) & 63)
+            .collect();
+        assert!(buckets.len() >= 32, "{} of 64 buckets", buckets.len());
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //!    verify, and `Unsat` answers are cross-checked against a brute-force
 //!    enumeration over a tiny box.
 
-use dart_solver::{Bounds, Constraint, LinExpr, RelOp, SolveOutcome, Solver, SolverConfig, Var};
+use dart_solver::{
+    Bounds, Constraint, LinExpr, RelOp, SolveInfo, SolveOutcome, Solver, SolverConfig, Var,
+};
 use proptest::prelude::*;
 
 const NUM_VARS: u32 = 4;
@@ -302,7 +304,10 @@ proptest! {
 
     /// An incremental prefix session answers every `negated_prefix(j)`
     /// query equisatisfiably with a from-scratch solve of the same
-    /// conjunction, and its `Sat` models verify.
+    /// conjunction, and its `Sat` models verify. A session query that
+    /// reaches the component split splits exactly as the plain solver
+    /// does: the session numbers the prefix's variables once and the
+    /// plain solver numbers each query's own, but the components agree.
     #[test]
     fn session_matches_plain_solver(
         path in proptest::collection::vec(constraint(), 1..7),
@@ -316,10 +321,20 @@ proptest! {
         let lookup = |v: Var| Some(hint[v.index()]);
         for j in 0..path.len() {
             let negated = path[j].negated();
-            let a = sess.solve_query(j, &negated, lookup);
+            let (mut info_a, mut info_b) = (SolveInfo::default(), SolveInfo::default());
+            let a = sess.solve_query_info(j, &negated, lookup, &mut info_a);
             let mut query: Vec<Constraint> = path[..j].to_vec();
             query.push(negated.clone());
-            let b = solver.solve_with_hint(&query, lookup);
+            let b = solver.solve_with_hint_info(&query, lookup, &mut info_b);
+            // The session probes before it splits, so a query its probes
+            // settle reports no components; past them, the split agrees.
+            if info_a.components > 0 {
+                prop_assert_eq!(
+                    (info_a.components, info_a.was_split()),
+                    (info_b.components, info_b.was_split()),
+                    "split diverged at j={}", j
+                );
+            }
             // `Unknown` is a resource verdict, not a semantic one; the two
             // code paths may give up at different points, so only compare
             // definite answers.

@@ -535,6 +535,7 @@ fn main() -> ExitCode {
         let mut buggy = 0usize;
         let mut faulted = 0usize;
         let mut retried = 0usize;
+        let mut unset = 0usize;
         for r in &results {
             match &r.outcome {
                 SweepOutcome::Finished {
@@ -560,16 +561,21 @@ fn main() -> ExitCode {
                     }
                     println!("{:<24} ENGINE FAULT: {message}", r.function);
                 }
+                SweepOutcome::SetupFailed { message } => {
+                    unset += 1;
+                    println!("{:<24} SETUP ERROR: {message}", r.function);
+                }
             }
         }
         println!(
-            "\nsweep: {} functions | {} with bugs | {} engine faults | {} retried",
+            "\nsweep: {} functions | {} with bugs | {} engine faults | {} retried | {} setup errors",
             results.len(),
             buggy,
             faulted,
-            retried
+            retried,
+            unset
         );
-        return if buggy > 0 || faulted > 0 {
+        return if buggy > 0 || faulted > 0 || unset > 0 {
             ExitCode::from(1)
         } else {
             ExitCode::SUCCESS

@@ -11,7 +11,7 @@
 //! 3. **Resumability** — a shard killed mid-run, with SIGKILL or by its
 //!    run budget, resumes from its checkpoint on the next farm run and
 //!    reports what an uninterrupted session reports, solver counters
-//!    aside.
+//!    included.
 //!
 //! The fault-injection plans ride to workers over `DART_FAULT_*`
 //! environment variables, so the abort/panic tests need the
@@ -147,24 +147,14 @@ int f(int a, int b, int c, int d, int e, int g) {
 }
 "#;
 
-/// A result-table line with its solver segment (`| solver ...` up to
-/// `| frontier`) cut: a resumed session counts only the queries it posed
-/// itself, so those counters are the one part of a resumed line that may
-/// differ from an uninterrupted session's.
-fn without_solver(line: &str) -> String {
-    match (line.find("| solver "), line.find("| frontier ")) {
-        (Some(a), Some(b)) if a < b => format!("{}{}", &line[..a], &line[b..]),
-        _ => line.to_string(),
-    }
-}
-
-/// The `name` line of a result table, solver segment cut.
+/// The `name` line of a result table, whole: a resumed session's line,
+/// solver counters included, must equal an uninterrupted session's.
 fn result_line(table: &str, name: &str) -> String {
     let prefix = format!("{name} ");
     table
         .lines()
         .find(|l| l.starts_with(&prefix))
-        .map(without_solver)
+        .map(str::to_string)
         .unwrap_or_else(|| panic!("no `{name}` line in\n{table}"))
 }
 
@@ -173,7 +163,8 @@ fn result_line(table: &str, name: &str) -> String {
 /// previous leg's checkpoint and must print the line the uninterrupted
 /// in-process session of the same budget prints. The session evicts, so
 /// every leg depends on what the checkpoint carries: the frontier, its
-/// dedup set and the query cache's model pool, and nothing more.
+/// dedup set, the query cache's model pool and the solver counters, and
+/// nothing more.
 #[test]
 fn one_run_legs_over_a_checkpoint_match_the_uninterrupted_session() {
     let dir = tempdir("chain");
@@ -217,6 +208,57 @@ fn one_run_legs_over_a_checkpoint_match_the_uninterrupted_session() {
     assert!(differing.is_empty(), "{}", differing.join("\n"));
 }
 
+/// A checkpoint that `Dart::new` rejects (here, one whose header was
+/// edited to `v1`) is a setup error for its function, in an in-process
+/// sweep and in the farm alike: both print the same `SETUP ERROR` line,
+/// with no retry and no panic, and leave the file alone.
+#[test]
+fn stale_checkpoint_is_a_setup_error_in_sweep_and_farm() {
+    let dir = tempdir("stale");
+    let lib = dir.join("lib.mc");
+    std::fs::write(&lib, SIX_INPUTS).unwrap();
+    let checkpoint = dir.join("cp");
+    let engine = [
+        "--sweep",
+        "f",
+        "--mode",
+        "generational",
+        "--seed",
+        "3",
+        "--checkpoint",
+        checkpoint.to_str().unwrap(),
+    ];
+    // An interrupted session leaves its seed-qualified checkpoint file.
+    let (_, out, err) = run(dartc().arg(&lib).args(engine).args(["--runs", "3"]));
+    assert!(err.is_empty(), "{err}");
+    let files: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.file_name().unwrap().to_string_lossy().starts_with("cp."))
+        .collect();
+    assert_eq!(files.len(), 1, "{files:?}\n{out}");
+    let text = std::fs::read_to_string(&files[0]).unwrap();
+    let header = text.lines().next().unwrap();
+    let stale = text.replacen(header, "dart-generational-checkpoint v1", 1);
+    std::fs::write(&files[0], &stale).unwrap();
+
+    let (code, sweep_out, sweep_err) = run(dartc().arg(&lib).args(engine));
+    let (farm_code, farm_out, farm_err) = run(dartc().arg(&lib).args(engine).arg("--farm"));
+    let line = result_line(&sweep_out, "f");
+    assert!(
+        line.contains("SETUP ERROR: ") && line.contains("bad header"),
+        "{sweep_out}"
+    );
+    assert_eq!(line, result_line(&farm_out, "f"));
+    for (out, err) in [(&sweep_out, &sweep_err), (&farm_out, &farm_err)] {
+        assert!(out.contains("| 0 retried | 1 setup errors"), "{out}");
+        assert!(!out.contains("recovered after retry"), "{out}");
+        assert!(!err.contains("panicked"), "{err}");
+    }
+    assert_eq!((code, farm_code), (Some(1), Some(1)));
+    assert_eq!(std::fs::read_to_string(&files[0]).unwrap(), stale);
+}
+
 /// Blanks the scheduling-dependent `wasted N | steals K` segment of
 /// each result-table line — the counters the determinism contract
 /// excludes. Everything else stays byte-exact.
@@ -238,7 +280,7 @@ fn scrub_scheduling(table: &str) -> String {
 
 /// SIGKILL a worker mid-session, then run the farm over the same
 /// checkpoint directory: the shard resumes and prints the line an
-/// undisturbed run prints, solver counters aside. (The kill lands at an
+/// undisturbed run prints, solver counters included. (The kill lands at an
 /// arbitrary point, so the checkpoint may hold partial progress or
 /// nothing — both must recover.)
 #[cfg(unix)]
@@ -290,9 +332,8 @@ fn sigkilled_worker_resumes_from_checkpoint() {
         .args(engine));
     assert_eq!(code, Some(1), "h has a bug\n{farm_out}");
 
-    // The line of an undisturbed in-process run. A resumed session
-    // counts only the queries it posed itself, so the solver segment is
-    // cut; everything else matches.
+    // The line of an undisturbed in-process run, which the resumed
+    // session's line must equal, solver counters included.
     let (_, fresh_out, _) = run(dartc().arg(&lib).args(["--sweep", "h"]).args([
         "--mode",
         "generational",

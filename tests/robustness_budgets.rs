@@ -160,6 +160,9 @@ fn unfaulted_sweep_finishes_every_function_without_retries() {
             SweepOutcome::EngineFault { message, .. } => {
                 panic!("{} faulted without injection: {message}", r.function)
             }
+            SweepOutcome::SetupFailed { message } => {
+                panic!("{} failed its setup: {message}", r.function)
+            }
         }
     }
     assert!(results[0].report().unwrap().found_bug());
