@@ -260,12 +260,11 @@ fn run_once_impl(
 
     // External variables are inputs (§3.1), initialized at run start.
     for ev in &compiled.extern_vars {
-        let (ty, off, name) = (ev.ty.clone(), ev.offset, ev.name.clone());
         ctx.random_init(
             machine.mem_mut(),
-            GLOBAL_BASE + off as i64,
-            &ty,
-            &format!("extern {name}"),
+            GLOBAL_BASE + ev.offset as i64,
+            &ev.ty,
+            &|| format!("extern {}", ev.name),
             0,
         );
     }
@@ -294,8 +293,8 @@ fn run_once_impl(
             }
         };
         for (i, (pname, pty)) in sig.params.iter().enumerate() {
-            let (pty, label) = (pty.clone(), format!("arg {pname} (iter {iter})"));
-            ctx.random_init(machine.mem_mut(), base + i as i64, &pty, &label, 0);
+            let label = || format!("arg {pname} (iter {iter})");
+            ctx.random_init(machine.mem_mut(), base + i as i64, pty, &label, 0);
         }
 
         // The instrumented execution loop.
@@ -480,9 +479,11 @@ fn apply(ctx: &mut RunCtx<'_>, planned: Planned, outcome: &StepOutcome) {
         (Planned::AssignSrc(v), StepOutcome::Assigned { dst, .. }) => {
             ctx.sym.set(*dst, v);
         }
-        (Planned::Branch(Some(pred)), StepOutcome::Branched { taken }) => {
-            let oriented = if *taken { pred } else { pred.negated() };
-            ctx.observe_branch(*taken, oriented);
+        (Planned::Branch(Some(mut pred)), StepOutcome::Branched { taken }) => {
+            if !*taken {
+                pred.op = pred.op.negated();
+            }
+            ctx.observe_branch(*taken, pred);
         }
         (Planned::CallArgs(vals), StepOutcome::Called { frame_base, .. }) => {
             for (i, v) in vals.into_iter().enumerate() {
@@ -764,6 +765,63 @@ mod tests {
         assert!(r2.stack[0].done, "flipped branch must be marked done");
         assert!(r2.stack[0].branch, "then-branch taken on replay");
     }
+
+    /// Every kind of input label, as bug reports print them: extern
+    /// variables, toplevel arguments per depth iteration, pointees,
+    /// struct fields, array elements and external-call returns. The
+    /// seed is the first whose coins allocate both `*q` and `get()`'s
+    /// result.
+    #[test]
+    fn input_slots_are_named_by_their_origin() {
+        let c = compiled(
+            r#"
+            struct s { int a[2]; struct s *next; };
+            extern int mode;
+            extern struct s *get();
+            int f(struct s *q, int x) {
+                struct s *r;
+                r = get();
+                return x;
+            }
+            "#,
+        );
+        let sig = c.fn_sig("f").unwrap().clone();
+        let names = (0..64u64)
+            .map(|seed| {
+                let tape = InputTape::new(seed);
+                let r = run_once(&c, &sig, 2, MachineConfig::default(), tape, Vec::new(), 32);
+                let names: Vec<String> = r.tape.snapshot().into_iter().map(|s| s.name).collect();
+                names
+            })
+            .find(|names| {
+                names.iter().any(|n| n.starts_with("*arg q"))
+                    && names.iter().any(|n| n.starts_with("*ret of get()"))
+            })
+            .expect("some seed allocates both pointees");
+        assert_eq!(names, EXPECTED_NAMES, "{names:#?}");
+    }
+
+    const EXPECTED_NAMES: &[&str] = &[
+        "extern mode",
+        "arg q (iter 0)",
+        "*arg q (iter 0).a[0]",
+        "*arg q (iter 0).a[1]",
+        "*arg q (iter 0).next",
+        "**arg q (iter 0).next.a[0]",
+        "**arg q (iter 0).next.a[1]",
+        "**arg q (iter 0).next.next",
+        "***arg q (iter 0).next.next.a[0]",
+        "***arg q (iter 0).next.next.a[1]",
+        "***arg q (iter 0).next.next.next",
+        "arg x (iter 0)",
+        "ret of get() #12",
+        "arg q (iter 1)",
+        "arg x (iter 1)",
+        "ret of get() #15",
+        "*ret of get() #15.a[0]",
+        "*ret of get() #15.a[1]",
+        "*ret of get() #15.next",
+    ];
 
     #[test]
     fn pointer_input_null_check_is_symbolic() {

@@ -104,17 +104,31 @@ impl<'p> RunCtx<'p> {
     /// a symbolic input. Pointers flip a (replayable) coin between NULL and
     /// a fresh heap object, recursively initialized — so unbounded
     /// structures like lists arise with geometric size.
-    pub fn random_init(&mut self, mem: &mut Memory, addr: i64, ty: &Type, name: &str, depth: u32) {
+    ///
+    /// `name` formats the cell's label (`p`, `p.next`, `*p`, `a[2]`, ...).
+    /// It runs only when a cell takes a fresh tape slot, which is the only
+    /// place a label is kept; a replayed run formats none.
+    pub fn random_init(
+        &mut self,
+        mem: &mut Memory,
+        addr: i64,
+        ty: &Type,
+        name: &dyn Fn() -> String,
+        depth: u32,
+    ) {
+        // Types live in the program, not in `self`: borrowing them from
+        // `compiled` leaves `self` free to mutate.
+        let compiled: &'p CompiledProgram = self.compiled;
         match ty {
             Type::Int | Type::Char | Type::Void => {
-                let (var, val) = self.tape.take(InputKind::IntLike, || name.to_string());
+                let (var, val) = self.tape.take(InputKind::IntLike, name);
                 let _ = mem.store(addr, val);
                 self.sym.bind(addr, var);
             }
             Type::Ptr(pointee) => {
-                let (var, raw) = self.tape.take(InputKind::Pointer, || name.to_string());
+                let (var, raw) = self.tape.take(InputKind::Pointer, name);
                 if raw != 0 && depth < self.max_ptr_depth {
-                    let words = self.compiled.types.size_of(pointee).max(1) as i64;
+                    let words = compiled.types.size_of(pointee).max(1) as i64;
                     let base = mem.alloc_heap(words);
                     let _ = mem.store(addr, base);
                     self.tape.record_value(var, base);
@@ -130,16 +144,15 @@ impl<'p> RunCtx<'p> {
                 }
             }
             Type::Struct(id) => {
-                let info = self.compiled.types.info(*id).clone();
-                for f in &info.fields {
-                    let fname = format!("{name}.{}", f.name);
+                for f in &compiled.types.info(*id).fields {
+                    let fname = || format!("{}.{}", name(), f.name);
                     self.random_init(mem, addr + f.offset as i64, &f.ty, &fname, depth);
                 }
             }
             Type::Array(elem, n) => {
-                let sz = self.compiled.types.size_of(elem).max(1) as i64;
+                let sz = compiled.types.size_of(elem).max(1) as i64;
                 for i in 0..*n {
-                    let ename = format!("{name}[{i}]");
+                    let ename = || format!("{}[{i}]", name());
                     self.random_init(mem, addr + i as i64 * sz, elem, &ename, depth);
                 }
             }
@@ -153,10 +166,10 @@ impl<'p> RunCtx<'p> {
         mem: &mut Memory,
         base: i64,
         pointee: &Type,
-        name: &str,
+        name: &dyn Fn() -> String,
         depth: u32,
     ) {
-        let deref_name = format!("*{name}");
+        let deref_name = || format!("*{}", name());
         match pointee {
             Type::Void => self.random_init(mem, base, &Type::Int, &deref_name, depth),
             other => self.random_init(mem, base, other, &deref_name, depth),
@@ -170,21 +183,20 @@ impl Environment for RunCtx<'_> {
     /// function's return type"). Pointer returns allocate fresh objects —
     /// never previously-defined memory (§3.4).
     fn external_value(&mut self, ext: ExtId, mem: &mut Memory) -> i64 {
-        let (name, ret) = self
-            .compiled
-            .extern_fns
-            .iter()
-            .find(|f| f.ext == ext)
-            .map(|f| (f.name.clone(), f.ret.clone()))
-            .unwrap_or_else(|| ("<unknown>".into(), Type::Int));
+        let compiled = self.compiled;
+        let (name, ret) = match compiled.extern_fns.iter().find(|f| f.ext == ext) {
+            Some(f) => (f.name.as_str(), &f.ret),
+            None => ("<unknown>", &Type::Int),
+        };
+        let n = self.tape.consumed();
+        let label = || format!("ret of {name}() #{n}");
         match ret {
             Type::Ptr(pointee) => {
-                let label = format!("ret of {name}() #{}", self.tape.consumed());
-                let (var, raw) = self.tape.take(InputKind::Pointer, || label.clone());
+                let (var, raw) = self.tape.take(InputKind::Pointer, label);
                 let value = if raw != 0 {
-                    let words = self.compiled.types.size_of(&pointee).max(1) as i64;
+                    let words = compiled.types.size_of(pointee).max(1) as i64;
                     let base = mem.alloc_heap(words);
-                    self.init_pointee(mem, base, &pointee, &label, 0);
+                    self.init_pointee(mem, base, pointee, &label, 0);
                     base
                 } else {
                     0
@@ -194,8 +206,7 @@ impl Environment for RunCtx<'_> {
                 value
             }
             _ => {
-                let label = format!("ret of {name}() #{}", self.tape.consumed());
-                let (var, val) = self.tape.take(InputKind::IntLike, || label);
+                let (var, val) = self.tape.take(InputKind::IntLike, label);
                 self.pending_ext = Some(var);
                 val
             }
@@ -254,7 +265,13 @@ mod tests {
     fn random_init_scalar_binds_input() {
         let mut ctx = ctx_with("int f(int x) { return x; }");
         let mut mem = Memory::new(4, 1 << 20);
-        ctx.random_init(&mut mem, dart_ram::GLOBAL_BASE, &Type::Int, "g", 0);
+        ctx.random_init(
+            &mut mem,
+            dart_ram::GLOBAL_BASE,
+            &Type::Int,
+            &|| "g".into(),
+            0,
+        );
         assert_eq!(ctx.tape.len(), 1);
         assert!(ctx.sym.get(dart_ram::GLOBAL_BASE).is_some());
         let stored = mem.load(dart_ram::GLOBAL_BASE).unwrap();
@@ -266,7 +283,13 @@ mod tests {
         let mut ctx = ctx_with("struct s { int a; int b; int c; }; int f() { return 0; }");
         let id = ctx.compiled.types.id_of("s").unwrap();
         let mut mem = Memory::new(8, 1 << 20);
-        ctx.random_init(&mut mem, dart_ram::GLOBAL_BASE, &Type::Struct(id), "s", 0);
+        ctx.random_init(
+            &mut mem,
+            dart_ram::GLOBAL_BASE,
+            &Type::Struct(id),
+            &|| "s".into(),
+            0,
+        );
         assert_eq!(ctx.tape.len(), 3);
     }
 
@@ -278,7 +301,7 @@ mod tests {
         let mut saw_alloc = false;
         for i in 0..32 {
             let addr = dart_ram::GLOBAL_BASE + i;
-            ctx.random_init(&mut mem, addr, &Type::Int.ptr_to(), "p", 0);
+            ctx.random_init(&mut mem, addr, &Type::Int.ptr_to(), &|| "p".into(), 0);
             let v = mem.load(addr).unwrap();
             if v == 0 {
                 saw_null = true;
@@ -303,7 +326,7 @@ mod tests {
             &mut mem,
             dart_ram::GLOBAL_BASE,
             &Type::Struct(id).ptr_to(),
-            "head",
+            &|| "head".into(),
             0,
         );
         // Walk the list.
@@ -322,7 +345,13 @@ mod tests {
         let mut mem = Memory::new(4, 1 << 20);
         // Force a non-null pointer by retrying seeds... instead replay:
         // materialize once, then rewind and replay into fresh memory.
-        ctx.random_init(&mut mem, dart_ram::GLOBAL_BASE, &Type::Int.ptr_to(), "p", 0);
+        ctx.random_init(
+            &mut mem,
+            dart_ram::GLOBAL_BASE,
+            &Type::Int.ptr_to(),
+            &|| "p".into(),
+            0,
+        );
         let first = mem.load(dart_ram::GLOBAL_BASE).unwrap();
         ctx.tape.rewind();
         let mut mem2 = Memory::new(4, 1 << 20);
@@ -330,7 +359,7 @@ mod tests {
             &mut mem2,
             dart_ram::GLOBAL_BASE,
             &Type::Int.ptr_to(),
-            "p",
+            &|| "p".into(),
             0,
         );
         let second = mem2.load(dart_ram::GLOBAL_BASE).unwrap();

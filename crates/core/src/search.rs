@@ -94,6 +94,9 @@ pub struct SolveStats {
     /// (the counterexample-reuse fast path).
     pub cache_model_reuse: u64,
     /// Solved queries that split into independent variable components.
+    /// Every engine query is a prefix-session query, which splits only
+    /// what the hint and all-zeros probes leave, so a query they answer
+    /// counts no split (see [`dart_solver::SolveInfo::components`]).
     pub split_solves: u64,
     /// Speculative worker solves the deterministic commit walk never
     /// consumed (cancelled past the winner, duplicated by a fault shift,

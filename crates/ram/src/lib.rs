@@ -49,7 +49,9 @@ pub use interp::{
     block_role, BlockRole, Environment, Machine, MachineConfig, ResourceBudget, StepOutcome,
     ZeroEnv,
 };
-pub use memory::{Fault, Memory, Region, GLOBAL_BASE, HEAP_BASE, STACK_BASE};
+pub use memory::{
+    AddrHasher, BuildAddrHasher, Fault, Memory, Region, GLOBAL_BASE, HEAP_BASE, STACK_BASE,
+};
 pub use program::{
     AllocKind, ExtId, External, FuncId, Function, Label, Program, Statement, ValidateError,
 };

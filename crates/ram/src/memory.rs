@@ -12,8 +12,9 @@
 //! * **Regions.** Globals live at [`GLOBAL_BASE`], stack frames and `alloca`
 //!   blocks grow from [`STACK_BASE`], heap blocks from [`HEAP_BASE`]. The
 //!   gaps between regions are generous enough that blocks never collide.
-//! * **Sparse cells.** Contents are a hash map; mapped-but-unwritten cells
-//!   read as 0 (deterministic, like a zeroing allocator).
+//! * **Cells.** Globals and stack cells are dense vectors indexed from
+//!   their region's base, heap cells a hash map; mapped-but-unwritten
+//!   cells read as 0 (deterministic, like a zeroing allocator).
 
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
@@ -25,9 +26,13 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// SipHash's per-call cost dominates them; addresses are also not
 /// attacker-controlled (the machine's allocator hands them out), so a
 /// DoS-resistant hash buys nothing here. Sequential keys `k`, `k+1` land
-/// `PHI` buckets apart, so loop-adjacent frame slots never cluster.
-#[derive(Default)]
-struct AddrHasher(u64);
+/// `PHI` buckets apart, so loop-adjacent frame slots never cluster. The
+/// symbolic store keys its heap entries the same way.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct AddrHasher(u64);
+
+/// Builds [`AddrHasher`]s for `HashMap`s keyed by word address.
+pub type BuildAddrHasher = BuildHasherDefault<AddrHasher>;
 
 const PHI: u64 = 0x9E37_79B9_7F4A_7C15;
 
@@ -45,7 +50,7 @@ impl Hasher for AddrHasher {
     }
 }
 
-type AddrMap = HashMap<i64, i64, BuildHasherDefault<AddrHasher>>;
+type AddrMap = HashMap<i64, i64, BuildAddrHasher>;
 
 /// First global address.
 pub const GLOBAL_BASE: i64 = 0x1000;
@@ -196,6 +201,12 @@ impl Memory {
         // fast path can never swallow a null-guard hit.
         let (start, end) = self.check_cache.get();
         if addr >= start && addr < end {
+            return Ok(());
+        }
+        // The globals block is live for the memory's whole lifetime, so
+        // its range needs no block table, and a global access leaves the
+        // cached (usually the current frame's) range in place.
+        if (addr.wrapping_sub(GLOBAL_BASE) as u64) < self.global_cells.len() as u64 {
             return Ok(());
         }
         if (0..NULL_GUARD).contains(&addr) {
@@ -501,6 +512,37 @@ mod tests {
         let base2 = m.push_frame(4).unwrap();
         assert_eq!(m.load(base2), Ok(0));
         assert_eq!(m.load(3), Err(Fault::NullDeref { addr: 3 }));
+    }
+
+    #[test]
+    fn globals_range_is_checked_without_the_block_table() {
+        let mut m = mem();
+        let base = m.push_frame(2).unwrap();
+        assert_eq!(m.load(base), Ok(0), "warms the cache on the frame");
+        m.store(GLOBAL_BASE + 7, 5).unwrap();
+        assert_eq!(
+            m.check_cache.get(),
+            (base, base + 2),
+            "globals keep the frame cached"
+        );
+        // The range's edges and the addresses around it.
+        for addr in [GLOBAL_BASE - 1, GLOBAL_BASE + 8, i64::MIN, i64::MAX, -1] {
+            assert!(m.load(addr).is_err(), "{addr}");
+        }
+        assert_eq!(
+            m.load(GLOBAL_BASE - 1),
+            Err(Fault::NullDeref {
+                addr: GLOBAL_BASE - 1
+            })
+        );
+        assert_eq!(m.load(GLOBAL_BASE), Ok(0));
+        assert_eq!(m.load(GLOBAL_BASE + 7), Ok(5));
+        // No globals at all: the first global address is unmapped.
+        let empty = Memory::new(0, 16);
+        assert_eq!(
+            empty.load(GLOBAL_BASE),
+            Err(Fault::OutOfBounds { addr: GLOBAL_BASE })
+        );
     }
 
     #[test]

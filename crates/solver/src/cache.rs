@@ -102,7 +102,10 @@ pub struct CacheStats {
     /// Queries answered by re-checking a previously computed model — the
     /// only queries answered without a fresh solve.
     pub model_reuse: u64,
-    /// Solved queries that decomposed into >1 independent components.
+    /// Solved queries that decomposed into >1 independent components
+    /// ([`crate::SolveInfo::components`]). A session query splits only
+    /// after the hint and all-zeros probes, so one they answer never
+    /// counts; a plain query splits before them.
     pub split_solves: u64,
     /// Queries that went to the underlying solver — including, once
     /// per-worker shards are merged in ([`QueryCache::absorb_shard`]),

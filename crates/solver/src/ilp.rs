@@ -69,11 +69,20 @@ impl SolveOutcome {
     }
 }
 
-/// Per-query diagnostics filled in by [`Solver::solve_with_hint_info`].
+/// Per-query diagnostics filled in by [`Solver::solve_with_hint_info`]
+/// and [`PrefixSession::solve_query_info`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveInfo {
-    /// Variable-connected components the query split into (0 when the
-    /// query was settled before partitioning, 1 when it was connected).
+    /// Variable-connected components the query split into: 0 when the
+    /// query was settled before the split, 1 when it was connected. The
+    /// two paths split at different points:
+    /// - [`Solver::solve_with_hint_info`] splits right after its
+    ///   triviality and GCD screens and probes each component afterwards,
+    ///   so a query its probes answer still counts its components;
+    /// - [`PrefixSession::solve_query_info`], which every engine query
+    ///   takes, probes the hint and all-zeros first and splits only what
+    ///   they leave, so a query the probes answer counts 0, as does one
+    ///   whose prefix is already infeasible.
     pub components: usize,
 }
 
@@ -1794,6 +1803,40 @@ mod tests {
             SolveOutcome::Unknown => {}
             SolveOutcome::Unsat => panic!("z != 0 alone is satisfiable"),
         }
+    }
+
+    /// `SolveInfo::components` on each path: the plain solver splits
+    /// before its probes, a session after them, so a query the hint
+    /// answers counts its two components on the plain path and none in a
+    /// session. A query the probes leave splits on both.
+    #[test]
+    fn sessions_count_components_after_the_probes() {
+        let s = Solver::default();
+        // x0 <= 5, then the flip x1 >= 3: independent variables.
+        let prefix = Constraint::new(v(0).offset(-5), RelOp::Le);
+        let negated = Constraint::new(v(1).offset(-3), RelOp::Ge);
+        let components = |hint: &dyn Fn(Var) -> Option<i64>| {
+            let mut plain = SolveInfo::default();
+            let query = [prefix.clone(), negated.clone()];
+            assert!(s.solve_with_hint_info(&query, hint, &mut plain).is_sat());
+            let mut sess = s.session();
+            sess.push(&prefix);
+            let mut session = SolveInfo::default();
+            assert!(sess
+                .solve_query_info(1, &negated, hint, &mut session)
+                .is_sat());
+            (plain.components, session.components)
+        };
+        // The hint (x0 = 1, x1 = 4) satisfies the whole query.
+        assert_eq!(
+            components(&|v| Some(if v == Var(0) { 1 } else { 4 })),
+            (2, 0)
+        );
+        // Neither the hint (x1 = -7) nor all-zeros satisfies the flip.
+        assert_eq!(
+            components(&|v| Some(if v == Var(0) { 1 } else { -7 })),
+            (2, 2)
+        );
     }
 
     /// A query the finite-domain search cannot refute still comes back

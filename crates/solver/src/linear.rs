@@ -200,12 +200,32 @@ impl LinExpr {
         }
     }
 
+    /// Returns `self * k`, reusing `self`'s terms: [`LinExpr::scaled`]
+    /// without the copy.
+    #[must_use]
+    pub fn into_scaled(mut self, k: i64) -> LinExpr {
+        if k == 0 {
+            return LinExpr::zero();
+        }
+        for (_, c) in &mut self.terms {
+            *c = c.saturating_mul(k);
+        }
+        self.constant = self.constant.saturating_mul(k);
+        self
+    }
+
     /// Returns `self + c`.
     #[must_use]
     pub fn offset(&self, c: i64) -> LinExpr {
         let mut out = self.clone();
-        out.constant = out.constant.saturating_add(c);
+        out.add_constant(c);
         out
+    }
+
+    /// Adds `c` to the constant term in place: [`LinExpr::offset`]
+    /// without the copy. Saturates like every other operation here.
+    pub fn add_constant(&mut self, c: i64) {
+        self.constant = self.constant.saturating_add(c);
     }
 
     /// Evaluates the expression under an assignment, as `i128` to avoid
@@ -374,6 +394,30 @@ mod tests {
         assert_eq!(e.coeff(y()), 3);
         assert_eq!(e.constant(), -12);
         assert_eq!(e.scaled(0), LinExpr::zero());
+    }
+
+    #[test]
+    fn in_place_forms_match_the_copying_ones() {
+        let extremes = [
+            i64::MIN,
+            i64::MIN + 1,
+            -2,
+            -1,
+            0,
+            1,
+            2,
+            i64::MAX - 1,
+            i64::MAX,
+        ];
+        for &a in &extremes {
+            for &k in &extremes {
+                let e = LinExpr::from_terms([(x(), a), (y(), 3)], a);
+                assert_eq!(e.clone().into_scaled(k), e.scaled(k), "{e} * {k}");
+                let mut shifted = e.clone();
+                shifted.add_constant(k);
+                assert_eq!(shifted, e.offset(k), "{e} + {k}");
+            }
+        }
     }
 
     #[test]

@@ -42,11 +42,196 @@ impl Default for Completeness {
     }
 }
 
-/// Concrete value of `e`, as a constant linear form. Faults yield 0 — the
-/// concrete interpreter will fault on the same expression and terminate the
-/// run, so the placeholder value is never used.
-fn concrete_form(e: &Expr, view: &dyn MemView) -> LinExpr {
-    LinExpr::constant_expr(eval_concrete(e, view).unwrap_or(0))
+/// A folded constant, and whether it is known to equal `eval_concrete`
+/// of its subtree: no saturated fold, no fault and no cancelled form
+/// below it.
+#[derive(Clone, Copy)]
+struct Num {
+    value: i64,
+    exact: bool,
+}
+
+impl Num {
+    fn exact(value: i64) -> Num {
+        Num { value, exact: true }
+    }
+
+    /// A value `eval_concrete` need not agree with.
+    fn inexact(value: i64) -> Num {
+        Num {
+            value,
+            exact: false,
+        }
+    }
+
+    /// `value`, folded from operands that were all exact iff `exact`:
+    /// exact when they were and the machine computes `machine` from them.
+    fn folded(value: i64, machine: i64, exact: bool) -> Num {
+        Num {
+            value,
+            exact: exact && value == machine,
+        }
+    }
+}
+
+/// A subexpression's value during one evaluation pass: a constant, or a
+/// form over at least one input variable. Constants never become a
+/// [`LinExpr`], and a form whose terms cancel (`x - x`) becomes a
+/// constant, so every later decision sees it as one.
+enum Val {
+    Const(Num),
+    Form(LinExpr),
+}
+
+impl Val {
+    /// `form`, or the constant its terms cancelled to.
+    fn of_form(form: LinExpr) -> Val {
+        if form.is_constant() {
+            Val::Const(Num::inexact(form.constant()))
+        } else {
+            Val::Form(form)
+        }
+    }
+
+    fn into_form(self) -> LinExpr {
+        match self {
+            Val::Const(n) => LinExpr::constant_expr(n.value),
+            Val::Form(form) => form,
+        }
+    }
+}
+
+/// Concrete value of `e`. Faults yield 0 — the concrete interpreter will
+/// fault on the same expression and terminate the run, so the placeholder
+/// value is never used.
+fn concrete(e: &Expr, view: &dyn MemView) -> Val {
+    Val::Const(match eval_concrete(e, view) {
+        Ok(value) => Num::exact(value),
+        Err(_) => Num::inexact(0),
+    })
+}
+
+/// `a + b`, folding constants with [`LinExpr::add`]'s saturating sum.
+fn add(a: Val, b: Val) -> Val {
+    match (a, b) {
+        (Val::Const(x), Val::Const(y)) => Val::Const(Num::folded(
+            x.value.saturating_add(y.value),
+            x.value.wrapping_add(y.value),
+            x.exact && y.exact,
+        )),
+        (Val::Form(mut f), Val::Const(k)) | (Val::Const(k), Val::Form(mut f)) => {
+            f.add_constant(k.value);
+            Val::Form(f)
+        }
+        (Val::Form(f), Val::Form(g)) => Val::of_form(f.add(&g)),
+    }
+}
+
+/// `a - b` as [`LinExpr::sub`] computes it: `a + b·(-1)`, each step
+/// saturating.
+fn sub(a: Val, b: Val) -> Val {
+    match (a, b) {
+        (Val::Const(x), Val::Const(y)) => Val::Const(Num::folded(
+            x.value.saturating_add(y.value.saturating_mul(-1)),
+            x.value.wrapping_sub(y.value),
+            x.exact && y.exact,
+        )),
+        (Val::Form(mut f), Val::Const(k)) => {
+            f.add_constant(k.value.saturating_mul(-1));
+            Val::Form(f)
+        }
+        (Val::Const(k), Val::Form(g)) => {
+            let mut f = g.into_scaled(-1);
+            f.add_constant(k.value);
+            Val::Form(f)
+        }
+        (Val::Form(f), Val::Form(g)) => Val::of_form(f.sub(&g)),
+    }
+}
+
+/// One pass over `e`: see [`eval_symbolic`].
+fn eval(e: &Expr, view: &dyn MemView, sym: &SymMemory, flags: &mut Completeness) -> Val {
+    match e {
+        Expr::Const(c) => Val::Const(Num::exact(*c)),
+        Expr::FrameBase => Val::Const(Num::exact(view.frame_base())),
+        Expr::Load(addr) => match eval(addr, view, sym, flags) {
+            // Definite location: S(m) if tracked, else M(m).
+            Val::Const(m) => match sym.get(m.value) {
+                Some(form) => Val::of_form(form.clone()),
+                // `m` is the address the machine computes, so M(m) is the
+                // load's concrete value without walking the address again.
+                None if m.exact => Val::Const(match view.load(m.value) {
+                    Ok(value) => Num::exact(value),
+                    Err(_) => Num::inexact(0),
+                }),
+                None => concrete(e, view),
+            },
+            Val::Form(_) => {
+                // Paper: "the program dereferences a pointer whose value
+                // depends on some input parameter" — fall back.
+                flags.all_locs_definite = false;
+                concrete(e, view)
+            }
+        },
+        Expr::Unary(op, inner) => match (op, eval(inner, view, sym, flags)) {
+            (UnOp::Neg, Val::Const(x)) => Val::Const(Num::folded(
+                x.value.saturating_mul(-1),
+                x.value.wrapping_neg(),
+                x.exact,
+            )),
+            (UnOp::Neg, Val::Form(f)) => Val::Form(f.into_scaled(-1)),
+            // ~x == -x - 1 over two's complement: still linear.
+            (UnOp::BitNot, Val::Const(x)) => Val::Const(Num::folded(
+                x.value.saturating_mul(-1).saturating_add(-1),
+                !x.value,
+                x.exact,
+            )),
+            (UnOp::BitNot, Val::Form(f)) => {
+                let mut f = f.into_scaled(-1);
+                f.add_constant(-1);
+                Val::Form(f)
+            }
+            (UnOp::Not, Val::Const(x)) => Val::Const(Num {
+                value: i64::from(x.value == 0),
+                exact: x.exact,
+            }),
+            (UnOp::Not, Val::Form(_)) => {
+                // Logical not of a symbolic value is not linear.
+                flags.all_linear = false;
+                concrete(e, view)
+            }
+        },
+        Expr::Binary(op, l, r) => {
+            let a = eval(l, view, sym, flags);
+            let b = eval(r, view, sym, flags);
+            match (op, a, b) {
+                (BinOp::Add, a, b) => add(a, b),
+                (BinOp::Sub, a, b) => sub(a, b),
+                // Every other operator folds as the machine computes it:
+                // a wrapping `*`, and `/` or `%` by zero as its fault.
+                (_, Val::Const(x), Val::Const(y)) => {
+                    match dart_ram::apply_binop(*op, x.value, y.value) {
+                        Ok(value) => Val::Const(Num {
+                            value,
+                            exact: x.exact && y.exact,
+                        }),
+                        Err(_) => concrete(e, view),
+                    }
+                }
+                (BinOp::Mul, Val::Const(k), Val::Form(f))
+                | (BinOp::Mul, Val::Form(f), Val::Const(k)) => Val::of_form(f.into_scaled(k.value)),
+                _ => {
+                    // Fig. 1: "if not one of f' or f'' is a constant c then
+                    // all_linear = 0, return evaluate_concrete" — and so
+                    // for every other operator with a symbolic operand
+                    // (division, bit operations, a comparison used as a
+                    // value, which yields 0/1).
+                    flags.all_linear = false;
+                    concrete(e, view)
+                }
+            }
+        }
+    }
 }
 
 /// Evaluates `e` to a linear form over input variables (paper Fig. 1).
@@ -54,98 +239,19 @@ fn concrete_form(e: &Expr, view: &dyn MemView) -> LinExpr {
 /// `view` is the *concrete* machine state (pre-step), `sym` the symbolic
 /// memory `S`. Non-linear nodes and input-dependent dereferences fall back
 /// to their concrete values, clearing the corresponding flag in `flags`.
+///
+/// One pass computes the result. A subtree that reads no tracked cell
+/// folds to a constant without building a form: `+`, `-`, unary `-` and
+/// `~` saturate as [`LinExpr`]'s operations do, every other operator is
+/// the machine's own. A definite load reads `M` at its folded address
+/// whenever that constant is known to be the machine's own address.
 pub fn eval_symbolic(
     e: &Expr,
     view: &dyn MemView,
     sym: &SymMemory,
     flags: &mut Completeness,
 ) -> LinExpr {
-    match e {
-        Expr::Const(c) => LinExpr::constant_expr(*c),
-        Expr::FrameBase => LinExpr::constant_expr(view.frame_base()),
-        Expr::Load(addr) => {
-            let a = eval_symbolic(addr, view, sym, flags);
-            if let Some(c) = constant_of(&a) {
-                // Definite location: S(m) if tracked, else M(m).
-                match sym.get(c) {
-                    Some(form) => form.clone(),
-                    None => concrete_form(e, view),
-                }
-            } else {
-                // Paper: "the program dereferences a pointer whose value
-                // depends on some input parameter" — fall back.
-                flags.all_locs_definite = false;
-                concrete_form(e, view)
-            }
-        }
-        Expr::Unary(op, inner) => {
-            let v = eval_symbolic(inner, view, sym, flags);
-            match op {
-                UnOp::Neg => v.scaled(-1),
-                // ~x == -x - 1 over two's complement: still linear.
-                UnOp::BitNot => v.scaled(-1).offset(-1),
-                UnOp::Not => {
-                    if let Some(c) = constant_of(&v) {
-                        LinExpr::constant_expr(i64::from(c == 0))
-                    } else {
-                        // Logical not of a symbolic value is not linear.
-                        flags.all_linear = false;
-                        concrete_form(e, view)
-                    }
-                }
-            }
-        }
-        Expr::Binary(op, l, r) => {
-            let a = eval_symbolic(l, view, sym, flags);
-            let b = eval_symbolic(r, view, sym, flags);
-            match op {
-                BinOp::Add => a.add(&b),
-                BinOp::Sub => a.sub(&b),
-                BinOp::Mul => match (constant_of(&a), constant_of(&b)) {
-                    (Some(ca), Some(cb)) => LinExpr::constant_expr(ca.wrapping_mul(cb)),
-                    (Some(ca), None) => b.scaled(ca),
-                    (None, Some(cb)) => a.scaled(cb),
-                    (None, None) => {
-                        // Fig. 1: "if not one of f' or f'' is a constant c
-                        // then all_linear = 0, return evaluate_concrete".
-                        flags.all_linear = false;
-                        concrete_form(e, view)
-                    }
-                },
-                BinOp::Div
-                | BinOp::Rem
-                | BinOp::BitAnd
-                | BinOp::BitOr
-                | BinOp::BitXor
-                | BinOp::Shl
-                | BinOp::Shr => match (constant_of(&a), constant_of(&b)) {
-                    (Some(ca), Some(cb)) => match dart_ram::apply_binop(*op, ca, cb) {
-                        Ok(v) => LinExpr::constant_expr(v),
-                        Err(_) => concrete_form(e, view),
-                    },
-                    _ => {
-                        flags.all_linear = false;
-                        concrete_form(e, view)
-                    }
-                },
-                BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-                    // A comparison used as a *value* (e.g. `b = (x < y)`)
-                    // yields 0/1 — not linear in the inputs.
-                    match (constant_of(&a), constant_of(&b)) {
-                        (Some(ca), Some(cb)) => {
-                            let v = dart_ram::apply_binop(*op, ca, cb)
-                                .expect("comparisons cannot fault");
-                            LinExpr::constant_expr(v)
-                        }
-                        _ => {
-                            flags.all_linear = false;
-                            concrete_form(e, view)
-                        }
-                    }
-                }
-            }
-        }
-    }
+    eval(e, view, sym, flags).into_form()
 }
 
 /// Evaluates a branch condition to the symbolic predicate meaning "the
@@ -165,23 +271,14 @@ pub fn eval_predicate(
     sym: &SymMemory,
     flags: &mut Completeness,
 ) -> Option<Constraint> {
-    match cond {
+    // Evaluate under fresh local flags so taint from *this* condition is
+    // detectable even when a flag was already cleared earlier in the run;
+    // then merge into the run-wide flags.
+    let mut local = Completeness::new();
+    let (value, rel) = match cond {
         Expr::Binary(op, l, r) if op.is_comparison() => {
-            // Evaluate under fresh local flags so taint from *this*
-            // condition is detectable even when a flag was already cleared
-            // earlier in the run; then merge into the run-wide flags.
-            let mut local = Completeness::new();
-            let a = eval_symbolic(l, view, sym, &mut local);
-            let b = eval_symbolic(r, view, sym, &mut local);
-            flags.all_linear &= local.all_linear;
-            flags.all_locs_definite &= local.all_locs_definite;
-            if !local.holds() {
-                return None;
-            }
-            let diff = a.sub(&b);
-            if diff.is_constant() {
-                return None;
-            }
+            let a = eval(l, view, sym, &mut local);
+            let b = eval(r, view, sym, &mut local);
             let rel = match op {
                 BinOp::Eq => RelOp::Eq,
                 BinOp::Ne => RelOp::Ne,
@@ -191,31 +288,21 @@ pub fn eval_predicate(
                 BinOp::Ge => RelOp::Ge,
                 _ => unreachable!("guarded by is_comparison"),
             };
-            Some(Constraint::new(diff, rel))
+            (sub(a, b), rel)
         }
         Expr::Unary(UnOp::Not, inner) => {
-            eval_predicate(inner, view, sym, flags).map(|c| c.negated())
+            return eval_predicate(inner, view, sym, flags).map(|mut c| {
+                c.op = c.op.negated();
+                c
+            });
         }
-        _ => {
-            let mut local = Completeness::new();
-            let v = eval_symbolic(cond, view, sym, &mut local);
-            flags.all_linear &= local.all_linear;
-            flags.all_locs_definite &= local.all_locs_definite;
-            if !local.holds() || v.is_constant() {
-                None
-            } else {
-                Some(Constraint::new(v, RelOp::Ne))
-            }
-        }
-    }
-}
-
-/// `Some(c)` iff the form has no variables.
-fn constant_of(e: &LinExpr) -> Option<i64> {
-    if e.is_constant() {
-        Some(e.constant())
-    } else {
-        None
+        _ => (eval(cond, view, sym, &mut local), RelOp::Ne),
+    };
+    flags.all_linear &= local.all_linear;
+    flags.all_locs_definite &= local.all_locs_definite;
+    match value {
+        Val::Form(form) if local.holds() => Some(Constraint::new(form, rel)),
+        _ => None,
     }
 }
 
@@ -483,6 +570,37 @@ mod tests {
         let mut flags = Completeness::new();
         let pred = eval_predicate(&load(100), &mem, &sym, &mut flags).unwrap();
         assert_eq!(pred, Constraint::new(LinExpr::var(x), RelOp::Ne));
+    }
+
+    /// A form whose terms cancel is a constant, but not necessarily the
+    /// machine's value: here `S` holds a saturated `x + MAX` where the
+    /// machine wrapped to `x + MIN`. A load through the difference reads
+    /// `M` where the machine does, not at the folded address.
+    #[test]
+    fn cancelled_form_address_reads_where_the_machine_does() {
+        let (x_val, a, b) = (7i64, 200, 201);
+        let mem = FakeMem {
+            cells: [
+                (a, x_val.wrapping_add(i64::MIN)),
+                (b, x_val),
+                (i64::MIN, 22),
+                (i64::MAX, 11),
+            ]
+            .into_iter()
+            .collect(),
+        };
+        let mut sym = SymMemory::new();
+        let x = sym.bind_input(b);
+        sym.set(a, LinExpr::var(x).offset(i64::MAX));
+        let diff = Expr::binary(BinOp::Sub, load(a), load(b));
+        let mut flags = Completeness::new();
+        assert_eq!(
+            eval_symbolic(&diff, &mem, &sym, &mut flags),
+            LinExpr::constant_expr(i64::MAX)
+        );
+        let v = eval_symbolic(&Expr::load(diff), &mem, &sym, &mut flags);
+        assert_eq!(v, LinExpr::constant_expr(22));
+        assert!(flags.holds(), "a cancelled address is definite");
     }
 
     /// Soundness: on every expressible form, the symbolic value evaluated at

@@ -10,27 +10,56 @@
 //! small). Machine addresses are never reused within a run (the allocator
 //! is monotonic), so stale entries cannot alias fresh blocks.
 
-use dart_ram::SymView;
+use dart_ram::{BuildAddrHasher, SymView, GLOBAL_BASE, STACK_BASE};
 use dart_solver::{LinExpr, Var};
 use std::collections::HashMap;
 
+/// Slots per dense region: an address less than this far above
+/// [`GLOBAL_BASE`] or [`STACK_BASE`] indexes a vector, anything further
+/// goes to the map. The cap bounds each vector at 2 MiB whatever address
+/// the public API is handed.
+const DENSE_SLOTS: u64 = 1 << 16;
+
 /// The symbolic store: machine address → linear form over inputs.
 ///
-/// A 64-bit address bloom (`summary`) sits in front of the map: bit
-/// `addr mod 64` is set for every address ever inserted. Membership
-/// misses — the common case on concrete-only execution stretches, which
-/// the compiled tier probes on every load — then cost one AND instead of
-/// a hash lookup. The bloom is a may-analysis (no false negatives; stale
-/// bits after removals are harmless) and resets whenever the map drains.
+/// Forms are kept beside the machine's own cells, region by region: one
+/// vector of slots for the globals (index `addr - GLOBAL_BASE`) and one
+/// for the stack (index `addr - STACK_BASE`), each grown only when a form
+/// is stored past its end, and a map with the machine's multiplicative
+/// address hasher for the heap and every address outside those ranges.
+/// A lookup on the globals or the stack is then an array index.
+///
+/// A 64-bit address bloom (`summary`) is the compiled tier's view of the
+/// whole store: bit `addr mod 64` is set for every address ever inserted,
+/// so a block whose footprint shares no bit with it touches nothing
+/// tracked. It is a may-analysis (no false negatives; stale bits after
+/// removals are harmless) and resets whenever the store drains; map
+/// lookups also consult it before hashing.
 #[derive(Debug, Clone, Default)]
 pub struct SymMemory {
-    map: HashMap<i64, LinExpr>,
+    /// The globals' slots, then the stack's.
+    dense: [Vec<Option<LinExpr>>; 2],
+    /// Forms at every other address.
+    other: HashMap<i64, LinExpr, BuildAddrHasher>,
+    /// Number of tracked addresses.
+    len: usize,
     summary: u64,
     next_input: u32,
 }
 
 fn summary_bit(addr: i64) -> u64 {
     1u64 << (addr as u64 & 63)
+}
+
+/// The dense vector and slot that hold `addr`, or `None` for the map.
+#[inline]
+fn dense_slot(addr: i64) -> Option<(usize, usize)> {
+    let global = addr.wrapping_sub(GLOBAL_BASE) as u64;
+    if global < DENSE_SLOTS {
+        return Some((0, global as usize));
+    }
+    let stack = addr.wrapping_sub(STACK_BASE) as u64;
+    (stack < DENSE_SLOTS).then_some((1, stack as usize))
 }
 
 impl SymMemory {
@@ -44,8 +73,7 @@ impl SymMemory {
     pub fn bind_input(&mut self, addr: i64) -> Var {
         let v = Var(self.next_input);
         self.next_input += 1;
-        self.summary |= summary_bit(addr);
-        self.map.insert(addr, LinExpr::var(v));
+        self.insert(addr, LinExpr::var(v));
         v
     }
 
@@ -58,24 +86,25 @@ impl SymMemory {
     /// Used by drivers that own the input numbering (e.g. DART's input
     /// tape, where variable `k` is the `k`-th consumed input).
     pub fn bind(&mut self, addr: i64, var: Var) {
-        self.summary |= summary_bit(addr);
-        self.map.insert(addr, LinExpr::var(var));
+        self.insert(addr, LinExpr::var(var));
     }
 
     /// The symbolic value stored at `addr`, if any non-constant form is
     /// tracked there.
+    #[inline]
     pub fn get(&self, addr: i64) -> Option<&LinExpr> {
-        if self.summary & summary_bit(addr) == 0 {
-            return None;
+        match dense_slot(addr) {
+            Some((region, i)) => self.dense[region].get(i)?.as_ref(),
+            None if self.summary & summary_bit(addr) == 0 => None,
+            None => self.other.get(&addr),
         }
-        self.map.get(&addr)
     }
 
-    /// Whether `addr` is tracked — `get(addr).is_some()` without forming
-    /// the reference. This is the compiled tier's per-load taint probe.
+    /// Whether `addr` is tracked — `get(addr).is_some()`. This is the
+    /// compiled tier's per-load taint probe.
     #[inline]
     pub fn tracks(&self, addr: i64) -> bool {
-        self.summary & summary_bit(addr) != 0 && self.map.contains_key(&addr)
+        self.get(addr).is_some()
     }
 
     /// Stores a symbolic value at `addr`. Constant forms erase the entry
@@ -84,26 +113,47 @@ impl SymMemory {
         if value.is_constant() {
             self.forget(addr);
         } else {
-            self.summary |= summary_bit(addr);
-            self.map.insert(addr, value);
+            self.insert(addr, value);
+        }
+    }
+
+    /// Stores the non-constant `form` at `addr`.
+    fn insert(&mut self, addr: i64, form: LinExpr) {
+        self.summary |= summary_bit(addr);
+        let old = match dense_slot(addr) {
+            Some((region, i)) => {
+                let slots = &mut self.dense[region];
+                if i >= slots.len() {
+                    slots.resize_with(i + 1, || None);
+                }
+                slots[i].replace(form)
+            }
+            None => self.other.insert(addr, form),
+        };
+        if old.is_none() {
+            self.len += 1;
         }
     }
 
     /// Drops any symbolic tracking for `addr` (used when a cell receives a
     /// value the symbolic layer cannot represent, e.g. a fresh pointer).
     pub fn forget(&mut self, addr: i64) {
-        if self.summary & summary_bit(addr) == 0 {
-            return;
-        }
-        self.map.remove(&addr);
-        if self.map.is_empty() {
-            self.summary = 0;
+        let old = match dense_slot(addr) {
+            Some((region, i)) => self.dense[region].get_mut(i).and_then(Option::take),
+            None if self.summary & summary_bit(addr) == 0 => None,
+            None => self.other.remove(&addr),
+        };
+        if old.is_some() {
+            self.len -= 1;
+            if self.len == 0 {
+                self.summary = 0;
+            }
         }
     }
 
     /// Number of addresses currently tracked symbolically.
     pub fn tracked(&self) -> usize {
-        self.map.len()
+        self.len
     }
 }
 
@@ -197,6 +247,44 @@ mod tests {
         // An empty store reports a clean miss for any footprint.
         let empty = SymMemory::new();
         assert!(!empty.tracks_footprint(u64::MAX, 0, &[0, 1, 2], &[100]));
+    }
+
+    /// Addresses far into a region, or outside every region, are kept in
+    /// the map: no slot vector is sized by an address.
+    #[test]
+    fn extreme_addresses_allocate_no_slots() {
+        let far = [
+            GLOBAL_BASE + (1 << 31),
+            STACK_BASE + (1 << 40),
+            GLOBAL_BASE + DENSE_SLOTS as i64,
+            STACK_BASE + DENSE_SLOTS as i64,
+            GLOBAL_BASE - 1,
+            STACK_BASE - 1,
+            -1,
+            i64::MIN,
+            i64::MAX,
+        ];
+        let mut s = SymMemory::new();
+        for (k, &addr) in far.iter().enumerate() {
+            s.bind(addr, Var(k as u32));
+        }
+        assert!(s.dense.iter().all(|slots| slots.capacity() == 0));
+        assert_eq!(s.tracked(), far.len());
+        for (k, &addr) in far.iter().enumerate() {
+            assert_eq!(s.get(addr), Some(&LinExpr::var(Var(k as u32))));
+        }
+        // The last slot below each cap is a vector slot.
+        s.bind(GLOBAL_BASE + DENSE_SLOTS as i64 - 1, Var(0));
+        s.bind(STACK_BASE + DENSE_SLOTS as i64 - 1, Var(1));
+        assert!(s
+            .dense
+            .iter()
+            .all(|slots| slots.len() == DENSE_SLOTS as usize));
+        for &addr in &far {
+            s.forget(addr);
+        }
+        assert_eq!(s.tracked(), 2);
+        assert!(s.other.is_empty());
     }
 
     #[test]
