@@ -1,13 +1,12 @@
-//! `bench_smoke` — regression smoke check for the solver's headline
-//! optimisations: incremental prefix sessions and the parallel candidate
-//! fan-out.
+//! `bench_smoke` — regression smoke check for the solver's incremental
+//! prefix sessions, the generational frontier and the execution tiers.
 //!
 //! The vendored criterion stand-in prints no machine-readable medians, so
 //! this binary re-runs the same workload shapes as `benches/solver.rs`
-//! (`prefix_session/*`) plus the parallel-solving workloads
-//! (`parallel_solve/*`) and the execution tiers (`exec/{interp,compiled}`
-//! — one loop-dense run under the tree-walking interpreter vs. the
-//! pre-decoded compiled tier; see EXPERIMENTS.md E11), computes a median
+//! (`prefix_session/*`) plus the generational workloads (`gen/*`,
+//! `gen_dedup/*`) and the execution tiers (`exec/{interp,compiled}` — one
+//! loop-dense run under the tree-walking interpreter vs. the pre-decoded
+//! compiled tier; see EXPERIMENTS.md E11), computes a median
 //! nanoseconds-per-iteration for each, and compares against a committed
 //! baseline JSON.
 //!
@@ -34,28 +33,11 @@
 //! table. With `--gate`, an entry more than 100 bp over its baseline — or
 //! a missing or unreadable baseline file — fails the process (exit 1);
 //! without it, the same findings are printed as warnings.
-//!
-//! Note on the `parallel_solve` pair: its speedup is hardware-bound — on
-//! a single-core machine the two workloads are expected to tie
-//! (speculation is then pure overhead bounded by the wasted-work
-//! accounting), so the printed speedup line reports whatever the host
-//! delivers rather than asserting a ratio. The pooled
-//! `work_steal/skewed_stealing` (a skewed-cost walk: two budget-capped
-//! parity flips plus light fast-Unsat flips) and `pool/dispatch_pooled`
-//! (a tiny walk where dispatch cost dominates solving) rows stand alone,
-//! as regression rows for the pool's stealing and dispatch paths.
 
-use dart::search::{solve_next, SolveStats};
-use dart::{
-    run_once_in_tier, Dart, DartConfig, EngineMode, FaultState, InputKind, InputTape, Scheduler,
-    SolvePool, Strategy,
-};
+use dart::{run_once_in_tier, Dart, DartConfig, EngineMode, InputTape};
 use dart_bench::flag_value;
 use dart_ram::{DecodedProgram, MachineConfig};
-use dart_solver::{Constraint, LinExpr, QueryCache, RelOp, Solver, SolverConfig, Var};
-use dart_sym::{BranchRecord, PathConstraint};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use dart_solver::{Constraint, LinExpr, RelOp, Solver, Var};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -102,149 +84,6 @@ fn prefix_session_workload() -> usize {
     sat
 }
 
-/// A nine-candidate `solve_next` walk where every deep flip asks the
-/// parity-infeasible `2x_j - 2y_j + z == 1` under `z == 0` (bounded
-/// Unknown/Unsat work per candidate) and only the shallowest flip
-/// (`z != 0`) is satisfiable — the worst case for a sequential walk,
-/// the best case for the speculative fan-out.
-fn parallel_walk_inputs() -> (PathConstraint, Vec<BranchRecord>, InputTape) {
-    let mut pc = PathConstraint::new();
-    pc.push(Constraint::new(v(0), RelOp::Eq)); // z == 0 (taken)
-    for j in 1..=8u32 {
-        let e = v(2 * j - 1)
-            .scaled(2)
-            .sub(&v(2 * j).scaled(2))
-            .add(&v(0))
-            .offset(-1);
-        pc.push(Constraint::new(e, RelOp::Ne)); // 2x_j - 2y_j + z != 1
-    }
-    let mut tape = InputTape::new(0);
-    for _ in 0..17 {
-        let _ = tape.take(InputKind::IntLike, || "i".into());
-    }
-    let stack = (0..9)
-        .map(|_| BranchRecord {
-            branch: true,
-            done: false,
-        })
-        .collect();
-    (pc, stack, tape)
-}
-
-/// Runs one `solve_next` walk over fixed inputs with a fresh cache and
-/// RNG, under the given scheduler. Returns 1 if a next step was found.
-fn run_walk(
-    solver: &Solver,
-    pc: &PathConstraint,
-    stack: &[BranchRecord],
-    tape: &InputTape,
-    scheduler: Scheduler<'_>,
-) -> usize {
-    let mut cache = QueryCache::default();
-    let mut rng = SmallRng::seed_from_u64(0);
-    let mut stats = SolveStats::default();
-    let step = solve_next(
-        pc,
-        stack,
-        tape,
-        solver,
-        &mut cache,
-        Strategy::Dfs,
-        &mut rng,
-        &mut stats,
-        &mut FaultState::default(),
-        scheduler,
-    );
-    usize::from(step.is_some())
-}
-
-/// Small budgets bound each candidate's give-up, so one walk stays in
-/// the tens-of-milliseconds range while every candidate still does
-/// real solver work for the workers to speculate on.
-fn bounded_solver() -> Solver {
-    Solver::new(SolverConfig {
-        max_bb_nodes: 150,
-        max_fd_nodes: 500,
-        max_ne_leaves: 8,
-        ..SolverConfig::default()
-    })
-}
-
-fn parallel_solve_workload(scheduler: Scheduler<'_>) -> usize {
-    let solver = bounded_solver();
-    let (pc, stack, tape) = parallel_walk_inputs();
-    run_walk(&solver, &pc, &stack, &tape, scheduler)
-}
-
-/// A ten-candidate walk with *skewed* per-candidate costs: the two
-/// deepest flips are budget-capped parity queries (`2a - 2b + z == 1`
-/// under `z == 0` burns the whole branch-and-bound budget), the six
-/// middle flips contradict `w == 3` directly (fast Unsat), and the
-/// shallow `w != 3` flip is the satisfiable winner. DFS candidate order
-/// is deepest-first, so both heavy queries are dispatched first, and an
-/// idle pool worker has to steal the second one to overlap them.
-fn skewed_walk_inputs() -> (PathConstraint, Vec<BranchRecord>, InputTape) {
-    let mut pc = PathConstraint::new();
-    pc.push(Constraint::new(v(0), RelOp::Eq)); // z == 0
-    pc.push(Constraint::new(v(1).offset(-3), RelOp::Eq)); // w == 3
-    for k in 2..=7i64 {
-        // k*w == 3k is implied by w == 3, so its flip is a fast Unsat.
-        pc.push(Constraint::new(v(1).scaled(k).offset(-3 * k), RelOp::Eq));
-    }
-    for a in [2u32, 4] {
-        let e = v(a)
-            .scaled(2)
-            .sub(&v(a + 1).scaled(2))
-            .add(&v(0))
-            .offset(-1);
-        pc.push(Constraint::new(e, RelOp::Ne)); // 2a - 2b + z != 1 (taken)
-    }
-    let mut tape = InputTape::new(0);
-    for _ in 0..6 {
-        let _ = tape.take(InputKind::IntLike, || "i".into());
-    }
-    let stack = (0..10)
-        .map(|_| BranchRecord {
-            branch: true,
-            done: false,
-        })
-        .collect();
-    (pc, stack, tape)
-}
-
-fn skewed_workload(scheduler: Scheduler<'_>) -> usize {
-    let solver = bounded_solver();
-    let (pc, stack, tape) = skewed_walk_inputs();
-    run_walk(&solver, &pc, &stack, &tape, scheduler)
-}
-
-/// A four-candidate walk where every query is trivial (three fast
-/// Unsats and one easy Sat), so the measured time is dominated by the
-/// pool's fixed dispatch cost: queue pushes into already-running
-/// workers.
-fn tiny_walk_inputs() -> (PathConstraint, Vec<BranchRecord>, InputTape) {
-    let mut pc = PathConstraint::new();
-    pc.push(Constraint::new(v(0).offset(-5), RelOp::Eq)); // w == 5
-    for k in 2..=4i64 {
-        pc.push(Constraint::new(v(0).scaled(k).offset(-5 * k), RelOp::Eq));
-    }
-    let mut tape = InputTape::new(0);
-    let _ = tape.take(InputKind::IntLike, || "w".into());
-    let stack = (0..4)
-        .map(|_| BranchRecord {
-            branch: true,
-            done: false,
-        })
-        .collect();
-    (pc, stack, tape)
-}
-
-fn dispatch_workload(scheduler: Scheduler<'_>) -> usize {
-    let solver = bounded_solver();
-    let (pc, stack, tape) = tiny_walk_inputs();
-    run_walk(&solver, &pc, &stack, &tape, scheduler)
-}
-
 /// The redundant-path program for the generational groups. The leading
 /// `x*x` guard is outside the linear theory, so its run taints and the
 /// session can never claim completeness: it restarts until the run
@@ -274,7 +113,6 @@ fn generational_report(compiled: &dart_minic::CompiledProgram, dedup: bool) -> d
         max_runs: 60,
         seed: 0,
         stop_at_first_bug: false,
-        solve_threads: 1,
         ..DartConfig::default()
     };
     Dart::new(compiled, "gen_target", config)
@@ -497,9 +335,6 @@ fn main() -> ExitCode {
     let exec_lib = exec_program();
     // Decoded once, like `Dart::new` does for a compiled-tier session.
     let exec_decoded = DecodedProgram::new(&exec_lib.program);
-    // One persistent pool shared by every pooled workload below — the
-    // whole point of `SolvePool` is that its spawn cost is paid once.
-    let pool4 = SolvePool::new(4);
 
     let current: Vec<(String, u64)> = vec![
         (
@@ -509,22 +344,6 @@ fn main() -> ExitCode {
         (
             "prefix_session/incremental_session".to_string(),
             measure(prefix_session_workload),
-        ),
-        (
-            "parallel_solve/candidates_1_threads".to_string(),
-            measure(|| parallel_solve_workload(Scheduler::Sequential)),
-        ),
-        (
-            "parallel_solve/candidates_4_threads".to_string(),
-            measure(|| parallel_solve_workload(Scheduler::Pool(&pool4))),
-        ),
-        (
-            "work_steal/skewed_stealing".to_string(),
-            measure(|| skewed_workload(Scheduler::Pool(&pool4))),
-        ),
-        (
-            "pool/dispatch_pooled".to_string(),
-            measure(|| dispatch_workload(Scheduler::Pool(&pool4))),
         ),
         (
             "gen/scored".to_string(),
@@ -557,24 +376,17 @@ fn main() -> ExitCode {
         };
         Some(get(num)? / get(den)?)
     };
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     // Each entry: (JSON key, human description, numerator, denominator).
-    let ratio_specs: [(&str, String, &str, &str); 3] = [
-        (
-            "parallel_solve_speedup",
-            format!("parallel solve speedup (1 -> 4 threads) on {cores} core(s)"),
-            "parallel_solve/candidates_1_threads",
-            "parallel_solve/candidates_4_threads",
-        ),
+    let ratio_specs: [(&str, &str, &str, &str); 2] = [
         (
             "gen_dedup_speedup",
-            "generational path-prefix dedup (off -> on)".to_string(),
+            "generational path-prefix dedup (off -> on)",
             "gen_dedup/off",
             "gen_dedup/on",
         ),
         (
             "exec_tier_speedup",
-            "compiled execution tier (interp -> compiled)".to_string(),
+            "compiled execution tier (interp -> compiled)",
             "exec/interp",
             "exec/compiled",
         ),
@@ -752,45 +564,6 @@ mod tests {
         // The workload shapes must stay solvable the way the real benches
         // assume; a change in sat counts means the benchmark moved.
         assert_eq!(prefix_plain_workload(), prefix_session_workload());
-    }
-
-    #[test]
-    fn parallel_workload_is_scheduler_independent() {
-        // The fan-out must not change what the walk finds — otherwise
-        // the paired comparisons measure different work.
-        let pool = SolvePool::new(4);
-        assert_eq!(
-            parallel_solve_workload(Scheduler::Sequential),
-            1,
-            "the shallow flip wins"
-        );
-        assert_eq!(
-            parallel_solve_workload(Scheduler::Sequential),
-            parallel_solve_workload(Scheduler::Pool(&pool))
-        );
-    }
-
-    #[test]
-    fn skewed_and_tiny_workloads_are_scheduler_independent() {
-        let pool = SolvePool::new(4);
-        assert_eq!(
-            skewed_workload(Scheduler::Sequential),
-            1,
-            "the shallow w != 3 flip wins"
-        );
-        assert_eq!(
-            skewed_workload(Scheduler::Sequential),
-            skewed_workload(Scheduler::Pool(&pool))
-        );
-        assert_eq!(
-            dispatch_workload(Scheduler::Sequential),
-            1,
-            "the shallow w != 5 flip wins"
-        );
-        assert_eq!(
-            dispatch_workload(Scheduler::Sequential),
-            dispatch_workload(Scheduler::Pool(&pool))
-        );
     }
 
     #[test]

@@ -10,12 +10,9 @@
 //! see DESIGN.md), prints the crash rate and per-class detection table
 //! (including the classes DART is *expected* to miss), and reproduces the
 //! parser attack. `--functions N` controls the sweep size;
-//! `--solve-threads N` fans each session's candidate queries out, which
-//! leaves every report identical and only changes wall-clock (the solver
-//! workers form one work-stealing pool shared by every session of the
-//! sweep). `--engine directed|generational` selects the search
-//! engine; under `generational`, `--frontier-budget N` bounds the scored
-//! frontier (EXPERIMENTS.md E10) and the sweep line reports the aggregate
+//! `--engine directed|generational` selects the search engine; under
+//! `generational`, `--frontier-budget N` bounds the scored frontier
+//! (EXPERIMENTS.md E10) and the sweep line reports the aggregate
 //! dedup/eviction/peak counters.
 //! `--exec-tier interp|compiled` picks the execution tier (reports
 //! unchanged; the compiled tier only improves throughput — see
@@ -25,13 +22,11 @@ use dart::{Dart, DartConfig, EngineMode, ExecTier};
 use dart_bench::{flag_value, fmt_dur, header, seed_from_args};
 use dart_workloads::{generate_osip, OsipConfig, Planted};
 use std::collections::BTreeMap;
-use std::num::NonZeroUsize;
 use std::time::Instant;
 
 fn main() {
     let seed = seed_from_args();
     let num_functions = flag_value("--functions").unwrap_or(200);
-    let solve_threads = flag_value("--solve-threads").map_or(1, NonZeroUsize::get);
     let exec_tier = match flag_value::<String>("--exec-tier").as_deref() {
         // Unset defers to the DartConfig default ($DART_EXEC_TIER).
         None => None,
@@ -69,7 +64,6 @@ fn main() {
     let mut config = DartConfig {
         max_runs: 1000, // the paper's per-function cap
         seed,
-        solve_threads,
         mode: engine,
         frontier_budget,
         ..DartConfig::default()
@@ -123,7 +117,6 @@ fn main() {
         );
     }
     println!("sweep time | {} | (not reported)", fmt_dur(elapsed));
-    println!("solve threads | {solve_threads} | (n/a)");
     if engine == EngineMode::Generational {
         let (dedup, evicted, peak) =
             results

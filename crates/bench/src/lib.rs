@@ -88,7 +88,7 @@ mod tests {
             "7",
             "--functions",
             "x",
-            "--solve-threads",
+            "--frontier-budget",
             "0",
         ]
         .into_iter()
@@ -98,8 +98,8 @@ mod tests {
         assert_eq!(parse_flag::<u64>(&args, "--tolerance"), Ok(None));
         let bad = parse_flag::<usize>(&args, "--functions").unwrap_err();
         assert!(bad.contains("--functions") && bad.contains("`x`"), "{bad}");
-        let zero = parse_flag::<std::num::NonZeroUsize>(&args, "--solve-threads");
-        assert!(zero.unwrap_err().contains("--solve-threads"));
+        let zero = parse_flag::<std::num::NonZeroUsize>(&args, "--frontier-budget");
+        assert!(zero.unwrap_err().contains("--frontier-budget"));
         let trailing: Vec<String> = vec!["bin".into(), "--seed".into()];
         assert!(parse_flag::<u64>(&trailing, "--seed").is_err());
     }

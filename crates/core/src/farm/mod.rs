@@ -22,9 +22,8 @@
 //! [`crate::sweep()`] does (`config.seed ^ fnv(name)`, retry constant
 //! folded in per attempt) and runs the same supervised session body, so
 //! farm results are byte-identical to an in-process sweep of the same
-//! seeds, modulo the scheduling-dependent diagnostics that
-//! [`crate::SolveStats::scrub_scheduling`] zeroes. A worker keeps no
-//! state of its own between runs: with [`DartConfig::checkpoint`] set,
+//! seeds, wall-clock times aside. A worker keeps no state of its own
+//! between runs: with [`DartConfig::checkpoint`] set,
 //! the session's checkpoint is all it resumes from.
 
 pub(crate) mod stream;

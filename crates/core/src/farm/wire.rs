@@ -20,7 +20,7 @@
 //! Layout (`-` marks an empty list field throughout):
 //!
 //! ```text
-//! dart-farm-worker v5
+//! dart-farm-worker v6
 //! report | fault <escaped message> | setup <escaped message>
 //! ...report block...
 //! done
@@ -35,7 +35,7 @@ use std::time::Duration;
 
 /// First line of every worker document: versions the protocol so a
 /// supervisor never misparses output from a mismatched binary.
-pub(crate) const HEADER: &str = "dart-farm-worker v5";
+pub(crate) const HEADER: &str = "dart-farm-worker v6";
 
 /// What a worker produced for its function.
 #[derive(Debug, Clone, PartialEq)]
@@ -145,20 +145,13 @@ fn render_report(text: &mut String, report: &SessionReport) {
         cache_hits: _,
         cache_model_reuse,
         split_solves,
-        parallel_wasted,
-        steals,
-        pool_idle_ns,
-        max_queue_depth,
-        per_worker_solves,
         warm_pivots: _,
         cold_restarts: _,
     } = solver;
     let _ = writeln!(
         text,
-        "solver {sat} {unsat} {unknown} {cache_model_reuse} {split_solves} \
-         {parallel_wasted} {steals} {pool_idle_ns} {max_queue_depth}"
+        "solver {sat} {unsat} {unknown} {cache_model_reuse} {split_solves}"
     );
-    let _ = writeln!(text, "workers {}", render_u64_list(per_worker_solves));
     let _ = writeln!(
         text,
         "exec {} {}",
@@ -206,10 +199,7 @@ fn parse_report(lines: &mut Lines<'_>) -> Result<SessionReport, String> {
     let branches = lines.field_list("branches", 2)?;
     let frontier = lines.field_list("frontier", 3)?;
     let blocks = lines.field_list("blocks", 3)?;
-    let solver_fields = lines.field_list("solver", 9)?;
-    let workers_line = lines.field_rest("workers")?;
-    let per_worker_solves =
-        parse_u64_list(&workers_line).ok_or_else(|| lines.err("bad workers list"))?;
+    let solver_fields = lines.field_list("solver", 5)?;
     let exec_time = lines.field_duration("exec")?;
     let solve_time = lines.field_duration("solve")?;
     let bug_count = lines.field_u64("bugs")?;
@@ -253,11 +243,6 @@ fn parse_report(lines: &mut Lines<'_>) -> Result<SessionReport, String> {
             cache_hits: solver_fields[3],
             cache_model_reuse: solver_fields[3],
             split_solves: solver_fields[4],
-            parallel_wasted: solver_fields[5],
-            steals: solver_fields[6],
-            pool_idle_ns: solver_fields[7],
-            max_queue_depth: solver_fields[8],
-            per_worker_solves,
             warm_pivots: 0,
             cold_restarts: 0,
         },
@@ -382,21 +367,6 @@ fn parse_bug_kind(text: &str) -> Option<BugKind> {
         "stackoverflow" => Some(BugKind::Crash(Fault::StackOverflow)),
         _ => None,
     }
-}
-
-fn render_u64_list(values: &[u64]) -> String {
-    if values.is_empty() {
-        return "-".to_string();
-    }
-    let parts: Vec<String> = values.iter().map(u64::to_string).collect();
-    parts.join(",")
-}
-
-fn parse_u64_list(text: &str) -> Option<Vec<u64>> {
-    if text == "-" {
-        return Some(Vec::new());
-    }
-    text.split(',').map(|v| v.parse().ok()).collect()
 }
 
 /// Escapes newlines and backslashes so arbitrary abort reasons and panic
@@ -533,8 +503,6 @@ mod tests {
         report.solver.cache_hits = 8;
         report.solver.cache_model_reuse = 8;
         report.solver.split_solves = 6;
-        report.solver.pool_idle_ns = 12345;
-        report.solver.per_worker_solves = vec![3, 0, 9];
         report.exec_time = Duration::new(1, 999_999_999);
         report.solve_time = Duration::from_nanos(1);
         report.blocks_fused = 311;
@@ -619,7 +587,7 @@ mod tests {
     fn solver_line_carries_model_reuse_once() {
         let full = render_payload(&WorkerPayload::Report(Box::new(sample_report())));
         let solver_line = full.lines().find(|l| l.starts_with("solver ")).unwrap();
-        assert_eq!(solver_line, "solver 5 7 1 8 6 0 0 12345 0");
+        assert_eq!(solver_line, "solver 5 7 1 8 6");
         let Ok(WorkerPayload::Report(report)) = parse_payload(&full) else {
             panic!("a rendered report parses");
         };
@@ -646,15 +614,17 @@ mod tests {
             "trailing data"
         );
         assert!(parse_payload("nonsense\n").is_err());
-        // An older worker's document: a v1 to v4 header (a v4 worker
+        // An older worker's document: a v1 to v5 header (a v4 worker
         // reported a setup error as a fault), v1's retired `verdict` line,
-        // v3's `fp` fingerprint lines, or the ten-field `solver` line of
-        // v3 (which also carried `cache_hits`).
+        // v3's `fp` fingerprint lines, the ten-field `solver` line of v3
+        // (which also carried `cache_hits`), or v5's nine-field `solver`
+        // line and `workers` line (the solver-pool counters).
         for old in [
             "dart-farm-worker v1",
             "dart-farm-worker v2",
             "dart-farm-worker v3",
             "dart-farm-worker v4",
+            "dart-farm-worker v5",
         ] {
             let old_header = full.replacen(HEADER, old, 1);
             assert!(parse_payload(&old_header).is_err(), "{old} header");
@@ -673,6 +643,10 @@ mod tests {
             .expect("a solver line");
         let v3_solver = full.replacen(solver_line, &solver_line.replacen(" 8 ", " 8 8 ", 1), 1);
         assert!(parse_payload(&v3_solver).is_err(), "v3 solver line");
+        let v5_solver = full.replacen(solver_line, &format!("{solver_line} 0 0 12345 0"), 1);
+        assert!(parse_payload(&v5_solver).is_err(), "v5 solver line");
+        let v5_workers = full.replacen(solver_line, &format!("{solver_line}\nworkers 3,0,9"), 1);
+        assert!(parse_payload(&v5_workers).is_err(), "v5 workers line");
     }
 
     /// `Duration::new` carries a nanosecond field of a second or more
@@ -719,15 +693,13 @@ mod tests {
                 any::<u64>(),
                 0u32..1_000_000_000,
             ),
-            vec(any::<u64>(), 0..4),
         )
-            .prop_map(|((runs, steps, reuse), (es, en, ss, sn), workers)| {
+            .prop_map(|((runs, steps, reuse), (es, en, ss, sn))| {
                 let mut report = sample_report();
                 report.runs = runs;
                 report.steps = steps;
                 report.solver.cache_hits = reuse;
                 report.solver.cache_model_reuse = reuse;
-                report.solver.per_worker_solves = workers;
                 report.exec_time = Duration::new(es, en);
                 report.solve_time = Duration::new(ss, sn);
                 WorkerPayload::Report(Box::new(report))

@@ -61,7 +61,6 @@ pub mod exec;
 pub mod farm;
 pub mod frontier;
 pub mod interface;
-pub mod pool;
 pub mod replay;
 pub mod report;
 pub mod run;
@@ -70,14 +69,11 @@ pub mod supervise;
 pub mod sweep;
 pub mod tape;
 
-pub use driver::{
-    Dart, DartConfig, DartError, EngineMode, ExecTier, PortfolioMode, MAX_SOLVE_THREADS,
-};
+pub use driver::{Dart, DartConfig, DartError, EngineMode, ExecTier, PortfolioMode};
 pub use exec::{run_once, run_once_in_tier, run_once_traced, RunResult, RunTermination};
 pub use farm::{run_farm, run_worker, FarmJob, FarmOptions};
 pub use frontier::CheckpointParseError;
 pub use interface::{describe_interface, InterfaceReport};
-pub use pool::{SolvePool, WalkItem, WalkRequest, WalkVerdicts};
 pub use replay::{parse_inputs, replay, replay_traced, serialize_inputs, ReplayParseError};
 pub use report::{Bug, BugKind, Outcome, SessionReport};
 pub use search::{Scheduler, SolveStats, Strategy};

@@ -188,8 +188,7 @@ impl fmt::Display for SessionReport {
             f,
             "{outcome} | runs {} | bugs {} | divergences {} | restarts {} | \
              solver sat/unsat/unknown {}/{}/{} (unknown rate {:.1}%) | \
-             reuse/splits {}/{} | \
-             wasted {} | steals {} | frontier dedup/evict/peak {}/{}/{} | \
+             reuse/splits {}/{} | frontier dedup/evict/peak {}/{}/{} | \
              branch cov {}/{}",
             self.runs,
             self.bugs.len(),
@@ -201,8 +200,6 @@ impl fmt::Display for SessionReport {
             self.solver.unknown_rate() * 100.0,
             self.solver.cache_model_reuse,
             self.solver.split_solves,
-            self.solver.parallel_wasted,
-            self.solver.steals,
             self.dedup_hits,
             self.frontier_evicted,
             self.frontier_peak,

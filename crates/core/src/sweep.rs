@@ -7,12 +7,10 @@
 //! sweep (each session's randomness is seeded from its own function name).
 
 use crate::driver::{validate, Dart, DartConfig, DartError};
-use crate::pool::SolvePool;
 use crate::report::SessionReport;
 use crate::supervise;
 use dart_minic::CompiledProgram;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 /// How one function's supervised session ended.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,12 +80,9 @@ impl SweepResult {
 /// [`DartError::UnknownToplevel`] if any name is not a defined function
 /// (the whole list is validated up front, before any session runs);
 /// [`DartError::InvalidConfig`] if `threads` is 0, or for any config
-/// [`Dart::new`] would reject: a [`DartConfig::solve_threads`] of 0
-/// (which is also what a malformed `DART_SOLVE_THREADS` environment
-/// value parses to) or above [`crate::MAX_SOLVE_THREADS`], a
-/// [`DartConfig::frontier_budget`] of `Some(0)`, a
-/// [`DartConfig::checkpoint`] outside the generational engine, or an
-/// unrecognized exec tier.
+/// [`Dart::new`] would reject: a [`DartConfig::frontier_budget`] of
+/// `Some(0)`, a [`DartConfig::checkpoint`] outside the generational
+/// engine, or an unrecognized exec tier.
 ///
 /// # Checkpoints
 ///
@@ -97,20 +92,6 @@ impl SweepResult {
 /// other's resume points, and a reseeded retry must not resume the very
 /// state that faulted (a checkpoint is only valid under the seed that
 /// recorded it).
-///
-/// # Nested parallelism
-///
-/// A sweep has two thread knobs: `threads` session workers × each
-/// session's `solve_threads` candidate workers. Private per-session pools
-/// would multiply them — `sweep(threads = T)` with `solve_threads = S`
-/// could run up to `T × S` solver threads at once, oversubscribing the
-/// machine. The sweep instead builds **one** [`SolvePool`] with
-/// `solve_threads` workers and attaches it to every session, so
-/// concurrent sessions *share* the pool's capacity — total solver
-/// threads stay capped at `solve_threads` (plus the `threads` committing
-/// sessions) regardless of `T`. Determinism is unaffected: a walk's
-/// verdicts are pure functions of its owned inputs, whichever session's
-/// walk a worker happens to pick up.
 pub fn sweep(
     compiled: &CompiledProgram,
     toplevels: &[String],
@@ -132,10 +113,6 @@ pub fn sweep(
     let mut slots: Vec<Option<SweepResult>> = Vec::new();
     slots.resize_with(toplevels.len(), || None);
     let slots_ref = std::sync::Mutex::new(&mut slots);
-    // One solver pool for the whole sweep (see "Nested parallelism"
-    // above): every session's speculative walks share these
-    // `solve_threads` workers instead of spawning their own.
-    let pool = (config.solve_threads > 1).then(|| Arc::new(SolvePool::new(config.solve_threads)));
 
     std::thread::scope(|scope| {
         for _ in 0..threads.min(toplevels.len().max(1)) {
@@ -146,7 +123,7 @@ pub fn sweep(
                 };
                 let result = SweepResult {
                     function: name.clone(),
-                    outcome: run_supervised(compiled, name, i, config, pool.as_ref()),
+                    outcome: run_supervised(compiled, name, i, config),
                 };
                 slots_ref.lock().expect("worker panics are caught")[i] = Some(result);
             });
@@ -167,7 +144,6 @@ fn run_supervised(
     name: &str,
     index: usize,
     config: &DartConfig,
-    pool: Option<&Arc<SolvePool>>,
 ) -> SweepOutcome {
     let base_seed = config.seed ^ name_hash(name);
     let mut attempt: u32 = 0;
@@ -187,11 +163,7 @@ fn run_supervised(
         };
         let run = supervise::run_caught(|| {
             supervise::maybe_panic(&cfg, index);
-            let mut dart = Dart::new(compiled, name, cfg)?;
-            if let Some(pool) = pool {
-                dart = dart.with_pool(pool.clone());
-            }
-            Ok::<SessionReport, DartError>(dart.run())
+            Ok::<SessionReport, DartError>(Dart::new(compiled, name, cfg)?.run())
         });
         let retried = attempt > 0;
         match run {
@@ -291,17 +263,14 @@ mod tests {
         r.report().expect("session finished")
     }
 
-    /// Scrubs the wall-clock fields plus every scheduling-dependent
-    /// diagnostic (wasted speculation, pool steal/idle/depth counters —
-    /// see `SolveStats::scrub_scheduling`)
-    /// so outcomes compare deterministically.
+    /// Zeroes the wall-clock fields so outcomes compare
+    /// deterministically.
     fn scrubbed(o: &SweepOutcome) -> SweepOutcome {
         match o {
             SweepOutcome::Finished { report, retried } => {
                 let mut report = report.clone();
                 report.exec_time = Duration::ZERO;
                 report.solve_time = Duration::ZERO;
-                report.solver.scrub_scheduling();
                 SweepOutcome::Finished {
                     report,
                     retried: *retried,
@@ -361,41 +330,9 @@ mod tests {
         }
     }
 
-    /// The strict-validation satellite: a zero `solve_threads` (the
-    /// parse sentinel for a malformed `DART_SOLVE_THREADS`) fails the
-    /// sweep up front, before any session spawns — never a silent
-    /// sequential fallback, never a worker panic.
-    #[test]
-    fn zero_solve_threads_is_an_error_not_a_panic() {
-        let compiled = library();
-        let bad = DartConfig {
-            solve_threads: 0,
-            ..config()
-        };
-        match sweep(&compiled, &names(), &bad, 2) {
-            Err(DartError::InvalidConfig(reason)) => assert!(reason.contains("solve_threads")),
-            other => panic!("expected InvalidConfig, got {other:?}"),
-        }
-    }
-
-    /// A `solve_threads` past the cap fails the sweep up front too,
-    /// before its shared pool would spawn that many OS threads.
-    #[test]
-    fn oversized_solve_threads_is_an_error_not_a_pool() {
-        let compiled = library();
-        let bad = DartConfig {
-            solve_threads: crate::MAX_SOLVE_THREADS + 1,
-            ..config()
-        };
-        match sweep(&compiled, &names(), &bad, 2) {
-            Err(DartError::InvalidConfig(reason)) => assert!(reason.contains("at most 256")),
-            other => panic!("expected InvalidConfig, got {other:?}"),
-        }
-    }
-
-    /// The new frontier knobs are validated up front, like
-    /// `solve_threads`: a zero budget and a checkpoint outside the
-    /// generational engine both fail before any session spawns.
+    /// The frontier knobs are validated up front: a zero budget and a
+    /// checkpoint outside the generational engine both fail before any
+    /// session spawns.
     #[test]
     fn frontier_misconfigurations_are_errors_not_panics() {
         let compiled = library();
@@ -430,25 +367,6 @@ mod tests {
         match sweep(&compiled, &names(), &bad, 2) {
             Err(DartError::InvalidConfig(reason)) => assert!(reason.contains("DART_EXEC_TIER")),
             other => panic!("expected InvalidConfig, got {other:?}"),
-        }
-    }
-
-    /// The oversubscription fix, observed: a wide sweep with pooled
-    /// parallel solving produces the same scrubbed outcomes as the
-    /// sequential-session, sequential-solving sweep — sessions share one
-    /// pool and their reports stay byte-identical.
-    #[test]
-    fn shared_pool_sweep_equals_sequential_sweep() {
-        let compiled = library();
-        let pooled = DartConfig {
-            solve_threads: 4,
-            ..config()
-        };
-        let wide_pooled = sweep(&compiled, &names(), &pooled, 3).unwrap();
-        let narrow_seq = sweep(&compiled, &names(), &config(), 1).unwrap();
-        for (a, c) in wide_pooled.iter().zip(&narrow_seq) {
-            assert_eq!(a.function, c.function);
-            assert_eq!(scrubbed(&a.outcome), scrubbed(&c.outcome), "{}", a.function);
         }
     }
 

@@ -1,10 +1,10 @@
-//! The solver query cache and the parallel solving layer are invisible
-//! optimizations: any combination of `solve_threads` and execution tier
-//! leaves the report byte-identical, wall-clock and the scheduling
-//! diagnostics excepted (the randomized proptest at the bottom). The
-//! cache's model pool answers a query only with a model that satisfies
-//! it, after the solver's own probes declined, and its contents follow
-//! from the session's own query stream.
+//! The solver query cache and the execution tiers are invisible
+//! optimizations: either tier leaves the report byte-identical,
+//! wall-clock and the compiled tier's block counters excepted (the
+//! randomized proptest at the bottom). The cache's model pool answers a
+//! query only with a model that satisfies it, after the solver's own
+//! probes declined, and its contents follow from the session's own query
+//! stream.
 
 use dart::{Dart, DartConfig, ExecTier, SessionReport, Strategy};
 use proptest::prelude::*;
@@ -52,7 +52,7 @@ fn cache_hits_observed_on_fig1_example() {
 }
 
 // ---------------------------------------------------------------------
-// Randomized parallel-solving determinism
+// Randomized cross-tier determinism
 // ---------------------------------------------------------------------
 
 /// One random linear conditional over the two parameters, with small
@@ -66,9 +66,8 @@ fn cond_strategy() -> impl proptest::strategy::Strategy<Value = String> {
 }
 
 /// A random two-parameter MiniC function: 2–4 linear conditionals,
-/// either nested (deep paths — many flip candidates per `solve_next`,
-/// the parallel walk's stress case) or sequential (wide coverage), with
-/// an optional reachable `abort()`.
+/// either nested (deep paths — many flip candidates per `solve_next`)
+/// or sequential (wide coverage), with an optional reachable `abort()`.
 fn program_strategy() -> impl proptest::strategy::Strategy<Value = String> {
     (
         proptest::collection::vec(cond_strategy(), 2..=4),
@@ -98,14 +97,12 @@ fn program_strategy() -> impl proptest::strategy::Strategy<Value = String> {
         })
 }
 
-/// Runs the generated program under one `(solve_threads, exec_tier)`
-/// combination. `unknown_on_query` injects solver
-/// incompleteness at a random logical query index when the
+/// Runs the generated program on one execution tier. `unknown_on_query`
+/// injects solver incompleteness at a random logical query index when the
 /// `fault-injection` feature is on (plain builds exercise the fault-free
 /// path of the same contract).
-fn run_parallel_cfg(
+fn run_tier(
     compiled: &dart_minic::CompiledProgram,
-    solve_threads: usize,
     exec_tier: ExecTier,
     seed: u64,
     unknown_on_query: Option<u64>,
@@ -117,7 +114,6 @@ fn run_parallel_cfg(
         seed,
         stop_at_first_bug: false,
         record_paths: true,
-        solve_threads,
         exec_tier,
         #[cfg(feature = "fault-injection")]
         faults: dart::FaultPlan {
@@ -129,10 +125,7 @@ fn run_parallel_cfg(
     Dart::new(compiled, "f", config).unwrap().run()
 }
 
-/// Zeroes wall-clock plus every scheduling diagnostic the parallel
-/// layer explicitly excludes from its determinism contract
-/// (`parallel_wasted`, `steals`, `pool_idle_ns`, `max_queue_depth`,
-/// `per_worker_solves`).
+/// Zeroes wall-clock, which the determinism contract excludes.
 fn scrub(mut r: SessionReport) -> SessionReport {
     r.exec_time = std::time::Duration::ZERO;
     r.solve_time = std::time::Duration::ZERO;
@@ -141,7 +134,6 @@ fn scrub(mut r: SessionReport) -> SessionReport {
     r.blocks_fused = 0;
     r.block_fallbacks = 0;
     r.steps_fast_pathed = 0;
-    r.solver.scrub_scheduling();
     r
 }
 
@@ -149,33 +141,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// The determinism acceptance property: for random programs, random
-    /// seeds and random injected-Unknown positions, every combination of
-    /// `solve_threads` ∈ {1, 4 (the work-stealing pool)} × execution tier
-    /// ∈ {interpreter, compiled} produces a byte-identical
-    /// `SessionReport` after scrubbing.
+    /// seeds and random injected-Unknown positions, the interpreter and
+    /// the compiled tier produce a byte-identical `SessionReport` after
+    /// scrubbing.
     #[test]
-    fn parallel_solving_and_tiers_preserve_reports(
+    fn tiers_preserve_reports(
         source in program_strategy(),
         seed in 0u64..1024,
         unknown_on_query in proptest::option::of(0u64..8),
     ) {
-        use ExecTier::{Compiled, Interp};
         let compiled = dart_minic::compile(&source).expect("generated source compiles");
-        let baseline = scrub(run_parallel_cfg(
-            &compiled, 1, Interp, seed, unknown_on_query,
-        ));
-        for (threads, tier) in [(4, Interp), (1, Compiled), (4, Compiled)] {
-            let got = scrub(run_parallel_cfg(
-                &compiled, threads, tier, seed, unknown_on_query,
-            ));
-            prop_assert_eq!(
-                &baseline,
-                &got,
-                "threads={} tier={:?} source={}",
-                threads,
-                tier,
-                source
-            );
-        }
+        let interp = scrub(run_tier(&compiled, ExecTier::Interp, seed, unknown_on_query));
+        let fused = scrub(run_tier(&compiled, ExecTier::Compiled, seed, unknown_on_query));
+        prop_assert_eq!(interp, fused, "source={}", source);
     }
 }

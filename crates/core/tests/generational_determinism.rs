@@ -1,10 +1,8 @@
 //! The scaled generational engine's contracts:
 //!
-//! 1. **Scheduling invisibility** — for a fixed seed, every combination
-//!    of `solve_threads` × execution tier produces a byte-identical
-//!    `SessionReport` (wall-clock and the scheduling diagnostics
-//!    excepted). The pooled candidate fan-out is a pure wall-clock
-//!    optimization.
+//! 1. **Tier invisibility** — for a fixed seed, the interpreter and the
+//!    compiled tier produce a byte-identical `SessionReport` (wall-clock
+//!    and the compiled tier's block counters excepted).
 //! 2. **Dedup soundness** — path-prefix dedup may only skip *redundant*
 //!    derivations: a dedup-on session covers the same branch set and
 //!    finds the same bug kinds as a dedup-off session given the same
@@ -47,8 +45,7 @@ const AC_CONTROLLER: &str = r#"
     }
 "#;
 
-/// Zeroes wall-clock plus every scheduling diagnostic the parallel layer
-/// excludes from its determinism contract.
+/// Zeroes wall-clock, which the determinism contract excludes.
 fn scrub(mut r: SessionReport) -> SessionReport {
     r.exec_time = std::time::Duration::ZERO;
     r.solve_time = std::time::Duration::ZERO;
@@ -57,7 +54,6 @@ fn scrub(mut r: SessionReport) -> SessionReport {
     r.blocks_fused = 0;
     r.block_fallbacks = 0;
     r.steps_fast_pathed = 0;
-    r.solver.scrub_scheduling();
     r
 }
 
@@ -72,9 +68,9 @@ fn cond_strategy() -> impl proptest::strategy::Strategy<Value = String> {
 }
 
 /// A random two-parameter MiniC function: 2–4 linear conditionals,
-/// either nested (deep paths — many candidate negations per expansion,
-/// the pooled fan-out's stress case) or sequential (wide trees — many
-/// frontier items), with an optional reachable `abort()`.
+/// either nested (deep paths — many candidate negations per expansion)
+/// or sequential (wide trees — many frontier items), with an optional
+/// reachable `abort()`.
 fn program_strategy() -> impl proptest::strategy::Strategy<Value = String> {
     (
         proptest::collection::vec(cond_strategy(), 2..=4),
@@ -104,16 +100,14 @@ fn program_strategy() -> impl proptest::strategy::Strategy<Value = String> {
         })
 }
 
-/// Runs a generated program under the generational engine with one
-/// `(solve_threads, exec_tier)` combination.
-/// `unknown_on_query` injects solver incompleteness (and with it,
+/// Runs a generated program under the generational engine on one
+/// execution tier. `unknown_on_query` injects solver incompleteness (and with it,
 /// restarts — the dedup set's stress case) when the `fault-injection`
 /// feature is on; plain builds exercise the fault-free path of the same
 /// contracts.
 fn run_generational_cfg(
     compiled: &dart_minic::CompiledProgram,
     dedup: bool,
-    solve_threads: usize,
     exec_tier: ExecTier,
     seed: u64,
     unknown_on_query: Option<u64>,
@@ -127,7 +121,6 @@ fn run_generational_cfg(
         seed,
         stop_at_first_bug: false,
         record_paths: true,
-        solve_threads,
         exec_tier,
         #[cfg(feature = "fault-injection")]
         faults: dart::FaultPlan {
@@ -156,35 +149,25 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Contract 1: for random programs, seeds and injected-Unknown
-    /// positions, every `solve_threads` × execution tier combination
-    /// produces a byte-identical generational `SessionReport` after
-    /// scrubbing — including the
-    /// frontier counters (`dedup_hits`/`frontier_evicted`/
-    /// `frontier_peak`), which are search facts, not scheduling facts.
+    /// positions, the interpreter and the compiled tier produce a
+    /// byte-identical generational `SessionReport` after scrubbing —
+    /// including the frontier counters (`dedup_hits`/`frontier_evicted`/
+    /// `frontier_peak`).
     #[test]
-    fn pooled_generational_solving_preserves_reports(
+    fn generational_tiers_preserve_reports(
         source in program_strategy(),
         seed in 0u64..1024,
         unknown_on_query in proptest::option::of(0u64..8),
     ) {
         use ExecTier::{Compiled, Interp};
         let compiled = dart_minic::compile(&source).expect("generated source compiles");
-        let baseline = scrub(run_generational_cfg(
-            &compiled, true, 1, Interp, seed, unknown_on_query,
+        let interp = scrub(run_generational_cfg(
+            &compiled, true, Interp, seed, unknown_on_query,
         ));
-        for (threads, tier) in [(4, Interp), (1, Compiled)] {
-            let got = scrub(run_generational_cfg(
-                &compiled, true, threads, tier, seed, unknown_on_query,
-            ));
-            prop_assert_eq!(
-                &baseline,
-                &got,
-                "threads={} tier={:?} source={}",
-                threads,
-                tier,
-                &source
-            );
-        }
+        let fused = scrub(run_generational_cfg(
+            &compiled, true, Compiled, seed, unknown_on_query,
+        ));
+        prop_assert_eq!(interp, fused, "source={}", &source);
     }
 
     /// Contract 2: dedup-on explores the same branch set and finds the
@@ -200,10 +183,10 @@ proptest! {
     ) {
         let compiled = dart_minic::compile(&source).expect("generated source compiles");
         let on = run_generational_cfg(
-            &compiled, true, 1, ExecTier::Interp, seed, unknown_on_query,
+            &compiled, true, ExecTier::Interp, seed, unknown_on_query,
         );
         let off = run_generational_cfg(
-            &compiled, false, 1, ExecTier::Interp, seed, unknown_on_query,
+            &compiled, false, ExecTier::Interp, seed, unknown_on_query,
         );
         prop_assert_eq!(
             covered_and_bugs(&on),

@@ -107,26 +107,8 @@ pub struct CacheStats {
     /// after the hint and all-zeros probes, so one they answer never
     /// counts; a plain query splits before them.
     pub split_solves: u64,
-    /// Queries that went to the underlying solver — including, once
-    /// per-worker shards are merged in ([`QueryCache::absorb_shard`]),
-    /// speculative solves performed off the main walk.
+    /// Queries that went to the underlying solver.
     pub misses: u64,
-}
-
-/// Shard merging: fold a per-worker counter block into a cumulative one.
-/// The exhaustive destructuring makes adding a `CacheStats` field without
-/// deciding its merge behavior a compile error.
-impl std::ops::AddAssign for CacheStats {
-    fn add_assign(&mut self, rhs: CacheStats) {
-        let CacheStats {
-            model_reuse,
-            split_solves,
-            misses,
-        } = rhs;
-        self.model_reuse += model_reuse;
-        self.split_solves += split_solves;
-        self.misses += misses;
-    }
 }
 
 /// The model pool and retained prefix session of one engine session; see
@@ -155,8 +137,8 @@ impl QueryCache {
     /// Creates a cache, exactly as [`QueryCache::default`] does. The
     /// argument is ignored: it once switched the verdict tables this cache
     /// no longer has, and it stays only because the end-to-end benchmark
-    /// still passes it. It goes with the benchmark's replica of the
-    /// directed loop (ROADMAP.md item 3).
+    /// still passes it. It goes with the benchmark PR that retires
+    /// `bench_e2e`'s replica.
     pub fn new(_enabled: bool) -> QueryCache {
         QueryCache::default()
     }
@@ -189,16 +171,6 @@ impl QueryCache {
     /// counts.
     pub fn restore_stats(&mut self, stats: CacheStats) {
         self.stats = stats;
-    }
-
-    /// Folds a per-worker counter shard into this cache's cumulative
-    /// stats. Speculative workers count their fresh solves as `misses`;
-    /// merging keeps `misses` an honest count of solver invocations
-    /// while every report-visible counter (which [`CacheStats`]'s
-    /// `AddAssign` would equally merge) is only ever produced by the
-    /// deterministic commit walk, so merging cannot skew reports.
-    pub fn absorb_shard(&mut self, shard: CacheStats) {
-        self.stats += shard;
     }
 
     /// The prefix session for a walk over `path`: the one the previous
@@ -269,39 +241,6 @@ impl QueryCache {
     where
         F: Fn(Var) -> Option<i64>,
     {
-        self.solve_query_precomputed(session, j, negated, hint, None)
-            .0
-    }
-
-    /// [`QueryCache::solve_query`] with an optional precomputed verdict
-    /// from a speculative worker. The model pool runs unchanged, and only
-    /// where a fresh solve would happen is the precomputed
-    /// `(outcome, info)` consumed in its place (recorded exactly as a
-    /// fresh solve would be). Returns the outcome and whether the
-    /// precomputed value was consumed; with `None` precomputed, the
-    /// fallback is a synchronous solve, so this is exactly `solve_query`.
-    ///
-    /// Determinism: a consumed speculative verdict must equal what the
-    /// synchronous solve would have produced. That holds because a
-    /// worker solves the same prefix with the same hint and solver
-    /// configuration on a session it builds from the walk's owned copy
-    /// of the prefix, and because the committing thread only dispatched
-    /// the positions its [`QueryCache::peek_query`] at walk entry could
-    /// not answer. Before the walk's winner no query can push a model
-    /// (they are all `Unsat`/`Unknown`), so the pool at walk entry
-    /// answers identically to the commit walk's pool for every position
-    /// that actually consumes a verdict.
-    pub fn solve_query_precomputed<F>(
-        &mut self,
-        session: &mut PrefixSession,
-        j: usize,
-        negated: &Constraint,
-        hint: F,
-        precomputed: Option<(SolveOutcome, SolveInfo)>,
-    ) -> (SolveOutcome, bool)
-    where
-        F: Fn(Var) -> Option<i64>,
-    {
         let track = match self.prefix_stamp == Some(session.stamp()) {
             true => Track::Learn(&mut self.known),
             false => Track::Cold,
@@ -310,41 +249,12 @@ impl QueryCache {
         let query = Query::at(session, j, negated);
         if let Some(model) = reuse(&self.models, track, b, query, &hint) {
             self.stats.model_reuse += 1;
-            return (SolveOutcome::Sat(model), false);
+            return SolveOutcome::Sat(model);
         }
-        let used = precomputed.is_some();
-        let (out, info) = precomputed.unwrap_or_else(|| {
-            let mut info = SolveInfo::default();
-            (session.solve_query_info(j, negated, &hint, &mut info), info)
-        });
+        let mut info = SolveInfo::default();
+        let out = session.solve_query_info(j, negated, &hint, &mut info);
         self.record(info.was_split(), &out);
-        (out, used)
-    }
-
-    /// Read-only preview of a depth-`j` query: would the model pool
-    /// answer it without a fresh solve? The committing thread peeks every
-    /// candidate before it dispatches a walk to speculative workers,
-    /// which never see the cache: it enqueues only the misses, and a peek
-    /// that answers `Sat` caps how far a first-`Sat`-wins walk
-    /// speculates. Mutates nothing and counts nothing; the deterministic
-    /// commit walk consults the pool again.
-    pub fn peek_query<F>(
-        &self,
-        session: &PrefixSession,
-        j: usize,
-        negated: &Constraint,
-        hint: F,
-    ) -> Option<SolveOutcome>
-    where
-        F: Fn(Var) -> Option<i64>,
-    {
-        let track = match self.prefix_stamp == Some(session.stamp()) {
-            true => Track::Read(&self.known),
-            false => Track::Cold,
-        };
-        let b = session.solver().config().default_bounds;
-        let query = Query::at(session, j, negated);
-        reuse(&self.models, track, b, query, &hint).map(SolveOutcome::Sat)
+        out
     }
 
     /// Accounts for one solved query and pools its model if it has one.
@@ -439,9 +349,6 @@ enum Track<'a> {
     /// Nothing is known: each model is checked against every constraint
     /// (a plain query, or a session the cache does not track).
     Cold,
-    /// What earlier scans of the tracked session found, not extended (a
-    /// peek).
-    Read(&'a [Known]),
     /// What earlier scans of the tracked session found, extended by this
     /// scan.
     Learn(&'a mut [Known]),
@@ -451,7 +358,6 @@ impl Track<'_> {
     fn get(&self, i: usize) -> Known {
         match self {
             Track::Cold => Known::default(),
-            Track::Read(known) => known[i],
             Track::Learn(known) => known[i],
         }
     }
@@ -525,7 +431,7 @@ mod tests {
     }
 
     #[test]
-    fn peek_agrees_with_shortcut_and_mutates_nothing() {
+    fn session_repeat_is_answered_from_the_pool() {
         let solver = Solver::default();
         let mut cache = QueryCache::default();
         // x1 != 0, then x0 == 5; the hint -1 defeats both probes.
@@ -533,23 +439,13 @@ mod tests {
         let negated = eq(0, 5);
         let mut sess = solver.session();
         sess.push(&prefix);
-        assert_eq!(
-            cache.peek_query(&sess, 1, &negated, |_| Some(-1)),
-            None,
-            "cold cache has no answer"
-        );
         let solved = cache.solve_query(&mut sess, 1, &negated, |_| Some(-1));
         assert!(solved.is_sat());
-        let stats = cache.stats();
-        let peeked = cache.peek_query(&sess, 1, &negated, |_| Some(-1));
-        assert_eq!(peeked, Some(solved), "the pooled model answers");
-        assert_eq!(cache.stats(), stats, "peeking counts nothing");
-        assert_eq!(
-            Some(cache.solve_query(&mut sess, 1, &negated, |_| Some(-1))),
-            peeked
-        );
-        assert_eq!(cache.stats().model_reuse, stats.model_reuse + 1);
-        assert_eq!(cache.stats().misses, stats.misses);
+        let counts = |c: &QueryCache| (c.stats().model_reuse, c.stats().misses);
+        assert_eq!(counts(&cache), (0, 1), "a cold cache solves");
+        let again = cache.solve_query(&mut sess, 1, &negated, |_| Some(-1));
+        assert_eq!(again, solved, "the pooled model answers");
+        assert_eq!(counts(&cache), (1, 1));
     }
 
     /// A restored pool answers exactly as the pool it was copied from.
@@ -577,29 +473,6 @@ mod tests {
         extra.insert(0, Assignment::from([(Var(9), 9)]));
         restored.restore_models(extra);
         assert_eq!(restored.models(), cache.models());
-    }
-
-    #[test]
-    fn cache_stats_add_assign_merges_every_field() {
-        let mut a = CacheStats {
-            model_reuse: 2,
-            split_solves: 3,
-            misses: 4,
-        };
-        let b = CacheStats {
-            model_reuse: 20,
-            split_solves: 30,
-            misses: 40,
-        };
-        a += b;
-        assert_eq!(
-            a,
-            CacheStats {
-                model_reuse: 22,
-                split_solves: 33,
-                misses: 44,
-            }
-        );
     }
 
     #[test]
@@ -753,13 +626,14 @@ mod tests {
                 }
             }
 
-            /// A session query's scan, with what it learned about each
-            /// model's prefix kept across queries and re-bases, returns
-            /// exactly what the reference scan returns, over a sequence of
-            /// walks whose paths share and change prefixes, whose fresh
-            /// solves pool models (past `MODEL_POOL` when the pool starts
-            /// full), and whose session is sometimes changed behind the
-            /// cache's back or whose pool is restored mid-session.
+            /// A session query, with what its scans learned about each
+            /// model's prefix kept across queries and re-bases, is answered
+            /// from the pool exactly when the reference scan finds a
+            /// model, and then with that model, over a sequence of walks
+            /// whose paths share and change prefixes, whose fresh solves
+            /// pool models (past `MODEL_POOL` when the pool starts full),
+            /// and whose session is sometimes changed behind the cache's
+            /// back or whose pool is restored mid-session.
             #[test]
             fn session_scan_matches_the_reference_scan(
                 prefill in vec(model(), 0..70),
@@ -791,12 +665,16 @@ mod tests {
                         let negated = path[j].negated();
                         let mut query = session.prefix_live(j).to_vec();
                         query.push(negated.clone());
-                        // Peeking scans with what the solves so far have
-                        // learned about each model, and learns nothing.
-                        let got = cache.peek_query(&session, j, &negated, hint);
                         let want = reference_scan(cache.models(), &solver, &query, &hint);
-                        prop_assert_eq!(got, want.map(SolveOutcome::Sat), "j={} of {:?}", j, &path);
-                        let _ = cache.solve_query(&mut session, j, &negated, hint);
+                        let reused = cache.stats().model_reuse;
+                        let got = cache.solve_query(&mut session, j, &negated, hint);
+                        match want {
+                            Some(model) => {
+                                prop_assert_eq!(got, SolveOutcome::Sat(model), "j={} of {:?}", j, &path);
+                                prop_assert_eq!(cache.stats().model_reuse, reused + 1);
+                            }
+                            None => prop_assert_eq!(cache.stats().model_reuse, reused),
+                        }
                     }
                     cache.retain_session(session);
                 }

@@ -117,7 +117,7 @@ pub struct SolverConfig {
     /// Ignored. It once raced the finite-domain search against an LP
     /// screen on two threads, a race that is gone; it stays only because
     /// the end-to-end benchmark still sets it, and goes with the
-    /// benchmark's replica of the directed loop (ROADMAP.md item 3).
+    /// benchmark PR that retires `bench_e2e`'s replica.
     pub portfolio: bool,
 }
 

@@ -36,9 +36,6 @@
 //!                      function to PATH (`-` streams to stdout)
 //!   --worker-deadline MS  farm-only: kill any worker process that runs
 //!                      longer than MS (fault, retriable, resumable)
-//!   --solve-threads N  per-run candidate-query fan-out on a persistent
-//!                      work-stealing pool of N workers (1 to 256); results
-//!                      are byte-identical to N=1   [$DART_SOLVE_THREADS or 1]
 //!   --exec-tier T      interp | compiled: which execution tier runs the
 //!                      program — the tree-walking interpreter, or the
 //!                      pre-decoded compiled tier (reports unchanged;
@@ -53,7 +50,7 @@
 //!
 //! Exit status: 0 = no bug, 1 = bug found, 2 = usage/compile error.
 
-use dart::{Dart, DartConfig, EngineMode, ExecTier, Strategy, SweepOutcome, MAX_SOLVE_THREADS};
+use dart::{Dart, DartConfig, EngineMode, ExecTier, Strategy, SweepOutcome};
 use std::process::ExitCode;
 
 struct Options {
@@ -82,7 +79,6 @@ struct Options {
     farm_worker: bool,
     farm_index: usize,
     farm_attempt: u32,
-    solve_threads: Option<usize>,
     exec_tier: Option<ExecTier>,
     interface_only: bool,
     print_ir: bool,
@@ -99,7 +95,7 @@ fn usage() -> &'static str {
      [--all-bugs] [--max-steps N] [--mem-budget N] [--deadline MS] \
      [--sweep NAMES --threads N --max-retries N] \
      [--farm --stream PATH|- --worker-deadline MS] \
-     [--solve-threads N] [--exec-tier interp|compiled] \
+     [--exec-tier interp|compiled] \
      [--stats] [--interface] [--print-ir]"
 }
 
@@ -127,7 +123,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         farm_worker: false,
         farm_index: 0,
         farm_attempt: 0,
-        solve_threads: None,
         exec_tier: None,
         interface_only: false,
         print_ir: false,
@@ -212,19 +207,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     .parse()
                     .map_err(|_| "--farm-attempt expects an integer".to_string())?
             }
-            "--solve-threads" => {
-                opts.solve_threads = Some(
-                    value(&mut it, "--solve-threads")?
-                        .parse()
-                        .ok()
-                        .filter(|n| (1..=MAX_SOLVE_THREADS).contains(n))
-                        .ok_or_else(|| {
-                            format!(
-                                "--solve-threads expects an integer from 1 to {MAX_SOLVE_THREADS}"
-                            )
-                        })?,
-                )
-            }
             "--exec-tier" => {
                 opts.exec_tier = Some(match value(&mut it, "--exec-tier")?.as_str() {
                     "interp" => ExecTier::Interp,
@@ -243,7 +225,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
             "--frontier-budget" => {
                 // 0 parses fine and is rejected by the engine as an
-                // invalid config, like a zero DART_SOLVE_THREADS.
+                // invalid config.
                 opts.frontier_budget = Some(
                     value(&mut it, "--frontier-budget")?
                         .parse()
@@ -305,10 +287,6 @@ fn build_config(opts: &Options) -> DartConfig {
         max_retries: opts.max_retries,
         ..DartConfig::default()
     };
-    if let Some(n) = opts.solve_threads {
-        // Unset, the default stands: $DART_SOLVE_THREADS, else 1.
-        config.solve_threads = n;
-    }
     if let Some(tier) = opts.exec_tier {
         // Unset, the default stands: $DART_EXEC_TIER, else the interpreter.
         config.exec_tier = tier;
@@ -373,9 +351,6 @@ fn worker_forward_args(opts: &Options) -> Vec<String> {
     }
     if let Some(ms) = opts.deadline_ms {
         args.extend(["--deadline".to_string(), ms.to_string()]);
-    }
-    if let Some(n) = opts.solve_threads {
-        args.extend(["--solve-threads".to_string(), n.to_string()]);
     }
     if let Some(tier) = opts.exec_tier {
         let tier = match tier {
@@ -654,7 +629,7 @@ fn main() -> ExitCode {
     }
 
     // The toplevel was checked above, but `Dart::new` can still reject the
-    // config (e.g. an invalid `DART_SOLVE_THREADS` in the environment).
+    // config (e.g. an invalid `DART_EXEC_TIER` in the environment).
     let session = match Dart::new(&compiled, &toplevel, build_config(&opts)) {
         Ok(s) => s,
         Err(e) => {
@@ -675,17 +650,6 @@ fn main() -> ExitCode {
         println!("  unknown rate       {:.1}%", s.unknown_rate() * 100.0);
         println!("  model reuse        {}", s.cache_model_reuse);
         println!("  split solves       {}", s.split_solves);
-        println!("  parallel wasted    {}", s.parallel_wasted);
-        println!("  steals             {}", s.steals);
-        println!(
-            "  pool idle          {:?}",
-            std::time::Duration::from_nanos(s.pool_idle_ns)
-        );
-        println!("  max queue depth    {}", s.max_queue_depth);
-        if !s.per_worker_solves.is_empty() {
-            let solves: Vec<String> = s.per_worker_solves.iter().map(u64::to_string).collect();
-            println!("  per-worker solves  [{}]", solves.join(", "));
-        }
         println!("  dedup hits         {}", report.dedup_hits);
         println!("  frontier evicted   {}", report.frontier_evicted);
         println!("  frontier peak      {}", report.frontier_peak);
@@ -773,8 +737,10 @@ mod tests {
         assert!(o.stats);
         let o = parse(&["p.mc"]).unwrap();
         assert!(!o.stats);
-        // The query cache has no switch: it memoizes no verdicts.
+        // The query cache has no switch: it memoizes no verdicts, and
+        // sessions share none, so there is nothing to turn on either.
         assert!(parse(&["p.mc", "--no-cache"]).is_err());
+        assert!(parse(&["p.mc", "--shared-cache"]).is_err());
     }
 
     #[test]
@@ -804,27 +770,6 @@ mod tests {
         assert!(o.sweep.is_none());
         assert_eq!(o.threads, 4);
         assert_eq!(o.max_retries, 1);
-    }
-
-    #[test]
-    fn parallel_solving_flags() {
-        let o = parse(&["p.mc", "--solve-threads", "4"]).unwrap();
-        assert_eq!(o.solve_threads, Some(4));
-        assert_eq!(build_config(&o).solve_threads, 4);
-        // Unset, the flag defers to the DartConfig default (which reads
-        // $DART_SOLVE_THREADS) rather than pinning 1.
-        let o = parse(&["p.mc"]).unwrap();
-        assert_eq!(o.solve_threads, None);
-        assert!(parse(&["p.mc", "--solve-threads", "0"]).is_err());
-        assert!(parse(&["p.mc", "--solve-threads", "many"]).is_err());
-        // Each worker is an OS thread: the pool size is capped, and a
-        // value past the cap is a usage error before any pool exists.
-        let o = parse(&["p.mc", "--solve-threads", "256"]).unwrap();
-        assert_eq!(build_config(&o).solve_threads, 256);
-        assert!(parse(&["p.mc", "--solve-threads", "257"]).is_err());
-        assert!(parse(&["p.mc", "--solve-threads", "100000"]).is_err());
-        // Sessions share no solver verdicts, so there is nothing to turn on.
-        assert!(parse(&["p.mc", "--shared-cache"]).is_err());
     }
 
     #[test]
@@ -904,8 +849,8 @@ mod tests {
             "generational",
             "--checkpoint",
             "cp",
-            "--solve-threads",
-            "2",
+            "--exec-tier",
+            "compiled",
             "--threads",
             "8",
             "--worker-deadline",
@@ -915,15 +860,13 @@ mod tests {
         let args = worker_forward_args(&o);
         let has = |flag: &str| args.iter().any(|a| a == flag);
         assert!(has("--mode") && args.contains(&"generational".to_string()));
-        assert!(has("--checkpoint") && has("--solve-threads"));
+        assert!(has("--checkpoint") && has("--exec-tier"));
         // Supervisor-only flags must not leak into workers.
         assert!(!has("--threads") && !has("--worker-deadline") && !has("--farm"));
         // Unset optionals stay unset so workers inherit env defaults.
         let o = parse(&["p.mc", "--sweep", "f", "--farm"]).unwrap();
         let args = worker_forward_args(&o);
-        assert!(!args
-            .iter()
-            .any(|a| a == "--exec-tier" || a == "--solve-threads"));
+        assert!(!args.iter().any(|a| a == "--exec-tier"));
     }
 
     #[test]

@@ -198,29 +198,6 @@ fn deeply_nested_source_exits_two() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("nested deeper than 256 levels"));
 }
 
-/// `--solve-threads` past the pool cap is a usage error, before any
-/// worker thread exists; so is `DART_SOLVE_THREADS` past it.
-#[test]
-fn oversized_solve_threads_exit_two() {
-    let dir = tempdir();
-    let demo = write_demo(&dir);
-    let out = dartc()
-        .arg(&demo)
-        .args(["--toplevel", "h", "--solve-threads", "257"])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("from 1 to 256"));
-    let out = dartc()
-        .arg(&demo)
-        .args(["--toplevel", "h"])
-        .env("DART_SOLVE_THREADS", "100000")
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("at most 256"));
-}
-
 #[test]
 fn usage_errors_exit_two() {
     let out = dartc().output().unwrap();

@@ -74,10 +74,7 @@ fn run(cmd: &mut Command) -> (Option<i32>, String, String) {
 }
 
 /// The farm prints the same per-function result table as the in-process
-/// sweep; on the same seeds the two must be byte-identical modulo the
-/// scheduling-dependent diagnostics (`wasted`, `steals` — see
-/// `SolveStats::scrub_scheduling`), which any parallel solver run may
-/// vary even between two in-process sweeps.
+/// sweep; on the same seeds the two must be byte-identical.
 #[test]
 fn farm_output_matches_in_process_sweep() {
     let dir = tempdir("parity");
@@ -88,8 +85,7 @@ fn farm_output_matches_in_process_sweep() {
     assert_eq!(code_a, Some(1), "two functions have bugs\n{sweep_out}");
     assert_eq!(code_b, code_a);
     assert_eq!(
-        scrub_scheduling(&farm_out),
-        scrub_scheduling(&sweep_out),
+        farm_out, sweep_out,
         "farm must reproduce the sweep byte-for-byte"
     );
 }
@@ -131,7 +127,7 @@ fn stream_emits_one_json_line_per_function() {
         assert!(!line.contains("cache hits"), "{line}");
     }
     let (_, reference, _) = run(dartc().arg(&lib).args(engine));
-    assert_eq!(scrub_scheduling(&out), scrub_scheduling(&reference));
+    assert_eq!(out, reference);
 }
 
 /// Six inputs, eight independent branches: with a frontier budget of 3
@@ -259,25 +255,6 @@ fn stale_checkpoint_is_a_setup_error_in_sweep_and_farm() {
     assert_eq!(std::fs::read_to_string(&files[0]).unwrap(), stale);
 }
 
-/// Blanks the scheduling-dependent `wasted N | steals K` segment of
-/// each result-table line — the counters the determinism contract
-/// excludes. Everything else stays byte-exact.
-fn scrub_scheduling(table: &str) -> String {
-    let mut out = String::new();
-    for line in table.lines() {
-        match (line.find("| wasted "), line.find(" | frontier")) {
-            (Some(a), Some(b)) if a < b => {
-                out.push_str(&line[..a]);
-                out.push_str("| wasted - | steals -");
-                out.push_str(&line[b..]);
-            }
-            _ => out.push_str(line),
-        }
-        out.push('\n');
-    }
-    out
-}
-
 /// SIGKILL a worker mid-session, then run the farm over the same
 /// checkpoint directory: the shard resumes and prints the line an
 /// undisturbed run prints, solver counters included. (The kill lands at an
@@ -379,7 +356,7 @@ fn injected_abort_is_contained_and_survivors_match() {
     assert!(out.contains("1 retried"), "{out}");
 
     let survivors = |table: &str| -> Vec<String> {
-        scrub_scheduling(table)
+        table
             .lines()
             .filter(|l| l.starts_with("h ") || l.starts_with("ok "))
             .map(str::to_string)
@@ -395,8 +372,8 @@ fn injected_abort_is_contained_and_survivors_match() {
 /// Determinism under recoverable fault injection: for plans a
 /// `catch_unwind` can contain (panics, forced-unknown queries, denied
 /// allocations) the farm and the in-process sweep agree result-for-result
-/// — same verdicts, same fault messages — once scheduling-dependent
-/// diagnostics are scrubbed.
+/// — same verdicts, same fault messages — once wall-clock times are
+/// zeroed.
 #[cfg(feature = "fault-injection")]
 mod determinism {
     use super::*;
@@ -456,8 +433,8 @@ mod determinism {
             .collect()
     }
 
-    /// Zeroes wall-clock times and scheduling diagnostics, the only
-    /// fields the determinism contract excludes.
+    /// Zeroes wall-clock times, the only fields the determinism contract
+    /// excludes.
     fn scrub(outcome: SweepOutcome) -> SweepOutcome {
         match outcome {
             SweepOutcome::Finished {
@@ -466,7 +443,6 @@ mod determinism {
             } => {
                 report.exec_time = std::time::Duration::ZERO;
                 report.solve_time = std::time::Duration::ZERO;
-                report.solver.scrub_scheduling();
                 SweepOutcome::Finished { report, retried }
             }
             fault => fault,

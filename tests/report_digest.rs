@@ -5,11 +5,10 @@
 //! `ac_controller` and E2's `deliver` at depths 1 and 2, the E4b
 //! `osip_message_parse` session, the first 20 functions of the first E4
 //! library, and one generational E1 session. Its report, with the
-//! wall-clock times and the compiled tier's block counters zeroed and
-//! `scrub_scheduling` applied, is printed with `{:?}` and digested with
-//! FNV-1a. Those fields are the only ones the contract lets differ between
-//! runs, tiers and solver thread counts, so the test passes unchanged in
-//! every CI leg (`DART_EXEC_TIER`, `DART_SOLVE_THREADS` and the fault hooks
+//! wall-clock times and the compiled tier's block counters zeroed, is
+//! printed with `{:?}` and digested with FNV-1a. Those fields are the only
+//! ones the contract lets differ between runs and tiers, so the test
+//! passes unchanged in every CI leg (`DART_EXEC_TIER` and the fault hooks
 //! reach the sessions through `DartConfig::default()`).
 //!
 //! A change that alters reports on purpose updates the digests and names
@@ -25,84 +24,84 @@ use std::time::Duration;
 
 /// `(session, digest)` for every session [`sessions`] lists, in order.
 const DIGESTS: &[(&str, u64)] = &[
-    ("E1 ac_controller d1 s1", 0xe4e28168cb836e9a),
-    ("E1 ac_controller d2 s1", 0x02c801f6907bb840),
-    ("E2 deliver d1 s1", 0x5ac78b603a607b2c),
-    ("E2 deliver d2 s1", 0x4c2cd138e6eedb7f),
-    ("E4b osip_message_parse d1 s1", 0xae0fba8028f2098b),
-    ("E4 osip_fn_0 d1 s1", 0x6d029fb38b6f1386),
-    ("E4 osip_fn_1 d1 s1", 0x321791ef13e0cdda),
-    ("E4 osip_fn_2 d1 s1", 0x61f73adcc53a07ee),
-    ("E4 osip_fn_3 d1 s1", 0x61f73adcc53a07ee),
-    ("E4 osip_fn_4 d1 s1", 0x72036f4306c88b7c),
-    ("E4 osip_fn_5 d1 s1", 0xeb7c7432e407e6a2),
-    ("E4 osip_fn_6 d1 s1", 0xeb7c7432e407e6a2),
-    ("E4 osip_fn_7 d1 s1", 0xdbc0cc66596a00e8),
-    ("E4 osip_fn_8 d1 s1", 0x2d7abcec60cc81cc),
-    ("E4 osip_fn_9 d1 s1", 0x6d029fb38b6f1386),
-    ("E4 osip_fn_10 d1 s1", 0x94c403bdf6308e19),
-    ("E4 osip_fn_11 d1 s1", 0x44319412d9a00924),
-    ("E4 osip_fn_12 d1 s1", 0xe875bcff0b151b8e),
-    ("E4 osip_fn_13 d1 s1", 0x24043e797d75868b),
-    ("E4 osip_fn_14 d1 s1", 0xed4d694dd7daf584),
-    ("E4 osip_fn_15 d1 s1", 0x0a5cc6ceafe31895),
-    ("E4 osip_fn_16 d1 s1", 0x61f73adcc53a07ee),
-    ("E4 osip_fn_17 d1 s1", 0x72036f4306c88b7c),
-    ("E4 osip_fn_18 d1 s1", 0xeb7c7432e407e6a2),
-    ("E4 osip_fn_19 d1 s1", 0x5524eb7b2c60bb9c),
-    ("E1 gen ac_controller d2 s1", 0x6aef1c233c98c55e),
-    ("E1 ac_controller d1 s2", 0xe4e28168cb836e9a),
-    ("E1 ac_controller d2 s2", 0x02c801f6907bb840),
-    ("E2 deliver d1 s2", 0x5ac78b603a607b2c),
-    ("E2 deliver d2 s2", 0x4fe933c07ffa94f7),
-    ("E4b osip_message_parse d1 s2", 0xbd24f8397d780d15),
-    ("E4 osip_fn_0 d1 s2", 0xa164a9e9fa184d22),
-    ("E4 osip_fn_1 d1 s2", 0xbab325e55592886f),
-    ("E4 osip_fn_2 d1 s2", 0x75d6b6ab3cfa6a05),
-    ("E4 osip_fn_3 d1 s2", 0x75d6b6ab3cfa6a05),
-    ("E4 osip_fn_4 d1 s2", 0x6d470959953784b9),
-    ("E4 osip_fn_5 d1 s2", 0x8d08df113942e8d8),
-    ("E4 osip_fn_6 d1 s2", 0xf4a5b726308806ad),
-    ("E4 osip_fn_7 d1 s2", 0xeb181c0ad7ac5351),
-    ("E4 osip_fn_8 d1 s2", 0x6d382509104289b7),
-    ("E4 osip_fn_9 d1 s2", 0xa164a9e9fa184d22),
-    ("E4 osip_fn_10 d1 s2", 0xb9354e3b8f497508),
-    ("E4 osip_fn_11 d1 s2", 0x43373395acf5bc51),
-    ("E4 osip_fn_12 d1 s2", 0x3d2a1a890cb4b67d),
-    ("E4 osip_fn_13 d1 s2", 0x6db92d1736d02c4a),
-    ("E4 osip_fn_14 d1 s2", 0xe7a7139e1e323443),
-    ("E4 osip_fn_15 d1 s2", 0x6d470959953784b9),
-    ("E4 osip_fn_16 d1 s2", 0x75d6b6ab3cfa6a05),
-    ("E4 osip_fn_17 d1 s2", 0x6d470959953784b9),
-    ("E4 osip_fn_18 d1 s2", 0xf4a5b726308806ad),
-    ("E4 osip_fn_19 d1 s2", 0x254d30593365f783),
-    ("E1 gen ac_controller d2 s2", 0x6aef1c233c98c55e),
-    ("E1 ac_controller d1 s3", 0xe4e28168cb836e9a),
-    ("E1 ac_controller d2 s3", 0x02c801f6907bb840),
-    ("E2 deliver d1 s3", 0x5ac78b603a607b2c),
-    ("E2 deliver d2 s3", 0x37ca5df19a0df8c1),
-    ("E4b osip_message_parse d1 s3", 0x5acc37f6b6a83fd5),
-    ("E4 osip_fn_0 d1 s3", 0x3e57fd364d80e296),
-    ("E4 osip_fn_1 d1 s3", 0xa0a332045e33c240),
-    ("E4 osip_fn_2 d1 s3", 0xf7397ed1055b909e),
-    ("E4 osip_fn_3 d1 s3", 0xf7397ed1055b909e),
-    ("E4 osip_fn_4 d1 s3", 0xf1bccff5069d2eba),
-    ("E4 osip_fn_5 d1 s3", 0x8a85f1f0e595d24a),
-    ("E4 osip_fn_6 d1 s3", 0x8a85f1f0e595d24a),
-    ("E4 osip_fn_7 d1 s3", 0xf0d4c2fe7f88cae9),
-    ("E4 osip_fn_8 d1 s3", 0x2d7abcec60cc81cc),
-    ("E4 osip_fn_9 d1 s3", 0x3e57fd364d80e296),
-    ("E4 osip_fn_10 d1 s3", 0x969beebbcf5ec9db),
-    ("E4 osip_fn_11 d1 s3", 0xfb9c65ce839c7531),
-    ("E4 osip_fn_12 d1 s3", 0xe875bcff0b151b8e),
-    ("E4 osip_fn_13 d1 s3", 0x4938a9a2b47b0f4b),
-    ("E4 osip_fn_14 d1 s3", 0xe51c178f93d754ac),
-    ("E4 osip_fn_15 d1 s3", 0xf1bccff5069d2eba),
-    ("E4 osip_fn_16 d1 s3", 0xf7397ed1055b909e),
-    ("E4 osip_fn_17 d1 s3", 0xf1bccff5069d2eba),
-    ("E4 osip_fn_18 d1 s3", 0x8a85f1f0e595d24a),
-    ("E4 osip_fn_19 d1 s3", 0x22107f52f64e4cb9),
-    ("E1 gen ac_controller d2 s3", 0x6aef1c233c98c55e),
+    ("E1 ac_controller d1 s1", 0xf13e1ea3271e0df6),
+    ("E1 ac_controller d2 s1", 0x5e4cef98ff739076),
+    ("E2 deliver d1 s1", 0x1f57cd2141f2aae0),
+    ("E2 deliver d2 s1", 0xcd42c8674e5181a3),
+    ("E4b osip_message_parse d1 s1", 0x407da28b3a7c31c3),
+    ("E4 osip_fn_0 d1 s1", 0x9801b36717f4c9f2),
+    ("E4 osip_fn_1 d1 s1", 0xc70bd1594d873638),
+    ("E4 osip_fn_2 d1 s1", 0x5d63b3f115faa4c6),
+    ("E4 osip_fn_3 d1 s1", 0x5d63b3f115faa4c6),
+    ("E4 osip_fn_4 d1 s1", 0x279bbc5b68493692),
+    ("E4 osip_fn_5 d1 s1", 0x52e7ab2bdc5c579a),
+    ("E4 osip_fn_6 d1 s1", 0x52e7ab2bdc5c579a),
+    ("E4 osip_fn_7 d1 s1", 0xa31385f5e107ee9a),
+    ("E4 osip_fn_8 d1 s1", 0xf40541cd3168acf0),
+    ("E4 osip_fn_9 d1 s1", 0x9801b36717f4c9f2),
+    ("E4 osip_fn_10 d1 s1", 0xca96dee2503d1b8b),
+    ("E4 osip_fn_11 d1 s1", 0x8ed6bf6bf4e7bbce),
+    ("E4 osip_fn_12 d1 s1", 0x3405c2ffdccd64c2),
+    ("E4 osip_fn_13 d1 s1", 0xcbdadb69710426b5),
+    ("E4 osip_fn_14 d1 s1", 0x15a82f2d4ef45560),
+    ("E4 osip_fn_15 d1 s1", 0xc94f9c5681fd8f9b),
+    ("E4 osip_fn_16 d1 s1", 0x5d63b3f115faa4c6),
+    ("E4 osip_fn_17 d1 s1", 0x279bbc5b68493692),
+    ("E4 osip_fn_18 d1 s1", 0x52e7ab2bdc5c579a),
+    ("E4 osip_fn_19 d1 s1", 0xca480fe0873d557e),
+    ("E1 gen ac_controller d2 s1", 0x3967abb14caf8e94),
+    ("E1 ac_controller d1 s2", 0xf13e1ea3271e0df6),
+    ("E1 ac_controller d2 s2", 0x5e4cef98ff739076),
+    ("E2 deliver d1 s2", 0x1f57cd2141f2aae0),
+    ("E2 deliver d2 s2", 0xbc0192bdb2ae062b),
+    ("E4b osip_message_parse d1 s2", 0x566880b76905776d),
+    ("E4 osip_fn_0 d1 s2", 0x60518b03229ab76e),
+    ("E4 osip_fn_1 d1 s2", 0x18d183af269d7347),
+    ("E4 osip_fn_2 d1 s2", 0x54c17892c2866a8d),
+    ("E4 osip_fn_3 d1 s2", 0x54c17892c2866a8d),
+    ("E4 osip_fn_4 d1 s2", 0x798b14b0490a9851),
+    ("E4 osip_fn_5 d1 s2", 0xdb0a900ea8943710),
+    ("E4 osip_fn_6 d1 s2", 0xe9f66fbc62cf0005),
+    ("E4 osip_fn_7 d1 s2", 0xf5a6fe7f97677f17),
+    ("E4 osip_fn_8 d1 s2", 0xa83373c3f53e09c3),
+    ("E4 osip_fn_9 d1 s2", 0x60518b03229ab76e),
+    ("E4 osip_fn_10 d1 s2", 0x180c05899f16fb00),
+    ("E4 osip_fn_11 d1 s2", 0xd055fca481d46ddd),
+    ("E4 osip_fn_12 d1 s2", 0x83892148f563b919),
+    ("E4 osip_fn_13 d1 s2", 0xf44ae29fa53b9262),
+    ("E4 osip_fn_14 d1 s2", 0x327cc3782f51abcf),
+    ("E4 osip_fn_15 d1 s2", 0x798b14b0490a9851),
+    ("E4 osip_fn_16 d1 s2", 0x54c17892c2866a8d),
+    ("E4 osip_fn_17 d1 s2", 0x798b14b0490a9851),
+    ("E4 osip_fn_18 d1 s2", 0xe9f66fbc62cf0005),
+    ("E4 osip_fn_19 d1 s2", 0xb3ec71b7565a7045),
+    ("E1 gen ac_controller d2 s2", 0x3967abb14caf8e94),
+    ("E1 ac_controller d1 s3", 0xf13e1ea3271e0df6),
+    ("E1 ac_controller d2 s3", 0x5e4cef98ff739076),
+    ("E2 deliver d1 s3", 0x1f57cd2141f2aae0),
+    ("E2 deliver d2 s3", 0xdf0c7397202680b9),
+    ("E4b osip_message_parse d1 s3", 0x3a5c665ecb9fd82d),
+    ("E4 osip_fn_0 d1 s3", 0xbff67b424fdd0622),
+    ("E4 osip_fn_1 d1 s3", 0x327426f21d23bdf8),
+    ("E4 osip_fn_2 d1 s3", 0x78a10975fa12327a),
+    ("E4 osip_fn_3 d1 s3", 0x78a10975fa12327a),
+    ("E4 osip_fn_4 d1 s3", 0x93d4a8bf1ce42c62),
+    ("E4 osip_fn_5 d1 s3", 0xb6da5a639a0f9fd6),
+    ("E4 osip_fn_6 d1 s3", 0xb6da5a639a0f9fd6),
+    ("E4 osip_fn_7 d1 s3", 0x4971491f8c87785f),
+    ("E4 osip_fn_8 d1 s3", 0xf40541cd3168acf0),
+    ("E4 osip_fn_9 d1 s3", 0xbff67b424fdd0622),
+    ("E4 osip_fn_10 d1 s3", 0xbd0c9b984a6c5b43),
+    ("E4 osip_fn_11 d1 s3", 0x66352eb9e1a75d7d),
+    ("E4 osip_fn_12 d1 s3", 0x3405c2ffdccd64c2),
+    ("E4 osip_fn_13 d1 s3", 0x67321e9c87290eb3),
+    ("E4 osip_fn_14 d1 s3", 0x2bf98bd314b9c364),
+    ("E4 osip_fn_15 d1 s3", 0x93d4a8bf1ce42c62),
+    ("E4 osip_fn_16 d1 s3", 0x78a10975fa12327a),
+    ("E4 osip_fn_17 d1 s3", 0x93d4a8bf1ce42c62),
+    ("E4 osip_fn_18 d1 s3", 0xb6da5a639a0f9fd6),
+    ("E4 osip_fn_19 d1 s3", 0xd0e4b0e16b8a91cf),
+    ("E1 gen ac_controller d2 s3", 0x3967abb14caf8e94),
 ];
 
 /// FNV-1a over `text`.
@@ -122,7 +121,6 @@ fn scrubbed(mut report: SessionReport) -> SessionReport {
     report.blocks_fused = 0;
     report.block_fallbacks = 0;
     report.steps_fast_pathed = 0;
-    report.solver.scrub_scheduling();
     report
 }
 
