@@ -1,14 +1,12 @@
 //! `bench_smoke` — regression smoke check for the solver's incremental
-//! prefix sessions, the generational frontier and the execution tiers.
+//! prefix sessions, the generational frontier and instrumented execution.
 //!
 //! The vendored criterion stand-in prints no machine-readable medians, so
 //! this binary re-runs the same workload shapes as `benches/solver.rs`
 //! (`prefix_session/*`) plus the generational workloads (`gen/*`,
-//! `gen_dedup/*`) and the execution tiers (`exec/{interp,compiled}` — one
-//! loop-dense run under the tree-walking interpreter vs. the pre-decoded
-//! compiled tier; see EXPERIMENTS.md E11), computes a median
-//! nanoseconds-per-iteration for each, and compares against a committed
-//! baseline JSON.
+//! `gen_dedup/*`) and one loop-dense instrumented run (`exec/interp`),
+//! computes a median nanoseconds-per-iteration for each, and compares
+//! against a committed baseline JSON.
 //!
 //! ```text
 //! bench_smoke [--baseline PATH] [--tolerance PCT] [--write-baseline] [--gate]
@@ -34,9 +32,9 @@
 //! a missing or unreadable baseline file — fails the process (exit 1);
 //! without it, the same findings are printed as warnings.
 
-use dart::{run_once_in_tier, Dart, DartConfig, EngineMode, InputTape};
+use dart::{run_once, Dart, DartConfig, EngineMode, InputTape};
 use dart_bench::flag_value;
-use dart_ram::{DecodedProgram, MachineConfig};
+use dart_ram::MachineConfig;
 use dart_solver::{Constraint, LinExpr, RelOp, Solver, Var};
 use std::process::ExitCode;
 use std::time::Instant;
@@ -124,11 +122,10 @@ fn generational_workload(compiled: &dart_minic::CompiledProgram, dedup: bool) ->
     generational_report(compiled, dedup).runs as usize
 }
 
-/// The execution-tier workload program: ~10k statements of concrete
-/// loop arithmetic with a single symbolic comparison at the end.
-/// Symbolic mirroring is pure overhead on all but a handful of steps,
-/// so this is the shape the compiled tier's taint-gated shadow targets
-/// — CPU-bound code whose inputs only matter at a few branch points.
+/// The execution workload program: ~10k statements of concrete loop
+/// arithmetic with a single symbolic comparison at the end — CPU-bound
+/// code whose inputs only matter at a few branch points, so the run's
+/// cost is the interpreter and its symbolic mirroring.
 fn exec_program() -> dart_minic::CompiledProgram {
     dart_minic::compile(
         r#"
@@ -149,15 +146,10 @@ fn exec_program() -> dart_minic::CompiledProgram {
     .expect("exec workload compiles")
 }
 
-/// One fixed-tape run of [`exec_program`]. `decoded == None` selects the
-/// tree-walking interpreter; `Some` selects the compiled tier over the
-/// pre-decoded form — the `exec/{interp,compiled}` pair.
-fn exec_workload(
-    compiled: &dart_minic::CompiledProgram,
-    decoded: Option<&DecodedProgram>,
-) -> usize {
+/// One fixed-tape run of [`exec_program`] — the `exec/interp` row.
+fn exec_workload(compiled: &dart_minic::CompiledProgram) -> usize {
     let sig = compiled.fn_sig("exec_hot").expect("toplevel exists");
-    let result = run_once_in_tier(
+    let result = run_once(
         compiled,
         sig,
         1,
@@ -165,7 +157,6 @@ fn exec_workload(
         InputTape::new(0),
         Vec::new(),
         32,
-        decoded,
     );
     result.steps as usize
 }
@@ -333,8 +324,6 @@ fn main() -> ExitCode {
 
     let gen_lib = gen_program();
     let exec_lib = exec_program();
-    // Decoded once, like `Dart::new` does for a compiled-tier session.
-    let exec_decoded = DecodedProgram::new(&exec_lib.program);
 
     let current: Vec<(String, u64)> = vec![
         (
@@ -359,11 +348,7 @@ fn main() -> ExitCode {
         ),
         (
             "exec/interp".to_string(),
-            measure(|| exec_workload(&exec_lib, None)),
-        ),
-        (
-            "exec/compiled".to_string(),
-            measure(|| exec_workload(&exec_lib, Some(&exec_decoded))),
+            measure(|| exec_workload(&exec_lib)),
         ),
     ];
 
@@ -377,20 +362,12 @@ fn main() -> ExitCode {
         Some(get(num)? / get(den)?)
     };
     // Each entry: (JSON key, human description, numerator, denominator).
-    let ratio_specs: [(&str, &str, &str, &str); 2] = [
-        (
-            "gen_dedup_speedup",
-            "generational path-prefix dedup (off -> on)",
-            "gen_dedup/off",
-            "gen_dedup/on",
-        ),
-        (
-            "exec_tier_speedup",
-            "compiled execution tier (interp -> compiled)",
-            "exec/interp",
-            "exec/compiled",
-        ),
-    ];
+    let ratio_specs: [(&str, &str, &str, &str); 1] = [(
+        "gen_dedup_speedup",
+        "generational path-prefix dedup (off -> on)",
+        "gen_dedup/off",
+        "gen_dedup/on",
+    )];
     let mut ratios: Vec<(String, f64)> = Vec::new();
     for (key, description, num, den) in &ratio_specs {
         if let Some(s) = ratio(num, den) {
@@ -515,15 +492,15 @@ mod tests {
     fn json_snapshot_has_both_sections() {
         let text = render_json_snapshot(
             &[
-                ("exec/interp".to_string(), 2000),
-                ("exec/compiled".to_string(), 400),
+                ("gen_dedup/off".to_string(), 2000),
+                ("gen_dedup/on".to_string(), 400),
             ],
-            &[("exec_tier_speedup".to_string(), 5.0)],
+            &[("gen_dedup_speedup".to_string(), 5.0)],
         );
         assert!(text.contains("\"median_ns_per_iter\""));
-        assert!(text.contains("\"exec/compiled\": 400"));
+        assert!(text.contains("\"gen_dedup/on\": 400"));
         assert!(text.contains("\"speedup_ratios\""));
-        assert!(text.contains("\"exec_tier_speedup\": 5.000"));
+        assert!(text.contains("\"gen_dedup_speedup\": 5.000"));
         // Keys never need escaping, so the snapshot stays flat JSON.
         assert_eq!(text.matches('{').count(), text.matches('}').count());
     }
@@ -598,20 +575,9 @@ mod tests {
     }
 
     #[test]
-    fn exec_workload_is_tier_invariant() {
-        // Both tiers must execute the same run — otherwise the
-        // `exec/{interp,compiled}` pair compares different work. The
-        // loop runs long enough that a skipped-statement bug would show
-        // up as a step-count or terminal divergence.
-        let compiled = exec_program();
-        let decoded = DecodedProgram::new(&compiled.program);
-        let interp = exec_workload(&compiled, None);
-        let fast = exec_workload(&compiled, Some(&decoded));
-        assert_eq!(interp, fast, "step counts diverge across tiers");
-        assert!(
-            interp > 4000,
-            "the workload must be loop-dense, got {interp}"
-        );
+    fn exec_workload_is_loop_dense() {
+        let steps = exec_workload(&exec_program());
+        assert!(steps > 4000, "the workload must be loop-dense, got {steps}");
     }
 
     #[test]

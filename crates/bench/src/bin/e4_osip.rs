@@ -14,11 +14,8 @@
 //! `generational`, `--frontier-budget N` bounds the scored frontier
 //! (EXPERIMENTS.md E10) and the sweep line reports the aggregate
 //! dedup/eviction/peak counters.
-//! `--exec-tier interp|compiled` picks the execution tier (reports
-//! unchanged; the compiled tier only improves throughput — see
-//! EXPERIMENTS.md E11).
 
-use dart::{Dart, DartConfig, EngineMode, ExecTier};
+use dart::{Dart, DartConfig, EngineMode};
 use dart_bench::{flag_value, fmt_dur, header, seed_from_args};
 use dart_workloads::{generate_osip, OsipConfig, Planted};
 use std::collections::BTreeMap;
@@ -27,16 +24,6 @@ use std::time::Instant;
 fn main() {
     let seed = seed_from_args();
     let num_functions = flag_value("--functions").unwrap_or(200);
-    let exec_tier = match flag_value::<String>("--exec-tier").as_deref() {
-        // Unset defers to the DartConfig default ($DART_EXEC_TIER).
-        None => None,
-        Some("interp") => Some(ExecTier::Interp),
-        Some("compiled") => Some(ExecTier::Compiled),
-        Some(other) => {
-            eprintln!("unknown --exec-tier `{other}` (expected `interp` or `compiled`)");
-            std::process::exit(2);
-        }
-    };
     let engine = match flag_value::<String>("--engine").as_deref() {
         None | Some("directed") => EngineMode::Directed,
         Some("generational") => EngineMode::Generational,
@@ -61,16 +48,13 @@ fn main() {
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4);
-    let mut config = DartConfig {
+    let config = DartConfig {
         max_runs: 1000, // the paper's per-function cap
         seed,
         mode: engine,
         frontier_budget,
         ..DartConfig::default()
     };
-    if let Some(tier) = exec_tier {
-        config.exec_tier = tier;
-    }
     // Every toplevel comes from the generated library, so only the
     // configuration (e.g. `--frontier-budget 0`) can be rejected.
     let results = dart::sweep(&compiled, &names, &config, threads).unwrap_or_else(|e| {

@@ -26,7 +26,7 @@ use crate::search::{solve_next, Scheduler, Strategy};
 use crate::supervise::FaultState;
 use crate::tape::InputTape;
 use dart_minic::{CompiledProgram, FnSig};
-use dart_ram::{DecodedProgram, MachineConfig};
+use dart_ram::MachineConfig;
 use dart_solver::{QueryCache, Solver, SolverConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -53,27 +53,18 @@ pub enum EngineMode {
     Generational,
 }
 
-/// Which execution tier runs the instrumented program.
+/// Ignored. It once chose between the interpreter and a compiled
+/// execution tier, which is gone: every run executes on
+/// [`dart_ram::Machine`]. It stays only because the end-to-end benchmark
+/// still names it, and goes with the benchmark PR that retires
+/// `bench_e2e`'s replica.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecTier {
-    /// The tree-walking interpreter ([`dart_ram::Machine`]) — the
-    /// reference semantics, and the differential oracle for the
-    /// compiled tier.
+    /// Ignored, like the type.
     #[default]
     Interp,
-    /// The pre-decoded compiled tier ([`dart_ram::FastMachine`]):
-    /// the program is lowered once into a flat decoded instruction
-    /// array (postfix-flattened expressions, resolved operand
-    /// offsets), and symbolic mirroring runs only on steps whose
-    /// mirrored operands touch input-tainted state. Observables are
-    /// identical to the interpreter — pinned by differential
-    /// proptests at the RAM and driver layers.
+    /// Ignored, like the type.
     Compiled,
-    /// The sentinel a malformed `DART_EXEC_TIER` environment value
-    /// parses to; rejected by [`Dart::new`] and
-    /// [`crate::sweep::sweep`] with [`DartError::InvalidConfig`]
-    /// instead of silently falling back to the interpreter.
-    Invalid,
 }
 
 /// Ignored. It once chose whether solver queries raced the finite-domain
@@ -172,15 +163,9 @@ pub struct DartConfig {
     /// [`DartError::InvalidConfig`], as is a malformed file or a seed
     /// mismatch.
     pub checkpoint: Option<std::path::PathBuf>,
-    /// Which execution tier runs the instrumented program: the
-    /// tree-walking interpreter (the default) or the pre-decoded
-    /// compiled tier. Observables are identical; only throughput
-    /// differs (see `bench_smoke`'s `exec/{interp,compiled}`). The
-    /// default honors the `DART_EXEC_TIER` environment variable
-    /// (`interp` / `compiled`) when set, so the unmodified test suite
-    /// can be exercised on the compiled tier; a malformed value there
-    /// is rejected by [`Dart::new`] with [`DartError::InvalidConfig`],
-    /// never silently ignored.
+    /// Ignored (see [`ExecTier`]); it stays only because the end-to-end
+    /// benchmark still reads it, and goes with the benchmark PR that
+    /// retires `bench_e2e`'s replica.
     pub exec_tier: ExecTier,
     /// Ignored (see [`PortfolioMode`]); it stays only because the
     /// end-to-end benchmark still reads it, and goes with the benchmark PR
@@ -216,37 +201,11 @@ impl Default for DartConfig {
             frontier_budget: None,
             frontier_dedup: true,
             checkpoint: None,
-            exec_tier: exec_tier_default(),
+            exec_tier: ExecTier::Interp,
             portfolio: PortfolioMode::Off,
             #[cfg(any(test, feature = "fault-injection"))]
             faults: crate::supervise::FaultPlan::default(),
         }
-    }
-}
-
-/// The [`DartConfig::exec_tier`] default: `DART_EXEC_TIER` when set to
-/// `interp` or `compiled`, else the interpreter. An environment hook
-/// rather than a constant so CI can run the unmodified tier-1 suite on the
-/// compiled tier, and identical results make that a pure re-exercise of
-/// the differential-oracle claim.
-fn exec_tier_default() -> ExecTier {
-    parse_exec_tier(std::env::var("DART_EXEC_TIER").ok().as_deref())
-}
-
-/// Parses a `DART_EXEC_TIER` value. Unset means the interpreter; a
-/// set-but-unrecognized value parses to [`ExecTier::Invalid`], which
-/// [`Dart::new`] and [`crate::sweep::sweep`] reject with
-/// [`DartError::InvalidConfig`] instead of silently interpreting: a
-/// typo'd compiled-tier run must not masquerade as a passing
-/// interpreter one.
-fn parse_exec_tier(env: Option<&str>) -> ExecTier {
-    match env {
-        None => ExecTier::Interp,
-        Some(v) => match v.trim() {
-            "interp" => ExecTier::Interp,
-            "compiled" => ExecTier::Compiled,
-            _ => ExecTier::Invalid,
-        },
     }
 }
 
@@ -274,9 +233,8 @@ impl fmt::Display for DartError {
 impl std::error::Error for DartError {}
 
 /// The configuration checks [`Dart::new`] and [`crate::sweep()`] share:
-/// a `frontier_budget` of `Some(0)`, a checkpoint outside the generational
-/// engine, and the `Invalid` exec-tier sentinel of a malformed
-/// environment value.
+/// a `frontier_budget` of `Some(0)` and a checkpoint outside the
+/// generational engine.
 pub(crate) fn validate(config: &DartConfig) -> Result<(), DartError> {
     let invalid = |reason: &str| Err(DartError::InvalidConfig(reason.to_string()));
     if config.frontier_budget == Some(0) {
@@ -284,11 +242,6 @@ pub(crate) fn validate(config: &DartConfig) -> Result<(), DartError> {
     }
     if config.checkpoint.is_some() && config.mode != EngineMode::Generational {
         return invalid("checkpoint requires the generational engine (--engine generational)");
-    }
-    if config.exec_tier == ExecTier::Invalid {
-        return invalid(
-            "exec_tier is unrecognized (DART_EXEC_TIER must be `interp` or `compiled`)",
-        );
     }
     Ok(())
 }
@@ -320,9 +273,6 @@ pub struct Dart<'p> {
     /// A parsed resume point, loaded by [`Dart::new`] when
     /// [`DartConfig::checkpoint`] names an existing file.
     checkpoint: Option<Checkpoint>,
-    /// The program lowered once for the compiled tier — `None` on the
-    /// interpreter tier, so interpreter sessions pay nothing.
-    decoded: Option<DecodedProgram>,
 }
 
 impl<'p> Dart<'p> {
@@ -332,9 +282,8 @@ impl<'p> Dart<'p> {
     ///
     /// [`DartError::UnknownToplevel`] if the function is not defined;
     /// [`DartError::InvalidConfig`] if `frontier_budget` is `Some(0)` (a
-    /// frontier that can hold nothing can run nothing), if `exec_tier` is
-    /// the sentinel of a malformed `DART_EXEC_TIER`, or if `checkpoint` is
-    /// set outside the generational engine, names an unreadable or
+    /// frontier that can hold nothing can run nothing), or if `checkpoint`
+    /// is set outside the generational engine, names an unreadable or
     /// malformed file, or was recorded under a different seed (resuming
     /// it would splice two unrelated random sequences).
     pub fn new(
@@ -376,14 +325,11 @@ impl<'p> Dart<'p> {
             .fn_sig(toplevel)
             .cloned()
             .ok_or_else(|| DartError::UnknownToplevel(toplevel.to_string()))?;
-        let decoded = (config.exec_tier == ExecTier::Compiled)
-            .then(|| DecodedProgram::new(&compiled.program));
         Ok(Dart {
             compiled,
             sig,
             config,
             checkpoint,
-            decoded,
         })
     }
 
@@ -444,15 +390,11 @@ impl<'p> Dart<'p> {
                     tape,
                     stack,
                     cfg.max_ptr_depth,
-                    self.decoded.as_ref(),
                     &mut faults,
                 );
                 report.exec_time += exec_started.elapsed();
                 report.runs += 1;
                 report.steps += result.steps;
-                report.blocks_fused += result.blocks_fused;
-                report.block_fallbacks += result.block_fallbacks;
-                report.steps_fast_pathed += result.steps_fast_pathed;
                 coverage.extend(result.branches.iter().copied());
                 report.branches_covered = coverage.len();
                 if cfg.record_paths {
@@ -626,15 +568,11 @@ impl<'p> Dart<'p> {
                     item.tape,
                     item.stack,
                     cfg.max_ptr_depth,
-                    self.decoded.as_ref(),
                     &mut faults,
                 );
                 report.exec_time += exec_started.elapsed();
                 report.runs += 1;
                 report.steps += result.steps;
-                report.blocks_fused += result.blocks_fused;
-                report.block_fallbacks += result.block_fallbacks;
-                report.steps_fast_pathed += result.steps_fast_pathed;
                 // Coverage novelty — the count of `(site, direction)`
                 // pairs this run discovered — scores its children.
                 let mut new_pairs: u64 = 0;
@@ -866,36 +804,6 @@ impl<'p> Dart<'p> {
 mod tests {
     use super::*;
 
-    /// `DART_EXEC_TIER` parsing: unset is the interpreter; any
-    /// set-but-unrecognized value parses to the `Invalid` sentinel that
-    /// `Dart::new` / `sweep` reject — never a silent fallback.
-    #[test]
-    fn exec_tier_env_parsing_is_strict() {
-        assert_eq!(parse_exec_tier(None), ExecTier::Interp);
-        assert_eq!(parse_exec_tier(Some("interp")), ExecTier::Interp);
-        assert_eq!(parse_exec_tier(Some("compiled")), ExecTier::Compiled);
-        assert_eq!(parse_exec_tier(Some(" compiled ")), ExecTier::Compiled);
-        assert_eq!(parse_exec_tier(Some("")), ExecTier::Invalid);
-        assert_eq!(parse_exec_tier(Some("fast")), ExecTier::Invalid);
-        assert_eq!(parse_exec_tier(Some("Compiled")), ExecTier::Invalid);
-        assert_eq!(parse_exec_tier(Some("jit")), ExecTier::Invalid);
-    }
-
-    #[test]
-    fn invalid_exec_tier_rejected_at_session_construction() {
-        let compiled = dart_minic::compile("int f(int x) { return x; }").unwrap();
-        let config = DartConfig {
-            exec_tier: ExecTier::Invalid,
-            ..DartConfig::default()
-        };
-        match Dart::new(&compiled, "f", config) {
-            Err(DartError::InvalidConfig(reason)) => {
-                assert!(reason.contains("DART_EXEC_TIER"), "{reason}");
-            }
-            other => panic!("expected InvalidConfig, got {:?}", other.map(|_| ())),
-        }
-    }
-
     #[test]
     fn zero_frontier_budget_rejected_at_session_construction() {
         let compiled = dart_minic::compile("int f(int x) { return x; }").unwrap();
@@ -961,12 +869,13 @@ mod tests {
         assert_eq!((report.runs, report.restarts), (huge, huge));
     }
 
-    /// `solve_threads` is ignored: its default is 1, no value is
-    /// rejected, and no value changes a report, in both engine modes
-    /// that solve.
+    /// `solve_threads` and `exec_tier` are ignored: no value of either is
+    /// rejected, and no value changes a report, in both engine modes that
+    /// solve.
     #[test]
-    fn solve_threads_is_ignored() {
+    fn ignored_fields_change_no_report() {
         assert_eq!(DartConfig::default().solve_threads, 1);
+        assert_eq!(DartConfig::default().exec_tier, ExecTier::Interp);
         let compiled = dart_minic::compile(
             r#"
             int f(int x, int y) {
@@ -980,12 +889,13 @@ mod tests {
         )
         .unwrap();
         for mode in [EngineMode::Directed, EngineMode::Generational] {
-            let run = |solve_threads: usize| {
+            let run = |solve_threads: usize, exec_tier: ExecTier| {
                 let config = DartConfig {
                     max_runs: 60,
                     stop_at_first_bug: false,
                     mode,
                     solve_threads,
+                    exec_tier,
                     ..DartConfig::default()
                 };
                 let mut report = Dart::new(&compiled, "f", config).unwrap().run();
@@ -993,62 +903,11 @@ mod tests {
                 report.solve_time = std::time::Duration::ZERO;
                 report
             };
-            let one = run(1);
-            assert_eq!(one, run(0), "{mode:?}");
-            assert_eq!(one, run(usize::MAX), "{mode:?}");
-        }
-    }
-
-    /// The execution-tier knob changes nothing observable either: over
-    /// the same program and seed, interpreter and compiled sessions
-    /// produce byte-identical reports after zeroing wall-clock times —
-    /// across engine modes, including bug discovery and completeness.
-    #[test]
-    fn exec_tier_is_report_invisible() {
-        let compiled = dart_minic::compile(
-            r#"
-            int f(int x, int y) {
-                int acc;
-                acc = 0;
-                while (x > 0) {
-                    acc = acc + y;
-                    x = x - 1;
-                }
-                if (acc == 12)
-                    if (y == 4)
-                        abort();
-                return acc;
-            }
-            "#,
-        )
-        .unwrap();
-        for mode in [EngineMode::Directed, EngineMode::Generational] {
-            let run = |tier: ExecTier| {
-                let config = DartConfig {
-                    max_runs: 25,
-                    stop_at_first_bug: false,
-                    mode,
-                    exec_tier: tier,
-                    // A tight step budget: random `x` makes the loop spin
-                    // to the budget, and the default 2M steps per run
-                    // makes a debug-mode session take minutes.
-                    machine: dart_ram::MachineConfig {
-                        max_steps: 2_000,
-                        ..dart_ram::MachineConfig::default()
-                    },
-                    ..DartConfig::default()
-                };
-                let mut report = Dart::new(&compiled, "f", config).unwrap().run();
-                report.exec_time = std::time::Duration::ZERO;
-                report.solve_time = std::time::Duration::ZERO;
-                // Like the wall-clock times, the block counters are tier
-                // diagnostics, not observables.
-                report.blocks_fused = 0;
-                report.block_fallbacks = 0;
-                report.steps_fast_pathed = 0;
-                report
-            };
-            assert_eq!(run(ExecTier::Interp), run(ExecTier::Compiled), "{mode:?}");
+            let one = run(1, ExecTier::Interp);
+            assert_eq!(one.steps_fast_pathed, 0);
+            assert_eq!(one, run(0, ExecTier::Interp), "{mode:?}");
+            assert_eq!(one, run(usize::MAX, ExecTier::Interp), "{mode:?}");
+            assert_eq!(one, run(1, ExecTier::Compiled), "{mode:?}");
         }
     }
 }

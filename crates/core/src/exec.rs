@@ -17,51 +17,11 @@ use crate::supervise::FaultState;
 use crate::tape::InputTape;
 use dart_minic::{CompiledProgram, FnSig};
 use dart_ram::{
-    BlockOutcome, DecodedProgram, FastMachine, Fault, FuncId, Machine, MachineConfig, MemView,
-    Memory, Statement, StepOutcome, GLOBAL_BASE,
+    DecodedProgram, Fault, Machine, MachineConfig, MemView, Statement, StepOutcome, GLOBAL_BASE,
 };
 use dart_solver::Constraint;
 use dart_solver::LinExpr;
 use dart_sym::{eval_predicate, eval_symbolic, BranchRecord, Completeness, PathConstraint};
-
-/// The concrete engine driving one run: the tree-walking interpreter
-/// (always fully mirrored — the reference semantics) or the pre-decoded
-/// compiled tier, whose probe/commit split lets the loop skip symbolic
-/// mirroring on statements that touch no tracked state.
-enum ExecMachine<'p> {
-    Interp(Machine<'p>),
-    Compiled(FastMachine<'p>),
-}
-
-impl<'p> ExecMachine<'p> {
-    fn pc(&self) -> usize {
-        match self {
-            ExecMachine::Interp(m) => m.pc(),
-            ExecMachine::Compiled(m) => m.pc(),
-        }
-    }
-
-    fn steps_taken(&self) -> u64 {
-        match self {
-            ExecMachine::Interp(m) => m.steps_taken(),
-            ExecMachine::Compiled(m) => m.steps_taken(),
-        }
-    }
-
-    fn call(&mut self, func: FuncId, args: &[i64]) -> Result<i64, Fault> {
-        match self {
-            ExecMachine::Interp(m) => m.call(func, args),
-            ExecMachine::Compiled(m) => m.call(func, args),
-        }
-    }
-
-    fn mem_mut(&mut self) -> &mut Memory {
-        match self {
-            ExecMachine::Interp(m) => m.mem_mut(),
-            ExecMachine::Compiled(m) => m.mem_mut(),
-        }
-    }
-}
 
 /// How a run ended.
 #[derive(Debug, Clone, PartialEq)]
@@ -106,15 +66,10 @@ pub struct RunResult {
     /// Branch directions executed: `(conditional's statement label, taken)`
     /// for every conditional (symbolic or not) — branch coverage data.
     pub branches: Vec<(usize, bool)>,
-    /// Whole basic blocks committed through the compiled tier's fused
-    /// path (trace-level taint summary hit nothing tracked). Always zero
-    /// on the interpreter tier — a diagnostic, not an observable.
-    pub blocks_fused: u64,
-    /// Block dispatches that dropped to the stepwise path: footprint
-    /// possibly tainted, budget too tight, or a mid-block fault.
-    pub block_fallbacks: u64,
-    /// Statements committed through the fused path with zero per-step
-    /// symbolic bookkeeping.
+    /// Always 0. It once counted the statements the compiled execution
+    /// tier, which is gone, committed without symbolic bookkeeping. It
+    /// stays only because the end-to-end benchmark still reads it, and
+    /// goes with the benchmark PR that retires `bench_e2e`'s replica.
     pub steps_fast_pathed: u64,
 }
 
@@ -140,16 +95,14 @@ pub fn run_once(
         predicted_stack,
         max_ptr_depth,
         None,
-        None,
         &mut FaultState::default(),
     )
 }
 
-/// [`run_once`] on an explicit execution tier: pass the program's decoded
-/// form ([`DecodedProgram::new`] of `compiled.program`) to run on the
-/// compiled tier, or `None` for the interpreter. Both tiers produce
-/// byte-identical [`RunResult`]s — the interpreter is the compiled tier's
-/// differential oracle.
+/// [`run_once`], ignoring `decoded`: the compiled execution tier it once
+/// selected is gone. It stays only because the end-to-end benchmark still
+/// calls it, and goes with the benchmark PR that retires `bench_e2e`'s
+/// replica.
 #[allow(clippy::too_many_arguments)]
 pub fn run_once_in_tier(
     compiled: &CompiledProgram,
@@ -159,9 +112,9 @@ pub fn run_once_in_tier(
     tape: InputTape,
     predicted_stack: Vec<BranchRecord>,
     max_ptr_depth: u32,
-    decoded: Option<&DecodedProgram>,
+    _decoded: Option<&DecodedProgram>,
 ) -> RunResult {
-    run_once_impl(
+    run_once(
         compiled,
         sig,
         depth,
@@ -169,15 +122,11 @@ pub fn run_once_in_tier(
         tape,
         predicted_stack,
         max_ptr_depth,
-        decoded,
-        None,
-        &mut FaultState::default(),
     )
 }
 
 /// [`run_once`] consulting a session-wide fault-injection state (a no-op
-/// default state injects nothing; see [`crate::supervise::FaultState`]) and
-/// an optional decoded program selecting the compiled tier.
+/// default state injects nothing; see [`crate::supervise::FaultState`]).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_once_with_faults(
     compiled: &CompiledProgram,
@@ -187,7 +136,6 @@ pub(crate) fn run_once_with_faults(
     tape: InputTape,
     predicted_stack: Vec<BranchRecord>,
     max_ptr_depth: u32,
-    decoded: Option<&DecodedProgram>,
     faults: &mut FaultState,
 ) -> RunResult {
     run_once_impl(
@@ -198,7 +146,6 @@ pub(crate) fn run_once_with_faults(
         tape,
         predicted_stack,
         max_ptr_depth,
-        decoded,
         None,
         faults,
     )
@@ -225,7 +172,6 @@ pub fn run_once_traced(
         tape,
         predicted_stack,
         max_ptr_depth,
-        None,
         Some(trace),
         &mut FaultState::default(),
     )
@@ -240,14 +186,10 @@ fn run_once_impl(
     tape: InputTape,
     predicted_stack: Vec<BranchRecord>,
     max_ptr_depth: u32,
-    decoded: Option<&DecodedProgram>,
     mut trace: Option<&mut Vec<String>>,
     faults: &mut FaultState,
 ) -> RunResult {
-    let mut machine = match decoded {
-        Some(d) => ExecMachine::Compiled(FastMachine::new(&compiled.program, d, machine_config)),
-        None => ExecMachine::Interp(Machine::new(&compiled.program, machine_config)),
-    };
+    let mut machine = Machine::new(&compiled.program, machine_config);
     for &(off, v) in &compiled.global_inits {
         machine
             .mem_mut()
@@ -271,18 +213,6 @@ fn run_once_impl(
 
     let mut termination = RunTermination::Ok;
     let mut branches: Vec<(usize, bool)> = Vec::new();
-    let mut blocks_fused = 0u64;
-    let mut block_fallbacks = 0u64;
-    let mut steps_fast_pathed = 0u64;
-    // The injected-allocation-denial pre-check below must consult the
-    // *source* statement every step; programs that never allocate (the
-    // common case) skip it wholesale — on the compiled tier that fetch
-    // is the only per-step touch of the source tree.
-    let has_alloc = compiled
-        .program
-        .stmts
-        .iter()
-        .any(|s| matches!(s, Statement::Alloc { .. }));
     'driver: for iter in 0..depth {
         // Fresh inputs for the toplevel arguments (Fig. 7's loop body).
         let base = match machine.call(sig.id, &vec![0; sig.params.len()]) {
@@ -299,89 +229,20 @@ fn run_once_impl(
 
         // The instrumented execution loop.
         loop {
-            let mut pc = machine.pc();
+            let pc = machine.pc();
             if let Some(t) = trace.as_deref_mut() {
                 t.push(format!("{pc:5}: {}", compiled.program.render_stmt(pc)));
             }
-            let (planned, outcome) = match &mut machine {
-                // The interpreter tier always mirrors — reference behavior.
-                ExecMachine::Interp(m) => {
-                    let planned = plan(m.current_statement(), m, &mut ctx);
-                    ctx.note_taint();
-                    // Injected allocation denial: terminate exactly as the
-                    // real allocation budget would, before the statement
-                    // executes.
-                    if has_alloc
-                        && matches!(m.current_statement(), Some(Statement::Alloc { .. }))
-                        && faults.deny_next_alloc()
-                    {
-                        termination = RunTermination::OutOfMemory;
-                        break 'driver;
-                    }
-                    let outcome = m.step(&mut ctx);
-                    (planned, outcome)
-                }
-                // The compiled tier stages the step first; concrete-only
-                // self-contained steps commit in the same pass (the plan
-                // is a provable no-op there). Everything else — tainted
-                // operands, terminal steps (the symbolic evaluator may
-                // look past a concrete fault point), external calls and
-                // allocations — defers, mirroring the interpreter's
-                // plan/deny/step order exactly.
-                ExecMachine::Compiled(m) => {
-                    // Trace-level taint summary: attempt a whole basic
-                    // block first. A clean footprint miss against `S`
-                    // commits every statement in the block with zero
-                    // per-step symbolic bookkeeping, outcome plumbing or
-                    // termination checks — skipping `note_taint` is sound
-                    // because the completeness flags only change inside
-                    // `plan`, which a fused block provably does not need.
-                    // Tainted, deferred or budget-limited blocks drop to
-                    // the interpreter-exact stepwise path below.
-                    match m.run_block(&ctx.sym) {
-                        BlockOutcome::Fused { steps, branch } => {
-                            blocks_fused += 1;
-                            steps_fast_pathed += u64::from(steps);
-                            if let Some((bpc, taken)) = branch {
-                                branches.push((bpc, taken));
-                            }
-                            continue;
-                        }
-                        BlockOutcome::Partial { steps } => {
-                            block_fallbacks += 1;
-                            steps_fast_pathed += u64::from(steps);
-                        }
-                        BlockOutcome::Fallback => block_fallbacks += 1,
-                        BlockOutcome::NoBlock => {}
-                    }
-                    // After a partial block the pc rests on the faulting
-                    // statement; re-read it so branch coverage (below)
-                    // attributes the stepwise outcome correctly.
-                    pc = m.pc();
-                    match m.step_concrete(&ctx.sym) {
-                        Ok(outcome) => {
-                            ctx.note_taint();
-                            (Planned::Skipped, outcome)
-                        }
-                        Err(summary) => {
-                            let planned = if summary.needs_mirror() {
-                                plan(m.current_statement(), m, &mut ctx)
-                            } else {
-                                Planned::Skipped
-                            };
-                            ctx.note_taint();
-                            if has_alloc
-                                && matches!(m.current_statement(), Some(Statement::Alloc { .. }))
-                                && faults.deny_next_alloc()
-                            {
-                                termination = RunTermination::OutOfMemory;
-                                break 'driver;
-                            }
-                            (planned, m.commit(&mut ctx))
-                        }
-                    }
-                }
-            };
+            let stmt = machine.current_statement();
+            let planned = plan(stmt, &machine, &mut ctx);
+            ctx.note_taint();
+            // Injected allocation denial: terminate exactly as the real
+            // allocation budget would, before the statement executes.
+            if matches!(stmt, Some(Statement::Alloc { .. })) && faults.deny_next_alloc() {
+                termination = RunTermination::OutOfMemory;
+                break 'driver;
+            }
+            let outcome = machine.step(&mut ctx);
             if let StepOutcome::Branched { taken } = outcome {
                 branches.push((pc, taken));
             }
@@ -428,9 +289,7 @@ fn run_once_impl(
         init_truncated: ctx.init_truncated,
         taint_at: ctx.taint_at,
         branches,
-        blocks_fused,
-        block_fallbacks,
-        steps_fast_pathed,
+        steps_fast_pathed: 0,
     }
 }
 
@@ -441,11 +300,6 @@ enum Planned {
     CallArgs(Vec<LinExpr>),
     RetVal(Option<LinExpr>),
     Nothing,
-    /// The compiled tier proved the plan a no-op (no mirrored operand read
-    /// tracked state) and skipped it. [`apply`] still erases overwritten
-    /// symbolic cells: a skipped plan would have produced constants, and
-    /// `SymMemory::set` with a constant is exactly `forget`.
-    Skipped,
 }
 
 fn plan(stmt: Option<&Statement>, view: &dyn MemView, ctx: &mut RunCtx<'_>) -> Planned {
@@ -492,22 +346,6 @@ fn apply(ctx: &mut RunCtx<'_>, planned: Planned, outcome: &StepOutcome) {
         }
         (Planned::RetVal(Some(v)), StepOutcome::Returned { dst: Some(d), .. }) => {
             ctx.sym.set(*d, v);
-        }
-        // Skipped-plan fix-ups: the concrete store overwrote the cell with
-        // an untainted value, so any stale symbolic entry must go. (Called
-        // needs no arm: fresh frame addresses are never previously tracked
-        // — the stack allocator is monotone.)
-        (Planned::Skipped, StepOutcome::Assigned { dst, .. }) => {
-            ctx.sym.forget(*dst);
-        }
-        (
-            Planned::Skipped,
-            StepOutcome::Returned {
-                dst: Some(d),
-                value: Some(_),
-            },
-        ) => {
-            ctx.sym.forget(*d);
         }
         (_, StepOutcome::ExternalReturned { dst, .. }) => {
             if let (Some(d), Some(var)) = (dst, ctx.pending_ext.take()) {
@@ -837,169 +675,11 @@ mod tests {
         assert_eq!(r.path.len(), 1, "NULL check must be symbolic");
     }
 
-    /// The compiled tier is observationally identical to the interpreter
-    /// at the instrumented-run level: over every test program above and a
-    /// spread of seeds, the full [`RunResult`] — tape (including RNG
-    /// position), branch stack, path constraint, flags, termination,
-    /// steps, coverage — matches field for field. Compared via `Debug`
-    /// (the tape holds an RNG without `PartialEq`), which covers every
-    /// field.
+    /// An injected allocation denial ends the run as the allocation
+    /// budget would, before the `malloc` executes: only the two
+    /// assignments before it count as steps.
     #[test]
-    fn compiled_tier_run_results_match_interpreter() {
-        let sources = [
-            "int f(int x) { return x + 1; }",
-            "int f(int x) { if (x == 77777777) return 1; return 0; }",
-            r#"
-                int f(int x) { return 2 * x; }
-                int h(int x, int y) {
-                    if (x != y)
-                        if (f(x) == x + 10)
-                            abort();
-                    return 0;
-                }
-            "#,
-            "void f(int x) { abort(); }",
-            "int f(int x) { return x / 0; }",
-            "void f(int x) { while (1) { } }",
-            "int f(int x, int y) { if (x * y == 12) return 1; return 0; }",
-            r#"
-                int g = 0;
-                void f(int x) {
-                    g = g + 1;
-                    if (g == 2) abort();
-                }
-            "#,
-            r#"
-                extern int sensor();
-                int f(int x) {
-                    int a = sensor();
-                    if (a == 123456) return 1;
-                    return 0;
-                }
-            "#,
-            r#"
-                struct s { int v; };
-                int f(struct s *p) {
-                    if (p == NULL) return -1;
-                    return p->v;
-                }
-            "#,
-            r#"
-                int f(int x, int y) {
-                    int acc;
-                    acc = 0;
-                    while (x > 0) {
-                        acc = acc + y;
-                        x = x - 1;
-                    }
-                    return acc;
-                }
-            "#,
-        ];
-        let config = MachineConfig {
-            max_steps: 500,
-            ..MachineConfig::default()
-        };
-        for src in sources {
-            let c = compiled(src);
-            let decoded = DecodedProgram::new(&c.program);
-            let toplevel = if c.fn_sig("h").is_some() { "h" } else { "f" };
-            let sig = c.fn_sig(toplevel).unwrap().clone();
-            for seed in 0..8u64 {
-                for depth in [1, 2] {
-                    let interp = run_once_in_tier(
-                        &c,
-                        &sig,
-                        depth,
-                        config,
-                        InputTape::new(seed),
-                        Vec::new(),
-                        32,
-                        None,
-                    );
-                    let mut fast = run_once_in_tier(
-                        &c,
-                        &sig,
-                        depth,
-                        config,
-                        InputTape::new(seed),
-                        Vec::new(),
-                        32,
-                        Some(&decoded),
-                    );
-                    // The block counters are tier diagnostics (always zero
-                    // on the interpreter), not observables — scrub before
-                    // the byte-for-byte comparison, like wall-clock times
-                    // at the report level.
-                    assert_eq!((interp.blocks_fused, interp.steps_fast_pathed), (0, 0));
-                    fast.blocks_fused = 0;
-                    fast.block_fallbacks = 0;
-                    fast.steps_fast_pathed = 0;
-                    assert_eq!(
-                        format!("{interp:?}"),
-                        format!("{fast:?}"),
-                        "tier divergence: {src} seed {seed} depth {depth}"
-                    );
-                }
-            }
-        }
-    }
-
-    /// A loop over concrete data (no tracked address in its footprint)
-    /// commits most of its steps through fused blocks. Note the loop
-    /// variables are seeded with constants — constant forms are erased
-    /// from `S`, so the block's taint summary comes back clean. A loop
-    /// over the *symbolic* argument would (correctly) fall back stepwise.
-    #[test]
-    fn concrete_loop_mostly_fuses() {
-        let c = compiled(
-            r#"
-            int f(int x) {
-                int i;
-                int acc;
-                i = 0;
-                acc = 0;
-                while (i < 50) {
-                    acc = acc + 2;
-                    i = i + 1;
-                }
-                if (acc > x) return 1;
-                return 0;
-            }
-            "#,
-        );
-        let decoded = DecodedProgram::new(&c.program);
-        let sig = c.fn_sig("f").unwrap().clone();
-        let config = MachineConfig {
-            max_steps: 2000,
-            ..MachineConfig::default()
-        };
-        let r = run_once_in_tier(
-            &c,
-            &sig,
-            1,
-            config,
-            InputTape::new(3),
-            Vec::new(),
-            32,
-            Some(&decoded),
-        );
-        assert!(r.blocks_fused > 0, "concrete loop body must fuse: {r:?}");
-        assert!(
-            r.steps_fast_pathed * 2 > r.steps,
-            "most steps should commit through blocks: {} of {}",
-            r.steps_fast_pathed,
-            r.steps
-        );
-    }
-
-    /// An injected allocation denial lands identically on both tiers: the
-    /// straight-line statements before the `malloc` fuse, but the
-    /// allocation itself never enters a block, so the denial decision
-    /// stays on the stepwise path *before* any effect commits — reports
-    /// match the interpreter byte for byte.
-    #[test]
-    fn injected_alloc_denial_is_tier_invisible() {
+    fn injected_alloc_denial_stops_before_the_allocation() {
         use crate::supervise::FaultPlan;
 
         let c = compiled(
@@ -1015,7 +695,6 @@ mod tests {
             }
             "#,
         );
-        let decoded = DecodedProgram::new(&c.program);
         let sig = c.fn_sig("f").unwrap().clone();
         let config = crate::DartConfig {
             faults: FaultPlan {
@@ -1024,41 +703,25 @@ mod tests {
             },
             ..crate::DartConfig::default()
         };
-        let run_tier = |decoded: Option<&DecodedProgram>| {
-            let mut faults = FaultState::for_config(&config);
-            run_once_with_faults(
-                &c,
-                &sig,
-                1,
-                MachineConfig::default(),
-                InputTape::new(5),
-                Vec::new(),
-                32,
-                decoded,
-                &mut faults,
-            )
-        };
-        let interp = run_tier(None);
-        let mut fast = run_tier(Some(&decoded));
-        assert_eq!(interp.termination, RunTermination::OutOfMemory);
-        assert!(
-            fast.blocks_fused > 0,
-            "the assignments before the malloc must fuse: {fast:?}"
+        let mut faults = FaultState::for_config(&config);
+        let r = run_once_with_faults(
+            &c,
+            &sig,
+            1,
+            MachineConfig::default(),
+            InputTape::new(5),
+            Vec::new(),
+            32,
+            &mut faults,
         );
-        fast.blocks_fused = 0;
-        fast.block_fallbacks = 0;
-        fast.steps_fast_pathed = 0;
-        assert_eq!(format!("{interp:?}"), format!("{fast:?}"));
+        assert_eq!((r.termination, r.steps), (RunTermination::OutOfMemory, 2));
     }
 
-    /// Runs `f` once on each tier with `x` as the first input and fresh
-    /// random inputs after it; asserts that the tiers agree on the
-    /// termination, the step count and the path, and returns the
-    /// interpreter's result.
-    fn run_on_both_tiers(src: &str, x: i64, max_steps: u64) -> RunResult {
+    /// Runs `f` once with `x` as the first input and fresh random inputs
+    /// after it.
+    fn run_with_input(src: &str, x: i64, max_steps: u64) -> RunResult {
         use crate::tape::{InputKind, InputSlot};
         let c = compiled(src);
-        let decoded = DecodedProgram::new(&c.program);
         let sig = c.fn_sig("f").unwrap().clone();
         let config = MachineConfig {
             max_steps,
@@ -1069,30 +732,22 @@ mod tests {
             value: x,
             name: "x".into(),
         }];
-        let [interp, fast] = [None, Some(&decoded)].map(|d| {
-            let tape = InputTape::from_slots(slots.clone(), 7);
-            run_once_in_tier(&c, &sig, 1, config, tape, Vec::new(), 32, d)
-        });
-        assert_eq!(
-            (&interp.termination, interp.steps, interp.path.to_string()),
-            (&fast.termination, fast.steps, fast.path.to_string()),
-            "tiers disagree on {src}"
-        );
-        interp
+        let tape = InputTape::from_slots(slots, 7);
+        run_once(&c, &sig, 1, config, tape, Vec::new(), 32)
     }
 
     #[test]
     fn write_free_hangs_end_at_their_second_back_edge() {
         // `if 1 goto 2`, `goto 0`, `if`, `goto 0`: four steps.
-        let r = run_on_both_tiers("void f(int x) { while (1) { } }", 0, 1_000_000);
+        let r = run_with_input("void f(int x) { while (1) { } }", 0, 1_000_000);
         assert_eq!((r.termination, r.steps), (RunTermination::OutOfSteps, 4));
         // The input-gated spin records its condition twice, not once per
         // step of the budget.
         let gated = "int f(int x) { while (x == 9) { } return 0; }";
-        let r = run_on_both_tiers(gated, 9, 1_000_000);
+        let r = run_with_input(gated, 9, 1_000_000);
         assert_eq!((r.termination, r.steps), (RunTermination::OutOfSteps, 4));
         assert_eq!(r.path.len(), 2, "path: {}", r.path);
-        let r = run_on_both_tiers(gated, 8, 1_000_000);
+        let r = run_with_input(gated, 8, 1_000_000);
         assert_eq!(r.termination, RunTermination::Ok);
     }
 
@@ -1108,14 +763,14 @@ mod tests {
             "void f(int x) { int *p; while (1) { p = (int *) malloc(1); } }",
             "void g() { } void f(int x) { while (1) { g(); } }",
         ] {
-            let r = run_on_both_tiers(src, 0, max_steps);
+            let r = run_with_input(src, 0, max_steps);
             assert_eq!(
                 (r.termination, r.steps),
                 (RunTermination::OutOfSteps, max_steps),
                 "{src}"
             );
         }
-        let r = run_on_both_tiers("void f(int x) { f(x); }", 3, max_steps);
+        let r = run_with_input("void f(int x) { f(x); }", 3, max_steps);
         assert_eq!(r.termination, RunTermination::Crash(Fault::StackOverflow));
     }
 }

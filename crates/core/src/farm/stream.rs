@@ -29,15 +29,11 @@ pub(crate) fn function_line(
         SweepOutcome::Finished { report, retried } => format!(
             "{common},\"outcome\":\"finished\",\"retried\":{retried},\
              \"runs\":{},\"bugs\":{},\"complete\":{},\"unknown_rate\":{:.4},\
-             \"blocks_fused\":{},\"block_fallbacks\":{},\
-             \"steps_fast_pathed\":{},\"summary\":\"{}\"}}",
+             \"summary\":\"{}\"}}",
             report.runs,
             report.bugs.len(),
             report.is_complete(),
             report.solver.unknown_rate(),
-            report.blocks_fused,
-            report.block_fallbacks,
-            report.steps_fast_pathed,
             json_escape(&report.to_string()),
         ),
         SweepOutcome::EngineFault { message, retried } => format!(
@@ -97,9 +93,7 @@ mod tests {
         assert!(line.starts_with("{\"event\":\"function\",\"index\":3,"));
         assert!(line.contains("\"outcome\":\"finished\""));
         assert!(line.contains("\"wall_ms\":250"));
-        assert!(line.contains("\"unknown_rate\":0.0000"));
-        assert!(line.contains("\"blocks_fused\":0"));
-        assert!(line.contains("\"steps_fast_pathed\":0,\"summary\":"));
+        assert!(line.contains("\"unknown_rate\":0.0000,\"summary\":"));
         assert!(line.ends_with('}'));
 
         let fault = SweepResult {

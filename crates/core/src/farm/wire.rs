@@ -15,12 +15,13 @@
 //! truncation. Three [`SolveStats`] counters are not carried: the two
 //! ignored ones (`warm_pivots`, `cold_restarts`) always read 0, and
 //! `cache_hits` always equals `cache_model_reuse`, so the parser fills
-//! it from that field.
+//! it from that field. Nor is the report's ignored `steps_fast_pathed`,
+//! which always reads 0.
 //!
 //! Layout (`-` marks an empty list field throughout):
 //!
 //! ```text
-//! dart-farm-worker v6
+//! dart-farm-worker v7
 //! report | fault <escaped message> | setup <escaped message>
 //! ...report block...
 //! done
@@ -35,7 +36,7 @@ use std::time::Duration;
 
 /// First line of every worker document: versions the protocol so a
 /// supervisor never misparses output from a mismatched binary.
-pub(crate) const HEADER: &str = "dart-farm-worker v6";
+pub(crate) const HEADER: &str = "dart-farm-worker v7";
 
 /// What a worker produced for its function.
 #[derive(Debug, Clone, PartialEq)]
@@ -112,9 +113,7 @@ fn render_report(text: &mut String, report: &SessionReport) {
         paths,
         exec_time,
         solve_time,
-        blocks_fused,
-        block_fallbacks,
-        steps_fast_pathed,
+        steps_fast_pathed: _,
     } = report;
     match outcome {
         Outcome::Complete => text.push_str("outcome complete\n"),
@@ -133,10 +132,6 @@ fn render_report(text: &mut String, report: &SessionReport) {
     let _ = writeln!(
         text,
         "frontier {dedup_hits} {frontier_evicted} {frontier_peak}"
-    );
-    let _ = writeln!(
-        text,
-        "blocks {blocks_fused} {block_fallbacks} {steps_fast_pathed}"
     );
     let SolveStats {
         sat,
@@ -198,7 +193,6 @@ fn parse_report(lines: &mut Lines<'_>) -> Result<SessionReport, String> {
     let steps = lines.field_u64("steps")?;
     let branches = lines.field_list("branches", 2)?;
     let frontier = lines.field_list("frontier", 3)?;
-    let blocks = lines.field_list("blocks", 3)?;
     let solver_fields = lines.field_list("solver", 5)?;
     let exec_time = lines.field_duration("exec")?;
     let solve_time = lines.field_duration("solve")?;
@@ -255,9 +249,7 @@ fn parse_report(lines: &mut Lines<'_>) -> Result<SessionReport, String> {
         paths,
         exec_time,
         solve_time,
-        blocks_fused: blocks[0],
-        block_fallbacks: blocks[1],
-        steps_fast_pathed: blocks[2],
+        steps_fast_pathed: 0,
     })
 }
 
@@ -505,9 +497,6 @@ mod tests {
         report.solver.split_solves = 6;
         report.exec_time = Duration::new(1, 999_999_999);
         report.solve_time = Duration::from_nanos(1);
-        report.blocks_fused = 311;
-        report.block_fallbacks = 13;
-        report.steps_fast_pathed = 88000;
         report.paths = vec![vec![(0, true), (3, false)], Vec::new()];
         let bug = Bug {
             kind: BugKind::Abort("assertion failed:\n x > 0 \\ always".to_string()),
@@ -614,17 +603,19 @@ mod tests {
             "trailing data"
         );
         assert!(parse_payload("nonsense\n").is_err());
-        // An older worker's document: a v1 to v5 header (a v4 worker
+        // An older worker's document: a v1 to v6 header (a v4 worker
         // reported a setup error as a fault), v1's retired `verdict` line,
         // v3's `fp` fingerprint lines, the ten-field `solver` line of v3
-        // (which also carried `cache_hits`), or v5's nine-field `solver`
-        // line and `workers` line (the solver-pool counters).
+        // (which also carried `cache_hits`), v5's nine-field `solver`
+        // line and `workers` line (the solver-pool counters), or v6's
+        // `blocks` line (the compiled execution tier's counters).
         for old in [
             "dart-farm-worker v1",
             "dart-farm-worker v2",
             "dart-farm-worker v3",
             "dart-farm-worker v4",
             "dart-farm-worker v5",
+            "dart-farm-worker v6",
         ] {
             let old_header = full.replacen(HEADER, old, 1);
             assert!(parse_payload(&old_header).is_err(), "{old} header");
@@ -647,6 +638,8 @@ mod tests {
         assert!(parse_payload(&v5_solver).is_err(), "v5 solver line");
         let v5_workers = full.replacen(solver_line, &format!("{solver_line}\nworkers 3,0,9"), 1);
         assert!(parse_payload(&v5_workers).is_err(), "v5 workers line");
+        let v6_blocks = full.replacen(solver_line, &format!("blocks 0 0 0\n{solver_line}"), 1);
+        assert!(parse_payload(&v6_blocks).is_err(), "v6 blocks line");
     }
 
     /// `Duration::new` carries a nanosecond field of a second or more

@@ -119,15 +119,10 @@ pub struct SessionReport {
     pub exec_time: std::time::Duration,
     /// Wall-clock time spent in the constraint solver.
     pub solve_time: std::time::Duration,
-    /// Basic blocks committed through the compiled tier's fused
-    /// superinstructions. Always zero on the interpreter tier — a
-    /// diagnostic, never an observable.
-    pub blocks_fused: u64,
-    /// Block dispatches that fell back to stepwise execution (tainted
-    /// footprint, budget exhaustion or a mid-block fault). Diagnostic.
-    pub block_fallbacks: u64,
-    /// Machine steps committed inside fused blocks (a subset of
-    /// [`SessionReport::steps`]). Diagnostic.
+    /// Always 0. It once counted the machine steps the compiled execution
+    /// tier, which is gone, committed inside fused blocks. It stays only
+    /// because the end-to-end benchmark still reads it, and goes with the
+    /// benchmark PR that retires `bench_e2e`'s replica.
     pub steps_fast_pathed: u64,
 }
 
@@ -154,8 +149,6 @@ impl SessionReport {
             paths: Vec::new(),
             exec_time: std::time::Duration::ZERO,
             solve_time: std::time::Duration::ZERO,
-            blocks_fused: 0,
-            block_fallbacks: 0,
             steps_fast_pathed: 0,
         }
     }

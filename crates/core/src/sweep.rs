@@ -81,8 +81,8 @@ impl SweepResult {
 /// (the whole list is validated up front, before any session runs);
 /// [`DartError::InvalidConfig`] if `threads` is 0, or for any config
 /// [`Dart::new`] would reject: a [`DartConfig::frontier_budget`] of
-/// `Some(0)`, a [`DartConfig::checkpoint`] outside the generational
-/// engine, or an unrecognized exec tier.
+/// `Some(0)` or a [`DartConfig::checkpoint`] outside the generational
+/// engine.
 ///
 /// # Checkpoints
 ///
@@ -351,21 +351,6 @@ mod tests {
         };
         match sweep(&compiled, &names(), &misplaced_checkpoint, 2) {
             Err(DartError::InvalidConfig(reason)) => assert!(reason.contains("generational")),
-            other => panic!("expected InvalidConfig, got {other:?}"),
-        }
-    }
-
-    /// The `Invalid` exec-tier sentinel (a malformed `DART_EXEC_TIER`)
-    /// fails the sweep up front, like the other sentinels.
-    #[test]
-    fn invalid_exec_tier_is_an_error_not_a_panic() {
-        let compiled = library();
-        let bad = DartConfig {
-            exec_tier: crate::ExecTier::Invalid,
-            ..config()
-        };
-        match sweep(&compiled, &names(), &bad, 2) {
-            Err(DartError::InvalidConfig(reason)) => assert!(reason.contains("DART_EXEC_TIER")),
             other => panic!("expected InvalidConfig, got {other:?}"),
         }
     }

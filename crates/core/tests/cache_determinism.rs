@@ -1,12 +1,11 @@
-//! The solver query cache and the execution tiers are invisible
-//! optimizations: either tier leaves the report byte-identical,
-//! wall-clock and the compiled tier's block counters excepted (the
-//! randomized proptest at the bottom). The cache's model pool answers a
-//! query only with a model that satisfies it, after the solver's own
-//! probes declined, and its contents follow from the session's own query
-//! stream.
+//! A session's report follows from its program, seed and fault plan
+//! alone: two runs of one configuration give equal reports, wall-clock
+//! excepted (the randomized proptest at the bottom). The solver query
+//! cache's model pool answers a query only with a model that satisfies
+//! it, after the solver's own probes declined, and its contents follow
+//! from the session's own query stream.
 
-use dart::{Dart, DartConfig, ExecTier, SessionReport, Strategy};
+use dart::{Dart, DartConfig, SessionReport, Strategy};
 use proptest::prelude::*;
 // `dart::Strategy` shadows the prelude's trait of the same name.
 use proptest::strategy::Strategy as _;
@@ -52,7 +51,7 @@ fn cache_hits_observed_on_fig1_example() {
 }
 
 // ---------------------------------------------------------------------
-// Randomized cross-tier determinism
+// Randomized determinism
 // ---------------------------------------------------------------------
 
 /// One random linear conditional over the two parameters, with small
@@ -97,13 +96,12 @@ fn program_strategy() -> impl proptest::strategy::Strategy<Value = String> {
         })
 }
 
-/// Runs the generated program on one execution tier. `unknown_on_query`
-/// injects solver incompleteness at a random logical query index when the
+/// Runs the generated program. `unknown_on_query` injects solver
+/// incompleteness at a random logical query index when the
 /// `fault-injection` feature is on (plain builds exercise the fault-free
 /// path of the same contract).
-fn run_tier(
+fn run_session(
     compiled: &dart_minic::CompiledProgram,
-    exec_tier: ExecTier,
     seed: u64,
     unknown_on_query: Option<u64>,
 ) -> SessionReport {
@@ -114,7 +112,6 @@ fn run_tier(
         seed,
         stop_at_first_bug: false,
         record_paths: true,
-        exec_tier,
         #[cfg(feature = "fault-injection")]
         faults: dart::FaultPlan {
             unknown_on_query,
@@ -129,11 +126,6 @@ fn run_tier(
 fn scrub(mut r: SessionReport) -> SessionReport {
     r.exec_time = std::time::Duration::ZERO;
     r.solve_time = std::time::Duration::ZERO;
-    // The block counters are compiled-tier diagnostics (always zero on
-    // the interpreter), outside the cross-tier determinism contract.
-    r.blocks_fused = 0;
-    r.block_fallbacks = 0;
-    r.steps_fast_pathed = 0;
     r
 }
 
@@ -141,18 +133,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// The determinism acceptance property: for random programs, random
-    /// seeds and random injected-Unknown positions, the interpreter and
-    /// the compiled tier produce a byte-identical `SessionReport` after
-    /// scrubbing.
+    /// seeds and random injected-Unknown positions, two runs of one
+    /// configuration produce equal `SessionReport`s after scrubbing.
     #[test]
-    fn tiers_preserve_reports(
+    fn directed_reports_repeat(
         source in program_strategy(),
         seed in 0u64..1024,
         unknown_on_query in proptest::option::of(0u64..8),
     ) {
         let compiled = dart_minic::compile(&source).expect("generated source compiles");
-        let interp = scrub(run_tier(&compiled, ExecTier::Interp, seed, unknown_on_query));
-        let fused = scrub(run_tier(&compiled, ExecTier::Compiled, seed, unknown_on_query));
-        prop_assert_eq!(interp, fused, "source={}", source);
+        let first = scrub(run_session(&compiled, seed, unknown_on_query));
+        let second = scrub(run_session(&compiled, seed, unknown_on_query));
+        prop_assert_eq!(first, second, "source={}", source);
     }
 }

@@ -1,8 +1,8 @@
 //! The scaled generational engine's contracts:
 //!
-//! 1. **Tier invisibility** — for a fixed seed, the interpreter and the
-//!    compiled tier produce a byte-identical `SessionReport` (wall-clock
-//!    and the compiled tier's block counters excepted).
+//! 1. **Determinism** — for a fixed seed and fault plan, two runs of one
+//!    configuration produce equal `SessionReport`s (wall-clock
+//!    excepted).
 //! 2. **Dedup soundness** — path-prefix dedup may only skip *redundant*
 //!    derivations: a dedup-on session covers the same branch set and
 //!    finds the same bug kinds as a dedup-off session given the same
@@ -13,7 +13,7 @@
 //!    restarts, steps, coverage, bug set and outcome as an uninterrupted
 //!    session of the same seed.
 
-use dart::{Dart, DartConfig, EngineMode, ExecTier, SessionReport};
+use dart::{Dart, DartConfig, EngineMode, SessionReport};
 use proptest::prelude::*;
 
 /// Fig. 1 / §2.1 — the `h` example.
@@ -49,11 +49,6 @@ const AC_CONTROLLER: &str = r#"
 fn scrub(mut r: SessionReport) -> SessionReport {
     r.exec_time = std::time::Duration::ZERO;
     r.solve_time = std::time::Duration::ZERO;
-    // Block counters are compiled-tier diagnostics, zero on the
-    // interpreter — outside the cross-tier contract.
-    r.blocks_fused = 0;
-    r.block_fallbacks = 0;
-    r.steps_fast_pathed = 0;
     r
 }
 
@@ -100,15 +95,14 @@ fn program_strategy() -> impl proptest::strategy::Strategy<Value = String> {
         })
 }
 
-/// Runs a generated program under the generational engine on one
-/// execution tier. `unknown_on_query` injects solver incompleteness (and with it,
+/// Runs a generated program under the generational engine.
+/// `unknown_on_query` injects solver incompleteness (and with it,
 /// restarts — the dedup set's stress case) when the `fault-injection`
 /// feature is on; plain builds exercise the fault-free path of the same
 /// contracts.
 fn run_generational_cfg(
     compiled: &dart_minic::CompiledProgram,
     dedup: bool,
-    exec_tier: ExecTier,
     seed: u64,
     unknown_on_query: Option<u64>,
 ) -> SessionReport {
@@ -121,7 +115,6 @@ fn run_generational_cfg(
         seed,
         stop_at_first_bug: false,
         record_paths: true,
-        exec_tier,
         #[cfg(feature = "fault-injection")]
         faults: dart::FaultPlan {
             unknown_on_query,
@@ -149,25 +142,20 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Contract 1: for random programs, seeds and injected-Unknown
-    /// positions, the interpreter and the compiled tier produce a
-    /// byte-identical generational `SessionReport` after scrubbing —
-    /// including the frontier counters (`dedup_hits`/`frontier_evicted`/
+    /// positions, two runs of one configuration produce equal
+    /// generational `SessionReport`s after scrubbing — including the
+    /// frontier counters (`dedup_hits`/`frontier_evicted`/
     /// `frontier_peak`).
     #[test]
-    fn generational_tiers_preserve_reports(
+    fn generational_reports_repeat(
         source in program_strategy(),
         seed in 0u64..1024,
         unknown_on_query in proptest::option::of(0u64..8),
     ) {
-        use ExecTier::{Compiled, Interp};
         let compiled = dart_minic::compile(&source).expect("generated source compiles");
-        let interp = scrub(run_generational_cfg(
-            &compiled, true, Interp, seed, unknown_on_query,
-        ));
-        let fused = scrub(run_generational_cfg(
-            &compiled, true, Compiled, seed, unknown_on_query,
-        ));
-        prop_assert_eq!(interp, fused, "source={}", &source);
+        let first = scrub(run_generational_cfg(&compiled, true, seed, unknown_on_query));
+        let second = scrub(run_generational_cfg(&compiled, true, seed, unknown_on_query));
+        prop_assert_eq!(first, second, "source={}", &source);
     }
 
     /// Contract 2: dedup-on explores the same branch set and finds the
@@ -182,12 +170,8 @@ proptest! {
         unknown_on_query in proptest::option::of(0u64..8),
     ) {
         let compiled = dart_minic::compile(&source).expect("generated source compiles");
-        let on = run_generational_cfg(
-            &compiled, true, ExecTier::Interp, seed, unknown_on_query,
-        );
-        let off = run_generational_cfg(
-            &compiled, false, ExecTier::Interp, seed, unknown_on_query,
-        );
+        let on = run_generational_cfg(&compiled, true, seed, unknown_on_query);
+        let off = run_generational_cfg(&compiled, false, seed, unknown_on_query);
         prop_assert_eq!(
             covered_and_bugs(&on),
             covered_and_bugs(&off),
@@ -400,52 +384,6 @@ fn killed_and_resumed_evicting_session_matches_uninterrupted() {
         mismatches.len(),
         mismatches.join("\n")
     );
-}
-
-/// Checkpoints are tier-agnostic: a session interrupted on one execution
-/// tier resumes on the other without observable difference, because both
-/// tiers produce identical run results. Legs alternate interpreter and
-/// compiled; the chain must match the uninterrupted interpreter session.
-#[test]
-fn checkpoint_resume_is_tier_agnostic() {
-    let compiled = dart_minic::compile(AC_CONTROLLER).unwrap();
-    for seed in 0..3u64 {
-        let full = Dart::new(&compiled, "ac_controller", gen_config(seed, 500))
-            .unwrap()
-            .run();
-        assert!(full.runs < 500, "uninterrupted session must finish");
-
-        let scratch = ScratchFile::new(&format!("tier-{seed}"));
-        let mut bugs = Vec::new();
-        let mut budget = 2u64;
-        let mut leg_index = 0;
-        let resumed = loop {
-            let config = DartConfig {
-                checkpoint: Some(scratch.0.clone()),
-                exec_tier: if leg_index % 2 == 0 {
-                    ExecTier::Interp
-                } else {
-                    ExecTier::Compiled
-                },
-                ..gen_config(seed, budget)
-            };
-            let leg = Dart::new(&compiled, "ac_controller", config).unwrap().run();
-            bugs.extend(leg.bugs.iter().cloned());
-            if leg.outcome != dart::Outcome::Exhausted {
-                break leg;
-            }
-            assert!(budget < 500, "resume chain failed to converge");
-            budget += 2;
-            leg_index += 1;
-        };
-
-        assert_eq!(
-            resume_observable(&resumed),
-            resume_observable(&full),
-            "seed={seed}"
-        );
-        assert_eq!(bugs, full.bugs, "seed={seed}");
-    }
 }
 
 /// A checkpoint is only loadable under the seed that recorded it: a

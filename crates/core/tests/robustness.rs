@@ -166,42 +166,37 @@ fn nontermination_can_be_tolerated() {
     }
 }
 
-/// A proven write-free hang is handled exactly like a budget hang, on both
-/// tiers: reported as non-termination by default, and with
+/// A proven write-free hang is handled exactly like a budget hang:
+/// reported as non-termination by default, and with
 /// `nontermination_is_bug = false` it is skipped but still forbids a
 /// completeness claim.
 #[test]
 fn proven_hangs_are_bugs_or_incompleteness() {
-    use dart::{BugKind, ExecTier};
+    use dart::BugKind;
     let compiled = dart_minic::compile("void f(int x) { while (x == 9) { } }").unwrap();
-    for exec_tier in [ExecTier::Interp, ExecTier::Compiled] {
-        let config = DartConfig {
-            exec_tier,
-            ..directed(100)
-        };
-        let strict = Dart::new(&compiled, "f", config.clone()).unwrap().run();
-        let bug = strict.bug().expect("the spin at x == 9 is found");
-        assert_eq!(bug.kind, BugKind::NonTermination);
-        assert_eq!(bug.inputs[0].value, 9);
-        assert!(
-            strict.steps < 100,
-            "proven, not spun to the budget: {} steps",
-            strict.steps
-        );
+    let config = directed(100);
+    let strict = Dart::new(&compiled, "f", config.clone()).unwrap().run();
+    let bug = strict.bug().expect("the spin at x == 9 is found");
+    assert_eq!(bug.kind, BugKind::NonTermination);
+    assert_eq!(bug.inputs[0].value, 9);
+    assert!(
+        strict.steps < 100,
+        "proven, not spun to the budget: {} steps",
+        strict.steps
+    );
 
-        let tolerant = Dart::new(
-            &compiled,
-            "f",
-            DartConfig {
-                nontermination_is_bug: false,
-                ..config
-            },
-        )
-        .unwrap()
-        .run();
-        assert!(tolerant.bugs.is_empty(), "{tolerant}");
-        assert_eq!(tolerant.outcome, Outcome::Exhausted, "{tolerant}");
-    }
+    let tolerant = Dart::new(
+        &compiled,
+        "f",
+        DartConfig {
+            nontermination_is_bug: false,
+            ..config
+        },
+    )
+    .unwrap()
+    .run();
+    assert!(tolerant.bugs.is_empty(), "{tolerant}");
+    assert_eq!(tolerant.outcome, Outcome::Exhausted, "{tolerant}");
 }
 
 #[test]

@@ -12,8 +12,8 @@
 //! ([`StepOutcome::OutOfSteps`]). Per the paper's footnote 3 a step budget
 //! stands in for the timer. A loop that writes nothing is caught sooner:
 //! when an episode takes the same back edge twice in a row with only
-//! jump-role statements ([`BlockRole::Jump`]) in between, the pc, the
-//! frames and memory are exactly as they were the first time, so the
+//! jumps ([`Statement::If`] and [`Statement::Goto`]) in between, the pc,
+//! the frames and memory are exactly as they were the first time, so the
 //! deterministic machine can never halt, and the next step reports
 //! [`StepOutcome::OutOfSteps`] without spinning out the budget.
 
@@ -156,7 +156,7 @@ pub enum StepOutcome {
     Faulted(Fault),
     /// The episode never halts, or may not: either it took the same back
     /// edge (an `if`/`goto` to a label at or before its own) twice in a
-    /// row with only jump-role statements in between, which proves that
+    /// row with only jumps in between, which proves that
     /// it repeats its state forever, or the step budget is exhausted
     /// (possible non-termination). Either way the step that would have
     /// come next does not execute.
@@ -186,69 +186,24 @@ impl StepOutcome {
     }
 }
 
-/// How a statement participates in a basic block.
-///
-/// This is the block-boundary definition shared by the reference
-/// interpreter (whose per-statement semantics below define it) and the
-/// compiled tier's block discovery ([`crate::DecodedProgram`]): a basic
-/// block is a maximal run of [`BlockRole::Body`] statements followed by
-/// at most one terminator. The split between the two terminator roles is
-/// what the fused block executor relies on — [`BlockRole::Jump`]
-/// statements only move the pc, so a block may end with one and still
-/// commit wholesale, while [`BlockRole::Deferred`] statements touch
-/// state the fused path cannot replicate (frames, the environment, the
-/// allocator, episode termination) and always execute stepwise.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BlockRole {
-    /// Straight-line body statement: control always falls through to
-    /// `pc + 1` and the only state touched is memory cells
-    /// ([`Statement::Assign`]).
-    Body,
-    /// Ends a block with an in-block control transfer the fused path can
-    /// execute itself: a conditional or unconditional jump. No frame,
-    /// allocator or environment interaction; never terminal by itself.
-    Jump,
-    /// Ends a block and always drops to stepwise execution: calls push
-    /// or pop frames and consult budgets, external calls need the
-    /// caller's [`Environment`], allocations need a pre-commit
-    /// fault-injection decision, and `abort`/`halt` terminate the
-    /// episode.
-    Deferred,
-}
-
-/// Classifies `stmt` for block discovery; see [`BlockRole`].
-pub fn block_role(stmt: &Statement) -> BlockRole {
-    match stmt {
-        Statement::Assign { .. } => BlockRole::Body,
-        Statement::If { .. } | Statement::Goto(_) => BlockRole::Jump,
-        Statement::Call { .. }
-        | Statement::CallExternal { .. }
-        | Statement::Ret { .. }
-        | Statement::Abort { .. }
-        | Statement::Halt
-        | Statement::Alloc { .. } => BlockRole::Deferred,
-    }
-}
-
 /// An episode's effective step limit: [`MachineConfig::max_steps`], lowered
 /// to the current step count once the episode is proven never to halt.
 ///
-/// The proof: a back edge is a jump-role statement ([`BlockRole::Jump`])
-/// that moves the pc to a label at or before its own. Every back edge
-/// taken is recorded together with the number of non-jump steps executed
-/// before it. Taking the recorded edge again with that number unchanged
-/// means only jumps ran in between; they only move the pc, so the pc, the
-/// frames and memory equal what they were the first time, and the
-/// deterministic machine repeats the cycle forever. Only jump steps pay
-/// for this: the step check compares against the lowered limit, so it
-/// costs what the budget check alone did. Both execution tiers run the
-/// same bookkeeping and stop at the same step.
+/// The proof: a back edge is a jump ([`Statement::If`] or
+/// [`Statement::Goto`]) that moves the pc to a label at or before its
+/// own. Every back edge taken is recorded together with the number of
+/// non-jump steps executed before it. Taking the recorded edge again with
+/// that number unchanged means only jumps ran in between; they only move
+/// the pc, so the pc, the frames and memory equal what they were the
+/// first time, and the deterministic machine repeats the cycle forever.
+/// Only jump steps pay for this: the step check compares against the
+/// lowered limit, so it costs what the budget check alone did.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct StepLimit {
+struct StepLimit {
     /// The next step returns [`StepOutcome::OutOfSteps`] once the step
     /// counter reaches this.
     limit: u64,
-    /// Jump-role steps executed, cumulative like the step counter.
+    /// Jump steps executed, cumulative like the step counter.
     jumps: u64,
     /// The last back edge taken this episode: its source pc and the
     /// number of non-jump steps executed before it.
@@ -256,7 +211,7 @@ pub(crate) struct StepLimit {
 }
 
 impl StepLimit {
-    pub(crate) fn new(max_steps: u64) -> StepLimit {
+    fn new(max_steps: u64) -> StepLimit {
         StepLimit {
             limit: max_steps,
             jumps: 0,
@@ -266,27 +221,21 @@ impl StepLimit {
 
     /// Begins an episode. The caller may write memory between
     /// `call` and the first step, so no earlier back edge proves anything.
-    pub(crate) fn reset(&mut self, max_steps: u64) {
+    fn reset(&mut self, max_steps: u64) {
         self.limit = max_steps;
         self.back_edge = None;
     }
 
     /// Whether the next step must return [`StepOutcome::OutOfSteps`].
     #[inline]
-    pub(crate) fn reached(&self, steps: u64) -> bool {
+    fn reached(&self, steps: u64) -> bool {
         steps >= self.limit
     }
 
-    /// Whether `len` more steps fit under the limit.
+    /// Records a jump step from `from` to `to`; `steps` already counts
+    /// it.
     #[inline]
-    pub(crate) fn admits(&self, steps: u64, len: u64) -> bool {
-        steps.saturating_add(len) <= self.limit
-    }
-
-    /// Records a jump-role step from `from` to `to`; `steps` already
-    /// counts it.
-    #[inline]
-    pub(crate) fn jumped(&mut self, from: Label, to: Label, steps: u64) {
+    fn jumped(&mut self, from: Label, to: Label, steps: u64) {
         self.jumps += 1;
         if to <= from {
             let edge = Some((from, steps - self.jumps));
@@ -1217,103 +1166,6 @@ mod tests {
     }
 
     #[test]
-    fn block_roles_match_step_semantics() {
-        // Drive the interpreter over a program mixing all three roles and
-        // check the classification against what each step actually did:
-        // Body falls through to pc+1 and never changes the allocation
-        // meter; Jump only moves the pc; everything that pushes/pops
-        // frames, allocates, or terminates is Deferred.
-        let p = Program {
-            stmts: vec![
-                // main: 0: x = 1            (Body)
-                Statement::Assign {
-                    dst: Expr::frame_slot(0),
-                    src: Expr::Const(1),
-                },
-                // 1: if x goto 3            (Jump)
-                Statement::If {
-                    cond: Expr::local(0),
-                    target: 3,
-                },
-                // 2: goto 3                 (Jump, skipped here)
-                Statement::Goto(3),
-                // 3: p = malloc(2)          (Deferred)
-                Statement::Alloc {
-                    dst: Expr::frame_slot(1),
-                    size: Expr::Const(2),
-                    kind: AllocKind::Heap,
-                },
-                // 4: call leaf              (Deferred)
-                Statement::Call {
-                    func: FuncId(1),
-                    args: vec![],
-                    dst: None,
-                },
-                // 5: halt                   (Deferred)
-                Statement::Halt,
-                // leaf: 6: ret              (Deferred)
-                Statement::Ret { value: None },
-            ],
-            funcs: vec![
-                Function {
-                    name: "main".into(),
-                    entry: 0,
-                    frame_words: 2,
-                    num_params: 0,
-                },
-                Function {
-                    name: "leaf".into(),
-                    entry: 6,
-                    frame_words: 1,
-                    num_params: 0,
-                },
-            ],
-            ..Program::default()
-        };
-        let mut m = Machine::new(&p, MachineConfig::default());
-        m.call(FuncId(0), &[]).unwrap();
-        loop {
-            let pc = m.pc();
-            let role = block_role(&p.stmts[pc]);
-            let words_before = m.mem().words_allocated();
-            let out = m.step(&mut ZeroEnv);
-            match role {
-                BlockRole::Body => {
-                    assert!(matches!(out, StepOutcome::Assigned { .. }));
-                    assert_eq!(m.pc(), pc + 1, "Body falls through");
-                    assert_eq!(m.mem().words_allocated(), words_before);
-                }
-                BlockRole::Jump => {
-                    assert!(matches!(
-                        out,
-                        StepOutcome::Branched { .. } | StepOutcome::Jumped
-                    ));
-                    assert!(!out.is_terminal());
-                    assert_eq!(m.mem().words_allocated(), words_before);
-                }
-                BlockRole::Deferred => {
-                    // Frame pushes, allocations, returns, terminals.
-                    assert!(matches!(
-                        out,
-                        StepOutcome::Called { .. }
-                            | StepOutcome::Returned { .. }
-                            | StepOutcome::ExternalReturned { .. }
-                            | StepOutcome::Allocated { .. }
-                            | StepOutcome::Finished { .. }
-                            | StepOutcome::Halted
-                            | StepOutcome::Aborted { .. }
-                            | StepOutcome::Faulted(_)
-                            | StepOutcome::OutOfMemory
-                    ));
-                }
-            }
-            if out.is_terminal() {
-                break;
-            }
-        }
-    }
-
-    #[test]
     fn logical_not_in_branch() {
         // main(x): if (!x) return 1 else return 0
         let p = Program {
@@ -1339,5 +1191,191 @@ mod tests {
         };
         assert_eq!(run_main(&p, &[0]), StepOutcome::Finished { value: Some(1) });
         assert_eq!(run_main(&p, &[5]), StepOutcome::Finished { value: Some(0) });
+    }
+
+    /// `main(x) { while (cond) { body } return 0; }` in the shape MiniC
+    /// emits (`0: if cond goto 2`, `1: goto exit`, body, `goto 0`,
+    /// `ret 0`), followed by `leaf() { }` (function 1) and one external
+    /// for bodies that call them. Slot 1 is a spare local.
+    fn loop_program(cond: Expr, body: Vec<Statement>) -> Program {
+        let exit = 3 + body.len();
+        let mut stmts = vec![Statement::If { cond, target: 2 }, Statement::Goto(exit)];
+        stmts.extend(body);
+        stmts.push(Statement::Goto(0));
+        stmts.push(Statement::Ret {
+            value: Some(Expr::Const(0)),
+        });
+        let leaf = stmts.len();
+        stmts.push(Statement::Ret { value: None });
+        Program {
+            stmts,
+            funcs: vec![
+                Function {
+                    name: "main".into(),
+                    entry: 0,
+                    frame_words: 2,
+                    num_params: 1,
+                },
+                Function {
+                    name: "leaf".into(),
+                    entry: leaf,
+                    frame_words: 0,
+                    num_params: 0,
+                },
+            ],
+            externals: vec![External { name: "ext".into() }],
+            ..Program::default()
+        }
+    }
+
+    /// Runs `main(args)` under a step budget of `max_steps`; returns the
+    /// terminal outcome and the step count.
+    fn run_hang(program: &Program, max_steps: u64, args: &[i64]) -> (StepOutcome, u64) {
+        let config = MachineConfig {
+            max_steps,
+            ..MachineConfig::default()
+        };
+        let mut m = Machine::new(program, config);
+        m.call(program.func_by_name("main").unwrap(), args).unwrap();
+        let out = m.run(&mut ZeroEnv);
+        (out, m.steps_taken())
+    }
+
+    #[test]
+    fn write_free_loops_end_at_their_second_back_edge() {
+        // while (1) { }: `if`, `goto 0` (recorded), `if`, `goto 0` (the
+        // same edge with only jumps since): four steps, not the budget.
+        let spin = loop_program(Expr::Const(1), vec![]);
+        assert_eq!(run_hang(&spin, 1000, &[0]), (StepOutcome::OutOfSteps, 4));
+        // while (x == 9) { } hangs the same way at x = 9 and leaves at 8.
+        let gated = loop_program(
+            Expr::binary(BinOp::Eq, Expr::local(0), Expr::Const(9)),
+            vec![],
+        );
+        assert_eq!(run_hang(&gated, 1000, &[9]), (StepOutcome::OutOfSteps, 4));
+        assert_eq!(
+            run_hang(&gated, 1000, &[8]),
+            (StepOutcome::Finished { value: Some(0) }, 3)
+        );
+        // A budget below the proof still decides.
+        assert_eq!(run_hang(&spin, 3, &[0]), (StepOutcome::OutOfSteps, 3));
+        // A self-loop is proven at its second step.
+        let self_loop = Program {
+            stmts: vec![Statement::Goto(0)],
+            funcs: vec![Function {
+                name: "main".into(),
+                entry: 0,
+                frame_words: 0,
+                num_params: 0,
+            }],
+            ..Program::default()
+        };
+        assert_eq!(
+            run_hang(&self_loop, 1000, &[]),
+            (StepOutcome::OutOfSteps, 2)
+        );
+    }
+
+    #[test]
+    fn the_proof_holds_for_one_episode_only() {
+        // A proven hang ends the episode, not the machine: the next `call`
+        // restores the budget and forgets the recorded back edge.
+        let gated = loop_program(
+            Expr::binary(BinOp::Eq, Expr::local(0), Expr::Const(9)),
+            vec![],
+        );
+        let config = MachineConfig {
+            max_steps: 1000,
+            ..MachineConfig::default()
+        };
+        let mut m = Machine::new(&gated, config);
+        for (x, want, steps) in [
+            (9, StepOutcome::OutOfSteps, 4),
+            (8, StepOutcome::Finished { value: Some(0) }, 7),
+            (9, StepOutcome::OutOfSteps, 11),
+        ] {
+            m.call(FuncId(0), &[x]).unwrap();
+            assert_eq!(m.run(&mut ZeroEnv), want);
+            assert_eq!(m.steps_taken(), steps);
+        }
+    }
+
+    #[test]
+    fn loops_that_write_run_to_the_budget() {
+        // while (1) { i = i + 1; } never repeats a state; while (1) { y = 0; }
+        // does, but the proof counts jumps, not effects, and stays
+        // conservative.
+        let count = loop_program(
+            Expr::Const(1),
+            vec![Statement::Assign {
+                dst: Expr::frame_slot(1),
+                src: Expr::binary(BinOp::Add, Expr::local(1), Expr::Const(1)),
+            }],
+        );
+        let same = loop_program(
+            Expr::Const(1),
+            vec![Statement::Assign {
+                dst: Expr::frame_slot(1),
+                src: Expr::Const(0),
+            }],
+        );
+        for p in [count, same] {
+            assert_eq!(run_hang(&p, 1000, &[0]), (StepOutcome::OutOfSteps, 1000));
+        }
+    }
+
+    #[test]
+    fn loops_that_call_allocate_or_consult_the_environment_run_to_the_budget() {
+        // The environment returns 0 every time, so the external-call loop
+        // repeats its state too; only jumps prove anything.
+        let bodies = [
+            Statement::CallExternal {
+                ext: ExtId(0),
+                dst: None,
+            },
+            Statement::Alloc {
+                dst: Expr::frame_slot(1),
+                size: Expr::Const(1),
+                kind: AllocKind::Heap,
+            },
+            Statement::Call {
+                func: FuncId(1),
+                args: vec![],
+                dst: None,
+            },
+        ];
+        for body in bodies {
+            let p = loop_program(Expr::Const(1), vec![body]);
+            assert_eq!(run_hang(&p, 1000, &[0]), (StepOutcome::OutOfSteps, 1000));
+        }
+    }
+
+    #[test]
+    fn recursion_through_a_back_edge_still_overflows() {
+        // main() { 0: goto 2; 1: main(); 2: goto 1 } takes the back edge at
+        // 2 once per frame, but a call separates every two visits.
+        let p = Program {
+            stmts: vec![
+                Statement::Goto(2),
+                Statement::Call {
+                    func: FuncId(0),
+                    args: vec![],
+                    dst: None,
+                },
+                Statement::Goto(1),
+            ],
+            funcs: vec![Function {
+                name: "main".into(),
+                entry: 0,
+                frame_words: 0,
+                num_params: 0,
+            }],
+            ..Program::default()
+        };
+        let max_frames = MachineConfig::default().max_frames as u64;
+        assert_eq!(
+            run_hang(&p, 1_000_000, &[]),
+            (StepOutcome::Faulted(Fault::StackOverflow), 3 * max_frames)
+        );
     }
 }

@@ -37,21 +37,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod decode;
 pub mod expr;
 pub mod interp;
 pub mod memory;
 pub mod program;
 
-pub use decode::{BlockOutcome, DecodedProgram, FastMachine, NoSym, ProbeSummary, SymView};
 pub use expr::{apply_binop, eval_concrete, BinOp, Expr, MemView, UnOp};
-pub use interp::{
-    block_role, BlockRole, Environment, Machine, MachineConfig, ResourceBudget, StepOutcome,
-    ZeroEnv,
-};
+pub use interp::{Environment, Machine, MachineConfig, ResourceBudget, StepOutcome, ZeroEnv};
 pub use memory::{
     AddrHasher, BuildAddrHasher, Fault, Memory, Region, GLOBAL_BASE, HEAP_BASE, STACK_BASE,
 };
 pub use program::{
-    AllocKind, ExtId, External, FuncId, Function, Label, Program, Statement, ValidateError,
+    AllocKind, DecodedProgram, ExtId, External, FuncId, Function, Label, Program, Statement,
+    ValidateError,
 };

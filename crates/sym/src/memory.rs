@@ -10,7 +10,7 @@
 //! small). Machine addresses are never reused within a run (the allocator
 //! is monotonic), so stale entries cannot alias fresh blocks.
 
-use dart_ram::{BuildAddrHasher, SymView, GLOBAL_BASE, STACK_BASE};
+use dart_ram::{BuildAddrHasher, GLOBAL_BASE, STACK_BASE};
 use dart_solver::{LinExpr, Var};
 use std::collections::HashMap;
 
@@ -28,13 +28,6 @@ const DENSE_SLOTS: u64 = 1 << 16;
 /// is stored past its end, and a map with the machine's multiplicative
 /// address hasher for the heap and every address outside those ranges.
 /// A lookup on the globals or the stack is then an array index.
-///
-/// A 64-bit address bloom (`summary`) is the compiled tier's view of the
-/// whole store: bit `addr mod 64` is set for every address ever inserted,
-/// so a block whose footprint shares no bit with it touches nothing
-/// tracked. It is a may-analysis (no false negatives; stale bits after
-/// removals are harmless) and resets whenever the store drains; map
-/// lookups also consult it before hashing.
 #[derive(Debug, Clone, Default)]
 pub struct SymMemory {
     /// The globals' slots, then the stack's.
@@ -43,12 +36,7 @@ pub struct SymMemory {
     other: HashMap<i64, LinExpr, BuildAddrHasher>,
     /// Number of tracked addresses.
     len: usize,
-    summary: u64,
     next_input: u32,
-}
-
-fn summary_bit(addr: i64) -> u64 {
-    1u64 << (addr as u64 & 63)
 }
 
 /// The dense vector and slot that hold `addr`, or `None` for the map.
@@ -95,16 +83,8 @@ impl SymMemory {
     pub fn get(&self, addr: i64) -> Option<&LinExpr> {
         match dense_slot(addr) {
             Some((region, i)) => self.dense[region].get(i)?.as_ref(),
-            None if self.summary & summary_bit(addr) == 0 => None,
             None => self.other.get(&addr),
         }
-    }
-
-    /// Whether `addr` is tracked — `get(addr).is_some()`. This is the
-    /// compiled tier's per-load taint probe.
-    #[inline]
-    pub fn tracks(&self, addr: i64) -> bool {
-        self.get(addr).is_some()
     }
 
     /// Stores a symbolic value at `addr`. Constant forms erase the entry
@@ -119,7 +99,6 @@ impl SymMemory {
 
     /// Stores the non-constant `form` at `addr`.
     fn insert(&mut self, addr: i64, form: LinExpr) {
-        self.summary |= summary_bit(addr);
         let old = match dense_slot(addr) {
             Some((region, i)) => {
                 let slots = &mut self.dense[region];
@@ -140,36 +119,16 @@ impl SymMemory {
     pub fn forget(&mut self, addr: i64) {
         let old = match dense_slot(addr) {
             Some((region, i)) => self.dense[region].get_mut(i).and_then(Option::take),
-            None if self.summary & summary_bit(addr) == 0 => None,
             None => self.other.remove(&addr),
         };
         if old.is_some() {
             self.len -= 1;
-            if self.len == 0 {
-                self.summary = 0;
-            }
         }
     }
 
     /// Number of addresses currently tracked symbolically.
     pub fn tracked(&self) -> usize {
         self.len
-    }
-}
-
-/// The compiled tier's taint view of `S`: the per-load probe delegates to
-/// [`SymMemory::tracks`], the whole-block footprint pass to the address
-/// bloom. The bulk check ([`SymView::tracks_footprint`]) is the trait's
-/// one-`AND` default — exposing `summary` here is what makes it work.
-impl SymView for SymMemory {
-    #[inline]
-    fn tracks(&self, addr: i64) -> bool {
-        SymMemory::tracks(self, addr)
-    }
-
-    #[inline]
-    fn summary(&self) -> u64 {
-        self.summary
     }
 }
 
@@ -206,47 +165,6 @@ mod tests {
         s.set(500, LinExpr::constant_expr(7));
         assert_eq!(s.get(500), None);
         assert_eq!(s.tracked(), 1);
-    }
-
-    #[test]
-    fn tracks_matches_get_under_churn() {
-        // Exercise the summary bloom across aliasing bits (addresses 64
-        // apart share a bit), removals and the drain-reset path.
-        let mut s = SymMemory::new();
-        let x = s.bind_input(100);
-        assert!(s.tracks(100));
-        assert!(!s.tracks(164), "bit-aliased address is not a member");
-        s.set(164, LinExpr::var(x).offset(2));
-        assert!(s.tracks(164));
-        s.forget(100);
-        assert!(!s.tracks(100), "stale summary bit must not report members");
-        assert!(s.tracks(164));
-        s.set(164, LinExpr::constant_expr(9));
-        assert!(!s.tracks(164));
-        assert_eq!(s.tracked(), 0);
-        // After draining, re-binding still works (summary was reset).
-        s.bind(200, x);
-        assert!(s.tracks(200) && s.get(200).is_some());
-    }
-
-    #[test]
-    fn bulk_footprint_check_matches_per_address_probes() {
-        let mut s = SymMemory::new();
-        let x = s.bind_input(100);
-        s.set(300, LinExpr::var(x).offset(1));
-        let bloom_of = |addrs: &[i64]| addrs.iter().fold(0u64, |b, &a| b | 1u64 << (a as u64 & 63));
-        // Clean miss: footprint {40, 41} shares no bloom bit with {100, 300}.
-        assert!(!s.tracks_footprint(bloom_of(&[40, 41]), 0, &[40, 41], &[]));
-        // Bloom collision (164 aliases 100 mod 64) but no member: still a
-        // miss after the precise pass.
-        assert!(!s.tracks_footprint(bloom_of(&[164]), 0, &[], &[164]));
-        // A tracked member is found whether it arrives as an absolute
-        // address or as a frame-relative slot.
-        assert!(s.tracks_footprint(bloom_of(&[100]), 0, &[], &[100]));
-        assert!(s.tracks_footprint(bloom_of(&[300]), 280, &[20], &[]));
-        // An empty store reports a clean miss for any footprint.
-        let empty = SymMemory::new();
-        assert!(!empty.tracks_footprint(u64::MAX, 0, &[0, 1, 2], &[100]));
     }
 
     /// Addresses far into a region, or outside every region, are kept in

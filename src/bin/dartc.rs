@@ -36,10 +36,6 @@
 //!                      function to PATH (`-` streams to stdout)
 //!   --worker-deadline MS  farm-only: kill any worker process that runs
 //!                      longer than MS (fault, retriable, resumable)
-//!   --exec-tier T      interp | compiled: which execution tier runs the
-//!                      program — the tree-walking interpreter, or the
-//!                      pre-decoded compiled tier (reports unchanged;
-//!                      only throughput improves)  [$DART_EXEC_TIER or interp]
 //!   --interface        print the extracted interface and exit
 //!   --print-ir         print the compiled RAM program and exit
 //!   --stats            print detailed solver/cache statistics
@@ -50,7 +46,7 @@
 //!
 //! Exit status: 0 = no bug, 1 = bug found, 2 = usage/compile error.
 
-use dart::{Dart, DartConfig, EngineMode, ExecTier, Strategy, SweepOutcome};
+use dart::{Dart, DartConfig, EngineMode, Strategy, SweepOutcome};
 use std::process::ExitCode;
 
 struct Options {
@@ -79,7 +75,6 @@ struct Options {
     farm_worker: bool,
     farm_index: usize,
     farm_attempt: u32,
-    exec_tier: Option<ExecTier>,
     interface_only: bool,
     print_ir: bool,
     save_bug: Option<String>,
@@ -95,7 +90,6 @@ fn usage() -> &'static str {
      [--all-bugs] [--max-steps N] [--mem-budget N] [--deadline MS] \
      [--sweep NAMES --threads N --max-retries N] \
      [--farm --stream PATH|- --worker-deadline MS] \
-     [--exec-tier interp|compiled] \
      [--stats] [--interface] [--print-ir]"
 }
 
@@ -123,7 +117,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         farm_worker: false,
         farm_index: 0,
         farm_attempt: 0,
-        exec_tier: None,
         interface_only: false,
         print_ir: false,
         save_bug: None,
@@ -207,13 +200,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     .parse()
                     .map_err(|_| "--farm-attempt expects an integer".to_string())?
             }
-            "--exec-tier" => {
-                opts.exec_tier = Some(match value(&mut it, "--exec-tier")?.as_str() {
-                    "interp" => ExecTier::Interp,
-                    "compiled" => ExecTier::Compiled,
-                    other => return Err(format!("unknown exec tier `{other}`")),
-                })
-            }
             "--mode" | "--engine" => {
                 opts.mode = match value(&mut it, arg)?.as_str() {
                     "directed" => EngineMode::Directed,
@@ -287,10 +273,6 @@ fn build_config(opts: &Options) -> DartConfig {
         max_retries: opts.max_retries,
         ..DartConfig::default()
     };
-    if let Some(tier) = opts.exec_tier {
-        // Unset, the default stands: $DART_EXEC_TIER, else the interpreter.
-        config.exec_tier = tier;
-    }
     if let Some(words) = opts.mem_budget {
         config.machine.budget.max_alloc_words = words;
     }
@@ -351,17 +333,6 @@ fn worker_forward_args(opts: &Options) -> Vec<String> {
     }
     if let Some(ms) = opts.deadline_ms {
         args.extend(["--deadline".to_string(), ms.to_string()]);
-    }
-    if let Some(tier) = opts.exec_tier {
-        let tier = match tier {
-            ExecTier::Interp => "interp",
-            ExecTier::Compiled => "compiled",
-            // Only an unrecognised $DART_EXEC_TIER yields this, and
-            // `--exec-tier` (the sole writer of `opts.exec_tier`)
-            // accepts interp|compiled alone.
-            ExecTier::Invalid => unreachable!("--exec-tier never parses to Invalid"),
-        };
-        args.extend(["--exec-tier".to_string(), tier.to_string()]);
     }
     args
 }
@@ -629,7 +600,7 @@ fn main() -> ExitCode {
     }
 
     // The toplevel was checked above, but `Dart::new` can still reject the
-    // config (e.g. an invalid `DART_EXEC_TIER` in the environment).
+    // config (e.g. a malformed checkpoint file).
     let session = match Dart::new(&compiled, &toplevel, build_config(&opts)) {
         Ok(s) => s,
         Err(e) => {
@@ -655,9 +626,6 @@ fn main() -> ExitCode {
         println!("  frontier peak      {}", report.frontier_peak);
         println!("  exec time          {:?}", report.exec_time);
         println!("  solve time         {:?}", report.solve_time);
-        println!("  blocks fused       {}", report.blocks_fused);
-        println!("  block fallbacks    {}", report.block_fallbacks);
-        println!("  steps fast-pathed  {}", report.steps_fast_pathed);
     }
     for bug in &report.bugs {
         println!("\n{bug}");
@@ -849,8 +817,6 @@ mod tests {
             "generational",
             "--checkpoint",
             "cp",
-            "--exec-tier",
-            "compiled",
             "--threads",
             "8",
             "--worker-deadline",
@@ -860,29 +826,27 @@ mod tests {
         let args = worker_forward_args(&o);
         let has = |flag: &str| args.iter().any(|a| a == flag);
         assert!(has("--mode") && args.contains(&"generational".to_string()));
-        assert!(has("--checkpoint") && has("--exec-tier"));
+        assert!(has("--checkpoint"));
         // Supervisor-only flags must not leak into workers.
         assert!(!has("--threads") && !has("--worker-deadline") && !has("--farm"));
-        // Unset optionals stay unset so workers inherit env defaults.
+        // Unset optionals stay unset.
         let o = parse(&["p.mc", "--sweep", "f", "--farm"]).unwrap();
         let args = worker_forward_args(&o);
-        assert!(!args.iter().any(|a| a == "--exec-tier"));
+        assert!(!args.iter().any(|a| a == "--checkpoint"));
     }
 
     #[test]
     fn exec_tier_flag() {
-        let o = parse(&["p.mc", "--exec-tier", "compiled"]).unwrap();
-        assert_eq!(o.exec_tier, Some(ExecTier::Compiled));
-        assert_eq!(build_config(&o).exec_tier, ExecTier::Compiled);
-        let o = parse(&["p.mc", "--exec-tier", "interp"]).unwrap();
-        assert_eq!(o.exec_tier, Some(ExecTier::Interp));
-        assert_eq!(build_config(&o).exec_tier, ExecTier::Interp);
-        // Unset, the flag defers to the DartConfig default (which reads
-        // $DART_EXEC_TIER) rather than pinning the interpreter.
-        let o = parse(&["p.mc"]).unwrap();
-        assert_eq!(o.exec_tier, None);
-        assert!(parse(&["p.mc", "--exec-tier", "jit"]).is_err());
-        assert!(parse(&["p.mc", "--exec-tier"]).is_err());
+        // The compiled execution tier is gone, and so is its flag: any use
+        // of it is an unknown option.
+        for args in [
+            &["p.mc", "--exec-tier", "compiled"][..],
+            &["p.mc", "--exec-tier", "interp"],
+            &["p.mc", "--exec-tier"],
+        ] {
+            let err = parse(args).err().expect("--exec-tier is rejected");
+            assert!(err.contains("unknown option `--exec-tier`"), "{err}");
+        }
     }
 
     #[test]

@@ -5,11 +5,11 @@
 //! `ac_controller` and E2's `deliver` at depths 1 and 2, the E4b
 //! `osip_message_parse` session, the first 20 functions of the first E4
 //! library, and one generational E1 session. Its report, with the
-//! wall-clock times and the compiled tier's block counters zeroed, is
-//! printed with `{:?}` and digested with FNV-1a. Those fields are the only
-//! ones the contract lets differ between runs and tiers, so the test
-//! passes unchanged in every CI leg (`DART_EXEC_TIER` and the fault hooks
-//! reach the sessions through `DartConfig::default()`).
+//! wall-clock times zeroed, is printed with `{:?}` and digested with
+//! FNV-1a. Those times are the only fields the contract lets differ
+//! between runs, so the test passes unchanged in every CI leg (with the
+//! fault hooks compiled in, `DartConfig::default()` still injects no
+//! fault).
 //!
 //! A change that alters reports on purpose updates the digests and names
 //! the fields that moved. On a mismatch the test prints each differing
@@ -24,84 +24,84 @@ use std::time::Duration;
 
 /// `(session, digest)` for every session [`sessions`] lists, in order.
 const DIGESTS: &[(&str, u64)] = &[
-    ("E1 ac_controller d1 s1", 0xf13e1ea3271e0df6),
-    ("E1 ac_controller d2 s1", 0x5e4cef98ff739076),
-    ("E2 deliver d1 s1", 0x1f57cd2141f2aae0),
-    ("E2 deliver d2 s1", 0xcd42c8674e5181a3),
-    ("E4b osip_message_parse d1 s1", 0x407da28b3a7c31c3),
-    ("E4 osip_fn_0 d1 s1", 0x9801b36717f4c9f2),
-    ("E4 osip_fn_1 d1 s1", 0xc70bd1594d873638),
-    ("E4 osip_fn_2 d1 s1", 0x5d63b3f115faa4c6),
-    ("E4 osip_fn_3 d1 s1", 0x5d63b3f115faa4c6),
-    ("E4 osip_fn_4 d1 s1", 0x279bbc5b68493692),
-    ("E4 osip_fn_5 d1 s1", 0x52e7ab2bdc5c579a),
-    ("E4 osip_fn_6 d1 s1", 0x52e7ab2bdc5c579a),
-    ("E4 osip_fn_7 d1 s1", 0xa31385f5e107ee9a),
-    ("E4 osip_fn_8 d1 s1", 0xf40541cd3168acf0),
-    ("E4 osip_fn_9 d1 s1", 0x9801b36717f4c9f2),
-    ("E4 osip_fn_10 d1 s1", 0xca96dee2503d1b8b),
-    ("E4 osip_fn_11 d1 s1", 0x8ed6bf6bf4e7bbce),
-    ("E4 osip_fn_12 d1 s1", 0x3405c2ffdccd64c2),
-    ("E4 osip_fn_13 d1 s1", 0xcbdadb69710426b5),
-    ("E4 osip_fn_14 d1 s1", 0x15a82f2d4ef45560),
-    ("E4 osip_fn_15 d1 s1", 0xc94f9c5681fd8f9b),
-    ("E4 osip_fn_16 d1 s1", 0x5d63b3f115faa4c6),
-    ("E4 osip_fn_17 d1 s1", 0x279bbc5b68493692),
-    ("E4 osip_fn_18 d1 s1", 0x52e7ab2bdc5c579a),
-    ("E4 osip_fn_19 d1 s1", 0xca480fe0873d557e),
-    ("E1 gen ac_controller d2 s1", 0x3967abb14caf8e94),
-    ("E1 ac_controller d1 s2", 0xf13e1ea3271e0df6),
-    ("E1 ac_controller d2 s2", 0x5e4cef98ff739076),
-    ("E2 deliver d1 s2", 0x1f57cd2141f2aae0),
-    ("E2 deliver d2 s2", 0xbc0192bdb2ae062b),
-    ("E4b osip_message_parse d1 s2", 0x566880b76905776d),
-    ("E4 osip_fn_0 d1 s2", 0x60518b03229ab76e),
-    ("E4 osip_fn_1 d1 s2", 0x18d183af269d7347),
-    ("E4 osip_fn_2 d1 s2", 0x54c17892c2866a8d),
-    ("E4 osip_fn_3 d1 s2", 0x54c17892c2866a8d),
-    ("E4 osip_fn_4 d1 s2", 0x798b14b0490a9851),
-    ("E4 osip_fn_5 d1 s2", 0xdb0a900ea8943710),
-    ("E4 osip_fn_6 d1 s2", 0xe9f66fbc62cf0005),
-    ("E4 osip_fn_7 d1 s2", 0xf5a6fe7f97677f17),
-    ("E4 osip_fn_8 d1 s2", 0xa83373c3f53e09c3),
-    ("E4 osip_fn_9 d1 s2", 0x60518b03229ab76e),
-    ("E4 osip_fn_10 d1 s2", 0x180c05899f16fb00),
-    ("E4 osip_fn_11 d1 s2", 0xd055fca481d46ddd),
-    ("E4 osip_fn_12 d1 s2", 0x83892148f563b919),
-    ("E4 osip_fn_13 d1 s2", 0xf44ae29fa53b9262),
-    ("E4 osip_fn_14 d1 s2", 0x327cc3782f51abcf),
-    ("E4 osip_fn_15 d1 s2", 0x798b14b0490a9851),
-    ("E4 osip_fn_16 d1 s2", 0x54c17892c2866a8d),
-    ("E4 osip_fn_17 d1 s2", 0x798b14b0490a9851),
-    ("E4 osip_fn_18 d1 s2", 0xe9f66fbc62cf0005),
-    ("E4 osip_fn_19 d1 s2", 0xb3ec71b7565a7045),
-    ("E1 gen ac_controller d2 s2", 0x3967abb14caf8e94),
-    ("E1 ac_controller d1 s3", 0xf13e1ea3271e0df6),
-    ("E1 ac_controller d2 s3", 0x5e4cef98ff739076),
-    ("E2 deliver d1 s3", 0x1f57cd2141f2aae0),
-    ("E2 deliver d2 s3", 0xdf0c7397202680b9),
-    ("E4b osip_message_parse d1 s3", 0x3a5c665ecb9fd82d),
-    ("E4 osip_fn_0 d1 s3", 0xbff67b424fdd0622),
-    ("E4 osip_fn_1 d1 s3", 0x327426f21d23bdf8),
-    ("E4 osip_fn_2 d1 s3", 0x78a10975fa12327a),
-    ("E4 osip_fn_3 d1 s3", 0x78a10975fa12327a),
-    ("E4 osip_fn_4 d1 s3", 0x93d4a8bf1ce42c62),
-    ("E4 osip_fn_5 d1 s3", 0xb6da5a639a0f9fd6),
-    ("E4 osip_fn_6 d1 s3", 0xb6da5a639a0f9fd6),
-    ("E4 osip_fn_7 d1 s3", 0x4971491f8c87785f),
-    ("E4 osip_fn_8 d1 s3", 0xf40541cd3168acf0),
-    ("E4 osip_fn_9 d1 s3", 0xbff67b424fdd0622),
-    ("E4 osip_fn_10 d1 s3", 0xbd0c9b984a6c5b43),
-    ("E4 osip_fn_11 d1 s3", 0x66352eb9e1a75d7d),
-    ("E4 osip_fn_12 d1 s3", 0x3405c2ffdccd64c2),
-    ("E4 osip_fn_13 d1 s3", 0x67321e9c87290eb3),
-    ("E4 osip_fn_14 d1 s3", 0x2bf98bd314b9c364),
-    ("E4 osip_fn_15 d1 s3", 0x93d4a8bf1ce42c62),
-    ("E4 osip_fn_16 d1 s3", 0x78a10975fa12327a),
-    ("E4 osip_fn_17 d1 s3", 0x93d4a8bf1ce42c62),
-    ("E4 osip_fn_18 d1 s3", 0xb6da5a639a0f9fd6),
-    ("E4 osip_fn_19 d1 s3", 0xd0e4b0e16b8a91cf),
-    ("E1 gen ac_controller d2 s3", 0x3967abb14caf8e94),
+    ("E1 ac_controller d1 s1", 0x3146ae596f26a90d),
+    ("E1 ac_controller d2 s1", 0xd0bacd4e8457a48d),
+    ("E2 deliver d1 s1", 0xf8e356021ccf4f2b),
+    ("E2 deliver d2 s1", 0x3290d52785814ea6),
+    ("E4b osip_message_parse d1 s1", 0xfa51425679816dc6),
+    ("E4 osip_fn_0 d1 s1", 0x5e0f57e7f5f9d889),
+    ("E4 osip_fn_1 d1 s1", 0x09213deaa18a05e3),
+    ("E4 osip_fn_2 d1 s1", 0x37bd106baea5b57d),
+    ("E4 osip_fn_3 d1 s1", 0x37bd106baea5b57d),
+    ("E4 osip_fn_4 d1 s1", 0x7a2193aa2fccc3a9),
+    ("E4 osip_fn_5 d1 s1", 0xe832023115cce8b1),
+    ("E4 osip_fn_6 d1 s1", 0xe832023115cce8b1),
+    ("E4 osip_fn_7 d1 s1", 0xdb2971bd32b4a5b1),
+    ("E4 osip_fn_8 d1 s1", 0x2181a96a6c20ad1b),
+    ("E4 osip_fn_9 d1 s1", 0x5e0f57e7f5f9d889),
+    ("E4 osip_fn_10 d1 s1", 0x1c768b10166e4fce),
+    ("E4 osip_fn_11 d1 s1", 0xc82e1eac6abe1f25),
+    ("E4 osip_fn_12 d1 s1", 0xf04cbb6abe61a7b9),
+    ("E4 osip_fn_13 d1 s1", 0x02f366f239e2c134),
+    ("E4 osip_fn_14 d1 s1", 0x87977f79e0ac02ab),
+    ("E4 osip_fn_15 d1 s1", 0x1a18a888dd244a7e),
+    ("E4 osip_fn_16 d1 s1", 0x37bd106baea5b57d),
+    ("E4 osip_fn_17 d1 s1", 0x7a2193aa2fccc3a9),
+    ("E4 osip_fn_18 d1 s1", 0xe832023115cce8b1),
+    ("E4 osip_fn_19 d1 s1", 0xf830de8aad479b35),
+    ("E1 gen ac_controller d2 s1", 0xfe1cb09b89b9741f),
+    ("E1 ac_controller d1 s2", 0x3146ae596f26a90d),
+    ("E1 ac_controller d2 s2", 0xd0bacd4e8457a48d),
+    ("E2 deliver d1 s2", 0xf8e356021ccf4f2b),
+    ("E2 deliver d2 s2", 0x5ea290749c6522ee),
+    ("E4b osip_message_parse d1 s2", 0x4d94214e76fe2ccc),
+    ("E4 osip_fn_0 d1 s2", 0x70424b379ee4f845),
+    ("E4 osip_fn_1 d1 s2", 0x67677e80a0605dda),
+    ("E4 osip_fn_2 d1 s2", 0xd6c102afe91afaec),
+    ("E4 osip_fn_3 d1 s2", 0xd6c102afe91afaec),
+    ("E4 osip_fn_4 d1 s2", 0x81c2a99772808330),
+    ("E4 osip_fn_5 d1 s2", 0x0a482f9837e2763b),
+    ("E4 osip_fn_6 d1 s2", 0xb4c48f799d597524),
+    ("E4 osip_fn_7 d1 s2", 0x20be4099e1c2fdca),
+    ("E4 osip_fn_8 d1 s2", 0xb08c6e05950fb5c6),
+    ("E4 osip_fn_9 d1 s2", 0x70424b379ee4f845),
+    ("E4 osip_fn_10 d1 s2", 0xc405019ae989b9cb),
+    ("E4 osip_fn_11 d1 s2", 0x173bdcfec3b63a5c),
+    ("E4 osip_fn_12 d1 s2", 0x5d13d33980ff0a58),
+    ("E4 osip_fn_13 d1 s2", 0x8deeb0a362f975d9),
+    ("E4 osip_fn_14 d1 s2", 0xcd5382a336de7e62),
+    ("E4 osip_fn_15 d1 s2", 0x81c2a99772808330),
+    ("E4 osip_fn_16 d1 s2", 0xd6c102afe91afaec),
+    ("E4 osip_fn_17 d1 s2", 0x81c2a99772808330),
+    ("E4 osip_fn_18 d1 s2", 0xb4c48f799d597524),
+    ("E4 osip_fn_19 d1 s2", 0xdf0a1b6a49a67964),
+    ("E1 gen ac_controller d2 s2", 0xfe1cb09b89b9741f),
+    ("E1 ac_controller d1 s3", 0x3146ae596f26a90d),
+    ("E1 ac_controller d2 s3", 0xd0bacd4e8457a48d),
+    ("E2 deliver d1 s3", 0xf8e356021ccf4f2b),
+    ("E2 deliver d2 s3", 0x5bd6cbcfcf625078),
+    ("E4b osip_message_parse d1 s3", 0x674a2937db4dde8c),
+    ("E4 osip_fn_0 d1 s3", 0x2d96abaa694b5499),
+    ("E4 osip_fn_1 d1 s3", 0x59f49030d1b1c0a3),
+    ("E4 osip_fn_2 d1 s3", 0xca6123e855ab4911),
+    ("E4 osip_fn_3 d1 s3", 0xca6123e855ab4911),
+    ("E4 osip_fn_4 d1 s3", 0x819ea514e9c593d9),
+    ("E4 osip_fn_5 d1 s3", 0x766bcf1d3ddc796d),
+    ("E4 osip_fn_6 d1 s3", 0x766bcf1d3ddc796d),
+    ("E4 osip_fn_7 d1 s3", 0x588cb6fe03b8b852),
+    ("E4 osip_fn_8 d1 s3", 0x2181a96a6c20ad1b),
+    ("E4 osip_fn_9 d1 s3", 0x2d96abaa694b5499),
+    ("E4 osip_fn_10 d1 s3", 0x897e94ae8a3bd646),
+    ("E4 osip_fn_11 d1 s3", 0x53a7f8f1bca9f57c),
+    ("E4 osip_fn_12 d1 s3", 0xf04cbb6abe61a7b9),
+    ("E4 osip_fn_13 d1 s3", 0x68a4dbb3cae63ad6),
+    ("E4 osip_fn_14 d1 s3", 0xce1e76ec05e60f8f),
+    ("E4 osip_fn_15 d1 s3", 0x819ea514e9c593d9),
+    ("E4 osip_fn_16 d1 s3", 0xca6123e855ab4911),
+    ("E4 osip_fn_17 d1 s3", 0x819ea514e9c593d9),
+    ("E4 osip_fn_18 d1 s3", 0x766bcf1d3ddc796d),
+    ("E4 osip_fn_19 d1 s3", 0x24cee7f35562e062),
+    ("E1 gen ac_controller d2 s3", 0xfe1cb09b89b9741f),
 ];
 
 /// FNV-1a over `text`.
@@ -118,9 +118,6 @@ fn fnv1a(text: &str) -> u64 {
 fn scrubbed(mut report: SessionReport) -> SessionReport {
     report.exec_time = Duration::ZERO;
     report.solve_time = Duration::ZERO;
-    report.blocks_fused = 0;
-    report.block_fallbacks = 0;
-    report.steps_fast_pathed = 0;
     report
 }
 
