@@ -4,7 +4,11 @@
 //! Each session runs through `Dart::run` at seeds 1–3: E1's
 //! `ac_controller` and E2's `deliver` at depths 1 and 2, the E4b
 //! `osip_message_parse` session, the first 20 functions of the first E4
-//! library, and one generational E1 session. Its report, with the
+//! library, one generational E1 session, E1 at depth 3, and E3's
+//! Dolev-Yao `deliver` at depth 4 with Lowe fix Off and Complete, capped
+//! at [`DEEP_RUNS`] runs. Three of the depth-4 sessions vary the
+//! directed search: one records every path and keeps going past its
+//! bugs, one flips random branches, one runs symbolic-only. Its report, with the
 //! wall-clock times zeroed, is printed with `{:?}` and digested with
 //! FNV-1a. Those times are the only fields the contract lets differ
 //! between runs, so the test passes unchanged in every CI leg (with the
@@ -15,7 +19,7 @@
 //! the fields that moved. On a mismatch the test prints each differing
 //! session, its digest and its report, then the whole table to paste.
 
-use dart::{Dart, DartConfig, EngineMode, SessionReport};
+use dart::{Dart, DartConfig, EngineMode, SessionReport, Strategy};
 use dart_minic::CompiledProgram;
 use dart_workloads::{
     generate_osip, needham_schroeder, Intruder, LoweFix, OsipConfig, AC_CONTROLLER,
@@ -50,6 +54,9 @@ const DIGESTS: &[(&str, u64)] = &[
     ("E4 osip_fn_18 d1 s1", 0xe832023115cce8b1),
     ("E4 osip_fn_19 d1 s1", 0xf830de8aad479b35),
     ("E1 gen ac_controller d2 s1", 0xfe1cb09b89b9741f),
+    ("E1 ac_controller d3 s1", 0x351344dc90575da9),
+    ("E3 off random-branch deliver d4 s1", 0x8684e1e9a60a15a2),
+    ("E3 complete deliver d4 s1", 0xc0ffa9edf3ad52ea),
     ("E1 ac_controller d1 s2", 0x3146ae596f26a90d),
     ("E1 ac_controller d2 s2", 0xd0bacd4e8457a48d),
     ("E2 deliver d1 s2", 0xf8e356021ccf4f2b),
@@ -76,6 +83,9 @@ const DIGESTS: &[(&str, u64)] = &[
     ("E4 osip_fn_18 d1 s2", 0xb4c48f799d597524),
     ("E4 osip_fn_19 d1 s2", 0xdf0a1b6a49a67964),
     ("E1 gen ac_controller d2 s2", 0xfe1cb09b89b9741f),
+    ("E1 ac_controller d3 s2", 0x79e10864e126b509),
+    ("E3 off all-bugs paths deliver d4 s2", 0xf81408d30551ebcd),
+    ("E3 complete deliver d4 s2", 0xf7b2f2d7ac40bdaf),
     ("E1 ac_controller d1 s3", 0x3146ae596f26a90d),
     ("E1 ac_controller d2 s3", 0xd0bacd4e8457a48d),
     ("E2 deliver d1 s3", 0xf8e356021ccf4f2b),
@@ -102,6 +112,9 @@ const DIGESTS: &[(&str, u64)] = &[
     ("E4 osip_fn_18 d1 s3", 0x766bcf1d3ddc796d),
     ("E4 osip_fn_19 d1 s3", 0x24cee7f35562e062),
     ("E1 gen ac_controller d2 s3", 0xfe1cb09b89b9741f),
+    ("E1 ac_controller d3 s3", 0x31c07d7a37ffd73b),
+    ("E3 off deliver d4 s3", 0x582b1d8e540bde28),
+    ("E3 complete symbolic deliver d4 s3", 0x6882ff74d558ff4d),
 ];
 
 /// FNV-1a over `text`.
@@ -138,69 +151,83 @@ fn config(depth: u32, max_runs: u64, seed: u64, mode: EngineMode) -> DartConfig 
     }
 }
 
+/// Run cap of the depth-4 sessions, which keeps the debug build's run of
+/// this test short; only seed 2's Lowe-fix-Off session reaches its bug
+/// (at run 3,103) below it.
+const DEEP_RUNS: u64 = 4000;
+
+/// The programs the sessions test.
+struct Programs {
+    ac: CompiledProgram,
+    ns: CompiledProgram,
+    ns_dy_off: CompiledProgram,
+    ns_dy_complete: CompiledProgram,
+    osip: CompiledProgram,
+}
+
 /// The sessions, in a fixed order.
-fn sessions<'a>(
-    ac: &'a CompiledProgram,
-    ns: &'a CompiledProgram,
-    osip: &'a CompiledProgram,
-    osip_functions: &[String],
-) -> Vec<Session<'a>> {
+fn sessions<'a>(p: &'a Programs, osip_functions: &[String]) -> Vec<Session<'a>> {
     let mut out = Vec::new();
     for seed in 1..=3u64 {
-        let mut add = |program, toplevel: &str, depth, max_runs, mode, tag: &str| {
+        let mut add = |program, toplevel: &str, tag: &str, config: DartConfig| {
             out.push(Session {
-                name: format!("{tag} {toplevel} d{depth} s{seed}"),
+                name: format!("{tag} {toplevel} d{} s{seed}", config.depth),
                 program,
                 toplevel: toplevel.to_string(),
-                config: config(depth, max_runs, seed, mode),
+                config,
             })
         };
+        let directed = |depth, max_runs| config(depth, max_runs, seed, EngineMode::Directed);
         for depth in [1, 2] {
-            add(
-                ac,
-                "ac_controller",
-                depth,
-                100_000,
-                EngineMode::Directed,
-                "E1",
-            );
+            add(&p.ac, "ac_controller", "E1", directed(depth, 100_000));
         }
         for depth in [1, 2] {
-            add(ns, "deliver", depth, 1_000_000, EngineMode::Directed, "E2");
+            add(&p.ns, "deliver", "E2", directed(depth, 1_000_000));
         }
-        add(
-            osip,
-            "osip_message_parse",
-            1,
-            1000,
-            EngineMode::Directed,
-            "E4b",
-        );
+        add(&p.osip, "osip_message_parse", "E4b", directed(1, 1000));
         for f in osip_functions {
-            add(osip, f, 1, 1000, EngineMode::Directed, "E4");
+            add(&p.osip, f, "E4", directed(1, 1000));
         }
-        add(
-            ac,
-            "ac_controller",
-            2,
-            100_000,
-            EngineMode::Generational,
-            "E1 gen",
-        );
+        let generational = config(2, 100_000, seed, EngineMode::Generational);
+        add(&p.ac, "ac_controller", "E1 gen", generational);
+        add(&p.ac, "ac_controller", "E1", directed(3, 100_000));
+        let mut off = directed(4, DEEP_RUNS);
+        let mut complete = directed(4, DEEP_RUNS);
+        let (off_tag, complete_tag) = match seed {
+            1 => {
+                off.strategy = Strategy::RandomBranch;
+                ("E3 off random-branch", "E3 complete")
+            }
+            2 => {
+                off.record_paths = true;
+                off.stop_at_first_bug = false;
+                ("E3 off all-bugs paths", "E3 complete")
+            }
+            _ => {
+                complete.mode = EngineMode::SymbolicOnly;
+                ("E3 off", "E3 complete symbolic")
+            }
+        };
+        add(&p.ns_dy_off, "deliver", off_tag, off);
+        add(&p.ns_dy_complete, "deliver", complete_tag, complete);
     }
     out
 }
 
 #[test]
 fn reports_match_the_committed_digests() {
-    let ac = dart_minic::compile(AC_CONTROLLER).unwrap();
-    let ns =
-        dart_minic::compile(&needham_schroeder(Intruder::Possibilistic, LoweFix::Off)).unwrap();
     let lib = generate_osip(OsipConfig {
         num_functions: 200,
         seed: 1,
     });
-    let osip = dart_minic::compile(&lib.source).unwrap();
+    let ns = |intruder, fix| dart_minic::compile(&needham_schroeder(intruder, fix)).unwrap();
+    let programs = Programs {
+        ac: dart_minic::compile(AC_CONTROLLER).unwrap(),
+        ns: ns(Intruder::Possibilistic, LoweFix::Off),
+        ns_dy_off: ns(Intruder::DolevYao, LoweFix::Off),
+        ns_dy_complete: ns(Intruder::DolevYao, LoweFix::Complete),
+        osip: dart_minic::compile(&lib.source).unwrap(),
+    };
     let osip_functions: Vec<String> = lib
         .functions
         .iter()
@@ -210,7 +237,7 @@ fn reports_match_the_committed_digests() {
 
     let mut table = String::new();
     let mut mismatches = Vec::new();
-    let list = sessions(&ac, &ns, &osip, &osip_functions);
+    let list = sessions(&programs, &osip_functions);
     for (i, s) in list.iter().enumerate() {
         let report = Dart::new(s.program, &s.toplevel, s.config.clone())
             .unwrap()
