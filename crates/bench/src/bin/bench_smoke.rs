@@ -33,7 +33,7 @@
 //! without it, the same findings are printed as warnings.
 
 use dart::{run_once, Dart, DartConfig, EngineMode, InputTape};
-use dart_bench::flag_value;
+use dart_bench::{flag_value, reject_unknown_args};
 use dart_ram::MachineConfig;
 use dart_solver::{Constraint, LinExpr, RelOp, Solver, Var};
 use std::process::ExitCode;
@@ -311,6 +311,10 @@ fn render_json_snapshot(medians: &[(String, u64)], ratios: &[(String, f64)]) -> 
 }
 
 fn main() -> ExitCode {
+    reject_unknown_args(
+        &["--baseline", "--tolerance", "--unknown-baseline", "--json"],
+        &["--write-baseline", "--gate", "--write-unknown-baseline"],
+    );
     let args: Vec<String> = std::env::args().collect();
     let baseline_path =
         flag_value("--baseline").unwrap_or_else(|| "crates/bench/baseline.json".to_string());

@@ -5,11 +5,12 @@
 //! search runs "for hours" without finding anything (probability 2^-64).
 
 use dart::{Dart, DartConfig, EngineMode};
-use dart_bench::{fmt_dur, header, seed_from_args};
+use dart_bench::{fmt_dur, header, reject_unknown_args, seed_from_args};
 use dart_workloads::AC_CONTROLLER;
 use std::time::Instant;
 
 fn main() {
+    reject_unknown_args(&["--seed"], &[]);
     let seed = seed_from_args();
     let compiled = dart_minic::compile(AC_CONTROLLER).expect("Fig. 6 compiles");
 

@@ -6,11 +6,12 @@
 //! DART simply *solves* for the secret nonce.
 
 use dart::{Dart, DartConfig, EngineMode};
-use dart_bench::{fmt_dur, header, seed_from_args};
+use dart_bench::{fmt_dur, header, reject_unknown_args, seed_from_args};
 use dart_workloads::{needham_schroeder, Intruder, LoweFix};
 use std::time::Instant;
 
 fn main() {
+    reject_unknown_args(&["--seed"], &[]);
     let seed = seed_from_args();
     let src = needham_schroeder(Intruder::Possibilistic, LoweFix::Off);
     let compiled = dart_minic::compile(&src).expect("workload compiles");

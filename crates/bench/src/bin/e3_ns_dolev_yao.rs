@@ -7,7 +7,7 @@
 //! a previously unknown bug; after completing the fix, no violation.
 
 use dart::{Dart, DartConfig};
-use dart_bench::{fmt_dur, header, seed_from_args};
+use dart_bench::{fmt_dur, header, reject_unknown_args, seed_from_args};
 use dart_workloads::{needham_schroeder, Intruder, LoweFix};
 use std::time::Instant;
 
@@ -31,6 +31,7 @@ fn session(fix: LoweFix, depth: u32, max_runs: u64, seed: u64) -> (dart::Session
 }
 
 fn main() {
+    reject_unknown_args(&["--seed"], &[]);
     let seed = seed_from_args();
 
     header(

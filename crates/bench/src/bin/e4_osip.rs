@@ -16,12 +16,16 @@
 //! dedup/eviction/peak counters.
 
 use dart::{Dart, DartConfig, EngineMode};
-use dart_bench::{flag_value, fmt_dur, header, seed_from_args};
+use dart_bench::{flag_value, fmt_dur, header, reject_unknown_args, seed_from_args};
 use dart_workloads::{generate_osip, OsipConfig, Planted};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
 fn main() {
+    reject_unknown_args(
+        &["--seed", "--functions", "--engine", "--frontier-budget"],
+        &[],
+    );
     let seed = seed_from_args();
     let num_functions = flag_value("--functions").unwrap_or(200);
     let engine = match flag_value::<String>("--engine").as_deref() {

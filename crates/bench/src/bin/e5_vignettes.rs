@@ -7,7 +7,7 @@
 //! §2.1/§2.4/§2.5 narrative.
 
 use dart::{Dart, DartConfig, EngineMode, Outcome};
-use dart_bench::{header, seed_from_args};
+use dart_bench::{header, reject_unknown_args, seed_from_args};
 use dart_workloads::{EXAMPLE_2_4, FOOBAR, PAPER_H, STRUCT_CAST};
 
 fn run(src: &str, toplevel: &str, mode: EngineMode, seed: u64, max_runs: u64) -> String {
@@ -32,6 +32,7 @@ fn run(src: &str, toplevel: &str, mode: EngineMode, seed: u64, max_runs: u64) ->
 }
 
 fn main() {
+    reject_unknown_args(&["--seed"], &[]);
     let seed = seed_from_args();
     header(
         "E5: §2 vignettes under three engines",

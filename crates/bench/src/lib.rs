@@ -14,6 +14,9 @@
 //! All binaries accept `--seed N` and print deterministic results. A
 //! numeric flag whose value is missing or malformed exits with status 2
 //! and names the flag ([`flag_value`]); it never falls back to a default.
+//! An argument a binary does not know exits with status 2 and names it
+//! ([`reject_unknown_args`]), as `dartc` does, so a removed option never
+//! runs as if it were honoured.
 //! Criterion benches (in `benches/`) cover engine and solver throughput
 //! and the design-choice ablations called out in DESIGN.md.
 
@@ -53,6 +56,35 @@ fn parse_flag<T: FromStr>(args: &[String], flag: &str) -> Result<Option<T>, Stri
         .parse()
         .map(Some)
         .map_err(|_| format!("{flag}: malformed value `{value}`"))
+}
+
+/// Exits with status 2, naming the argument, when argv holds one the
+/// binary does not know: each of `value_flags` takes the argument after
+/// it as its value, each of `switches` stands alone.
+pub fn reject_unknown_args(value_flags: &[&str], switches: &[&str]) {
+    let args: Vec<String> = std::env::args().collect();
+    if let Some(arg) = first_unknown(&args, value_flags, switches) {
+        eprintln!("unknown argument `{arg}`");
+        std::process::exit(2)
+    }
+}
+
+/// The first argument after the program name in `args` that is neither
+/// one of `value_flags`, nor the value after one, nor one of `switches`.
+fn first_unknown<'a>(
+    args: &'a [String],
+    value_flags: &[&str],
+    switches: &[&str],
+) -> Option<&'a str> {
+    let mut rest = args.iter().skip(1).map(String::as_str);
+    while let Some(arg) = rest.next() {
+        if value_flags.contains(&arg) {
+            rest.next();
+        } else if !switches.contains(&arg) {
+            return Some(arg);
+        }
+    }
+    None
 }
 
 /// Formats a duration compactly for table cells.
@@ -102,6 +134,29 @@ mod tests {
         assert!(zero.unwrap_err().contains("--frontier-budget"));
         let trailing: Vec<String> = vec!["bin".into(), "--seed".into()];
         assert!(parse_flag::<u64>(&trailing, "--seed").is_err());
+    }
+
+    #[test]
+    fn unknown_arguments_are_named() {
+        let args = |list: &[&str]| -> Vec<String> { list.iter().map(|a| a.to_string()).collect() };
+        let values = ["--seed", "--functions"];
+        let switches = ["--gate"];
+        let known = args(&["bin", "--seed", "7", "--gate", "--functions", "--gate"]);
+        assert_eq!(first_unknown(&known, &values, &switches), None);
+        let removed = args(&["bin", "--functions", "5", "--exec-tier", "compiled"]);
+        assert_eq!(
+            first_unknown(&removed, &values, &switches),
+            Some("--exec-tier")
+        );
+        let stray = args(&["bin", "--seed", "7", "8"]);
+        assert_eq!(first_unknown(&stray, &values, &switches), Some("8"));
+        // A switch takes no value, so what follows it is judged on its own.
+        let valued_switch = args(&["bin", "--gate", "50"]);
+        assert_eq!(
+            first_unknown(&valued_switch, &values, &switches),
+            Some("50")
+        );
+        assert_eq!(first_unknown(&args(&["bin"]), &values, &switches), None);
     }
 
     #[test]

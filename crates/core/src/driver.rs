@@ -19,7 +19,7 @@
 //! * [`EngineMode::Generational`] — the SAGE-style frontier search
 //!   (`run_generational`), a sound non-DFS exploration order.
 
-use crate::exec::{run_once_with_faults, RunResult, RunTermination};
+use crate::exec::{run_from, RunResult, RunTermination, Snapshot, Start};
 use crate::frontier::{derive_seed, Checkpoint, ChildKeys, Frontier, SolverCounters};
 use crate::report::{Bug, BugKind, Outcome, SessionReport};
 use crate::search::{solve_next, Scheduler, Strategy};
@@ -28,9 +28,14 @@ use crate::tape::InputTape;
 use dart_minic::{CompiledProgram, FnSig};
 use dart_ram::MachineConfig;
 use dart_solver::{QueryCache, Solver, SolverConfig};
+use dart_sym::{BranchRecord, PathConstraint};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
+
+/// The path constraint and branch directions of a run whose child
+/// resumes from its snapshot.
+type Prefix = (PathConstraint, Vec<(usize, bool)>);
 
 /// Which engine drives test generation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -355,15 +360,24 @@ impl<'p> Dart<'p> {
         let mut coverage: std::collections::HashSet<(usize, bool)> =
             std::collections::HashSet::new();
         let mut report = SessionReport::new(self.branch_sites());
+        // A random-only session restarts after every run, so no child
+        // could start from a snapshot.
+        let keep_snapshots = cfg.mode != EngineMode::RandomOnly;
 
         // Outer loop: fresh random restart (the paper's `repeat`).
         'outer: loop {
             report.restarts += 1;
-            // The next run's inputs and branch prediction. Owned by this
-            // binding between runs and *moved* into `run_once`, so a stale
-            // tape can never leak into a later iteration.
-            let mut next_input: (InputTape, Vec<dart_sym::BranchRecord>) =
-                (InputTape::new(rng.gen()), Vec::new());
+            // The latest fresh run's state at the start of its last depth
+            // iteration, if it got there: the children it `admits`
+            // resume from it. A restart's fresh inputs share no prefix
+            // with the previous restart's runs.
+            let mut snapshot: Option<Snapshot<'p>> = None;
+            // The next run's inputs, branch prediction and, when it
+            // resumes from `snapshot`, the parent's path and branches.
+            // Owned by this binding between runs and *moved* into the
+            // run, so a stale tape can never leak into a later iteration.
+            let mut next_input: (InputTape, Vec<BranchRecord>, Option<Prefix>) =
+                (InputTape::new(rng.gen()), Vec::new(), None);
             // Only the DFS discipline keeps the `(branch, done)` stack a
             // sound record of "both subtrees explored" (flipping a shallow
             // branch first discards the done-state of the deeper subtree),
@@ -380,9 +394,26 @@ impl<'p> Dart<'p> {
                     report.outcome = Outcome::DeadlineExceeded;
                     return report;
                 }
-                let (tape, stack) = next_input;
+                let (tape, stack, prefix) = next_input;
+                // The branches a resumed run restores, `None` for a fresh run.
+                let (start, restored) = match (&snapshot, prefix) {
+                    (Some(from), Some((path, branches))) => (
+                        Start::Resume {
+                            from,
+                            path,
+                            branches,
+                        },
+                        Some(from.branches),
+                    ),
+                    _ => (
+                        Start::Fresh {
+                            snapshot: keep_snapshots,
+                        },
+                        None,
+                    ),
+                };
                 let exec_started = std::time::Instant::now();
-                let result = run_once_with_faults(
+                let (result, taken) = run_from(
                     self.compiled,
                     &self.sig,
                     cfg.depth,
@@ -391,11 +422,21 @@ impl<'p> Dart<'p> {
                     stack,
                     cfg.max_ptr_depth,
                     &mut faults,
+                    start,
                 );
                 report.exec_time += exec_started.elapsed();
+                // A resumed run keeps the snapshot it started from; a
+                // fresh run replaces it, with none if it ended before its
+                // last iteration.
+                if restored.is_none() {
+                    snapshot = taken;
+                }
                 report.runs += 1;
                 report.steps += result.steps;
-                coverage.extend(result.branches.iter().copied());
+                // The restored prefix's branches entered coverage when
+                // the run that took the snapshot executed them.
+                let new_branches = &result.branches[restored.unwrap_or(0)..];
+                coverage.extend(new_branches.iter().copied());
                 report.branches_covered = coverage.len();
                 if cfg.record_paths {
                     report.paths.push(result.branches.clone());
@@ -428,11 +469,10 @@ impl<'p> Dart<'p> {
                         result_stack.truncate(cut);
                     }
                 }
-                let path_for_solve = path;
                 let unknown_before = report.solver.unknown;
                 let solve_started = std::time::Instant::now();
                 let next = solve_next(
-                    &path_for_solve,
+                    &path,
                     &result_stack,
                     &result.tape,
                     &solver,
@@ -449,9 +489,18 @@ impl<'p> Dart<'p> {
                 }
                 match next {
                     Some(step) => {
+                        // The child resumes when its inputs and its
+                        // predictions agree with the snapshot's prefix and
+                        // no planned allocation denial falls inside it.
+                        let flipped = step.stack.len() - 1;
+                        let resume = snapshot.as_ref().is_some_and(|s| {
+                            s.admits(&result.tape, &step.model, flipped)
+                                && faults.skip_allocs(s.allocs())
+                        });
                         let mut tape = result.tape;
                         tape.apply_model(&step.model);
-                        next_input = (tape, step.stack);
+                        let prefix = resume.then_some((path, result.branches));
+                        next_input = (tape, step.stack, prefix);
                     }
                     None => {
                         if session_complete {
@@ -560,7 +609,11 @@ impl<'p> Dart<'p> {
                 let Some(item) = frontier.pop() else { break };
                 let bound = item.bound;
                 let exec_started = std::time::Instant::now();
-                let result = run_once_with_faults(
+                // Every run starts from scratch: items leave the frontier
+                // long after their parents ran, and a snapshot per item
+                // would hold memory no frontier budget bounds (DESIGN.md,
+                // "Resuming at the last depth iteration").
+                let (result, _) = run_from(
                     self.compiled,
                     &self.sig,
                     cfg.depth,
@@ -569,6 +622,7 @@ impl<'p> Dart<'p> {
                     item.stack,
                     cfg.max_ptr_depth,
                     &mut faults,
+                    Start::Fresh { snapshot: false },
                 );
                 report.exec_time += exec_started.elapsed();
                 report.runs += 1;

@@ -19,9 +19,10 @@ use dart_minic::{CompiledProgram, FnSig};
 use dart_ram::{
     DecodedProgram, Fault, Machine, MachineConfig, MemView, Statement, StepOutcome, GLOBAL_BASE,
 };
-use dart_solver::Constraint;
-use dart_solver::LinExpr;
-use dart_sym::{eval_predicate, eval_symbolic, BranchRecord, Completeness, PathConstraint};
+use dart_solver::{Assignment, Constraint, LinExpr, Var};
+use dart_sym::{
+    eval_predicate, eval_symbolic, BranchRecord, Completeness, PathConstraint, SymMemory,
+};
 
 /// How a run ended.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,6 +74,87 @@ pub struct RunResult {
     pub steps_fast_pathed: u64,
 }
 
+/// A run's state at the start of its last depth iteration, where the
+/// machine's stack is empty: what iterations `0..depth - 1`, the
+/// prefix, left behind. A child run that [`Snapshot::admits`] starts
+/// from a copy of it at iteration `depth - 1` instead of at `main`, and
+/// ends exactly as the same run from scratch, with the prefix's steps,
+/// path and branches counted.
+#[derive(Debug)]
+pub struct Snapshot<'p> {
+    /// Cells, block table, allocators, step count and step limit.
+    machine: Machine<'p>,
+    /// The symbolic store `S`.
+    sym: SymMemory,
+    flags: Completeness,
+    /// Symbolic conditionals the prefix executed (the paper's `k`), one
+    /// path conjunct each.
+    k: usize,
+    taint_at: Option<usize>,
+    init_truncated: bool,
+    /// Tape slots the prefix consumed.
+    cursor: usize,
+    /// Branch directions the prefix executed.
+    pub(crate) branches: usize,
+    /// Allocation statements the prefix executed, one fault-plan slot
+    /// each.
+    allocs: u64,
+}
+
+impl Snapshot<'_> {
+    /// Whether the child that flips conditional `flipped` of this run's
+    /// branch stack and applies `model` to its `tape` may start from
+    /// this snapshot: the model leaves every slot below the cursor as it
+    /// was, and the flip lies at or past the prefix's conditionals. The
+    /// prefix then reads the parent's inputs and meets only the parent's
+    /// own branches as predictions, so it runs exactly as it did.
+    pub fn admits(&self, tape: &InputTape, model: &Assignment, flipped: usize) -> bool {
+        flipped >= self.k
+            && model
+                .range(..Var(self.cursor as u32))
+                .all(|(&var, &value)| tape.value_of(var) == Some(value))
+    }
+
+    /// Tape slots the prefix consumed.
+    pub fn cursor(&self) -> usize {
+        self.cursor
+    }
+
+    /// Symbolic conditionals the prefix executed: a flip below this
+    /// index would change the prefix.
+    pub fn conditionals(&self) -> usize {
+        self.k
+    }
+
+    /// Allocation statements the prefix executed: the slots a resumed
+    /// run's caller skips with [`FaultState::skip_allocs`].
+    pub fn allocs(&self) -> u64 {
+        self.allocs
+    }
+}
+
+/// Where [`run_from`] begins.
+#[derive(Debug)]
+pub enum Start<'s, 'p> {
+    /// At iteration 0 on a fresh machine, as the paper's driver does.
+    Fresh {
+        /// Whether a run of depth 2 or more also returns its
+        /// [`Snapshot`] at the start of its last iteration.
+        snapshot: bool,
+    },
+    /// At iteration `depth - 1` on a copy of a snapshot that
+    /// [`Snapshot::admits`] this run.
+    Resume {
+        /// The snapshot.
+        from: &'s Snapshot<'p>,
+        /// The path constraint of the run that took `from` or of a run
+        /// resumed from it; the run keeps the prefix's part.
+        path: PathConstraint,
+        /// That run's branch directions; the run keeps the prefix's part.
+        branches: Vec<(usize, bool)>,
+    },
+}
+
 /// Executes one instrumented run: initializes extern variables, then calls
 /// the toplevel function `depth` times with freshly initialized arguments
 /// (the generated test driver of Fig. 7), mirroring everything
@@ -86,7 +168,7 @@ pub fn run_once(
     predicted_stack: Vec<BranchRecord>,
     max_ptr_depth: u32,
 ) -> RunResult {
-    run_once_impl(
+    run_from(
         compiled,
         sig,
         depth,
@@ -94,9 +176,10 @@ pub fn run_once(
         tape,
         predicted_stack,
         max_ptr_depth,
-        None,
         &mut FaultState::default(),
+        Start::Fresh { snapshot: false },
     )
+    .0
 }
 
 /// [`run_once`], ignoring `decoded`: the compiled execution tier it once
@@ -125,11 +208,18 @@ pub fn run_once_in_tier(
     )
 }
 
-/// [`run_once`] consulting a session-wide fault-injection state (a no-op
-/// default state injects nothing; see [`crate::supervise::FaultState`]).
+/// One instrumented run from `start`, consulting a session-wide
+/// fault-injection state (a no-op default state injects nothing; see
+/// [`crate::supervise::FaultState`]). Returns the run and, when `start`
+/// is [`Start::Fresh`] with `snapshot` and the run reached its last
+/// iteration, its [`Snapshot`].
+///
+/// A resumed run does not execute the prefix's allocations: its caller
+/// first moves `faults` past them with [`FaultState::skip_allocs`], and
+/// runs from scratch when that refuses.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_once_with_faults(
-    compiled: &CompiledProgram,
+pub fn run_from<'p>(
+    compiled: &'p CompiledProgram,
     sig: &FnSig,
     depth: u32,
     machine_config: MachineConfig,
@@ -137,7 +227,8 @@ pub(crate) fn run_once_with_faults(
     predicted_stack: Vec<BranchRecord>,
     max_ptr_depth: u32,
     faults: &mut FaultState,
-) -> RunResult {
+    start: Start<'_, 'p>,
+) -> (RunResult, Option<Snapshot<'p>>) {
     run_once_impl(
         compiled,
         sig,
@@ -148,6 +239,7 @@ pub(crate) fn run_once_with_faults(
         max_ptr_depth,
         None,
         faults,
+        start,
     )
 }
 
@@ -174,12 +266,14 @@ pub fn run_once_traced(
         max_ptr_depth,
         Some(trace),
         &mut FaultState::default(),
+        Start::Fresh { snapshot: false },
     )
+    .0
 }
 
 #[allow(clippy::too_many_arguments)]
-fn run_once_impl(
-    compiled: &CompiledProgram,
+fn run_once_impl<'p>(
+    compiled: &'p CompiledProgram,
     sig: &FnSig,
     depth: u32,
     machine_config: MachineConfig,
@@ -188,32 +282,66 @@ fn run_once_impl(
     max_ptr_depth: u32,
     mut trace: Option<&mut Vec<String>>,
     faults: &mut FaultState,
-) -> RunResult {
-    let mut machine = Machine::new(&compiled.program, machine_config);
-    for &(off, v) in &compiled.global_inits {
-        machine
-            .mem_mut()
-            .store(GLOBAL_BASE + off as i64, v)
-            .expect("global initializer in range");
-    }
-
+    start: Start<'_, 'p>,
+) -> (RunResult, Option<Snapshot<'p>>) {
+    let allocs_before = faults.allocs_seen();
     let mut ctx = RunCtx::new(compiled, tape, predicted_stack, max_ptr_depth);
-    ctx.tape.rewind();
+    let (mut machine, mut branches, first_iter, keep) = match start {
+        Start::Fresh { snapshot } => {
+            let mut machine = Machine::new(&compiled.program, machine_config);
+            for &(off, v) in &compiled.global_inits {
+                machine
+                    .mem_mut()
+                    .store(GLOBAL_BASE + off as i64, v)
+                    .expect("global initializer in range");
+            }
+            ctx.tape.rewind();
+            // External variables are inputs (§3.1), initialized at run start.
+            for ev in &compiled.extern_vars {
+                ctx.random_init(
+                    machine.mem_mut(),
+                    GLOBAL_BASE + ev.offset as i64,
+                    &ev.ty,
+                    &|| format!("extern {}", ev.name),
+                    0,
+                );
+            }
+            (machine, Vec::new(), 0, snapshot && depth >= 2)
+        }
+        Start::Resume {
+            from,
+            mut path,
+            mut branches,
+        } => {
+            path.truncate(from.k);
+            branches.truncate(from.branches);
+            ctx.tape.seek(from.cursor);
+            ctx.sym = from.sym.clone();
+            ctx.flags = from.flags;
+            ctx.path = path;
+            ctx.k = from.k;
+            ctx.taint_at = from.taint_at;
+            ctx.init_truncated = from.init_truncated;
+            (from.machine.clone(), branches, depth - 1, false)
+        }
+    };
 
-    // External variables are inputs (§3.1), initialized at run start.
-    for ev in &compiled.extern_vars {
-        ctx.random_init(
-            machine.mem_mut(),
-            GLOBAL_BASE + ev.offset as i64,
-            &ev.ty,
-            &|| format!("extern {}", ev.name),
-            0,
-        );
-    }
-
+    let mut snapshot = None;
     let mut termination = RunTermination::Ok;
-    let mut branches: Vec<(usize, bool)> = Vec::new();
-    'driver: for iter in 0..depth {
+    'driver: for iter in first_iter..depth {
+        if keep && iter == depth - 1 {
+            snapshot = Some(Snapshot {
+                machine: machine.clone(),
+                sym: ctx.sym.clone(),
+                flags: ctx.flags,
+                k: ctx.k,
+                taint_at: ctx.taint_at,
+                init_truncated: ctx.init_truncated,
+                cursor: ctx.tape.consumed(),
+                branches: branches.len(),
+                allocs: faults.allocs_seen() - allocs_before,
+            });
+        }
         // Fresh inputs for the toplevel arguments (Fig. 7's loop body).
         let base = match machine.call(sig.id, &vec![0; sig.params.len()]) {
             Ok(base) => base,
@@ -278,7 +406,7 @@ fn run_once_impl(
     // indices below k_try).
     ctx.stack.truncate(ctx.k);
 
-    RunResult {
+    let result = RunResult {
         steps: machine.steps_taken(),
         tape: ctx.tape,
         stack: ctx.stack,
@@ -290,7 +418,8 @@ fn run_once_impl(
         taint_at: ctx.taint_at,
         branches,
         steps_fast_pathed: 0,
-    }
+    };
+    (result, snapshot)
 }
 
 /// Pre-step symbolic work, computed against the pre-step state.
@@ -704,7 +833,7 @@ mod tests {
             ..crate::DartConfig::default()
         };
         let mut faults = FaultState::for_config(&config);
-        let r = run_once_with_faults(
+        let (r, _) = run_from(
             &c,
             &sig,
             1,
@@ -713,6 +842,7 @@ mod tests {
             Vec::new(),
             32,
             &mut faults,
+            Start::Fresh { snapshot: false },
         );
         assert_eq!((r.termination, r.steps), (RunTermination::OutOfMemory, 2));
     }

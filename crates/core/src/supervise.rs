@@ -117,6 +117,28 @@ impl FaultState {
         self.allocs_seen += 1;
         self.plan.deny_alloc == Some(n)
     }
+
+    /// Allocation slots consumed so far.
+    pub fn allocs_seen(&self) -> u64 {
+        self.allocs_seen
+    }
+
+    /// Consumes the next `n` allocation slots at once, for a run that
+    /// restores a prefix instead of executing its `n` allocations.
+    /// Returns `false` and consumes nothing when the plan's denied
+    /// allocation is among them: that denial needs the prefix executed.
+    pub fn skip_allocs(&mut self, n: u64) -> bool {
+        let next = self.allocs_seen;
+        if self
+            .plan
+            .deny_alloc
+            .is_some_and(|m| m >= next && m - next < n)
+        {
+            return false;
+        }
+        self.allocs_seen += n;
+        true
+    }
 }
 
 #[cfg(not(any(test, feature = "fault-injection")))]
@@ -134,6 +156,16 @@ impl FaultState {
     /// Never injects without the gate.
     pub fn deny_next_alloc(&mut self) -> bool {
         false
+    }
+
+    /// Always 0 without the gate.
+    pub fn allocs_seen(&self) -> u64 {
+        0
+    }
+
+    /// Never refuses without the gate.
+    pub fn skip_allocs(&mut self, _n: u64) -> bool {
+        true
     }
 }
 
@@ -266,6 +298,27 @@ mod tests {
             msg.starts_with("engine panic with non-string payload of type "),
             "unexpected message: {msg}"
         );
+    }
+
+    /// Allocation 3 is denied: skipping slots 0–2 passes it by, but a
+    /// skip over it is refused and consumes nothing.
+    #[test]
+    fn skipped_allocations_keep_the_denied_one() {
+        let config = crate::DartConfig {
+            faults: FaultPlan {
+                deny_alloc: Some(3),
+                ..FaultPlan::default()
+            },
+            ..crate::DartConfig::default()
+        };
+        let mut faults = FaultState::for_config(&config);
+        assert!(faults.skip_allocs(3));
+        assert!(!faults.skip_allocs(1));
+        assert_eq!(faults.allocs_seen(), 3);
+        assert!(faults.skip_allocs(0));
+        assert!(faults.deny_next_alloc());
+        assert!(faults.skip_allocs(5));
+        assert_eq!(faults.allocs_seen(), 9);
     }
 
     #[test]

@@ -74,6 +74,13 @@ impl InputTape {
         self.next = 0;
     }
 
+    /// Moves the consumption cursor to slot `cursor`, as if a run had
+    /// consumed the slots before it: a run resumed after a prefix that
+    /// consumed them reads on from there.
+    pub fn seek(&mut self, cursor: usize) {
+        self.next = cursor;
+    }
+
     /// Discards all recorded values (fresh random restart).
     pub fn clear(&mut self) {
         self.slots.clear();
@@ -176,6 +183,18 @@ mod tests {
         let (_, b2) = t.take(InputKind::IntLike, || "b".into());
         assert_eq!(a, a2);
         assert_eq!(b, b2);
+    }
+
+    #[test]
+    fn seek_replays_from_the_cursor() {
+        let mut t = InputTape::new(7);
+        let values: Vec<i64> = (0..3)
+            .map(|i| t.take(InputKind::IntLike, || format!("{i}")).1)
+            .collect();
+        t.seek(1);
+        assert_eq!(t.consumed(), 1);
+        let (var, value) = t.take(InputKind::IntLike, || "b".into());
+        assert_eq!((var, value), (Var(1), values[1]));
     }
 
     #[test]

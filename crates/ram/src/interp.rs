@@ -117,8 +117,6 @@ pub enum StepOutcome {
         func: FuncId,
         /// Base address of the new frame (parameters at `base..`).
         frame_base: i64,
-        /// Concrete argument values written into the frame.
-        arg_values: Vec<i64>,
     },
     /// A `ret` popped a frame back into a caller.
     Returned {
@@ -283,6 +281,9 @@ pub struct Machine<'p> {
     limit: StepLimit,
     config: MachineConfig,
     running: bool,
+    /// A call's argument values, evaluated before its frame exists; kept
+    /// between calls so a call allocates nothing for them.
+    args: Vec<i64>,
 }
 
 impl MemView for Machine<'_> {
@@ -306,6 +307,7 @@ impl<'p> Machine<'p> {
             limit: StepLimit::new(config.max_steps),
             config,
             running: false,
+            args: Vec::new(),
         }
     }
 
@@ -435,9 +437,12 @@ impl<'p> Machine<'p> {
                 if self.frames.len() >= self.config.max_frames {
                     return self.finish(StepOutcome::Faulted(Fault::StackOverflow));
                 }
-                let mut arg_values = Vec::with_capacity(args.len());
+                // A fault below drops the buffer with the episode; the
+                // next call starts a new one.
+                let mut values = std::mem::take(&mut self.args);
+                values.clear();
                 for a in args {
-                    arg_values.push(try_eval!(eval_concrete(a, self)));
+                    values.push(try_eval!(eval_concrete(a, self)));
                 }
                 let ret_dst = match dst {
                     Some(d) => Some(try_eval!(eval_concrete(d, self))),
@@ -448,9 +453,10 @@ impl<'p> Machine<'p> {
                     return self.finish(StepOutcome::OutOfMemory);
                 }
                 let base = try_eval!(self.mem.push_frame(meta.frame_words));
-                for (i, &v) in arg_values.iter().enumerate() {
+                for (i, &v) in values.iter().enumerate() {
                     try_eval!(self.mem.store(base + i as i64, v));
                 }
+                self.args = values;
                 self.frames.push(Frame {
                     base,
                     ret_pc: self.pc + 1,
@@ -460,7 +466,6 @@ impl<'p> Machine<'p> {
                 StepOutcome::Called {
                     func: *func,
                     frame_base: base,
-                    arg_values,
                 }
             }
             Statement::CallExternal { ext, dst } => {

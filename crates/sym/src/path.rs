@@ -48,6 +48,13 @@ impl PathConstraint {
         self.constraints.push(c);
     }
 
+    /// Keeps the first `len` conjuncts (all of them if there are fewer):
+    /// the path of a run prefix, which a run resumed after that prefix
+    /// extends.
+    pub fn truncate(&mut self, len: usize) {
+        self.constraints.truncate(len);
+    }
+
     /// Number of conjuncts.
     pub fn len(&self) -> usize {
         self.constraints.len()
@@ -105,6 +112,18 @@ mod tests {
         pc.push(x_eq(2));
         assert_eq!(pc.len(), 2);
         assert_eq!(pc.constraints()[0], x_eq(1));
+    }
+
+    #[test]
+    fn truncate_keeps_the_prefix() {
+        let mut pc = PathConstraint::new();
+        for k in 1..=3 {
+            pc.push(x_eq(k));
+        }
+        pc.truncate(5);
+        assert_eq!(pc.len(), 3);
+        pc.truncate(1);
+        assert_eq!(pc.constraints(), &[x_eq(1)]);
     }
 
     #[test]
