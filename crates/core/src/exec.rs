@@ -97,7 +97,8 @@ pub struct Snapshot<'p> {
     /// Branch directions the prefix executed.
     pub(crate) branches: usize,
     /// Allocation statements the prefix executed, one fault-plan slot
-    /// each.
+    /// each; 0 when the fault-injection hooks are compiled out, where
+    /// [`FaultState`] counts none.
     allocs: u64,
 }
 

@@ -77,7 +77,7 @@ impl InputTape {
     /// Moves the consumption cursor to slot `cursor`, as if a run had
     /// consumed the slots before it: a run resumed after a prefix that
     /// consumed them reads on from there.
-    pub fn seek(&mut self, cursor: usize) {
+    pub(crate) fn seek(&mut self, cursor: usize) {
         self.next = cursor;
     }
 

@@ -8,9 +8,9 @@
 //! Dolev-Yao `deliver` at depth 4 with Lowe fix Off and Complete, capped
 //! at [`DEEP_RUNS`] runs. Three of the depth-4 sessions vary the
 //! directed search: one records every path and keeps going past its
-//! bugs, one flips random branches, one runs symbolic-only. Its report, with the
-//! wall-clock times zeroed, is printed with `{:?}` and digested with
-//! FNV-1a. Those times are the only fields the contract lets differ
+//! bugs, one flips random branches, one runs symbolic-only. Each
+//! session's report, with the wall-clock times zeroed, is printed with
+//! `{:?}` and digested with FNV-1a. Those times are the only fields the contract lets differ
 //! between runs, so the test passes unchanged in every CI leg (with the
 //! fault hooks compiled in, `DartConfig::default()` still injects no
 //! fault).
