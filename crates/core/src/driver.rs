@@ -19,15 +19,16 @@
 //! * [`EngineMode::Generational`] — the SAGE-style frontier search
 //!   (`run_generational`), a sound non-DFS exploration order.
 
+use crate::checkpoint::{self, Checkpoint, Head};
 use crate::exec::{run_from, RunResult, RunTermination, Snapshot, Start};
-use crate::frontier::{derive_seed, Checkpoint, ChildKeys, Frontier, SolverCounters};
+use crate::frontier::{derive_seed, ChildKeys, Frontier};
 use crate::report::{Bug, BugKind, Outcome, SessionReport};
 use crate::search::{solve_next, Scheduler, Strategy};
 use crate::supervise::FaultState;
 use crate::tape::InputTape;
 use dart_minic::{CompiledProgram, FnSig};
 use dart_ram::MachineConfig;
-use dart_solver::{QueryCache, Solver, SolverConfig};
+use dart_solver::{CacheStats, QueryCache, Solver, SolverConfig};
 use dart_sym::{BranchRecord, PathConstraint};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -158,15 +159,15 @@ pub struct DartConfig {
     /// incomplete pass anyway); `false` re-derives everything, kept as
     /// the bench ablation (`gen_dedup/off`).
     pub frontier_dedup: bool,
-    /// Checkpoint file for the generational engine: the frontier,
-    /// coverage, the query cache's model pool and the RNG position are
-    /// written here after every completed work item, and a session
-    /// constructed with the same seed and an existing file resumes from
-    /// it instead of starting fresh. `None`
+    /// Checkpoint file for the generational engine: the session's whole
+    /// report, the frontier, coverage and the query cache's model pool
+    /// are written here after every completed work item, and a session
+    /// constructed with the same seed, program, toplevel and depth and an
+    /// existing file resumes from it instead of starting fresh. `None`
     /// (the default) never touches disk. Setting it with a
     /// non-generational [`DartConfig::mode`] is rejected with
-    /// [`DartError::InvalidConfig`], as is a malformed file or a seed
-    /// mismatch.
+    /// [`DartError::InvalidConfig`], as is a malformed file or one written
+    /// under another seed or for another program.
     pub checkpoint: Option<std::path::PathBuf>,
     /// Ignored (see [`ExecTier`]); it stays only because the end-to-end
     /// benchmark still reads it, and goes with the benchmark PR that
@@ -275,6 +276,9 @@ pub struct Dart<'p> {
     compiled: &'p CompiledProgram,
     sig: FnSig,
     config: DartConfig,
+    /// The fingerprint written checkpoints record, computed when
+    /// [`DartConfig::checkpoint`] is set.
+    program: u64,
     /// A parsed resume point, loaded by [`Dart::new`] when
     /// [`DartConfig::checkpoint`] names an existing file.
     checkpoint: Option<Checkpoint>,
@@ -290,50 +294,30 @@ impl<'p> Dart<'p> {
     /// frontier that can hold nothing can run nothing), or if `checkpoint`
     /// is set outside the generational engine, names an unreadable or
     /// malformed file, or was recorded under a different seed (resuming
-    /// it would splice two unrelated random sequences).
+    /// it would splice two unrelated random sequences) or for a different
+    /// program, toplevel or depth.
     pub fn new(
         compiled: &'p CompiledProgram,
         toplevel: &str,
         config: DartConfig,
     ) -> Result<Dart<'p>, DartError> {
         validate(&config)?;
-        let checkpoint = match &config.checkpoint {
-            None => None,
-            Some(path) => match std::fs::read_to_string(path) {
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
-                Err(e) => {
-                    return Err(DartError::InvalidConfig(format!(
-                        "cannot read checkpoint {}: {e}",
-                        path.display()
-                    )))
-                }
-                Ok(text) => {
-                    let cp = Checkpoint::parse(&text).map_err(|e| {
-                        DartError::InvalidConfig(format!(
-                            "malformed checkpoint {}: {e}",
-                            path.display()
-                        ))
-                    })?;
-                    if cp.seed != config.seed {
-                        return Err(DartError::InvalidConfig(format!(
-                            "checkpoint {} was recorded with seed {}, not {}",
-                            path.display(),
-                            cp.seed,
-                            config.seed
-                        )));
-                    }
-                    Some(cp)
-                }
-            },
-        };
         let sig = compiled
             .fn_sig(toplevel)
             .cloned()
             .ok_or_else(|| DartError::UnknownToplevel(toplevel.to_string()))?;
+        let (program, checkpoint) = match &config.checkpoint {
+            None => (0, None),
+            Some(path) => {
+                let program = checkpoint::fingerprint(compiled, &sig, config.depth);
+                (program, checkpoint::load(path, program, config.seed)?)
+            }
+        };
         Ok(Dart {
             compiled,
             sig,
             config,
+            program,
             checkpoint,
         })
     }
@@ -549,35 +533,32 @@ impl<'p> Dart<'p> {
         // one expansion to the next to the prefix the session re-base kept.
         let mut child_keys = ChildKeys::default();
 
-        // Resume: replay the checkpointed session state (the model pool
-        // included, since a pooled model can answer the next query, and
-        // the solver counters, so the report counts the whole session), then
-        // fast-forward the session RNG past the root draws the
+        // Resume: restore the checkpointed report whole, the frontier,
+        // coverage and the model pool (a pooled model can answer the next
+        // query), and the cache counters the report copies from the cache.
+        // Then fast-forward the session RNG past the root draws the
         // checkpointed restarts consumed (children never draw from it, so
         // the restart count is exactly the number of draws). A session
         // already at its run budget returns `Exhausted` before its next
         // draw, so it skips the fast-forward.
         let mut resumed_complete = None;
         if let Some(cp) = &self.checkpoint {
-            report.restarts = cp.restarts;
-            report.runs = cp.runs;
-            report.steps = cp.steps;
-            report.divergences = cp.divergences;
+            report = cp.report.clone();
             coverage.extend(cp.coverage.iter().copied());
-            report.branches_covered = coverage.len();
-            if cp.runs < cfg.max_runs {
-                for _ in 0..cp.restarts {
+            if report.runs < cfg.max_runs {
+                for _ in 0..report.restarts {
                     let _: u64 = rng.gen();
                 }
             }
             frontier.restore(cp);
             cache.restore_models(cp.pool.clone());
-            cache.restore_stats(cp.solver.cache);
-            report.solver.sat = cp.solver.sat;
-            report.solver.unsat = cp.solver.unsat;
-            report.solver.unknown = cp.solver.unknown;
-            report.solver.absorb_cache(&cache);
-            resumed_complete = Some(cp.session_complete);
+            cache.restore_stats(CacheStats {
+                model_reuse: report.solver.cache_model_reuse,
+                split_solves: report.solver.split_solves,
+                // Nothing reads it, so no checkpoint carries it.
+                misses: 0,
+            });
+            resumed_complete = Some(cp.head.complete);
         }
 
         'outer: loop {
@@ -589,15 +570,13 @@ impl<'p> Dart<'p> {
                     report.restarts += 1;
                     let root_seed: u64 = rng.gen();
                     frontier.push_root(InputTape::new(root_seed), root_seed);
-                    self.write_checkpoint(&frontier, &coverage, &cache, &report, true);
+                    self.write_checkpoint(&frontier, &coverage, &cache, &mut report, true);
                     true
                 }
             };
 
             loop {
-                report.dedup_hits = frontier.dedup_hits;
-                report.frontier_evicted = frontier.evicted;
-                report.frontier_peak = frontier.peak;
+                frontier.count_into(&mut report);
                 if report.runs >= cfg.max_runs {
                     report.outcome = Outcome::Exhausted;
                     return report;
@@ -650,7 +629,13 @@ impl<'p> Dart<'p> {
                     session_complete = false;
                     // Drop the divergent item, and persist the drop so a
                     // resume does not replay it.
-                    self.write_checkpoint(&frontier, &coverage, &cache, &report, session_complete);
+                    self.write_checkpoint(
+                        &frontier,
+                        &coverage,
+                        &cache,
+                        &mut report,
+                        session_complete,
+                    );
                     continue;
                 }
 
@@ -735,9 +720,7 @@ impl<'p> Dart<'p> {
                 }
                 report.solver.finish_walk(session, &mut cache);
                 report.solve_time += solve_started.elapsed();
-                report.dedup_hits = frontier.dedup_hits;
-                report.frontier_evicted = frontier.evicted;
-                report.frontier_peak = frontier.peak;
+                frontier.count_into(&mut report);
                 if deadline_hit {
                     // No checkpoint here: the abandoned candidates'
                     // fingerprints entered the dedup set, and persisting
@@ -746,7 +729,7 @@ impl<'p> Dart<'p> {
                     report.outcome = Outcome::DeadlineExceeded;
                     return report;
                 }
-                self.write_checkpoint(&frontier, &coverage, &cache, &report, session_complete);
+                self.write_checkpoint(&frontier, &coverage, &cache, &mut report, session_complete);
             }
 
             if session_complete {
@@ -758,47 +741,29 @@ impl<'p> Dart<'p> {
     }
 
     /// Persists the generational session state to
-    /// [`DartConfig::checkpoint`] (a no-op without one): write a `.tmp`
-    /// sibling, then rename over the target, so a kill mid-write leaves
-    /// the previous consistent snapshot in place. Write failures are
-    /// deliberately swallowed — checkpointing is crash insurance, and a
-    /// full disk must not turn a healthy session into a failed one.
+    /// [`DartConfig::checkpoint`] (a no-op without one), rendered straight
+    /// from the live state. The report takes the frontier's counters
+    /// first: the write after a restart's root is pushed comes before the
+    /// loop copies them.
     fn write_checkpoint(
         &self,
         frontier: &Frontier,
         coverage: &std::collections::HashSet<(usize, bool)>,
         cache: &QueryCache,
-        report: &SessionReport,
-        session_complete: bool,
+        report: &mut SessionReport,
+        complete: bool,
     ) {
         let Some(path) = &self.config.checkpoint else {
             return;
         };
-        let mut cov: Vec<(usize, bool)> = coverage.iter().copied().collect();
-        cov.sort_unstable();
-        let solver = SolverCounters {
-            sat: report.solver.sat,
-            unsat: report.solver.unsat,
-            unknown: report.solver.unknown,
-            cache: cache.stats(),
+        frontier.count_into(report);
+        let head = Head {
+            program: self.program,
+            seed: self.config.seed,
+            complete,
         };
-        let cp = frontier.to_checkpoint(
-            self.config.seed,
-            report.restarts,
-            report.runs,
-            report.steps,
-            report.divergences,
-            session_complete,
-            cov,
-            solver,
-            cache.models().to_vec(),
-        );
-        let mut tmp = path.clone().into_os_string();
-        tmp.push(".tmp");
-        let tmp = std::path::PathBuf::from(tmp);
-        if std::fs::write(&tmp, cp.render()).is_ok() {
-            let _ = std::fs::rename(&tmp, path);
-        }
+        let text = checkpoint::render(head, report, frontier, coverage, cache.models());
+        checkpoint::save(path, &text);
     }
 
     /// Total coverable branch directions: two per conditional statement.
@@ -901,19 +866,17 @@ mod tests {
         };
         let mut dart = Dart::new(&compiled, "f", config).unwrap();
         let huge = 1 << 62;
+        let mut report = SessionReport::new(0);
+        (report.restarts, report.runs) = (huge, huge);
         dart.checkpoint = Some(Checkpoint {
-            seed: dart.config.seed,
-            restarts: huge,
-            runs: huge,
-            steps: 0,
-            divergences: 0,
-            session_complete: false,
-            coverage: Vec::new(),
-            dedup_hits: 0,
-            evicted: 0,
-            peak: 0,
+            head: Head {
+                program: dart.program,
+                seed: dart.config.seed,
+                complete: false,
+            },
             next_seq: 0,
-            solver: SolverCounters::default(),
+            report,
+            coverage: Vec::new(),
             seen: Vec::new(),
             pool: Vec::new(),
             items: Vec::new(),

@@ -14,33 +14,31 @@
 //! Two artifacts make the farm observable:
 //!
 //! * `wire` — the exact (bit-for-bit round-tripping) worker →
-//!   supervisor report protocol over the worker's stdout pipe.
+//!   supervisor report protocol over the worker's stdout pipe, an
+//!   envelope around the report block that checkpoints carry too.
 //! * `stream` — JSONL result streaming, one line per finished
 //!   function, in completion order.
 //!
-//! **Determinism.** A worker derives its session seed exactly as
-//! [`crate::sweep()`] does (`config.seed ^ fnv(name)`, retry constant
-//! folded in per attempt) and runs the same supervised session body, so
-//! farm results are byte-identical to an in-process sweep of the same
-//! seeds, wall-clock times aside. A worker keeps no state of its own
-//! between runs: with [`DartConfig::checkpoint`] set,
+//! **Determinism.** A worker runs the very supervised attempt an
+//! in-process [`crate::sweep()`] runs (the same seed, `config.seed ^
+//! fnv(name)` with the retry constant folded in per attempt, and the
+//! same checkpoint path), and the supervisor the same retry loop and
+//! thread pool, so farm results are byte-identical to an in-process
+//! sweep of the same seeds, wall-clock times aside. A worker keeps no
+//! state of its own between runs: with [`DartConfig::checkpoint`] set,
 //! the session's checkpoint is all it resumes from.
 
 pub(crate) mod stream;
 pub(crate) mod wire;
 
 use crate::driver::{DartConfig, DartError};
-use crate::report::SessionReport;
-use crate::supervise;
-use crate::sweep::{SweepOutcome, SweepResult};
+use crate::supervise::{self, Attempt};
+use crate::sweep::SweepResult;
 use dart_minic::CompiledProgram;
 use std::io::Write;
 use std::process::{Child, Command, ExitStatus, Stdio};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-use wire::WorkerPayload;
 
 /// Supervisor-side knobs for one farm run.
 #[derive(Debug, Clone)]
@@ -95,10 +93,12 @@ pub struct FarmJob<'a> {
 /// `command` builds the [`Command`] for one worker launch (see
 /// [`FarmJob`]); the supervisor pipes its stdout (the `wire` protocol)
 /// and stderr, reaps it, and maps exit status to outcomes: a parsed
-/// report is [`SweepOutcome::Finished`], a caught panic or any abnormal
-/// exit (signal, nonzero code, malformed output, deadline kill) is
-/// retried and ultimately reported as [`SweepOutcome::EngineFault`]
-/// with the exit status or signal in the message.
+/// report is [`crate::SweepOutcome::Finished`], a setup error
+/// [`crate::SweepOutcome::SetupFailed`], and a caught panic or any
+/// abnormal exit (signal, nonzero code, malformed output, deadline kill)
+/// is retried and ultimately reported as
+/// [`crate::SweepOutcome::EngineFault`] with the exit status or signal in
+/// the message.
 ///
 /// `stream`, when given, receives one JSONL line per finished function
 /// in completion order.
@@ -107,7 +107,7 @@ pub struct FarmJob<'a> {
 ///
 /// [`DartError::InvalidConfig`] if `threads` is 0. Worker-side failures
 /// are never errors — they surface as per-function
-/// [`SweepOutcome::EngineFault`]s, which is the point of the farm.
+/// [`crate::SweepOutcome::EngineFault`]s, which is the point of the farm.
 pub fn run_farm(
     toplevels: &[String],
     options: &FarmOptions,
@@ -119,76 +119,34 @@ pub fn run_farm(
             "farm needs at least one worker process".to_string(),
         ));
     }
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<SweepResult>> = Vec::new();
-    slots.resize_with(toplevels.len(), || None);
-    let slots_ref = Mutex::new(&mut slots);
-    let stream_ref = stream.map(Mutex::new);
-
-    std::thread::scope(|scope| {
-        for _ in 0..options.threads.min(toplevels.len().max(1)) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(name) = toplevels.get(i) else {
-                    return;
-                };
-                let started = Instant::now();
-                let (outcome, attempts) = run_one(name, i, options, command);
-                let result = SweepResult {
-                    function: name.clone(),
-                    outcome,
-                };
-                if let Some(stream) = &stream_ref {
-                    let line = stream::function_line(i, &result, attempts, started.elapsed());
-                    let mut w = stream.lock().expect("stream writers don't panic");
-                    let _ = writeln!(w, "{line}");
-                    let _ = w.flush();
-                }
-                slots_ref.lock().expect("worker threads don't panic")[i] = Some(result);
-            });
-        }
-    });
-
-    Ok(slots
-        .into_iter()
-        .map(|r| r.expect("every index was processed"))
-        .collect())
-}
-
-/// One function under process supervision: launch, reap, retry.
-/// Returns the outcome plus the number of attempts launched.
-fn run_one(
-    name: &str,
-    index: usize,
-    options: &FarmOptions,
-    command: &(dyn Fn(&FarmJob) -> Command + Sync),
-) -> (SweepOutcome, u32) {
-    let mut attempt: u32 = 0;
-    loop {
-        let retried = attempt > 0;
-        let job = FarmJob {
-            function: name,
-            index,
-            attempt,
-        };
-        let message = match run_attempt(&job, options, command) {
-            Ok(WorkerPayload::Report(report)) => {
-                return (SweepOutcome::Finished { report, retried }, attempt + 1)
+    let stream = stream.map(Mutex::new);
+    Ok(supervise::fan_out(
+        toplevels,
+        options.threads,
+        |index, name| {
+            let started = Instant::now();
+            let (outcome, attempts) =
+                supervise::retry(options.max_retries, options.retry_backoff, |attempt| {
+                    let job = FarmJob {
+                        function: name,
+                        index,
+                        attempt,
+                    };
+                    run_attempt(&job, options, command)
+                });
+            let result = SweepResult {
+                function: name.clone(),
+                outcome,
+            };
+            if let Some(stream) = &stream {
+                let line = stream::function_line(index, &result, attempts, started.elapsed());
+                let mut w = stream.lock().expect("stream writers don't panic");
+                let _ = writeln!(w, "{line}");
+                let _ = w.flush();
             }
-            Ok(WorkerPayload::Setup(message)) => {
-                return (SweepOutcome::SetupFailed { message }, attempt + 1)
-            }
-            Ok(WorkerPayload::Fault(message)) | Err(message) => message,
-        };
-        if attempt >= options.max_retries {
-            return (SweepOutcome::EngineFault { message, retried }, attempt + 1);
-        }
-        let backoff = options.retry_backoff.saturating_mul(1 << attempt.min(10));
-        if !backoff.is_zero() {
-            std::thread::sleep(backoff);
-        }
-        attempt += 1;
-    }
+            result
+        },
+    ))
 }
 
 /// Launches and reaps one worker process. `Ok` carries well-formed
@@ -199,7 +157,7 @@ fn run_attempt(
     job: &FarmJob<'_>,
     options: &FarmOptions,
     command: &(dyn Fn(&FarmJob) -> Command + Sync),
-) -> Result<WorkerPayload, String> {
+) -> Result<Attempt, String> {
     let mut cmd = command(job);
     cmd.stdin(Stdio::null())
         .stdout(Stdio::piped())
@@ -233,8 +191,8 @@ fn run_attempt(
         // still shipped a caught fault or a setup error (the worker's
         // exit-70 and exit-78 paths): both are usable worker output.
         Ok(payload) => match (&payload, status.success()) {
-            (_, true) | (WorkerPayload::Fault(_) | WorkerPayload::Setup(_), false) => Ok(payload),
-            (WorkerPayload::Report(_), false) => Err(format!(
+            (_, true) | (Attempt::Fault(_) | Attempt::Setup(_), false) => Ok(payload),
+            (Attempt::Report(_), false) => Err(format!(
                 "worker exited with code {} despite reporting a completed session",
                 status.code().unwrap_or(-1)
             )),
@@ -301,11 +259,10 @@ fn unix_signal(status: &ExitStatus) -> Option<i32> {
     }
 }
 
-/// The worker half: runs one supervised session and writes the `wire`
+/// The worker half: runs one supervised attempt (the one an in-process
+/// sweep runs, plus the plan's injected abort) and writes the `wire`
 /// document to `out`. This is what `dartc --farm-worker` calls after
-/// compiling the program; everything engine-visible (seed derivation,
-/// checkpoint qualification) matches the in-process sweep byte for
-/// byte.
+/// compiling the program.
 ///
 /// Returns the process exit code: 0 for a completed session (bugs found
 /// or not — those are *results*), 70 for a caught engine fault and 78
@@ -319,34 +276,13 @@ pub fn run_worker(
     config: &DartConfig,
     out: &mut dyn Write,
 ) -> i32 {
-    let base_seed = config.seed ^ crate::sweep::name_hash(toplevel);
-    let seed = crate::sweep::retry_seed(base_seed, attempt);
-    let cfg = DartConfig {
-        seed,
-        checkpoint: config
-            .checkpoint
-            .as_ref()
-            .map(|base| crate::sweep::qualified_checkpoint(base, toplevel, seed)),
-        ..config.clone()
-    };
-
-    let run = supervise::run_caught(|| {
-        supervise::maybe_panic(&cfg, index);
-        supervise::maybe_abort(&cfg, index);
-        let dart = crate::Dart::new(compiled, toplevel, cfg.clone())?;
-        Ok::<SessionReport, DartError>(dart.run())
-    });
-
-    let payload = match run {
-        Err(message) => WorkerPayload::Fault(message),
-        Ok(Err(e)) => WorkerPayload::Setup(e.to_string()),
-        Ok(Ok(report)) => WorkerPayload::Report(Box::new(report)),
-    };
+    let abort_hook = supervise::maybe_abort;
+    let payload = supervise::attempt(compiled, toplevel, index, attempt, config, abort_hook);
     let _ = out.write_all(wire::render_payload(&payload).as_bytes());
     let _ = out.flush();
     match payload {
-        WorkerPayload::Fault(_) => 70,
-        WorkerPayload::Setup(_) => 78,
-        WorkerPayload::Report(_) => 0,
+        Attempt::Fault(_) => 70,
+        Attempt::Setup(_) => 78,
+        Attempt::Report(_) => 0,
     }
 }

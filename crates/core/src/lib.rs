@@ -56,6 +56,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod checkpoint;
 pub mod driver;
 pub mod exec;
 pub mod farm;
@@ -68,13 +69,13 @@ pub mod search;
 pub mod supervise;
 pub mod sweep;
 pub mod tape;
+mod text;
 
 pub use driver::{Dart, DartConfig, DartError, EngineMode, ExecTier, PortfolioMode};
 pub use exec::{run_once, run_once_in_tier, run_once_traced, RunResult, RunTermination};
 pub use farm::{run_farm, run_worker, FarmJob, FarmOptions};
-pub use frontier::CheckpointParseError;
 pub use interface::{describe_interface, InterfaceReport};
-pub use replay::{parse_inputs, replay, replay_traced, serialize_inputs, ReplayParseError};
+pub use replay::{parse_inputs, replay, replay_traced, serialize_inputs};
 pub use report::{Bug, BugKind, Outcome, SessionReport};
 pub use search::{Scheduler, SolveStats, Strategy};
 #[cfg(any(test, feature = "fault-injection"))]
@@ -82,3 +83,4 @@ pub use supervise::FaultPlan;
 pub use supervise::FaultState;
 pub use sweep::{sweep, SweepOutcome, SweepResult};
 pub use tape::{InputKind, InputSlot, InputTape};
+pub use text::ParseError;

@@ -13,38 +13,18 @@
 
 use crate::driver::DartError;
 use crate::exec::{run_once, run_once_traced, RunTermination};
-use crate::tape::{InputKind, InputSlot, InputTape};
+use crate::tape::{InputSlot, InputTape};
+use crate::text::{kind_word, parse_kind, Lines, ParseError};
 use dart_minic::CompiledProgram;
 use dart_ram::MachineConfig;
-use std::fmt;
-
-/// A malformed replay file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReplayParseError {
-    /// 1-based line number.
-    pub line: usize,
-    /// What was wrong.
-    pub message: String,
-}
-
-impl fmt::Display for ReplayParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "line {}: {}", self.line, self.message)
-    }
-}
-
-impl std::error::Error for ReplayParseError {}
+use std::fmt::Write as _;
 
 /// Serializes an input vector (e.g. [`crate::Bug::inputs`]) to the replay
 /// text format.
 pub fn serialize_inputs(slots: &[InputSlot]) -> String {
     let mut out = String::from("# dart replay file: one input per line\n");
     for s in slots {
-        let kind = match s.kind {
-            InputKind::IntLike => "int",
-            InputKind::Pointer => "ptr",
-        };
-        out.push_str(&format!("{kind} {}  # {}\n", s.value, s.name));
+        let _ = writeln!(out, "{} {}  # {}", kind_word(s.kind), s.value, s.name);
     }
     out
 }
@@ -54,37 +34,27 @@ pub fn serialize_inputs(slots: &[InputSlot]) -> String {
 ///
 /// # Errors
 ///
-/// Returns a [`ReplayParseError`] naming the first malformed line.
-pub fn parse_inputs(text: &str) -> Result<Vec<InputSlot>, ReplayParseError> {
+/// Returns a [`ParseError`] naming the first malformed line.
+pub fn parse_inputs(text: &str) -> Result<Vec<InputSlot>, ParseError> {
     let mut slots = Vec::new();
-    // Split on `\n` alone: a name may end in `\r`.
-    for (i, raw) in text.split('\n').enumerate() {
+    let mut lines = Lines::new(text);
+    while let Some(raw) = lines.next_line() {
         let (line, name) = match raw.split_once('#') {
             Some((line, name)) => (line, Some(name.strip_prefix(' ').unwrap_or(name))),
             None => (raw, None),
         };
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let err = |message: String| ReplayParseError {
-            line: i + 1,
-            message,
-        };
         let mut parts = line.split_whitespace();
-        let kind = match parts.next() {
-            Some("int") => InputKind::IntLike,
-            Some("ptr") => InputKind::Pointer,
-            Some(other) => return Err(err(format!("unknown kind `{other}`"))),
-            None => continue,
+        let Some(kind) = parts.next() else {
+            continue;
         };
+        let kind = parse_kind(kind).ok_or_else(|| lines.err(format!("unknown kind `{kind}`")))?;
         let value: i64 = parts
             .next()
-            .ok_or_else(|| err("missing value".into()))?
+            .ok_or_else(|| lines.err("missing value"))?
             .parse()
-            .map_err(|_| err("value is not an integer".into()))?;
+            .map_err(|_| lines.err("value is not an integer"))?;
         if let Some(junk) = parts.next() {
-            return Err(err(format!("trailing `{junk}`")));
+            return Err(lines.err(format!("trailing `{junk}`")));
         }
         let name = match name {
             Some(name) => name.to_string(),
@@ -156,6 +126,7 @@ pub fn replay_traced(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tape::InputKind;
     use crate::{Dart, DartConfig};
 
     #[test]
@@ -178,6 +149,31 @@ mod tests {
         let bare = parse_inputs("int 5\nptr 0 #\n").unwrap();
         assert_eq!(bare[0].name, "replayed input 0");
         assert_eq!(bare[1].name, "");
+    }
+
+    /// The bytes of a saved vector: a header comment, then one `kind
+    /// value  # name` line per slot, the name kept to its last byte.
+    #[test]
+    fn saved_vectors_keep_their_bytes() {
+        let slot = |kind, value, name: &str| InputSlot {
+            kind,
+            value,
+            name: name.to_string(),
+        };
+        let slots = [
+            slot(InputKind::IntLike, -41, "arg 0 of f (iter 1)"),
+            slot(InputKind::Pointer, 0, "deref at 7"),
+            slot(InputKind::IntLike, i64::MIN, " # odd\r"),
+        ];
+        assert_eq!(
+            serialize_inputs(&slots),
+            "# dart replay file: one input per line\n\
+             int -41  # arg 0 of f (iter 1)\n\
+             ptr 0  # deref at 7\n\
+             int -9223372036854775808  #  # odd\r\n"
+        );
+        let err = parse_inputs("int 1\n\nfloat 3\n").unwrap_err();
+        assert_eq!(err.to_string(), "line 3: unknown kind `float`");
     }
 
     #[test]

@@ -2,15 +2,21 @@
 //!
 //! The oSIP study (paper §4.3) points DART at hundreds of library
 //! functions and *expects* the targets to crash, hang and exhaust
-//! resources — the engine must survive all of that. This module provides
-//! the two halves of that discipline:
+//! resources — the engine must survive all of that. This module holds
+//! the supervision that [`crate::sweep()`] and the farm
+//! ([`crate::run_farm`]) share, and the fault injection that tests it:
 //!
-//! * `run_caught` — runs one worker session under
-//!   [`std::panic::catch_unwind`], so an engine-internal panic is
-//!   reported as data (a [`crate::sweep::SweepOutcome::EngineFault`])
-//!   instead of poisoning the whole sweep. The default panic hook is
-//!   suppressed for supervised calls only, so faulted sessions do not
-//!   spray backtraces over the sweep's output.
+//! * `attempt` — one attempt at one function's session: its seed, its
+//!   seed-qualified checkpoint, and the session under `run_caught`,
+//!   which runs it under [`std::panic::catch_unwind`] so an
+//!   engine-internal panic is reported as data (a
+//!   [`crate::sweep::SweepOutcome::EngineFault`]) instead of poisoning
+//!   the whole sweep. The default panic hook is suppressed for
+//!   supervised calls only, so faulted sessions do not spray backtraces
+//!   over the sweep's output. An in-process sweep calls it directly; the
+//!   farm calls it in each worker process.
+//! * `retry` — bounded reseeded retries with backoff, and `fan_out` —
+//!   the input-order thread pool both paths run their functions on.
 //! * `FaultPlan` / [`FaultState`] — a deterministic fault-injection
 //!   hook ("panic in session *k*", "force `Unknown` on query *n*", "deny
 //!   allocation *m*") threaded through the driver and sweep, available
@@ -19,10 +25,158 @@
 //!   wall-clock or scheduling, so supervision tests reproduce
 //!   byte-for-byte.
 
+use crate::driver::{Dart, DartConfig, DartError};
+use crate::frontier::fnv;
+use crate::report::SessionReport;
+use crate::sweep::SweepOutcome;
+use dart_minic::CompiledProgram;
 use std::any::Any;
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Once;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, Once};
+use std::time::Duration;
+
+/// How one supervised attempt at a session ended: what a farm worker
+/// ships to its supervisor, and what a sweep decides its retries on.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Attempt {
+    /// The session ran to completion.
+    Report(Box<SessionReport>),
+    /// The engine panicked; the message is what `catch_unwind` captured.
+    Fault(String),
+    /// [`crate::Dart::new`] rejected the session's configuration (a
+    /// malformed or stale checkpoint, or one of another seed or program,
+    /// say); the message is the error's.
+    Setup(String),
+}
+
+/// Attempt `attempt` at the session of `name`, the function at `index`
+/// of a sweep or farm. The session's seed is `config.seed ^ fnv(name)`
+/// with the retry constant folded in (`retry_seed`), so supervised and
+/// plain runs agree on attempt 0 and farm workers agree with the
+/// in-process sweep. Its checkpoint is `config.checkpoint` qualified by
+/// function and seed (`qualified_checkpoint`). The session runs under
+/// `run_caught`, after the plan's injected panic and then `hook` (the
+/// farm worker's injected abort).
+pub(crate) fn attempt(
+    compiled: &CompiledProgram,
+    name: &str,
+    index: usize,
+    attempt: u32,
+    config: &DartConfig,
+    hook: fn(&DartConfig, usize),
+) -> Attempt {
+    let seed = retry_seed(config.seed ^ name_hash(name), attempt);
+    let config = DartConfig {
+        seed,
+        checkpoint: config
+            .checkpoint
+            .as_ref()
+            .map(|base| qualified_checkpoint(base, name, seed)),
+        ..config.clone()
+    };
+    let run = run_caught(|| {
+        maybe_panic(&config, index);
+        hook(&config, index);
+        Ok::<_, DartError>(Dart::new(compiled, name, config)?.run())
+    });
+    match run {
+        Ok(Ok(report)) => Attempt::Report(Box::new(report)),
+        Ok(Err(e)) => Attempt::Setup(e.to_string()),
+        Err(message) => Attempt::Fault(message),
+    }
+}
+
+/// Runs attempts 0, 1, ... of one function until one yields a report or
+/// a setup error (never retried: a reseeded retry would only start
+/// afresh under another checkpoint path and hide the error), or until
+/// `max_retries` retries have faulted too. Sleeps `backoff * 2^(n-1)`
+/// before retry `n`. An `Err` from `run` is a fault seen from outside the
+/// session, such as a worker process killed by a signal. Returns the
+/// outcome and the number of attempts made.
+pub(crate) fn retry(
+    max_retries: u32,
+    backoff: Duration,
+    mut run: impl FnMut(u32) -> Result<Attempt, String>,
+) -> (SweepOutcome, u32) {
+    let mut attempt = 0;
+    loop {
+        let retried = attempt > 0;
+        let message = match run(attempt) {
+            Ok(Attempt::Report(report)) => {
+                return (SweepOutcome::Finished { report, retried }, attempt + 1)
+            }
+            Ok(Attempt::Setup(message)) => {
+                return (SweepOutcome::SetupFailed { message }, attempt + 1)
+            }
+            Ok(Attempt::Fault(message)) | Err(message) => message,
+        };
+        if attempt >= max_retries {
+            return (SweepOutcome::EngineFault { message, retried }, attempt + 1);
+        }
+        let backoff = backoff.saturating_mul(1 << attempt.min(10));
+        if !backoff.is_zero() {
+            std::thread::sleep(backoff);
+        }
+        attempt += 1;
+    }
+}
+
+/// Runs `work(i, &items[i])` for every item on up to `threads` scoped
+/// threads, each taking the next unclaimed index, and returns the results
+/// in input order.
+pub(crate) fn fan_out<T: Sync, R: Send>(
+    items: &[T],
+    threads: usize,
+    work: impl Fn(usize, &T) -> R + Sync,
+) -> Vec<R> {
+    let next = AtomicUsize::new(0);
+    let slots: Mutex<Vec<Option<R>>> = Mutex::new(items.iter().map(|_| None).collect());
+    std::thread::scope(|scope| {
+        for _ in 0..threads.min(items.len().max(1)) {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else {
+                    return;
+                };
+                let result = work(i, item);
+                slots.lock().expect("no thread panics holding the lock")[i] = Some(result);
+            });
+        }
+    });
+    slots
+        .into_inner()
+        .expect("no thread panics holding the lock")
+        .into_iter()
+        .map(|r| r.expect("every index was processed"))
+        .collect()
+}
+
+/// The seed for retry `attempt` of a session: attempt 0 keeps the
+/// function's sweep seed (so supervised and plain runs agree), later
+/// attempts fold in a fixed odd constant so a fault caused by one input
+/// sequence is not replayed verbatim.
+fn retry_seed(base_seed: u64, attempt: u32) -> u64 {
+    base_seed ^ (attempt as u64).wrapping_mul(0x9E3779B97F4A7C15)
+}
+
+/// FNV-1a of the name, so per-function seeds are stable across runs and
+/// platforms.
+fn name_hash(name: &str) -> u64 {
+    fnv(format_args!("{name}"))
+}
+
+/// The seed-qualified checkpoint path for one session of a sweep or
+/// farm: `<base>.<function>-<seed in hex>`. Functions must not clobber
+/// each other's resume points, and a reseeded retry must not resume the
+/// very state that faulted (a checkpoint is only valid under the seed
+/// that recorded it).
+fn qualified_checkpoint(base: &std::path::Path, name: &str, seed: u64) -> std::path::PathBuf {
+    let mut qualified = base.to_path_buf().into_os_string();
+    qualified.push(format!(".{name}-{seed:016x}"));
+    std::path::PathBuf::from(qualified)
+}
 
 /// A deterministic fault-injection plan.
 ///
@@ -170,20 +324,20 @@ impl FaultState {
 }
 
 /// Panics iff `config`'s plan names this sweep-session `index`
-/// (fault-injection entry point used by [`crate::sweep::sweep`]).
+/// (the fault-injection entry point of every supervised attempt).
 #[cfg(any(test, feature = "fault-injection"))]
-pub(crate) fn maybe_panic(config: &crate::DartConfig, index: usize) {
+fn maybe_panic(config: &crate::DartConfig, index: usize) {
     if config.faults.panic_in_session == Some(index) {
         panic!("injected fault: panic in session {index}");
     }
 }
 
 #[cfg(not(any(test, feature = "fault-injection")))]
-pub(crate) fn maybe_panic(_config: &crate::DartConfig, _index: usize) {}
+fn maybe_panic(_config: &crate::DartConfig, _index: usize) {}
 
 /// Aborts the process iff `config`'s plan names this sweep-session
 /// `index` — a non-unwinding crash for exercising process-level
-/// containment. Called only on the farm worker path ([`crate::farm`]);
+/// containment. Only the farm worker passes it to `attempt` as its hook;
 /// the in-process sweep deliberately never consults this field.
 #[cfg(any(test, feature = "fault-injection"))]
 pub(crate) fn maybe_abort(config: &crate::DartConfig, index: usize) {
@@ -222,7 +376,7 @@ fn install_quiet_hook() {
 /// fault (the caller retries from a fresh session), which is what makes
 /// the `AssertUnwindSafe` sound: nothing that survives a fault is
 /// observed again.
-pub(crate) fn run_caught<T>(work: impl FnOnce() -> T) -> Result<T, String> {
+fn run_caught<T>(work: impl FnOnce() -> T) -> Result<T, String> {
     install_quiet_hook();
     SUPPRESS_PANIC_OUTPUT.with(|s| s.set(true));
     let result = catch_unwind(AssertUnwindSafe(work));

@@ -6,11 +6,11 @@
 //! results are returned in input order and are identical to a sequential
 //! sweep (each session's randomness is seeded from its own function name).
 
-use crate::driver::{validate, Dart, DartConfig, DartError};
+use crate::driver::{validate, DartConfig, DartError};
 use crate::report::SessionReport;
 use crate::supervise;
 use dart_minic::CompiledProgram;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Duration;
 
 /// How one function's supervised session ended.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,10 +33,10 @@ pub enum SweepOutcome {
         /// Whether any reseeded retry was attempted.
         retried: bool,
     },
-    /// [`Dart::new`] rejected this function's session — its checkpoint
-    /// file is malformed, stale or from another seed, say. Never retried:
-    /// a reseeded retry would only start afresh under another checkpoint
-    /// path and hide the error.
+    /// [`Dart::new`](crate::Dart::new) rejected this function's session:
+    /// its checkpoint file is malformed, stale, from another seed or from
+    /// another program, say. Never retried: a reseeded retry would only
+    /// start afresh under another checkpoint path and hide the error.
     SetupFailed {
         /// The [`DartError`]'s message.
         message: String,
@@ -72,17 +72,17 @@ impl SweepResult {
 /// [`DartConfig::max_retries`] times with a reseeded RNG, and a session
 /// that faults on every attempt yields [`SweepOutcome::EngineFault`] —
 /// the sweep always returns one result per requested function. A
-/// session that [`Dart::new`] rejects (a bad checkpoint file) yields
-/// [`SweepOutcome::SetupFailed`], without a retry.
+/// session that [`Dart::new`](crate::Dart::new) rejects (a bad checkpoint
+/// file) yields [`SweepOutcome::SetupFailed`], without a retry.
 ///
 /// # Errors
 ///
 /// [`DartError::UnknownToplevel`] if any name is not a defined function
 /// (the whole list is validated up front, before any session runs);
 /// [`DartError::InvalidConfig`] if `threads` is 0, or for any config
-/// [`Dart::new`] would reject: a [`DartConfig::frontier_budget`] of
-/// `Some(0)` or a [`DartConfig::checkpoint`] outside the generational
-/// engine.
+/// [`Dart::new`](crate::Dart::new) would reject: a
+/// [`DartConfig::frontier_budget`] of `Some(0)` or a
+/// [`DartConfig::checkpoint`] outside the generational engine.
 ///
 /// # Checkpoints
 ///
@@ -109,120 +109,22 @@ pub fn sweep(
             return Err(DartError::UnknownToplevel(name.clone()));
         }
     }
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<SweepResult>> = Vec::new();
-    slots.resize_with(toplevels.len(), || None);
-    let slots_ref = std::sync::Mutex::new(&mut slots);
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(toplevels.len().max(1)) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(name) = toplevels.get(i) else {
-                    return;
-                };
-                let result = SweepResult {
-                    function: name.clone(),
-                    outcome: run_supervised(compiled, name, i, config),
-                };
-                slots_ref.lock().expect("worker panics are caught")[i] = Some(result);
-            });
-        }
-    });
-
-    Ok(slots
-        .into_iter()
-        .map(|r| r.expect("every index was processed"))
-        .collect())
-}
-
-/// One function's session under supervision: run, catch engine panics,
-/// retry with a reseeded RNG up to `config.max_retries` times. A setup
-/// error returns at once.
-fn run_supervised(
-    compiled: &CompiledProgram,
-    name: &str,
-    index: usize,
-    config: &DartConfig,
-) -> SweepOutcome {
-    let base_seed = config.seed ^ name_hash(name);
-    let mut attempt: u32 = 0;
-    loop {
-        let seed = retry_seed(base_seed, attempt);
-        // Seed-qualified checkpoint file (see `sweep`'s doc): one per
-        // function *and* per retry seed, since a checkpoint is only
-        // loadable under the exact seed that recorded it.
-        let checkpoint = config
-            .checkpoint
-            .as_ref()
-            .map(|base| qualified_checkpoint(base, name, seed));
-        let cfg = DartConfig {
-            seed,
-            checkpoint,
-            ..config.clone()
-        };
-        let run = supervise::run_caught(|| {
-            supervise::maybe_panic(&cfg, index);
-            Ok::<SessionReport, DartError>(Dart::new(compiled, name, cfg)?.run())
+    Ok(supervise::fan_out(toplevels, threads, |index, name| {
+        let (outcome, _) = supervise::retry(config.max_retries, Duration::ZERO, |attempt| {
+            Ok(supervise::attempt(
+                compiled,
+                name,
+                index,
+                attempt,
+                config,
+                |_, _| {},
+            ))
         });
-        let retried = attempt > 0;
-        match run {
-            Ok(Ok(report)) => {
-                return SweepOutcome::Finished {
-                    report: Box::new(report),
-                    retried,
-                }
-            }
-            Ok(Err(e)) => {
-                return SweepOutcome::SetupFailed {
-                    message: e.to_string(),
-                }
-            }
-            Err(message) => {
-                if attempt >= config.max_retries {
-                    return SweepOutcome::EngineFault { message, retried };
-                }
-                attempt += 1;
-            }
+        SweepResult {
+            function: name.clone(),
+            outcome,
         }
-    }
-}
-
-/// The seed for retry `attempt` of a session: attempt 0 keeps the
-/// function's sweep seed (so supervised and plain runs agree), later
-/// attempts fold in a fixed odd constant so a fault caused by one input
-/// sequence is not replayed verbatim.
-///
-/// `pub(crate)` because the farm's worker processes ([`crate::farm`])
-/// must derive the *same* session seed as an in-process sweep — byte
-/// parity of results depends on it.
-pub(crate) fn retry_seed(base_seed: u64, attempt: u32) -> u64 {
-    base_seed ^ (attempt as u64).wrapping_mul(0x9E3779B97F4A7C15)
-}
-
-/// FNV-1a, so per-function seeds are stable across runs and platforms.
-/// `pub(crate)`: shared with the farm worker path for seed parity.
-pub(crate) fn name_hash(name: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in name.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
-/// The seed-qualified checkpoint path for one session of a sweep or
-/// farm: `<base>.<function>-<seed in hex>`. Shared with [`crate::farm`]
-/// so a farm worker resumes exactly the file an in-process sweep of the
-/// same seeds would have written.
-pub(crate) fn qualified_checkpoint(
-    base: &std::path::Path,
-    name: &str,
-    seed: u64,
-) -> std::path::PathBuf {
-    let mut qualified = base.to_path_buf().into_os_string();
-    qualified.push(format!(".{name}-{seed:016x}"));
-    std::path::PathBuf::from(qualified)
+    }))
 }
 
 #[cfg(test)]

@@ -154,6 +154,11 @@ impl InputTape {
     pub fn snapshot(&self) -> Vec<InputSlot> {
         self.slots.clone()
     }
+
+    /// The recorded slots, borrowed.
+    pub(crate) fn slots(&self) -> &[InputSlot] {
+        &self.slots
+    }
 }
 
 impl fmt::Display for InputTape {

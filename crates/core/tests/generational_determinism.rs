@@ -9,9 +9,9 @@
 //!    generous run budget. Only run counts and the completeness claim
 //!    may differ.
 //! 3. **Checkpoint/resume** — a session killed at an arbitrary point and
-//!    resumed from its `--checkpoint` file reaches the same runs,
-//!    restarts, steps, coverage, bug set and outcome as an uninterrupted
-//!    session of the same seed.
+//!    resumed from its `--checkpoint` file ends with the report of an
+//!    uninterrupted session of the same seed, wall-clock excepted: the
+//!    same runs, bugs, recorded paths, counters and outcome.
 
 use dart::{Dart, DartConfig, EngineMode, SessionReport};
 use proptest::prelude::*;
@@ -241,43 +241,23 @@ fn gen_config(seed: u64, max_runs: u64) -> DartConfig {
     }
 }
 
-/// The resume-visible facts: everything deterministic that the
-/// checkpoint must carry across a kill, the solver counters included.
-fn resume_observable(r: &SessionReport) -> impl PartialEq + std::fmt::Debug {
-    (
-        (
-            r.solver.sat,
-            r.solver.unsat,
-            r.solver.unknown,
-            r.solver.cache_model_reuse,
-            r.solver.split_solves,
-        ),
-        r.outcome.clone(),
-        r.runs,
-        r.restarts,
-        r.steps,
-        r.divergences,
-        r.branches_covered,
-        r.dedup_hits,
-        r.frontier_evicted,
-        r.frontier_peak,
-    )
-}
-
-/// Contract 3, the ISSUE's acceptance scenario: run to completion
-/// uninterrupted; then simulate kills by running the same session in
-/// small `max_runs` slices, each leg resuming the previous leg's
-/// checkpoint file, and compare the final leg (plus the union of bugs
-/// found across legs) against the uninterrupted report.
+/// Contract 3, the acceptance scenario: run to completion uninterrupted;
+/// then simulate kills by running the same session in small `max_runs`
+/// slices, each leg resuming the previous leg's checkpoint file. The
+/// final leg's whole report, wall-clock zeroed, must equal the
+/// uninterrupted one: the bugs earlier legs found and the paths they
+/// recorded included.
 #[test]
 fn killed_and_resumed_session_matches_uninterrupted() {
     for (tag, source, toplevel) in [("h", PAPER_H, "h"), ("ac", AC_CONTROLLER, "ac_controller")] {
         let compiled = dart_minic::compile(source).unwrap();
         for seed in 0..4u64 {
-            for slice in [1u64, 2, 3] {
-                let full = Dart::new(&compiled, toplevel, gen_config(seed, 500))
-                    .unwrap()
-                    .run();
+            for (slice, record_paths) in [(1u64, false), (2, false), (3, false), (2, true)] {
+                let config = |max_runs| DartConfig {
+                    record_paths,
+                    ..gen_config(seed, max_runs)
+                };
+                let full = Dart::new(&compiled, toplevel, config(500)).unwrap().run();
                 assert!(
                     full.runs < 500,
                     "the uninterrupted session must finish naturally to make \
@@ -286,34 +266,26 @@ fn killed_and_resumed_session_matches_uninterrupted() {
                 );
 
                 let scratch = ScratchFile(std::env::temp_dir().join(format!(
-                    "dart-gen-checkpoint-{}-{tag}-{seed}-{slice}.txt",
+                    "dart-gen-checkpoint-{}-{tag}-{seed}-{slice}-{record_paths}.txt",
                     std::process::id()
                 )));
-                let mut bugs = Vec::new();
                 let mut budget = slice;
                 let resumed = loop {
-                    let config = DartConfig {
+                    let leg = DartConfig {
                         checkpoint: Some(scratch.0.clone()),
-                        ..gen_config(seed, budget)
+                        ..config(budget)
                     };
-                    let leg = Dart::new(&compiled, toplevel, config).unwrap().run();
-                    bugs.extend(leg.bugs.iter().cloned());
+                    let leg = Dart::new(&compiled, toplevel, leg).unwrap().run();
                     if leg.outcome != dart::Outcome::Exhausted {
                         break leg;
                     }
                     assert!(budget < 500, "resume chain failed to converge");
                     budget += slice; // "restart the killed process" with more budget
                 };
-
                 assert_eq!(
-                    resume_observable(&resumed),
-                    resume_observable(&full),
-                    "{toplevel} seed={seed} slice={slice}"
-                );
-                assert_eq!(
-                    bugs, full.bugs,
-                    "union of bugs across legs must equal the uninterrupted \
-                     bug list ({toplevel} seed={seed} slice={slice})"
+                    scrub(resumed),
+                    scrub(full),
+                    "{toplevel} seed={seed} slice={slice} record_paths={record_paths}"
                 );
             }
         }
@@ -366,13 +338,11 @@ fn killed_and_resumed_evicting_session_matches_uninterrupted() {
                     };
                     resumed = Some(Dart::new(&compiled, "f", leg).unwrap().run());
                 }
-                let resumed = resumed.expect("two legs ran");
-                if resume_observable(&resumed) != resume_observable(&full) {
+                let resumed = scrub(resumed.expect("two legs ran"));
+                if resumed != scrub(full.clone()) {
                     mismatches.push(format!(
-                        "budget {budget} seed {seed} {first}->{last}: resumed {:?}, \
-                         uninterrupted {:?}",
-                        resume_observable(&resumed),
-                        resume_observable(&full)
+                        "budget {budget} seed {seed} {first}->{last}: resumed {resumed}, \
+                         uninterrupted {full}"
                     ));
                 }
             }
@@ -388,9 +358,9 @@ fn killed_and_resumed_evicting_session_matches_uninterrupted() {
 
 /// A checkpoint is only loadable under the seed that recorded it: a
 /// mismatched resume is an invalid config, not a silently corrupted
-/// session. A malformed file is rejected the same way, and so are a
-/// checkpoint from before the model pool was saved (`v1`), one from
-/// before the solver counters were saved (`v2`) and a `pool` line that
+/// session. A malformed file is rejected the same way, and so are the
+/// checkpoints of headers v1 to v3 (before the model pool, the solver
+/// counters and then the whole report were saved) and a `pool` line that
 /// no session writes.
 #[test]
 fn checkpoint_seed_mismatch_and_garbage_are_rejected() {
@@ -421,22 +391,13 @@ fn checkpoint_seed_mismatch_and_garbage_are_rejected() {
         .find(|l| l.starts_with("pool"))
         .expect("a pool line")
         .to_string();
-    let solver_line = written
-        .lines()
-        .find(|l| l.starts_with("solver"))
-        .expect("a solver line")
-        .to_string();
-    let v2 = written
-        .replace("checkpoint v3", "checkpoint v2")
-        .replace(&format!("{solver_line}\n"), "");
-    let v1 = v2
-        .replace("checkpoint v2", "checkpoint v1")
-        .replace(&format!("{pool_line}\n"), "");
     let full_pool = format!("pool{}", " 0:1".repeat(65));
+    let old_header = |v: &str| written.replacen("checkpoint v4", &format!("checkpoint {v}"), 1);
     for text in [
         "not a checkpoint\n".to_string(),
-        v1,
-        v2,
+        old_header("v1"),
+        old_header("v2"),
+        old_header("v3"),
         written.replace(&pool_line, "pool 0:1,0:2"),
         written.replace(&pool_line, "pool 0:x"),
         written.replace(&pool_line, &full_pool),
@@ -453,4 +414,50 @@ fn checkpoint_seed_mismatch_and_garbage_are_rejected() {
             other => panic!("expected InvalidConfig, got {:?}", other.map(|_| ())),
         }
     }
+}
+
+/// Three abort sites behind two inputs.
+const THREE_ABORTS: &str = r#"
+    int f(int x, int y) {
+        if (x > 10)
+            abort();
+        if (y == 7)
+            abort();
+        if (x + y == 4)
+            abort();
+        return 0;
+    }
+"#;
+
+/// A checkpoint names the program, toplevel and depth that wrote it.
+/// Resumed by another program with a function of the same name at the
+/// same seed, or by the same program at another depth, it is an invalid
+/// config: unchecked, the other program resumed the first one's frontier
+/// and coverage and reported `complete` with `branch cov 6/2`.
+#[test]
+fn checkpoint_of_another_program_is_rejected() {
+    let three = dart_minic::compile(THREE_ABORTS).unwrap();
+    let other = dart_minic::compile("int f(int x) { if (x == 1) return 1; return 0; }").unwrap();
+    let scratch = ScratchFile::new("other-program");
+    let config = |max_runs, depth| DartConfig {
+        checkpoint: Some(scratch.0.clone()),
+        depth,
+        ..gen_config(1, max_runs)
+    };
+    let first = Dart::new(&three, "f", config(4, 1)).unwrap().run();
+    assert_eq!(first.outcome, dart::Outcome::Exhausted);
+    for (compiled, depth) in [(&other, 1), (&three, 2)] {
+        match Dart::new(compiled, "f", config(500, depth)) {
+            Err(dart::DartError::InvalidConfig(reason)) => {
+                assert!(
+                    reason.contains("recorded for a different program"),
+                    "{reason}"
+                );
+            }
+            other => panic!("expected InvalidConfig, got {:?}", other.map(|r| r.run())),
+        }
+    }
+    let resumed = Dart::new(&three, "f", config(500, 1)).unwrap().run();
+    let full = Dart::new(&three, "f", gen_config(1, 500)).unwrap().run();
+    assert_eq!(scrub(resumed), scrub(full));
 }

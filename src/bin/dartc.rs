@@ -808,27 +808,58 @@ mod tests {
 
     #[test]
     fn worker_args_forward_the_engine_configuration() {
-        let o = parse(&[
-            "p.mc",
+        // All eleven engine flags, each off its default.
+        let engine = [
+            &["--depth", "3"][..],
+            &["--runs", "42"],
+            &["--seed", "9"],
+            &["--mode", "generational"],
+            &["--strategy", "random-branch"],
+            &["--max-steps", "1000"],
+            &["--frontier-budget", "5"],
+            &["--checkpoint", "cp"],
+            &["--all-bugs"],
+            &["--mem-budget", "4096"],
+            &["--deadline", "250"],
+        ];
+        let config = |args: &[&str]| {
+            let args: Vec<&str> = ["p.mc"].iter().chain(args).copied().collect();
+            build_config(&parse(&args).unwrap())
+        };
+        let default = format!("{:?}", config(&[]));
+        for flag in engine {
+            assert_ne!(format!("{:?}", config(flag)), default, "{flag:?}");
+        }
+        let supervisor = [
             "--sweep",
             "f",
             "--farm",
-            "--mode",
-            "generational",
-            "--checkpoint",
-            "cp",
             "--threads",
             "8",
             "--worker-deadline",
             "100",
-        ])
-        .unwrap();
-        let args = worker_forward_args(&o);
-        let has = |flag: &str| args.iter().any(|a| a == flag);
-        assert!(has("--mode") && args.contains(&"generational".to_string()));
-        assert!(has("--checkpoint"));
+            "--max-retries",
+            "3",
+        ];
+        let args: Vec<&str> = supervisor.into_iter().chain(engine.concat()).collect();
+        let o = parse(&[&["p.mc"][..], &args].concat()).unwrap();
+        let forwarded = worker_forward_args(&o);
         // Supervisor-only flags must not leak into workers.
-        assert!(!has("--threads") && !has("--worker-deadline") && !has("--farm"));
+        for flag in ["--threads", "--worker-deadline", "--farm", "--max-retries"] {
+            assert!(!forwarded.iter().any(|a| a == flag), "{flag}");
+        }
+        let worker_args: Vec<String> = ["p.mc", "--farm-worker", "--toplevel", "f"]
+            .into_iter()
+            .map(String::from)
+            .chain(forwarded)
+            .collect();
+        let mut worker = build_config(&parse_args(&worker_args).unwrap());
+        let supervisor = build_config(&o);
+        // The farm retries whole worker processes, so a worker keeps the
+        // default; every other field is the supervisor's.
+        assert_eq!((supervisor.max_retries, worker.max_retries), (3, 1));
+        worker.max_retries = supervisor.max_retries;
+        assert_eq!(format!("{worker:?}"), format!("{supervisor:?}"));
         // Unset optionals stay unset.
         let o = parse(&["p.mc", "--sweep", "f", "--farm"]).unwrap();
         let args = worker_forward_args(&o);

@@ -10,8 +10,8 @@
 //!    function.
 //! 3. **Resumability** — a shard killed mid-run, with SIGKILL or by its
 //!    run budget, resumes from its checkpoint on the next farm run and
-//!    reports what an uninterrupted session reports, solver counters
-//!    included.
+//!    reports what an uninterrupted session reports: the whole report
+//!    line, bug count included.
 //!
 //! The fault-injection plans ride to workers over `DART_FAULT_*`
 //! environment variables, so the abort/panic tests need the
@@ -144,7 +144,8 @@ int f(int a, int b, int c, int d, int e, int g) {
 "#;
 
 /// The `name` line of a result table, whole: a resumed session's line,
-/// solver counters included, must equal an uninterrupted session's.
+/// bug count and solver counters included, must equal an uninterrupted
+/// session's.
 fn result_line(table: &str, name: &str) -> String {
     let prefix = format!("{name} ");
     table
@@ -159,8 +160,7 @@ fn result_line(table: &str, name: &str) -> String {
 /// previous leg's checkpoint and must print the line the uninterrupted
 /// in-process session of the same budget prints. The session evicts, so
 /// every leg depends on what the checkpoint carries: the frontier, its
-/// dedup set, the query cache's model pool and the solver counters, and
-/// nothing more.
+/// dedup set, the query cache's model pool and the report.
 #[test]
 fn one_run_legs_over_a_checkpoint_match_the_uninterrupted_session() {
     let dir = tempdir("chain");
@@ -204,15 +204,69 @@ fn one_run_legs_over_a_checkpoint_match_the_uninterrupted_session() {
     assert!(differing.is_empty(), "{}", differing.join("\n"));
 }
 
-/// A checkpoint that `Dart::new` rejects (here, one whose header was
-/// edited to `v1`) is a setup error for its function, in an in-process
-/// sweep and in the farm alike: both print the same `SETUP ERROR` line,
-/// with no retry and no panic, and leave the file alone.
+/// Three abort sites behind two inputs: an `--all-bugs` session finds
+/// them in its first few runs.
+const THREE_ABORTS: &str = r#"
+int f(int x, int y) {
+    if (x > 10)
+        abort();
+    if (y == 7)
+        abort();
+    if (x + y == 4)
+        abort();
+    return 0;
+}
+"#;
+
+/// A chain of `--all-bugs` farm runs over one checkpoint, one run longer
+/// each: the bugs fall in the early legs, and every leg must print the
+/// line of the uninterrupted in-process session of the same budget, bug
+/// count included. Only a checkpoint that carries the report's bugs
+/// keeps them across legs.
+#[test]
+fn all_bugs_legs_over_a_checkpoint_keep_their_bugs() {
+    let dir = tempdir("all-bugs-chain");
+    let lib = dir.join("lib.mc");
+    std::fs::write(&lib, THREE_ABORTS).unwrap();
+    let engine = ["--sweep", "f", "--mode", "generational", "--all-bugs"];
+    let mut differing = Vec::new();
+    let mut last = String::new();
+    for runs in 1..=8 {
+        let runs = runs.to_string();
+        let (_, reference, _) = run(dartc().arg(&lib).args(engine).args(["--runs", &runs]));
+        let (_, leg, err) = run(dartc()
+            .arg(&lib)
+            .args(engine)
+            .args(["--runs", &runs, "--farm", "--checkpoint"])
+            .arg(dir.join("cp")));
+        assert!(err.is_empty(), "leg {runs}: {err}");
+        let (want, got) = (result_line(&reference, "f"), result_line(&leg, "f"));
+        if got != want {
+            differing.push(format!("leg {runs}:\n  farm  {got}\n  sweep {want}"));
+        }
+        last = want;
+    }
+    assert!(last.contains("complete"), "the session finishes: {last}");
+    assert!(
+        !last.contains("| bugs 0 |"),
+        "the session finds bugs: {last}"
+    );
+    assert!(differing.is_empty(), "{}", differing.join("\n"));
+}
+
+/// A checkpoint that `Dart::new` rejects is a setup error for its
+/// function, in an in-process sweep and in the farm alike: both print the
+/// same `SETUP ERROR` line, with no retry and no panic, and leave the
+/// file alone. Rejected here: the checkpoint with its header edited to
+/// each of `v1` to `v3`, and the checkpoint resumed by another program
+/// with a function of the same name.
 #[test]
 fn stale_checkpoint_is_a_setup_error_in_sweep_and_farm() {
     let dir = tempdir("stale");
     let lib = dir.join("lib.mc");
     std::fs::write(&lib, SIX_INPUTS).unwrap();
+    let other = dir.join("other.mc");
+    std::fs::write(&other, "int f(int x) { if (x == 1) return 1; return 0; }").unwrap();
     let checkpoint = dir.join("cp");
     let engine = [
         "--sweep",
@@ -235,29 +289,36 @@ fn stale_checkpoint_is_a_setup_error_in_sweep_and_farm() {
     assert_eq!(files.len(), 1, "{files:?}\n{out}");
     let text = std::fs::read_to_string(&files[0]).unwrap();
     let header = text.lines().next().unwrap();
-    let stale = text.replacen(header, "dart-generational-checkpoint v1", 1);
-    std::fs::write(&files[0], &stale).unwrap();
-
-    let (code, sweep_out, sweep_err) = run(dartc().arg(&lib).args(engine));
-    let (farm_code, farm_out, farm_err) = run(dartc().arg(&lib).args(engine).arg("--farm"));
-    let line = result_line(&sweep_out, "f");
-    assert!(
-        line.contains("SETUP ERROR: ") && line.contains("bad header"),
-        "{sweep_out}"
-    );
-    assert_eq!(line, result_line(&farm_out, "f"));
-    for (out, err) in [(&sweep_out, &sweep_err), (&farm_out, &farm_err)] {
-        assert!(out.contains("| 0 retried | 1 setup errors"), "{out}");
-        assert!(!out.contains("recovered after retry"), "{out}");
-        assert!(!err.contains("panicked"), "{err}");
+    assert_eq!(header, "dart-generational-checkpoint v4");
+    let stale = |v: &str| text.replacen(header, &format!("dart-generational-checkpoint {v}"), 1);
+    for (program, contents, why) in [
+        (&lib, stale("v1"), "bad header"),
+        (&lib, stale("v2"), "bad header"),
+        (&lib, stale("v3"), "bad header"),
+        (&other, text.clone(), "recorded for a different program"),
+    ] {
+        std::fs::write(&files[0], &contents).unwrap();
+        let (code, sweep_out, sweep_err) = run(dartc().arg(program).args(engine));
+        let (farm_code, farm_out, farm_err) = run(dartc().arg(program).args(engine).arg("--farm"));
+        let line = result_line(&sweep_out, "f");
+        assert!(
+            line.contains("SETUP ERROR: ") && line.contains(why),
+            "{sweep_out}"
+        );
+        assert_eq!(line, result_line(&farm_out, "f"));
+        for (out, err) in [(&sweep_out, &sweep_err), (&farm_out, &farm_err)] {
+            assert!(out.contains("| 0 retried | 1 setup errors"), "{out}");
+            assert!(!out.contains("recovered after retry"), "{out}");
+            assert!(!err.contains("panicked"), "{err}");
+        }
+        assert_eq!((code, farm_code), (Some(1), Some(1)));
+        assert_eq!(std::fs::read_to_string(&files[0]).unwrap(), contents);
     }
-    assert_eq!((code, farm_code), (Some(1), Some(1)));
-    assert_eq!(std::fs::read_to_string(&files[0]).unwrap(), stale);
 }
 
 /// SIGKILL a worker mid-session, then run the farm over the same
 /// checkpoint directory: the shard resumes and prints the line an
-/// undisturbed run prints, solver counters included. (The kill lands at an
+/// undisturbed run prints, bug count and solver counters included. (The kill lands at an
 /// arbitrary point, so the checkpoint may hold partial progress or
 /// nothing — both must recover.)
 #[cfg(unix)]
@@ -310,7 +371,7 @@ fn sigkilled_worker_resumes_from_checkpoint() {
     assert_eq!(code, Some(1), "h has a bug\n{farm_out}");
 
     // The line of an undisturbed in-process run, which the resumed
-    // session's line must equal, solver counters included.
+    // session's line must equal, bug count and solver counters included.
     let (_, fresh_out, _) = run(dartc().arg(&lib).args(["--sweep", "h"]).args([
         "--mode",
         "generational",
